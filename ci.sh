@@ -55,9 +55,21 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # the SC fan-out sharing proof, and the conformance explorer again with
 # every link coalescing — byte-stream batching must be invisible to the
 # protocol. E23 then runs end to end in quick mode.
+#
+# The transport package (reply-inline send, one-read receive, the single
+# close-reason path) and the replica waiter-pool tests run under the race
+# detector three times at GOMAXPROCS 1, 2 and 8: their outcome must not
+# depend on CPU count or scheduler luck (ROADMAP item 0). The replica
+# allocation pins run once more without -race (sync.Pool drops Puts under
+# the detector, so the client pin skips there). The non-unix stub of the
+# inline writer is proven to compile.
 go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
-go test -race -count=1 -run 'TestTCPCoalesced|TestTCPMaxFrameBoundary|TestTCPFlushConcurrentClose|TestTCPWriteFailureShutsLinkDown|TestTCPReceiveAllocsSteadyState' ./internal/transport/
-go test -count=1 -run 'TestServerSendPathAllocs|TestWriteFanOut' ./internal/replica/
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
+    GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
+done
+GOOS=windows go vet ./internal/transport/
 go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.seed=3 -conformance.coalesce -count=1
 if [ "${1:-}" = "-long" ]; then
     go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.schedules=100000 -conformance.coalesce -count=1
@@ -91,9 +103,15 @@ fi
 # hints), the overload engine's own tests, then a 30s 2x-capacity smoke:
 # every refused attach must be answered with Busy (the binary exits
 # nonzero otherwise), healthy-fleet p99 stays under 100ms, and no more
-# than 8 goroutines may survive teardown.
+# than 8 goroutines may survive teardown. The admission tests repeat at
+# GOMAXPROCS 1, 2 and 8 (the attach bucket is server-wide: same verdicts
+# at any shard count); the transport kills got the same sweep with the
+# rest of their package in the throughput slice.
 go test -race -count=1 -run 'TestTCPWriteTimeoutKillsStalledLink|TestTCPQueueLimitKillsSlowConsumer|TestSendAfterCloseParity|TestTCPSlowConsumerHammer|TestChaosStall|TestParseChaosSpecStallKeys' ./internal/transport/
-go test -race -count=1 -run 'TestTryAttach|TestEvictSendsBusyThenDetaches|TestMemBytesAccountsSessionsAndItems|TestShedToBudgetEvictsIdleLongestFirst|TestSupervisorHonorsBusyRetryAfter' ./internal/replica/
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestTryAttach' ./internal/replica/
+done
+go test -race -count=1 -run 'TestEvictSendsBusyThenDetaches|TestMemBytesAccountsSessionsAndItems|TestShedToBudgetEvictsIdleLongestFirst|TestSupervisorHonorsBusyRetryAfter' ./internal/replica/
 go test -race -count=1 -run 'TestRunOverload|TestPercentileNearestRank' ./internal/load/
 go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
 /tmp/mobirep-load-ci -overload -capacity 3000 -factor 2 -duration 30s \

@@ -59,7 +59,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0,
 		"admission cap on concurrently attached sessions; attaches past it are refused with a Busy frame (0 = unlimited)")
 	attachRate := flag.Float64("attach-rate", 0,
-		"admission cap on attaches per second, smoothed by a per-shard token bucket (0 = unlimited)")
+		"admission cap on attaches per second server-wide, smoothed by one token bucket (0 = unlimited)")
 	retryAfter := flag.Duration("retry-after", time.Second,
 		"retry-after hint carried in Busy refusals and shed evictions")
 	outboxBytes := flag.Int("outbox-bytes", 1<<20,

@@ -6,9 +6,9 @@ package replica
 //
 //   - Too many clients: TryAttach refuses attaches past MaxSessions with
 //     a Busy("full") frame instead of accepting state it cannot afford.
-//   - Too many at once: a per-shard token bucket caps the attach rate, so
-//     a flash crowd is smeared out with Busy("rate") refusals rather than
-//     serialized into a convoy behind the shard tokens.
+//   - Too many at once: one server-wide token bucket caps the attach rate,
+//     so a flash crowd is smeared out with Busy("rate") refusals rather
+//     than serialized into a convoy behind the shard tokens.
 //   - Too much retained state: a soft memory watermark (SetMemSoftLimit)
 //     sheds idle-longest sessions with Busy("shed") until the account is
 //     back under budget.
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"mobirep/internal/obs"
@@ -41,14 +42,13 @@ type AdmissionConfig struct {
 	// MaxSessions caps concurrently attached sessions server-wide; at the
 	// cap new attaches are refused with Busy("full"). Zero means no cap.
 	MaxSessions int
-	// AttachRate caps attaches per second server-wide, enforced as an
-	// AttachRate/shards token bucket per shard (the shard is chosen by
-	// the would-be session's attach ID, so the buckets see the same
-	// uniform split the sessions do). Zero means no rate limit.
+	// AttachRate caps attaches per second server-wide: one token bucket
+	// on the server, so the promise does not depend on the shard count.
+	// Zero means no rate limit.
 	AttachRate float64
-	// AttachBurst is the server-wide bucket depth: how many attaches may
-	// land back-to-back before the rate gates. Zero defaults to one
-	// second's worth of AttachRate (minimum one per shard).
+	// AttachBurst is the bucket depth: how many attaches may land
+	// back-to-back before the rate gates. Zero defaults to one second's
+	// worth of AttachRate (minimum one).
 	AttachBurst int
 	// RetryAfter is the hint carried in Busy frames. Zero defaults to
 	// one second.
@@ -118,7 +118,7 @@ func (s *Server) Admission() AdmissionConfig {
 }
 
 // TryAttach is Attach behind admission control: the session cap and the
-// per-shard attach-rate bucket. A refused client is answered with a
+// attach-rate bucket. A refused client is answered with a
 // wire.KindBusy frame — reason "full" or "rate", retry-after hint in
 // milliseconds — its link is closed, and TryAttach returns ErrServerBusy.
 // No attach is ever silently dropped: the client always learns whether
@@ -135,24 +135,44 @@ func (s *Server) TryAttach(link transport.Link) (*Session, error) {
 	} else {
 		s.nSessions.Add(1)
 	}
-	id := s.nextID.Add(1)
 	if cfg.AttachRate > 0 {
-		shards := float64(len(s.shards))
-		burst := float64(cfg.AttachBurst) / shards
+		burst := float64(cfg.AttachBurst)
 		if burst < 1 {
-			burst = cfg.AttachRate / shards
-			if burst < 1 {
-				burst = 1
-			}
+			burst = max(cfg.AttachRate, 1)
 		}
-		sh := s.shards[sessionShard(id, len(s.shards))]
-		if !sh.allowAttach(cfg.AttachRate/shards, burst, s.clock()()) {
+		if !s.attachBucket.take(cfg.AttachRate, burst, s.clock()()) {
 			s.nSessions.Add(-1)
 			s.rejectAttach(link, "rate", cfg.retryAfter())
 			return nil, ErrServerBusy
 		}
 	}
-	return s.attachSession(id, link), nil
+	return s.attachSession(s.nextID.Add(1), link), nil
+}
+
+// tokenBucket is the attach-rate limiter. Its mutex is taken once per
+// attach and never together with a shard token.
+type tokenBucket struct {
+	mu     sync.Mutex
+	tokens float64
+	last   time.Time
+}
+
+// take removes one token from the bucket, refilled at rate tokens/sec up
+// to burst. The first call finds a full bucket.
+func (b *tokenBucket) take(rate, burst float64, now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.last.IsZero() {
+		b.tokens = burst
+	} else {
+		b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*rate, burst)
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
 }
 
 // rejectAttach answers a refused client with Busy and closes its link.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -86,8 +87,20 @@ func TestTryAttachMaxSessionsRefusesWithBusy(t *testing.T) {
 	}
 }
 
+// TestTryAttachRateBucketRefusesAndRefills: AttachRate and AttachBurst
+// are server-wide promises, so "2/s, burst 2" admits the same attaches
+// whatever the shard count (NewServer's default follows GOMAXPROCS; a
+// bucket split per shard once made this test depend on the host).
 func TestTryAttachRateBucketRefusesAndRefills(t *testing.T) {
-	srv, err := NewServer(db.NewStore(), SW(3))
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testAttachRateBucket(t, shards)
+		})
+	}
+}
+
+func testAttachRateBucket(t *testing.T, shards int) {
+	srv, err := NewServerShards(db.NewStore(), SW(3), shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -236,7 +237,10 @@ func (ss *Session) onBatch(b wire.Batch) {
 // client, a lost frame). The batch's memory is owned (wire.DecodeBatch
 // copies), so retaining b in the continuation is safe. The version hints
 // double as fetch floors: the client has seen the hinted version, so the
-// origin must not answer below it.
+// origin must not answer below it. An origin's item is only lent for the
+// duration of done (on a relay its Value aliases the parent link's receive
+// buffer, which the next frame overwrites), and this is a retention
+// point: the value is kept until the last key resolves, so it is copied.
 func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.Item)) {
 	items := make([]db.Item, len(b.Keys))
 	o := ss.srv.origin.Load()
@@ -258,6 +262,7 @@ func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.I
 		i := i
 		(*o)(key, floor, func(it db.Item, ok bool) {
 			if ok {
+				it.Value = bytes.Clone(it.Value)
 				items[i] = it
 			} else {
 				failed.Store(true)

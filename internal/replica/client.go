@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ type Client struct {
 
 	mu           sync.Mutex
 	items        map[string]*itemState
-	pending      map[string][]readWaiter
+	pending      map[string]*readWaiter // per key, the oldest parked read; the rest chain behind it
 	pendingBatch []chan wire.Batch
 	// pendingFn holds continuation-style read waiters (ReadThrough): a
 	// relay station's fetches, which must never park a goroutine on a
@@ -88,7 +89,7 @@ func NewClient(link transport.Link, mode Mode) (*Client, error) {
 		mode:      mode,
 		meter:     newMeter(mcMirror),
 		items:     make(map[string]*itemState),
-		pending:   make(map[string][]readWaiter),
+		pending:   make(map[string]*readWaiter),
 		pendingFn: make(map[string][]*fnWaiter),
 	}
 	link.SetHandler(c.onFrame)
@@ -154,14 +155,15 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	if c.trackFloors {
 		floor = c.floors[key]
 	}
-	ch := make(chan wire.Message, 1)
-	c.pending[key] = append(c.pending[key], readWaiter{ch: ch, floor: floor})
+	w := waiterPool.Get().(*readWaiter)
+	w.key, w.floor = key, floor
+	c.parkLocked(w)
 	link := c.link
 	c.mu.Unlock()
 
 	c.meter.addConnection()
 	if err := c.sendControlOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
-		c.cancelPending(key, ch)
+		w.done(c.cancelPending(w))
 		mReadOffline.Inc()
 		// A link that fails mid-send is an offline condition to the
 		// caller (the suspect hook above has already told the recovery
@@ -170,27 +172,28 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	}
 	var timeout <-chan time.Time
 	if c.Timeout > 0 {
-		t := time.NewTimer(c.Timeout)
-		defer t.Stop()
-		timeout = t.C
+		timeout = w.arm(c.Timeout)
 	}
 	select {
-	case resp, ok := <-ch:
+	case resp, ok := <-w.ch:
+		// Closed by Disconnect or Suspend: the channel is spent and w is
+		// dropped. Else this was the one send w.ch will ever see.
+		w.done(ok)
 		if !ok {
-			// The channel was closed by Disconnect or Suspend.
 			mReadOffline.Inc()
 			return db.Item{}, ErrOffline
 		}
 		mReadRemote.Inc()
-		return db.Item{Key: key, Value: resp.Value, Version: resp.Version}, nil
+		return db.Item{Key: key, Value: resp.value, Version: resp.version}, nil
 	case <-timeout:
-		c.cancelPending(key, ch)
+		w.armed = false // the tick is consumed
+		w.done(c.cancelPending(w))
 		mReadTimeout.Inc()
 		// A silent link is as suspect as a failing one.
 		c.suspect(link, ErrTimeout)
 		return db.Item{}, ErrTimeout
 	case <-ctx.Done():
-		c.cancelPending(key, ch)
+		w.done(c.cancelPending(w))
 		mReadCanceled.Inc()
 		return db.Item{}, ctx.Err()
 	}
@@ -227,16 +230,51 @@ func (c *Client) state(key string) *itemState {
 	return st
 }
 
-// cancelPending removes ch from the waiters of key.
-func (c *Client) cancelPending(key string, ch chan wire.Message) {
+// parkLocked queues w behind the reads already waiting on its key. The
+// caller holds c.mu.
+func (c *Client) parkLocked(w *readWaiter) {
+	head := c.pending[w.key]
+	if head == nil {
+		c.pending[w.key] = w
+		return
+	}
+	for head.next != nil {
+		head = head.next
+	}
+	head.next = w
+}
+
+// cancelPending removes w from the waiters of its key and reports whether
+// it was still there. True means no response and no Disconnect got to w
+// first, so nothing can still send on or close its channel.
+func (c *Client) cancelPending(w *readWaiter) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	waiters := c.pending[key]
-	for i, w := range waiters {
-		if w.ch == ch {
-			c.pending[key] = append(waiters[:i], waiters[i+1:]...)
-			return
+	head := c.pending[w.key]
+	if head == w {
+		c.popWaiterLocked(w)
+		return true
+	}
+	for ; head != nil; head = head.next {
+		if head.next == w {
+			head.next = w.next
+			return true
 		}
+	}
+	return false
+}
+
+// popWaiterLocked unlinks head, the oldest waiter of its key. The map is
+// only ever indexed by a waiter's own key, never by a response's: assigning
+// under an existing string key replaces the stored key too, and a borrowed
+// msg.Key would plant transport bytes in the map. The caller holds c.mu.
+func (c *Client) popWaiterLocked(head *readWaiter) {
+	if head.next == nil {
+		// Popping the entry keeps the map from accumulating one empty
+		// slot per key ever read.
+		delete(c.pending, head.key)
+	} else {
+		c.pending[head.next.key] = head.next
 	}
 }
 
@@ -375,7 +413,7 @@ func (c *Client) onReadResp(msg wire.Message) {
 		// request chaos ate; the response is inert only if it satisfies
 		// none of them.
 		inert := true
-		if len(c.pending[msg.Key]) == 0 {
+		if c.pending[msg.Key] == nil {
 			for _, fw := range c.pendingFn[msg.Key] {
 				if fw.floor <= msg.Version {
 					inert = false
@@ -409,24 +447,12 @@ func (c *Client) onReadResp(msg wire.Message) {
 		}
 		c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 	}
-	var ch chan wire.Message
+	var w *readWaiter
 	var fws []*fnWaiter
 	var dealloc *wire.Message
 	var dropped string
-	if waiters := c.pending[msg.Key]; len(waiters) > 0 {
-		ch = waiters[0].ch
-		if len(waiters) == 1 {
-			// delete never retains its argument, so the borrowed msg.Key
-			// is safe here — and popping the entry keeps the map from
-			// accumulating one empty slot per key ever read.
-			delete(c.pending, msg.Key)
-		} else {
-			// Assigning to an existing string map key REPLACES the stored
-			// key with the new one (the runtime updates string keys), so
-			// assigning under the borrowed msg.Key would plant transport
-			// bytes in the map; clone first.
-			c.pending[strings.Clone(msg.Key)] = waiters[1:]
-		}
+	if w = c.pending[msg.Key]; w != nil {
+		c.popWaiterLocked(w)
 		c.noteFloorLocked(msg.Key, msg.Version)
 	} else if fns := c.pendingFn[msg.Key]; len(fns) > 0 {
 		// One response satisfies EVERY continuation whose floor it
@@ -456,11 +482,13 @@ func (c *Client) onReadResp(msg wire.Message) {
 	}
 	drop := c.dropFn
 	c.mu.Unlock()
-	if ch != nil {
-		// The waiter consumes the message on another goroutine, after this
+	if w != nil {
+		// The reader consumes the result on another goroutine, after this
 		// handler has returned and the frame buffer has been reused: hand
-		// it an owning copy.
-		ch <- msg.Clone()
+		// it an owning copy of the value — all it returns besides its own
+		// key and the version. The pop above made this the only send w.ch
+		// sees before the reader recycles w.
+		w.ch <- readResult{value: bytes.Clone(msg.Value), version: msg.Version}
 	}
 	if dealloc != nil {
 		_ = c.sendControl(*dealloc)

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"strings"
+	"sync"
+	"time"
 
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
@@ -17,12 +19,64 @@ import (
 // monotone per key even when a relay's copy lags the root.
 
 // readWaiter is one parked singleton read: the channel its goroutine
-// waits on and the floor its request carried (0 = none). A response
-// below the head waiter's floor is a stale duplicate and must not
-// complete the read.
+// waits on, the floor its request carried (0 = none) and the next-younger
+// read parked on the same key. A response below the head waiter's floor
+// is a stale duplicate and must not complete the read.
+//
+// Waiters are pooled, channel and timeout timer included, so a remote
+// read allocates nothing but the value it returns. What makes reuse safe
+// is ownership of ch: whoever unlinks a waiter from Client.pending under
+// c.mu is the only party that may still send on or close its channel. A
+// reader recycles its waiter after taking the one response, or after
+// unlinking it itself (cancelPending reports true); a waiter it lost to
+// onReadResp or failWaiters it abandons — a late response or a close
+// must land on a channel no later read will ever see.
 type readWaiter struct {
-	ch    chan wire.Message
+	ch    chan readResult
+	key   string // the reader's own key: what Client.pending is indexed by
 	floor uint64
+	next  *readWaiter
+	timer *time.Timer // created by the first read with a Timeout
+	armed bool        // timer is running, or its tick is unconsumed
+}
+
+// readResult is what a response gives the parked reader: an owned copy
+// of the value, and the version.
+type readResult struct {
+	value   []byte
+	version uint64
+}
+
+var waiterPool = sync.Pool{New: func() any { return &readWaiter{ch: make(chan readResult, 1)} }}
+
+// arm starts the waiter's timeout and returns the channel it ticks on.
+func (w *readWaiter) arm(d time.Duration) <-chan time.Time {
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	w.armed = true
+	return w.timer.C
+}
+
+// done ends a read's use of w and, when recycle says the reader owns
+// w.ch again (see readWaiter), returns it to the pool. A timer may be
+// reused only once it is stopped with nothing in its channel: Stop
+// reporting true proves that, and so does having consumed the tick (the
+// reader clears armed). When Stop loses the race with expiry the tick is
+// still on its way — under go.mod's go 1.22 timer semantics a drain could
+// miss it, and a later read would time out at once — so that timer is
+// dropped and the next arm makes a new one.
+func (w *readWaiter) done(recycle bool) {
+	if w.armed && !w.timer.Stop() {
+		w.timer = nil
+	}
+	w.armed = false
+	if recycle {
+		w.key, w.next = "", nil
+		waiterPool.Put(w)
+	}
 }
 
 // fnWaiter is one continuation-style read (ReadThrough). Identified by
@@ -123,8 +177,8 @@ func (c *Client) cancelFn(key string, fw *fnWaiter) bool {
 // either kind (the transport is FIFO, so the next response answers the
 // head). 0 when no waiter or no floor. Caller holds c.mu.
 func (c *Client) headFloorLocked(key string) uint64 {
-	if ws := c.pending[key]; len(ws) > 0 {
-		return ws[0].floor
+	if w := c.pending[key]; w != nil {
+		return w.floor
 	}
 	if fns := c.pendingFn[key]; len(fns) > 0 {
 		return fns[0].floor

@@ -65,9 +65,9 @@ func (c *Client) AllowStale(maxAge time.Duration) {
 // the link: pending singleton reads, pending joint reads, pending
 // continuation reads, and the in-flight resync signal. The caller must
 // hold c.mu and fail them all after releasing it.
-func (c *Client) takeWaitersLocked() (map[string][]readWaiter, []chan wire.Batch, map[string][]*fnWaiter, chan struct{}) {
+func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []chan wire.Batch, map[string][]*fnWaiter, chan struct{}) {
 	pending := c.pending
-	c.pending = make(map[string][]readWaiter)
+	c.pending = make(map[string]*readWaiter)
 	batch := c.pendingBatch
 	c.pendingBatch = nil
 	fns := c.pendingFn
@@ -80,9 +80,9 @@ func (c *Client) takeWaitersLocked() (map[string][]readWaiter, []chan wire.Batch
 // failWaiters closes every channel collected by takeWaitersLocked
 // (receivers treat a closed channel as ErrOffline) and fails every
 // continuation waiter with ok=false.
-func failWaiters(pending map[string][]readWaiter, batch []chan wire.Batch, fns map[string][]*fnWaiter, done chan struct{}) {
-	for _, waiters := range pending {
-		for _, w := range waiters {
+func failWaiters(pending map[string]*readWaiter, batch []chan wire.Batch, fns map[string][]*fnWaiter, done chan struct{}) {
+	for _, w := range pending {
+		for ; w != nil; w = w.next {
 			close(w.ch)
 		}
 	}

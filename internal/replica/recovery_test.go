@@ -386,7 +386,7 @@ func TestReadContextDeadline(t *testing.T) {
 	}
 	// Cancelled waiters leave no residue: a later response wakes nobody.
 	cli.mu.Lock()
-	residue := len(cli.pending["x"]) + len(cli.pendingBatch)
+	residue := len(cli.pending) + len(cli.pendingBatch)
 	cli.mu.Unlock()
 	if residue != 0 {
 		t.Fatalf("%d stale waiters left after context expiry", residue)

@@ -29,10 +29,12 @@ type Server struct {
 	// sessions for the MaxSessions reservation check — an atomic rather
 	// than a shard walk so TryAttach admits or refuses without touching
 	// any shard token. memSoft is the soft memory watermark ShedToBudget
-	// enforces; admission holds the attach-time policy.
-	nSessions atomic.Int64
-	admission atomic.Pointer[AdmissionConfig]
-	memSoft   atomic.Int64
+	// enforces; admission holds the attach-time policy and attachBucket
+	// the server-wide attach-rate budget it spends.
+	nSessions    atomic.Int64
+	admission    atomic.Pointer[AdmissionConfig]
+	attachBucket tokenBucket
+	memSoft      atomic.Int64
 
 	// Tree hooks (relay.go). origin, when set, intercepts every read-path
 	// store fetch so a relay station can pull the value from its parent;

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mobirep/internal/obs"
 )
@@ -69,12 +68,6 @@ type shard struct {
 	// memGauge mirrors it for /metrics.
 	mem      atomic.Int64
 	memGauge *obs.Gauge
-
-	// Token bucket for attach-rate admission (admission.go). Guarded by
-	// tbMu, never taken together with the writer token.
-	tbMu     sync.Mutex
-	tbTokens float64
-	tbLast   time.Time
 }
 
 // fanEntry is one prepared send of a write fan-out: which session, and
@@ -103,27 +96,6 @@ func newShard(id int) *shard {
 func (sh *shard) addMem(delta int64) {
 	sh.mem.Add(delta)
 	sh.memGauge.Add(delta)
-}
-
-// allowAttach takes one token from the shard's attach bucket, refilled at
-// rate tokens/sec up to burst. The first call finds a full bucket.
-func (sh *shard) allowAttach(rate, burst float64, now time.Time) bool {
-	sh.tbMu.Lock()
-	defer sh.tbMu.Unlock()
-	if sh.tbLast.IsZero() {
-		sh.tbTokens = burst
-	} else {
-		sh.tbTokens += now.Sub(sh.tbLast).Seconds() * rate
-		if sh.tbTokens > burst {
-			sh.tbTokens = burst
-		}
-	}
-	sh.tbLast = now
-	if sh.tbTokens < 1 {
-		return false
-	}
-	sh.tbTokens--
-	return true
 }
 
 // enter begins one event on the shard: the caller holds the single-writer

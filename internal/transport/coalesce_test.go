@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -180,83 +180,120 @@ func TestTCPFlushConcurrentClose(t *testing.T) {
 	}
 }
 
+// severedLink returns a started link whose peer has sent one frame and hung
+// up, the channel its close callback reports on, and hold: until hold is
+// closed the handler keeps the read loop parked on that one frame, so the
+// peer's EOF stays unread. Pass a closed channel to let the EOF race.
+func severedLink(t *testing.T, hold chan struct{}) (*TCPLink, chan error) {
+	t.Helper()
+	conn, srvConn := connPair(t)
+	link := NewTCPLink(conn)
+	parked := make(chan struct{}, 1)
+	link.SetHandler(func([]byte) {
+		parked <- struct{}{}
+		<-hold
+	})
+	closed := make(chan error, 1)
+	link.Start(func(err error) { closed <- err })
+	t.Cleanup(func() { link.Close() })
+
+	if _, err := srvConn.Write([]byte{0, 0, 0, 1, 'x'}); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	srvConn.Close()
+	return link, closed
+}
+
+// sendUntilError writes to a severed link until the failure shows (the
+// first few sends may land in socket buffers).
+func sendUntilError(t *testing.T, link *TCPLink) error {
+	t.Helper()
+	payload := bytes.Repeat([]byte{1}, 1<<16)
+	for i := 0; i < 100; i++ {
+		if err := link.Send(payload); err != nil {
+			return err
+		}
+	}
+	t.Fatal("writes to a severed connection never failed")
+	return nil
+}
+
 // TestTCPWriteFailureShutsLinkDown covers the partial-write corruption
 // fix: once any write fails, the byte stream is unrecoverable for the
 // peer, so the link must die — not hand back an error on a live link —
 // and the write error must surface through the close callback.
+//
+// The read loop is parked in the handler while the writes fail. Left
+// free it may read the peer's EOF and close the link before any write is
+// attempted — Send then says ErrClosed, nothing failed, and a clean
+// onClose(nil) is right — which made this test pass or fail by CPU count.
+// TestTCPWriteFailureRacesPeerEOF covers the free-running case.
 func TestTCPWriteFailureShutsLinkDown(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- c
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := NewTCPLink(conn)
-	link.SetHandler(func([]byte) {})
-	closed := make(chan error, 1)
-	link.Start(func(err error) { closed <- err })
-
-	// Sever the connection under the link, then write until the failure
-	// shows (the first few sends may land in socket buffers).
-	srvConn := <-accepted
-	srvConn.Close()
-	payload := bytes.Repeat([]byte{1}, 1<<16)
-	var sendErr error
-	for i := 0; i < 100 && sendErr == nil; i++ {
-		sendErr = link.Send(payload)
-	}
-	if sendErr == nil {
-		t.Fatal("writes to a severed connection never failed")
+	hold := make(chan struct{})
+	link, closed := severedLink(t, hold)
+	sendErr := sendUntilError(t, link)
+	if errors.Is(sendErr, ErrClosed) {
+		t.Fatalf("Send reported %v, want the write error itself", sendErr)
 	}
 	// The failed write must have killed the link.
 	if err := link.Send([]byte("x")); err != ErrClosed {
 		t.Fatalf("link still alive after write failure: %v", err)
 	}
-	// And the close callback reports a reason, not a clean shutdown.
+	// And the close callback reports that failure, not the clean shutdown
+	// the read loop sees when it wakes up on a closed connection.
+	close(hold)
 	select {
 	case err := <-closed:
-		if err == nil {
-			t.Fatal("onClose reported clean shutdown after a write failure")
+		if err != sendErr {
+			t.Fatalf("onClose reported %v, want the write failure %v", err, sendErr)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("close callback never fired")
 	}
 }
 
-// TestTCPReceiveAllocsSteadyState pins the receive path: after the first
-// frame grows the loop's buffer, further same-sized frames must be
-// delivered with zero per-frame allocations.
+// TestTCPWriteFailureRacesPeerEOF lets the peer's EOF and the failing
+// write race, as they do in production. Whichever side loses the link
+// first, the reason is settled once: a Send that is handed a write error
+// (not ErrClosed) has made it the reason onClose carries.
+func TestTCPWriteFailureRacesPeerEOF(t *testing.T) {
+	free := make(chan struct{})
+	close(free)
+	for round := 0; round < 50; round++ {
+		link, closed := severedLink(t, free)
+		sendErr := sendUntilError(t, link)
+		if err := link.Send([]byte("x")); err != ErrClosed {
+			t.Fatalf("round %d: link still alive after %v: %v", round, sendErr, err)
+		}
+		select {
+		case err := <-closed:
+			if !errors.Is(sendErr, ErrClosed) && err != sendErr {
+				t.Fatalf("round %d: Send failed with %v but onClose reported %v", round, sendErr, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: close callback never fired", round)
+		}
+	}
+}
+
+// TestTCPReceiveAllocsSteadyState pins the receive path: once the link's
+// buffer has grown to the largest frame, a frame costs zero allocations
+// from the sender's Send to the receiver's handler, and the handler keeps
+// being lent the same memory.
 func TestTCPReceiveAllocsSteadyState(t *testing.T) {
-	// Indirect pin: the readLoop buffer is reused, so the handler must see
-	// the SAME backing array across frames. (A direct AllocsPerRun is
-	// impossible across goroutines; buffer identity is the observable.)
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ptrs := make(chan *byte, 16)
+	ptrs := make(chan *byte, 1)
 	go func() {
 		link, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		link.SetHandler(func(f []byte) {
-			if len(f) > 0 {
-				ptrs <- &f[0]
-			}
-		})
+		link.SetHandler(func(f []byte) { ptrs <- &f[0] })
 		link.Start(nil)
 	}()
 	cli, err := Dial(ln.Addr(), func([]byte) {})
@@ -264,20 +301,21 @@ func TestTCPReceiveAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	var first *byte
-	for i := 0; i < 8; i++ {
-		if err := cli.Send(bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+	frame := bytes.Repeat([]byte{7}, 2*recvBufStart) // outgrows the first buffer
+	exchange := func() *byte {
+		if err := cli.Send(frame); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case p := <-ptrs:
-			if first == nil {
-				first = p
-			} else if p != first {
-				t.Fatalf("frame %d delivered in a fresh buffer — receive path allocates per frame", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("timeout")
+		return <-ptrs // no timeout: a timer would be the only allocation here
+	}
+	exchange() // grows the buffer
+	first := exchange()
+	// AllocsPerRun counts the whole process's mallocs, read loop included.
+	if n := testing.AllocsPerRun(200, func() {
+		if p := exchange(); p != first {
+			t.Fatal("frame delivered in a fresh buffer")
 		}
+	}); n != 0 {
+		t.Fatalf("send + receive allocated %.2f times per frame, want 0", n)
 	}
 }

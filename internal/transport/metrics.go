@@ -89,10 +89,21 @@ var (
 		"Frames a chaos link forwarded to the peer, duplicates included.")
 
 	mWritevFlushes = obsReg.Counter("mobirep_transport_writev_flushes_total",
-		"Coalesced writev batches issued by TCP links.")
+		"Writes issued by coalescing TCP links: writev batches plus reply-inline writes.")
 	mWritevFrames = obsReg.Counter("mobirep_transport_writev_frames_total",
-		"Frames carried by coalesced writev batches. The per-frame path "+
+		"Frames carried by those writes. The per-frame path "+
 			"costs two syscalls, so 2*frames - flushes syscalls were saved.")
+
+	// Every Send on a coalescing link with a descriptor is one of these
+	// five: sent inline, or queued for the flusher for the named reason.
+	mInlineSends = obsReg.Counter("mobirep_transport_inline_sends_total",
+		"Frames a coalescing link wrote from the sender's goroutine (reply-inline send).")
+	mInlineEagain = obsReg.Counter(`mobirep_transport_inline_fallbacks_total{reason="eagain"}`,
+		"Sends that left the reply-inline path: socket full (eagain), partly written (short), "+
+			"outbox non-empty or write in flight (busy), not the first send after a receive (burst).")
+	mInlineShort = obsReg.Counter(`mobirep_transport_inline_fallbacks_total{reason="short"}`, "")
+	mInlineBusy  = obsReg.Counter(`mobirep_transport_inline_fallbacks_total{reason="busy"}`, "")
+	mInlineBurst = obsReg.Counter(`mobirep_transport_inline_fallbacks_total{reason="burst"}`, "")
 )
 
 func init() {
@@ -122,7 +133,8 @@ func recordRecv(frame []byte) {
 	mBytesRecvByKind[kindSlot(k)].Add(uint64(len(frame)))
 }
 
-// recordFlush accounts one coalesced writev batch of n frames.
+// recordFlush accounts one write (a writev batch or an inline write) that
+// carried n whole frames.
 func recordFlush(n int) {
 	mWritevFlushes.Inc()
 	mWritevFrames.Add(uint64(n))

@@ -128,24 +128,37 @@ func (l *memLink) Close() error {
 // flusher runs whenever the queue is non-empty, so the added latency is
 // bounded by one in-flight write; Flush forces a synchronous drain.
 //
+// A closed-loop exchange has nothing to coalesce, so a coalescing link
+// sends a reply inline: the first Send after the link received a frame,
+// finding the outbox empty and no write in flight, makes one non-blocking
+// write from the sender's goroutine and skips the flusher hand-off. What
+// the socket does not take at once is left to the flusher; every other
+// Send queues as above. See sendInline.
+//
 // Any failed or short write leaves the byte stream desynchronized for the
 // peer (a half-written frame shifts every later length prefix), so the
 // link shuts down on the first write error rather than returning an error
 // on a live link.
 //
 // Two overload bounds protect the sender from a peer that stops reading:
-// SetWriteTimeout arms a deadline before every writev, so a stalled socket
+// SetWriteTimeout arms a deadline around every writev, so a stalled socket
 // fails the write instead of wedging the flusher forever; SetQueueLimit
 // caps the coalescing outbox, killing the link (ErrSlowConsumer) the
 // moment queued bytes would exceed the bound. Both funnel into the same
-// fail-closed shutdown path as any other write error.
+// fail-closed path as any other write error (closeWith).
 type TCPLink struct {
 	conn    net.Conn
 	hmu     sync.Mutex
 	handler Handler
-	closed  chan struct{}
-	once    sync.Once
 	onClose func(error)
+
+	// cmu settles how the link ended, on its own mutex and never under
+	// wmu: the slow-consumer kill and the read loop's report must not
+	// block behind a writev stalled on a dead peer. See closeWith.
+	cmu      sync.Mutex
+	closed   chan struct{} // closed by the first closeWith
+	reason   error         // why the link ended; nil is a clean shutdown
+	reported bool          // the read loop has taken reason for onClose
 
 	// wmu serializes writes to conn. Batch extraction from the coalescing
 	// queue happens under it too, so two concurrent flushes cannot write
@@ -155,15 +168,14 @@ type TCPLink struct {
 	wpair  [][]byte // immediate-mode two-entry writev scratch
 	wstore [][]byte // coalesced-mode writev view backing
 	wview  net.Buffers
-
-	// errmu guards werr on its own mutex, not under wmu: the slow-consumer
-	// kill path and the readLoop's root-cause report must never block
-	// behind a writev stalled on a dead peer.
-	errmu sync.Mutex
-	werr  error // first write error, reported via onClose
+	inline *inlineWriter // nil: conn has no descriptor, never send inline
 
 	writeTimeout atomic.Int64 // ns per writev; 0 = no deadline
 	queueLimit   atomic.Int64 // outbox bound in bytes; 0 = unbounded
+
+	// replyArmed is set by the read loop for every frame it delivers and
+	// consumed by the next Send, which may then go inline.
+	replyArmed atomic.Bool
 
 	coalesce atomic.Bool
 	qmu      sync.Mutex // guards the coalescing queue
@@ -176,16 +188,28 @@ type TCPLink struct {
 	flushFrames atomic.Uint64
 }
 
-// chunk is one queued frame (length prefix + payload) owned by the link.
-type chunk struct{ b []byte }
+// chunk is one queued frame (length prefix + payload) owned by the link;
+// b[off:] is what is still to be written.
+type chunk struct {
+	b   []byte
+	off int
+}
 
 var chunkPool = sync.Pool{New: func() any { return &chunk{b: make([]byte, 0, 256)} }}
+
+// newChunk copies frame behind its length prefix into a pooled chunk.
+func newChunk(frame []byte) *chunk {
+	c := chunkPool.Get().(*chunk)
+	b := binary.BigEndian.AppendUint32(c.b[:0], uint32(len(frame)))
+	c.b = append(b, frame...)
+	return c
+}
 
 func putChunk(c *chunk) {
 	if cap(c.b) > maxPooledChunk {
 		return
 	}
-	c.b = c.b[:0]
+	c.b, c.off = c.b[:0], 0
 	chunkPool.Put(c)
 }
 
@@ -197,11 +221,17 @@ const (
 	// coalesceFlushBytes bounds queued memory: once this much is pending
 	// the sender flushes inline instead of waking the flusher.
 	coalesceFlushBytes = 256 << 10
+	// recvBufStart is a link's receive buffer before any frame outgrows
+	// it. Small on purpose: a server holds one per session.
+	recvBufStart = 512
 )
 
 // NewTCPLink wraps an established connection. Call SetHandler, then Start.
 func NewTCPLink(conn net.Conn) *TCPLink {
-	return &TCPLink{conn: conn, closed: make(chan struct{}), wake: make(chan struct{}, 1)}
+	return &TCPLink{
+		conn: conn, closed: make(chan struct{}), wake: make(chan struct{}, 1),
+		inline: newInlineWriter(conn),
+	}
 }
 
 // SetCoalesce turns on send coalescing: Send enqueues and a background
@@ -232,8 +262,8 @@ func (l *TCPLink) SetWriteTimeout(d time.Duration) { l.writeTimeout.Store(int64(
 // returns ErrSlowConsumer rather than buffering without limit for a peer
 // that is not draining. While a limit is set, senders never flush inline —
 // the bound, not coalesceFlushBytes, is the backpressure — so Send never
-// blocks on a stalled socket. Zero (the default) restores unbounded
-// queueing with inline flushes.
+// blocks on a stalled socket (the reply-inline write never waits either).
+// Zero (the default) restores unbounded queueing with inline flushes.
 func (l *TCPLink) SetQueueLimit(bytes int) { l.queueLimit.Store(int64(bytes)) }
 
 // QueuedBytes reports the bytes sitting in the coalescing outbox right
@@ -245,11 +275,12 @@ func (l *TCPLink) QueuedBytes() int {
 	return l.pendingB
 }
 
-// CoalesceStats counts the work the vectored flusher has done.
+// CoalesceStats counts the write syscalls a coalescing link has issued.
 type CoalesceStats struct {
-	// Flushes is the number of writev batches issued.
+	// Flushes is the number of writes issued: the flusher's writev
+	// batches plus the reply-inline writes.
 	Flushes uint64
-	// Frames is the number of frames those batches carried. The legacy
+	// Frames is the number of frames those writes carried. The legacy
 	// path cost two Write syscalls per frame, so 2*Frames - Flushes
 	// syscalls were saved.
 	Frames uint64
@@ -267,52 +298,115 @@ func (l *TCPLink) Start(onClose func(error)) {
 	go l.readLoop()
 }
 
+// closeWith ends the link with err as the reason and reports whether err
+// is the reason onClose will carry. The first call closes the connection,
+// after the reason is settled, so the read loop that the close wakes finds
+// it. EOF and "use of closed connection" say only that one side hung up:
+// they count as nil, a clean shutdown. A failure that arrives later still
+// replaces a clean reason until the read loop has taken it — when the
+// peer's EOF races our failing write, the failure is the root cause.
+func (l *TCPLink) closeWith(err error) bool {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+		err = nil
+	}
+	l.cmu.Lock()
+	settled := err != nil && l.reason == nil && !l.reported
+	if settled {
+		l.reason = err
+	}
+	first := false
+	select {
+	case <-l.closed:
+	default:
+		first = true
+		close(l.closed)
+	}
+	l.cmu.Unlock()
+	if first {
+		l.conn.Close()
+	}
+	return settled
+}
+
+// failWrite is the fail-closed exit of every write path: the link dies
+// with err, and the caller gets err back if it became the close reason,
+// ErrClosed if the link was already lost to something else.
+func (l *TCPLink) failWrite(err error) error {
+	if l.closeWith(err) {
+		return err
+	}
+	return ErrClosed
+}
+
+// readLoop takes whatever the socket holds with each Read and parses the
+// frames out of the buffer in place: header and payload arrive in one
+// syscall, and a batch of k coalesced frames costs one read, not 2k.
+//
+// There is one receive buffer per link, grown to the largest frame seen
+// and reused from then on: steady-state receive does not allocate. The
+// handler borrows a slice of it (see Handler); the bytes move or are
+// overwritten only after the handler has returned.
 func (l *TCPLink) readLoop() {
 	var err error
 	defer func() {
-		l.shutdown()
+		l.closeWith(err)
+		l.cmu.Lock()
+		reason := l.reason
+		l.reported = true
+		l.cmu.Unlock()
 		if l.onClose != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				err = nil
-			}
-			if err == nil {
-				// A write-path failure closed the connection under us;
-				// surface the root cause instead of a clean shutdown.
-				l.errmu.Lock()
-				err = l.werr
-				l.errmu.Unlock()
-			}
-			l.onClose(err)
+			l.onClose(reason)
 		}
 	}()
-	var hdr [4]byte
-	// One receive buffer per link, grown to the largest frame seen and
-	// reused for every subsequent frame: steady-state receive does not
-	// allocate. The handler borrows it (see Handler).
-	var buf []byte
+	buf := make([]byte, recvBufStart)
+	r, w := 0, 0 // buf[r:w] is received and not yet delivered
 	for {
-		if _, err = io.ReadFull(l.conn, hdr[:]); err != nil {
+		need := 4 // bytes the next frame needs in buf, as far as known
+		for w-r >= 4 {
+			n := binary.BigEndian.Uint32(buf[r:])
+			if n > maxFrame {
+				err = fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+				return
+			}
+			end := r + 4 + int(n)
+			if end > w {
+				need = 4 + int(n)
+				break
+			}
+			l.deliver(buf[r+4 : end : end])
+			r = end
+		}
+		if err != nil {
+			if err == io.EOF && r < w {
+				err = io.ErrUnexpectedEOF // the stream ended inside a frame
+			}
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrame {
-			err = fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-			return
+		// Move the partial frame, if any, to the front, into a larger
+		// buffer when it will not fit this one.
+		if need > len(buf) {
+			grown := make([]byte, need)
+			w = copy(grown, buf[r:w])
+			buf, r = grown, 0
+		} else if r > 0 {
+			w = copy(buf, buf[r:w])
+			r = 0
 		}
-		if uint32(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		frame := buf[:n]
-		if _, err = io.ReadFull(l.conn, frame); err != nil {
-			return
-		}
-		l.hmu.Lock()
-		h := l.handler
-		l.hmu.Unlock()
-		if h != nil {
-			recordRecv(frame)
-			h(frame)
-		}
+		var m int
+		m, err = l.conn.Read(buf[w:])
+		w += m
+	}
+}
+
+// deliver hands one received frame to the handler.
+func (l *TCPLink) deliver(frame []byte) {
+	l.hmu.Lock()
+	h := l.handler
+	l.hmu.Unlock()
+	if h != nil {
+		l.replyArmed.Store(true)
+		recordRecv(frame)
+		h(frame)
 	}
 }
 
@@ -328,7 +422,16 @@ func (l *TCPLink) Send(frame []byte) error {
 	default:
 	}
 	if l.coalesce.Load() {
-		return l.enqueue(frame)
+		c := newChunk(frame)
+		if l.inline != nil {
+			if sent, err := l.sendInline(c); sent {
+				if err == nil {
+					recordSend(frame)
+				}
+				return err
+			}
+		}
+		return l.enqueue(c, frame)
 	}
 	l.wmu.Lock()
 	binary.BigEndian.PutUint32(l.whdr[:], uint32(len(frame)))
@@ -340,34 +443,97 @@ func (l *TCPLink) Send(frame []byte) error {
 	// two Write syscalls. net.Buffers.WriteTo mutates l.wview as it
 	// consumes; l.wpair keeps the stable backing.
 	l.wview = net.Buffers(l.wpair[:2])
-	l.armWriteDeadline()
-	_, err := l.wview.WriteTo(l.conn)
+	err := l.writeLocked()
 	l.wpair[1] = nil
-	if err != nil {
-		l.fail(err)
-		l.wmu.Unlock()
-		l.shutdown()
-		return err
-	}
 	l.wmu.Unlock()
+	if err != nil {
+		return l.failWrite(err)
+	}
 	recordSend(frame)
 	return nil
 }
 
-// enqueue copies frame (with its length prefix) into a pooled chunk on
-// the coalescing queue. The caller's buffer is free for reuse on return.
-func (l *TCPLink) enqueue(frame []byte) error {
-	c := chunkPool.Get().(*chunk)
-	b := binary.BigEndian.AppendUint32(c.b[:0], uint32(len(frame)))
-	c.b = append(b, frame...)
+// sendInline is the reply-inline send. It reports sent=false, leaving c
+// with the caller to queue, unless this is the first Send since the link
+// received a frame, the outbox is empty and no write is in flight. Then it
+// makes one non-blocking write of c from this goroutine: a request and its
+// response cost one write each and no flusher hand-off. If the socket is
+// full, c queues after all; if it took only part of c, the rest goes to
+// the head of the queue — ahead of anything queued meanwhile — and the
+// flusher finishes it. The write never waits, so Send keeps its promise
+// not to block behind a stalled peer, and it arms no deadline, so there
+// is none to clear.
+func (l *TCPLink) sendInline(c *chunk) (sent bool, err error) {
+	if !l.replyArmed.Load() || !l.replyArmed.CompareAndSwap(true, false) {
+		mInlineBurst.Inc()
+		return false, nil
+	}
+	if limit := int(l.queueLimit.Load()); limit > 0 && len(c.b) > limit {
+		return false, nil // over the bound by itself: enqueue refuses it
+	}
+	if !l.wmu.TryLock() {
+		mInlineBusy.Inc()
+		return false, nil
+	}
+	l.qmu.Lock()
+	empty := len(l.pending) == 0
+	l.qmu.Unlock()
+	if !empty {
+		l.wmu.Unlock()
+		mInlineBusy.Inc()
+		return false, nil
+	}
+	n, err := l.inline.write(c.b)
+	if err != nil {
+		l.wmu.Unlock()
+		putChunk(c)
+		return true, l.failWrite(err)
+	}
+	l.flushes.Add(1)
+	switch n {
+	case len(c.b):
+		l.wmu.Unlock()
+		putChunk(c)
+		l.flushFrames.Add(1)
+		recordFlush(1)
+		mInlineSends.Inc()
+		return true, nil
+	case 0:
+		// Nothing is on the wire, so c is still an ordinary frame: it
+		// queues behind whatever arrived meanwhile and answers to the
+		// queue limit like any other.
+		l.wmu.Unlock()
+		recordFlush(0)
+		mInlineEagain.Inc()
+		return false, nil
+	}
+	// Part of the frame is on the wire, so the rest must go out next and
+	// in full, whatever the queue limit says (it is less than the one
+	// frame the check above let through). wmu is held until it is queued,
+	// so no flush can slip a later frame in front of it.
+	c.off = n
+	l.qmu.Lock()
+	l.pending = append(l.pending, nil)
+	copy(l.pending[1:], l.pending)
+	l.pending[0] = c
+	l.pendingB += len(c.b) - n
+	l.qmu.Unlock()
+	l.wmu.Unlock()
+	recordFlush(0)
+	mInlineShort.Inc()
+	l.wakeFlusher()
+	return true, nil
+}
 
+// enqueue puts c, the chunk holding frame, on the coalescing queue.
+func (l *TCPLink) enqueue(c *chunk, frame []byte) error {
 	limit := int(l.queueLimit.Load())
 	l.qmu.Lock()
 	if limit > 0 && l.pendingB+len(c.b) > limit {
 		// Slow consumer: the flusher is not draining and the outbox is at
 		// its bound. Kill the link without touching wmu — a stalled writev
 		// may hold that lock indefinitely — and recycle the queue.
-		// shutdown closes the conn, which unblocks the in-flight write.
+		// closeWith closes the conn, which unblocks the in-flight write.
 		batch := l.pending
 		l.pending = nil
 		l.pendingB = 0
@@ -378,8 +544,7 @@ func (l *TCPLink) enqueue(frame []byte) error {
 			batch[i] = nil
 		}
 		mSlowConsumerKills.Inc()
-		l.fail(ErrSlowConsumer)
-		l.shutdown()
+		l.closeWith(ErrSlowConsumer)
 		return ErrSlowConsumer
 	}
 	l.pending = append(l.pending, c)
@@ -393,11 +558,15 @@ func (l *TCPLink) enqueue(frame []byte) error {
 	if over {
 		return l.Flush()
 	}
+	l.wakeFlusher()
+	return nil
+}
+
+func (l *TCPLink) wakeFlusher() {
 	select {
 	case l.wake <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
 // Flush synchronously writes every queued frame with a single vectored
@@ -407,13 +576,13 @@ func (l *TCPLink) Flush() error {
 	err := l.flushLocked()
 	l.wmu.Unlock()
 	if err != nil {
-		l.shutdown()
+		return l.failWrite(err)
 	}
-	return err
+	return nil
 }
 
-// flushLocked drains the queue under wmu. On error the link is failed but
-// not yet shut down (the caller does that outside the lock).
+// flushLocked drains the queue under wmu. On error the caller fails the
+// link, outside the lock.
 func (l *TCPLink) flushLocked() error {
 	l.qmu.Lock()
 	batch := l.pending
@@ -429,13 +598,12 @@ func (l *TCPLink) flushLocked() error {
 	}
 	view := l.wstore[:len(batch)]
 	for i, c := range batch {
-		view[i] = c.b
+		view[i] = c.b[c.off:]
 	}
 	// WriteTo consumes l.wview (and reslices view's entries); batch keeps
 	// the original chunk headers so they return to the pool intact.
 	l.wview = net.Buffers(view)
-	l.armWriteDeadline()
-	_, err := l.wview.WriteTo(l.conn)
+	err := l.writeLocked()
 	for i, c := range batch {
 		putChunk(c)
 		batch[i] = nil
@@ -448,11 +616,7 @@ func (l *TCPLink) flushLocked() error {
 		l.spare = batch[:0]
 	}
 	l.qmu.Unlock()
-	if err != nil {
-		l.fail(err)
-		return err
-	}
-	return nil
+	return err
 }
 
 // flushLoop drains the coalescing queue whenever it is non-empty. Frames
@@ -470,21 +634,21 @@ func (l *TCPLink) flushLoop() {
 	}
 }
 
-// fail records the first write error as the link's root cause.
-func (l *TCPLink) fail(err error) {
-	l.errmu.Lock()
-	if l.werr == nil {
-		l.werr = err
-	}
-	l.errmu.Unlock()
-}
-
-// armWriteDeadline applies the configured write timeout, if any, to the
-// next write on conn. Called immediately before each writev.
-func (l *TCPLink) armWriteDeadline() {
-	if wt := l.writeTimeout.Load(); wt > 0 {
+// writeLocked writes l.wview to conn under wmu, with the configured write
+// timeout, if any, armed for this write only. The deadline is cleared
+// afterwards because the reply-inline write arms none: left standing, it
+// would fail an inline send made more than a timeout after the last
+// writev with a spurious i/o timeout on a healthy link.
+func (l *TCPLink) writeLocked() error {
+	wt := l.writeTimeout.Load()
+	if wt > 0 {
 		_ = l.conn.SetWriteDeadline(time.Now().Add(time.Duration(wt)))
 	}
+	_, err := l.wview.WriteTo(l.conn)
+	if wt > 0 && err == nil {
+		_ = l.conn.SetWriteDeadline(time.Time{})
+	}
+	return err
 }
 
 func (l *TCPLink) SetHandler(h Handler) {
@@ -493,20 +657,13 @@ func (l *TCPLink) SetHandler(h Handler) {
 	l.handler = h
 }
 
-func (l *TCPLink) shutdown() {
-	l.once.Do(func() {
-		close(l.closed)
-		l.conn.Close()
-	})
-}
-
 func (l *TCPLink) Close() error {
 	if l.coalesce.Load() {
 		// Best-effort drain so frames accepted before Close reach the
 		// peer; racing Sends may still be dropped, as documented.
 		_ = l.Flush()
 	}
-	l.shutdown()
+	l.closeWith(nil)
 	return nil
 }
 

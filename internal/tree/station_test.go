@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,4 +257,122 @@ func TestHandoffUnderWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// tcpConnect is a LinkFactory over loopback TCP: every edge a pair of real
+// TCPLinks, each with its own read loop and its own reused receive buffer —
+// the conditions under which a handler that keeps borrowed bytes goes wrong.
+func tcpConnect(t *testing.T) LinkFactory {
+	t.Helper()
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return func(child, parent int) (transport.Link, transport.Link, error) {
+		accepted := make(chan *transport.TCPLink, 1)
+		go func() {
+			up, err := ln.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- up
+		}()
+		down, err := transport.DialLink(ln.Addr(), nil, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		up, ok := <-accepted
+		if !ok {
+			down.Close()
+			return nil, nil, fmt.Errorf("accept failed")
+		}
+		// No frame travels before the caller has attached both ends.
+		up.Start(nil)
+		t.Cleanup(func() {
+			down.Close()
+			up.Close()
+		})
+		return down, up, nil
+	}
+}
+
+// TestWarmResyncOverTCPReshipsOwnPayloads is the regression for the
+// borrowed-value retention in Session.fetchAll: an MC arrives at a cold
+// station holding stale copies, so the warm resync must fetch every key
+// from the root and re-ship it. Each upstream answer is lent out of the
+// relay's parent-link receive buffer; kept uncopied until the last key
+// resolved, every key came back with the bytes of whichever frame used
+// the buffer last.
+func TestWarmResyncOverTCPReshipsOwnPayloads(t *testing.T) {
+	connect := tcpConnect(t)
+	tr, err := Build(Binary(3), db.NewStore(), replica.Static2(), 1, Policy{Kind: PolicyNone}, connect)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	root := tr.Stations[0].Server()
+	attach := func() (mcEnd, stEnd transport.Link) {
+		mcEnd, stEnd, err := connect(-1, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mcEnd, stEnd
+	}
+	mcEnd, stEnd := attach()
+	mc, err := tr.AttachMC(1, mcEnd, stEnd)
+	if err != nil {
+		t.Fatalf("AttachMC: %v", err)
+	}
+	mc.Client.Timeout = 5 * time.Second
+
+	keys := make([]string, 8)
+	payload := func(k int, version uint64) []byte {
+		// Sizes differ per key so frames do not tile the buffer evenly.
+		return []byte(fmt.Sprintf("key-%d@v%d:%s", k, version, strings.Repeat(string(rune('a'+k)), 100+17*k)))
+	}
+	for k := range keys {
+		keys[k] = fmt.Sprintf("k%d", k)
+		if _, err := root.Write(keys[k], payload(k, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.Client.Read(keys[k]); err != nil {
+			t.Fatalf("read %s: %v", keys[k], err)
+		}
+	}
+	for _, key := range keys {
+		key := key
+		eventually(t, "copy of "+key+" at the MC", func() bool { return mc.Client.HasCopy(key) })
+	}
+
+	// Out of reach while the root moves every key on: the MC's copies are
+	// stale when it lands on station 2, which holds none of them.
+	mc.Client.Suspend()
+	for k, key := range keys {
+		if _, err := root.Write(key, payload(k, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mcEnd, stEnd = attach()
+	done, err := mc.Handoff(2, mcEnd, stEnd)
+	if err != nil {
+		t.Fatalf("Handoff: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handoff resync did not complete")
+	}
+	if !mc.FinishHandoff(mcEnd) {
+		t.Fatal("handoff fell back to cold")
+	}
+	for k, key := range keys {
+		it, err := mc.Client.Read(key)
+		if err != nil {
+			t.Fatalf("read %s after handoff: %v", key, err)
+		}
+		if want := payload(k, 2); it.Version != 2 || !bytes.Equal(it.Value, want) {
+			t.Fatalf("%s after handoff = v%d %.24q, want v2 %.24q", key, it.Version, it.Value, want)
+		}
+	}
 }
