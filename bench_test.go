@@ -196,6 +196,27 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPolicyApplyZeroAllocs pins the per-request budget of the window
+// kernel: once a policy exists, Apply never allocates — the window is a
+// value inside the policy, and the adaptive window counts its newest k
+// bits from the packed words instead of materializing a schedule.
+func TestPolicyApplyZeroAllocs(t *testing.T) {
+	s := workload.Bernoulli(stats.NewRNG(1), 0.5, 4096)
+	for _, p := range []core.Policy{
+		core.NewSW(9), core.NewSW(95), core.NewEvenSW(4),
+		core.NewAdaptiveSW(3, 63), core.NewT1(15), core.NewT2(15),
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, op := range s {
+				p.Apply(op)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %d Apply calls allocated %.0f times, want 0", p.Name(), len(s), allocs)
+		}
+	}
+}
+
 func mustKernel(t *testing.T, p core.Policy, m cost.Model) *sim.Kernel {
 	t.Helper()
 	kn, ok := sim.NewKernel(p, m)
@@ -232,7 +253,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	msg := wire.Message{
 		Kind: wire.KindReadResp, Key: "weather:ORD",
 		Value: make([]byte, 256), Version: 42, Allocate: true,
-		Window: sched.MustParse("rrwrwrwrw"),
+		Window: core.WindowOf(sched.MustParse("rrwrwrwrw")),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -378,7 +399,7 @@ func BenchmarkAblationHandicappedOptimal(b *testing.B) {
 // bytes on the wire per handoff message with and without window bits.
 func BenchmarkAblationWindowTransfer(b *testing.B) {
 	withWin := wire.Message{Kind: wire.KindDeleteReq, Key: "x",
-		Window: sched.Block(sched.Read, 95)}
+		Window: core.WindowOf(sched.Block(sched.Read, 95))}
 	withoutWin := wire.Message{Kind: wire.KindDeleteReq, Key: "x"}
 	var sizeWith, sizeWithout int
 	for i := 0; i < b.N; i++ {

@@ -22,7 +22,12 @@ func TestParseMode(t *testing.T) {
 			t.Fatalf("%q parsed to %q", in, m.String())
 		}
 	}
-	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX"} {
+	// SW127 is the largest legal window; SW129 is past core.MaxWindow and
+	// must fail here, at flag parsing, not at the first key touched.
+	if m, err := parseMode("SW127"); err != nil || m.String() != "SW127" {
+		t.Fatalf("SW127: %v, %v", m, err)
+	}
+	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX", "SW129"} {
 		if _, err := parseMode(bad); err == nil {
 			t.Fatalf("%q: expected error", bad)
 		}

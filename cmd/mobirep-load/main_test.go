@@ -47,6 +47,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-mode", "bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad mode: exit %d, want 2", code)
 	}
+	if code := run([]string{"-mode", "SW129"}, &out, &errb); code != 2 {
+		t.Errorf("window past the bound: exit %d, want 2", code)
+	}
 	if code := run([]string{"-chaos", "drop=oops"}, &out, &errb); code != 2 {
 		t.Errorf("bad chaos spec: exit %d, want 2", code)
 	}

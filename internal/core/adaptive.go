@@ -28,8 +28,8 @@ type AdaptiveSW struct {
 	KMin, KMax int
 
 	k         int
-	history   *Window // capacity KMax, newest KMax requests
-	seen      int     // requests observed, saturating at KMax
+	history   Window // capacity KMax, newest KMax requests
+	seen      int    // requests observed, saturating at KMax
 	sinceFlip int
 	sinceSize int
 	hasCopy   bool
@@ -75,7 +75,7 @@ func (a *AdaptiveSW) Apply(op sched.Op) Step {
 
 	// Majority over the newest k requests (older history is retained for
 	// future growth; requests before the first are the all-writes fill).
-	reads := a.readsInLastK()
+	reads := a.k - a.history.writesInNewest(a.k)
 	switch {
 	case op == sched.Read && reads > a.k-reads && !a.hasCopy:
 		a.hasCopy = true
@@ -111,18 +111,6 @@ func (a *AdaptiveSW) onFlip() {
 		a.sinceSize = 0
 	}
 	a.sinceFlip = 0
-}
-
-// readsInLastK counts reads among the newest k requests in the history.
-func (a *AdaptiveSW) readsInLastK() int {
-	bits := a.history.Bits() // oldest first, length KMax
-	reads := 0
-	for i := len(bits) - a.k; i < len(bits); i++ {
-		if bits[i] == sched.Read {
-			reads++
-		}
-	}
-	return reads
 }
 
 // Reset implements Policy.

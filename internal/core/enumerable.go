@@ -43,12 +43,8 @@ func (s *SW) StateKey() string { return s.window.String() }
 
 // Clone implements Enumerable.
 func (s *SW) Clone() Enumerable {
-	cp := NewSWInitial(s.k, s.initialOp)
-	if err := cp.window.LoadBits(s.window.Bits()); err != nil {
-		panic(fmt.Sprintf("core: clone window: %v", err))
-	}
-	cp.hasCopy = s.hasCopy
-	return cp
+	cp := *s
+	return &cp
 }
 
 // StateKey implements Enumerable: phase plus the consecutive-read count.
@@ -103,8 +99,7 @@ func (c *CacheInvalidate) Clone() Enumerable {
 // the Markov oracle quantifies what the paper's odd-k restriction costs
 // or saves.
 type EvenSW struct {
-	k       int
-	window  *Window
+	window  Window
 	hasCopy bool
 }
 
@@ -113,11 +108,11 @@ func NewEvenSW(k int) *EvenSW {
 	if k <= 0 || k%2 == 1 {
 		panic(fmt.Sprintf("core: EvenSW size %d must be even and positive", k))
 	}
-	return &EvenSW{k: k, window: NewWindow(k, sched.Write)}
+	return &EvenSW{window: NewWindow(k, sched.Write)}
 }
 
 // Name implements Policy.
-func (s *EvenSW) Name() string { return fmt.Sprintf("SWe%d", s.k) }
+func (s *EvenSW) Name() string { return fmt.Sprintf("SWe%d", s.window.Size()) }
 
 // HasCopy implements Policy.
 func (s *EvenSW) HasCopy() bool { return s.hasCopy }
@@ -155,10 +150,6 @@ func (s *EvenSW) StateKey() string {
 
 // Clone implements Enumerable.
 func (s *EvenSW) Clone() Enumerable {
-	cp := NewEvenSW(s.k)
-	if err := cp.window.LoadBits(s.window.Bits()); err != nil {
-		panic(fmt.Sprintf("core: clone window: %v", err))
-	}
-	cp.hasCopy = s.hasCopy
-	return cp
+	cp := *s
+	return &cp
 }

@@ -17,11 +17,9 @@ import (
 // instead of propagating the data. NewSW therefore returns the algorithm
 // the paper calls SW1 when k is 1.
 type SW struct {
-	k          int
-	window     *Window
-	hasCopy    bool
-	initialOp  sched.Op
-	initialCpy bool
+	window    Window
+	hasCopy   bool
+	initialOp sched.Op
 }
 
 // NewSW returns the sliding-window policy with window size k. The paper
@@ -39,28 +37,23 @@ func NewSWInitial(k int, fill sched.Op) *SW {
 	if k <= 0 || k%2 == 0 {
 		panic(fmt.Sprintf("core: SW window size %d must be odd and positive", k))
 	}
-	w := NewWindow(k, fill)
-	return &SW{
-		k:          k,
-		window:     w,
-		hasCopy:    w.ReadMajority(),
-		initialOp:  fill,
-		initialCpy: w.ReadMajority(),
-	}
+	s := &SW{window: NewWindow(k, fill), initialOp: fill}
+	s.hasCopy = s.window.ReadMajority()
+	return s
 }
 
 // Name implements Policy; it returns "SW1", "SW3", ...
-func (s *SW) Name() string { return fmt.Sprintf("SW%d", s.k) }
+func (s *SW) Name() string { return fmt.Sprintf("SW%d", s.K()) }
 
 // K returns the window size.
-func (s *SW) K() int { return s.k }
+func (s *SW) K() int { return s.window.Size() }
 
 // HasCopy implements Policy.
 func (s *SW) HasCopy() bool { return s.hasCopy }
 
-// Window exposes the underlying window for protocol handoff and for the
-// white-box invariant tests.
-func (s *SW) Window() *Window { return s.window }
+// Window returns a copy of the current window, for protocol handoff and
+// for the white-box invariant tests.
+func (s *SW) Window() Window { return s.window }
 
 // Apply implements Policy. It slides the window and re-derives the
 // allocation from the new majority, exactly as section 4 prescribes:
@@ -76,12 +69,12 @@ func (s *SW) Apply(op sched.Op) Step {
 
 	// SW1 optimization: a write that finds a copy is sent as a bare
 	// delete-request, never as a data propagation.
-	suppressed := s.k == 1 && op == sched.Write && had
+	suppressed := s.window.Size() == 1 && op == sched.Write && had
 	return step(op, had, s.hasCopy, suppressed)
 }
 
 // Reset implements Policy.
 func (s *SW) Reset() {
 	s.window.Fill(s.initialOp)
-	s.hasCopy = s.initialCpy
+	s.hasCopy = s.window.ReadMajority()
 }

@@ -93,7 +93,10 @@ const (
 
 // itemMemCost approximates the resident bytes of one (session,key)
 // protocol entry: the key held twice (session map and shard index), one
-// window slot per schedule position, and fixed overhead.
+// byte per window position, and fixed overhead. It is a coarse account
+// and now an over-estimate — the window is packed inside the itemState,
+// so an entry's heap footprint no longer grows with K — kept as it is so
+// the shedding watermarks, and what E25 measures, do not move.
 func itemMemCost(key string, mode Mode) int64 {
 	return int64(2*len(key)) + int64(mode.K) + itemMemOverhead
 }

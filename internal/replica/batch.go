@@ -55,7 +55,7 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		st := c.state(key)
 		if st.hasCopy {
 			if it, ok := c.cache.Get(key); ok {
-				if st.mode.Kind == ModeSW {
+				if st.kind == ModeSW {
 					st.window.Push(sched.Read)
 				}
 				c.noteFloorLocked(key, it.Version)
@@ -180,11 +180,9 @@ func (c *Client) onBatch(b wire.Batch) {
 		}
 		st := c.state(e.Key)
 		st.hasCopy = true
-		if st.mode.Kind == ModeSW {
-			if len(e.Window) == st.mode.K {
-				if err := st.window.LoadBits(e.Window); err != nil {
-					st.window.Fill(sched.Read)
-				}
+		if st.kind == ModeSW {
+			if e.Window.Size() == st.window.Size() {
+				st.window = e.Window
 			} else {
 				st.window.Fill(sched.Read)
 			}
@@ -293,7 +291,7 @@ func (ss *Session) finishMultiRead(b wire.Batch, items []db.Item) {
 			e.NotModified = true
 			e.Value = nil
 		}
-		switch st.mode.Kind {
+		switch st.kind {
 		case ModeStatic1:
 		case ModeStatic2:
 			if !st.hasCopy && ss.allocAllowed(key) {
@@ -305,7 +303,7 @@ func (ss *Session) finishMultiRead(b wire.Batch, items []db.Item) {
 				st.window.Push(sched.Read)
 				if st.window.ReadMajority() && ss.allocAllowed(key) {
 					e.Allocate = true
-					e.Window = st.window.Bits()
+					e.Window = st.window
 					st.hasCopy = true
 				}
 			}
@@ -380,7 +378,7 @@ func (ss *Session) finishResync(b wire.Batch, items []db.Item) {
 	for ki, key := range b.Keys {
 		it := items[ki]
 		st := ss.state(key)
-		if st.mode.Kind != ModeStatic1 {
+		if st.kind != ModeStatic1 {
 			// ST1 never places copies; a declared copy there is a client
 			// bug and gets a refresh without a subscription.
 			if ss.allocAllowed(key) {

@@ -105,6 +105,15 @@ func (c *Client) Cache() *mobile.Cache { return c.cache }
 // HasCopy reports whether the MC currently holds a copy of key.
 func (c *Client) HasCopy(key string) bool { return c.cache.Contains(key) }
 
+// AwaitingRead reports whether a remote read of key is parked on the
+// client awaiting its response: false before the read registers and again
+// once a response, a Suspend or a Disconnect has released it.
+func (c *Client) AwaitingRead(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending[key] != nil
+}
+
 // Read performs a read at the mobile computer: local when a copy exists,
 // remote (one control request, one data response) otherwise. A remote read
 // may allocate a copy, as decided by the server per section 4. It is
@@ -136,7 +145,7 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 		it, ok := c.cache.Get(key)
 		if ok {
 			// Local read: the MC is in charge; slide the window.
-			if st.mode.Kind == ModeSW {
+			if st.kind == ModeSW {
 				st.window.Push(sched.Read)
 			}
 			c.noteFloorLocked(key, it.Version)
@@ -432,11 +441,9 @@ func (c *Client) onReadResp(msg wire.Message) {
 		mAllocs.Inc()
 		// The tracer's ring buffer retains the key; msg.Key is borrowed.
 		obsTr.Record(obs.EvAllocate, strings.Clone(msg.Key), "read-resp", int64(msg.Version), 0)
-		if st.mode.Kind == ModeSW {
-			if len(msg.Window) == st.mode.K {
-				if err := st.window.LoadBits(msg.Window); err != nil {
-					st.window.Fill(sched.Read)
-				}
+		if st.kind == ModeSW {
+			if msg.Window.Size() == st.window.Size() {
+				st.window = msg.Window
 			} else {
 				// ST2-style allocation carries no window; for SW modes a
 				// missing window means the server is buggy — recover by
@@ -519,8 +526,8 @@ func (c *Client) onWriteProp(msg wire.Message) {
 		// message per write; a duplicate delete-request is ignored there.
 		c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
-		if st.mode.Kind == ModeSW {
-			out.Window = st.window.Bits()
+		if st.kind == ModeSW {
+			out.Window = st.window
 		}
 		c.mu.Unlock()
 		_ = c.sendControl(out)
@@ -528,7 +535,7 @@ func (c *Client) onWriteProp(msg wire.Message) {
 	}
 	fresh := c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 	var out *wire.Message
-	if fresh && st.mode.Kind == ModeSW {
+	if fresh && st.kind == ModeSW {
 		st.window.Push(sched.Write)
 		if !st.window.ReadMajority() {
 			// Deallocate: hand the window back to the SC.
@@ -537,7 +544,7 @@ func (c *Client) onWriteProp(msg wire.Message) {
 			mDeallocs.Inc()
 			obsTr.Record(obs.EvDeallocate, strings.Clone(msg.Key), "write-majority", int64(msg.Version), 0)
 			out = &wire.Message{
-				Kind: wire.KindDeleteReq, Key: msg.Key, Window: st.window.Bits(),
+				Kind: wire.KindDeleteReq, Key: msg.Key, Window: st.window,
 			}
 		}
 	}
@@ -571,7 +578,7 @@ func (c *Client) onDeleteReq(msg wire.Message) {
 	st := c.state(msg.Key)
 	had := st.hasCopy
 	st.hasCopy = false
-	if st.mode.Kind == ModeSW {
+	if st.kind == ModeSW {
 		st.window.Fill(sched.Write)
 	}
 	c.cache.Drop(msg.Key)

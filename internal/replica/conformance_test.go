@@ -157,7 +157,7 @@ func describeMsg(m wire.Message) string {
 	if m.Allocate {
 		s += " alloc"
 	}
-	if len(m.Window) > 0 {
+	if m.Window.Size() > 0 {
 		s += " win=" + m.Window.String()
 	}
 	return s + ")"
@@ -215,7 +215,7 @@ func diffMsg(got, want wire.Message) string {
 		return "allocate flag"
 	case !bytes.Equal(got.Value, want.Value):
 		return "value"
-	case !windowsEqual(got.Window, want.Window):
+	case got.Window != want.Window:
 		return "window"
 	}
 	return ""
@@ -438,7 +438,7 @@ func (h *conformance) expectBatchEmits(side string, q *transport.Chaos, before i
 		g := b.Entries[i]
 		if g.Key != w.Key || g.Version != w.Version || g.NotModified != w.NotModified ||
 			g.Allocate != w.Allocate || !bytes.Equal(g.Value, w.Value) ||
-			!windowsEqual(g.Window, w.Window) {
+			g.Window != w.Window {
 			return h.fail("%s batch entry %d diverges: impl %s, model %s",
 				side, i, describeBatch(b), describeBatch(*want))
 		}
@@ -866,7 +866,7 @@ func implState(items map[string]*itemState, mode Mode, key string) (bool, sched.
 		return false, win
 	}
 	var win sched.Schedule
-	if st.window != nil {
+	if st.window.Size() > 0 {
 		win = st.window.Bits()
 	}
 	return st.hasCopy, win

@@ -19,22 +19,37 @@ import (
 // startTCPServer runs a server accepting on an ephemeral port; it returns
 // the address and a stop function.
 func startTCPServer(t *testing.T, srv *Server) (string, func()) {
+	addr, stop, _ := startTCPServerSessions(t, srv)
+	return addr, stop
+}
+
+// startTCPServerSessions is startTCPServer that also hands out the
+// session of each accepted connection, for tests that must observe the
+// server's side of a key.
+func startTCPServerSessions(t *testing.T, srv *Server) (string, func(), <-chan *Session) {
 	t.Helper()
 	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Room for every connection one test opens; the send below never
+	// blocks the accept loop.
+	sessions := make(chan *Session, 64)
 	go func() {
 		for {
 			link, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			srv.Attach(link)
+			sess := srv.Attach(link)
 			link.Start(nil)
+			select {
+			case sessions <- sess:
+			default: // nobody is collecting
+			}
 		}
 	}()
-	return ln.Addr(), func() { ln.Close() }
+	return ln.Addr(), func() { ln.Close() }, sessions
 }
 
 // TestTCPEndToEnd runs the full protocol over real TCP: allocation,
@@ -109,7 +124,7 @@ func TestTCPSequentialMatchesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startTCPServer(t, srv)
+	addr, stop, sessions := startTCPServerSessions(t, srv)
 	defer stop()
 
 	link, err := transport.Dial(addr, nil)
@@ -122,6 +137,7 @@ func TestTCPSequentialMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Timeout = 5 * time.Second
+	sess := <-sessions
 
 	srv.Write("x", []byte("seed"))
 	rng := stats.NewRNG(4242)
@@ -146,7 +162,13 @@ func TestTCPSequentialMatchesSimulator(t *testing.T) {
 				v := version
 				waitFor(t, func() bool {
 					if !wantCopy {
-						return !cli.HasCopy("x")
+						// Settled means both sides: the client dropped the
+						// copy and its delete-request, window aboard, has
+						// reached the server. A write issued in between
+						// would still be propagated and would never enter
+						// the window the server is about to adopt.
+						scCopy, _ := implSCState(sess, SW(k), "x")
+						return !cli.HasCopy("x") && !scCopy
 					}
 					got, ok := cli.Cache().Peek("x")
 					return ok && got.Version == v

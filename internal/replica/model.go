@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mobirep/internal/core"
 	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
@@ -82,7 +83,10 @@ type Model struct {
 }
 
 // modelSide is one side's view of a key: the copy bit and, for SW modes,
-// the window, kept oldest-first.
+// the window, kept oldest-first. The window is deliberately a plain
+// schedule slid by copying, not the implementation's core.Window: the
+// model is the oracle, so it shares no window code with what it checks
+// and converts only where a message carries the window.
 type modelSide struct {
 	hasCopy bool
 	window  sched.Schedule // nil for ST modes
@@ -280,7 +284,7 @@ func (m *Model) scReadReq(key string) []wire.Message {
 			st.push(sched.Read)
 			if st.readMajority() {
 				resp.Allocate = true
-				resp.Window = st.windowCopy()
+				resp.Window = core.WindowOf(st.window)
 				st.hasCopy = true
 			}
 		}
@@ -294,8 +298,8 @@ func (m *Model) scDeleteReq(msg wire.Message) {
 		return // stale duplicate
 	}
 	st.hasCopy = false
-	if m.mode.Kind == ModeSW && len(msg.Window) == m.mode.K {
-		copy(st.window, msg.Window)
+	if m.mode.Kind == ModeSW && msg.Window.Size() == m.mode.K {
+		st.window = msg.Window.Bits()
 	}
 }
 
@@ -332,8 +336,8 @@ func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
 	if msg.Allocate && !st.hasCopy {
 		st.hasCopy = true
 		if m.mode.Kind == ModeSW {
-			if len(msg.Window) == m.mode.K {
-				copy(st.window, msg.Window)
+			if msg.Window.Size() == m.mode.K {
+				st.window = msg.Window.Bits()
 			} else {
 				st.fill(sched.Read)
 			}
@@ -356,7 +360,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 		// the SC stops paying a data message per write.
 		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
 		if m.mode.Kind == ModeSW {
-			out.Window = st.windowCopy()
+			out.Window = core.WindowOf(st.window)
 		}
 		return []wire.Message{out}
 	}
@@ -375,7 +379,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 	st.hasCopy = false
 	delete(m.cache, msg.Key)
 	return []wire.Message{{
-		Kind: wire.KindDeleteReq, Key: msg.Key, Window: st.windowCopy(),
+		Kind: wire.KindDeleteReq, Key: msg.Key, Window: core.WindowOf(st.window),
 	}}
 }
 
@@ -574,7 +578,7 @@ func (m *Model) DeliverResyncToClient(b wire.Batch) []wire.Message {
 			st.hasCopy = false
 			delete(m.cache, e.Key)
 			emits = append(emits, wire.Message{
-				Kind: wire.KindDeleteReq, Key: e.Key, Window: st.windowCopy(),
+				Kind: wire.KindDeleteReq, Key: e.Key, Window: core.WindowOf(st.window),
 			})
 		}
 	}

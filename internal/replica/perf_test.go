@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -252,5 +253,57 @@ func TestWriteFanOutMetersPerSession(t *testing.T) {
 		if d.DataMsgs != before[i].DataMsgs+1 || d.Connections != before[i].Connections+1 {
 			t.Fatalf("session %d: %+v -> %+v, want one data message and one connection", i, before[i], d)
 		}
+	}
+}
+
+// TestFirstTouchAllocations pins what one (session, key) costs the heap on
+// each side: the itemState — window embedded by value — and the cloned
+// key the map retains, two objects. (Before the window was a value it was
+// four: item, window struct, bit slice, key.) The server session touches
+// keys another session already indexed, so the per-key index entry, which
+// is shared by every session holding the key, is not in the count; map
+// growth amortizes to well under one allocation per insert.
+func TestFirstTouchAllocations(t *testing.T) {
+	const runs = 1000
+	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	mode := SW(9)
+
+	cli, err := NewClient(nullLink{}, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		cli.mu.Lock()
+		cli.state(keys[next])
+		cli.mu.Unlock()
+		next++
+	})
+	if allocs > 2 {
+		t.Errorf("client first touch allocated %.0f objects per key, want at most 2", allocs)
+	}
+
+	srv, err := NewServerShards(db.NewStore(), mode, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := srv.Attach(nullLink{}), srv.Attach(nullLink{})
+	first.shard.enter()
+	for _, k := range keys {
+		first.state(k)
+	}
+	first.shard.exit()
+	next = 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		second.shard.enter()
+		second.state(keys[next])
+		second.shard.exit()
+		next++
+	})
+	if allocs > 2 {
+		t.Errorf("server first touch allocated %.0f objects per (session, key), want at most 2", allocs)
 	}
 }

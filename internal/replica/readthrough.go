@@ -112,7 +112,7 @@ func (c *Client) ReadThrough(key string, floor uint64, done func(it db.Item, ok 
 	st := c.state(key)
 	if st.hasCopy {
 		if it, ok := c.cache.Get(key); ok && it.Version >= floor {
-			if st.mode.Kind == ModeSW {
+			if st.kind == ModeSW {
 				st.window.Push(sched.Read)
 			}
 			c.noteFloorLocked(key, it.Version)
@@ -223,12 +223,12 @@ func (c *Client) absorbLocked(msg wire.Message) (*wire.Message, string) {
 	if !c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}) {
 		return nil, ""
 	}
-	if st.mode.Kind != ModeSW {
+	if st.kind != ModeSW {
 		return nil, ""
 	}
 	missed := int(msg.Version - cur.Version)
-	if missed > st.mode.K {
-		missed = st.mode.K
+	if missed > st.window.Size() {
+		missed = st.window.Size()
 	}
 	for i := 0; i < missed; i++ {
 		st.window.Push(sched.Write)
@@ -241,7 +241,7 @@ func (c *Client) absorbLocked(msg wire.Message) (*wire.Message, string) {
 	c.cache.Drop(key)
 	mDeallocs.Inc()
 	obsTr.Record(obs.EvDeallocate, key, "absorb", int64(msg.Version), 0)
-	return &wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: st.window.Bits()}, key
+	return &wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: st.window}, key
 }
 
 // DropCopy voluntarily deallocates key — the placement policy decided
@@ -257,8 +257,8 @@ func (c *Client) DropCopy(key string) bool {
 	}
 	st.hasCopy = false
 	out := wire.Message{Kind: wire.KindDeleteReq, Key: key}
-	if st.mode.Kind == ModeSW {
-		out.Window = st.window.Bits()
+	if st.kind == ModeSW {
+		out.Window = st.window
 	}
 	c.cache.Drop(key)
 	drop := c.dropFn

@@ -161,6 +161,11 @@ func (c *Client) Offline() bool {
 // stale waiter that would swallow the first response meant for a read
 // issued on the new link.
 func (c *Client) Reattach(link transport.Link) {
+	// The handler goes in before the link is published: a concurrent Read
+	// may send on it the moment c.mu is released, and its response must
+	// find a handler (an in-memory link refuses delivery without one, and
+	// the read would wait out its whole timeout).
+	link.SetHandler(c.onFrame)
 	c.mu.Lock()
 	old := c.link
 	c.link = link
@@ -179,7 +184,6 @@ func (c *Client) Reattach(link transport.Link) {
 		old.Close()
 	}
 	failWaiters(pending, batch, fns, done)
-	link.SetHandler(c.onFrame)
 }
 
 // ResumeResync brings a suspended client back over a new link with a
@@ -193,6 +197,7 @@ func (c *Client) Reattach(link transport.Link) {
 // A client holding no copies is online immediately with a closed channel
 // and no traffic.
 func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
+	link.SetHandler(c.onFrame) // before the link is published, as in Reattach
 	c.mu.Lock()
 	old := c.link
 	c.link = link
@@ -230,7 +235,6 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 		old.Close()
 	}
 	failWaiters(pending, batch, fns, prevDone)
-	link.SetHandler(c.onFrame)
 	if len(keys) == 0 {
 		mResyncImmediate.Inc()
 		obsTr.Record(obs.EvResync, "", "immediate", 0, 0)
@@ -308,15 +312,15 @@ func (c *Client) onResyncResp(b wire.Batch) {
 			// entry can ride to the handler as-is.
 			applied = append(applied, db.Item{Key: e.Key, Value: e.Value, Version: e.Version})
 		}
-		if st.mode.Kind != ModeSW {
+		if st.kind != ModeSW {
 			continue
 		}
 		// Every write missed while away counts toward the window, just
 		// as if the propagations had arrived one by one — capped at K,
 		// beyond which older pushes would have slid out anyway.
 		missed := int(e.Version - cur.Version)
-		if missed > st.mode.K {
-			missed = st.mode.K
+		if missed > st.window.Size() {
+			missed = st.window.Size()
 		}
 		for i := 0; i < missed; i++ {
 			st.window.Push(sched.Write)
@@ -329,7 +333,7 @@ func (c *Client) onResyncResp(b wire.Batch) {
 			mDeallocs.Inc()
 			obsTr.Record(obs.EvDeallocate, e.Key, "resync", int64(e.Version), 0)
 			dealloc = append(dealloc, wire.Message{
-				Kind: wire.KindDeleteReq, Key: e.Key, Window: st.window.Bits(),
+				Kind: wire.KindDeleteReq, Key: e.Key, Window: st.window,
 			})
 		}
 	}

@@ -116,7 +116,7 @@ func (ss *Session) prepareInvalidate(key string) bool {
 		return false
 	}
 	st.hasCopy = false
-	if st.mode.Kind == ModeSW {
+	if st.kind == ModeSW {
 		st.window.Fill(sched.Write)
 	}
 	return true

@@ -68,6 +68,9 @@ func (m Mode) validate() error {
 		if m.K <= 0 || m.K%2 == 0 {
 			return fmt.Errorf("replica: SW window size %d must be odd and positive", m.K)
 		}
+		if err := core.CheckWindowSize(m.K); err != nil {
+			return fmt.Errorf("replica: SW %w", err)
+		}
 	case ModeStatic1, ModeStatic2:
 	default:
 		return fmt.Errorf("replica: unknown mode kind %d", m.Kind)
@@ -177,15 +180,17 @@ func (s MeterSnapshot) ConnectionCost() float64 {
 // both sides; each side keeps its own copy and the inCharge invariant says
 // exactly one of them trusts its window.
 type itemState struct {
-	mode Mode
-	// window is meaningful only while this side is in charge.
-	window *core.Window
+	// window is meaningful only while this side is in charge; embedded by
+	// value, so a (session, key) is this one heap object. Its size is the
+	// mode's K; it is empty for the static modes.
+	window core.Window
+	kind   ModeKind
 	// hasCopy mirrors whether the MC holds a copy, from this side's view.
 	hasCopy bool
 }
 
 func newItemState(mode Mode) *itemState {
-	st := &itemState{mode: mode}
+	st := &itemState{kind: mode.Kind}
 	if mode.Kind == ModeSW {
 		st.window = core.NewWindow(mode.K, sched.Write)
 	}

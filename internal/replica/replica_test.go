@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mobirep/internal/core"
@@ -41,6 +42,30 @@ func TestModeValidation(t *testing.T) {
 	}
 	if _, err := NewServer(db.NewStore(), Mode{Kind: ModeKind(9)}); err == nil {
 		t.Fatal("bogus kind accepted")
+	}
+}
+
+// TestModeWindowBound table-tests the odd sizes around the window's word
+// boundaries and its bound: everything up to core.MaxWindow validates,
+// and the first odd size past it is a Validate error naming the bound —
+// so a flag parser rejects it — not a panic at the first key touched.
+func TestModeWindowBound(t *testing.T) {
+	for _, k := range []int{1, 63, 65, 127} {
+		if err := SW(k).Validate(); err != nil {
+			t.Errorf("SW%d rejected: %v", k, err)
+		}
+	}
+	for _, k := range []int{64, 128} {
+		if err := SW(k).Validate(); err == nil {
+			t.Errorf("even SW%d accepted", k)
+		}
+	}
+	err := SW(129).Validate()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("outside [1, %d]", core.MaxWindow)) {
+		t.Errorf("SW129: error %v does not name the bound", err)
+	}
+	if _, err := NewServer(db.NewStore(), SW(129)); err == nil {
+		t.Error("NewServer accepted SW129")
 	}
 }
 

@@ -404,7 +404,7 @@ func (ss *Session) prepareLocalWrite(it db.Item) sendClass {
 		return none
 	}
 	st := ss.state(it.Key)
-	switch st.mode.Kind {
+	switch st.kind {
 	case ModeStatic1:
 		// Never a copy at the MC: the write is free.
 	case ModeStatic2:
@@ -416,7 +416,7 @@ func (ss *Session) prepareLocalWrite(it db.Item) sendClass {
 		case !st.hasCopy:
 			// SC is in charge; the write is free of communication.
 			st.window.Push(sched.Write)
-		case st.mode.K == 1:
+		case st.window.Size() == 1:
 			// SW1 optimization: the window after this write is the single
 			// write, so the copy is certainly dropped; send only the
 			// delete-request, never the data.
@@ -537,7 +537,7 @@ func (ss *Session) finishReadReq(key string, it db.Item) {
 	resp := wire.Message{
 		Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version,
 	}
-	switch st.mode.Kind {
+	switch st.kind {
 	case ModeStatic1:
 		// Never allocate.
 	case ModeStatic2:
@@ -553,7 +553,7 @@ func (ss *Session) finishReadReq(key string, it db.Item) {
 				// Allocate: piggyback the save indication and the window;
 				// the MC takes charge.
 				resp.Allocate = true
-				resp.Window = st.window.Bits()
+				resp.Window = st.window
 				st.hasCopy = true
 			}
 		}
@@ -587,12 +587,9 @@ func (ss *Session) onDeleteReq(msg wire.Message) {
 		return // stale duplicate
 	}
 	st.hasCopy = false
-	if st.mode.Kind == ModeSW && st.window != nil && len(msg.Window) == st.mode.K {
+	if st.kind == ModeSW && msg.Window.Size() == st.window.Size() {
 		// Adopt the window the MC maintained while in charge.
-		if err := st.window.LoadBits(msg.Window); err != nil {
-			// Impossible given the length check; keep the local window.
-			_ = err
-		}
+		st.window = msg.Window
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"mobirep/internal/core"
 	"mobirep/internal/cost"
+	"mobirep/internal/sched"
 	"mobirep/internal/stats"
 )
 
@@ -70,16 +71,9 @@ type Kernel struct {
 	kind  kernelKind
 	costs stepCosts
 
-	// Sliding-window state, mirroring core.Window with an all-writes
-	// initial fill (the NewSW default).
-	k       int
-	bits    []bool
-	head    int
-	writes  int
-	hasCopy bool
-	// sw1 marks the k==1 delete-request optimization: a write that finds
-	// a copy is priced as a bare control message.
-	sw1 bool
+	// window is the sliding-window state, starting all writes with no
+	// copy (the NewSW default). The copy is the window's read majority.
+	window core.Window
 }
 
 // NewKernel returns a fused kernel replaying policy p under m, or ok=false
@@ -99,31 +93,17 @@ func NewKernel(p core.Policy, m cost.Model) (*Kernel, bool) {
 	case *core.SW:
 		// Only the default initial window (all writes, no copy) is fused;
 		// NewSWInitial variants keep the generic path.
-		if q.HasCopy() || q.Window().Writes() != q.K() {
+		if q.Window() != core.NewWindow(q.K(), sched.Write) {
 			return nil, false
 		}
-		kn := &Kernel{
-			kind:  kernelSW,
-			costs: costs,
-			k:     q.K(),
-			bits:  make([]bool, q.K()),
-			sw1:   q.K() == 1,
-		}
-		kn.Reset()
-		return kn, true
+		return &Kernel{kind: kernelSW, costs: costs, window: q.Window()}, true
 	}
 	return nil, false
 }
 
-// Reset restores the initial state: an all-writes window and no copy.
-func (kn *Kernel) Reset() {
-	for i := range kn.bits {
-		kn.bits[i] = true
-	}
-	kn.head = 0
-	kn.writes = kn.k
-	kn.hasCopy = false
-}
+// Reset restores the initial state: an all-writes window and no copy
+// (the statics' empty window stays empty).
+func (kn *Kernel) Reset() { kn.window.Fill(sched.Write) }
 
 // ReplayBernoulli replays n i.i.d. Bernoulli(theta) requests drawn from
 // rng, pricing all but the first warmup. It consumes rng exactly like
@@ -171,6 +151,11 @@ func (kn *Kernel) ReplayDrifting(rng *stats.RNG, periods, opsPerPeriod int) Resu
 func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
 	var res Result
 	c := kn.costs
+	// The window lives in a local for the loop so its words stay in
+	// registers; with odd k the copy is exactly the read majority.
+	win := kn.window
+	sw1 := win.Size() == 1
+	has := win.ReadMajority()
 	left := 0
 	for i := 0; i < n; i++ {
 		if drift > 0 {
@@ -181,22 +166,13 @@ func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) 
 			left--
 		}
 		isWrite := rng.Bernoulli(theta)
-
-		// Slide the window (core.Window.Push inlined).
-		had := kn.hasCopy
-		if kn.bits[kn.head] {
-			kn.writes--
-		}
-		kn.bits[kn.head] = isWrite
+		op := sched.Read
 		if isWrite {
-			kn.writes++
+			op = sched.Write
 		}
-		kn.head++
-		if kn.head == len(kn.bits) {
-			kn.head = 0
-		}
-		has := kn.k-kn.writes > kn.writes
-		kn.hasCopy = has
+		had := has
+		win.Push(op)
+		has = win.ReadMajority()
 
 		if i < warmup {
 			continue
@@ -217,8 +193,9 @@ func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) 
 			if had {
 				res.Ledger.Connections++
 				switch {
-				case kn.sw1:
-					// The delete-request optimization: no data message.
+				case sw1:
+					// The k == 1 delete-request optimization: a write that
+					// finds a copy is priced as a bare control message.
 					res.Ledger.Total += c.writeSuppressed
 					res.Ledger.ControlMessages++
 				case !has:
@@ -237,6 +214,7 @@ func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) 
 			res.Ledger.DataMessages++
 		}
 	}
+	kn.window = win
 	res.Cost = res.Ledger.Total
 	return res
 }

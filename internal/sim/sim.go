@@ -211,10 +211,16 @@ func ParsePolicy(name string) (Factory, error) {
 		if k <= 0 || k%2 == 1 {
 			return nil, fmt.Errorf("sim: even window size in %q must be even and positive", name)
 		}
+		if err := core.CheckWindowSize(k); err != nil {
+			return nil, fmt.Errorf("sim: %q: %w", name, err)
+		}
 		return func() core.Policy { return core.NewEvenSW(k) }, nil
 	case scan(name, "SW%d", &k):
 		if k <= 0 || k%2 == 0 {
 			return nil, fmt.Errorf("sim: window size in %q must be odd and positive", name)
+		}
+		if err := core.CheckWindowSize(k); err != nil {
+			return nil, fmt.Errorf("sim: %q: %w", name, err)
 		}
 		return func() core.Policy { return core.NewSW(k) }, nil
 	case scan(name, "T1(%d)", &m), scan(name, "T1%d", &m):

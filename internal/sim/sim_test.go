@@ -192,6 +192,20 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
+// TestParsePolicyWindowBound accepts every size up to core.MaxWindow
+// under its parity rule; the rejection table below covers the far side.
+func TestParsePolicyWindowBound(t *testing.T) {
+	for _, name := range []string{"SW1", "SW63", "SWe64", "SW65", "SW127", "SWe128"} {
+		f, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := f().Name(); got != name {
+			t.Fatalf("%s built %s", name, got)
+		}
+	}
+}
+
 // TestParsePolicyRejectionMessages pins each rejection family to its
 // diagnostic, so the CLI's error text names the actual constraint rather
 // than falling through to "unknown policy".
@@ -201,6 +215,9 @@ func TestParsePolicyRejectionMessages(t *testing.T) {
 		"SW2":   "must be odd and positive",
 		"SW100": "must be odd and positive",
 		"SW0":   "must be odd and positive",
+		// Past the one window bound, whatever the parity rule.
+		"SW129":  "outside [1, 128]",
+		"SWe130": "outside [1, 128]",
 		// The even-window ablation is the dual: it rejects odd sizes.
 		"SWe7": "must be even and positive",
 		"SWe0": "must be even and positive",

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"mobirep/internal/replica"
 	"mobirep/internal/stats"
 	"mobirep/internal/transport"
+	"mobirep/internal/wire"
 )
 
 // The tree conformance sweep extends the two-node explorer's method to
@@ -72,6 +74,24 @@ type treeMC struct {
 	last map[string]uint64
 }
 
+// readReqTap is the MC end of an MC edge with one observation added: it
+// counts the read requests the link has accepted. A Client sends a
+// ReadReq only from the goroutine running Read, and does nothing between
+// that Send returning and blocking on its waiter, so a count that moved
+// means the reader has committed to waiting for a response.
+type readReqTap struct {
+	transport.Link
+	sent *atomic.Int64
+}
+
+func (l readReqTap) Send(frame []byte) error {
+	err := l.Link.Send(frame)
+	if k, _ := wire.FrameKind(frame); err == nil && k == wire.KindReadReq {
+		l.sent.Add(1)
+	}
+	return err
+}
+
 type treeConf struct {
 	t       *testing.T
 	seed    uint64
@@ -93,6 +113,9 @@ type treeConf struct {
 	keys    []string
 	written map[string]uint64 // last acked root version per key
 	trace   []string
+
+	// readReqs counts ReadReq frames accepted by any MC edge (readReqTap).
+	readReqs atomic.Int64
 }
 
 func (h *treeConf) tracef(format string, args ...any) {
@@ -136,7 +159,7 @@ func (h *treeConf) newMCEdge(cfg transport.Config) (mcEnd, stEnd transport.Link,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return c2p, p2c, &treeEdge{p2c: p2c, c2p: c2p}, nil
+	return readReqTap{Link: c2p, sent: &h.readReqs}, p2c, &treeEdge{p2c: p2c, c2p: c2p}, nil
 }
 
 func newTreeConf(t *testing.T, seed uint64, shards int, verbose bool) (*treeConf, error) {
@@ -277,11 +300,14 @@ func (h *treeConf) doWrite() error {
 
 // doRead issues a read at an MC and pumps it to resolution, repairing
 // links when chaos strands it. Every resolved read must satisfy the
-// sweep's invariants.
+// sweep's invariants. The retry budget is sized for the worst profile:
+// at depth 3 under 15% drop a read needs six frames to survive, so one
+// attempt strands with probability 0.62 and forty all strand once in 10^8
+// reads — a failure means recovery is broken, not that the seed is unlucky.
 func (h *treeConf) doRead(m *treeMC) error {
 	key := h.randKey()
 	h.tracef("mc%d read %s", m.idx, key)
-	for attempt := 0; attempt < 10; attempt++ {
+	for attempt := 0; attempt < 40; attempt++ {
 		it, resolved, err := h.runRead(m, key)
 		if err != nil {
 			return err
@@ -311,32 +337,60 @@ func (h *treeConf) runRead(m *treeMC, key string) (db.Item, bool, error) {
 		err error
 	}
 	ch := make(chan result, 1)
+	sent := h.readReqs.Load()
 	go func() {
 		it, err := m.mc.Client.Read(key)
 		ch <- result{it, err}
 	}()
-	stuck := 0
-	for steps := 0; steps < 8000; steps++ {
-		select {
-		case r := <-ch:
-			if r.err != nil {
-				// Offline/severed: the mobile user cycles the connection.
-				h.tracef("mc%d read %s failed (%v); reconnecting", m.idx, key, r.err)
-				return db.Item{}, false, h.handoffTo(m, m.mc.Station(), h.chaos)
+	resolve := func(r result) (db.Item, bool, error) {
+		if r.err != nil {
+			// Offline/severed: the mobile user cycles the connection.
+			h.tracef("mc%d read %s failed (%v); reconnecting", m.idx, key, r.err)
+			return db.Item{}, false, h.handoffTo(m, m.mc.Station(), h.chaos)
+		}
+		return r.it, true, nil
+	}
+	// await blocks until the reader finishes (finished) or cond holds. It
+	// polls cond because the reader's progress has no channel. The
+	// one-minute watchdog only turns a hung harness into a failure; no
+	// verdict about the protocol depends on it.
+	await := func(cond func() bool) (r result, finished bool) {
+		h.t.Helper()
+		for start := time.Now(); !cond(); {
+			select {
+			case r = <-ch:
+				return r, true
+			case <-time.After(100 * time.Microsecond):
+				if time.Since(start) > time.Minute {
+					h.t.Fatalf("seed %d: mc%d read %s: reader neither parked nor finished after a minute", h.seed, m.idx, key)
+				}
 			}
-			return r.it, true, nil
-		default:
+		}
+		return r, false
+	}
+	// A Read either returns without sending (local hit, offline, dead
+	// link) or sends exactly one request and parks on its waiter. Let it
+	// get that far before the first pump: from then on every delivery,
+	// and every draw from h.rng, happens on this goroutine, so the seed
+	// alone fixes the schedule whatever the scheduler does.
+	if r, finished := await(func() bool { return h.readReqs.Load() != sent }); finished {
+		return resolve(r)
+	}
+	for steps := 0; steps < 8000; steps++ {
+		// Once the waiter is gone a delivery has released the reader and
+		// the result is on its way: take it before pumping again, so the
+		// number of pumps (each a draw from h.rng) never depends on how
+		// fast the reader wakes.
+		if !m.mc.Client.AwaitingRead(key) {
+			r, _ := await(func() bool { return false })
+			return resolve(r)
 		}
 		if h.pumpOne() {
-			stuck = 0
 			continue
 		}
-		// Quiescent: give the read goroutine a beat to resolve or settle
-		// into blocked, then count it toward stranded.
-		time.Sleep(2 * time.Millisecond)
-		if stuck++; stuck < 3 {
-			continue
-		}
+		// Every queue is empty, the reader is parked and sends nothing
+		// more: nothing is left that could release it. The read is
+		// stranded — a fact about the state, not a guess from the clock.
 		// The request (or a relay's upstream fetch) was lost to chaos and
 		// nothing will ever answer. Cycle every edge: suspending the MC
 		// fails the blocked read, and the relay reconnects fail any

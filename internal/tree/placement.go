@@ -3,6 +3,9 @@ package tree
 import (
 	"fmt"
 	"strings"
+
+	"mobirep/internal/core"
+	"mobirep/internal/sched"
 )
 
 // Per-key replica placement. The edge protocol decides where copies MAY
@@ -15,12 +18,11 @@ import (
 // (DropCopy) any copy the policy votes against. Placement is advisory:
 // it only ever removes copies, so it shifts cost, never correctness.
 //
-// The table is packed as a struct-of-arrays: one map lookup resolves a
-// key to a row, and a row is a 64-bit window word, a ring head, a
-// counter, and one bit in a hold bitset — four parallel arrays that stay
-// cache-resident at fleet-scale key counts, instead of one heap-
-// allocated core.Window or core.T1 per (station, key). placement_test.go
-// proves every transition bit-equivalent to the internal/core originals.
+// The table holds no transition logic of its own: one map lookup
+// resolves a key to a row, and a row is an internal/core value — a
+// core.Window for SW, a core.T1 or core.T2 for the thresholds — stored
+// inline in a slice, so a tracked key costs no heap object beyond its
+// map entry and every step is core's.
 
 // PolicyKind selects the placement algorithm.
 type PolicyKind uint8
@@ -89,15 +91,16 @@ func (p Policy) String() string {
 	return "?"
 }
 
-// Validate checks the parameter range. SW windows must fit the packed
-// 64-bit row; the paper's experiments stop at k=9, so 64 is generous.
+// Validate checks the parameter range. SW windows share the one bound
+// every window in the program has, core.MaxWindow; unlike the SWk
+// policy, placement accepts an even K (a tie votes against the copy).
 func (p Policy) Validate() error {
 	switch p.Kind {
 	case PolicyNone:
 		return nil
 	case PolicySW:
-		if p.K < 1 || p.K > 64 {
-			return fmt.Errorf("tree: SW placement window %d outside [1, 64]", p.K)
+		if err := core.CheckWindowSize(p.K); err != nil {
+			return fmt.Errorf("tree: SW placement %w", err)
 		}
 		return nil
 	case PolicyT1, PolicyT2:
@@ -109,23 +112,16 @@ func (p Policy) Validate() error {
 	return fmt.Errorf("tree: unknown placement kind %d", p.Kind)
 }
 
-// Table is the packed per-key placement state for one station. Not
+// Table is the per-key placement state for one station. Not
 // goroutine-safe; the owning station serializes access.
 type Table struct {
 	pol Policy
 	ids map[string]uint32
 
-	// Parallel per-row arrays. For SW: bits is the window ring (bit set =
-	// write; K low bits in use), head the ring index, cnt the write
-	// count. For T1: cnt counts consecutive reads while not holding. For
-	// T2: cnt counts consecutive writes while holding.
-	bits []uint64
-	head []uint8
-	cnt  []uint32
-
-	// hold is a bitset over rows: whether the policy currently votes for
-	// a copy at this station.
-	hold []uint64
+	// Rows, indexed by ids; only the slice of the table's kind is used.
+	sw []core.Window
+	t1 []core.T1
+	t2 []core.T2
 }
 
 // NewTable returns an empty table for the given policy. Panics on an
@@ -152,38 +148,19 @@ func (t *Table) row(key string) uint32 {
 	if ok {
 		return r
 	}
-	r = uint32(len(t.bits))
+	r = uint32(len(t.ids))
 	// The map retains its key; clone in case the caller's aliases
 	// transport memory.
 	t.ids[strings.Clone(key)] = r
-	var w uint64
-	var c uint32
-	if t.pol.Kind == PolicySW {
-		w = (uint64(1) << uint(t.pol.K)) - 1 // all writes
-		c = uint32(t.pol.K)
-	}
-	t.bits = append(t.bits, w)
-	t.head = append(t.head, 0)
-	t.cnt = append(t.cnt, c)
-	if int(r)>>6 >= len(t.hold) {
-		t.hold = append(t.hold, 0)
-	}
-	if t.pol.Kind == PolicyT2 {
-		t.setHold(r, true)
+	switch t.pol.Kind {
+	case PolicySW:
+		t.sw = append(t.sw, core.NewWindow(t.pol.K, sched.Write))
+	case PolicyT1:
+		t.t1 = append(t.t1, *core.NewT1(t.pol.K))
+	case PolicyT2:
+		t.t2 = append(t.t2, *core.NewT2(t.pol.K))
 	}
 	return r
-}
-
-func (t *Table) holds(r uint32) bool {
-	return t.hold[r>>6]&(1<<(r&63)) != 0
-}
-
-func (t *Table) setHold(r uint32, on bool) {
-	if on {
-		t.hold[r>>6] |= 1 << (r & 63)
-	} else {
-		t.hold[r>>6] &^= 1 << (r & 63)
-	}
 }
 
 // Holds reports whether the policy currently votes for a copy of key at
@@ -193,94 +170,45 @@ func (t *Table) Holds(key string) bool {
 	if t.pol.Kind == PolicyNone {
 		return true
 	}
-	if r, ok := t.ids[key]; ok {
-		return t.holds(r)
+	r, ok := t.ids[key]
+	if !ok {
+		return t.pol.Kind == PolicyT2
 	}
-	return t.pol.Kind == PolicyT2
+	return t.vote(r)
+}
+
+// vote reads row r's current vote.
+func (t *Table) vote(r uint32) bool {
+	switch t.pol.Kind {
+	case PolicySW:
+		return t.sw[r].ReadMajority()
+	case PolicyT1:
+		return t.t1[r].HasCopy()
+	}
+	return t.t2[r].HasCopy()
 }
 
 // OnRead records a read of key observed at this station and returns the
 // policy's (possibly changed) vote.
-func (t *Table) OnRead(key string) bool {
-	if t.pol.Kind == PolicyNone {
-		return true
-	}
-	r := t.row(key)
-	switch t.pol.Kind {
-	case PolicySW:
-		t.push(r, false)
-		t.setHold(r, t.readMajority(r))
-	case PolicyT1:
-		if !t.holds(r) {
-			t.cnt[r]++
-			if t.cnt[r] == uint32(t.pol.K) {
-				t.setHold(r, true)
-				t.cnt[r] = 0
-			}
-		}
-		// Reads while holding keep the copy; nothing to count.
-	case PolicyT2:
-		if t.holds(r) {
-			t.cnt[r] = 0 // a read breaks the consecutive-write run
-		} else {
-			t.setHold(r, true) // first read of the one-copy phase re-holds
-		}
-	}
-	return t.holds(r)
-}
+func (t *Table) OnRead(key string) bool { return t.observe(key, sched.Read) }
 
 // OnWrite records a write of key observed at this station and returns
 // the policy's (possibly changed) vote.
-func (t *Table) OnWrite(key string) bool {
+func (t *Table) OnWrite(key string) bool { return t.observe(key, sched.Write) }
+
+// observe feeds op to key's row — core's step — and returns the vote.
+func (t *Table) observe(key string, op sched.Op) bool {
 	if t.pol.Kind == PolicyNone {
 		return true
 	}
-	r := t.row(key)
+	r := t.row(key) // may grow the row slices: resolve before indexing
 	switch t.pol.Kind {
 	case PolicySW:
-		t.push(r, true)
-		t.setHold(r, t.readMajority(r))
+		t.sw[r].Push(op)
 	case PolicyT1:
-		if t.holds(r) {
-			t.setHold(r, false) // any write ends the two-copies phase
-		}
-		t.cnt[r] = 0
+		t.t1[r].Apply(op)
 	case PolicyT2:
-		if t.holds(r) {
-			t.cnt[r]++
-			if t.cnt[r] == uint32(t.pol.K) {
-				t.setHold(r, false)
-				t.cnt[r] = 0
-			}
-		}
-		// Writes while not holding are free; nothing to count.
+		t.t2[r].Apply(op)
 	}
-	return t.holds(r)
-}
-
-// push slides row r's SW window: drop the oldest bit, record isWrite as
-// the newest, maintaining the write count exactly like core.Window.Push.
-func (t *Table) push(r uint32, isWrite bool) {
-	h := uint(t.head[r])
-	old := t.bits[r]&(1<<h) != 0
-	if old {
-		t.cnt[r]--
-	}
-	if isWrite {
-		t.bits[r] |= 1 << h
-		t.cnt[r]++
-	} else {
-		t.bits[r] &^= 1 << h
-	}
-	h++
-	if h == uint(t.pol.K) {
-		h = 0
-	}
-	t.head[r] = uint8(h)
-}
-
-// readMajority mirrors core.Window.ReadMajority: reads strictly
-// outnumber writes among the K tracked bits.
-func (t *Table) readMajority(r uint32) bool {
-	return uint32(t.pol.K)-t.cnt[r] > t.cnt[r]
+	return t.vote(r)
 }

@@ -9,84 +9,76 @@ import (
 	"mobirep/internal/stats"
 )
 
-// The packed struct-of-arrays table must be transition-for-transition
-// equivalent to the heap-allocated originals in internal/core: SW rows
-// track core.Window (seeded all-writes, like a freshly attached MC) with
-// hold = read majority, T1/T2 rows track core.T1/core.T2's HasCopy.
-// Random op streams over several interleaved keys exercise ring
-// wraparound, row growth, and the hold bitset across word boundaries.
+// The table's rows are internal/core values and every step is core's, so
+// what is left to check is the table itself: key-to-row resolution, row
+// growth while other rows are live, the initial state of a fresh row, and
+// independence between interleaved keys. One run per policy drives a
+// table and one independent reference per key over a random op stream.
 
+// voter is the per-key reference: feed an op, get the vote.
+type voter func(op sched.Op) bool
+
+func checkTableAgainst(t *testing.T, pol Policy, seed uint64, newRef func() voter) {
+	t.Helper()
+	rng := stats.NewRNG(seed)
+	tab := NewTable(pol)
+	keys := manyKeys(70)
+	ref := map[string]voter{}
+	for step := 0; step < 4000; step++ {
+		key := keys[rng.Intn(len(keys))]
+		if ref[key] == nil {
+			ref[key] = newRef()
+		}
+		var got, want bool
+		if rng.Intn(2) == 0 {
+			want, got = ref[key](sched.Read), tab.OnRead(key)
+		} else {
+			want, got = ref[key](sched.Write), tab.OnWrite(key)
+		}
+		if got != want {
+			t.Fatalf("step %d key %s: table votes %v, reference %s votes %v", step, key, got, pol, want)
+		}
+		if tab.Holds(key) != got {
+			t.Fatalf("step %d key %s: Holds disagrees with the On* return", step, key)
+		}
+	}
+	if tab.Len() != len(ref) {
+		t.Fatalf("table tracks %d keys, %d were touched", tab.Len(), len(ref))
+	}
+}
+
+// TestPlacementSWEquivalence checks SW rows against a naive slide: the
+// last K observed requests, all writes before the first, hold on a strict
+// read majority — including the even K the SWk policy itself excludes.
 func TestPlacementSWEquivalence(t *testing.T) {
 	for _, k := range []int{1, 3, 5, 9, 17, 64} {
 		t.Run(fmt.Sprintf("SW%d", k), func(t *testing.T) {
-			rng := stats.NewRNG(uint64(1000 + k))
-			tab := NewTable(Policy{Kind: PolicySW, K: k})
-			keys := manyKeys(70) // spans two hold-bitset words
-			ref := map[string]*core.Window{}
-			for step := 0; step < 4000; step++ {
-				key := keys[rng.Intn(len(keys))]
-				w, ok := ref[key]
-				if !ok {
-					w = core.NewWindow(k, sched.Write)
-					ref[key] = w
+			checkTableAgainst(t, Policy{Kind: PolicySW, K: k}, uint64(1000+k), func() voter {
+				last := sched.Block(sched.Write, k)
+				return func(op sched.Op) bool {
+					last = append(last[1:], op)
+					reads, writes := last.Counts()
+					return reads > writes
 				}
-				var got bool
-				if rng.Intn(2) == 0 {
-					w.Push(sched.Read)
-					got = tab.OnRead(key)
-				} else {
-					w.Push(sched.Write)
-					got = tab.OnWrite(key)
-				}
-				if want := w.ReadMajority(); got != want {
-					t.Fatalf("step %d key %s: table holds=%v, core.Window read-majority=%v (window %s)",
-						step, key, got, want, w)
-				}
-				if tab.Holds(key) != got {
-					t.Fatalf("step %d key %s: Holds disagrees with the On* return", step, key)
-				}
-			}
+			})
 		})
 	}
 }
 
+// TestPlacementTStarEquivalence checks T1/T2 rows against one core policy
+// per key.
 func TestPlacementTStarEquivalence(t *testing.T) {
-	type refPolicy interface {
-		Apply(op sched.Op) core.Step
-		HasCopy() bool
-	}
 	for _, m := range []int{1, 2, 3, 7} {
 		for _, kind := range []PolicyKind{PolicyT1, PolicyT2} {
 			pol := Policy{Kind: kind, K: m}
 			t.Run(pol.String(), func(t *testing.T) {
-				rng := stats.NewRNG(uint64(2000 + m + int(kind)*100))
-				tab := NewTable(pol)
-				keys := manyKeys(70)
-				ref := map[string]refPolicy{}
-				for step := 0; step < 4000; step++ {
-					key := keys[rng.Intn(len(keys))]
-					p, ok := ref[key]
-					if !ok {
-						if kind == PolicyT1 {
-							p = core.NewT1(m)
-						} else {
-							p = core.NewT2(m)
-						}
-						ref[key] = p
+				checkTableAgainst(t, pol, uint64(2000+m+int(kind)*100), func() voter {
+					var p core.Policy = core.NewT1(m)
+					if kind == PolicyT2 {
+						p = core.NewT2(m)
 					}
-					var got bool
-					if rng.Intn(2) == 0 {
-						p.Apply(sched.Read)
-						got = tab.OnRead(key)
-					} else {
-						p.Apply(sched.Write)
-						got = tab.OnWrite(key)
-					}
-					if want := p.HasCopy(); got != want {
-						t.Fatalf("step %d key %s: table holds=%v, core %s has-copy=%v",
-							step, key, got, pol, want)
-					}
-				}
+					return func(op sched.Op) bool { return p.Apply(op).HasCopy }
+				})
 			})
 		}
 	}
@@ -118,7 +110,7 @@ func TestPlacementInitialVotes(t *testing.T) {
 func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
 		{Kind: PolicySW, K: 0},
-		{Kind: PolicySW, K: 65},
+		{Kind: PolicySW, K: core.MaxWindow + 1},
 		{Kind: PolicyT1, K: 0},
 		{Kind: PolicyT2, K: -1},
 		{Kind: PolicyKind(9), K: 1},
@@ -128,7 +120,10 @@ func TestPolicyValidate(t *testing.T) {
 			t.Errorf("Validate accepted %+v", p)
 		}
 	}
-	good := []Policy{{Kind: PolicyNone}, {Kind: PolicySW, K: 64}, {Kind: PolicyT1, K: 1}, {Kind: PolicyT2, K: 9}}
+	good := []Policy{{Kind: PolicyNone}, {Kind: PolicyT1, K: 1}, {Kind: PolicyT2, K: 9}}
+	for _, k := range []int{1, 63, 64, 65, 127, 128} {
+		good = append(good, Policy{Kind: PolicySW, K: k})
+	}
 	for _, p := range good {
 		if err := p.Validate(); err != nil {
 			t.Errorf("Validate rejected %v: %v", p, err)

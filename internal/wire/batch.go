@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"mobirep/internal/sched"
+	"mobirep/internal/core"
 )
 
 // Batch messages implement the section 7.2 premise that "multiple data
@@ -66,7 +66,7 @@ type Entry struct {
 	// Allocate is set when this entry's copy should be installed at the
 	// MC; Window then carries that key's sliding window for the handoff.
 	Allocate bool
-	Window   sched.Schedule
+	Window   core.Window
 	// NotModified is set when the client's version hint matched: the
 	// payload is omitted and the client's archived value is current.
 	NotModified bool
@@ -108,7 +108,7 @@ func EncodeBatch(b Batch) ([]byte, error) {
 		size += 2 + len(k) + 8
 	}
 	for _, e := range b.Entries {
-		size += 1 + 8 + 2 + len(e.Key) + 4 + len(e.Value) + 2 + (len(e.Window)+7)/8
+		size += 1 + 8 + 2 + len(e.Key) + 4 + len(e.Value) + 2 + e.Window.PackedLen()
 	}
 	return AppendEncodeBatch(make([]byte, 0, size), b)
 }
@@ -132,8 +132,8 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 		}
 	}
 	for _, e := range b.Entries {
-		if len(e.Key) > maxKeyLen || len(e.Window) > maxKeyLen {
-			return dst, fmt.Errorf("wire: entry field too long for key %q", e.Key)
+		if len(e.Key) > maxKeyLen {
+			return dst, fmt.Errorf("wire: entry key length %d exceeds %d", len(e.Key), maxKeyLen)
 		}
 	}
 	out := append(dst, byte(b.Kind), batchFormat)
@@ -163,8 +163,8 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 		out = append(out, e.Key...)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Value)))
 		out = append(out, e.Value...)
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(e.Window)))
-		out = appendPackedWindow(out, e.Window)
+		out = binary.LittleEndian.AppendUint16(out, uint16(e.Window.Size()))
+		out = e.Window.AppendPacked(out)
 	}
 	return out, nil
 }
@@ -239,7 +239,9 @@ func DecodeBatch(p []byte) (Batch, error) {
 		if err != nil {
 			return b, err
 		}
-		e.Window = unpackWindow(packed, int(wlen))
+		if e.Window, err = core.UnpackWindow(int(wlen), packed); err != nil {
+			return b, fmt.Errorf("wire: bad window: %w", err)
+		}
 		b.Entries = append(b.Entries, e)
 	}
 	if !r.done() {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"mobirep/internal/sched"
 )
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -14,7 +12,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Kind: KindMultiReadReq, Keys: nil},
 		{Kind: KindMultiReadResp, Entries: []Entry{
 			{Key: "a", Value: []byte("v1"), Version: 1},
-			{Key: "b", Value: nil, Version: 0, Allocate: true, Window: sched.MustParse("rwr")},
+			{Key: "b", Value: nil, Version: 0, Allocate: true, Window: win("rwr")},
 			{Key: "", Value: bytes.Repeat([]byte{7}, 300), Version: 1 << 40},
 		}},
 		{Kind: KindMultiReadResp},
@@ -74,7 +72,7 @@ func TestBatchRejections(t *testing.T) {
 	}
 	// Truncations must all fail.
 	frame, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
-		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: sched.MustParse("rrr")},
+		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrr")},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +164,7 @@ func TestBatchProperty(t *testing.T) {
 // FuzzDecodeBatch mirrors FuzzDecode for the batch codec.
 func FuzzDecodeBatch(f *testing.F) {
 	seed, _ := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
-		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: sched.MustParse("rrrwr")},
+		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrrwr")},
 	}})
 	f.Add(seed)
 	f.Add([]byte{byte(KindMultiReadReq), 0, 0, 0, 0})

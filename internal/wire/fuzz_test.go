@@ -3,8 +3,6 @@ package wire
 import (
 	"bytes"
 	"testing"
-
-	"mobirep/internal/sched"
 )
 
 // FuzzDecode feeds arbitrary frames to the decoder: it must never panic,
@@ -14,9 +12,9 @@ func FuzzDecode(f *testing.F) {
 	seeds := []Message{
 		{Kind: KindReadReq, Key: "x"},
 		{Kind: KindReadResp, Key: "key", Value: []byte("value"), Version: 7,
-			Allocate: true, Window: sched.MustParse("rwrwr")},
+			Allocate: true, Window: win("rwrwr")},
 		{Kind: KindWriteProp, Key: "k", Value: bytes.Repeat([]byte{0xaa}, 100), Version: 1},
-		{Kind: KindDeleteReq, Key: "", Window: sched.MustParse("www")},
+		{Kind: KindDeleteReq, Key: "", Window: win("www")},
 	}
 	for _, m := range seeds {
 		frame, err := Encode(m)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"mobirep/internal/sched"
 )
 
 // perfCorpus spans the codec's shapes: every kind, empty and dense
@@ -15,10 +13,10 @@ func perfCorpus() []Message {
 		{Kind: KindReadReq, Key: "k"},
 		{Kind: KindReadResp, Key: "key-7", Value: []byte("value"), Version: 42},
 		{Kind: KindReadResp, Key: "key-7", Value: []byte("v"), Version: 3,
-			Allocate: true, Window: sched.MustParse("rrwrr")},
+			Allocate: true, Window: win("rrwrr")},
 		{Kind: KindWriteProp, Key: "hot", Value: bytes.Repeat([]byte{0xA5}, 300), Version: 9000},
-		{Kind: KindDeleteReq, Key: "gone", Window: sched.MustParse("wwwwwwww")},
-		{Kind: KindDeleteReq, Key: "nine-bits", Window: sched.MustParse("rwrwrwrwr")},
+		{Kind: KindDeleteReq, Key: "gone", Window: win("wwwwwwww")},
+		{Kind: KindDeleteReq, Key: "nine-bits", Window: win("rwrwrwrwr")},
 		{Kind: KindPing, Version: 1<<63 - 1},
 		{Kind: KindPong},
 		{Kind: KindWriteProp, Key: "", Value: nil, Version: 0},
@@ -133,7 +131,7 @@ func TestAppendEncodeBatchMatchesEncodeBatch(t *testing.T) {
 		{Kind: KindMultiReadResp, Entries: []Entry{
 			{Key: "a", Value: []byte("v1"), Version: 1},
 			{Key: "bb", Version: 2, NotModified: true},
-			{Key: "ccc", Value: []byte("v3"), Version: 3, Allocate: true, Window: sched.MustParse("rrrwr")},
+			{Key: "ccc", Value: []byte("v3"), Version: 3, Allocate: true, Window: win("rrrwr")},
 		}},
 		{Kind: KindResyncReq, Keys: []string{"x"}, Versions: []uint64{5}},
 		{Kind: KindResyncResp, Entries: []Entry{{Key: "x", Version: 5, NotModified: true}}},
@@ -191,21 +189,27 @@ func TestAppendEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeBorrowedAllocs pins the zero-copy decode at zero allocations
-// for windowless messages (the hot-path shape: reads, writes, liveness).
+// TestDecodeBorrowedAllocs pins the zero-copy decode at zero allocations,
+// for the hot-path shape (reads, writes, liveness) and for a window
+// handoff alike: the window is a value copied out of the frame.
 func TestDecodeBorrowedAllocs(t *testing.T) {
-	frame, err := Encode(Message{Kind: KindWriteProp, Key: "hot-key", Value: bytes.Repeat([]byte{7}, 128), Version: 12345})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		m, err := DecodeBorrowed(frame)
-		if err != nil || m.Kind != KindWriteProp {
+	for _, m := range []Message{
+		{Kind: KindWriteProp, Key: "hot-key", Value: bytes.Repeat([]byte{7}, 128), Version: 12345},
+		{Kind: KindDeleteReq, Key: "hot-key", Window: win("rwrwrwrww")},
+	} {
+		frame, err := Encode(m)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DecodeBorrowed allocated %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			back, err := DecodeBorrowed(frame)
+			if err != nil || back.Kind != m.Kind || back.Window != m.Window {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("DecodeBorrowed(%v) allocated %.1f times per run, want 0", m.Kind, allocs)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 	"sync"
 	"unsafe"
 
-	"mobirep/internal/sched"
+	"mobirep/internal/core"
 )
 
 // Kind discriminates protocol messages.
@@ -125,9 +125,10 @@ type Message struct {
 	Version uint64
 	// Allocate is set on a ReadResp that allocates a copy at the MC.
 	Allocate bool
-	// Window carries the sliding window, oldest first, on ownership
-	// handoffs (allocating ReadResp and MC-originated DeleteReq).
-	Window sched.Schedule
+	// Window carries the sliding window on ownership handoffs
+	// (allocating ReadResp and MC-originated DeleteReq); the zero Window
+	// means none. It is a value: decoding and cloning copy it whole.
+	Window core.Window
 }
 
 const maxKeyLen = 1<<16 - 1
@@ -142,15 +143,12 @@ func (m Message) Clone() Message {
 	if len(m.Value) > 0 {
 		m.Value = append([]byte(nil), m.Value...)
 	}
-	if len(m.Window) > 0 {
-		m.Window = append(sched.Schedule(nil), m.Window...)
-	}
 	return m
 }
 
 // EncodedSize returns the exact frame size Encode would produce for m.
 func EncodedSize(m Message) int {
-	return 2 + 8 + 2 + len(m.Key) + 4 + len(m.Value) + 2 + (len(m.Window)+7)/8
+	return 2 + 8 + 2 + len(m.Key) + 4 + len(m.Value) + 2 + m.Window.PackedLen()
 }
 
 // Encode serializes m into a fresh buffer. It is AppendEncode into an
@@ -168,9 +166,6 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	if len(m.Key) > maxKeyLen {
 		return dst, fmt.Errorf("wire: key length %d exceeds %d", len(m.Key), maxKeyLen)
 	}
-	if len(m.Window) > maxKeyLen {
-		return dst, fmt.Errorf("wire: window length %d exceeds %d", len(m.Window), maxKeyLen)
-	}
 	flags := byte(0)
 	if m.Allocate {
 		flags = 1
@@ -181,9 +176,8 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	dst = append(dst, m.Key...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Value)))
 	dst = append(dst, m.Value...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Window)))
-	dst = appendPackedWindow(dst, m.Window)
-	return dst, nil
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(m.Window.Size()))
+	return m.Window.AppendPacked(dst), nil
 }
 
 // Buf is a reusable encode buffer; see GetBuf.
@@ -237,8 +231,8 @@ func Decode(p []byte) (Message, error) {
 }
 
 // DecodeBorrowed parses a frame without copying: the returned message's
-// Key and Value alias p directly (the Window, rare on hot paths, is still
-// unpacked into fresh memory). The message is only valid while p is — for
+// Key and Value alias p directly (the Window is a value and aliases
+// nothing). The message is only valid while p is — for
 // transport handlers, until the handler returns. A handler that retains
 // any part of the message must Clone it (or copy the fields it keeps)
 // first. Accepts and rejects exactly the frames Decode does, with
@@ -292,13 +286,11 @@ func decodeFrame(p []byte, borrow bool) (Message, error) {
 	if len(p) < 2 {
 		return m, errTruncated
 	}
-	wlen := int(binary.LittleEndian.Uint16(p[:2]))
-	p = p[2:]
-	packed := (wlen + 7) / 8
-	if len(p) != packed {
-		return m, fmt.Errorf("wire: window needs %d bytes, frame has %d", packed, len(p))
+	var err error
+	m.Window, err = core.UnpackWindow(int(binary.LittleEndian.Uint16(p[:2])), p[2:])
+	if err != nil {
+		return m, fmt.Errorf("wire: bad window: %w", err)
 	}
-	m.Window = unpackWindow(p, wlen)
 	return m, nil
 }
 
@@ -309,35 +301,4 @@ func borrowString(b []byte) string {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
-}
-
-// appendPackedWindow appends w packed as bits — LSB-first within each
-// byte, write = 1 — to dst without an intermediate allocation.
-func appendPackedWindow(dst []byte, w sched.Schedule) []byte {
-	if len(w) == 0 {
-		return dst
-	}
-	base := len(dst)
-	for n := (len(w) + 7) / 8; n > 0; n-- {
-		dst = append(dst, 0)
-	}
-	for i, op := range w {
-		if op == sched.Write {
-			dst[base+i/8] |= 1 << (i % 8)
-		}
-	}
-	return dst
-}
-
-func unpackWindow(p []byte, n int) sched.Schedule {
-	if n == 0 {
-		return nil
-	}
-	out := make(sched.Schedule, n)
-	for i := range out {
-		if p[i/8]>>(i%8)&1 == 1 {
-			out[i] = sched.Write
-		}
-	}
-	return out
 }

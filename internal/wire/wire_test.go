@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
+	"mobirep/internal/core"
 	"mobirep/internal/sched"
 )
 
@@ -58,9 +61,9 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 		{Kind: KindReadReq, Key: "x"},
 		{Kind: KindReadResp, Key: "x", Value: []byte("payload"), Version: 42},
 		{Kind: KindReadResp, Key: "x", Value: []byte("p"), Version: 7, Allocate: true,
-			Window: sched.MustParse("rwrwr")},
+			Window: win("rwrwr")},
 		{Kind: KindWriteProp, Key: "a key with spaces", Value: nil, Version: 1},
-		{Kind: KindDeleteReq, Key: "x", Window: sched.MustParse("wwr")},
+		{Kind: KindDeleteReq, Key: "x", Window: win("wwr")},
 		{Kind: KindDeleteReq, Key: ""},
 		{Kind: KindPing, Version: 17},
 		{Kind: KindPong, Version: 17},
@@ -117,14 +120,14 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if len(key) > maxKeyLen {
 			key = key[:maxKeyLen]
 		}
-		win := make(sched.Schedule, len(winBits))
+		bits := make(sched.Schedule, len(winBits))
 		for i, b := range winBits {
 			if b {
-				win[i] = sched.Write
+				bits[i] = sched.Write
 			}
 		}
 		m := Message{Kind: kind, Key: key, Value: value, Version: version,
-			Allocate: alloc, Window: win}
+			Allocate: alloc, Window: core.WindowOf(bits)}
 		frame, err := Encode(m)
 		if err != nil {
 			return false
@@ -151,7 +154,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Truncations of a valid frame must all fail or decode to a different,
 	// still-valid message — never panic.
 	m := Message{Kind: KindReadResp, Key: "key", Value: []byte("value"),
-		Version: 9, Allocate: true, Window: sched.MustParse("rrwwr")}
+		Version: 9, Allocate: true, Window: win("rrwwr")}
 	frame, err := Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -199,24 +202,88 @@ func TestEncodeRejectsOversizedKey(t *testing.T) {
 	}
 }
 
+// win builds a handoff window from the paper's notation, oldest first.
+func win(bits string) core.Window { return core.WindowOf(sched.MustParse(bits)) }
+
+// goldenWindow is the fixed pattern behind the golden frames below:
+// request i is a write iff i%3 == 0 or i%7 == 2.
+func goldenWindow(n int) core.Window {
+	s := make(sched.Schedule, n)
+	for i := range s {
+		if i%3 == 0 || i%7 == 2 {
+			s[i] = sched.Write
+		}
+	}
+	return core.WindowOf(s)
+}
+
+// TestWindowPackingDense pins the bytes a window handoff puts on the
+// wire — length, then the bits oldest first, eight per byte, LSB first,
+// write = 1 — at the sizes around the byte, word and bound edges. The
+// golden frames were produced by the per-bit encoder this codec replaced
+// (a DeleteReq for key "k", and a MultiReadResp, epoch 2, with one
+// allocating entry k=v version 3), so they are the compatibility
+// contract with every peer and every frozen conformance seed.
 func TestWindowPackingDense(t *testing.T) {
-	// 9 bits crosses a byte boundary; check exact packing.
-	w := sched.MustParse("rwrwrwrwr")
-	packed := appendPackedWindow(nil, w)
-	if len(packed) != 2 {
-		t.Fatalf("packed length = %d", len(packed))
+	golden := []struct {
+		bits           int
+		message, batch string
+	}{
+		{1, "0400000000000000000001006b00000000010001", "150202000000000000000000010001030000000000000001006b0100000076010001"},
+		{8, "0400000000000000000001006b0000000008004d", "150202000000000000000000010001030000000000000001006b010000007608004d"},
+		{9, "0400000000000000000001006b0000000009004d00", "150202000000000000000000010001030000000000000001006b010000007609004d00"},
+		{64, "0400000000000000000001006b0000000040004d92a549b2344996", "150202000000000000000000010001030000000000000001006b010000007640004d92a549b2344996"},
+		{65, "0400000000000000000001006b0000000041004d92a549b234499600", "150202000000000000000000010001030000000000000001006b010000007641004d92a549b234499600"},
+		{128, "0400000000000000000001006b0000000080004d92a549b234499626c9d224599a244b", "150202000000000000000000010001030000000000000001006b010000007680004d92a549b234499626c9d224599a244b"},
 	}
-	// Writes sit at odd indices: bit pattern 10101010, ninth bit clear.
-	if packed[0] != 0b10101010 || packed[1] != 0 {
-		t.Fatalf("packed = %08b %08b", packed[0], packed[1])
+	for _, g := range golden {
+		w := goldenWindow(g.bits)
+		frame, err := Encode(Message{Kind: KindDeleteReq, Key: "k", Window: w})
+		if err != nil || hex.EncodeToString(frame) != g.message {
+			t.Errorf("%d bits: message encodes to %x (err %v), want %s", g.bits, frame, err, g.message)
+		}
+		for _, decode := range []func([]byte) (Message, error){Decode, DecodeBorrowed} {
+			if back, err := decode(frame); err != nil || back.Window != w {
+				t.Errorf("%d bits: message decodes to window %v (err %v), want %v", g.bits, back.Window, err, w)
+			}
+		}
+		bframe, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Epoch: 2, Entries: []Entry{
+			{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: w}}})
+		if err != nil || hex.EncodeToString(bframe) != g.batch {
+			t.Errorf("%d bits: batch encodes to %x (err %v), want %s", g.bits, bframe, err, g.batch)
+		}
+		if back, err := DecodeBatch(bframe); err != nil || len(back.Entries) != 1 || back.Entries[0].Window != w {
+			t.Errorf("%d bits: batch decodes to %+v (err %v), want window %v", g.bits, back, err, w)
+		}
 	}
-	if got := unpackWindow(packed, 9); got.String() != w.String() {
-		t.Fatalf("unpacked %q", got)
+}
+
+// TestDecodeRejectsOversizedWindow pins the one bound at the decoder: a
+// well-formed frame whose window is longer than core.MaxWindow is a
+// decode error in both codecs, never a larger window.
+func TestDecodeRejectsOversizedWindow(t *testing.T) {
+	frame, err := Encode(Message{Kind: KindDeleteReq, Key: "k", Window: goldenWindow(core.MaxWindow)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if appendPackedWindow(nil, nil) != nil {
-		t.Fatal("empty window should pack to nil")
+	// Patch the length to MaxWindow+1 and append the byte that carries
+	// the extra bit: the frame the old codec wrote for a 129-bit window.
+	at := len(frame) - core.MaxWindow/8 - 2
+	binary.LittleEndian.PutUint16(frame[at:], core.MaxWindow+1)
+	frame = append(frame, 1)
+	if _, err := Decode(frame); err == nil {
+		t.Error("Decode accepted a window past the bound")
 	}
-	if unpackWindow(nil, 0) != nil {
-		t.Fatal("empty window should unpack to nil")
+	if _, err := DecodeBorrowed(frame); err == nil {
+		t.Error("DecodeBorrowed accepted a window past the bound")
+	}
+	batch, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
+		{Key: "k", Allocate: true, Window: goldenWindow(core.MaxWindow)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(batch[len(batch)-core.MaxWindow/8-2:], core.MaxWindow+1)
+	if _, err := DecodeBatch(append(batch, 1)); err == nil {
+		t.Error("DecodeBatch accepted a window past the bound")
 	}
 }
