@@ -74,6 +74,16 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
 done
 GOOS=windows go vet ./internal/transport/
+# A propagated write, holder by holder: the MC cache's pins (in-place
+# update allocates nothing until a reader holds the value, and a held
+# value never changes) and its differential against the three-map
+# reference, the key index's exactness and fan-out order under the race
+# detector, and the holder-count slope benchmark run once so it cannot
+# rot.
+go test -count=1 -run 'TestUpdateAllocations|TestCacheMatchesThreeMapReference' ./internal/mobile/
+go test -race -count=1 -run 'TestReturnedValuesNeverChange|TestConcurrentAccess' ./internal/mobile/
+go test -race -count=1 -run 'TestSessionKeysSameShardInvariant|TestShardChurnHammer|TestFanOutOrderDeterministic' ./internal/replica/
+go test -run '^$' -bench 'BenchmarkFanOutHolders' -benchtime=1x ./internal/replica/
 go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.seed=3 -conformance.coalesce -count=1
 if [ "${1:-}" = "-long" ]; then
     go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.schedules=100000 -conformance.coalesce -count=1

@@ -328,7 +328,7 @@ func TestLegacyHeaderlessLogUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		payload := encodeRecord(Record{Key: "x", Value: []byte{byte(i)}, Version: uint64(i)})
+		payload := appendRecord(nil, Record{Key: "x", Value: []byte{byte(i)}, Version: uint64(i)})
 		var hdr [logHeaderSize]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))

@@ -211,7 +211,7 @@ func TestCrashMidAppendRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeRecord(Record{Key: "x", Value: []byte("lost-in-crash"), Version: 3})
+	payload := appendRecord(nil, Record{Key: "x", Value: []byte("lost-in-crash"), Version: 3})
 	var hdr [logHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -294,7 +294,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			key = key[:1<<16-1]
 		}
 		rec := Record{Key: key, Value: value, Version: version}
-		back, err := decodeRecord(encodeRecord(rec))
+		back, err := decodeRecord(appendRecord(nil, rec))
 		if err != nil {
 			return false
 		}
@@ -303,6 +303,36 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendFramedRecordLayout pins the log bytes: the two golden frames
+// were rendered by the two-copy frameRecord this function replaced, and a
+// record framed behind earlier bytes must come out the same as one framed
+// alone, leaving those bytes untouched — the group buffer appends record
+// after record into one slice.
+func TestAppendFramedRecordLayout(t *testing.T) {
+	recs := []Record{
+		{Key: "k1", Value: []byte("hello"), Version: 7},
+		{Key: "", Value: nil, Version: 1 << 40},
+	}
+	golden := []string{
+		"15000000533d90f9070000000000000002006b310500000068656c6c6f",
+		"0e000000b9e155820000000000010000000000000000",
+	}
+	var all []byte
+	for i, rec := range recs {
+		alone := appendFramedRecord(nil, rec)
+		if got := fmt.Sprintf("%x", alone); got != golden[i] {
+			t.Errorf("record %d framed as %s, want %s", i, got, golden[i])
+		}
+		all = appendFramedRecord(all, rec)
+		if !bytes.HasSuffix(all, alone) {
+			t.Errorf("record %d framed differently behind %d earlier bytes", i, len(all)-len(alone))
+		}
+	}
+	if got := fmt.Sprintf("%x", all); got != golden[0]+golden[1] {
+		t.Errorf("two records framed into one buffer = %s", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 )
 
@@ -42,6 +43,8 @@ type Log struct {
 	appended atomic.Int64
 	epoch    uint64
 	hdrLen   int64 // fileHeaderSize, or 0 for a legacy headerless log
+	// scratch is Append's framing buffer, reused from record to record.
+	scratch []byte
 }
 
 // Record is one logged write.
@@ -239,10 +242,11 @@ func (l *Log) Replay(fn func(Record)) error {
 // caller's business: Sync (or the store's sync policy) decides when the
 // record survives a power cut.
 func (l *Log) Append(rec Record) error {
-	return l.AppendFramed(frameRecord(rec))
+	l.scratch = appendFramedRecord(l.scratch[:0], rec)
+	return l.AppendFramed(l.scratch)
 }
 
-// AppendFramed writes pre-framed record bytes (frameRecord output,
+// AppendFramed writes pre-framed record bytes (appendFramedRecord output,
 // possibly several records concatenated) with a single write and
 // flushes them to the OS. The group committer uses it to land a whole
 // batch in one syscall.
@@ -261,14 +265,20 @@ func (l *Log) AppendFramed(buf []byte) error {
 	return nil
 }
 
-// frameRecord renders one record exactly as it sits on disk: the
-// length+CRC header followed by the encoded payload.
-func frameRecord(rec Record) []byte {
-	payload := encodeRecord(rec)
-	out := make([]byte, logHeaderSize, logHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+// appendFramedRecord appends one record to dst exactly as it sits on
+// disk — the length+CRC header followed by the encoded payload — writing
+// the payload straight into dst and the header over the gap left for it.
+func appendFramedRecord(dst []byte, rec Record) []byte {
+	start := len(dst)
+	// One growth for the whole record: the group buffer starts each batch
+	// empty, and growing it field by field would allocate per field.
+	dst = slices.Grow(dst, logHeaderSize+8+2+len(rec.Key)+4+len(rec.Value))
+	dst = append(dst, make([]byte, logHeaderSize)...)
+	dst = appendRecord(dst, rec)
+	payload := dst[start+logHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // Sync forces the log contents to stable storage.
@@ -296,14 +306,13 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-func encodeRecord(rec Record) []byte {
-	out := make([]byte, 0, 8+2+len(rec.Key)+4+len(rec.Value))
-	out = binary.LittleEndian.AppendUint64(out, rec.Version)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(rec.Key)))
-	out = append(out, rec.Key...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Value)))
-	out = append(out, rec.Value...)
-	return out
+// appendRecord appends rec's payload encoding to dst.
+func appendRecord(dst []byte, rec Record) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, rec.Version)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.Key)))
+	dst = append(dst, rec.Key...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Value)))
+	return append(dst, rec.Value...)
 }
 
 var errShortRecord = errors.New("db: short record payload")

@@ -353,9 +353,9 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 				break
 			}
 		}
-		frame := frameRecord(Record{Key: key, Value: it.Value, Version: it.Version})
-		s.gc.buf = append(s.gc.buf, frame...)
-		s.gc.tail += int64(len(frame))
+		before := len(s.gc.buf)
+		s.gc.buf = appendFramedRecord(s.gc.buf, Record{Key: key, Value: it.Value, Version: it.Version})
+		s.gc.tail += int64(len(s.gc.buf) - before)
 		end := s.gc.tail
 		s.gc.queue = append(s.gc.queue, groupEntry{item: it, end: end})
 		s.gc.mu.Unlock()

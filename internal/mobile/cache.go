@@ -39,26 +39,60 @@ type Stats struct {
 // stale archive: they must not be served (they may be outdated), but their
 // versions work as revalidation hints — a conditional read that matches
 // the server's current version costs no payload bytes.
+//
+// A key has one record whether its copy is live or archived, so every
+// operation — a propagated write above all — is one map probe.
 type Cache struct {
-	mu      sync.RWMutex
-	items   map[string]db.Item
-	archive map[string]db.Item
-	// fresh records when each entry (live or archived) was last known to
+	mu      sync.Mutex
+	entries map[string]*entry
+	// live and archived count the entries in each state (Len, ArchiveLen).
+	live, archived int
+	now            func() time.Time
+	stats          Stats
+}
+
+// entry is the one record the cache keeps per key.
+type entry struct {
+	// item is cache-owned: Key and Value were copied in.
+	item db.Item
+	// fresh records when the entry (live or archived) was last known to
 	// match the server: at install, update, and revalidation. Bounded
 	// staleness offline reads compare against it.
-	fresh map[string]time.Time
-	now   func() time.Time
-	stats Stats
+	fresh time.Time
+	// live says the copy is allocated and may be served; an entry that is
+	// not live is the stale archive's.
+	live bool
+	// shared says item.Value has been handed to a caller (see lend), so its
+	// bytes must never change again; the next write installs a fresh buffer.
+	shared bool
+}
+
+// lend returns the entry's item to a caller. Every accessor that hands an
+// item out goes through it: from here on a reader may hold the value
+// slice, so Update may no longer overwrite it in place.
+func (e *entry) lend() db.Item {
+	e.shared = true
+	return e.item
+}
+
+// setValue makes the entry's value equal to v without disturbing any
+// slice a reader holds: the bytes are copied over the resident buffer
+// when nobody has seen it and it is large enough, into a fresh one
+// otherwise. (An empty v always takes the clone, which allocates nothing
+// and keeps nil distinct from empty.)
+func (e *entry) setValue(v []byte) {
+	if !e.shared && len(v) > 0 && len(v) <= cap(e.item.Value) {
+		e.item.Value = e.item.Value[:len(v)]
+		copy(e.item.Value, v)
+		return
+	}
+	e.item.Value = bytes.Clone(v)
+	e.shared = false
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{
-		items:   make(map[string]db.Item),
-		archive: make(map[string]db.Item),
-		fresh:   make(map[string]time.Time),
-		now:     time.Now,
-	}
+	return &Cache{entries: make(map[string]*entry), now: time.Now}
 }
 
 // SetClock overrides the cache's time source, for tests that need
@@ -69,25 +103,38 @@ func (c *Cache) SetClock(now func() time.Time) {
 	c.now = now
 }
 
+// find returns key's entry if it is in the asked-for state: live (the
+// copy is allocated) or not (it sits in the stale archive). Caller holds
+// c.mu.
+func (c *Cache) find(key string, live bool) *entry {
+	if e := c.entries[key]; e != nil && e.live == live {
+		return e
+	}
+	return nil
+}
+
 // Get returns the cached item, recording a hit or miss.
 func (c *Cache) Get(key string) (db.Item, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if ok {
-		c.stats.Hits++
-	} else {
+	e := c.find(key, true)
+	if e == nil {
 		c.stats.Misses++
+		return db.Item{}, false
 	}
-	return it, ok
+	c.stats.Hits++
+	return e.lend(), true
 }
 
 // Peek returns the cached item without touching statistics.
 func (c *Cache) Peek(key string) (db.Item, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	it, ok := c.items[key]
-	return it, ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.find(key, true)
+	if e == nil {
+		return db.Item{}, false
+	}
+	return e.lend(), true
 }
 
 // Install stores a newly allocated copy, superseding any archived value.
@@ -97,11 +144,20 @@ func (c *Cache) Peek(key string) (db.Item, bool) {
 func (c *Cache) Install(it db.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it.Key = strings.Clone(it.Key)
-	it.Value = bytes.Clone(it.Value)
-	c.items[it.Key] = it
-	delete(c.archive, it.Key)
-	c.fresh[it.Key] = c.now()
+	e := c.entries[it.Key]
+	if e == nil {
+		e = &entry{}
+		e.item.Key = strings.Clone(it.Key)
+		c.entries[e.item.Key] = e
+		c.live++
+	} else if !e.live {
+		c.archived--
+		c.live++
+	}
+	e.item.Version = it.Version
+	e.setValue(it.Value)
+	e.live = true
+	e.fresh = c.now()
 	c.stats.Installs++
 }
 
@@ -113,15 +169,14 @@ func (c *Cache) Install(it db.Item) {
 func (c *Cache) Update(it db.Item) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur, ok := c.items[it.Key]
-	if !ok || it.Version <= cur.Version {
+	e := c.find(it.Key, true)
+	if e == nil || it.Version <= e.item.Version {
 		c.stats.StaleUpdates++
 		return false
 	}
-	it.Key = cur.Key
-	it.Value = bytes.Clone(it.Value)
-	c.items[it.Key] = it
-	c.fresh[it.Key] = c.now()
+	e.item.Version = it.Version
+	e.setValue(it.Value)
+	e.fresh = c.now()
 	c.stats.Updates++
 	return true
 }
@@ -131,15 +186,13 @@ func (c *Cache) Update(it db.Item) bool {
 func (c *Cache) Drop(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok {
+	e := c.find(key, true)
+	if e == nil {
 		return false
 	}
-	// Archive under the resident entry's own (cache-owned) key: the key
-	// parameter may alias a borrowed transport frame, and a map insert
-	// would retain it.
-	c.archive[it.Key] = it
-	delete(c.items, key)
+	e.live = false
+	c.live--
+	c.archived++
 	c.stats.Drops++
 	return true
 }
@@ -148,10 +201,13 @@ func (c *Cache) Drop(key string) bool {
 // values must not be served directly; their versions are revalidation
 // hints.
 func (c *Cache) Archived(key string) (db.Item, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	it, ok := c.archive[key]
-	return it, ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.find(key, false)
+	if e == nil {
+		return db.Item{}, false
+	}
+	return e.lend(), true
 }
 
 // Revalidated promotes an archived item back to served status after the
@@ -160,13 +216,13 @@ func (c *Cache) Archived(key string) (db.Item, bool) {
 func (c *Cache) Revalidated(key string) (db.Item, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.archive[key]
-	if !ok {
+	e := c.find(key, false)
+	if e == nil {
 		return db.Item{}, false
 	}
-	c.fresh[it.Key] = c.now() // it.Key is cache-owned; key may be borrowed
+	e.fresh = c.now()
 	c.stats.Revalidations++
-	return it, true
+	return e.lend(), true
 }
 
 // Refresh marks a live entry as just confirmed current by the server
@@ -175,11 +231,11 @@ func (c *Cache) Revalidated(key string) (db.Item, bool) {
 func (c *Cache) Refresh(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok {
+	e := c.find(key, true)
+	if e == nil {
 		return false
 	}
-	c.fresh[it.Key] = c.now() // it.Key is cache-owned; key may be borrowed
+	e.fresh = c.now()
 	c.stats.Revalidations++
 	return true
 }
@@ -189,44 +245,40 @@ func (c *Cache) Refresh(key string) bool {
 // ago it was last known to match the server, measured by the cache clock.
 // Callers that serve it during an outage must flag it as possibly stale.
 func (c *Cache) LastKnown(key string) (db.Item, time.Duration, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	it, ok := c.items[key]
-	if !ok {
-		it, ok = c.archive[key]
-	}
-	if !ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil {
 		return db.Item{}, 0, false
 	}
-	return it, c.now().Sub(c.fresh[key]), true
+	return e.lend(), c.now().Sub(e.fresh), true
 }
 
 // ArchiveLen returns the number of archived items.
 func (c *Cache) ArchiveLen() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.archive)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.archived
 }
 
 // Contains reports whether key is cached, without touching statistics.
 func (c *Cache) Contains(key string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.items[key]
-	return ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.find(key, true) != nil
 }
 
 // Len returns the number of cached items.
 func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.items)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.stats
 }
 

@@ -80,8 +80,8 @@ func (cfg AdmissionConfig) retryAfter() time.Duration {
 
 // Session-state memory accounting. The numbers are deliberate
 // approximations of resident cost — map buckets, struct headers, the
-// cloned key in both the session map and the shard index, the window
-// ring — kept coarse so the account is cheap to maintain exactly.
+// cloned key in the session map, the entry's slot in the shard's key
+// index — kept coarse so the account is cheap to maintain exactly.
 const (
 	// sessionMemBase is the accounted cost of an attached session before
 	// it touches any key.
@@ -92,11 +92,13 @@ const (
 )
 
 // itemMemCost approximates the resident bytes of one (session,key)
-// protocol entry: the key held twice (session map and shard index), one
-// byte per window position, and fixed overhead. It is a coarse account
-// and now an over-estimate — the window is packed inside the itemState,
-// so an entry's heap footprint no longer grows with K — kept as it is so
-// the shedding watermarks, and what E25 measures, do not move.
+// protocol entry: twice the key length, one byte per window position,
+// and fixed overhead. It is a coarse account and an over-estimate: the
+// key is held once (the session map's clone; the shard index holds a
+// 16-byte {session, state} slot, not a second key), and the window is
+// packed inside the 32-byte itemState, so an entry's heap footprint does
+// not grow with K. The formula is kept as it is so the shedding
+// watermarks, and what E25 measures, do not move.
 func itemMemCost(key string, mode Mode) int64 {
 	return int64(2*len(key)) + int64(mode.K) + itemMemOverhead
 }

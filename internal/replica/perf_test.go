@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mobirep/internal/db"
 	"mobirep/internal/transport"
@@ -227,6 +228,55 @@ func BenchmarkShardWriteFanOut(b *testing.B) {
 	}
 }
 
+// BenchmarkFanOutHolders is the slope of a propagated write in its holder
+// count: ST2, a 1 KiB value, every holder a real Client on an in-memory
+// link, so each Write runs the key-index walk, the shared encode, and at
+// every MC the borrowed decode, the state probe and the cache update. It
+// reports the per-holder share next to ns/op and allocs/op; a flat
+// ns/holder across the three sizes means the cost is the holders' own.
+func BenchmarkFanOutHolders(b *testing.B) {
+	for _, holders := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprint(holders), func(b *testing.B) {
+			srv, err := NewServer(db.NewStore(), Static2())
+			if err != nil {
+				b.Fatal(err)
+			}
+			value := make([]byte, 1024)
+			if _, err := srv.Write("hot", value); err != nil {
+				b.Fatal(err)
+			}
+			clients := make([]*Client, holders)
+			for i := range clients {
+				mcEnd, scEnd := transport.NewMemPair()
+				if clients[i], err = NewClient(mcEnd, Static2()); err != nil {
+					b.Fatal(err)
+				}
+				srv.Attach(scEnd)
+				// Static-2 allocates on first contact.
+				if _, err := clients[i].Read("hot"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var last db.Item
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				value[0] = byte(i)
+				if last, err = srv.Write("hot", value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(holders), "ns/holder")
+			for i, cli := range clients {
+				if it, ok := cli.Cache().Peek("hot"); !ok || it.Version != last.Version || it.Value[0] != value[0] {
+					b.Fatalf("holder %d ended at %+v, want version %d", i, it.Version, last.Version)
+				}
+			}
+		})
+	}
+}
+
 // TestWriteFanOutMetersPerSession checks that sharing the encoded frame
 // does not merge the accounting: each subscribed session still meters its
 // own connection and data message per propagated write.
@@ -257,13 +307,17 @@ func TestWriteFanOutMetersPerSession(t *testing.T) {
 }
 
 // TestFirstTouchAllocations pins what one (session, key) costs the heap on
-// each side: the itemState — window embedded by value — and the cloned
-// key the map retains, two objects. (Before the window was a value it was
-// four: item, window struct, bit slice, key.) The server session touches
-// keys another session already indexed, so the per-key index entry, which
-// is shared by every session holding the key, is not in the count; map
-// growth amortizes to well under one allocation per insert.
+// each side: the itemState — window embedded by value, and on the server
+// the key-index slot number in its padding — and the cloned key the map
+// retains, two objects. (Before the window was a value it was four: item,
+// window struct, bit slice, key.) The server sessions measured are each
+// key's 17th to 32nd holder, so the key's slot list — shared by every
+// session holding it — grows once in those sixteen first touches; like map
+// growth, that amortizes to well under one allocation per insert.
 func TestFirstTouchAllocations(t *testing.T) {
+	if got := unsafe.Sizeof(itemState{}); got != 32 {
+		t.Errorf("itemState is %d bytes, want 32: the index slot number must fit the padding", got)
+	}
 	const runs = 1000
 	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
 	for i := range keys {
@@ -290,17 +344,24 @@ func TestFirstTouchAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := srv.Attach(nullLink{}), srv.Attach(nullLink{})
-	first.shard.enter()
-	for _, k := range keys {
-		first.state(k)
+	const holders, nkeys = 16, 64
+	sessions := make([]*Session, 2*holders)
+	for i := range sessions {
+		sessions[i] = srv.Attach(nullLink{})
 	}
-	first.shard.exit()
+	sh := sessions[0].shard
+	sh.enter()
+	for _, sess := range sessions[:holders] {
+		for _, k := range keys[:nkeys] {
+			sess.state(k)
+		}
+	}
+	sh.exit()
 	next = 0
-	allocs = testing.AllocsPerRun(runs, func() {
-		second.shard.enter()
-		second.state(keys[next])
-		second.shard.exit()
+	allocs = testing.AllocsPerRun(holders*nkeys-1, func() {
+		sh.enter()
+		sessions[holders+next/nkeys].state(keys[next%nkeys])
+		sh.exit()
 		next++
 	})
 	if allocs > 2 {

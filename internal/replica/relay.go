@@ -84,9 +84,9 @@ func (s *Server) Invalidate(key string) int {
 		sh.fanMu.Lock()
 		fan := sh.fan[:0]
 		sh.enter()
-		for sess := range sh.index[key] {
-			if sess.prepareInvalidate(key) {
-				fan = append(fan, fanEntry{sess, control})
+		for _, sb := range sh.index[key] {
+			if sb.sess.prepareInvalidate(sb.st) {
+				fan = append(fan, fanEntry{sb.sess, control})
 			}
 		}
 		sh.exit()
@@ -105,14 +105,11 @@ func (s *Server) Invalidate(key string) int {
 	return n
 }
 
-// prepareInvalidate drops the session's copy of key if it holds one and
-// reports whether a DeleteReq must be sent. Caller holds the shard token.
-func (ss *Session) prepareInvalidate(key string) bool {
-	if ss.detached {
-		return false
-	}
-	st, ok := ss.items[key]
-	if !ok || !st.hasCopy {
+// prepareInvalidate drops the session's copy if st, its state for the
+// invalidated key, holds one and reports whether a DeleteReq must be
+// sent. Caller holds the shard token.
+func (ss *Session) prepareInvalidate(st *itemState) bool {
+	if ss.detached || !st.hasCopy {
 		return false
 	}
 	st.hasCopy = false

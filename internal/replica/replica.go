@@ -187,6 +187,10 @@ type itemState struct {
 	kind   ModeKind
 	// hasCopy mirrors whether the MC holds a copy, from this side's view.
 	hasCopy bool
+	// idx is the state's slot in its shard's key index (shard.subscribe);
+	// server side only. It sits in what was padding: the state stays one
+	// 32-byte object.
+	idx uint32
 }
 
 func newItemState(mode Mode) *itemState {

@@ -323,9 +323,9 @@ func (s *Server) fanOut(it db.Item) {
 		sh.fanMu.Lock()
 		fan := sh.fan[:0]
 		sh.enter()
-		for sess := range sh.index[it.Key] {
-			if cls := sess.prepareLocalWrite(it); cls != none {
-				fan = append(fan, fanEntry{sess, cls})
+		for _, sb := range sh.index[it.Key] {
+			if cls := sb.sess.prepareLocalWrite(sb.st); cls != none {
+				fan = append(fan, fanEntry{sb.sess, cls})
 			}
 		}
 		sh.exit()
@@ -386,7 +386,7 @@ func (ss *Session) state(key string) *itemState {
 		// handler guard must not re-open either (the index entry would
 		// outlive every session).
 		if !ss.detached {
-			ss.shard.subscribe(k, ss)
+			ss.shard.subscribe(k, ss, st)
 			cost := itemMemCost(k, ss.srv.mode)
 			ss.memBytes += cost
 			ss.shard.addMem(cost)
@@ -396,14 +396,14 @@ func (ss *Session) state(key string) *itemState {
 }
 
 // prepareLocalWrite runs the SC write-path state machine for one client
+// on st, its state for the written key (handed over by the key index),
 // and reports what the server must transmit: the shared WriteProp
 // (data), the shared DeleteReq (control), or nothing. Caller holds the
 // shard token.
-func (ss *Session) prepareLocalWrite(it db.Item) sendClass {
+func (ss *Session) prepareLocalWrite(st *itemState) sendClass {
 	if ss.detached {
 		return none
 	}
-	st := ss.state(it.Key)
 	switch st.kind {
 	case ModeStatic1:
 		// Never a copy at the MC: the write is free.

@@ -42,13 +42,15 @@ type shard struct {
 	// lock-step delivery depends on).
 	mu       sync.Mutex
 	sessions map[*Session]struct{}
-	// index maps each key to the sessions on this shard holding
-	// protocol state for it. Write fan-out walks index[key] instead of
-	// every session: a session with no state for the key is a no-op in
-	// every mode (see Server.propagate), so skipping it is
-	// behavior-identical and turns a million-session write into a walk
-	// of just the key's subscribers.
-	index map[string]map[*Session]struct{}
+	// index maps each key to the (session, state) pairs on this shard
+	// holding protocol state for it, in subscribe order. Write fan-out
+	// walks index[key] instead of every session: a session with no state
+	// for the key is a no-op in every mode (see Server.propagate), so
+	// skipping it is behavior-identical and turns a million-session write
+	// into a walk of just the key's subscribers. Each slot carries the
+	// state handle, so the walk probes no per-session map, and the state
+	// remembers its slot (itemState.idx), so leaving is a swap-remove.
+	index map[string][]sub
 
 	// fanMu serializes write fan-out through this shard so the scratch
 	// slice below can be reused allocation-free. It is taken before the
@@ -81,7 +83,7 @@ func newShard(id int) *shard {
 	return &shard{
 		id:       id,
 		sessions: make(map[*Session]struct{}),
-		index:    make(map[string]map[*Session]struct{}),
+		index:    make(map[string][]sub),
 		depth: obsReg.Gauge(fmt.Sprintf(`mobirep_replica_shard_queue_depth{shard="%d"}`, id),
 			"Events queued or running per shard (single-writer token contention)."),
 		occupancy: obsReg.Gauge(fmt.Sprintf(`mobirep_replica_shard_sessions{shard="%d"}`, id),
@@ -111,26 +113,39 @@ func (sh *shard) exit() {
 	sh.depth.Add(-1)
 }
 
-// subscribe records that sess holds state for key. Caller holds the
-// writer token; key must already be cloned off any borrowed frame.
-func (sh *shard) subscribe(key string, sess *Session) {
-	subs := sh.index[key]
-	if subs == nil {
-		subs = make(map[*Session]struct{})
-		sh.index[key] = subs
-	}
-	subs[sess] = struct{}{}
+// sub is one slot of the key index: a session and its state for the key.
+type sub struct {
+	sess *Session
+	st   *itemState
 }
 
-// unsubscribeAll removes sess from every key index entry it occupies.
-// Caller holds the writer token.
+// subscribe records that sess holds state st for key, remembering the
+// slot in st.idx. Caller holds the writer token; key must already be
+// cloned off any borrowed frame.
+func (sh *shard) subscribe(key string, sess *Session, st *itemState) {
+	subs := sh.index[key]
+	st.idx = uint32(len(subs))
+	sh.index[key] = append(subs, sub{sess, st})
+}
+
+// unsubscribeAll removes sess from every key index entry it occupies:
+// the last slot moves into the vacated one. States the session never
+// subscribed (a straggler frame after detach) name no slot of theirs and
+// are skipped. Caller holds the writer token.
 func (sh *shard) unsubscribeAll(sess *Session) {
-	for key := range sess.items {
-		if subs := sh.index[key]; subs != nil {
-			delete(subs, sess)
-			if len(subs) == 0 {
-				delete(sh.index, key)
-			}
+	for key, st := range sess.items {
+		subs := sh.index[key]
+		i, last := int(st.idx), len(subs)-1
+		if i > last || subs[i].st != st {
+			continue
+		}
+		subs[i] = subs[last]
+		subs[i].st.idx = uint32(i)
+		subs[last] = sub{}
+		if last == 0 {
+			delete(sh.index, key)
+		} else {
+			sh.index[key] = subs[:last]
 		}
 	}
 }

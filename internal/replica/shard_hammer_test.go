@@ -120,6 +120,9 @@ func TestShardChurnHammer(t *testing.T) {
 			srv.ExpireIdle(0)
 			_ = srv.Sessions()
 			_ = srv.ShardSessions()
+			// The key index must be exact at every instant a shard token
+			// can be had, not only once the dust settles.
+			checkKeyIndex(t, srv)
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -2,10 +2,12 @@ package replica
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"mobirep/internal/db"
+	"mobirep/internal/stats"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -148,22 +150,69 @@ func TestNewServerShardsValidation(t *testing.T) {
 	}
 }
 
+// checkKeyIndex verifies every shard's key index against the sessions it
+// serves, under the shard token: each live (session, key) state names the
+// slot that holds it, each slot names a live session of this shard whose
+// state for the key is the slot's handle, and no key keeps an empty slot
+// list. It returns the number of slots seen.
+func checkKeyIndex(t *testing.T, srv *Server) int {
+	t.Helper()
+	slots := 0
+	for _, sh := range srv.shards {
+		sh.enter()
+		for sess := range sh.sessions {
+			for key, st := range sess.items {
+				subs := sh.index[key]
+				if int(st.idx) >= len(subs) || subs[st.idx].st != st || subs[st.idx].sess != sess {
+					t.Errorf("shard %d: session %d state for %q says slot %d, which does not hold it (%d slots)",
+						sh.id, sess.id, key, st.idx, len(subs))
+				}
+			}
+		}
+		for key, subs := range sh.index {
+			if len(subs) == 0 {
+				t.Errorf("shard %d: key %q keeps an empty slot list", sh.id, key)
+			}
+			for i, sb := range subs {
+				slots++
+				if _, live := sh.sessions[sb.sess]; !live || sb.sess.detached || sb.sess.shard != sh {
+					t.Errorf("shard %d: %q slot %d names session %d, which is not a live session of this shard",
+						sh.id, key, i, sb.sess.id)
+				}
+				if sb.sess.items[key] != sb.st || int(sb.st.idx) != i {
+					t.Errorf("shard %d: %q slot %d handle is not session %d's state for the key (idx %d)",
+						sh.id, key, i, sb.sess.id, sb.st.idx)
+				}
+			}
+		}
+		sh.exit()
+	}
+	return slots
+}
+
 // TestSessionKeysSameShardInvariant pins the ownership model: a session
-// and ALL per-key state it ever accumulates live on the session's shard.
-// After driving reads across many sessions and keys, every key a session
-// holds a window for must be registered in exactly its own shard's index
-// and no other's.
+// and ALL per-key state it ever accumulates live on the session's shard,
+// and the shard's key index stays exact — every state names its own slot,
+// every slot a live session — through seeded attach / touch / detach /
+// reaper churn, down to empty once every session is gone.
 func TestSessionKeysSameShardInvariant(t *testing.T) {
 	srv, err := NewServerShards(db.NewStore(), SW(3), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := time.Unix(1000000, 0)
+	now := base
+	srv.SetClock(func() time.Time { return now })
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 		if _, err := srv.Write(keys[i], []byte("v0")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	touch := func(sess *Session, key string) {
+		req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: key})
+		sess.onFrame(req)
 	}
 	sessions := make([]*Session, 32)
 	for i := range sessions {
@@ -172,35 +221,55 @@ func TestSessionKeysSameShardInvariant(t *testing.T) {
 		// sessions collectively touch keys that route (by keyShard) to
 		// every other shard — ownership must still follow the session.
 		for k := 0; k < 5; k++ {
-			req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: keys[(i+k)%len(keys)]})
-			sessions[i].onFrame(req)
+			touch(sessions[i], keys[(i+k)%len(keys)])
 		}
 	}
 	for i, sess := range sessions {
 		if want := sessionShard(sess.ID(), srv.Shards()); sess.Shard() != want {
 			t.Fatalf("session %d placed on shard %d, routing says %d", i, sess.Shard(), want)
 		}
-		own := srv.shards[sess.Shard()]
-		own.enter()
-		for key := range sess.items {
-			if _, ok := own.index[key][sess]; !ok {
-				t.Errorf("session %d holds state for %q but is not indexed on its shard %d", i, key, sess.Shard())
-			}
-		}
-		own.exit()
-		for _, other := range srv.shards {
-			if other == own {
-				continue
-			}
-			other.enter()
-			for key, subs := range other.index {
-				if _, ok := subs[sess]; ok {
-					t.Errorf("session %d (shard %d) indexed under %q on foreign shard %d", i, sess.Shard(), key, other.id)
+	}
+	if got := checkKeyIndex(t, srv); got != len(sessions)*5 {
+		t.Fatalf("index holds %d slots, want %d (one per session per key touched)", got, len(sessions)*5)
+	}
+
+	// Seeded churn: swap-removes land in the middle of slot lists, states
+	// move slots, sessions age out in bulk; the index must stay exact
+	// after every step.
+	rng := stats.NewRNG(7)
+	for step := 0; step < 400 && !t.Failed(); step++ {
+		switch op := rng.Intn(10); {
+		case op < 3:
+			sessions = append(sessions, srv.Attach(nullLink{}))
+		case op < 7 && len(sessions) > 0:
+			touch(sessions[rng.Intn(len(sessions))], keys[rng.Intn(len(keys))])
+		case op < 9 && len(sessions) > 0:
+			i := rng.Intn(len(sessions))
+			sessions[i].Detach()
+			// A straggler frame after the detach must not re-enter the index.
+			touch(sessions[i], keys[rng.Intn(len(keys))])
+			sessions[i].Detach()
+			sessions = append(sessions[:i], sessions[i+1:]...)
+		default:
+			// Everyone not heard from since the last sweep ages out.
+			now = now.Add(time.Minute)
+			for _, sess := range sessions {
+				if rng.Bernoulli(0.8) {
+					touch(sess, keys[rng.Intn(len(keys))])
 				}
 			}
-			other.exit()
+			srv.ExpireIdle(30 * time.Second)
+			live := sessions[:0]
+			for _, sess := range sessions {
+				if !sess.detached {
+					live = append(live, sess)
+				}
+			}
+			sessions = live
 		}
+		checkKeyIndex(t, srv)
 	}
+
 	// Detach must unwind the index completely.
 	for _, sess := range sessions {
 		sess.Detach()
@@ -211,6 +280,63 @@ func TestSessionKeysSameShardInvariant(t *testing.T) {
 			t.Errorf("shard %d index retains %d keys after all detaches", sh.id, len(sh.index))
 		}
 		sh.exit()
+	}
+}
+
+// fanOrderLink appends its session's ordinal to a shared log on every
+// frame it is handed, recording the order a fan-out reaches the sessions.
+type fanOrderLink struct {
+	ord int
+	log *[]int
+}
+
+func (l fanOrderLink) Send([]byte) error            { *l.log = append(*l.log, l.ord); return nil }
+func (l fanOrderLink) SetHandler(transport.Handler) {}
+func (l fanOrderLink) Close() error                 { return nil }
+
+// TestFanOutOrderDeterministic pins that the key index is ordered by
+// history, not by Go map iteration: two servers fed the same seeded
+// attach / read / detach / write sequence hand their fan-out frames to the
+// sessions in exactly the same order.
+func TestFanOutOrderDeterministic(t *testing.T) {
+	run := func() []int {
+		srv, err := NewServerShards(db.NewStore(), Static2(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []string{"a", "b", "c"}
+		for _, k := range keys {
+			if _, err := srv.Write(k, []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var log []int
+		var sessions []*Session
+		rng := stats.NewRNG(11)
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				sessions = append(sessions, srv.Attach(fanOrderLink{ord: len(sessions), log: &log}))
+			case op < 6 && len(sessions) > 0:
+				req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: keys[rng.Intn(len(keys))]})
+				sessions[rng.Intn(len(sessions))].onFrame(req)
+			case op < 7 && len(sessions) > 0:
+				sessions[rng.Intn(len(sessions))].Detach()
+			default:
+				log = append(log, -1) // write boundary
+				if _, err := srv.Write(keys[rng.Intn(len(keys))], []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return log
+	}
+	a, b := run(), run()
+	if len(a) < 1000 {
+		t.Fatalf("only %d log entries — the sequence barely fans out", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two servers fed the same sequence fanned out in different session orders")
 	}
 }
 
