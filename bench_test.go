@@ -101,6 +101,33 @@ func BenchmarkPolicyApplyT1(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicyApplyBlock is the policies' half of a replay alone: the
+// block loops that turn requests into step codes, with no pricing. What
+// BenchmarkReplayThroughput takes beyond the SW9 row is the price loop.
+func BenchmarkPolicyApplyBlock(b *testing.B) {
+	s := workload.Bernoulli(stats.NewRNG(1), 0.4, 1024)
+	out := make([]core.Code, len(s))
+	for _, p := range []interface {
+		core.Policy
+		ApplyBlock(sched.Schedule, []core.Code)
+	}{core.NewST1(), core.NewSW(9), core.NewSW(95), core.NewT1(5), core.NewT2(5)} {
+		b.Run(p.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.ApplyBlock(s, out)
+			}
+			reportStep(b, len(s))
+		})
+	}
+}
+
+// reportStep reports the time one replayed request took, the unit README
+// "Performance" and the repository benchmark's sim.ns_per_step_* speak in.
+func reportStep(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/step")
+}
+
+// BenchmarkReplayThroughput replays a materialized schedule: the policy's
+// block loop and the price loop, nothing else.
 func BenchmarkReplayThroughput(b *testing.B) {
 	rng := stats.NewRNG(1)
 	s := workload.Bernoulli(rng, 0.4, 100000)
@@ -111,31 +138,28 @@ func BenchmarkReplayThroughput(b *testing.B) {
 		p := core.NewSW(9)
 		sim.Replay(p, m, s, 0)
 	}
+	reportStep(b, len(s))
 }
 
-// BenchmarkReplayFusedSW9 is the fused-kernel counterpart of
-// BenchmarkReplayThroughput: same policy, model, and workload, but replayed
-// through the monomorphic SW kernel with the ops drawn inline from the RNG
-// instead of a materialized schedule.
+// BenchmarkReplayFusedSW9 is BenchmarkReplayThroughput with the schedule
+// never materialized: same policy, model and workload through a Kernel,
+// which fills each block from the RNG. The difference between the two is
+// the generator.
 func BenchmarkReplayFusedSW9(b *testing.B) {
 	m := cost.NewMessage(0.5)
-	kn, ok := sim.NewKernel(core.NewSW(9), m)
-	if !ok {
-		b.Fatal("SW9 kernel unavailable")
-	}
+	kn, _ := sim.NewKernel(core.NewSW(9), m)
 	rng := stats.NewRNG(1)
 	const n = 100000
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kn.Reset()
 		kn.ReplayBernoulli(rng, 0.4, n, 0)
 	}
+	reportStep(b, n)
 }
 
-// BenchmarkReplayStream measures the streaming replay path used for
-// policies without a fused kernel: ops come straight from the RNG, the
-// schedule is never materialized.
+// BenchmarkReplayStream is the same through ReplayStream and a threshold
+// policy; the stream is one the engine fills blocks from.
 func BenchmarkReplayStream(b *testing.B) {
 	m := cost.NewMessage(0.5)
 	const n = 100000
@@ -146,6 +170,7 @@ func BenchmarkReplayStream(b *testing.B) {
 		src := sim.NewBernoulliStream(rng, 0.4)
 		sim.ReplayStream(core.NewT1(5), m, src, n, 0)
 	}
+	reportStep(b, n)
 }
 
 // BenchmarkParallelTrials measures a full estimator call — trial fan-out on
@@ -166,32 +191,47 @@ func BenchmarkParallelTrials(b *testing.B) {
 	}
 }
 
-// TestFusedKernelZeroAllocs is the ISSUE's allocation budget: once the
-// kernel and RNG exist, replaying a trial must not allocate at all.
+// TestFusedKernelZeroAllocs is the replay engine's allocation budget:
+// once the policy, the kernel and the RNG exist, a replay allocates
+// nothing on any entry point — the blocks of ops and codes are the
+// engine's stack, which holds only while nothing hands them to an
+// interface method. Replay is pinned for every policy with a block form
+// under both models; the drawn paths for those and for one without.
 func TestFusedKernelZeroAllocs(t *testing.T) {
 	rng := stats.NewRNG(1)
-	for _, tc := range []struct {
-		name string
-		kn   *sim.Kernel
-	}{
-		{"SW9/msg", mustKernel(t, core.NewSW(9), cost.NewMessage(0.5))},
-		{"SW1/conn", mustKernel(t, core.NewSW(1), cost.NewConnection())},
-		{"ST1/conn", mustKernel(t, core.NewST1(), cost.NewConnection())},
-		{"ST2/msg", mustKernel(t, core.NewST2(), cost.NewMessage(0.3))},
-	} {
-		allocs := testing.AllocsPerRun(10, func() {
-			tc.kn.Reset()
-			tc.kn.ReplayBernoulli(rng, 0.4, 5000, 100)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ReplayBernoulli allocated %.0f times per run, want 0", tc.name, allocs)
+	s := workload.Bernoulli(stats.NewRNG(2), 0.4, 1<<16)
+	for _, m := range []cost.Model{cost.NewConnection(), cost.NewMessage(0.5)} {
+		for _, p := range []core.Policy{
+			core.NewST1(), core.NewST2(), core.NewSW(1), core.NewSW(9), core.NewSW(95),
+			core.NewT1(4), core.NewT2(4), core.NewEWMA(0.3),
+		} {
+			name := p.Name() + "/" + m.Name()
+			kn, _ := sim.NewKernel(p, m)
+			for _, tc := range []struct {
+				entry string
+				run   func()
+			}{
+				{"Replay", func() { sim.Replay(p, m, s, 100) }},
+				{"ReplayBernoulli", func() { kn.ReplayBernoulli(rng, 0.4, 5000, 100) }},
+				{"ReplayDrifting", func() { kn.ReplayDrifting(rng, 20, 250) }},
+			} {
+				if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {
+					t.Errorf("%s: %s allocated %.0f times per run, want 0", name, tc.entry, allocs)
+				}
+			}
 		}
-		allocs = testing.AllocsPerRun(10, func() {
-			tc.kn.Reset()
-			tc.kn.ReplayDrifting(rng, 20, 250)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ReplayDrifting allocated %.0f times per run, want 0", tc.name, allocs)
+	}
+	// ReplayStream takes its stream from the caller; with the stream built
+	// outside, the replay itself allocates nothing.
+	src := sim.NewBernoulliStream(rng, 0.4)
+	drift := sim.NewDriftingStream(rng, 250)
+	p, m := core.NewT1(5), cost.Model(cost.NewMessage(0.5))
+	for name, run := range map[string]func(){
+		"bernoulli": func() { sim.ReplayStream(p, m, src, 5000, 100) },
+		"drifting":  func() { sim.ReplayStream(p, m, drift, 5000, 0) },
+	} {
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("ReplayStream(%s) allocated %.0f times per run, want 0", name, allocs)
 		}
 	}
 }
@@ -215,15 +255,6 @@ func TestPolicyApplyZeroAllocs(t *testing.T) {
 			t.Errorf("%s: %d Apply calls allocated %.0f times, want 0", p.Name(), len(s), allocs)
 		}
 	}
-}
-
-func mustKernel(t *testing.T, p core.Policy, m cost.Model) *sim.Kernel {
-	t.Helper()
-	kn, ok := sim.NewKernel(p, m)
-	if !ok {
-		t.Fatalf("no fused kernel for %s", p.Name())
-	}
-	return kn
 }
 
 func BenchmarkPiK(b *testing.B) {

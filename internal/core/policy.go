@@ -42,6 +42,48 @@ func (s Step) Allocated() bool { return !s.HadCopy && s.HasCopy }
 // Deallocated reports whether this step dropped the MC's copy.
 func (s Step) Deallocated() bool { return s.HadCopy && !s.HasCopy }
 
+// Code is a Step packed into four bits: the op in bit 0, HadCopy in bit
+// 1, HasCopy in bit 2 and DataSuppressed in bit 3. A Step has no other
+// content, so Code(c).Step().Code() == c for all NumCodes values. The
+// block forms of the policies (ApplyBlock) emit Codes, and a replay
+// prices them through a NumCodes-entry table instead of a Model call per
+// request.
+type Code uint8
+
+// NumCodes is the number of distinct Codes.
+const NumCodes = 16
+
+const (
+	codeHad        Code = 1 << 1
+	codeHas        Code = 1 << 2
+	codeSuppressed Code = 1 << 3
+)
+
+// Code packs the step.
+func (s Step) Code() Code {
+	c := Code(s.Op & 1)
+	if s.HadCopy {
+		c |= codeHad
+	}
+	if s.HasCopy {
+		c |= codeHas
+	}
+	if s.DataSuppressed {
+		c |= codeSuppressed
+	}
+	return c
+}
+
+// Step unpacks the code.
+func (c Code) Step() Step {
+	return Step{
+		Op:             sched.Op(c & 1),
+		HadCopy:        c&codeHad != 0,
+		HasCopy:        c&codeHas != 0,
+		DataSuppressed: c&codeSuppressed != 0,
+	}
+}
+
 // Policy is an online data allocation algorithm for a single data item and
 // a single mobile computer. Implementations are deterministic and are not
 // safe for concurrent use.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mobirep/internal/sched"
+	"mobirep/internal/stats"
 )
 
 // opsFromBools converts a random bool slice into a schedule; quick uses it
@@ -343,6 +345,67 @@ func TestStepConsistency(t *testing.T) {
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
+		}
+	}
+}
+
+func TestCodeRoundTrip(t *testing.T) {
+	for c := Code(0); c < NumCodes; c++ {
+		st := c.Step()
+		if got := st.Code(); got != c {
+			t.Errorf("Code(%d).Step() = %+v, which packs to %d", c, st, got)
+		}
+		want := Step{Op: sched.Op(c & 1), HadCopy: c>>1&1 == 1, HasCopy: c>>2&1 == 1, DataSuppressed: c>>3&1 == 1}
+		if st != want {
+			t.Errorf("Code(%d).Step() = %+v, want %+v", c, st, want)
+		}
+	}
+}
+
+// blockPolicy is a policy with a block form.
+type blockPolicy interface {
+	Policy
+	ApplyBlock(ops sched.Schedule, out []Code)
+}
+
+// TestApplyBlockMatchesApply holds every block form to its Apply: the
+// same codes, and the same policy state afterwards (compared as values,
+// so a window register or a counter left different fails), over blocks
+// shorter than, equal to and longer than the window, applied back to back
+// so each starts from the state the previous one left.
+func TestApplyBlockMatchesApply(t *testing.T) {
+	pairs := func() [][2]blockPolicy {
+		return [][2]blockPolicy{
+			{NewST1(), NewST1()}, {NewST2(), NewST2()},
+			{NewSW(1), NewSW(1)}, {NewSW(3), NewSW(3)}, {NewSW(9), NewSW(9)},
+			{NewSW(63), NewSW(63)}, {NewSW(65), NewSW(65)}, {NewSW(127), NewSW(127)},
+			{NewSWInitial(5, sched.Read), NewSWInitial(5, sched.Read)},
+			{NewT1(1), NewT1(1)}, {NewT1(4), NewT1(4)}, {NewT2(1), NewT2(1)}, {NewT2(4), NewT2(4)},
+		}
+	}
+	rng := stats.NewRNG(25)
+	for _, theta := range []float64{0, 0.1, 0.5, 0.9, 1} {
+		for _, pair := range pairs() {
+			block, ref := pair[0], pair[1]
+			for _, n := range []int{0, 1, 2, 3, 8, 9, 10, 62, 64, 66, 126, 127, 128, 129, 1000} {
+				ops := make(sched.Schedule, n)
+				for i := range ops {
+					if rng.Bernoulli(theta) {
+						ops[i] = sched.Write
+					}
+				}
+				got := make([]Code, n)
+				block.ApplyBlock(ops, got)
+				for i, op := range ops {
+					if want := ref.Apply(op).Code(); got[i] != want {
+						t.Fatalf("%s theta=%v block of %d: step %d is %+v, Apply gives %+v",
+							ref.Name(), theta, n, i, got[i].Step(), want.Step())
+					}
+				}
+				if !reflect.DeepEqual(block, ref) {
+					t.Fatalf("%s theta=%v after a block of %d: state %+v, Apply leaves %+v", ref.Name(), theta, n, block, ref)
+				}
+			}
 		}
 	}
 }

@@ -73,6 +73,17 @@ func (s *SW) Apply(op sched.Op) Step {
 	return step(op, had, s.hasCopy, suppressed)
 }
 
+// ApplyBlock is Apply on every request of ops in order, with step i
+// written to out[i] as its Code; out must be at least as long as ops. It
+// leaves the policy where the Apply calls would.
+func (s *SW) ApplyBlock(ops sched.Schedule, out []Code) {
+	var had uint64
+	if s.hasCopy {
+		had = 1
+	}
+	s.hasCopy = s.window.slideBlock(ops, out, had) != 0
+}
+
 // Reset implements Policy.
 func (s *SW) Reset() {
 	s.window.Fill(s.initialOp)

@@ -19,6 +19,15 @@ func (*ST1) HasCopy() bool { return false }
 // Apply implements Policy.
 func (*ST1) Apply(op sched.Op) Step { return step(op, false, false, false) }
 
+// ApplyBlock is Apply on every request of ops in order, with step i
+// written to out[i] as its Code; out must be at least as long as ops.
+func (*ST1) ApplyBlock(ops sched.Schedule, out []Code) {
+	out = out[:len(ops)]
+	for i, op := range ops {
+		out[i] = Code(op & 1)
+	}
+}
+
 // Reset implements Policy; ST1 is stateless.
 func (*ST1) Reset() {}
 
@@ -37,6 +46,15 @@ func (*ST2) HasCopy() bool { return true }
 
 // Apply implements Policy.
 func (*ST2) Apply(op sched.Op) Step { return step(op, true, true, false) }
+
+// ApplyBlock is Apply on every request of ops in order, with step i
+// written to out[i] as its Code; out must be at least as long as ops.
+func (*ST2) ApplyBlock(ops sched.Schedule, out []Code) {
+	out = out[:len(ops)]
+	for i, op := range ops {
+		out[i] = Code(op&1) | codeHad | codeHas
+	}
+}
 
 // Reset implements Policy; ST2 is stateless.
 func (*ST2) Reset() {}

@@ -66,6 +66,33 @@ func (t *T1) Apply(op sched.Op) Step {
 	return step(op, had, t.hasCopy, false)
 }
 
+// ApplyBlock is Apply on every request of ops in order, with step i
+// written to out[i] as its Code; out must be at least as long as ops. It
+// leaves the policy where the Apply calls would. Apply's two fields are
+// one counter here — the consecutive reads seen, pinned at m while the
+// copy is held, cleared by any write — and its case analysis is selects,
+// because a request's kind is a coin flip that a branch mispredicts.
+func (t *T1) ApplyBlock(ops sched.Schedule, out []Code) {
+	m, run, had := uint64(t.m), uint64(t.reads), uint64(0)
+	if t.hasCopy {
+		run, had = m, 1
+	}
+	out = out[:len(ops)]
+	for i, op := range ops {
+		w := uint64(op & 1)
+		run = min(run+1, m) & (w - 1)
+		var has uint64
+		if run == m {
+			has = 1
+		}
+		// The write that ends the two-copies phase is a bare delete-request.
+		out[i] = Code(w | had<<1 | has<<2 | (had&w)<<3)
+		had = has
+	}
+	t.hasCopy = had != 0
+	t.reads = int(run &^ -had)
+}
+
 // Reset implements Policy.
 func (t *T1) Reset() {
 	t.reads = 0
@@ -127,6 +154,31 @@ func (t *T2) Apply(op sched.Op) Step {
 		t.hasCopy = true
 	}
 	return step(op, had, t.hasCopy, false)
+}
+
+// ApplyBlock is Apply on every request of ops in order, with step i
+// written to out[i] as its Code; out must be at least as long as ops. It
+// leaves the policy where the Apply calls would. It mirrors T1's: one
+// counter of consecutive writes, pinned at m while there is no copy,
+// cleared by any read.
+func (t *T2) ApplyBlock(ops sched.Schedule, out []Code) {
+	m, run, had := uint64(t.m), uint64(t.writes), uint64(1)
+	if !t.hasCopy {
+		run, had = m, 0
+	}
+	out = out[:len(ops)]
+	for i, op := range ops {
+		w := uint64(op & 1)
+		run = min(run+1, m) & -w
+		var has uint64
+		if run != m {
+			has = 1
+		}
+		out[i] = Code(w | had<<1 | has<<2)
+		had = has
+	}
+	t.hasCopy = had != 0
+	t.writes = int(run & -had)
 }
 
 // Reset implements Policy.

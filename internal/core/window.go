@@ -106,6 +106,61 @@ func (w *Window) Push(op sched.Op) {
 	w.writes -= out
 }
 
+// slideBlock pushes every request of ops and writes to out, one Code per
+// request, the step SWk takes on it; had (0 or 1) says whether the MC held
+// a copy before the first request, the result whether it does after the
+// last. It is Push and ReadMajority per request, and for the block's first
+// Size requests literally so. Past those the request leaving the window is
+// ops[i-Size], not a register bit, so slideSum carries only the write
+// count and the copy bit, and the register is rebuilt once, by pushing the
+// block's newest Size requests.
+func (w *Window) slideBlock(ops sched.Schedule, out []Code, had uint64) uint64 {
+	k := int(w.size)
+	// SW1 sends a bare delete-request for a write that finds a copy.
+	var sw1 uint64
+	if k == 1 {
+		sw1 = 1
+	}
+	// Reads are the majority, 2*writes < k, exactly when writes is short
+	// of (k+1)/2.
+	need := (k + 1) / 2
+	head := min(k, len(ops))
+	out = out[:len(ops)]
+	for i, op := range ops[:head] {
+		w.Push(op)
+		out[i], had = slideCode(uint64(op&1), had, sw1, int(w.writes)-need)
+	}
+	had = slideSum(ops[head:], ops[:len(ops)-head], out[head:], int(w.writes)-need, had, sw1)
+	for _, op := range ops[max(head, len(ops)-k):] {
+		w.Push(op)
+	}
+	return had
+}
+
+// slideSum is slideBlock's steady state: in[i] enters the window as
+// gone[i] leaves it, and short is the window's write count less the
+// (k+1)/2 that ends the read majority. It is a function of its own, and
+// kept out of line, so that the loop's few values all stay in registers:
+// inlined into slideBlock they spill.
+//
+//go:noinline
+func slideSum(in, gone sched.Schedule, out []Code, short int, had, sw1 uint64) uint64 {
+	gone, out = gone[:len(in)], out[:len(in)]
+	for i, op := range in {
+		short += int(op&1) - int(gone[i]&1)
+		out[i], had = slideCode(uint64(op&1), had, sw1, short)
+	}
+	return had
+}
+
+// slideCode is SWk's step on request o (0 read, 1 write) that left the
+// window short (negative) or not of the writes that end the read
+// majority: the MC holds a copy exactly while it is short.
+func slideCode(o, had, sw1 uint64, short int) (c Code, has uint64) {
+	has = uint64(int64(short)) >> 63
+	return Code(o | had<<1 | has<<2 | (sw1&o&had)<<3), has
+}
+
 // writesInNewest returns the number of writes among the newest n
 // requests, 0 <= n <= Size.
 func (w Window) writesInNewest(n int) int {

@@ -26,7 +26,9 @@ type Model interface {
 	// Name identifies the model for reports, e.g. "connection" or
 	// "message(ω=0.50)".
 	Name() string
-	// StepCost returns the communication cost the given step incurs.
+	// StepCost returns the communication cost the given step incurs. It
+	// is a function of the step alone: a replay asks once per distinct
+	// step and reuses the answer.
 	StepCost(st core.Step) float64
 }
 
@@ -154,6 +156,23 @@ func (l *Ledger) Observe(m Model, st core.Step) {
 	if st.Deallocated() {
 		l.ControlMessages++ // the delete-request
 	}
+}
+
+// Tally returns the ledger of a run in which the step with code c occurred
+// counts[c] times and the step costs, added in request order, came to
+// total. The message accounting is Observe's: each code is observed once
+// and its messages are multiplied by its count.
+func Tally(total float64, counts *[core.NumCodes]int) Ledger {
+	l := Ledger{Total: total}
+	for c, n := range counts {
+		var one Ledger
+		one.Observe(Connection{}, core.Code(c).Step()) // only the counters are read
+		l.Steps += n
+		l.DataMessages += n * one.DataMessages
+		l.ControlMessages += n * one.ControlMessages
+		l.Connections += n * one.Connections
+	}
+	return l
 }
 
 // PerStep returns the average cost per priced step.

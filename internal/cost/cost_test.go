@@ -207,3 +207,23 @@ func TestLedgerConnectionDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTallyMatchesObserve holds the counted ledger to the observed one:
+// the same steps, all sixteen codes among them, observed one by one and
+// tallied from their counts, give the same ledger.
+func TestTallyMatchesObserve(t *testing.T) {
+	m := NewMessage(0.5) // its prices and their sums are exact
+	var want Ledger
+	var counts [core.NumCodes]int
+	for i := 0; i < 1000; i++ {
+		c := core.Code(i * 7 % core.NumCodes)
+		want.Observe(m, c.Step())
+		counts[c]++
+	}
+	if got := Tally(want.Total, &counts); got != want {
+		t.Fatalf("tallied %+v, observed %+v", got, want)
+	}
+	if got := Tally(0, new([core.NumCodes]int)); got != (Ledger{}) {
+		t.Fatalf("empty tally %+v", got)
+	}
+}

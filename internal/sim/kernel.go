@@ -1,18 +1,16 @@
 package sim
 
-// Fused replay kernels. The generic Replay/ReplayStream loop pays two
-// interface dispatches per request (Policy.Apply and Model.StepCost) plus
-// Step-struct traffic between them. For the hot policies of the paper's
-// sweeps — the sliding-window family and the two statics — and the two
-// paper cost models, the kernels below fuse policy transition, pricing and
-// ledger bookkeeping into one monomorphic loop with zero allocations and
-// zero dynamic dispatch per request.
+// The replay engine. Every entry point — Replay on a materialized
+// schedule, ReplayStream, a Kernel drawing from an RNG — is the same three
+// steps per block of blockOps requests: take the block's ops (a slice of
+// the schedule, or a stack block filled in the generators' RNG order), let
+// the policy turn them into 4-bit step codes (core's ApplyBlock where the
+// policy has one, Apply per request otherwise), and price the codes through
+// a table. Nothing is dispatched per request except on that fallback, no
+// branch depends on a request's kind, and nothing is allocated.
 //
-// Correctness is pinned by TestKernelEquivalence: on identical schedules a
-// kernel's Result must equal the generic Replay's field for field,
-// including the float accumulation order of Ledger.Total (the kernels add
-// the exact same float64 step costs in the exact same order, so totals are
-// bit-identical, not merely close).
+// TestReplayMatchesReference holds the engine to the step-by-step loop
+// (Apply, Ledger.Observe) field for field, Ledger.Total bit for bit.
 
 import (
 	"time"
@@ -23,87 +21,162 @@ import (
 	"mobirep/internal/stats"
 )
 
-// stepCosts are the four distinct per-request prices a fused policy can
-// incur; they are precomputed once per kernel so the inner loop only adds.
-// The values mirror cost.Connection.StepCost and cost.Message.StepCost.
-type stepCosts struct {
-	// readMiss prices a read with no copy at the MC.
-	readMiss float64
-	// writeKeep prices a write that finds a copy and leaves it in place.
-	writeKeep float64
-	// writeDealloc prices a write that finds a copy and deallocates it.
-	writeDealloc float64
-	// writeSuppressed prices SW1's delete-request-only write.
-	writeSuppressed float64
-}
+// blockOps is the block length: the ops and the codes of one block are a
+// KiB of stack each and stay in L1 between the three steps.
+const blockOps = 1024
 
-// kernelCosts folds a cost model into stepCosts; ok is false for models
-// the kernels do not know (custom models fall back to the generic path).
-func kernelCosts(m cost.Model) (stepCosts, bool) {
-	switch mm := m.(type) {
-	case cost.Connection:
-		return stepCosts{readMiss: 1, writeKeep: 1, writeDealloc: 1, writeSuppressed: 1}, true
-	case cost.Message:
-		return stepCosts{
-			readMiss:        1 + mm.Omega,
-			writeKeep:       1,
-			writeDealloc:    1 + mm.Omega,
-			writeSuppressed: mm.Omega,
-		}, true
-	}
-	return stepCosts{}, false
-}
-
-type kernelKind uint8
-
-const (
-	kernelSW kernelKind = iota
-	kernelST1
-	kernelST2
-)
-
-// Kernel is a fused replay engine bound to one policy and one cost model.
-// It owns its window state, so it is not safe for concurrent use; the
-// estimators build one per trial (a single small allocation per trial,
-// none per request). Replay methods Reset the kernel first, so a Kernel
-// is reusable across trials.
-type Kernel struct {
-	kind  kernelKind
-	costs stepCosts
-
-	// window is the sliding-window state, starting all writes with no
-	// copy (the NewSW default). The copy is the window's read majority.
-	window core.Window
-}
-
-// NewKernel returns a fused kernel replaying policy p under m, or ok=false
-// when no fused path exists: the policy is not one of SW (with the default
-// all-writes initial window), ST1 or ST2, or the model is not one of the
-// paper's two. Callers keep the generic path in that case.
-func NewKernel(p core.Policy, m cost.Model) (*Kernel, bool) {
-	costs, ok := kernelCosts(m)
-	if !ok {
-		return nil, false
-	}
+// applyBlock writes to out the codes of p's steps on ops. The switch is on
+// the concrete type because a call through an interface would make out —
+// the caller's stack block — escape: one malloc per replay.
+func applyBlock(p core.Policy, ops sched.Schedule, out []core.Code) {
 	switch q := p.(type) {
-	case *core.ST1:
-		return &Kernel{kind: kernelST1, costs: costs}, true
-	case *core.ST2:
-		return &Kernel{kind: kernelST2, costs: costs}, true
 	case *core.SW:
-		// Only the default initial window (all writes, no copy) is fused;
-		// NewSWInitial variants keep the generic path.
-		if q.Window() != core.NewWindow(q.K(), sched.Write) {
-			return nil, false
+		q.ApplyBlock(ops, out)
+	case *core.ST1:
+		q.ApplyBlock(ops, out)
+	case *core.ST2:
+		q.ApplyBlock(ops, out)
+	case *core.T1:
+		q.ApplyBlock(ops, out)
+	case *core.T2:
+		q.ApplyBlock(ops, out)
+	default:
+		for i, op := range ops {
+			out[i] = p.Apply(op).Code()
 		}
-		return &Kernel{kind: kernelSW, costs: costs, window: q.Window()}, true
 	}
-	return nil, false
 }
 
-// Reset restores the initial state: an all-writes window and no copy
-// (the statics' empty window stays empty).
-func (kn *Kernel) Reset() { kn.window.Fill(sched.Write) }
+// kindOf is the series a replay of p is counted under (metrics.go): one
+// per case of applyBlock's switch.
+func kindOf(p core.Policy) replayKind {
+	switch p.(type) {
+	case *core.SW:
+		return kindSW
+	case *core.ST1:
+		return kindST1
+	case *core.ST2:
+		return kindST2
+	case *core.T1:
+		return kindT1
+	case *core.T2:
+		return kindT2
+	}
+	return kindGeneric
+}
+
+// tally prices step codes: what each code costs under the model, how often
+// each occurred, and the running total. Counts are kept in two sets, for
+// the even and the odd positions: in a run of equal codes (a static
+// policy, a skewed theta) each increment of a single counter would wait
+// for the previous one's store, which is longer than the float add the
+// loop is otherwise bound by.
+type tally struct {
+	price [core.NumCodes]float64
+	count [2][core.NumCodes]int
+	total float64
+}
+
+func newTally(m cost.Model) tally {
+	var t tally
+	for c := range t.price {
+		t.price[c] = m.StepCost(core.Code(c).Step())
+	}
+	return t
+}
+
+// add prices codes in order. The step-by-step ledger adds every step's
+// cost, zeros included, in this order, so the totals agree bit for bit.
+func (t *tally) add(codes []core.Code) {
+	const mask = core.NumCodes - 1
+	total := t.total
+	for ; len(codes) >= 2; codes = codes[2:] {
+		a, b := codes[0]&mask, codes[1]&mask
+		total += t.price[a]
+		t.count[0][a]++
+		total += t.price[b]
+		t.count[1][b]++
+	}
+	for _, c := range codes {
+		total += t.price[c&mask]
+		t.count[0][c&mask]++
+	}
+	t.total = total
+}
+
+// result folds the counts into a Result.
+func (t *tally) result() Result {
+	count := t.count[0]
+	for c, n := range t.count[1] {
+		count[c] += n
+	}
+	res := Result{Cost: t.total, Ledger: cost.Tally(t.total, &count)}
+	for c, n := range count {
+		st := core.Code(c).Step()
+		res.Ops += n
+		if st.HadCopy {
+			res.CopySteps += n
+		}
+		if st.Allocated() {
+			res.Allocations += n
+		}
+		if st.Deallocated() {
+			res.Deallocations += n
+		}
+	}
+	return res
+}
+
+// replay runs n requests through p under m and prices all but the first
+// warmup: the requests are s when src is nil and drawn from src otherwise.
+func replay(p core.Policy, m cost.Model, s sched.Schedule, src OpStream, n, warmup int) Result {
+	start := time.Now()
+	t := newTally(m)
+	var drawn [blockOps]sched.Op
+	var codes [blockOps]core.Code
+	for lo := 0; lo < n; lo += blockOps {
+		hi := min(lo+blockOps, n)
+		var ops sched.Schedule
+		if src == nil {
+			ops = s[lo:hi]
+		} else {
+			ops = drawn[:hi-lo]
+			fillBlock(src, ops)
+		}
+		out := codes[:len(ops)]
+		applyBlock(p, ops, out)
+		// The warmup requests went through the policy; they are not priced.
+		skip := min(max(warmup-lo, 0), len(out))
+		t.add(out[skip:])
+	}
+	res := t.result()
+	recordReplay(kindOf(p), res.Ops, time.Since(start))
+	return res
+}
+
+// Kernel binds the engine to one policy, one cost model and a source of
+// drawn requests, for the estimators' trials: it replays schedules that
+// are never materialized. It owns the policy, so it is not safe for
+// concurrent use; the estimators build one per trial. Replay methods Reset
+// the policy first, so a Kernel is reusable across trials.
+type Kernel struct {
+	p core.Policy
+	m cost.Model
+	// The generators are fields so that handing the engine one as an
+	// OpStream allocates nothing.
+	bernoulli BernoulliStream
+	drifting  DriftingStream
+}
+
+// NewKernel returns a kernel replaying policy p under m. Every policy and
+// every model has one; ok is always true and remains for the callers that
+// predate the one engine.
+func NewKernel(p core.Policy, m cost.Model) (kn *Kernel, ok bool) {
+	return &Kernel{p: p, m: m}, true
+}
+
+// Reset returns the policy to its initial state.
+func (kn *Kernel) Reset() { kn.p.Reset() }
 
 // ReplayBernoulli replays n i.i.d. Bernoulli(theta) requests drawn from
 // rng, pricing all but the first warmup. It consumes rng exactly like
@@ -111,18 +184,8 @@ func (kn *Kernel) Reset() { kn.window.Fill(sched.Write) }
 // bit. The kernel is Reset first.
 func (kn *Kernel) ReplayBernoulli(rng *stats.RNG, theta float64, n, warmup int) Result {
 	kn.Reset()
-	start := time.Now()
-	var res Result
-	switch kn.kind {
-	case kernelST1:
-		res = kn.replayST1(rng, theta, 0, n, warmup)
-	case kernelST2:
-		res = kn.replayST2(rng, theta, 0, n, warmup)
-	default:
-		res = kn.replaySW(rng, theta, 0, n, warmup)
-	}
-	recordReplay(kn.kind, res.Ops, time.Since(start))
-	return res
+	kn.bernoulli = BernoulliStream{rng: rng, theta: theta}
+	return replay(kn.p, kn.m, nil, &kn.bernoulli, n, warmup)
 }
 
 // ReplayDrifting replays the section 3 period model — theta redrawn
@@ -130,153 +193,6 @@ func (kn *Kernel) ReplayBernoulli(rng *stats.RNG, theta float64, n, warmup int) 
 // The kernel is Reset first.
 func (kn *Kernel) ReplayDrifting(rng *stats.RNG, periods, opsPerPeriod int) Result {
 	kn.Reset()
-	n := periods * opsPerPeriod
-	start := time.Now()
-	var res Result
-	switch kn.kind {
-	case kernelST1:
-		res = kn.replayST1(rng, 0, opsPerPeriod, n, 0)
-	case kernelST2:
-		res = kn.replayST2(rng, 0, opsPerPeriod, n, 0)
-	default:
-		res = kn.replaySW(rng, 0, opsPerPeriod, n, 0)
-	}
-	recordReplay(kn.kind, res.Ops, time.Since(start))
-	return res
-}
-
-// replaySW is the fused inner loop for the sliding-window family. A
-// drift period of 0 means fixed theta; otherwise theta is redrawn every
-// drift requests, starting with the first.
-func (kn *Kernel) replaySW(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	// The window lives in a local for the loop so its words stay in
-	// registers; with odd k the copy is exactly the read majority.
-	win := kn.window
-	sw1 := win.Size() == 1
-	has := win.ReadMajority()
-	left := 0
-	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-		op := sched.Read
-		if isWrite {
-			op = sched.Write
-		}
-		had := has
-		win.Push(op)
-		has = win.ReadMajority()
-
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Steps++
-		if had {
-			res.CopySteps++
-		}
-		if has != had {
-			if has {
-				res.Allocations++
-			} else {
-				res.Deallocations++
-			}
-		}
-		if isWrite {
-			if had {
-				res.Ledger.Connections++
-				switch {
-				case sw1:
-					// The k == 1 delete-request optimization: a write that
-					// finds a copy is priced as a bare control message.
-					res.Ledger.Total += c.writeSuppressed
-					res.Ledger.ControlMessages++
-				case !has:
-					res.Ledger.Total += c.writeDealloc
-					res.Ledger.DataMessages++
-					res.Ledger.ControlMessages++
-				default:
-					res.Ledger.Total += c.writeKeep
-					res.Ledger.DataMessages++
-				}
-			}
-		} else if !had {
-			res.Ledger.Total += c.readMiss
-			res.Ledger.Connections++
-			res.Ledger.ControlMessages++
-			res.Ledger.DataMessages++
-		}
-	}
-	kn.window = win
-	res.Cost = res.Ledger.Total
-	return res
-}
-
-// replayST1 is the fused loop for the static one-copy method: the MC
-// never holds a copy, so only read misses cost anything.
-func (kn *Kernel) replayST1(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	left := 0
-	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Steps++
-		if !isWrite {
-			res.Ledger.Total += c.readMiss
-			res.Ledger.Connections++
-			res.Ledger.ControlMessages++
-			res.Ledger.DataMessages++
-		}
-	}
-	res.Cost = res.Ledger.Total
-	return res
-}
-
-// replayST2 is the fused loop for the static two-copies method: every
-// request finds a copy, reads are free, writes propagate.
-func (kn *Kernel) replayST2(rng *stats.RNG, theta float64, drift, n, warmup int) Result {
-	var res Result
-	c := kn.costs
-	left := 0
-	for i := 0; i < n; i++ {
-		if drift > 0 {
-			if left == 0 {
-				theta = rng.Float64()
-				left = drift
-			}
-			left--
-		}
-		isWrite := rng.Bernoulli(theta)
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Steps++
-		res.CopySteps++
-		if isWrite {
-			res.Ledger.Total += c.writeKeep
-			res.Ledger.Connections++
-			res.Ledger.DataMessages++
-		}
-	}
-	res.Cost = res.Ledger.Total
-	return res
+	kn.drifting = DriftingStream{rng: rng, opsPerPeriod: opsPerPeriod}
+	return replay(kn.p, kn.m, nil, &kn.drifting, periods*opsPerPeriod, 0)
 }

@@ -2,16 +2,32 @@ package sim
 
 // Observability instrumentation for the measurement engine. Recording is
 // amortized: the Fan participants count claimed indices locally and fold
-// them into the registry once per participant, and the replay kernels
-// record one counter add and one histogram observation per Replay call
-// (never per request), so the fused loops keep their zero-allocation,
-// zero-overhead-per-op guarantees.
+// them into the registry once per participant, and the replay engine
+// records two counter adds and one histogram observation per replay call
+// (never per block or per request), whichever entry point made it, so the
+// block loops stay free of allocation and of instrumentation.
 
 import (
 	"time"
 
 	"mobirep/internal/obs"
 )
+
+// replayKind labels a replay by the policy's block form; policies without
+// one (EWMA, CacheInv, the even and adaptive windows) are generic.
+type replayKind uint8
+
+const (
+	kindGeneric replayKind = iota
+	kindSW
+	kindST1
+	kindST2
+	kindT1
+	kindT2
+	numKinds
+)
+
+var kindNames = [numKinds]string{"generic", "sw", "st1", "st2", "t1", "t2"}
 
 var (
 	simReg = obs.Default()
@@ -26,33 +42,34 @@ var (
 	gFanActive = simReg.Gauge("mobirep_sim_fan_active_participants",
 		"Participants currently inside a Fan work loop.")
 
-	mReplays   [3]*obs.Counter // by kernelKind
-	mReplayOps [3]*obs.Counter
+	mReplays   [numKinds]*obs.Counter
+	mReplayOps [numKinds]*obs.Counter
 
-	// Replay speed in nanoseconds per request, amortized over one Replay
-	// call. The fused kernels sit around 5-20 ns/op; the bucket ladder
-	// climbs to 4 us so a catastrophic regression still lands inside it.
+	// Replay speed in nanoseconds per request, amortized over one replay
+	// call. A block-form policy on a materialized schedule sits around
+	// 2-5 ns/op, a drawn schedule adds the generator's 3-4, and a generic
+	// policy pays its Apply per request (10-25); the bucket ladder climbs
+	// to 4 us so a catastrophic regression still lands inside it.
 	hReplayNsPerOp = simReg.Histogram("mobirep_sim_replay_ns_per_op",
 		"Nanoseconds per replayed request, one observation per Replay call.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096})
 )
 
 func init() {
-	names := [3]string{"sw", "st1", "st2"}
-	for i, kind := range names {
+	for i, kind := range kindNames {
 		help, opsHelp := "", ""
 		if i == 0 {
-			help = "Fused kernel replays, by kernel kind."
-			opsHelp = "Requests replayed by fused kernels, by kernel kind."
+			help = "Replay calls, by the policy's block form."
+			opsHelp = "Priced requests replayed, by the policy's block form."
 		}
 		mReplays[i] = simReg.Counter(`mobirep_sim_replays_total{kind="`+kind+`"}`, help)
 		mReplayOps[i] = simReg.Counter(`mobirep_sim_replay_ops_total{kind="`+kind+`"}`, opsHelp)
 	}
 }
 
-// recordReplay accounts one finished Replay call: n priced requests in
-// elapsed wall time on the kernel of the given kind.
-func recordReplay(kind kernelKind, n int, elapsed time.Duration) {
+// recordReplay accounts one finished replay call: n priced requests in
+// elapsed wall time by a policy of the given kind.
+func recordReplay(kind replayKind, n int, elapsed time.Duration) {
 	mReplays[kind].Inc()
 	if n <= 0 {
 		return

@@ -56,28 +56,10 @@ func (r Result) CopyFraction() float64 {
 
 // Replay runs the schedule through p under m, ignoring the first warmup
 // requests when accounting (they are still applied to the policy, so the
-// window reaches steady state). It does not Reset the policy first.
+// window reaches steady state). It does not Reset the policy first. The
+// model is asked for the price of each distinct step once, not per request.
 func Replay(p core.Policy, m cost.Model, s sched.Schedule, warmup int) Result {
-	var res Result
-	for i, op := range s {
-		st := p.Apply(op)
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Observe(m, st)
-		if st.HadCopy {
-			res.CopySteps++
-		}
-		if st.Allocated() {
-			res.Allocations++
-		}
-		if st.Deallocated() {
-			res.Deallocations++
-		}
-	}
-	res.Cost = res.Ledger.Total
-	return res
+	return replay(p, m, s, nil, len(s), warmup)
 }
 
 // ExpectedOpts configures EstimateExpected.
@@ -112,16 +94,10 @@ func (o *ExpectedOpts) fill() {
 // per-trial means, so its CI95 bounds the estimate of the mean.
 func EstimateExpected(f Factory, m cost.Model, opts ExpectedOpts) stats.Summary {
 	opts.fill()
-	_, fused := NewKernel(f(), m)
 	results := parallelTrials(opts.Trials, func(trial int) float64 {
 		rng := stats.NewRNG(opts.Seed + uint64(trial)*0x9e3779b9)
-		n := opts.Warmup + opts.Ops
-		if fused {
-			kn, _ := NewKernel(f(), m)
-			return kn.ReplayBernoulli(rng, opts.Theta, n, opts.Warmup).PerOp()
-		}
-		src := NewBernoulliStream(rng, opts.Theta)
-		return ReplayStream(f(), m, src, n, opts.Warmup).PerOp()
+		kn, _ := NewKernel(f(), m)
+		return kn.ReplayBernoulli(rng, opts.Theta, opts.Warmup+opts.Ops, opts.Warmup).PerOp()
 	})
 	var sum stats.Summary
 	for _, v := range results {
@@ -162,15 +138,10 @@ func (o *AverageOpts) fill() {
 // average expected cost integral.
 func EstimateAverage(f Factory, m cost.Model, opts AverageOpts) stats.Summary {
 	opts.fill()
-	_, fused := NewKernel(f(), m)
 	results := parallelTrials(opts.Trials, func(trial int) float64 {
 		rng := stats.NewRNG(opts.Seed + uint64(trial)*0x9e3779b9)
-		if fused {
-			kn, _ := NewKernel(f(), m)
-			return kn.ReplayDrifting(rng, opts.Periods, opts.OpsPerPeriod).PerOp()
-		}
-		src := NewDriftingStream(rng, opts.OpsPerPeriod)
-		return ReplayStream(f(), m, src, opts.Periods*opts.OpsPerPeriod, 0).PerOp()
+		kn, _ := NewKernel(f(), m)
+		return kn.ReplayDrifting(rng, opts.Periods, opts.OpsPerPeriod).PerOp()
 	})
 	var sum stats.Summary
 	for _, v := range results {

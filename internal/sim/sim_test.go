@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,9 +12,160 @@ import (
 	"mobirep/internal/cost"
 	"mobirep/internal/sched"
 	"mobirep/internal/stats"
+	"mobirep/internal/workload"
 )
 
 func swFactory(k int) Factory { return func() core.Policy { return core.NewSW(k) } }
+
+// referenceReplay is the step-by-step replay the block engine replaced —
+// Apply and Ledger.Observe per request, through both interfaces — kept as
+// the engine's oracle. It shares nothing with the engine: no codes, no
+// table, no block forms.
+func referenceReplay(p core.Policy, m cost.Model, s sched.Schedule, warmup int) Result {
+	var res Result
+	for i, op := range s {
+		st := p.Apply(op)
+		if i < warmup {
+			continue
+		}
+		res.Ops++
+		res.Ledger.Observe(m, st)
+		if st.HadCopy {
+			res.CopySteps++
+		}
+		if st.Allocated() {
+			res.Allocations++
+		}
+		if st.Deallocated() {
+			res.Deallocations++
+		}
+	}
+	res.Cost = res.Ledger.Total
+	return res
+}
+
+// oddModel is a cost model that is neither of the paper's: every one of
+// the sixteen steps has its own price, none of them a dyadic fraction, so
+// a step priced as another, or added out of order, moves the total's bits.
+type oddModel struct{}
+
+func (oddModel) Name() string { return "odd" }
+func (oddModel) StepCost(st core.Step) float64 {
+	return 0.1 + 0.7*float64(st.Code())/3
+}
+
+// refPolicies are the policies the engine is held to the reference on:
+// every block form at sizes on both sides of the window register's word
+// boundary, and policies that only have Apply. k is the window size or
+// threshold, the length below which a block is shorter than the policy's
+// memory.
+var refPolicies = []struct {
+	k  int
+	mk Factory
+}{
+	{1, func() core.Policy { return core.NewST1() }},
+	{1, func() core.Policy { return core.NewST2() }},
+	{1, swFactory(1)},
+	{3, swFactory(3)},
+	{9, swFactory(9)},
+	{95, swFactory(95)},
+	{127, swFactory(127)},
+	{5, func() core.Policy { return core.NewSWInitial(5, sched.Read) }},
+	{4, func() core.Policy { return core.NewEvenSW(4) }},
+	{1, func() core.Policy { return core.NewT1(1) }},
+	{4, func() core.Policy { return core.NewT1(4) }},
+	{1, func() core.Policy { return core.NewT2(1) }},
+	{4, func() core.Policy { return core.NewT2(4) }},
+	{1, func() core.Policy { return core.NewCacheInvalidate() }},
+	{1, func() core.Policy { return core.NewEWMA(0.3) }},
+	{15, func() core.Policy { return core.NewAdaptiveSW(3, 15) }},
+}
+
+var refModels = []cost.Model{
+	cost.NewConnection(), cost.NewMessage(0), cost.NewMessage(0.37), cost.NewMessage(1), oddModel{},
+}
+
+// refLongest is three blocks and a bit: every shorter length is a prefix.
+const refLongest = 3*blockOps + 7
+
+// refSchedules returns the schedule families for a policy of memory k,
+// each refLongest requests long.
+func refSchedules(k int) map[string]sched.Schedule {
+	out := map[string]sched.Schedule{}
+	for _, theta := range []float64{0, 0.2, 0.5, 0.8, 1} {
+		out[fmt.Sprintf("bernoulli(%v)", theta)] = workload.Bernoulli(stats.NewRNG(uint64(k)), theta, refLongest)
+	}
+	out["drifting"], _ = workload.Drifting(stats.NewRNG(uint64(k)+1), 31, 100)
+	out["bursty"], _ = workload.Bursty(stats.NewRNG(uint64(k)+2),
+		workload.BurstyConfig{ThetaA: 0.1, ThetaB: 0.9, SwitchProb: 1.0 / 64}, refLongest)
+	const cycles = refLongest/2 + 1 // the shortest cycle is two requests
+	out["adversary(SWk)"] = workload.SWkAdversary(k|1, cycles)
+	out["adversary(SW1)"] = workload.SW1Adversary(cycles)
+	out["adversary(T1)"] = workload.T1Adversary(k, cycles)
+	out["adversary(T2)"] = workload.T2Adversary(k, cycles)
+	for name, s := range out {
+		out[name] = s[:refLongest]
+	}
+	return out
+}
+
+// checkAgainstReference replays s twice through a fresh policy with the
+// engine and with the reference, without a Reset in between (Replay does
+// not Reset), and requires equal results — Ledger.Total and Cost to the
+// bit — and equal policy state after each.
+func checkAgainstReference(t *testing.T, what string, mk Factory, m cost.Model, s sched.Schedule, warmup int) {
+	t.Helper()
+	p, ref := mk(), mk()
+	for round := 1; round <= 2; round++ {
+		got, want := Replay(p, m, s, warmup), referenceReplay(ref, m, s, warmup)
+		if got != want || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
+			math.Float64bits(got.Ledger.Total) != math.Float64bits(want.Ledger.Total) {
+			t.Fatalf("%s under %s on %s, %d requests, warmup %d, replay %d:\nengine    %+v\nreference %+v",
+				ref.Name(), m.Name(), what, len(s), warmup, round, got, want)
+		}
+		if !reflect.DeepEqual(p, ref) {
+			t.Fatalf("%s under %s on %s, %d requests, warmup %d, replay %d: policy left as %+v, reference as %+v",
+				ref.Name(), m.Name(), what, len(s), warmup, round, p, ref)
+		}
+	}
+}
+
+// TestReplayMatchesReference is the guard the engine ships under. Lengths
+// sit on block edges and on both sides of the policy's memory, warmups on
+// both sides of a block and of the schedule.
+func TestReplayMatchesReference(t *testing.T) {
+	for _, pol := range refPolicies {
+		k := pol.k
+		for name, full := range refSchedules(k) {
+			for _, n := range []int{0, 1, k - 1, k, k + 1, blockOps - 1, blockOps, blockOps + 1, refLongest} {
+				s := full[:n]
+				for _, warmup := range []int{0, 1, k, blockOps, n, n + 5} {
+					for _, m := range refModels {
+						checkAgainstReference(t, name, pol.mk, m, s, warmup)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReplayMatchesReference lets the fuzzer pick the policy, the model,
+// the warmup and the schedule (eight requests a byte, so a few hundred
+// bytes cross block edges).
+func FuzzReplayMatchesReference(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint16(3), []byte("mobile computers replicate"))
+	f.Add(uint8(10), uint8(4), uint16(0), []byte{0x00, 0xff, 0x0f, 0xf0, 0x55, 0xaa})
+	f.Fuzz(func(t *testing.T, policy, model uint8, warmup uint16, raw []byte) {
+		s := make(sched.Schedule, 0, 8*len(raw))
+		for _, b := range raw {
+			for bit := 0; bit < 8; bit++ {
+				s = append(s, sched.Op(b>>bit&1))
+			}
+		}
+		pol := refPolicies[int(policy)%len(refPolicies)]
+		checkAgainstReference(t, "fuzz input", pol.mk, refModels[int(model)%len(refModels)], s, int(warmup))
+	})
+}
 
 func TestReplayCountsAndCost(t *testing.T) {
 	p := core.NewSW(1)

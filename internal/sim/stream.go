@@ -1,12 +1,12 @@
 package sim
 
-// Streaming replay: the estimators' hot path draws each request from the
-// RNG the moment the policy needs it instead of materializing a
-// ~200k-element sched.Schedule per trial. The streams below consume the
-// RNG in exactly the order the materializing generators in
-// internal/workload do, so a streamed trial sees bit-for-bit the same
-// schedule — and therefore produces bit-for-bit the same tables — as a
-// materialized one at the same seed (TestStreamsMatchWorkload pins this).
+// Streaming replay: the estimators' hot path draws its requests a block
+// at a time instead of materializing a ~200k-element sched.Schedule per
+// trial. The streams below consume the RNG in exactly the order the
+// materializing generators in internal/workload do, so a streamed trial
+// sees bit-for-bit the same schedule — and therefore produces bit-for-bit
+// the same tables — as a materialized one at the same seed
+// (TestStreamsMatchWorkload pins this).
 
 import (
 	"sync"
@@ -15,6 +15,7 @@ import (
 	"mobirep/internal/cost"
 	"mobirep/internal/sched"
 	"mobirep/internal/stats"
+	"mobirep/internal/workload"
 )
 
 // OpStream produces schedule operations one at a time.
@@ -42,6 +43,11 @@ func (s *BernoulliStream) Next() sched.Op {
 		return sched.Write
 	}
 	return sched.Read
+}
+
+// Fill overwrites ops with the stream's next len(ops) requests.
+func (s *BernoulliStream) Fill(ops sched.Schedule) {
+	workload.FillBernoulli(s.rng, s.theta, ops)
 }
 
 // DriftingStream draws the section 3 period model — theta redrawn
@@ -73,30 +79,41 @@ func (s *DriftingStream) Next() sched.Op {
 	return sched.Read
 }
 
+// Fill overwrites ops with the stream's next len(ops) requests.
+func (s *DriftingStream) Fill(ops sched.Schedule) {
+	for len(ops) > 0 {
+		if s.left == 0 {
+			s.theta = s.rng.Float64()
+			s.left = s.opsPerPeriod
+		}
+		n := min(s.left, len(ops))
+		workload.FillBernoulli(s.rng, s.theta, ops[:n])
+		s.left -= n
+		ops = ops[n:]
+	}
+}
+
+// fillBlock overwrites ops with the next len(ops) requests of src, in one
+// call for the two generators. Like applyBlock it switches on the concrete
+// type to keep ops, the engine's stack block, from escaping.
+func fillBlock(src OpStream, ops sched.Schedule) {
+	switch g := src.(type) {
+	case *BernoulliStream:
+		g.Fill(ops)
+	case *DriftingStream:
+		g.Fill(ops)
+	default:
+		for i := range ops {
+			ops[i] = src.Next()
+		}
+	}
+}
+
 // ReplayStream replays n requests drawn from src through p under m,
 // ignoring the first warmup requests when accounting, exactly like Replay
 // on the materialized schedule. It does not Reset the policy first.
 func ReplayStream(p core.Policy, m cost.Model, src OpStream, n, warmup int) Result {
-	var res Result
-	for i := 0; i < n; i++ {
-		st := p.Apply(src.Next())
-		if i < warmup {
-			continue
-		}
-		res.Ops++
-		res.Ledger.Observe(m, st)
-		if st.HadCopy {
-			res.CopySteps++
-		}
-		if st.Allocated() {
-			res.Allocations++
-		}
-		if st.Deallocated() {
-			res.Deallocations++
-		}
-	}
-	res.Cost = res.Ledger.Total
-	return res
+	return replay(p, m, nil, src, n, warmup)
 }
 
 // schedPool recycles schedule buffers for the callers that do need a

@@ -49,9 +49,12 @@ func Bursty(rng *stats.RNG, cfg BurstyConfig, n int) (sched.Schedule, []uint8) {
 			}
 		}
 		regimes[i] = regime
+		// Selected, not branched to, as in FillBernoulli.
+		op := sched.Read
 		if rng.Bernoulli(theta) {
-			s[i] = sched.Write
+			op = sched.Write
 		}
+		s[i] = op
 	}
 	return s, regimes
 }
