@@ -196,7 +196,8 @@ func BenchmarkParallelTrials(b *testing.B) {
 // nothing on any entry point — the blocks of ops and codes are the
 // engine's stack, which holds only while nothing hands them to an
 // interface method. Replay is pinned for every policy with a block form
-// under both models; the drawn paths for those and for one without.
+// under both models; the drawn paths for those and for one without; and
+// offline.Cost under both comparators.
 func TestFusedKernelZeroAllocs(t *testing.T) {
 	rng := stats.NewRNG(1)
 	s := workload.Bernoulli(stats.NewRNG(2), 0.4, 1<<16)
@@ -234,6 +235,13 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 			t.Errorf("ReplayStream(%s) allocated %.0f times per run, want 0", name, allocs)
 		}
 	}
+	// The offline optimum every replay is compared with: the closed form
+	// and the dynamic program.
+	for _, c := range []offline.Costs{offline.Ideal(), offline.Handicapped(0.5)} {
+		if allocs := testing.AllocsPerRun(10, func() { offline.Cost(s, c) }); allocs != 0 {
+			t.Errorf("offline.Cost under %+v allocated %.0f times per run, want 0", c, allocs)
+		}
+	}
 }
 
 // TestPolicyApplyZeroAllocs pins the per-request budget of the window
@@ -269,14 +277,35 @@ func BenchmarkExpSWMsg(b *testing.B) {
 	}
 }
 
-func BenchmarkOfflineDP(b *testing.B) {
-	rng := stats.NewRNG(1)
-	s := workload.Bernoulli(rng, 0.5, 100000)
-	c := offline.Ideal()
-	b.SetBytes(int64(len(s)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		offline.Cost(s, c)
+// BenchmarkOfflineCost is the paper's offline optimum per request: the
+// closed form under Ideal costs and the dynamic program under a
+// handicapped comparator, on a coin-flip schedule (mean run of two, the
+// hard case for a branch on the request kind) and on a bursty one.
+func BenchmarkOfflineCost(b *testing.B) {
+	const n = 1 << 18
+	bursty, _ := workload.Bursty(stats.NewRNG(2),
+		workload.BurstyConfig{ThetaA: 0.1, ThetaB: 0.9, SwitchProb: 1.0 / 64}, n)
+	for _, sc := range []struct {
+		name string
+		s    sched.Schedule
+	}{
+		{"bernoulli(0.5)", workload.Bernoulli(stats.NewRNG(1), 0.5, n)},
+		{"bursty", bursty},
+	} {
+		for _, c := range []struct {
+			name  string
+			costs offline.Costs
+		}{
+			{"ideal", offline.Ideal()},
+			{"handicapped(0.5)", offline.Handicapped(0.5)},
+		} {
+			b.Run(sc.name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					offline.Cost(sc.s, c.costs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/req")
+			})
+		}
 	}
 }
 

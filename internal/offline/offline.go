@@ -11,15 +11,18 @@
 // These conventions are exactly the ones under which every tightness claim
 // in the paper (Theorems 4, 11 and 12) is achieved; see DESIGN.md. Under
 // them the optimal cost is the same number in both the connection and the
-// message model, so one dynamic program serves both.
+// message model.
 //
-// The dynamic program runs in O(m) time and O(1) space over the two
-// allocation states. A 2^m brute force over all state sequences doubles as
-// the test oracle.
+// Under Ideal costs the optimum has a closed form, which Cost uses: the
+// number of reads that immediately follow a write. Every other Costs value,
+// and Trace, go through a dynamic program over the two allocation states,
+// O(m) time and O(1) space (O(m) for Trace's choices). A 2^m brute force
+// over all state sequences is the test oracle for both.
 package offline
 
 import (
 	"math"
+	"math/bits"
 
 	"mobirep/internal/sched"
 )
@@ -59,8 +62,42 @@ func Handicapped(omega float64) Costs {
 // from either allocation state for free (the additive constant b in the
 // competitiveness definition absorbs the initial state).
 func Cost(s sched.Schedule, c Costs) float64 {
+	if c == Ideal() {
+		return float64(writeReadBoundaries(s))
+	}
 	cost, _ := solve(s, c, false)
 	return cost
+}
+
+// writeReadBoundaries is the optimum under Ideal costs. There solve's two
+// values, without and with a copy, are (a, a) after a read and (a, a+1)
+// after a write: a read from (a, a+d) leaves both at a+d, a write leaves
+// (a, a+1). So a read costs one exactly when a write came right before it,
+// and a leading read is free because the start state is. The count is an
+// integer, so converting it once gives the dynamic program's bits.
+func writeReadBoundaries(s sched.Schedule) int {
+	// Eight requests a word. The high bit of each byte of read is set when
+	// that request is a read (an exact zero-byte test: no carry crosses a
+	// byte), and of write<<8 | carry when the request before it was not.
+	const hi, lo = 0x8080808080808080, 0x7f7f7f7f7f7f7f7f
+	n := 0
+	var carry uint64 // the high bit of byte 0: the last request so far was a write
+	for ; len(s) >= 8; s = s[8:] {
+		x := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		read := ^((x&lo + lo) | x | lo)
+		write := ^read & hi
+		n += bits.OnesCount64(read & (write<<8 | carry))
+		carry = write >> 56
+	}
+	wrote := carry != 0
+	for _, op := range s {
+		if wrote && op == sched.Read {
+			n++
+		}
+		wrote = op != sched.Read
+	}
+	return n
 }
 
 // Trace returns the minimum cost together with one optimal allocation

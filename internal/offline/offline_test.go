@@ -198,3 +198,79 @@ func TestBruteForcePanicsOnLongSchedule(t *testing.T) {
 	}()
 	BruteForce(sched.Block(sched.Read, 21), Ideal())
 }
+
+// schedFromBits decodes the low n bits of v, oldest request first.
+func schedFromBits(v uint32, n int) sched.Schedule {
+	s := make(sched.Schedule, n)
+	for i := range s {
+		s[i] = sched.Op(v >> i & 1)
+	}
+	return s
+}
+
+// TestIdealClosedFormExhaustive holds Cost's closed form under Ideal costs
+// to the dynamic program, to the bit, on every schedule of up to 17
+// requests (both sides of the eight-request word and its tail), and to the
+// brute force on every schedule of up to 10.
+func TestIdealClosedFormExhaustive(t *testing.T) {
+	for n := 0; n <= 17; n++ {
+		for v := uint32(0); v < 1<<n; v++ {
+			s := schedFromBits(v, n)
+			got := Cost(s, Ideal())
+			if dp, _ := solve(s, Ideal(), false); math.Float64bits(got) != math.Float64bits(dp) {
+				t.Fatalf("%v: closed form %v, dynamic program %v", s, got, dp)
+			}
+			if n <= 10 {
+				if bf := BruteForce(s, Ideal()); got != bf {
+					t.Fatalf("%v: closed form %v, brute force %v", s, got, bf)
+				}
+			}
+		}
+	}
+}
+
+// TestIdealClosedFormTreatsNonReadsAsWrites: an op other than Read is a
+// write to the dynamic program, so it must be one to the closed form at
+// every position of a word.
+func TestIdealClosedFormTreatsNonReadsAsWrites(t *testing.T) {
+	for i := 0; i < 19; i++ {
+		s := make(sched.Schedule, 19)
+		s[i] = 0x80
+		if i > 0 {
+			s[i-1] = 0x7f
+		}
+		got := Cost(s, Ideal())
+		if dp, _ := solve(s, Ideal(), false); got != dp {
+			t.Fatalf("ops %v: closed form %v, dynamic program %v", s, got, dp)
+		}
+	}
+}
+
+// FuzzCostMatchesBruteForce lets the fuzzer pick the schedule (eight
+// requests a byte, cut to n), and a handicap ω. Up to 20 requests Cost must
+// equal the brute force under Ideal and Handicapped(ω) costs; at any length
+// it must equal Trace's cost to the bit.
+func FuzzCostMatchesBruteForce(f *testing.F) {
+	f.Add(uint8(128), uint16(13), []byte("mobile"))
+	f.Add(uint8(0), uint16(1000), []byte("data replication for mobile computers"))
+	f.Fuzz(func(t *testing.T, omega uint8, n uint16, raw []byte) {
+		s := make(sched.Schedule, 0, 8*len(raw))
+		for _, b := range raw {
+			for bit := 0; bit < 8; bit++ {
+				s = append(s, sched.Op(b>>bit&1))
+			}
+		}
+		s = s[:min(int(n), len(s))]
+		for _, c := range []Costs{Ideal(), Handicapped(float64(omega) / 255)} {
+			got := Cost(s, c)
+			if tr, _ := Trace(s, c); math.Float64bits(got) != math.Float64bits(tr) {
+				t.Fatalf("%d requests, costs %+v: Cost %v, Trace %v", len(s), c, got, tr)
+			}
+			if len(s) <= 20 {
+				if bf := BruteForce(s, c); math.Abs(got-bf) > 1e-9 {
+					t.Fatalf("%v, costs %+v: Cost %v, brute force %v", s, c, got, bf)
+				}
+			}
+		}
+	})
+}

@@ -13,6 +13,8 @@ package sim
 // (Apply, Ledger.Observe) field for field, Ledger.Total bit for bit.
 
 import (
+	"math"
+	"math/bits"
 	"time"
 
 	"mobirep/internal/core"
@@ -65,30 +67,81 @@ func kindOf(p core.Policy) replayKind {
 	return kindGeneric
 }
 
-// tally prices step codes: what each code costs under the model, how often
-// each occurred, and the running total. Counts are kept in two sets, for
-// the even and the odd positions: in a run of equal codes (a static
-// policy, a skewed theta) each increment of a single counter would wait
-// for the previous one's store, which is longer than the float add the
-// loop is otherwise bound by.
+// tally prices step codes: what each code costs under the model and how
+// often each occurred. How it sums depends on the table and the number of
+// priced requests, decided once in newTally. When no sum can round
+// (exactSum), add only counts and result prices the counts, so no float add
+// sits in the loop. Otherwise add keeps the running total in request order,
+// as the step-by-step ledger does. Either way the total is the ledger's to
+// the bit.
+//
+// Counts are kept in several sets taken in turn: in a run of equal codes (a
+// static policy, a skewed theta) each increment of a single counter would
+// wait for the previous one's store.
 type tally struct {
 	price [core.NumCodes]float64
-	count [2][core.NumCodes]int
-	total float64
+	count [4][core.NumCodes]int
+	exact bool
+	total float64 // the in-order running total; stays 0 when exact
 }
 
-func newTally(m cost.Model) tally {
+// newTally builds the price table of m for a replay that prices n requests.
+func newTally(m cost.Model, n int) tally {
 	var t tally
 	for c := range t.price {
 		t.price[c] = m.StepCost(core.Code(c).Step())
 	}
+	t.exact = exactSum(&t.price, n)
 	return t
 }
 
-// add prices codes in order. The step-by-step ledger adds every step's
-// cost, zeros included, in this order, so the totals agree bit for bit.
+// exactSum reports whether every sum of n prices drawn from the table, in
+// any order, is exact in float64. It is when every price is a non-negative
+// multiple of 2^-q and n·max·2^q < 2^53: every partial sum is then a
+// multiple of 2^-q below 2^53·2^-q, which float64 holds exactly, so the sum
+// in request order and the sum of count·price over codes are the same
+// number. Prices that are integers or halves (the connection model, the
+// message model at ω = 0, 0.5, 1) pass for any realistic n; ω = 0.37 does
+// not, nor does a NaN, an infinity or a negative price.
+func exactSum(price *[core.NumCodes]float64, n int) bool {
+	q, top := 0, 0.0
+	for _, p := range price {
+		if !(p >= 0) || math.IsInf(p, 1) {
+			return false
+		}
+		if p == 0 {
+			continue
+		}
+		frac, exp := math.Frexp(p)
+		mant := uint64(frac * (1 << 53)) // p = mant·2^(exp-53)
+		q = max(q, 53-exp-bits.TrailingZeros64(mant))
+		top = max(top, p)
+	}
+	if top == 0 {
+		return true
+	}
+	const limit = 1 << 53
+	scaled := math.Ldexp(top, q) // an integer; +Inf when q is huge
+	return scaled < limit && uint64(n) <= (limit-1)/uint64(scaled)
+}
+
+// add prices codes.
 func (t *tally) add(codes []core.Code) {
 	const mask = core.NumCodes - 1
+	if t.exact {
+		for ; len(codes) >= 4; codes = codes[4:] {
+			t.count[0][codes[0]&mask]++
+			t.count[1][codes[1]&mask]++
+			t.count[2][codes[2]&mask]++
+			t.count[3][codes[3]&mask]++
+		}
+		for _, c := range codes {
+			t.count[0][c&mask]++
+		}
+		return
+	}
+	// The step-by-step ledger adds every step's cost, zeros included, in
+	// this order, so the totals agree bit for bit.
 	total := t.total
 	for ; len(codes) >= 2; codes = codes[2:] {
 		a, b := codes[0]&mask, codes[1]&mask
@@ -106,11 +159,21 @@ func (t *tally) add(codes []core.Code) {
 
 // result folds the counts into a Result.
 func (t *tally) result() Result {
-	count := t.count[0]
-	for c, n := range t.count[1] {
-		count[c] += n
+	var count [core.NumCodes]int
+	for _, set := range &t.count {
+		for c, n := range set {
+			count[c] += n
+		}
 	}
-	res := Result{Cost: t.total, Ledger: cost.Tally(t.total, &count)}
+	total := t.total
+	if t.exact {
+		// Every product and partial sum here is exact (exactSum), so this
+		// is the number the in-order sum would have reached.
+		for c, n := range count {
+			total += float64(n) * t.price[c]
+		}
+	}
+	res := Result{Cost: total, Ledger: cost.Tally(total, &count)}
 	for c, n := range count {
 		st := core.Code(c).Step()
 		res.Ops += n
@@ -131,7 +194,7 @@ func (t *tally) result() Result {
 // warmup: the requests are s when src is nil and drawn from src otherwise.
 func replay(p core.Policy, m cost.Model, s sched.Schedule, src OpStream, n, warmup int) Result {
 	start := time.Now()
-	t := newTally(m)
+	t := newTally(m, n-min(max(warmup, 0), n))
 	var drawn [blockOps]sched.Op
 	var codes [blockOps]core.Code
 	for lo := 0; lo < n; lo += blockOps {

@@ -81,8 +81,54 @@ var refPolicies = []struct {
 	{15, func() core.Policy { return core.NewAdaptiveSW(3, 15) }},
 }
 
+// refModels put the engine's two price loops against the reference: the
+// connection model and the message model at ω = 0, 1 and 0.5 (fractional
+// dyadic prices, the benchmark's) have exact tables and are priced from
+// their counts; ω = 0.37 and oddModel are summed in request order.
 var refModels = []cost.Model{
 	cost.NewConnection(), cost.NewMessage(0), cost.NewMessage(0.37), cost.NewMessage(1), oddModel{},
+	cost.NewMessage(0.5),
+}
+
+// TestExactSumBoundary pins which tables are priced from their counts: a
+// table whose prices are multiples of 2^-q, the largest max, only while
+// n·max·2^q < 2^53, and never one with a NaN, an infinite or a negative
+// price, however short the replay.
+func TestExactSumBoundary(t *testing.T) {
+	const limit = 1<<53 - 1
+	for _, tc := range []struct {
+		m    cost.Model
+		last int // the largest n priced from counts
+	}{
+		{cost.NewConnection(), limit},        // max 1, q 0
+		{cost.NewMessage(0), limit},          // max 1, q 0
+		{cost.NewMessage(1), limit / 2},      // max 2, q 0
+		{cost.NewMessage(0.5), limit / 3},    // max 1.5, q 1
+		{cost.NewMessage(0.25), limit / 5},   // max 1.25, q 2
+		{cost.NewMessage(0.375), limit / 11}, // max 1.375, q 3
+		{cost.NewMessage(0.37), 0},           // no short dyadic fraction: no n
+		{cost.NewMessage(0.45), 0},           // likewise
+		{oddModel{}, 0},
+	} {
+		tl := newTally(tc.m, 0)
+		if got := exactSum(&tl.price, tc.last); got != (tc.last > 0) {
+			t.Errorf("%s, n = %d: exact %v, want %v", tc.m.Name(), tc.last, got, tc.last > 0)
+		}
+		if exactSum(&tl.price, tc.last+1) {
+			t.Errorf("%s, n = %d: exact, want the in-order sum", tc.m.Name(), tc.last+1)
+		}
+	}
+	var zero [core.NumCodes]float64
+	if !exactSum(&zero, math.MaxInt) {
+		t.Error("an all-zero table is not exact")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5} {
+		table := zero
+		table[core.NumCodes-1] = bad
+		if exactSum(&table, 1) {
+			t.Errorf("a table holding %v is exact", bad)
+		}
+	}
 }
 
 // refLongest is three blocks and a bit: every shorter length is a prefix.
