@@ -64,11 +64,6 @@ func BenchmarkE20GameSolver(b *testing.B)      { benchExperiment(b, "E20") }
 func BenchmarkE21Lookahead(b *testing.B)       { benchExperiment(b, "E21") }
 func BenchmarkE22Revalidation(b *testing.B)    { benchExperiment(b, "E22") }
 
-// E23 and E24 are themselves timing harnesses (transport throughput and
-// fleet-scale load); wrapping them in a benchmark loop would only
-// re-measure the measurement, so like E23 before it, E24 gets no
-// BenchmarkE## entry. Run them via `mobirep-bench E23 E24`.
-
 // --- Micro-benchmarks of the hot paths -----------------------------------
 
 func BenchmarkPolicyApplySW9(b *testing.B) {
@@ -315,13 +310,16 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		Value: make([]byte, 256), Version: 42, Allocate: true,
 		Window: core.WindowOf(sched.MustParse("rrwrwrwrw")),
 	}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := wire.Encode(msg)
+		frame, err := wire.AppendEncode(buf.B[:0], msg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.Decode(frame); err != nil {
+		buf.B = frame
+		if _, err := wire.DecodeBorrowed(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -462,16 +460,20 @@ func BenchmarkAblationWindowTransfer(b *testing.B) {
 		Window: core.WindowOf(sched.Block(sched.Read, 95))}
 	withoutWin := wire.Message{Kind: wire.KindDeleteReq, Key: "x"}
 	var sizeWith, sizeWithout int
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
 	for i := 0; i < b.N; i++ {
-		fw, err := wire.Encode(withWin)
+		fw, err := wire.AppendEncode(buf.B[:0], withWin)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fo, err := wire.Encode(withoutWin)
+		sizeWith = len(fw)
+		fo, err := wire.AppendEncode(fw[:0], withoutWin)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sizeWith, sizeWithout = len(fw), len(fo)
+		sizeWithout = len(fo)
+		buf.B = fo
 	}
 	b.ReportMetric(float64(sizeWith), "bytes-with-window-k95")
 	b.ReportMetric(float64(sizeWithout), "bytes-without-window")

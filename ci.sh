@@ -64,11 +64,9 @@ kill "$obs_pid"
 rm -f "$obs_log" /tmp/mobirep-server-ci
 
 # Throughput slice: the zero-alloc pins on the pooled encode / borrowed
-# decode hot paths, codec equivalence (pooled and appending forms must be
-# bit-identical to the legacy calls), the coalescing transport edge cases,
-# the SC fan-out sharing proof, and the conformance explorer again with
-# every link coalescing — byte-stream batching must be invisible to the
-# protocol. E23 then runs end to end in quick mode.
+# decode hot paths, the coalescing transport edge cases, the SC fan-out
+# sharing proof, and the conformance explorer again with every link
+# coalescing — byte-stream batching must be invisible to the protocol.
 #
 # The transport package (reply-inline send, one-read receive, the single
 # close-reason path) and the replica waiter-pool tests run under the race
@@ -103,7 +101,6 @@ go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.seed=3 
 if [ "${1:-}" = "-long" ]; then
     go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.schedules=100000 -conformance.coalesce -count=1
 fi
-go run ./cmd/mobirep-bench -quick -trajectory-dir '' E23 > /dev/null
 
 # Shard slice: routing goldens and uniformity, the session+keys-same-shard
 # invariant, the shard-boundary reaper contract, and the attach/detach
@@ -149,7 +146,8 @@ rm -f /tmp/mobirep-load-ci
 
 # Durability slice: the db layer (log format, epochs, group commit,
 # CrashFS, errfs fault injection, Compact kill-points) under the race
-# detector; the end-to-end restart kill-point sweeps (no acknowledged
+# detector, then the group-commit batch count (K queued writers, 2
+# fsyncs) again at GOMAXPROCS 1, 2 and 8; the end-to-end restart kill-point sweeps (no acknowledged
 # write lost, no client-visible rollback, epoch fences mandatory — the
 # fencing contract is asserted inside them); a 30s kill-and-restart soak
 # under live traffic; and
@@ -157,6 +155,9 @@ rm -f /tmp/mobirep-load-ci
 # to eight. "ci.sh -long" already explores 100k schedules above — gen 4
 # is the default generator, so those runs cover crash schedules too.
 go test -race -count=1 ./internal/db/
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestGroupCommitBatchesQueuedWriters' ./internal/db/
+done
 go test -race -count=1 -run 'TestRestartKillPointSweep' ./internal/replica/
 go test -race -count=1 -run 'TestRestartSoak' ./internal/load/
 go test ./internal/load/ -count=1 -run 'TestRestartSoakDurable' -restart.soak=30s -timeout 10m
@@ -184,19 +185,16 @@ go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
     -handoff-every 100 -duration 30s -floor-sessions-per-sec 500
 rm -f /tmp/mobirep-load-ci
 
-# End-to-end: regenerate every experiment table in quick mode and prove the
-# parallel engine reproduces the sequential tables byte-for-byte. E23, E24,
-# E25, E26 and E27 are timing-based (throughput and latency numbers change
-# run to run), so they are excluded from the determinism diff; E23 ran
-# standalone above, E24's engine is covered by the load smoke in the shard
-# slice, E25's by the overload smoke, and E27's by the tree slice.
-out_seq=$(mktemp)
-out_par=$(mktemp)
-trap 'rm -f "$out_seq" "$out_par"' EXIT
-go run ./cmd/mobirep-bench -quick -seed 1994 -parallel 1 -skip E23,E24,E25,E26,E27 |
-    sed 's/completed in [^]]*\]/completed]/' > "$out_seq"
-go run ./cmd/mobirep-bench -quick -seed 1994 -parallel 8 -skip E23,E24,E25,E26,E27 |
-    sed 's/completed in [^]]*\]/completed]/' > "$out_par"
-diff "$out_seq" "$out_par"
+# End-to-end: regenerate every experiment table and prove it equals the
+# committed bench_tables.txt byte for byte, run sequentially and eight
+# experiments abreast. The tables are exact quantities of the paper (the
+# wall-clock footers go to stderr), so any diff is a behaviour change;
+# speed is measured by benchmark/, not here. This stays out of the Go
+# test suite: a host whose compiler fuses float multiply-adds may print
+# a different last digit.
+go build -o /tmp/mobirep-bench-ci ./cmd/mobirep-bench
+/tmp/mobirep-bench-ci -seed 1994 -parallel 1 2>/dev/null | diff bench_tables.txt -
+/tmp/mobirep-bench-ci -seed 1994 -parallel 8 2>/dev/null | diff bench_tables.txt -
+rm -f /tmp/mobirep-bench-ci
 
 echo "ci.sh: all checks passed"

@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	mobirep-bench [-quick] [-seed N] [-parallel N] [-csv|-json] [-skip IDs] [-list] [E01 E05 ...]
+//	mobirep-bench [-quick] [-seed N] [-parallel N] [-csv|-json] [-out DIR] [-list] [E01 E05 ...]
 //
 // With no experiment IDs, every experiment runs in ID order. Independent
 // experiments run concurrently (-parallel, default GOMAXPROCS) on top of
 // the simulator's own grid- and trial-level parallelism; output is always
-// emitted in ID order and is byte-identical at any parallelism for the
-// same seed. -json emits one machine-readable document with per-experiment
-// wall-clock timings for trajectory tracking.
+// emitted in ID order and stdout is byte-identical at any parallelism for
+// the same seed: `mobirep-bench -seed 1994` reproduces bench_tables.txt.
+// Each experiment's wall-clock time goes to stderr (and into -json's
+// records); speed is measured by the repository benchmark, not here.
 package main
 
 import (
@@ -69,10 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"experiments (and simulator workers) to run concurrently; 1 forces fully sequential execution")
 	outDir := fs.String("out", "", "also write one file per experiment into this directory")
-	trajDir := fs.String("trajectory-dir", ".",
-		"with -json, also write a BENCH_<date>.json trajectory file into this directory (empty disables; see docs/BENCH_SCHEMA.md)")
-	skip := fs.String("skip", "",
-		"comma-separated experiment IDs to exclude (e.g. -skip E23 for timing-based experiments whose output is not byte-reproducible)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -97,20 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			selected = append(selected, e)
 		}
-	}
-
-	if *skip != "" {
-		skipped := make(map[string]bool)
-		for _, id := range strings.Split(*skip, ",") {
-			skipped[strings.TrimSpace(id)] = true
-		}
-		kept := selected[:0]
-		for _, e := range selected {
-			if !skipped[e.ID] {
-				kept = append(kept, e)
-			}
-		}
-		selected = kept
 	}
 
 	if *outDir != "" {
@@ -180,7 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				fmt.Fprintln(stdout, rendered)
 			}
-			fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.ID, oc.elapsed.Round(time.Millisecond))
+			fmt.Fprintln(stdout)
+			fmt.Fprintf(stderr, "[%s completed in %v]\n", e.ID, oc.elapsed.Round(time.Millisecond))
 		}
 		if *outDir != "" {
 			var fileBuf strings.Builder
@@ -210,57 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if *trajDir != "" {
-			path, err := writeTrajectory(*trajDir, trajectoryDoc{
-				Schema:      trajectorySchema,
-				Seed:        *seed,
-				Quick:       *quick,
-				Parallel:    *parallel,
-				GoVersion:   runtime.Version(),
-				Experiments: doc,
-			})
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "trajectory written to %s\n", path)
-		}
 	}
 	return 0
-}
-
-// trajectorySchema names the trajectory file layout; bump it when the
-// shape changes. docs/BENCH_SCHEMA.md documents the current version.
-const trajectorySchema = "mobirep-bench-trajectory/v1"
-
-// trajectoryDoc is the BENCH_<date>.json layout: the run's provenance
-// plus the same per-experiment records -json prints, so successive dated
-// files form a performance trajectory that diffs cleanly.
-type trajectoryDoc struct {
-	Schema       string           `json:"schema"`
-	Date         string           `json:"date"`
-	GeneratedAt  string           `json:"generated_at"`
-	Seed         uint64           `json:"seed"`
-	Quick        bool             `json:"quick"`
-	Parallel     int              `json:"parallel"`
-	GoVersion    string           `json:"go_version"`
-	TotalSeconds float64          `json:"total_seconds"`
-	Experiments  []jsonExperiment `json:"experiments"`
-}
-
-// writeTrajectory stamps the document with the current date and writes it
-// as BENCH_<YYYY-MM-DD>.json under dir, returning the path.
-func writeTrajectory(dir string, td trajectoryDoc) (string, error) {
-	now := time.Now()
-	td.Date = now.Format("2006-01-02")
-	td.GeneratedAt = now.Format(time.RFC3339)
-	for _, e := range td.Experiments {
-		td.TotalSeconds += e.Seconds
-	}
-	body, err := json.MarshalIndent(td, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+td.Date+".json")
-	return path, os.WriteFile(path, append(body, '\n'), 0o644)
 }

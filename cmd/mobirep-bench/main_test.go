@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -30,15 +29,15 @@ func TestList(t *testing.T) {
 }
 
 func TestSingleExperimentQuick(t *testing.T) {
-	code, out, _ := runCapture(t, "-quick", "-seed", "3", "E10")
+	code, out, errOut := runCapture(t, "-quick", "-seed", "3", "E10")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	if !strings.Contains(out, "### E10") || !strings.Contains(out, "Section 9 worked numbers") {
 		t.Fatalf("output: %q", out)
 	}
-	if !strings.Contains(out, "completed in") {
-		t.Fatal("missing timing line")
+	if strings.Contains(out, "completed in") || !strings.Contains(errOut, "[E10 completed in") {
+		t.Fatalf("timing line must go to stderr only: stdout %q, stderr %q", out, errOut)
 	}
 }
 
@@ -55,13 +54,9 @@ func TestCSVOutput(t *testing.T) {
 	}
 }
 
-// timingLine matches the wall-clock footer, the only non-deterministic
-// part of the text output.
-var timingLine = regexp.MustCompile(`\[E\d+ completed in [^\]]+\]`)
-
 // TestParallelOutputMatchesSequential: the same seed must produce
-// byte-identical tables whether experiments run one at a time or eight
-// abreast; only the timing footers may differ.
+// byte-identical stdout whether experiments run one at a time or eight
+// abreast.
 func TestParallelOutputMatchesSequential(t *testing.T) {
 	code, seq, _ := runCapture(t, "-quick", "-seed", "9", "-parallel", "1", "E02", "E03", "E09")
 	if code != 0 {
@@ -71,8 +66,7 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("parallel exit %d", code)
 	}
-	normalize := func(s string) string { return timingLine.ReplaceAllString(s, "[timing]") }
-	if normalize(seq) != normalize(par) {
+	if seq != par {
 		t.Fatalf("parallel output differs from sequential:\n--- -parallel 1 ---\n%s\n--- -parallel 8 ---\n%s", seq, par)
 	}
 }
@@ -80,7 +74,7 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 // TestJSONOutput checks the -json document: valid JSON, one record per
 // experiment in ID order, with timings and table payloads.
 func TestJSONOutput(t *testing.T) {
-	code, out, errOut := runCapture(t, "-quick", "-json", "-trajectory-dir", "", "-seed", "4", "E10", "E02")
+	code, out, errOut := runCapture(t, "-quick", "-json", "-seed", "4", "E10", "E02")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
@@ -113,49 +107,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if strings.Contains(out, "### ") {
 		t.Fatal("ASCII header leaked into JSON mode")
-	}
-}
-
-// TestTrajectoryFile checks the BENCH_<date>.json side channel of -json:
-// written into -trajectory-dir, schema-stamped, dated, and carrying the
-// same experiment records as stdout.
-func TestTrajectoryFile(t *testing.T) {
-	dir := t.TempDir()
-	code, _, errOut := runCapture(t, "-quick", "-json", "-trajectory-dir", dir, "-seed", "4", "E10")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("trajectory files %v (err %v), want exactly one", matches, err)
-	}
-	if !strings.Contains(errOut, "trajectory written to") {
-		t.Fatalf("missing trajectory notice: %q", errOut)
-	}
-	data, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var td trajectoryDoc
-	if err := json.Unmarshal(data, &td); err != nil {
-		t.Fatalf("invalid trajectory JSON: %v", err)
-	}
-	if td.Schema != trajectorySchema {
-		t.Fatalf("schema %q, want %q", td.Schema, trajectorySchema)
-	}
-	wantName := "BENCH_" + td.Date + ".json"
-	if filepath.Base(matches[0]) != wantName {
-		t.Fatalf("file %s does not match date stamp %s", matches[0], wantName)
-	}
-	if td.Seed != 4 || !td.Quick || td.GoVersion == "" || td.GeneratedAt == "" {
-		t.Fatalf("incomplete provenance: %+v", td)
-	}
-	if len(td.Experiments) != 1 || td.Experiments[0].ID != "E10" ||
-		td.Experiments[0].Seconds <= 0 || len(td.Experiments[0].Tables) == 0 {
-		t.Fatalf("unexpected experiment records: %+v", td.Experiments)
-	}
-	if td.TotalSeconds < td.Experiments[0].Seconds {
-		t.Fatalf("total %v < experiment %v", td.TotalSeconds, td.Experiments[0].Seconds)
 	}
 }
 

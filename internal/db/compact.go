@@ -40,6 +40,10 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 	epoch := s.log.Epoch()
 	tmpPath := path + ".compact"
 
+	// A crash mid-compaction can leave the temporary file behind, torn
+	// inside its header (OpenLogFS refuses it) or holding records the
+	// rewrite would only partly overwrite. It is ours: start empty.
+	s.log.fs.Remove(tmpPath)
 	tmp, err := OpenLogFS(s.log.fs, tmpPath)
 	if err != nil {
 		return 0, fmt.Errorf("db: compact: %w", err)
@@ -150,5 +154,5 @@ func (s *Store) LogSize() int64 {
 	if s.log == nil {
 		return 0
 	}
-	return s.log.healthy - s.log.hdrLen
+	return s.log.healthy - fileHeaderSize
 }

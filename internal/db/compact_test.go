@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -209,5 +210,67 @@ func TestCompactPreservesSubscriptions(t *testing.T) {
 	s.Put("x", []byte("b"))
 	if got != 1 {
 		t.Fatalf("subscriber deliveries after compact = %d", got)
+	}
+}
+
+// TestCompactReplacesLeftoverTmp: a crash mid-compaction can leave the
+// temporary file behind. The next Compact must neither fail on it
+// forever (a header torn before it was whole) nor keep its records
+// behind the ones it writes (a run of records framed exactly like the
+// rewrite's, which replay would apply after them: a rollback).
+func TestCompactReplacesLeftoverTmp(t *testing.T) {
+	for name, leave := range map[string]func(fs FS) error{
+		"torn header": func(fs FS) error {
+			f, err := fs.OpenFile("items.log.compact", os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write(logMagic[:3]); err != nil {
+				return err
+			}
+			return f.Close()
+		},
+		"stale records": func(fs FS) error {
+			l, err := OpenLogFS(fs, "items.log.compact")
+			if err != nil {
+				return err
+			}
+			for v := uint64(1); v <= 20; v++ {
+				if err := l.Append(Record{Key: "x", Value: []byte{byte(v)}, Version: v}); err != nil {
+					return err
+				}
+			}
+			return l.Close()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := NewCrashFS()
+			s, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				if _, err := s.Put("x", []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := leave(fs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Compact(); err != nil {
+				t.Fatalf("compact over a leftover tmp: %v", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if it, _ := re.Get("x"); it.Version != 30 || len(it.Value) != 1 || it.Value[0] != 29 {
+				t.Fatalf("x after compact and reopen = %+v, want version 30 value [29]", it)
+			}
+		})
 	}
 }

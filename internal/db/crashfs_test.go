@@ -1,10 +1,9 @@
 package db
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"testing"
@@ -318,44 +317,27 @@ func TestEpochBumpSurvivesCrashAfterOpen(t *testing.T) {
 	}
 }
 
-func TestLegacyHeaderlessLogUpgrades(t *testing.T) {
-	// A pre-epoch log (raw records, no header) written on the real FS
-	// must open, replay, and come out headered with epoch 1.
-	dir := t.TempDir()
-	path := dir + "/legacy.log"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		payload := appendRecord(nil, Record{Key: "x", Value: []byte{byte(i)}, Version: uint64(i)})
-		var hdr [logHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-		f.Write(hdr[:])
-		f.Write(payload)
-	}
-	f.Close()
-
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() != 1 {
-		t.Fatalf("upgraded epoch = %d, want 1", s.Epoch())
-	}
-	it, ok := s.Get("x")
-	if !ok || it.Version != 3 {
-		t.Fatalf("legacy contents lost: %+v ok=%v", it, ok)
-	}
-	s.Close()
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Epoch() != 2 {
-		t.Fatalf("second open epoch = %d, want 2", re.Epoch())
+func TestOpenRefusesNonLogFile(t *testing.T) {
+	// A file that is not a log (a mistyped -log path) must fail the open
+	// and keep every byte: never replayed, truncated or rewritten.
+	for name, size := range map[string]int{"1KiB": 1024, "shorter than a header": fileHeaderSize - 1} {
+		path := t.TempDir() + "/not-a.log"
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte('a' + i%26)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(path); !errors.Is(err, ErrCorruptHeader) {
+			if err == nil {
+				s.Close()
+			}
+			t.Errorf("%s: open non-log file: err = %v, want ErrCorruptHeader", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: non-log file changed by open: %d bytes (err %v), want the %d original bytes", name, len(got), err, len(data))
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -393,13 +394,21 @@ func TestOpenRejectsUnreadableReplay(t *testing.T) {
 
 func TestReplayAbsurdLengthHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.log")
-	// Header claims a 2 GiB record.
-	data := make([]byte, 8)
-	data[0], data[1], data[2], data[3] = 0xff, 0xff, 0xff, 0x7f
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	s, err := Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	s.Close()
+	// After the file header, a record header claiming a 2 GiB record.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s, err = Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,5 +482,92 @@ func TestCompactManyKeys(t *testing.T) {
 		if !ok || it.Version != 5 || it.Value[0] != 4 {
 			t.Fatalf("k%02d = %+v ok=%v", i, it, ok)
 		}
+	}
+}
+
+// syncGateFS wraps an FS so that, once armed, every file Sync reports on
+// entered and then blocks until release is closed: a test can park a
+// group-commit leader inside its fsync.
+type syncGateFS struct {
+	FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *syncGateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &syncGateFile{File: f, fs: g}, nil
+}
+
+type syncGateFile struct {
+	File
+	fs *syncGateFS
+}
+
+func (f *syncGateFile) Sync() error {
+	if f.fs.release != nil {
+		select {
+		case f.fs.entered <- struct{}{}:
+		default:
+		}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitBatchesQueuedWriters pins the group-commit batch size
+// without timing: a leader parks inside its fsync, K-1 writers queue
+// behind it, and on release the next leader lands all K-1 records with
+// one more fsync — 2 fsyncs for K records, by the store's own counters.
+func TestGroupCommitBatchesQueuedWriters(t *testing.T) {
+	const k = 1024
+	gfs := &syncGateFS{FS: NewCrashFS()}
+	s, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: gfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gfs.entered = make(chan struct{}, 1)
+	gfs.release = make(chan struct{})
+	fsyncs, records := mFsyncs.Load(), mGroupRecords.Load()
+
+	errs := make(chan error, k)
+	put := func(i int) {
+		_, err := s.Put(fmt.Sprintf("k%04d", i), []byte{byte(i)})
+		errs <- err
+	}
+	go put(0)
+	<-gfs.entered // the leader is inside its fsync with one record
+	for i := 1; i < k; i++ {
+		go put(i)
+	}
+	// The leader's entry stays queued until its fsync returns, so a queue
+	// of k means every other writer has framed its record behind it.
+	for {
+		s.gc.mu.Lock()
+		n := len(s.gc.queue)
+		s.gc.mu.Unlock()
+		if n == k {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(gfs.release)
+	for i := 0; i < k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mFsyncs.Load() - fsyncs; got != 2 {
+		t.Errorf("fsyncs for %d queued writers = %d, want 2", k, got)
+	}
+	if got := mGroupRecords.Load() - records; got != k {
+		t.Errorf("group-committed records = %d, want %d", got, k)
+	}
+	if s.Len() != k {
+		t.Errorf("visible keys = %d, want %d", s.Len(), k)
 	}
 }

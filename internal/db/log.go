@@ -30,9 +30,8 @@ import (
 //
 // A torn final record (partial write at crash) is tolerated on replay:
 // replay stops at the first short or corrupt record and truncates the
-// tail so the log stays consistent. Logs written before the header was
-// introduced (no magic) are recognised and replayed from offset zero
-// with epoch 0; db.Open upgrades them in place via a rewrite.
+// tail so the log stays consistent. A non-empty file that does not start
+// with a valid header is not a log, and is never replayed or rewritten.
 type Log struct {
 	fs      FS
 	f       File
@@ -42,7 +41,6 @@ type Log struct {
 	// appended mirrors healthy for readers outside the store lock.
 	appended atomic.Int64
 	epoch    uint64
-	hdrLen   int64 // fileHeaderSize, or 0 for a legacy headerless log
 	// scratch is Append's framing buffer, reused from record to record.
 	scratch []byte
 }
@@ -63,18 +61,22 @@ var logMagic = [4]byte{'M', 'R', 'L', '1'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorruptHeader reports a log whose file header carries the right
-// magic but fails its checksum: the epoch is unknown, so opening it
-// would risk violating epoch monotonicity. Operator intervention (or
-// deleting the log) is required.
+// ErrCorruptHeader reports a non-empty file that does not start with a
+// valid log header: too short to hold one, no magic (not a log at all,
+// e.g. a mistyped path), or the right magic with a failing checksum (the
+// epoch is unknown, so opening it would risk violating epoch
+// monotonicity). The file is left untouched; operator intervention (or
+// deleting the file) is required.
 var ErrCorruptHeader = errors.New("db: corrupt log file header")
 
 // OpenLog opens the log at path on the real filesystem.
 func OpenLog(path string) (*Log, error) { return OpenLogFS(OSFS(), path) }
 
-// OpenLogFS opens (creating if needed) the log at path on fs. A freshly
-// created log gets a header with epoch 0, synced along with its parent
-// directory so the file cannot vanish at a crash.
+// OpenLogFS opens (creating if needed) the log at path on fs. An empty
+// file is a fresh log: it gets a header with epoch 0, synced along with
+// its parent directory so the file cannot vanish at a crash. Any other
+// file must start with a valid header, or OpenLogFS fails with
+// ErrCorruptHeader without writing to it.
 func OpenLogFS(fs FS, path string) (*Log, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -86,12 +88,11 @@ func OpenLogFS(fs FS, path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("db: open log: %w", err)
 	}
-	switch {
-	case size == 0:
+	l.healthy = fileHeaderSize
+	l.appended.Store(fileHeaderSize)
+	if size == 0 {
 		// Fresh file: write the epoch-0 header and make both the header
 		// and the directory entry durable before anyone relies on it.
-		l.hdrLen = fileHeaderSize
-		l.healthy = fileHeaderSize
 		if err := l.writeHeader(0); err != nil {
 			f.Close()
 			return nil, err
@@ -100,47 +101,31 @@ func OpenLogFS(fs FS, path string) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("db: sync log dir: %w", err)
 		}
-	default:
-		var hdr [fileHeaderSize]byte
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		_, err := io.ReadFull(f, hdr[:])
-		switch {
-		case err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF):
-			// A genuine I/O error, not a short file. Treating it as a
-			// legacy headerless log would let Replay truncate a perfectly
-			// valid headered log to nothing and rewrite it; fail the open
-			// instead.
-			f.Close()
-			return nil, fmt.Errorf("db: read log header: %w", err)
-		case err == nil && [4]byte(hdr[0:4]) == logMagic:
-			sum := binary.LittleEndian.Uint32(hdr[12:16])
-			if crc32.Checksum(hdr[0:12], castagnoli) != sum {
-				f.Close()
-				return nil, fmt.Errorf("%w: %s", ErrCorruptHeader, path)
-			}
-			l.epoch = binary.LittleEndian.Uint64(hdr[4:12])
-			l.hdrLen = fileHeaderSize
-		default:
-			// Short file or no magic: a legacy headerless log (or arbitrary
-			// bytes, which record replay will reject record by record).
-			// Replay from 0.
-			l.hdrLen = 0
-		}
+		return l, nil
 	}
-	l.healthy = l.hdrLen
-	l.appended.Store(l.healthy)
+	var hdr [fileHeaderSize]byte
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		f.Close()
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("%w: %s is %d bytes, shorter than a header", ErrCorruptHeader, path, size)
+		}
+		return nil, fmt.Errorf("db: read log header: %w", err)
+	}
+	if [4]byte(hdr[0:4]) != logMagic || crc32.Checksum(hdr[0:12], castagnoli) != binary.LittleEndian.Uint32(hdr[12:16]) {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s", ErrCorruptHeader, path)
+	}
+	l.epoch = binary.LittleEndian.Uint64(hdr[4:12])
 	return l, nil
 }
 
 // Epoch returns the store epoch recorded in the log header (0 for a
-// legacy or freshly created log that has not been bumped yet).
+// freshly created log that has not been bumped yet).
 func (l *Log) Epoch() uint64 { return l.epoch }
-
-// Legacy reports whether the log predates the epoch header.
-func (l *Log) Legacy() bool { return l.hdrLen == 0 }
 
 // writeHeader rewrites the file header in place with the given epoch
 // and syncs it to stable storage. The header fits one sector, and the
@@ -166,15 +151,8 @@ func (l *Log) writeHeader(epoch uint64) error {
 	return nil
 }
 
-// SetEpoch durably rewrites the header epoch in place. It is only
-// valid on a headered log; legacy logs are upgraded by rewrite in
-// db.Open before any epoch bump.
-func (l *Log) SetEpoch(epoch uint64) error {
-	if l.hdrLen == 0 {
-		return fmt.Errorf("db: cannot set epoch on legacy headerless log %s", l.path)
-	}
-	return l.writeHeader(epoch)
-}
+// SetEpoch durably rewrites the header epoch in place.
+func (l *Log) SetEpoch(epoch uint64) error { return l.writeHeader(epoch) }
 
 // Replay scans the log from the end of the header, invoking fn for
 // every valid record in order. It stops silently at a torn or corrupt
@@ -189,11 +167,11 @@ func (l *Log) Replay(fn func(Record)) error {
 	if err != nil {
 		return err
 	}
-	if _, err := l.f.Seek(l.hdrLen, io.SeekStart); err != nil {
+	if _, err := l.f.Seek(fileHeaderSize, io.SeekStart); err != nil {
 		return err
 	}
 	r := bufio.NewReader(l.f)
-	offset := l.hdrLen
+	offset := int64(fileHeaderSize)
 	for {
 		var hdr [logHeaderSize]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -213,13 +213,6 @@ func OpenWith(o Options) (*Store, error) {
 		log.Close()
 		return nil, err
 	}
-	if log.Legacy() {
-		// Headerless pre-epoch log: upgrade by rewriting it with a header
-		// (same tmp+rename+dir-sync dance as Compact).
-		if log, err = rewriteLog(o.FS, o.Path, log, s.items, 0); err != nil {
-			return nil, err
-		}
-	}
 	// Bump the epoch durably before any write can be acknowledged under
 	// it: each process incarnation owns a distinct epoch.
 	if err := log.SetEpoch(log.Epoch() + 1); err != nil {
@@ -233,42 +226,6 @@ func OpenWith(o Options) (*Store, error) {
 	s.gc.tail = log.healthy
 	mEpoch.Set(int64(s.epoch))
 	return s, nil
-}
-
-// rewriteLog replaces the log at path with a fresh headered log holding
-// exactly one record per item, carrying the given epoch. old is closed.
-func rewriteLog(fs FS, path string, old *Log, items map[string]Item, epoch uint64) (*Log, error) {
-	if err := old.Close(); err != nil {
-		return nil, err
-	}
-	tmpPath := path + ".rewrite"
-	tmp, err := OpenLogFS(fs, tmpPath)
-	if err != nil {
-		return nil, fmt.Errorf("db: upgrade log: %w", err)
-	}
-	if err := tmp.SetEpoch(epoch); err != nil {
-		tmp.Close()
-		fs.Remove(tmpPath)
-		return nil, err
-	}
-	for _, it := range items {
-		if err := tmp.Append(Record{Key: it.Key, Value: it.Value, Version: it.Version}); err != nil {
-			tmp.Close()
-			fs.Remove(tmpPath)
-			return nil, fmt.Errorf("db: upgrade log: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		fs.Remove(tmpPath)
-		return nil, err
-	}
-	if err := fs.Rename(tmpPath, path); err != nil {
-		return nil, fmt.Errorf("db: upgrade log rename: %w", err)
-	}
-	if err := fs.SyncDir(path); err != nil {
-		return nil, fmt.Errorf("db: upgrade log dir sync: %w", err)
-	}
-	return reopenAtEndFS(fs, path)
 }
 
 // Epoch returns the store's persistent epoch: a counter durably bumped

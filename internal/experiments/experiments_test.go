@@ -10,8 +10,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 27 {
-		t.Fatalf("registry has %d experiments, want 27", len(all))
+	if len(all) != 22 {
+		t.Fatalf("registry has %d experiments, want 22", len(all))
 	}
 	for i, e := range all {
 		want := "E" + pad(i+1)

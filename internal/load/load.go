@@ -1,9 +1,8 @@
 // Package load drives large fleets of chaos-wrapped client sessions
 // against one sharded replica server in-process, and reports attach
 // throughput (sessions/sec) and read-latency percentiles. It is the
-// engine behind cmd/mobirep-load and experiment E24: the same Run with
-// the same Config produces the numbers in both, so the CLI smoke floor
-// in ci.sh and the BENCH trajectory measure one code path.
+// engine behind cmd/mobirep-load: `mobirep-load -sessions N` prints
+// what Run measures, and ci.sh's load smoke floors it.
 package load
 
 import (
@@ -272,7 +271,7 @@ func Run(cfg Config) (Result, error) {
 	shardCounts := srv.ShardSessions()
 
 	// Teardown: detach every session so gauges return to their prior
-	// level (E24 runs inside the bench process) and close the links so
+	// level (Run may share a process with others) and close the links so
 	// any chaos-delayed frames die quietly.
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)

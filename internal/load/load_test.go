@@ -165,13 +165,17 @@ func TestRunOverloadSheds(t *testing.T) {
 }
 
 // TestRunFaultFree: with no chaos at all, every read over the in-memory
-// transport completes inline and error-free.
+// transport completes error-free. The read timeout is a second, not the
+// 25 ms default: without faults a read can only miss the default by
+// waiting for a CPU, which a host running other tests can make take
+// longer, while a lost read still fails.
 func TestRunFaultFree(t *testing.T) {
 	res, err := Run(Config{
 		Sessions: 128,
 		Shards:   2,
 		Mode:     replica.Static2(),
 		Duration: 100 * time.Millisecond,
+		Timeout:  time.Second,
 		Seed:     1,
 	})
 	if err != nil {

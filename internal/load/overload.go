@@ -9,8 +9,7 @@ package load
 // watermark. RunOverload measures all of it in one process: admission
 // counts, Busy delivery, read latency over the healthy fleet, heap and
 // memory-account peaks, and goroutine balance across teardown. It is the
-// engine behind `mobirep-load -overload`, experiment E25, and the ci.sh
-// overload smoke.
+// engine behind `mobirep-load -overload` and the ci.sh overload smoke.
 
 import (
 	"errors"

@@ -98,7 +98,7 @@ const (
 // 16-byte {session, state} slot, not a second key), and the window is
 // packed inside the 32-byte itemState, so an entry's heap footprint does
 // not grow with K. The formula is kept as it is so the shedding
-// watermarks, and what E25 measures, do not move.
+// watermarks, and what `mobirep-load -overload` measures, do not move.
 func itemMemCost(key string, mode Mode) int64 {
 	return int64(2*len(key)) + int64(mode.K) + itemMemOverhead
 }

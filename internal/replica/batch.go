@@ -87,17 +87,23 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 
 	// One connection, one control message for the whole batch.
 	c.meter.addConnection()
-	frame, err := wire.EncodeBatch(wire.Batch{Kind: wire.KindMultiReadReq, Keys: missing, Versions: hints})
+	buf := wire.GetBuf()
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, Keys: missing, Versions: hints})
 	if err != nil {
+		wire.PutBuf(buf)
 		c.cancelPendingBatch(ch)
 		return nil, fmt.Errorf("replica: encode batch: %w", err)
 	}
+	buf.B = frame
 	c.meter.addControl(len(frame))
 	if link == nil {
+		wire.PutBuf(buf)
 		c.cancelPendingBatch(ch)
 		return nil, ErrOffline
 	}
-	if err := link.Send(frame); err != nil {
+	err = link.Send(frame)
+	wire.PutBuf(buf)
+	if err != nil {
 		c.cancelPendingBatch(ch)
 		c.suspect(link, err)
 		// As in ReadContext: a failed send is an offline condition.

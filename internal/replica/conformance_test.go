@@ -339,7 +339,7 @@ func (h *conformance) attachBystanders() {
 				return
 			}
 			h.bystanderFrames++
-			if m, err := wire.Decode(f); err == nil {
+			if m, err := wire.DecodeBorrowed(f); err == nil {
 				h.bystanderLast = describeMsg(m)
 			} else {
 				h.bystanderLast = "<undecodable>"
@@ -457,7 +457,7 @@ func (h *conformance) expectEmits(side string, q *transport.Chaos, before int, w
 	if len(got) != len(want) {
 		var gotDesc []string
 		for _, f := range got {
-			if m, err := wire.Decode(f); err == nil {
+			if m, err := wire.DecodeBorrowed(f); err == nil {
 				gotDesc = append(gotDesc, describeMsg(m))
 			} else {
 				gotDesc = append(gotDesc, "<undecodable>")
@@ -467,7 +467,7 @@ func (h *conformance) expectEmits(side string, q *transport.Chaos, before int, w
 			side, len(got), len(want), strings.Join(gotDesc, " "))
 	}
 	for i, f := range got {
-		msg, err := wire.Decode(f)
+		msg, err := wire.DecodeBorrowed(f)
 		if err != nil {
 			return h.fail("%s emitted undecodable frame: %v", side, err)
 		}
@@ -519,10 +519,11 @@ func (h *conformance) pumpOne() error {
 		}
 		return h.expectEmits("client", opp, oppBefore, h.model.DeliverResyncToClient(b))
 	}
-	msg, err := wire.Decode(ev.Frame)
+	msg, err := wire.DecodeBorrowed(ev.Frame)
 	if err != nil {
 		return h.fail("chaos surfaced corrupted frame on %s: %v", dir, err)
 	}
+	msg = msg.Clone() // the model may keep it
 	h.tracef("%s %v %s", dir, ev.Action, describeMsg(msg))
 	if ev.Action == transport.ChaosDropped || ev.Action == transport.ChaosDeferred {
 		return nil // nothing reached the peer

@@ -72,7 +72,7 @@ func TestWriteFanOutSharesOneEncode(t *testing.T) {
 	}
 	links := make([]*captureLink, k)
 	sessions := make([]*Session, k)
-	req, err := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "hot"})
+	req, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "hot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWriteFanOutSharesOneEncode(t *testing.T) {
 		if len(l.frames) != 1 {
 			t.Fatalf("session %d got %d frames, want 1", i, len(l.frames))
 		}
-		m, err := wire.Decode(l.frames[0])
+		m, err := wire.DecodeBorrowed(l.frames[0])
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -131,7 +131,7 @@ func TestServerReadPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess := srv.Attach(nullLink{})
-		req, err := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "hot"})
+		req, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "hot"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestWriteFanOutAllocs(t *testing.T) {
 	if _, err := srv.Write("hot", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "hot"})
+	req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "hot"})
 	for i := 0; i < k; i++ {
 		sess := srv.Attach(nullLink{})
 		// Two reads reach the SW3 read majority: the session allocates a
@@ -193,7 +193,7 @@ func BenchmarkShardReadPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	sess := srv.Attach(nullLink{})
-	req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "hot"})
+	req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "hot"})
 	sess.onFrame(req)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -212,7 +212,7 @@ func BenchmarkShardWriteFanOut(b *testing.B) {
 	if _, err := srv.Write("hot", []byte("v0")); err != nil {
 		b.Fatal(err)
 	}
-	req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "hot"})
+	req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "hot"})
 	for i := 0; i < 16; i++ {
 		sess := srv.Attach(nullLink{})
 		sess.onFrame(req)
@@ -286,7 +286,7 @@ func TestWriteFanOutMetersPerSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "x"})
+	req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "x"})
 	srv.Write("x", []byte("v0"))
 	sessions := make([]*Session, k)
 	for i := range sessions {

@@ -247,12 +247,17 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	// The declaration carries the epoch this state was built under (0 when
 	// never learned): the server answers a dead-epoch resync with a bare
 	// fence instead of re-asserting subscriptions that predate its restart.
-	frame, err := wire.EncodeBatch(wire.Batch{Kind: wire.KindResyncReq, Epoch: epochHint, Keys: keys, Versions: hints})
+	buf := wire.GetBuf()
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindResyncReq, Epoch: epochHint, Keys: keys, Versions: hints})
 	if err != nil {
+		wire.PutBuf(buf)
 		return done, fmt.Errorf("replica: encode resync: %w", err)
 	}
+	buf.B = frame
 	c.meter.addControl(len(frame))
-	if err := link.Send(frame); err != nil {
+	err = link.Send(frame)
+	wire.PutBuf(buf)
+	if err != nil {
 		c.suspect(link, err)
 		return done, err
 	}

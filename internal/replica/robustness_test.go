@@ -51,14 +51,14 @@ func TestClientIgnoresGarbageAndWrongDirectionFrames(t *testing.T) {
 	// Garbage.
 	serverLink.Send([]byte{0xde, 0xad})
 	// A ReadReq is client-to-server only; the client must ignore it.
-	frame, err := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: "x"})
+	frame, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverLink.Send(frame)
 	// An unsolicited WriteProp for an uncached key is a stale race: the
 	// client must absorb it without allocating.
-	frame, err = wire.Encode(wire.Message{Kind: wire.KindWriteProp, Key: "x", Value: []byte("zz"), Version: 99})
+	frame, err = wire.AppendEncode(nil, wire.Message{Kind: wire.KindWriteProp, Key: "x", Value: []byte("zz"), Version: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestClientIgnoresGarbageAndWrongDirectionFrames(t *testing.T) {
 func TestClientIgnoresUnsolicitedReadResp(t *testing.T) {
 	cli, srv, serverLink, _ := rawPair(t, SW(3))
 	srv.Write("x", []byte("v"))
-	frame, err := wire.Encode(wire.Message{Kind: wire.KindReadResp, Key: "x", Value: []byte("spoof"), Version: 1})
+	frame, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadResp, Key: "x", Value: []byte("spoof"), Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestClientIgnoresUnsolicitedReadResp(t *testing.T) {
 func TestServerIgnoresStaleDeleteReq(t *testing.T) {
 	cli, srv, _, clientLink := rawPair(t, SW(3))
 	srv.Write("x", []byte("v"))
-	frame, err := wire.Encode(wire.Message{Kind: wire.KindDeleteReq, Key: "x"})
+	frame, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindDeleteReq, Key: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestServerIgnoresStaleDeleteReq(t *testing.T) {
 func TestServerIgnoresBatchRespFromClient(t *testing.T) {
 	cli, srv, _, clientLink := rawPair(t, SW(3))
 	srv.Write("x", []byte("v"))
-	frame, err := wire.EncodeBatch(wire.Batch{Kind: wire.KindMultiReadResp,
+	frame, err := wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadResp,
 		Entries: []wire.Entry{{Key: "x", Value: []byte("spoof"), Version: 7, Allocate: true}}})
 	if err != nil {
 		t.Fatal(err)

@@ -63,13 +63,13 @@ func TestShardChurnHammer(t *testing.T) {
 					var frame []byte
 					switch rng.Intn(4) {
 					case 0:
-						frame, _ = wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: key})
+						frame, _ = wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: key})
 					case 1:
-						frame, _ = wire.Encode(wire.Message{Kind: wire.KindPing, Version: uint64(f)})
+						frame, _ = wire.AppendEncode(nil, wire.Message{Kind: wire.KindPing, Version: uint64(f)})
 					case 2:
-						frame, _ = wire.Encode(wire.Message{Kind: wire.KindDeleteReq, Key: key})
+						frame, _ = wire.AppendEncode(nil, wire.Message{Kind: wire.KindDeleteReq, Key: key})
 					case 3:
-						frame, _ = wire.EncodeBatch(wire.Batch{
+						frame, _ = wire.AppendEncodeBatch(nil, wire.Batch{
 							Kind: wire.KindResyncReq, Keys: []string{key}, Versions: []uint64{1},
 						})
 					}

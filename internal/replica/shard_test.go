@@ -211,7 +211,7 @@ func TestSessionKeysSameShardInvariant(t *testing.T) {
 		}
 	}
 	touch := func(sess *Session, key string) {
-		req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: key})
+		req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: key})
 		sess.onFrame(req)
 	}
 	sessions := make([]*Session, 32)
@@ -318,7 +318,7 @@ func TestFanOutOrderDeterministic(t *testing.T) {
 			case op < 3:
 				sessions = append(sessions, srv.Attach(fanOrderLink{ord: len(sessions), log: &log}))
 			case op < 6 && len(sessions) > 0:
-				req, _ := wire.Encode(wire.Message{Kind: wire.KindReadReq, Key: keys[rng.Intn(len(keys))]})
+				req, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadReq, Key: keys[rng.Intn(len(keys))]})
 				sessions[rng.Intn(len(sessions))].onFrame(req)
 			case op < 7 && len(sessions) > 0:
 				sessions[rng.Intn(len(sessions))].Detach()
@@ -413,7 +413,7 @@ func TestExpireIdleShardBoundaries(t *testing.T) {
 	// Half the clients (even indices) stay live by pinging after the
 	// clock advances; the odd half go silent.
 	now = base.Add(10 * time.Minute)
-	ping, _ := wire.Encode(wire.Message{Kind: wire.KindPing, Version: 1})
+	ping, _ := wire.AppendEncode(nil, wire.Message{Kind: wire.KindPing, Version: 1})
 	for i := 0; i < n; i += 2 {
 		sessions[i].onFrame(ping)
 	}

@@ -99,23 +99,9 @@ func (b Batch) Control() bool {
 
 const maxBatch = 1 << 12
 
-// EncodeBatch serializes a batch message into a fresh buffer. It is
-// AppendEncodeBatch into a new allocation; hot paths should prefer
-// AppendEncodeBatch with a pooled buffer (GetBuf/PutBuf).
-func EncodeBatch(b Batch) ([]byte, error) {
-	size := 1 + 1 + 8 + 2 + 2 // kind, format, epoch, nKeys, nEntries
-	for _, k := range b.Keys {
-		size += 2 + len(k) + 8
-	}
-	for _, e := range b.Entries {
-		size += 1 + 8 + 2 + len(e.Key) + 4 + len(e.Value) + 2 + e.Window.PackedLen()
-	}
-	return AppendEncodeBatch(make([]byte, 0, size), b)
-}
-
 // AppendEncodeBatch serializes b, appending the frame to dst and
-// returning the extended buffer. The bytes appended are bit-identical to
-// EncodeBatch's output. On error dst is returned unchanged.
+// returning the extended buffer; like AppendEncode, hot paths append into
+// a pooled buffer (GetBuf/PutBuf). On error dst is returned unchanged.
 func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	if !isBatchKind(b.Kind) {
 		return dst, fmt.Errorf("wire: kind %v is not a batch kind", b.Kind)
@@ -169,7 +155,8 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBatch parses a frame produced by EncodeBatch.
+// DecodeBatch parses a frame produced by AppendEncodeBatch. The result
+// owns its memory: keys and values are copies of the frame's bytes.
 func DecodeBatch(p []byte) (Batch, error) {
 	var b Batch
 	r := reader{p: p}
@@ -251,7 +238,7 @@ func DecodeBatch(p []byte) (Batch, error) {
 }
 
 // IsBatchFrame reports whether the frame starts with a batch kind, letting
-// receivers dispatch between Decode and DecodeBatch.
+// receivers dispatch between DecodeBorrowed and DecodeBatch.
 func IsBatchFrame(p []byte) bool {
 	return len(p) > 0 && isBatchKind(Kind(p[0]))
 }

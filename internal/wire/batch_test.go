@@ -10,6 +10,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	batches := []Batch{
 		{Kind: KindMultiReadReq, Keys: []string{"a", "b", "long key with spaces"}},
 		{Kind: KindMultiReadReq, Keys: nil},
+		{Kind: KindMultiReadReq, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
 		{Kind: KindMultiReadResp, Entries: []Entry{
 			{Key: "a", Value: []byte("v1"), Version: 1},
 			{Key: "b", Value: nil, Version: 0, Allocate: true, Window: win("rwr")},
@@ -23,12 +24,16 @@ func TestBatchRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, b := range batches {
-		frame, err := EncodeBatch(b)
+		frame, err := AppendEncodeBatch(nil, b)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		if !IsBatchFrame(frame) {
 			t.Fatalf("batch %d not recognized", i)
+		}
+		ext, err := AppendEncodeBatch([]byte("prefix!"), b)
+		if err != nil || string(ext[:7]) != "prefix!" || !bytes.Equal(ext[7:], frame) {
+			t.Fatalf("batch %d: encode after a prefix gave %x (err %v)", i, ext, err)
 		}
 		back, err := DecodeBatch(frame)
 		if err != nil {
@@ -57,11 +62,11 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchRejections(t *testing.T) {
-	if _, err := EncodeBatch(Batch{Kind: KindReadReq}); err == nil {
-		t.Fatal("non-batch kind accepted")
+	if out, err := AppendEncodeBatch([]byte("keep"), Batch{Kind: KindReadReq}); err == nil || string(out) != "keep" {
+		t.Fatalf("non-batch kind: err=%v, dst %q", err, out)
 	}
 	big := make([]string, maxBatch+1)
-	if _, err := EncodeBatch(Batch{Kind: KindMultiReadReq, Keys: big}); err == nil {
+	if _, err := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadReq, Keys: big}); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 	if _, err := DecodeBatch([]byte{byte(KindReadReq)}); err == nil {
@@ -71,7 +76,7 @@ func TestBatchRejections(t *testing.T) {
 		t.Fatal("empty frame decoded")
 	}
 	// Truncations must all fail.
-	frame, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
+	frame, err := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadResp, Entries: []Entry{
 		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrr")},
 	}})
 	if err != nil {
@@ -88,7 +93,7 @@ func TestBatchRejections(t *testing.T) {
 }
 
 func TestIsBatchFrame(t *testing.T) {
-	singleton, _ := Encode(Message{Kind: KindReadReq, Key: "x"})
+	singleton, _ := AppendEncode(nil, Message{Kind: KindReadReq, Key: "x"})
 	if IsBatchFrame(singleton) {
 		t.Fatal("singleton frame classified as batch")
 	}
@@ -108,7 +113,7 @@ func TestBatchProperty(t *testing.T) {
 			}
 		}
 		b := Batch{Kind: KindMultiReadReq, Keys: keys}
-		frame, err := EncodeBatch(b)
+		frame, err := AppendEncodeBatch(nil, b)
 		if err != nil {
 			return false
 		}
@@ -139,7 +144,7 @@ func TestBatchProperty(t *testing.T) {
 			}
 			resp.Entries = append(resp.Entries, e)
 		}
-		frame, err = EncodeBatch(resp)
+		frame, err = AppendEncodeBatch(nil, resp)
 		if err != nil {
 			return false
 		}
@@ -163,7 +168,7 @@ func TestBatchProperty(t *testing.T) {
 
 // FuzzDecodeBatch mirrors FuzzDecode for the batch codec.
 func FuzzDecodeBatch(f *testing.F) {
-	seed, _ := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
+	seed, _ := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadResp, Entries: []Entry{
 		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrrwr")},
 	}})
 	f.Add(seed)
@@ -173,7 +178,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := EncodeBatch(b)
+		re, err := AppendEncodeBatch(nil, b)
 		if err != nil {
 			t.Fatalf("accepted batch failed to re-encode: %v", err)
 		}

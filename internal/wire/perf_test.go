@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -23,21 +24,87 @@ func perfCorpus() []Message {
 	}
 }
 
+// refEncode writes the singleton frame layout out field by field, apart
+// from AppendEncode's single append chain: kind, flags, version, key,
+// value, window length, packed window bits.
+func refEncode(m Message) []byte {
+	var b bytes.Buffer
+	flags := byte(0)
+	if m.Allocate {
+		flags = 1
+	}
+	b.WriteByte(byte(m.Kind))
+	b.WriteByte(flags)
+	binary.Write(&b, binary.LittleEndian, m.Version)
+	binary.Write(&b, binary.LittleEndian, uint16(len(m.Key)))
+	b.WriteString(m.Key)
+	binary.Write(&b, binary.LittleEndian, uint32(len(m.Value)))
+	b.Write(m.Value)
+	binary.Write(&b, binary.LittleEndian, uint16(m.Window.Size()))
+	b.Write(m.Window.AppendPacked(nil))
+	return b.Bytes()
+}
+
+// refEncodeBatch writes the batch frame layout out field by field.
+func refEncodeBatch(bt Batch) []byte {
+	var b bytes.Buffer
+	le := binary.LittleEndian
+	b.WriteByte(byte(bt.Kind))
+	b.WriteByte(batchFormat)
+	binary.Write(&b, le, bt.Epoch)
+	binary.Write(&b, le, uint16(len(bt.Keys)))
+	for i, k := range bt.Keys {
+		binary.Write(&b, le, uint16(len(k)))
+		b.WriteString(k)
+		hint := uint64(0)
+		if i < len(bt.Versions) {
+			hint = bt.Versions[i]
+		}
+		binary.Write(&b, le, hint)
+	}
+	binary.Write(&b, le, uint16(len(bt.Entries)))
+	for _, e := range bt.Entries {
+		flags := byte(0)
+		if e.Allocate {
+			flags |= 1
+		}
+		if e.NotModified {
+			flags |= 2
+		}
+		b.WriteByte(flags)
+		binary.Write(&b, le, e.Version)
+		binary.Write(&b, le, uint16(len(e.Key)))
+		b.WriteString(e.Key)
+		binary.Write(&b, le, uint32(len(e.Value)))
+		b.Write(e.Value)
+		binary.Write(&b, le, uint16(e.Window.Size()))
+		b.Write(e.Window.AppendPacked(nil))
+	}
+	return b.Bytes()
+}
+
+// TestAppendEncodeMatchesEncode pins AppendEncode to the frame layout: a
+// fresh encode, an encode into a warm pooled buffer, and an encode after a
+// prefix all append exactly the reference bytes.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
+	buf := GetBuf()
+	defer PutBuf(buf)
 	for _, m := range perfCorpus() {
-		want, err := Encode(m)
-		if err != nil {
-			t.Fatalf("%v: %v", m.Kind, err)
-		}
-		if len(want) != EncodedSize(m) {
-			t.Errorf("%v: EncodedSize=%d, frame=%d", m.Kind, EncodedSize(m), len(want))
-		}
+		want := refEncode(m)
 		got, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%v: AppendEncode(nil) differs from Encode\n got %x\nwant %x", m.Kind, got, want)
+			t.Errorf("%v: AppendEncode(nil) differs from the frame layout\n got %x\nwant %x", m.Kind, got, want)
+		}
+		pooled, err := AppendEncode(buf.B[:0], m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.B = pooled
+		if !bytes.Equal(pooled, want) {
+			t.Errorf("%v: pooled AppendEncode differs\n got %x\nwant %x", m.Kind, pooled, want)
 		}
 		// Appending after a prefix must leave the prefix intact and
 		// produce the same frame bytes.
@@ -48,6 +115,35 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 		}
 		if !bytes.Equal(ext[:len(prefix)], prefix) || !bytes.Equal(ext[len(prefix):], want) {
 			t.Errorf("%v: AppendEncode with prefix diverged", m.Kind)
+		}
+	}
+}
+
+// TestDecodeBorrowedMatchesDecode checks the owned decode — DecodeBorrowed
+// then Clone, which is how a handler keeps a message — gives back every
+// field of the encoded message, and that malformed frames are refused.
+func TestDecodeBorrowedMatchesDecode(t *testing.T) {
+	for _, m := range perfCorpus() {
+		got, err := DecodeBorrowed(refEncode(m))
+		if err != nil {
+			t.Fatalf("%v: DecodeBorrowed rejected a well-formed frame: %v", m.Kind, err)
+		}
+		if owned := got.Clone(); !reflect.DeepEqual(owned, m) {
+			t.Errorf("%v: decode differs\n got %+v\nwant %+v", m.Kind, owned, m)
+		}
+	}
+	bad := [][]byte{
+		nil,
+		{},
+		{1, 0},
+		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown kind
+		{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},  // bad flags
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 'k'}, // truncated key
+		append(make([]byte, 12), 0xFF),            // trailing garbage window
+	}
+	for i, p := range bad {
+		if _, err := DecodeBorrowed(p); err == nil {
+			t.Errorf("bad frame %d (%x) decoded", i, p)
 		}
 	}
 }
@@ -63,45 +159,8 @@ func TestAppendEncodeErrorLeavesDstUnchanged(t *testing.T) {
 	}
 }
 
-func TestDecodeBorrowedMatchesDecode(t *testing.T) {
-	for _, m := range perfCorpus() {
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Decode(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeBorrowed(frame)
-		if err != nil {
-			t.Fatalf("%v: DecodeBorrowed rejected a frame Decode accepts: %v", m.Kind, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: borrowed decode differs\n got %+v\nwant %+v", m.Kind, got, want)
-		}
-	}
-	// Both reject the same malformed frames.
-	bad := [][]byte{
-		nil,
-		{},
-		{1, 0},
-		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown kind
-		{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},  // bad flags
-		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 'k'}, // truncated key
-		append(make([]byte, 12), 0xFF),            // trailing garbage window
-	}
-	for i, p := range bad {
-		_, errOwn := Decode(p)
-		_, errBor := DecodeBorrowed(p)
-		if (errOwn == nil) != (errBor == nil) {
-			t.Errorf("bad frame %d: Decode err=%v, DecodeBorrowed err=%v", i, errOwn, errBor)
-		}
-	}
-}
-
 func TestDecodeBorrowedAliasesFrame(t *testing.T) {
-	frame, err := Encode(Message{Kind: KindWriteProp, Key: "k", Value: []byte("aaaa"), Version: 1})
+	frame, err := AppendEncode(nil, Message{Kind: KindWriteProp, Key: "k", Value: []byte("aaaa"), Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +184,9 @@ func TestDecodeBorrowedAliasesFrame(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeBatchMatchesEncodeBatch pins AppendEncodeBatch to the
+// batch frame layout, checks the frame round-trips, and checks the error
+// path leaves dst unchanged.
 func TestAppendEncodeBatchMatchesEncodeBatch(t *testing.T) {
 	batches := []Batch{
 		{Kind: KindMultiReadReq, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
@@ -137,16 +199,13 @@ func TestAppendEncodeBatchMatchesEncodeBatch(t *testing.T) {
 		{Kind: KindResyncResp, Entries: []Entry{{Key: "x", Version: 5, NotModified: true}}},
 	}
 	for _, b := range batches {
-		want, err := EncodeBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refEncodeBatch(b)
 		got, err := AppendEncodeBatch(nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%v: AppendEncodeBatch differs from EncodeBatch", b.Kind)
+			t.Errorf("%v: AppendEncodeBatch differs from the frame layout\n got %x\nwant %x", b.Kind, got, want)
 		}
 		rt, err := DecodeBatch(got)
 		if err != nil {
@@ -197,7 +256,7 @@ func TestDecodeBorrowedAllocs(t *testing.T) {
 		{Kind: KindWriteProp, Key: "hot-key", Value: bytes.Repeat([]byte{7}, 128), Version: 12345},
 		{Kind: KindDeleteReq, Key: "hot-key", Window: win("rwrwrwrww")},
 	} {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}

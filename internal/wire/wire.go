@@ -25,8 +25,8 @@
 //     Version a retry-after hint in milliseconds (see KindBusy).
 //
 // The encoding is a fixed header plus length-prefixed fields; window bits
-// are packed eight per byte. Decode rejects malformed frames rather than
-// guessing.
+// are packed eight per byte. DecodeBorrowed rejects malformed frames
+// rather than guessing.
 package wire
 
 import (
@@ -146,22 +146,10 @@ func (m Message) Clone() Message {
 	return m
 }
 
-// EncodedSize returns the exact frame size Encode would produce for m.
-func EncodedSize(m Message) int {
-	return 2 + 8 + 2 + len(m.Key) + 4 + len(m.Value) + 2 + m.Window.PackedLen()
-}
-
-// Encode serializes m into a fresh buffer. It is AppendEncode into an
-// exactly-sized allocation; hot paths should prefer AppendEncode with a
-// pooled buffer (GetBuf/PutBuf) to avoid the per-frame allocation.
-func Encode(m Message) ([]byte, error) {
-	return AppendEncode(make([]byte, 0, EncodedSize(m)), m)
-}
-
 // AppendEncode serializes m, appending the frame to dst and returning the
 // extended buffer (reallocated if dst lacks capacity, exactly like
-// append). The bytes appended are bit-identical to Encode's output. On
-// error dst is returned unchanged.
+// append). Hot paths append into a pooled buffer (GetBuf/PutBuf) so an
+// encode allocates nothing. On error dst is returned unchanged.
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	if len(m.Key) > maxKeyLen {
 		return dst, fmt.Errorf("wire: key length %d exceeds %d", len(m.Key), maxKeyLen)
@@ -223,25 +211,13 @@ func FrameKind(p []byte) (Kind, bool) {
 	return Kind(p[0]), true
 }
 
-// Decode parses a frame produced by Encode. The returned message owns all
-// of its memory: Key, Value, and Window are copies, safe to retain after
-// the frame buffer is reused.
-func Decode(p []byte) (Message, error) {
-	return decodeFrame(p, false)
-}
-
 // DecodeBorrowed parses a frame without copying: the returned message's
 // Key and Value alias p directly (the Window is a value and aliases
 // nothing). The message is only valid while p is — for
 // transport handlers, until the handler returns. A handler that retains
 // any part of the message must Clone it (or copy the fields it keeps)
-// first. Accepts and rejects exactly the frames Decode does, with
-// field-identical results.
+// first.
 func DecodeBorrowed(p []byte) (Message, error) {
-	return decodeFrame(p, true)
-}
-
-func decodeFrame(p []byte, borrow bool) (Message, error) {
 	var m Message
 	if len(p) < 2+8+2 {
 		return m, errTruncated
@@ -262,11 +238,7 @@ func decodeFrame(p []byte, borrow bool) (Message, error) {
 	if len(p) < klen+4 {
 		return m, errTruncated
 	}
-	if borrow {
-		m.Key = borrowString(p[:klen])
-	} else {
-		m.Key = string(p[:klen])
-	}
+	m.Key = borrowString(p[:klen])
 	p = p[klen:]
 	vlen := int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
@@ -274,13 +246,9 @@ func decodeFrame(p []byte, borrow bool) (Message, error) {
 		return m, errTruncated
 	}
 	if vlen > 0 {
-		if borrow {
-			// Full slice expression: an append through the alias must
-			// never grow into the rest of the frame.
-			m.Value = p[:vlen:vlen]
-		} else {
-			m.Value = append([]byte(nil), p[:vlen]...)
-		}
+		// Full slice expression: an append through the alias must never
+		// grow into the rest of the frame.
+		m.Value = p[:vlen:vlen]
 	}
 	p = p[vlen:]
 	if len(p) < 2 {

@@ -28,14 +28,14 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestFrameKindPeek(t *testing.T) {
-	frame, err := Encode(Message{Kind: KindWriteProp, Key: "x", Value: []byte("v")})
+	frame, err := AppendEncode(nil, Message{Kind: KindWriteProp, Key: "x", Value: []byte("v")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k, ok := FrameKind(frame); !ok || k != KindWriteProp {
 		t.Fatalf("FrameKind = %v, %v", k, ok)
 	}
-	batch, err := EncodeBatch(Batch{Kind: KindResyncReq, Keys: []string{"a"}, Versions: []uint64{1}})
+	batch, err := AppendEncodeBatch(nil, Batch{Kind: KindResyncReq, Keys: []string{"a"}, Versions: []uint64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,25 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 		{Kind: KindPing, Version: 17},
 		{Kind: KindPong, Version: 17},
 		{Kind: KindBusy, Key: "full", Version: 1500},
+		{Kind: KindWriteProp, Key: "hot", Value: bytes.Repeat([]byte{0xA5}, 300), Version: 9000},
+		{Kind: KindDeleteReq, Key: "gone", Window: win("wwwwwwww")},
+		{Kind: KindDeleteReq, Key: "nine-bits", Window: win("rwrwrwrwr")},
+		{Kind: KindPing, Version: 1<<63 - 1},
+		{Kind: KindPong},
 	}
+	prefix := []byte("prefix!")
 	for i, m := range msgs {
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
-		back, err := Decode(frame)
+		// Appending after a prefix keeps the prefix and appends the same
+		// frame bytes.
+		ext, err := AppendEncode(append([]byte(nil), prefix...), m)
+		if err != nil || !bytes.Equal(ext[:len(prefix)], prefix) || !bytes.Equal(ext[len(prefix):], frame) {
+			t.Fatalf("msg %d: encode after a prefix gave %x (err %v), want %x + %x", i, ext, err, prefix, frame)
+		}
+		back, err := DecodeBorrowed(frame)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -95,7 +107,7 @@ func TestBusyFrame(t *testing.T) {
 	// Busy carries the reason in Key and the retry-after hint (ms) in
 	// Version, and like Ping/Pong it is liveness traffic, not protocol cost.
 	m := Message{Kind: KindBusy, Key: "shed", Version: 250}
-	frame, err := Encode(m)
+	frame, err := AppendEncode(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +140,11 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		}
 		m := Message{Kind: kind, Key: key, Value: value, Version: version,
 			Allocate: alloc, Window: core.WindowOf(bits)}
-		frame, err := Encode(m)
+		frame, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
-		back, err := Decode(frame)
+		back, err := DecodeBorrowed(frame)
 		if err != nil {
 			return false
 		}
@@ -155,49 +167,61 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// still-valid message — never panic.
 	m := Message{Kind: KindReadResp, Key: "key", Value: []byte("value"),
 		Version: 9, Allocate: true, Window: win("rrwwr")}
-	frame, err := Encode(m)
+	frame, err := AppendEncode(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(frame); n++ {
-		if _, err := Decode(frame[:n]); err == nil {
+		if _, err := DecodeBorrowed(frame[:n]); err == nil {
 			t.Fatalf("decode of %d/%d bytes unexpectedly succeeded", n, len(frame))
+		}
+	}
+	for i, p := range [][]byte{
+		nil,
+		{1, 0},
+		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown kind
+		{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},  // bad flags
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 'k'}, // truncated key
+		append(make([]byte, 12), 0xFF),            // trailing garbage window
+	} {
+		if _, err := DecodeBorrowed(p); err == nil {
+			t.Fatalf("malformed frame %d (%x) decoded", i, p)
 		}
 	}
 }
 
 func TestDecodeRejectsBadKind(t *testing.T) {
 	m := Message{Kind: KindReadReq, Key: "x"}
-	frame, _ := Encode(m)
+	frame, _ := AppendEncode(nil, m)
 	frame[0] = 99
-	if _, err := Decode(frame); err == nil {
+	if _, err := DecodeBorrowed(frame); err == nil {
 		t.Fatal("bad kind accepted")
 	}
 	frame[0] = 0
-	if _, err := Decode(frame); err == nil {
+	if _, err := DecodeBorrowed(frame); err == nil {
 		t.Fatal("zero kind accepted")
 	}
 }
 
 func TestDecodeRejectsBadFlags(t *testing.T) {
 	m := Message{Kind: KindReadReq, Key: "x"}
-	frame, _ := Encode(m)
+	frame, _ := AppendEncode(nil, m)
 	frame[1] = 0xff
-	if _, err := Decode(frame); err == nil {
+	if _, err := DecodeBorrowed(frame); err == nil {
 		t.Fatal("bad flags accepted")
 	}
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	m := Message{Kind: KindReadReq, Key: "x"}
-	frame, _ := Encode(m)
-	if _, err := Decode(append(frame, 0)); err == nil {
+	frame, _ := AppendEncode(nil, m)
+	if _, err := DecodeBorrowed(append(frame, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
 
 func TestEncodeRejectsOversizedKey(t *testing.T) {
-	if _, err := Encode(Message{Kind: KindReadReq, Key: string(make([]byte, maxKeyLen+1))}); err == nil {
+	if _, err := AppendEncode(nil, Message{Kind: KindReadReq, Key: string(make([]byte, maxKeyLen+1))}); err == nil {
 		t.Fatal("oversized key accepted")
 	}
 }
@@ -238,16 +262,14 @@ func TestWindowPackingDense(t *testing.T) {
 	}
 	for _, g := range golden {
 		w := goldenWindow(g.bits)
-		frame, err := Encode(Message{Kind: KindDeleteReq, Key: "k", Window: w})
+		frame, err := AppendEncode(nil, Message{Kind: KindDeleteReq, Key: "k", Window: w})
 		if err != nil || hex.EncodeToString(frame) != g.message {
 			t.Errorf("%d bits: message encodes to %x (err %v), want %s", g.bits, frame, err, g.message)
 		}
-		for _, decode := range []func([]byte) (Message, error){Decode, DecodeBorrowed} {
-			if back, err := decode(frame); err != nil || back.Window != w {
-				t.Errorf("%d bits: message decodes to window %v (err %v), want %v", g.bits, back.Window, err, w)
-			}
+		if back, err := DecodeBorrowed(frame); err != nil || back.Window != w {
+			t.Errorf("%d bits: message decodes to window %v (err %v), want %v", g.bits, back.Window, err, w)
 		}
-		bframe, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Epoch: 2, Entries: []Entry{
+		bframe, err := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadResp, Epoch: 2, Entries: []Entry{
 			{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: w}}})
 		if err != nil || hex.EncodeToString(bframe) != g.batch {
 			t.Errorf("%d bits: batch encodes to %x (err %v), want %s", g.bits, bframe, err, g.batch)
@@ -260,9 +282,9 @@ func TestWindowPackingDense(t *testing.T) {
 
 // TestDecodeRejectsOversizedWindow pins the one bound at the decoder: a
 // well-formed frame whose window is longer than core.MaxWindow is a
-// decode error in both codecs, never a larger window.
+// decode error in both decoders, never a larger window.
 func TestDecodeRejectsOversizedWindow(t *testing.T) {
-	frame, err := Encode(Message{Kind: KindDeleteReq, Key: "k", Window: goldenWindow(core.MaxWindow)})
+	frame, err := AppendEncode(nil, Message{Kind: KindDeleteReq, Key: "k", Window: goldenWindow(core.MaxWindow)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +293,10 @@ func TestDecodeRejectsOversizedWindow(t *testing.T) {
 	at := len(frame) - core.MaxWindow/8 - 2
 	binary.LittleEndian.PutUint16(frame[at:], core.MaxWindow+1)
 	frame = append(frame, 1)
-	if _, err := Decode(frame); err == nil {
-		t.Error("Decode accepted a window past the bound")
-	}
 	if _, err := DecodeBorrowed(frame); err == nil {
 		t.Error("DecodeBorrowed accepted a window past the bound")
 	}
-	batch, err := EncodeBatch(Batch{Kind: KindMultiReadResp, Entries: []Entry{
+	batch, err := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadResp, Entries: []Entry{
 		{Key: "k", Allocate: true, Window: goldenWindow(core.MaxWindow)}}})
 	if err != nil {
 		t.Fatal(err)
