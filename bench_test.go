@@ -97,18 +97,15 @@ func BenchmarkPolicyApplyT1(b *testing.B) {
 }
 
 // BenchmarkPolicyApplyBlock is the policies' half of a replay alone: the
-// block loops that turn requests into step codes, with no pricing. What
+// block forms that turn requests into copy bits, with no pricing. What
 // BenchmarkReplayThroughput takes beyond the SW9 row is the price loop.
 func BenchmarkPolicyApplyBlock(b *testing.B) {
 	s := workload.Bernoulli(stats.NewRNG(1), 0.4, 1024)
-	out := make([]core.Code, len(s))
-	for _, p := range []interface {
-		core.Policy
-		ApplyBlock(sched.Schedule, []core.Code)
-	}{core.NewST1(), core.NewSW(9), core.NewSW(95), core.NewT1(5), core.NewT2(5)} {
+	has := make([]uint64, len(s)/64)
+	for _, p := range []core.BlockPolicy{core.NewST1(), core.NewSW(9), core.NewSW(95), core.NewT1(5), core.NewT2(5)} {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.ApplyBlock(s, out)
+				p.ApplyBlock(s, has)
 			}
 			reportStep(b, len(s))
 		})

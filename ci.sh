@@ -29,19 +29,23 @@ go test -race -count=2 -run 'TestChaosSoakRecovery|TestSupervisor|TestServerClos
 
 # Observability slice: the registry hammer under race, the zero-alloc
 # pins on the record path, on every entry point of the replay engine, on
-# the offline optimum and on every window policy's Apply, the engine's
-# differential against the step-by-step reference (with the boundary of
-# its count-only pricing) and the offline optimum's closed form against
-# the dynamic program and the brute force, each with a 10 s fuzz, the
-# once-per-replay recording under race, the two-objects-per-(session,
-# key) pin, the inventory check that internal/core stays the only window
-# implementation, then a live server with -debug-addr whose /metrics and
-# /healthz must answer over real HTTP.
+# the offline optimum and on every window policy's Apply, the block forms
+# against Apply and the inventory that keeps every block form tested and
+# dispatched by the engine, under race, the engine's differential against
+# the step-by-step reference (with the boundary of its count-only
+# pricing) and the offline optimum's closed form against the dynamic
+# program and the brute force, each with a 10 s fuzz, the once-per-replay
+# recording under race and the speed histogram's sub-nanosecond buckets
+# without it, the two-objects-per-(session, key) pin, the inventory check
+# that internal/core stays the only window implementation, then a live
+# server with -debug-addr whose /metrics and /healthz must answer over
+# real HTTP.
 go test -race -count=1 -run 'TestRegistryConcurrentUse|TestTracerConcurrentRecord' ./internal/obs/
 go test -count=1 -run 'TestObsRecordPathZeroAllocs' ./internal/obs/
 go test -count=1 -run 'TestFusedKernelZeroAllocs|TestPolicyApplyZeroAllocs' .
-go test -race -count=1 -run 'TestApplyBlockMatchesApply|TestCodeRoundTrip' ./internal/core/
+go test -race -count=1 -run 'TestApplyBlockMatchesApply|TestCodeRoundTrip|TestBlockFormInventory' ./internal/core/
 go test -race -count=1 -run 'TestReplayMatchesReference|TestExactSumBoundary|TestKernelRejectsUnknown|TestReplayRecordedOnEveryEntryPoint' ./internal/sim/
+go test -count=1 -run 'TestReplayHistogramResolvesBlockSpeed' ./internal/sim/
 go test -race -count=1 -run 'TestIdealClosedForm|TestCostMatchesBruteForce' ./internal/offline/
 go test -race -run '^$' -fuzz=FuzzReplayMatchesReference -fuzztime=10s ./internal/sim/
 go test -race -run '^$' -fuzz=FuzzCostMatchesBruteForce -fuzztime=10s ./internal/offline/
@@ -93,9 +97,10 @@ go test -race -count=1 -run 'TestReturnedValuesNeverChange|TestConcurrentAccess'
 go test -race -count=1 -run 'TestSessionKeysSameShardInvariant|TestShardChurnHammer|TestFanOutOrderDeterministic' ./internal/replica/
 go test -run '^$' -bench 'BenchmarkFanOutHolders' -benchtime=1x ./internal/replica/
 # The replay engine's three benchmarks (materialized, drawn through a
-# Kernel, drawn through ReplayStream) and the block loops alone, each
-# reporting ns/step, and the offline optimum's, reporting ns/req, run once
-# so they cannot rot.
+# Kernel, drawn through ReplayStream) and the block forms alone (the one
+# sliding-threshold kernel for SWk, T1m and T2m, and the static rules),
+# each reporting ns/step, and the offline optimum's, reporting ns/req, run
+# once so they cannot rot.
 go test -run '^$' -bench 'BenchmarkReplayThroughput|BenchmarkReplayFusedSW9|BenchmarkReplayStream|BenchmarkPolicyApplyBlock|BenchmarkOfflineCost' -benchtime=1x .
 go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.seed=3 -conformance.coalesce -count=1
 if [ "${1:-}" = "-long" ]; then

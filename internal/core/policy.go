@@ -44,9 +44,8 @@ func (s Step) Deallocated() bool { return s.HadCopy && !s.HasCopy }
 
 // Code is a Step packed into four bits: the op in bit 0, HadCopy in bit
 // 1, HasCopy in bit 2 and DataSuppressed in bit 3. A Step has no other
-// content, so Code(c).Step().Code() == c for all NumCodes values. The
-// block forms of the policies (ApplyBlock) emit Codes, and a replay
-// prices them through a NumCodes-entry table instead of a Model call per
+// content, so Code(c).Step().Code() == c for all NumCodes values. A replay
+// prices Codes through a NumCodes-entry table instead of a Model call per
 // request.
 type Code uint8
 
@@ -96,6 +95,36 @@ type Policy interface {
 	Apply(op sched.Op) Step
 	// Reset returns the policy to its initial state.
 	Reset()
+}
+
+// BlockPolicy is a policy with a block form: ST1, ST2, SWk, T1m and T2m.
+// A block's steps come back as bits, 64 to a word: step i is
+//
+//	Step{Op: ops[i], HadCopy: bit i-1, HasCopy: bit i,
+//		DataSuppressed: SuppressesWrites() && ops[i] is a write && HadCopy}
+//
+// where bit -1 is HasCopy() before the block.
+type BlockPolicy interface {
+	Policy
+	// ApplyBlock is Apply on every request of ops in order. It sets bit
+	// i%64 of has[i/64] to whether the MC holds a copy after ops[i], clears
+	// the bits past len(ops) in the last word, and leaves the policy where
+	// the Apply calls would. has must hold (len(ops)+63)/64 words.
+	ApplyBlock(ops sched.Schedule, has []uint64)
+	// SuppressesWrites reports whether every write that finds a copy is a
+	// bare delete-request; when it is false, no step is.
+	SuppressesWrites() bool
+}
+
+// applyEach is ApplyBlock through Apply, for the thresholds past
+// MaxWindow that the kernel cannot hold.
+func applyEach(p Policy, ops sched.Schedule, has []uint64) {
+	clear(has[:(len(ops)+63)/64])
+	for i, op := range ops {
+		if p.Apply(op).HasCopy {
+			has[i/64] |= 1 << (i & 63)
+		}
+	}
 }
 
 // Run feeds an entire schedule through p and returns the step trace.

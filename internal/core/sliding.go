@@ -73,16 +73,17 @@ func (s *SW) Apply(op sched.Op) Step {
 	return step(op, had, s.hasCopy, suppressed)
 }
 
-// ApplyBlock is Apply on every request of ops in order, with step i
-// written to out[i] as its Code; out must be at least as long as ops. It
-// leaves the policy where the Apply calls would.
-func (s *SW) ApplyBlock(ops sched.Schedule, out []Code) {
-	var had uint64
-	if s.hasCopy {
-		had = 1
-	}
-	s.hasCopy = s.window.slideBlock(ops, out, had) != 0
+// ApplyBlock implements BlockPolicy. The window is the kernel's history as
+// it stands, and the register is rebuilt once, from the block's newest k
+// requests.
+func (s *SW) ApplyBlock(ops sched.Schedule, has []uint64) {
+	s.window = s.window.slide(ops, (s.K()+1)/2, has)
+	s.hasCopy = s.window.ReadMajority()
 }
+
+// SuppressesWrites implements BlockPolicy: SW1 sends a bare delete-request
+// for every write that finds a copy.
+func (s *SW) SuppressesWrites() bool { return s.K() == 1 }
 
 // Reset implements Policy.
 func (s *SW) Reset() {

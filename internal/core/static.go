@@ -19,14 +19,13 @@ func (*ST1) HasCopy() bool { return false }
 // Apply implements Policy.
 func (*ST1) Apply(op sched.Op) Step { return step(op, false, false, false) }
 
-// ApplyBlock is Apply on every request of ops in order, with step i
-// written to out[i] as its Code; out must be at least as long as ops.
-func (*ST1) ApplyBlock(ops sched.Schedule, out []Code) {
-	out = out[:len(ops)]
-	for i, op := range ops {
-		out[i] = Code(op & 1)
-	}
+// ApplyBlock implements BlockPolicy: no copy after any request.
+func (*ST1) ApplyBlock(ops sched.Schedule, has []uint64) {
+	clear(has[:(len(ops)+63)/64])
 }
+
+// SuppressesWrites implements BlockPolicy.
+func (*ST1) SuppressesWrites() bool { return false }
 
 // Reset implements Policy; ST1 is stateless.
 func (*ST1) Reset() {}
@@ -47,14 +46,20 @@ func (*ST2) HasCopy() bool { return true }
 // Apply implements Policy.
 func (*ST2) Apply(op sched.Op) Step { return step(op, true, true, false) }
 
-// ApplyBlock is Apply on every request of ops in order, with step i
-// written to out[i] as its Code; out must be at least as long as ops.
-func (*ST2) ApplyBlock(ops sched.Schedule, out []Code) {
-	out = out[:len(ops)]
-	for i, op := range ops {
-		out[i] = Code(op&1) | codeHad | codeHas
+// ApplyBlock implements BlockPolicy: a copy after every request.
+func (*ST2) ApplyBlock(ops sched.Schedule, has []uint64) {
+	n := len(ops)
+	words := has[:(n+63)/64]
+	for w := range words {
+		words[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		words[len(words)-1] = 1<<(n&63) - 1
 	}
 }
+
+// SuppressesWrites implements BlockPolicy.
+func (*ST2) SuppressesWrites() bool { return false }
 
 // Reset implements Policy; ST2 is stateless.
 func (*ST2) Reset() {}

@@ -66,32 +66,32 @@ func (t *T1) Apply(op sched.Op) Step {
 	return step(op, had, t.hasCopy, false)
 }
 
-// ApplyBlock is Apply on every request of ops in order, with step i
-// written to out[i] as its Code; out must be at least as long as ops. It
-// leaves the policy where the Apply calls would. Apply's two fields are
-// one counter here — the consecutive reads seen, pinned at m while the
-// copy is held, cleared by any write — and its case analysis is selects,
-// because a request's kind is a coin flip that a branch mispredicts.
-func (t *T1) ApplyBlock(ops sched.Schedule, out []Code) {
-	m, run, had := uint64(t.m), uint64(t.reads), uint64(0)
+// ApplyBlock implements BlockPolicy. T1m holds a copy exactly while the
+// last m requests were reads, so the kernel slides a window of m requests
+// with need 1. Apply's state maps to the history that rule needs — the
+// reads counted since the last write, all m reads while the copy is held,
+// and writes before them — and back from the newest m requests. A
+// threshold past MaxWindow goes through Apply.
+func (t *T1) ApplyBlock(ops sched.Schedule, has []uint64) {
+	if t.m > MaxWindow {
+		applyEach(t, ops, has)
+		return
+	}
+	run := t.reads
 	if t.hasCopy {
-		run, had = m, 1
+		run = t.m
 	}
-	out = out[:len(ops)]
-	for i, op := range ops {
-		w := uint64(op & 1)
-		run = min(run+1, m) & (w - 1)
-		var has uint64
-		if run == m {
-			has = 1
-		}
-		// The write that ends the two-copies phase is a bare delete-request.
-		out[i] = Code(w | had<<1 | has<<2 | (had&w)<<3)
-		had = has
+	w := tailWindow(t.m, run, sched.Read).slide(ops, 1, has)
+	t.hasCopy = w.writes == 0
+	t.reads = 0
+	if !t.hasCopy {
+		t.reads = w.newestRun(sched.Read)
 	}
-	t.hasCopy = had != 0
-	t.reads = int(run &^ -had)
 }
+
+// SuppressesWrites implements BlockPolicy: the write that ends the
+// two-copies phase is a bare delete-request.
+func (t *T1) SuppressesWrites() bool { return true }
 
 // Reset implements Policy.
 func (t *T1) Reset() {
@@ -156,30 +156,29 @@ func (t *T2) Apply(op sched.Op) Step {
 	return step(op, had, t.hasCopy, false)
 }
 
-// ApplyBlock is Apply on every request of ops in order, with step i
-// written to out[i] as its Code; out must be at least as long as ops. It
-// leaves the policy where the Apply calls would. It mirrors T1's: one
-// counter of consecutive writes, pinned at m while there is no copy,
-// cleared by any read.
-func (t *T2) ApplyBlock(ops sched.Schedule, out []Code) {
-	m, run, had := uint64(t.m), uint64(t.writes), uint64(1)
+// ApplyBlock implements BlockPolicy. It mirrors T1's: T2m holds a copy
+// exactly while not all of the last m requests were writes, a window of m
+// with need m, and its history is the writes counted since the last read,
+// all m writes while there is no copy, and reads before them.
+func (t *T2) ApplyBlock(ops sched.Schedule, has []uint64) {
+	if t.m > MaxWindow {
+		applyEach(t, ops, has)
+		return
+	}
+	run := t.writes
 	if !t.hasCopy {
-		run, had = m, 0
+		run = t.m
 	}
-	out = out[:len(ops)]
-	for i, op := range ops {
-		w := uint64(op & 1)
-		run = min(run+1, m) & -w
-		var has uint64
-		if run != m {
-			has = 1
-		}
-		out[i] = Code(w | had<<1 | has<<2)
-		had = has
+	w := tailWindow(t.m, run, sched.Write).slide(ops, t.m, has)
+	t.hasCopy = int(w.writes) < t.m
+	t.writes = 0
+	if t.hasCopy {
+		t.writes = w.newestRun(sched.Write)
 	}
-	t.hasCopy = had != 0
-	t.writes = int(run & -had)
 }
+
+// SuppressesWrites implements BlockPolicy: T2m propagates every write.
+func (t *T2) SuppressesWrites() bool { return false }
 
 // Reset implements Policy.
 func (t *T2) Reset() {

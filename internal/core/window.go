@@ -65,12 +65,10 @@ func WindowOf(bits sched.Schedule) Window {
 		return Window{}
 	}
 	w := NewWindow(len(bits), sched.Read)
-	for i, op := range bits {
-		if op == sched.Write {
-			w.setBit(uint(i))
-			w.writes++
-		}
-	}
+	var reg [2]uint64
+	PackOps(reg[:], bits)
+	w.lo, w.hi = reg[0], reg[1]
+	w.trim()
 	return w
 }
 
@@ -106,59 +104,186 @@ func (w *Window) Push(op sched.Op) {
 	w.writes -= out
 }
 
-// slideBlock pushes every request of ops and writes to out, one Code per
-// request, the step SWk takes on it; had (0 or 1) says whether the MC held
-// a copy before the first request, the result whether it does after the
-// last. It is Push and ReadMajority per request, and for the block's first
-// Size requests literally so. Past those the request leaving the window is
-// ops[i-Size], not a register bit, so slideSum carries only the write
-// count and the copy bit, and the register is rebuilt once, by pushing the
-// block's newest Size requests.
-func (w *Window) slideBlock(ops sched.Schedule, out []Code, had uint64) uint64 {
-	k := int(w.size)
-	// SW1 sends a bare delete-request for a write that finds a copy.
-	var sw1 uint64
-	if k == 1 {
-		sw1 = 1
+// The block kernel. SWk, T1m and T2m all hold a copy after a request
+// exactly while fewer than need of the last k requests were writes: SWk
+// with need (k+1)/2, T1m with k = m and need 1 (the last m were reads),
+// T2m with k = m and need m (not all of the last m were writes). slide
+// decides that rule for a block of requests eight at a time, one request
+// a byte lane of a word.
+const (
+	lanes  = 0x0101010101010101 // the low bit of every byte
+	gather = 0x0102040810204080 // x&lanes * gather >> 56 packs byte j's low bit into bit j
+)
+
+// slide is the one block kernel. With w holding the k requests before
+// ops[0], it sets bit i%64 of has[i/64] to whether fewer than need of the k
+// requests ending at ops[i] are writes, clears the bits past len(ops) in
+// the last word it sets, and returns the window of the newest k requests.
+// 1 <= need <= k; has must hold (len(ops)+63)/64 words.
+//
+// The request leaving the window at ops[i] is ops[i-k] once i >= k and a
+// window bit before. So the window's requests are laid out a byte each in
+// head, followed by the block's first requests up to the first word
+// boundary past k, and that head is slid first; the rest of the block is
+// slid against itself.
+func (w Window) slide(ops sched.Schedule, need int, has []uint64) Window {
+	k, n := int(w.size), len(ops)
+	var head [2 * MaxWindow]sched.Op
+	w.unpack(head[:])
+	h := min(n, (k+63)&^63)
+	copy(head[k:], ops[:h])
+	b := slideRun(head[k:k+h], head[:h], uint64(0x80+int(w.writes)-need), has)
+	if h < n {
+		slideRun(ops[h:], ops[h-k:n-k], b, has[h/64:])
 	}
-	// Reads are the majority, 2*writes < k, exactly when writes is short
-	// of (k+1)/2.
-	need := (k + 1) / 2
-	head := min(k, len(ops))
-	out = out[:len(ops)]
-	for i, op := range ops[:head] {
-		w.Push(op)
-		out[i], had = slideCode(uint64(op&1), had, sw1, int(w.writes)-need)
+	if n >= k {
+		return WindowOf(ops[n-k:])
 	}
-	had = slideSum(ops[head:], ops[:len(ops)-head], out[head:], int(w.writes)-need, had, sw1)
-	for _, op := range ops[max(head, len(ops)-k):] {
-		w.Push(op)
-	}
-	return had
+	return WindowOf(head[n : n+k])
 }
 
-// slideSum is slideBlock's steady state: in[i] enters the window as
-// gone[i] leaves it, and short is the window's write count less the
-// (k+1)/2 that ends the read majority. It is a function of its own, and
-// kept out of line, so that the loop's few values all stay in registers:
-// inlined into slideBlock they spill.
+// slideRun sets bit i%64 of has[i/64] to the copy bit after in[i], as
+// in[i] enters the window and gone[i] leaves it. b is the lane byte,
+// 0x80 + writes - need, of the window before in[0]; the result is the one
+// after the last request.
+func slideRun(in, gone sched.Schedule, b uint64, has []uint64) uint64 {
+	gone = gone[:len(in)]
+	w := 0
+	for ; len(in) >= 64 && len(gone) >= 64; w++ {
+		has[w], b = slideWord((*[64]sched.Op)(in), (*[64]sched.Op)(gone), b)
+		in, gone = in[64:], gone[64:]
+	}
+	if len(in) > 0 {
+		// The last few requests, padded with lanes where nothing enters or
+		// leaves: those repeat the last real lane, and are cleared.
+		var tin, tgone [64]sched.Op
+		copy(tin[:], in)
+		copy(tgone[:], gone)
+		var x uint64
+		x, b = slideWord(&tin, &tgone, b)
+		// The shift count is bounded with & 63, not min(): go1.24.0 on
+		// amd64 miscompiled a min()-bounded shift count in an earlier form
+		// of this loop (the CMOV of the min read flags that a later SBB
+		// had clobbered).
+		has[w] = x & (1<<(len(in)&63) - 1)
+	}
+	return b
+}
+
+// slideWord is the kernel on 64 requests: it returns their copy bits and
+// the lane byte after the last. It is kept out of line so that its loop
+// holds all its values in registers.
 //
 //go:noinline
-func slideSum(in, gone sched.Schedule, out []Code, short int, had, sw1 uint64) uint64 {
-	gone, out = gone[:len(in)], out[:len(in)]
-	for i, op := range in {
-		short += int(op&1) - int(gone[i]&1)
-		out[i], had = slideCode(uint64(op&1), had, sw1, short)
-	}
-	return had
+func slideWord(in, gone *[64]sched.Op, b uint64) (x, next uint64) {
+	var c [8]uint64
+	c[0], b = slide8(load8(in[0:8]), load8(gone[0:8]), b)
+	c[1], b = slide8(load8(in[8:16]), load8(gone[8:16]), b)
+	c[2], b = slide8(load8(in[16:24]), load8(gone[16:24]), b)
+	c[3], b = slide8(load8(in[24:32]), load8(gone[24:32]), b)
+	c[4], b = slide8(load8(in[32:40]), load8(gone[32:40]), b)
+	c[5], b = slide8(load8(in[40:48]), load8(gone[40:48]), b)
+	c[6], b = slide8(load8(in[48:56]), load8(gone[48:56]), b)
+	c[7], b = slide8(load8(in[56:64]), load8(gone[56:64]), b)
+	return c[0] | c[1]<<8 | c[2]<<16 | c[3]<<24 | c[4]<<32 | c[5]<<40 | c[6]<<48 | c[7]<<56, b
 }
 
-// slideCode is SWk's step on request o (0 read, 1 write) that left the
-// window short (negative) or not of the writes that end the read
-// majority: the MC holds a copy exactly while it is short.
-func slideCode(o, had, sw1 uint64, short int) (c Code, has uint64) {
-	has = uint64(int64(short)) >> 63
-	return Code(o | had<<1 | has<<2 | (sw1&o&had)<<3), has
+// slide8 is the kernel's step on eight requests, one a byte: in holds the
+// ones entering the window, gone the ones leaving it, and b the lane byte
+// before the first. One multiply by lanes turns the differences into
+// prefix sums, so lane j holds 0x80 + writes - need after request j. With
+// k <= MaxWindow = 128 every such value is in [0, 255], so no lane carries
+// into the next, and the copy bit is the lane's clear top bit. It returns
+// the eight copy bits and the lane byte after the last request.
+func slide8(in, gone, b uint64) (copies, next uint64) {
+	v := (in&lanes - gone&lanes + b) * lanes
+	return (^v >> 7 & lanes) * gather >> 56, v >> 56
+}
+
+// load8 returns s[0:8] as a word, s[j] in byte j.
+func load8(s sched.Schedule) uint64 {
+	s = s[:8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// PackOps sets bit i%64 of dst[i/64] to whether ops[i] is a write, and
+// clears the bits past len(ops) in the last word; dst must hold
+// (len(ops)+63)/64 words. It is the bit form a block's requests are priced
+// in, beside the copy bits of ApplyBlock.
+func PackOps(dst []uint64, ops sched.Schedule) {
+	w := 0
+	for ; len(ops) >= 64; w++ {
+		dst[w] = packWord((*[64]sched.Op)(ops))
+		ops = ops[64:]
+	}
+	if len(ops) > 0 {
+		var tail [64]sched.Op // padded with reads
+		copy(tail[:], ops)
+		dst[w] = packWord(&tail)
+	}
+}
+
+// packWord packs 64 requests into a word, request j in bit j.
+func packWord(s *[64]sched.Op) uint64 {
+	return pack8(s[0:8]) | pack8(s[8:16])<<8 | pack8(s[16:24])<<16 | pack8(s[24:32])<<24 |
+		pack8(s[32:40])<<32 | pack8(s[40:48])<<40 | pack8(s[48:56])<<48 | pack8(s[56:64])<<56
+}
+
+// pack8 packs eight requests into a byte, s[j] in bit j.
+func pack8(s sched.Schedule) uint64 { return load8(s) & lanes * gather >> 56 }
+
+// unpack writes the window's requests to dst a byte each, oldest first,
+// eight at a time: dst must hold Size rounded up to eight, and the bytes
+// past Size are reads.
+func (w Window) unpack(dst sched.Schedule) {
+	for i := 0; i < int(w.size); i += 8 {
+		reg := w.lo
+		if i >= 64 {
+			reg = w.hi
+		}
+		// Byte j of the product keeps bit j of the eight; adding 0x80 - 2^j
+		// carries it into the byte's top bit.
+		x := (reg>>(i&63)&0xff*lanes&0x8040201008040201 + 0x00406070787c7e7f) >> 7 & lanes
+		d := dst[i : i+8]
+		for j := range d {
+			d[j] = sched.Op(x >> (8 * j))
+		}
+	}
+}
+
+// tailWindow returns the window of k requests whose newest run are op and
+// whose older ones are the other kind, 0 <= run <= k.
+func tailWindow(k, run int, op sched.Op) Window {
+	older := Window{lo: ^uint64(0), hi: ^uint64(0), size: uint8(k - run)}
+	older.trim() // the oldest k-run bits set
+	w := NewWindow(k, sched.Write)
+	if op == sched.Write {
+		w.lo &^= older.lo
+		w.hi &^= older.hi
+	} else {
+		w.lo, w.hi = older.lo, older.hi
+	}
+	w.trim()
+	return w
+}
+
+// newestRun returns how many of the newest requests in a row are op.
+func (w Window) newestRun(op sched.Op) int {
+	lo, hi := w.lo, w.hi
+	if op == sched.Write {
+		lo, hi = ^lo, ^hi
+	}
+	// Count the clear bits down from bit Size-1, shifted to the top of its
+	// word.
+	k := int(w.size)
+	if k <= 64 {
+		return min(bits.LeadingZeros64(lo<<((64-k)&63)), k)
+	}
+	if z := bits.LeadingZeros64(hi << ((128 - k) & 63)); z < k-64 {
+		return z
+	}
+	return k - 64 + bits.LeadingZeros64(lo)
 }
 
 // writesInNewest returns the number of writes among the newest n

@@ -4,10 +4,11 @@ package sim
 // schedule, ReplayStream, a Kernel drawing from an RNG — is the same three
 // steps per block of blockOps requests: take the block's ops (a slice of
 // the schedule, or a stack block filled in the generators' RNG order), let
-// the policy turn them into 4-bit step codes (core's ApplyBlock where the
-// policy has one, Apply per request otherwise), and price the codes through
-// a table. Nothing is dispatched per request except on that fallback, no
-// branch depends on a request's kind, and nothing is allocated.
+// the policy decide its steps, and price them through a table. A policy
+// with a block form (core.BlockPolicy) returns them as copy bits, 64 to a
+// word, and any other as 4-bit step codes from Apply per request. Nothing
+// is dispatched per request except on that fallback, no branch depends on
+// a request's kind, and nothing is allocated.
 //
 // TestReplayMatchesReference holds the engine to the step-by-step loop
 // (Apply, Ledger.Observe) field for field, Ledger.Total bit for bit.
@@ -27,24 +28,44 @@ import (
 // KiB of stack each and stay in L1 between the three steps.
 const blockOps = 1024
 
-// applyBlock writes to out the codes of p's steps on ops. The switch is on
-// the concrete type because a call through an interface would make out —
-// the caller's stack block — escape: one malloc per replay.
-func applyBlock(p core.Policy, ops sched.Schedule, out []core.Code) {
+// block is one block's requests and the steps a policy took on them, in
+// one of two forms: bit form (core.BlockPolicy) when bits is set, codes
+// otherwise. A replay keeps it on its stack.
+type block struct {
+	ops   sched.Schedule
+	bits  bool
+	had   bool // the copy bit before ops[0]
+	sup   bool // core.BlockPolicy.SuppressesWrites
+	has   [blockOps / 64]uint64
+	codes [blockOps]core.Code
+	drawn [blockOps]sched.Op // ops, when they are drawn from a stream
+}
+
+// applyBlock runs p over b.ops and leaves its steps in b. The switch is on
+// the concrete type because a call through an interface would make the
+// caller's stack block escape: one malloc per replay.
+func applyBlock(p core.Policy, b *block) {
+	b.bits = true
 	switch q := p.(type) {
 	case *core.SW:
-		q.ApplyBlock(ops, out)
+		b.had, b.sup = q.HasCopy(), q.SuppressesWrites()
+		q.ApplyBlock(b.ops, b.has[:])
 	case *core.ST1:
-		q.ApplyBlock(ops, out)
+		b.had, b.sup = q.HasCopy(), q.SuppressesWrites()
+		q.ApplyBlock(b.ops, b.has[:])
 	case *core.ST2:
-		q.ApplyBlock(ops, out)
+		b.had, b.sup = q.HasCopy(), q.SuppressesWrites()
+		q.ApplyBlock(b.ops, b.has[:])
 	case *core.T1:
-		q.ApplyBlock(ops, out)
+		b.had, b.sup = q.HasCopy(), q.SuppressesWrites()
+		q.ApplyBlock(b.ops, b.has[:])
 	case *core.T2:
-		q.ApplyBlock(ops, out)
+		b.had, b.sup = q.HasCopy(), q.SuppressesWrites()
+		q.ApplyBlock(b.ops, b.has[:])
 	default:
-		for i, op := range ops {
-			out[i] = p.Apply(op).Code()
+		b.bits = false
+		for i, op := range b.ops {
+			b.codes[i] = p.Apply(op).Code()
 		}
 	}
 }
@@ -67,17 +88,18 @@ func kindOf(p core.Policy) replayKind {
 	return kindGeneric
 }
 
-// tally prices step codes: what each code costs under the model and how
-// often each occurred. How it sums depends on the table and the number of
-// priced requests, decided once in newTally. When no sum can round
-// (exactSum), add only counts and result prices the counts, so no float add
-// sits in the loop. Otherwise add keeps the running total in request order,
-// as the step-by-step ledger does. Either way the total is the ledger's to
-// the bit.
+// tally prices steps: what each code costs under the model and how often
+// each occurred. How it sums depends on the table and the number of priced
+// requests, decided once in newTally. When no sum can round (exactSum), add
+// only counts — steps in bit form by popcount, codes one by one — and
+// result prices the counts, so no float add sits in the loop. Otherwise add
+// keeps the running total in request order, as the step-by-step ledger
+// does, expanding steps in bit form to codes first. Either way the total is
+// the ledger's to the bit.
 //
-// Counts are kept in several sets taken in turn: in a run of equal codes (a
-// static policy, a skewed theta) each increment of a single counter would
-// wait for the previous one's store.
+// Codes are counted in several sets taken in turn: in a run of equal codes
+// (a skewed theta) each increment of a single counter would wait for the
+// previous one's store.
 type tally struct {
 	price [core.NumCodes]float64
 	count [4][core.NumCodes]int
@@ -125,8 +147,98 @@ func exactSum(price *[core.NumCodes]float64, n int) bool {
 	return scaled < limit && uint64(n) <= (limit-1)/uint64(scaled)
 }
 
-// add prices codes.
-func (t *tally) add(codes []core.Code) {
+// add prices the steps of b from request skip on.
+func (t *tally) add(b *block, skip int) {
+	switch {
+	case !b.bits:
+		t.addCodes(b.codes[skip:len(b.ops)])
+	case t.exact:
+		t.countBits(b, skip)
+	default:
+		b.expand()
+		t.addCodes(b.codes[skip:len(b.ops)])
+	}
+}
+
+// expand writes b's steps, in bit form, to its codes in request order.
+func (b *block) expand() {
+	var had, sup uint64
+	if b.had {
+		had = 1
+	}
+	if b.sup {
+		sup = 1
+	}
+	for i, op := range b.ops {
+		o := uint64(op & 1)
+		has := b.has[i/64] >> (i & 63) & 1
+		b.codes[i] = core.Code(o | had<<1 | has<<2 | (sup&o&had)<<3)
+		had = has
+	}
+}
+
+// countBits counts the steps of b, in bit form, from request skip on, 64
+// at a time from the op words and the copy-bit words. For each kind of
+// request it counts four sets — all of them, those that found a copy,
+// those that left one, and those that did both — one popcount each, and
+// folds them into the eight (op, had, has) codes by inclusion–exclusion.
+func (t *tally) countBits(b *block, skip int) {
+	var opw [blockOps / 64]uint64
+	core.PackOps(opw[:], b.ops)
+	n, first := len(b.ops), skip/64
+	last := (n+63)/64 - 1
+	// The copy bit before request 64·first, shifted in as bit 0 of had.
+	var carry uint64
+	if first > 0 {
+		carry = b.has[first-1] >> 63
+	} else if b.had {
+		carry = 1
+	}
+	var r, rHad, rHas, rBoth, w, wHad, wHas, wBoth int
+	for i := first; i <= last; i++ {
+		has := b.has[i]
+		had := has<<1 | carry
+		carry = has >> 63
+		priced := ^uint64(0)
+		if i == first {
+			priced <<= skip & 63
+		}
+		if i == last && n%64 != 0 {
+			priced &= 1<<(n&63) - 1
+		}
+		both := had & has
+		rd, wr := ^opw[i]&priced, opw[i]&priced
+		r += bits.OnesCount64(rd)
+		rHad += bits.OnesCount64(rd & had)
+		rHas += bits.OnesCount64(rd & has)
+		rBoth += bits.OnesCount64(rd & both)
+		w += bits.OnesCount64(wr)
+		wHad += bits.OnesCount64(wr & had)
+		wHas += bits.OnesCount64(wr & has)
+		wBoth += bits.OnesCount64(wr & both)
+	}
+	t.fold(0, r, rHad, rHas, rBoth)
+	// A suppressed step is a write that found a copy.
+	var sup core.Code
+	if b.sup {
+		sup = 8
+	}
+	t.fold(1|sup, w, wHad, wHas, wBoth)
+}
+
+// fold adds countBits' four sets for one kind of request to the counts of
+// its codes; c is the op bit, with the suppressed bit when a write that
+// finds a copy is suppressed.
+func (t *tally) fold(c core.Code, all, had, has, both int) {
+	const codeHad, codeHas = 2, 4
+	t.count[0][c|codeHad|codeHas] += both
+	t.count[0][c|codeHad] += had - both
+	t.count[0][(c&1)|codeHas] += has - both
+	t.count[0][c&1] += all - had - has + both
+}
+
+// addCodes prices codes.
+func (t *tally) addCodes(codes []core.Code) {
 	const mask = core.NumCodes - 1
 	if t.exact {
 		for ; len(codes) >= 4; codes = codes[4:] {
@@ -195,22 +307,18 @@ func (t *tally) result() Result {
 func replay(p core.Policy, m cost.Model, s sched.Schedule, src OpStream, n, warmup int) Result {
 	start := time.Now()
 	t := newTally(m, n-min(max(warmup, 0), n))
-	var drawn [blockOps]sched.Op
-	var codes [blockOps]core.Code
+	var b block
 	for lo := 0; lo < n; lo += blockOps {
 		hi := min(lo+blockOps, n)
-		var ops sched.Schedule
 		if src == nil {
-			ops = s[lo:hi]
+			b.ops = s[lo:hi]
 		} else {
-			ops = drawn[:hi-lo]
-			fillBlock(src, ops)
+			b.ops = b.drawn[:hi-lo]
+			fillBlock(src, b.ops)
 		}
-		out := codes[:len(ops)]
-		applyBlock(p, ops, out)
+		applyBlock(p, &b)
 		// The warmup requests went through the policy; they are not priced.
-		skip := min(max(warmup-lo, 0), len(out))
-		t.add(out[skip:])
+		t.add(&b, min(max(warmup-lo, 0), len(b.ops)))
 	}
 	res := t.result()
 	recordReplay(kindOf(p), res.Ops, time.Since(start))

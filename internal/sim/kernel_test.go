@@ -250,6 +250,34 @@ func BenchmarkRecordReplay(b *testing.B) {
 	}
 }
 
+// TestReplayHistogramResolvesBlockSpeed pins the speed histogram's ladder
+// below the block forms: a 64k-request ST1 replay, priced from its copy
+// bits, must be observed below 1 ns a request. The best of ten replays
+// counts, so one that was preempted does not fail it.
+func TestReplayHistogramResolvesBlockSpeed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments every load")
+	}
+	below := func() uint64 {
+		h := simReg.Snapshot().Histograms["mobirep_sim_replay_ns_per_op"]
+		var n uint64
+		for i, bound := range h.Bounds {
+			if bound < 1 {
+				n += h.Counts[i]
+			}
+		}
+		return n
+	}
+	s := workload.Bernoulli(stats.NewRNG(3), 0.5, 1<<16)
+	before := below()
+	for range 10 {
+		Replay(core.NewST1(), cost.NewConnection(), s, 0)
+	}
+	if below() == before {
+		t.Fatal("no 64k-request ST1 replay of ten was observed below 1 ns a request")
+	}
+}
+
 // TestReplayRecordedOnEveryEntryPoint pins the engine's observability:
 // all six kinds are in the registry (init puts them there, not the first
 // replay of a kind, so a scrape sees the zeros), and every entry

@@ -56,9 +56,11 @@ func (oddModel) StepCost(st core.Step) float64 {
 
 // refPolicies are the policies the engine is held to the reference on:
 // every block form at sizes on both sides of the window register's word
-// boundary, and policies that only have Apply. k is the window size or
-// threshold, the length below which a block is shorter than the policy's
-// memory.
+// boundary, the thresholds at the kernel's bound (128, the largest whose
+// byte lanes cannot carry) and past it (200, through Apply), and policies
+// that only have Apply. k is the window size or threshold, the length
+// below which a block is shorter than the policy's memory. The fuzz corpus
+// names rows by index: append, never reorder.
 var refPolicies = []struct {
 	k  int
 	mk Factory
@@ -79,6 +81,10 @@ var refPolicies = []struct {
 	{1, func() core.Policy { return core.NewCacheInvalidate() }},
 	{1, func() core.Policy { return core.NewEWMA(0.3) }},
 	{15, func() core.Policy { return core.NewAdaptiveSW(3, 15) }},
+	{128, func() core.Policy { return core.NewT1(128) }},
+	{128, func() core.Policy { return core.NewT2(128) }},
+	{200, func() core.Policy { return core.NewT1(200) }},
+	{200, func() core.Policy { return core.NewT2(200) }},
 }
 
 // refModels put the engine's two price loops against the reference: the
@@ -178,12 +184,13 @@ func checkAgainstReference(t *testing.T, what string, mk Factory, m cost.Model, 
 
 // TestReplayMatchesReference is the guard the engine ships under. Lengths
 // sit on block edges and on both sides of the policy's memory, warmups on
-// both sides of a block and of the schedule.
+// both sides of a block and of the schedule; 100 ends a block part way
+// into its second copy-bit word, where go1.24.0 once miscompiled a shift.
 func TestReplayMatchesReference(t *testing.T) {
 	for _, pol := range refPolicies {
 		k := pol.k
 		for name, full := range refSchedules(k) {
-			for _, n := range []int{0, 1, k - 1, k, k + 1, blockOps - 1, blockOps, blockOps + 1, refLongest} {
+			for _, n := range []int{0, 1, k - 1, k, k + 1, 100, blockOps - 1, blockOps, blockOps + 1, refLongest} {
 				s := full[:n]
 				for _, warmup := range []int{0, 1, k, blockOps, n, n + 5} {
 					for _, m := range refModels {
