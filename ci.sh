@@ -36,12 +36,13 @@ go test -race -count=2 -run 'TestChaosSoakRecovery|TestSupervisor|TestServerClos
 # pricing) and the offline optimum's closed form against the dynamic
 # program and the brute force, each with a 10 s fuzz, the once-per-replay
 # recording under race and the speed histogram's sub-nanosecond buckets
-# without it, the two-objects-per-(session, key) pin, the inventory check
-# that internal/core stays the only window implementation, then a live
-# server with -debug-addr whose /metrics and /healthz must answer over
-# real HTTP.
+# without it, the first-touch pin (two objects per (session, key) at the
+# SC, three per allocated key and none per ST1 miss at the MC), the
+# kernel-sampled process counters, the inventory check that internal/core
+# stays the only window implementation, then a live server with
+# -debug-addr whose /metrics and /healthz must answer over real HTTP.
 go test -race -count=1 -run 'TestRegistryConcurrentUse|TestTracerConcurrentRecord' ./internal/obs/
-go test -count=1 -run 'TestObsRecordPathZeroAllocs' ./internal/obs/
+go test -count=1 -run 'TestObsRecordPathZeroAllocs|TestProcessCountersRegisteredAndMonotone' ./internal/obs/
 go test -count=1 -run 'TestFusedKernelZeroAllocs|TestPolicyApplyZeroAllocs' .
 go test -race -count=1 -run 'TestApplyBlockMatchesApply|TestCodeRoundTrip|TestBlockFormInventory' ./internal/core/
 go test -race -count=1 -run 'TestReplayMatchesReference|TestExactSumBoundary|TestKernelRejectsUnknown|TestReplayRecordedOnEveryEntryPoint' ./internal/sim/
@@ -63,6 +64,7 @@ obs_url=$(sed -n 's|.*debug endpoints on \(http://[^/]*\)/metrics.*|\1|p' "$obs_
 test -n "$obs_url"
 curl -fsS "$obs_url/metrics" | grep -q '^mobirep_replica_sessions '
 curl -fsS "$obs_url/metrics" | grep -q '^# TYPE mobirep_transport_frames_total counter'
+curl -fsS "$obs_url/metrics" | grep -q '^mobirep_process_syscalls_total{dir="read"} '
 curl -fsS "$obs_url/healthz" | grep -q '"status":"ok"'
 kill "$obs_pid"
 rm -f "$obs_log" /tmp/mobirep-server-ci
@@ -75,7 +77,9 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # The transport package (reply-inline send, one-read receive, the single
 # close-reason path) and the replica waiter-pool tests run under the race
 # detector three times at GOMAXPROCS 1, 2 and 8: their outcome must not
-# depend on CPU count or scheduler luck (ROADMAP item 0). The replica
+# depend on CPU count or scheduler luck (TestTCPWriteFailureShutsLinkDown
+# once passed or failed by CPU count; TestTCPWriteFailureRacesPeerEOF now
+# covers the race it hid). The replica
 # allocation pins run once more without -race (sync.Pool drops Puts under
 # the detector, so the client pin skips there). The non-unix stub of the
 # inline writer is proven to compile.
@@ -86,16 +90,25 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
 done
 GOOS=windows go vet ./internal/transport/
-# A propagated write, holder by holder: the MC cache's pins (in-place
-# update allocates nothing until a reader holds the value, and a held
-# value never changes) and its differential against the three-map
-# reference, the key index's exactness and fan-out order under the race
-# detector, and the holder-count slope benchmark run once so it cannot
+# A propagated write, holder by holder: the MC record's pins (in-place
+# update allocates nothing until a reader holds the value, a held value
+# never changes, a WriteProp applied with the relay's handlers set
+# allocates nothing) and its differential against the reference that
+# keeps the three cache maps, the copy bit and the window apart; a
+# group-commit Put at one allocation, the value copy; the key index's
+# exactness and fan-out order under the race detector; and the
+# holder-count slope and working-set benchmarks run once so they cannot
 # rot.
 go test -count=1 -run 'TestUpdateAllocations|TestCacheMatchesThreeMapReference' ./internal/mobile/
 go test -race -count=1 -run 'TestReturnedValuesNeverChange|TestConcurrentAccess' ./internal/mobile/
+go test -count=1 -run 'TestWritePropApplyAllocs' ./internal/replica/
+go test -count=1 -run 'TestGroupCommitPutAllocs' ./internal/db/
 go test -race -count=1 -run 'TestSessionKeysSameShardInvariant|TestShardChurnHammer|TestFanOutOrderDeterministic' ./internal/replica/
-go test -run '^$' -bench 'BenchmarkFanOutHolders' -benchtime=1x ./internal/replica/
+go test -run '^$' -bench 'BenchmarkFanOutHolders|BenchmarkFanOutWorkingSet' -benchtime=1x ./internal/replica/
+# Joint reads against pipelined single reads over a loopback TCPLink pair,
+# counting system calls, allocations and frames per writev per key, run
+# once so it cannot rot.
+go test -run '^$' -bench 'BenchmarkReadManyTCP' -benchtime=1x .
 # The replay engine's three benchmarks (materialized, drawn through a
 # Kernel, drawn through ReplayStream) and the block forms alone (the one
 # sliding-threshold kernel for SWk, T1m and T2m, and the static rules),

@@ -48,7 +48,7 @@ func TestOneWindowKernel(t *testing.T) {
 		"push": true, "readMajority": true, "appendPackedWindow": true, "unpackWindow": true,
 		"slideBlock": true, "slideSum": true, "slideCode": true,
 	}
-	for _, pkg := range []string{"core", "sim", "tree", "wire", "replica"} {
+	for _, pkg := range []string{"core", "sim", "tree", "wire", "replica", "mobile"} {
 		fset := token.NewFileSet()
 		for _, path := range goFiles(t, pkg) {
 			if pkg == "replica" && filepath.Base(path) == "model.go" {

@@ -248,8 +248,9 @@ func (l *Log) AppendFramed(buf []byte) error {
 // the payload straight into dst and the header over the gap left for it.
 func appendFramedRecord(dst []byte, rec Record) []byte {
 	start := len(dst)
-	// One growth for the whole record: the group buffer starts each batch
-	// empty, and growing it field by field would allocate per field.
+	// One growth for the whole record when dst lacks room for it (a group
+	// buffer's first rounds, a batch larger than any before): growing it
+	// field by field would allocate per field.
 	dst = slices.Grow(dst, logHeaderSize+8+2+len(rec.Key)+4+len(rec.Value))
 	dst = append(dst, make([]byte, logHeaderSize)...)
 	dst = appendRecord(dst, rec)

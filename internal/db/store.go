@@ -154,7 +154,17 @@ type groupState struct {
 	// sit beyond the tear, unreachable by replay yet acknowledged.
 	wmu  sync.Mutex
 	werr error
+	// spare is the buffer the last round wrote, emptied, which the next
+	// round hands to the Puts in place of the one it takes — so a steady
+	// stream of rounds frames records into two buffers that never grow
+	// again. wmu-protected; one past maxSpareBatch is dropped instead.
+	spare []byte
 }
+
+// maxSpareBatch caps the capacity of a recycled group buffer, so one
+// burst of large records does not pin its buffer for the life of the
+// store.
+const maxSpareBatch = 1 << 20
 
 type groupEntry struct {
 	item Item
@@ -447,7 +457,9 @@ func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, wrote, stale bool,
 	}
 	buf := s.gc.buf
 	tail = s.gc.tail
-	s.gc.buf = nil
+	if len(buf) > 0 {
+		s.gc.buf, s.gc.spare = s.gc.spare[:0], nil
+	}
 	s.gc.mu.Unlock()
 	if len(buf) == 0 {
 		return tail, false, false, nil
@@ -459,6 +471,9 @@ func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, wrote, stale bool,
 	if err := log.fsync(); err != nil {
 		s.gc.werr = err
 		return 0, false, false, err
+	}
+	if cap(buf) <= maxSpareBatch {
+		s.gc.spare = buf[:0]
 	}
 	return tail, true, false, nil
 }

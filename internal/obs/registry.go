@@ -149,6 +149,10 @@ type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]metric
 	help    map[string]string // keyed by base name (name up to '{')
+	// scrape holds the hooks that bring counters read from outside the
+	// program (the kernel's, process_linux.go) up to date; Snapshot and
+	// WriteTo run them first, so the request path never pays for them.
+	scrape []func()
 }
 
 // New creates an empty registry. Most code uses Default.
@@ -249,6 +253,25 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
+// OnScrape registers f to run at the start of every Snapshot and WriteTo,
+// before any series is read: the hook for counters whose source is
+// outside the program and is sampled only when someone looks.
+func (r *Registry) OnScrape(f func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scrape = append(r.scrape, f)
+}
+
+// runScrape runs the OnScrape hooks.
+func (r *Registry) runScrape() {
+	r.mu.RLock()
+	hooks := r.scrape
+	r.mu.RUnlock()
+	for _, f := range hooks {
+		f()
+	}
+}
+
 func (r *Registry) setHelpLocked(name, help string) {
 	base := baseName(name)
 	if _, ok := r.help[base]; !ok && help != "" {
@@ -274,6 +297,7 @@ func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
 // Snapshot copies every series out of the registry.
 func (r *Registry) Snapshot() Snapshot {
+	r.runScrape()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
@@ -298,6 +322,7 @@ func (r *Registry) Snapshot() Snapshot {
 // (version 0.0.4): series sorted by name, one HELP/TYPE header per base
 // name, histograms expanded into cumulative _bucket/_sum/_count series.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+	r.runScrape()
 	r.mu.RLock()
 	names := make([]string, 0, len(r.metrics))
 	for name := range r.metrics {

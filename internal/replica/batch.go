@@ -52,19 +52,10 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	var hints []uint64
 	missingIdx := make(map[string][]int)
 	for i, key := range keys {
-		st := c.state(key)
-		if st.hasCopy {
-			if it, ok := c.cache.Get(key); ok {
-				if st.kind == ModeSW {
-					st.window.Push(sched.Read)
-				}
-				c.noteFloorLocked(key, it.Version)
-				out[i] = it
-				continue
-			}
-			st.hasCopy = false
-		} else {
-			c.cache.Get(key) // record the miss
+		if it, ok := c.cache.Get(key, 0); ok {
+			c.noteFloorLocked(key, it.Version)
+			out[i] = it
+			continue
 		}
 		if len(missingIdx[key]) == 0 {
 			missing = append(missing, key)
@@ -184,22 +175,13 @@ func (c *Client) onBatch(b wire.Batch) {
 		if !e.Allocate {
 			continue
 		}
-		st := c.state(e.Key)
-		st.hasCopy = true
-		if st.kind == ModeSW {
-			if e.Window.Size() == st.window.Size() {
-				st.window = e.Window
-			} else {
-				st.window.Fill(sched.Read)
-			}
-		}
 		item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
 		if e.NotModified {
 			if arch, ok := c.cache.Revalidated(e.Key); ok {
 				item = arch
 			}
 		}
-		c.cache.Install(item)
+		c.cache.Install(item, e.Window)
 	}
 	if c.trackFloors {
 		// Joint reads record floors (they raise what singleton reads must

@@ -7,26 +7,29 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/mobile"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
 
 // Client is the mobile computer: it serves reads from its local cache when
 // a copy is allocated and runs the MC side of the allocation protocol.
+// The cache is the MC's one record per key — copy, allocation bit and
+// window — so a propagated write or a revocation runs under the cache's
+// lock alone; c.mu guards the link, the parked reads, the floors and the
+// epoch.
 type Client struct {
 	link  transport.Link
 	cache *mobile.Cache
-	mode  Mode
 	meter *Meter
 
 	mu           sync.Mutex
-	items        map[string]*itemState
 	pending      map[string]*readWaiter // per key, the oldest parked read; the rest chain behind it
 	pendingBatch []chan wire.Batch
 	// pendingFn holds continuation-style read waiters (ReadThrough): a
@@ -56,14 +59,16 @@ type Client struct {
 	onBusy func(retryAfter time.Duration, reason string)
 
 	// Tree hooks (readthrough.go). applyFn/dropFn let a relay station
-	// mirror parent-face state changes downward; fenceFn announces an
+	// mirror parent-face state changes downward — read without c.mu, so
+	// applying a write takes no lock but the cache's (nil until set, or
+	// pointing at a nil func once cleared); fenceFn announces an
 	// epoch fence so the station can invalidate its subtree. trackFloors
 	// turns on per-key read floors: remote reads then carry the highest
 	// version this client has observed, making reads monotone per key
 	// even across relay staleness. All off by default — a plain client
 	// stays wire-identical.
-	applyFn     func(it db.Item)
-	dropFn      func(key string)
+	applyFn     atomic.Pointer[func(it db.Item)]
+	dropFn      atomic.Pointer[func(key string)]
 	fenceFn     func()
 	trackFloors bool
 	floors      map[string]uint64
@@ -83,12 +88,14 @@ func NewClient(link transport.Link, mode Mode) (*Client, error) {
 	if err := mode.validate(); err != nil {
 		return nil, err
 	}
+	cache := mobile.NewCache()
+	if mode.Kind == ModeSW {
+		cache = mobile.NewWindowCache(mode.K)
+	}
 	c := &Client{
 		link:      link,
-		cache:     mobile.NewCache(),
-		mode:      mode,
+		cache:     cache,
 		meter:     newMeter(mcMirror),
-		items:     make(map[string]*itemState),
 		pending:   make(map[string]*readWaiter),
 		pendingFn: make(map[string][]*fnWaiter),
 	}
@@ -140,25 +147,12 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 		c.mu.Unlock()
 		return c.staleRead(key, staleMax)
 	}
-	st := c.state(key)
-	if st.hasCopy {
-		it, ok := c.cache.Get(key)
-		if ok {
-			// Local read: the MC is in charge; slide the window.
-			if st.kind == ModeSW {
-				st.window.Push(sched.Read)
-			}
-			c.noteFloorLocked(key, it.Version)
-			c.mu.Unlock()
-			mReadLocal.Inc()
-			return it, nil
-		}
-		// Cache and allocation state disagree; fall through to remote and
-		// repair below. (Can only happen if Drop raced with Read.)
-		st.hasCopy = false
-	} else {
-		// Record the miss in the cache statistics.
-		c.cache.Get(key)
+	if it, ok := c.cache.Get(key, 0); ok {
+		// Local read: the MC is in charge, and the cache slid its window.
+		c.noteFloorLocked(key, it.Version)
+		c.mu.Unlock()
+		mReadLocal.Inc()
+		return it, nil
 	}
 	var floor uint64
 	if c.trackFloors {
@@ -225,20 +219,6 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 	return it, ErrStale
 }
 
-// state returns (creating if needed) the client's state for key. The
-// caller must hold c.mu.
-func (c *Client) state(key string) *itemState {
-	st, ok := c.items[key]
-	if !ok {
-		st = newItemState(c.mode)
-		// Inserting a map key retains its bytes, and key may alias a
-		// borrowed frame (wire.DecodeBorrowed); clone so the client never
-		// keeps transport memory alive.
-		c.items[strings.Clone(key)] = st
-	}
-	return st
-}
-
 // parkLocked queues w behind the reads already waiting on its key. The
 // caller holds c.mu.
 func (c *Client) parkLocked(w *readWaiter) {
@@ -298,9 +278,9 @@ func (c *Client) onFrame(frame []byte) {
 		return
 	}
 	// Borrowed decode: msg aliases frame, valid only for this handler.
-	// Retention points clone — the cache copies bytes in, state() clones
-	// map keys, and onReadResp clones before handing a message to a
-	// waiting reader goroutine.
+	// Retention points clone — the cache copies key and value in, and
+	// onReadResp clones before handing a message to a waiting reader
+	// goroutine.
 	msg, err := wire.DecodeBorrowed(frame)
 	if err != nil {
 		return // malformed server frame; drop
@@ -435,29 +415,19 @@ func (c *Client) onReadResp(msg wire.Message) {
 			return
 		}
 	}
-	if msg.Allocate && !c.state(msg.Key).hasCopy {
-		st := c.state(msg.Key)
-		st.hasCopy = true
-		mAllocs.Inc()
-		// The tracer's ring buffer retains the key; msg.Key is borrowed.
-		obsTr.Record(obs.EvAllocate, strings.Clone(msg.Key), "read-resp", int64(msg.Version), 0)
-		if st.kind == ModeSW {
-			if msg.Window.Size() == st.window.Size() {
-				st.window = msg.Window
-			} else {
-				// ST2-style allocation carries no window; for SW modes a
-				// missing window means the server is buggy — recover by
-				// assuming all-reads, which the next requests will wash
-				// out.
-				st.window.Fill(sched.Read)
-			}
+	if msg.Allocate {
+		// An SW allocation without a window means the server is buggy; the
+		// cache assumes all reads, which the next requests wash out.
+		if key, ok := c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, msg.Window); ok {
+			mAllocs.Inc()
+			// The tracer's ring retains the key: the cache's own, not msg's.
+			obsTr.Record(obs.EvAllocate, key, "read-resp", int64(msg.Version), 0)
 		}
-		c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
 	}
 	var w *readWaiter
 	var fws []*fnWaiter
-	var dealloc *wire.Message
-	var dropped string
+	var dropped string // a copy the answer deallocated, and the window to hand back
+	var win core.Window
 	if w = c.pending[msg.Key]; w != nil {
 		c.popWaiterLocked(w)
 		c.noteFloorLocked(msg.Key, msg.Version)
@@ -483,11 +453,15 @@ func (c *Client) onReadResp(msg wire.Message) {
 		}
 		c.noteFloorLocked(msg.Key, msg.Version)
 		// A ReadThrough goes remote while still holding a copy only when
-		// the cached version sat below the floor; fold the answer in like
-		// a one-key resync.
-		dealloc, dropped = c.absorbLocked(msg)
+		// the cached version sat below the floor, so the propagation path
+		// lost writes: the cache folds the answer in like a one-key resync.
+		key, out, back := c.cache.Apply(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, true)
+		if out == mobile.Dropped {
+			dropped, win = key, back
+			mDeallocs.Inc()
+			obsTr.Record(obs.EvDeallocate, key, "absorb", int64(msg.Version), 0)
+		}
 	}
-	drop := c.dropFn
 	c.mu.Unlock()
 	if w != nil {
 		// The reader consumes the result on another goroutine, after this
@@ -497,8 +471,8 @@ func (c *Client) onReadResp(msg wire.Message) {
 		// sees before the reader recycles w.
 		w.ch <- readResult{value: bytes.Clone(msg.Value), version: msg.Version}
 	}
-	if dealloc != nil {
-		_ = c.sendControl(*dealloc)
+	if dropped != "" {
+		_ = c.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: dropped, Window: win})
 	}
 	for _, f := range fws {
 		// Synchronous completion on the delivery goroutine: msg is
@@ -506,8 +480,8 @@ func (c *Client) onReadResp(msg wire.Message) {
 		// returning (relay stations copy at every retention point).
 		f.fn(msg, true)
 	}
-	if dropped != "" && drop != nil {
-		drop(dropped)
+	if dropped != "" {
+		c.notifyDrop(dropped)
 	}
 }
 
@@ -515,82 +489,62 @@ func (c *Client) onReadResp(msg wire.Message) {
 // the window, and deallocate (sending the delete-request with the window)
 // if writes now hold the majority. The window slides only when the version
 // actually advances the cache — a duplicated or reordered propagation is
-// inert, or it would count one write twice and deallocate too early.
+// inert, or it would count one write twice and deallocate too early. The
+// whole step is one cache call: one lock, one map probe, and the value
+// copied over the resident buffer.
 func (c *Client) onWriteProp(msg wire.Message) {
-	c.mu.Lock()
-	st := c.state(msg.Key)
-	if !st.hasCopy {
+	key, out, win := c.cache.Apply(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, false)
+	switch out {
+	case mobile.Stale:
+		return
+	case mobile.NotHeld:
 		// The SC still believes this MC is subscribed, so the deallocation
 		// (our delete-request, or the allocation response it answers) was
 		// lost in transit. Re-assert it so the SC stops paying a data
 		// message per write; a duplicate delete-request is ignored there.
-		c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
-		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
-		if st.kind == ModeSW {
-			out.Window = st.window
-		}
-		c.mu.Unlock()
-		_ = c.sendControl(out)
+		_ = c.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key, Window: win})
 		return
 	}
-	fresh := c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version})
-	var out *wire.Message
-	if fresh && st.kind == ModeSW {
-		st.window.Push(sched.Write)
-		if !st.window.ReadMajority() {
-			// Deallocate: hand the window back to the SC.
-			st.hasCopy = false
-			c.cache.Drop(msg.Key)
-			mDeallocs.Inc()
-			obsTr.Record(obs.EvDeallocate, strings.Clone(msg.Key), "write-majority", int64(msg.Version), 0)
-			out = &wire.Message{
-				Kind: wire.KindDeleteReq, Key: msg.Key, Window: st.window,
-			}
-		}
+	if out == mobile.Dropped {
+		mDeallocs.Inc()
+		obsTr.Record(obs.EvDeallocate, key, "write-majority", int64(msg.Version), 0)
 	}
-	apply := c.applyFn
-	drop := c.dropFn
-	c.mu.Unlock()
-	var key string
-	if (fresh && apply != nil) || (out != nil && drop != nil) {
-		key = strings.Clone(msg.Key) // the handlers may retain the key
-	}
-	if fresh && apply != nil {
-		// The relay mirrors the write downward before any revocation:
-		// children that keep their copies see the value; Value stays
-		// borrowed (the handler copies at retention points).
-		apply(db.Item{Key: key, Value: msg.Value, Version: msg.Version})
-	}
-	if out != nil {
-		// The delete-request rides the write's connection: it is a
-		// control message but not a new connection.
-		_ = c.sendControl(*out)
-		if drop != nil {
-			drop(key)
-		}
+	// The relay mirrors the write downward before any revocation: children
+	// that keep their copies see the value. The key is the cache's own;
+	// Value stays borrowed (the handler copies at retention points).
+	c.notifyApply(db.Item{Key: key, Value: msg.Value, Version: msg.Version})
+	if out == mobile.Dropped {
+		// Deallocate: hand the window back to the SC. The delete-request
+		// rides the write's connection: it is a control message but not a
+		// new connection.
+		_ = c.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: win})
+		c.notifyDrop(key)
 	}
 }
 
 // onDeleteReq handles the SW1 optimization (and any server-initiated
 // deallocation): drop the copy.
 func (c *Client) onDeleteReq(msg wire.Message) {
-	c.mu.Lock()
-	st := c.state(msg.Key)
-	had := st.hasCopy
-	st.hasCopy = false
-	if st.kind == ModeSW {
-		st.window.Fill(sched.Write)
+	key, _, had := c.cache.Drop(msg.Key, true)
+	if !had {
+		return
 	}
-	c.cache.Drop(msg.Key)
-	drop := c.dropFn
-	c.mu.Unlock()
-	if had {
-		mDeallocs.Inc()
-		key := strings.Clone(msg.Key)
-		obsTr.Record(obs.EvDeallocate, key, "delete-req", 0, 0)
-		if drop != nil {
-			drop(key)
-		}
+	mDeallocs.Inc()
+	obsTr.Record(obs.EvDeallocate, key, "delete-req", 0, 0)
+	c.notifyDrop(key)
+}
+
+// notifyApply hands it to the apply handler, if any.
+func (c *Client) notifyApply(it db.Item) {
+	if apply := c.applyFn.Load(); apply != nil && *apply != nil {
+		(*apply)(it)
+	}
+}
+
+// notifyDrop tells the drop handler, if any, that key's copy is gone.
+func (c *Client) notifyDrop(key string) {
+	if drop := c.dropFn.Load(); drop != nil && *drop != nil {
+		(*drop)(key)
 	}
 }
 

@@ -839,32 +839,24 @@ func (h *conformance) doRead(key string) error {
 	return nil
 }
 
-// implSide snapshots one implementation side's per-key state under its
-// lock: the copy bit and the window (all-writes default when the key was
-// never touched, matching newItemState).
-func implMCState(c *Client, mode Mode, key string) (bool, sched.Schedule) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return implState(c.items, mode, key)
+// implMCState and implSCState snapshot one implementation side's per-key
+// state: the copy bit and the window (all-writes default when the key was
+// never touched, matching newItemState). The MC's lives in its cache
+// record; the harness reads it once the schedule has quiesced.
+func implMCState(c *Client, key string) (bool, sched.Schedule) {
+	var win sched.Schedule
+	if w := c.cache.Window(key); w.Size() > 0 {
+		win = w.Bits()
+	}
+	return c.cache.Contains(key), win
 }
 
 func implSCState(ss *Session, mode Mode, key string) (bool, sched.Schedule) {
 	ss.shard.enter()
 	defer ss.shard.exit()
-	return implState(ss.items, mode, key)
-}
-
-func implState(items map[string]*itemState, mode Mode, key string) (bool, sched.Schedule) {
-	st, ok := items[key]
+	st, ok := ss.items[key]
 	if !ok {
-		var win sched.Schedule
-		if mode.Kind == ModeSW {
-			win = make(sched.Schedule, mode.K)
-			for i := range win {
-				win[i] = sched.Write
-			}
-		}
-		return false, win
+		st = newItemState(mode)
 	}
 	var win sched.Schedule
 	if st.window.Size() > 0 {
@@ -886,7 +878,7 @@ func (h *conformance) checkFinalState() error {
 			return h.fail("final %s: store at v%d, model v%d", key, it.Version, h.model.StoreVersion(key))
 		}
 
-		mcCopy, mcWin := implMCState(h.cli, h.mode, key)
+		mcCopy, mcWin := implMCState(h.cli, key)
 		if mcCopy != h.model.MCHasCopy(key) {
 			return h.fail("final %s: MC hasCopy=%v, model %v", key, mcCopy, h.model.MCHasCopy(key))
 		}

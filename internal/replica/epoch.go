@@ -67,12 +67,7 @@ func (c *Client) noteEpochLocked(epoch uint64) bool {
 // dropped, and a latch would poison its next ordinary warm resync.
 // Caller holds c.mu.
 func (c *Client) fenceLocked(epoch uint64) {
-	for key, st := range c.items {
-		if st.hasCopy {
-			c.cache.Drop(key)
-		}
-	}
-	c.items = make(map[string]*itemState)
+	c.cache.Reset()
 	if c.trackFloors {
 		// A restarted authority may legitimately have rolled back; stale
 		// floors would make every future read unsatisfiable.

@@ -2,11 +2,14 @@ package replica
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
+	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -41,6 +44,30 @@ type nullLink struct{}
 func (nullLink) Send([]byte) error            { return nil }
 func (nullLink) SetHandler(transport.Handler) {}
 func (nullLink) Close() error                 { return nil }
+
+// echoLink answers every ReadReq on the spot with a non-allocating
+// ReadResp for version 1 of value, encoded into one reused buffer: a
+// server that costs the client nothing, so a client pin counts only the
+// client.
+type echoLink struct {
+	h     transport.Handler
+	value []byte
+	buf   []byte
+}
+
+func (l *echoLink) Send(frame []byte) error {
+	m, err := wire.DecodeBorrowed(frame)
+	if err != nil || m.Kind != wire.KindReadReq {
+		return err
+	}
+	if l.buf, err = wire.AppendEncode(l.buf[:0], wire.Message{Kind: wire.KindReadResp, Key: m.Key, Value: l.value, Version: 1}); err != nil {
+		return err
+	}
+	l.h(l.buf)
+	return nil
+}
+func (l *echoLink) SetHandler(h transport.Handler) { l.h = h }
+func (l *echoLink) Close() error                   { return nil }
 
 // TestServerSendPathAllocs pins the SC steady-state send machinery —
 // pooled encode, meter, link hand-off, buffer release — at zero
@@ -277,6 +304,100 @@ func BenchmarkFanOutHolders(b *testing.B) {
 	}
 }
 
+// BenchmarkFanOutWorkingSet is BenchmarkFanOutHolders with a working set:
+// 64 ST2 holders each hold 256 keys of 1 KiB, and each Write goes to a
+// key drawn from a seeded sequence, so the MC's record for it is rarely
+// still in a CPU cache — the cost a single hot key hides. It reports
+// ns/holder next to ns/op and allocs/op.
+func BenchmarkFanOutWorkingSet(b *testing.B) {
+	const holders, nkeys = 64, 256
+	srv, err := NewServer(db.NewStore(), Static2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := make([]byte, 1024)
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%03d", i)
+		if _, err := srv.Write(keys[i], value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clients := make([]*Client, holders)
+	for i := range clients {
+		mcEnd, scEnd := transport.NewMemPair()
+		if clients[i], err = NewClient(mcEnd, Static2()); err != nil {
+			b.Fatal(err)
+		}
+		srv.Attach(scEnd)
+		for _, k := range keys {
+			// Static-2 allocates on first contact.
+			if _, err := clients[i].Read(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := make([]int, 1<<12)
+	for i := range order {
+		order[i] = rng.Intn(nkeys)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		value[0] = byte(i)
+		if _, err := srv.Write(keys[order[i%len(order)]], value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holders, "ns/holder")
+	last := keys[order[(b.N-1)%len(order)]]
+	want, _ := srv.Store().Get(last)
+	for i, cli := range clients {
+		if it, ok := cli.Cache().Peek(last); !ok || it.Version != want.Version {
+			b.Fatalf("holder %d ended at %+v, want version %d", i, it.Version, want.Version)
+		}
+	}
+}
+
+// TestWritePropApplyAllocs pins the MC's half of a propagated write: with
+// apply and drop handlers registered, applying a WriteProp to a held copy
+// nobody has read since allocates nothing — the record is found with one
+// probe, the value lands over the resident buffer, and the handler gets
+// the cache's own key instead of a clone.
+func TestWritePropApplyAllocs(t *testing.T) {
+	cli, err := NewClient(nullLink{}, Static2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied uint64
+	drops := 0
+	cli.SetApplyHandler(func(it db.Item) { applied = it.Version })
+	cli.SetDropHandler(func(string) { drops++ })
+	value := make([]byte, 1024)
+	resp, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadResp, Key: "k", Value: value, Version: 1, Allocate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.onFrame(resp)
+	version := uint64(1)
+	var frame []byte
+	write := func() {
+		version++
+		value[0] = byte(version)
+		frame, _ = wire.AppendEncode(frame[:0], wire.Message{Kind: wire.KindWriteProp, Key: "k", Value: value, Version: version})
+		cli.onFrame(frame)
+	}
+	write() // size the frame buffer
+	if allocs := testing.AllocsPerRun(200, write); allocs != 0 {
+		t.Errorf("applying a WriteProp allocated %.1f times per run, want 0", allocs)
+	}
+	if it, ok := cli.Cache().Peek("k"); !ok || it.Version != version || it.Value[0] != value[0] || applied != version || drops != 0 {
+		t.Fatalf("after v%d: cache %+v held=%v, handler saw v%d, %d drops", version, it.Version, ok, applied, drops)
+	}
+}
+
 // TestWriteFanOutMetersPerSession checks that sharing the encoded frame
 // does not merge the accounting: each subscribed session still meters its
 // own connection and data message per propagated write.
@@ -307,13 +428,20 @@ func TestWriteFanOutMetersPerSession(t *testing.T) {
 }
 
 // TestFirstTouchAllocations pins what one (session, key) costs the heap on
-// each side: the itemState — window embedded by value, and on the server
+// each side. At the SC it is the itemState — window embedded by value and
 // the key-index slot number in its padding — and the cloned key the map
 // retains, two objects. (Before the window was a value it was four: item,
 // window struct, bit slice, key.) The server sessions measured are each
 // key's 17th to 32nd holder, so the key's slot list — shared by every
 // session holding it — grows once in those sixteen first touches; like map
 // growth, that amortizes to well under one allocation per insert.
+//
+// At the MC the cache record is the only per-key state: an allocating
+// response for a new key costs the record, its key and its value, three
+// objects (six when the client kept its own state record and key beside
+// the cache's and cloned the key again for the tracer), and a read miss
+// that does not allocate a copy — every ST1 read — creates no record at
+// all: its one allocation is the value handed to the reader.
 func TestFirstTouchAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(itemState{}); got != 32 {
 		t.Errorf("itemState is %d bytes, want 32: the index slot number must fit the padding", got)
@@ -329,15 +457,54 @@ func TestFirstTouchAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := make([][]byte, len(keys))
+	for i, k := range keys {
+		frames[i], err = wire.AppendEncode(nil, wire.Message{
+			Kind: wire.KindReadResp, Key: k, Value: []byte("value"), Version: 1,
+			Allocate: true, Window: core.NewWindow(9, sched.Read),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		cli.mu.Lock()
-		cli.state(keys[next])
-		cli.mu.Unlock()
+		cli.onFrame(frames[next])
 		next++
 	})
-	if allocs > 2 {
-		t.Errorf("client first touch allocated %.0f objects per key, want at most 2", allocs)
+	if allocs > 3 {
+		t.Errorf("client allocation of a new key cost %.0f objects, want at most 3 (record, key, value)", allocs)
+	}
+	if n := cli.Cache().Len(); n != len(keys) {
+		t.Fatalf("client holds %d copies, want %d", n, len(keys))
+	}
+
+	if !raceEnabled { // the read's waiter is pooled
+		echo := &echoLink{value: []byte("value")}
+		st1, err := NewClient(echo, Static1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(key string) {
+			if it, err := st1.Read(key); err != nil || it.Version != 1 {
+				t.Fatalf("ST1 read %s = %+v, %v", key, it, err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			read("warm") // fill the waiter pool and the encode buffers
+		}
+		next = 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			read(keys[next])
+			next++
+		})
+		if allocs > 1 {
+			t.Errorf("ST1 read miss allocated %.0f objects, want at most 1 (the value handed to the reader)", allocs)
+		}
+		if c := st1.Cache(); c.Len() != 0 || c.ArchiveLen() != 0 || c.Stats().Misses != len(keys)+8 {
+			t.Errorf("ST1 client left %d records and %d archived, %d misses; want none and %d misses",
+				c.Len(), c.ArchiveLen(), c.Stats().Misses, len(keys)+8)
+		}
 	}
 
 	srv, err := NewServerShards(db.NewStore(), mode, 1)

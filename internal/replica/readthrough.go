@@ -7,7 +7,6 @@ import (
 
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
 
@@ -109,27 +108,15 @@ func (c *Client) ReadThrough(key string, floor uint64, done func(it db.Item, ok 
 		// collectively monotone reads, not just per original requester.
 		floor = f
 	}
-	st := c.state(key)
-	if st.hasCopy {
-		if it, ok := c.cache.Get(key); ok && it.Version >= floor {
-			if st.kind == ModeSW {
-				st.window.Push(sched.Read)
-			}
-			c.noteFloorLocked(key, it.Version)
-			c.mu.Unlock()
-			mReadLocal.Inc()
-			done(it, true)
-			return
-		} else if !ok {
-			// Cache and allocation state disagree (a concurrent Drop);
-			// repair and go remote, as ReadContext does.
-			st.hasCopy = false
-		}
-		// A held copy below the floor stays held: the remote answer is
-		// absorbed like a one-key resync (see absorbLocked).
-	} else {
-		c.cache.Get(key) // record the miss
+	if it, ok := c.cache.Get(key, floor); ok {
+		c.noteFloorLocked(key, it.Version)
+		c.mu.Unlock()
+		mReadLocal.Inc()
+		done(it, true)
+		return
 	}
+	// A held copy below the floor stays held: the remote answer is
+	// absorbed like a one-key resync (see onReadResp).
 	fw := &fnWaiter{fn: func(msg wire.Message, ok bool) {
 		if !ok {
 			done(db.Item{}, false)
@@ -205,74 +192,23 @@ func (c *Client) Floor(key string) uint64 {
 	return c.floors[key]
 }
 
-// absorbLocked folds a remote read answer into a still-held copy.
-// ReadThrough goes remote while holding a copy only when the cached
-// version sits below the requested floor, which means the propagation
-// path lost writes; account for them exactly like a one-key resync —
-// slide the window by the missed writes (capped at K, beyond which
-// older pushes would have slid out anyway) and deallocate on a write
-// majority. Returns the DeleteReq to send upstream (nil if none) and
-// the key whose drop must cascade downward ("" if none). Caller holds
-// c.mu.
-func (c *Client) absorbLocked(msg wire.Message) (*wire.Message, string) {
-	st, ok := c.items[msg.Key]
-	if !ok || !st.hasCopy {
-		return nil, ""
-	}
-	cur, _ := c.cache.Peek(msg.Key)
-	if !c.cache.Update(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}) {
-		return nil, ""
-	}
-	if st.kind != ModeSW {
-		return nil, ""
-	}
-	missed := int(msg.Version - cur.Version)
-	if missed > st.window.Size() {
-		missed = st.window.Size()
-	}
-	for i := 0; i < missed; i++ {
-		st.window.Push(sched.Write)
-	}
-	if st.window.ReadMajority() {
-		return nil, ""
-	}
-	st.hasCopy = false
-	key := strings.Clone(msg.Key)
-	c.cache.Drop(key)
-	mDeallocs.Inc()
-	obsTr.Record(obs.EvDeallocate, key, "absorb", int64(msg.Version), 0)
-	return &wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: st.window}, key
-}
-
 // DropCopy voluntarily deallocates key — the placement policy decided
 // this station should not hold it. The window rides the DeleteReq so the
 // server adopts the true read/write history, and the drop cascades
 // through the drop handler. Reports whether a copy was actually held.
 func (c *Client) DropCopy(key string) bool {
-	c.mu.Lock()
-	st, ok := c.items[key]
-	if !ok || !st.hasCopy {
-		c.mu.Unlock()
+	_, win, ok := c.cache.Drop(key, false)
+	if !ok {
 		return false
 	}
-	st.hasCopy = false
-	out := wire.Message{Kind: wire.KindDeleteReq, Key: key}
-	if st.kind == ModeSW {
-		out.Window = st.window
-	}
-	c.cache.Drop(key)
-	drop := c.dropFn
-	c.mu.Unlock()
 	mDeallocs.Inc()
 	obsTr.Record(obs.EvDeallocate, key, "placement", 0, 0)
 	// An offline send is lost, but so is the copy: the next resync simply
 	// does not declare the key, and a server that still believes in the
 	// copy is corrected by the re-asserted DeleteReq its next propagation
 	// provokes.
-	_ = c.sendControl(out)
-	if drop != nil {
-		drop(key)
-	}
+	_ = c.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: win})
+	c.notifyDrop(key)
 	return true
 }
 
@@ -280,12 +216,11 @@ func (c *Client) DropCopy(key string) bool {
 // learns passively from its server — write propagations and resync
 // re-ships (reads complete through their own continuations instead, so
 // a fetch never double-fires). f runs on the transport delivery
-// goroutine after the client's lock is released; the item's Value is
-// borrowed and must be copied at any retention point.
+// goroutine after the client's lock is released; the item's Key is the
+// cache's own and may be retained, its Value is borrowed and must be
+// copied at any retention point.
 func (c *Client) SetApplyHandler(f func(it db.Item)) {
-	c.mu.Lock()
-	c.applyFn = f
-	c.mu.Unlock()
+	c.applyFn.Store(&f)
 }
 
 // SetDropHandler registers f to be told whenever the client's copy of a
@@ -295,9 +230,7 @@ func (c *Client) SetApplyHandler(f func(it db.Item)) {
 // wholesale drops of Disconnect/Reattach/fencing; the fence handler
 // covers those.
 func (c *Client) SetDropHandler(f func(key string)) {
-	c.mu.Lock()
-	c.dropFn = f
-	c.mu.Unlock()
+	c.dropFn.Store(&f)
 }
 
 // SetFenceHandler registers f to run when the client fences on an epoch

@@ -3,12 +3,11 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"mobirep/internal/db"
+	"mobirep/internal/mobile"
 	"mobirep/internal/obs"
-	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -111,12 +110,7 @@ func (c *Client) Disconnect() {
 	old := c.link
 	c.link = nil
 	// Drop all cached copies and allocation state.
-	for key, st := range c.items {
-		if st.hasCopy {
-			c.cache.Drop(key)
-		}
-	}
-	c.items = make(map[string]*itemState)
+	c.cache.Reset()
 	pending, batch, fns, done := c.takeWaitersLocked()
 	c.mu.Unlock()
 
@@ -154,7 +148,9 @@ func (c *Client) Offline() bool {
 
 // Reattach brings the client back online over a new link (the caller has
 // dialed and, on the server side, Attached it). All keys restart in the
-// one-copy scheme with fresh windows.
+// one-copy scheme with fresh windows: any copy still live (a Suspend
+// followed by a cold Reattach) is dropped, since the new session never
+// heard of it.
 //
 // Reattach is also safe while still online: the old link is closed and any
 // read still waiting on it fails with ErrOffline, instead of leaving a
@@ -171,7 +167,7 @@ func (c *Client) Reattach(link transport.Link) {
 	c.link = link
 	c.offline = false
 	c.fenced = false // cold restart: the fence's demand is satisfied
-	c.items = make(map[string]*itemState)
+	c.cache.Reset()
 	if c.trackFloors {
 		// A cold restart starts monotonicity over: the old floors may be
 		// unsatisfiable if the authority legitimately rolled back.
@@ -201,19 +197,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	c.mu.Lock()
 	old := c.link
 	c.link = link
-	var keys []string
-	for key, st := range c.items {
-		if st.hasCopy {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	hints := make([]uint64, len(keys))
-	for i, key := range keys {
-		if it, ok := c.cache.Peek(key); ok {
-			hints[i] = it.Version
-		}
-	}
+	keys, hints := c.cache.Held()
 	done := make(chan struct{})
 	if len(keys) == 0 {
 		c.offline = false
@@ -297,56 +281,40 @@ func (c *Client) onResyncResp(b wire.Batch) {
 		return
 	}
 	for _, e := range b.Entries {
-		st, ok := c.items[e.Key]
-		if !ok || !st.hasCopy {
-			continue
-		}
 		if e.NotModified {
 			// The cached copy is current; refresh its staleness clock.
-			c.cache.Refresh(e.Key)
-			notModified++
-			continue
-		}
-		reshipped++
-		cur, _ := c.cache.Peek(e.Key)
-		if !c.cache.Update(db.Item{Key: e.Key, Value: e.Value, Version: e.Version}) {
-			continue
-		}
-		if c.applyFn != nil {
-			// Batch memory is owned (wire.DecodeBatch copies), so the
-			// entry can ride to the handler as-is.
-			applied = append(applied, db.Item{Key: e.Key, Value: e.Value, Version: e.Version})
-		}
-		if st.kind != ModeSW {
+			if c.cache.Refresh(e.Key) {
+				notModified++
+			}
 			continue
 		}
 		// Every write missed while away counts toward the window, just
-		// as if the propagations had arrived one by one — capped at K,
-		// beyond which older pushes would have slid out anyway.
-		missed := int(e.Version - cur.Version)
-		if missed > st.window.Size() {
-			missed = st.window.Size()
+		// as if the propagations had arrived one by one.
+		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
+		_, out, win := c.cache.Apply(it, true)
+		if out == mobile.NotHeld {
+			continue
 		}
-		for i := 0; i < missed; i++ {
-			st.window.Push(sched.Write)
+		reshipped++
+		if out == mobile.Stale {
+			continue
 		}
-		if !st.window.ReadMajority() {
+		// Batch memory is owned (wire.DecodeBatch copies), so the entry
+		// can ride to the apply handler as-is.
+		applied = append(applied, it)
+		if out == mobile.Dropped {
 			// The outage turned the mix write-heavy: deallocate, handing
 			// the window back to the SC.
-			st.hasCopy = false
-			c.cache.Drop(e.Key)
 			mDeallocs.Inc()
 			obsTr.Record(obs.EvDeallocate, e.Key, "resync", int64(e.Version), 0)
 			dealloc = append(dealloc, wire.Message{
-				Kind: wire.KindDeleteReq, Key: e.Key, Window: st.window,
+				Kind: wire.KindDeleteReq, Key: e.Key, Window: win,
 			})
 		}
 	}
 	c.offline = false
 	done := c.resyncDone
 	c.resyncDone = nil
-	apply := c.applyFn
-	drop := c.dropFn
 	c.mu.Unlock()
 
 	mResyncApplied.Inc()
@@ -354,19 +322,15 @@ func (c *Client) onResyncResp(b wire.Batch) {
 	mResyncReshipped.Add(uint64(reshipped))
 	obsTr.Record(obs.EvResync, "", "applied", notModified, reshipped)
 
-	if apply != nil {
-		for _, it := range applied {
-			// Re-shipped values mirror downward like live propagations.
-			apply(it)
-		}
+	for _, it := range applied {
+		// Re-shipped values mirror downward like live propagations.
+		c.notifyApply(it)
 	}
 	for _, msg := range dealloc {
 		// Deallocations ride the resync connection: control messages,
 		// no new connection.
 		_ = c.sendControl(msg)
-		if drop != nil {
-			drop(msg.Key)
-		}
+		c.notifyDrop(msg.Key)
 	}
 	if done != nil {
 		close(done)

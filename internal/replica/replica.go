@@ -176,20 +176,19 @@ func (s MeterSnapshot) ConnectionCost() float64 {
 	return float64(s.Connections)
 }
 
-// itemState is the per-(client, key) protocol state shared in shape by
-// both sides; each side keeps its own copy and the inCharge invariant says
-// exactly one of them trusts its window.
+// itemState is the SC's per-(session, key) protocol state. The MC keeps
+// the same facts — copy bit and window — in its cache's record for the
+// key (mobile.Cache); exactly one side trusts its window at a time.
 type itemState struct {
 	// window is meaningful only while this side is in charge; embedded by
 	// value, so a (session, key) is this one heap object. Its size is the
 	// mode's K; it is empty for the static modes.
 	window core.Window
 	kind   ModeKind
-	// hasCopy mirrors whether the MC holds a copy, from this side's view.
+	// hasCopy mirrors whether the MC holds a copy, from the SC's view.
 	hasCopy bool
-	// idx is the state's slot in its shard's key index (shard.subscribe);
-	// server side only. It sits in what was padding: the state stays one
-	// 32-byte object.
+	// idx is the state's slot in its shard's key index (shard.subscribe).
+	// It sits in what was padding: the state stays one 32-byte object.
 	idx uint32
 }
 
