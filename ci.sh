@@ -94,15 +94,20 @@ GOOS=windows go vet ./internal/transport/
 # update allocates nothing until a reader holds the value, a held value
 # never changes, a WriteProp applied with the relay's handlers set
 # allocates nothing) and its differential against the reference that
-# keeps the three cache maps, the copy bit and the window apart; a
-# group-commit Put at one allocation, the value copy; the key index's
-# exactness and fan-out order under the race detector; and the
-# holder-count slope and working-set benchmarks run once so they cannot
-# rot.
+# keeps the three cache maps, the copy bit and the window apart; the
+# store's one resident buffer per key (a Put allocates nothing in memory,
+# under SyncAlways and under group commit, and exactly one buffer right
+# after a Get; bytes Get returned never change, under a hammer of
+# writers, both readers and Compact; a queued group value stays
+# invisible), a fanned-out write at zero allocations and an allocating
+# miss at the MC at one; the key index's exactness and fan-out order
+# under the race detector; and the holder-count slope and working-set
+# benchmarks run once so they cannot rot.
 go test -count=1 -run 'TestUpdateAllocations|TestCacheMatchesThreeMapReference' ./internal/mobile/
 go test -race -count=1 -run 'TestReturnedValuesNeverChange|TestConcurrentAccess' ./internal/mobile/
-go test -count=1 -run 'TestWritePropApplyAllocs' ./internal/replica/
-go test -count=1 -run 'TestGroupCommitPutAllocs' ./internal/db/
+go test -count=1 -run 'TestWritePropApplyAllocs|TestWriteFanOutAllocs|TestAllocatingReadRespAllocs|TestServerReadPathAllocs' ./internal/replica/
+go test -count=1 -run 'TestGroupCommitPutAllocs|TestPutAllocs' ./internal/db/
+go test -race -count=1 -run 'TestStoreReturnedValuesNeverChange|TestStoreOwnershipHammer|TestGroupRoundHidesQueuedBytes' ./internal/db/
 go test -race -count=1 -run 'TestSessionKeysSameShardInvariant|TestShardChurnHammer|TestFanOutOrderDeterministic' ./internal/replica/
 go test -run '^$' -bench 'BenchmarkFanOutHolders|BenchmarkFanOutWorkingSet' -benchtime=1x ./internal/replica/
 # Joint reads against pipelined single reads over a loopback TCPLink pair,

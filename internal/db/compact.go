@@ -55,8 +55,8 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 	}
 	// Write the latest version of every key. Iteration order does not
 	// matter for correctness: each key appears exactly once.
-	for _, it := range s.items {
-		if err := tmp.Append(Record{Key: it.Key, Value: it.Value, Version: it.Version}); err != nil {
+	for _, r := range s.items {
+		if err := tmp.Append(Record{Key: r.Key, Value: r.Value, Version: r.Version}); err != nil {
 			tmp.Close()
 			s.log.fs.Remove(tmpPath)
 			return 0, fmt.Errorf("db: compact append: %w", err)

@@ -194,25 +194,6 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
-func TestCompactPreservesSubscriptions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "items.log")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Put("x", []byte("a"))
-	got := 0
-	s.Subscribe("x", func(Item) { got++ })
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Put("x", []byte("b"))
-	if got != 1 {
-		t.Fatalf("subscriber deliveries after compact = %d", got)
-	}
-}
-
 // TestCompactReplacesLeftoverTmp: a crash mid-compaction can leave the
 // temporary file behind. The next Compact must neither fail on it
 // forever (a header torn before it was whole) nor keep its records

@@ -1,15 +1,15 @@
 // Package db implements the stationary computer's online database: a
-// versioned in-memory key-value store with update subscriptions and an
-// optional append-only persistence log.
+// versioned in-memory key-value store with an optional append-only
+// persistence log.
 //
 // The paper assumes "some node in the stationary network" holds the
 // authoritative copy of every data item and can propagate updates to
 // subscribed mobile computers. This package is that substrate: the replica
-// protocol (internal/replica) stores items here, registers a subscription
-// per allocated mobile copy, and relies on versions to keep propagation
-// idempotent. Durability uses a CRC-checked record log (log.go) that is
-// replayed on open, in the spirit of a write-ahead log; the store is
-// usable fully in memory as well.
+// protocol (internal/replica) stores items here, keeps its own record of
+// which mobile computer holds a copy, and relies on versions to keep
+// propagation idempotent. Durability uses a CRC-checked record log
+// (log.go) that is replayed on open, in the spirit of a write-ahead log;
+// the store is usable fully in memory as well.
 //
 // # Durability contract
 //
@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -56,10 +57,12 @@ type Item struct {
 	Version uint64
 }
 
-// Subscriber receives every committed update of a key, in commit order.
-// Callbacks run synchronously under the store's write path; subscribers
-// must not call back into the store.
-type Subscriber func(Item)
+// record is a key's entry: the visible item, whose value is the key's one
+// resident buffer, and whether Get has lent it out (then no write may).
+type record struct {
+	Item
+	lent atomic.Bool
+}
 
 // SyncPolicy selects when a Put's log record reaches stable storage.
 type SyncPolicy int
@@ -159,24 +162,27 @@ type groupState struct {
 	// stream of rounds frames records into two buffers that never grow
 	// again. wmu-protected; one past maxSpareBatch is dropped instead.
 	spare []byte
+
+	// free holds value buffers for queued entries (a record must not see
+	// them before their round lands), refilled by apply. mu-protected.
+	free [][]byte
 }
 
 // maxSpareBatch caps the capacity of a recycled group buffer, so one
 // burst of large records does not pin its buffer for the life of the
-// store.
-const maxSpareBatch = 1 << 20
+// store. The value free list keeps at most maxFreeValues buffers of at
+// most maxSpareBatch/maxFreeValues bytes: as much again.
+const maxSpareBatch, maxFreeValues = 1 << 20, 64
 
 type groupEntry struct {
-	item Item
+	item Item  // Value is owned: the record adopts it at apply
 	end  int64 // logical offset at which this record ends
 }
 
 // Store is a thread-safe versioned key-value store.
 type Store struct {
 	mu    sync.RWMutex
-	items map[string]Item
-	subs  map[string]map[int]Subscriber
-	nextS int
+	items map[string]*record
 	log   *Log // nil when running purely in memory
 
 	policy   SyncPolicy
@@ -189,10 +195,7 @@ type Store struct {
 
 // NewStore returns an empty in-memory store.
 func NewStore() *Store {
-	s := &Store{
-		items: make(map[string]Item),
-		subs:  make(map[string]map[int]Subscriber),
-	}
+	s := &Store{items: make(map[string]*record)}
 	s.gc.cond = sync.NewCond(&s.gc.mu)
 	return s
 }
@@ -218,7 +221,7 @@ func OpenWith(o Options) (*Store, error) {
 		return nil, err
 	}
 	if err := log.Replay(func(rec Record) {
-		s.items[rec.Key] = Item{Key: rec.Key, Value: rec.Value, Version: rec.Version}
+		s.commitLocked(Item(rec), true) // nothing else can see s yet
 	}); err != nil {
 		log.Close()
 		return nil, err
@@ -271,21 +274,36 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Get returns the current item for key. The returned value slice must not
-// be modified by the caller. The second result reports whether the key has
-// ever been written. Under SyncGroup, "current" means the newest durable
+// Get returns the current item for key. The value slice is lent: neither
+// the caller nor the store may modify it, so the key's next write copies
+// into a fresh buffer. The second result reports whether the key has ever
+// been written. Under SyncGroup, "current" means the newest durable
 // version: an in-flight Put is invisible until its fsync lands.
 func (s *Store) Get(key string) (Item, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, ok := s.items[key]
-	return it, ok
+	if r := s.items[key]; r != nil {
+		r.lent.Store(true)
+		return r.Item, true
+	}
+	return Item{}, false
 }
 
-// Put commits a new version of key and notifies subscribers. It returns
-// the committed item. With a persistent log, Put returns only once the
-// record is durable per the store's sync policy; see the package
-// durability contract.
+// GetCopy is Get without the loan: it appends key's value to dst, under
+// the read lock, and returns the item with Value set to the extended dst.
+func (s *Store) GetCopy(key string, dst []byte) (Item, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.items[key]; r != nil {
+		return Item{Key: r.Key, Value: append(dst, r.Value...), Version: r.Version}, true
+	}
+	return Item{Value: dst}, false
+}
+
+// Put commits a new version of key and returns the committed item, whose
+// Value is the caller's value slice: the store keeps its own copy. With a
+// persistent log, Put returns only once the record is durable per the
+// store's sync policy; see the package durability contract.
 func (s *Store) Put(key string, value []byte) (Item, error) {
 	s.mu.Lock()
 	if s.failed != nil {
@@ -293,12 +311,12 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 		s.mu.Unlock()
 		return Item{}, fmt.Errorf("%w: %v", ErrFailed, err)
 	}
-	it := s.items[key]
-	it.Key = key
-	it.Value = append([]byte(nil), value...)
-	it.Version++
+	it := Item{Key: key, Value: value, Version: 1}
+	if r := s.items[key]; r != nil {
+		it.Version = r.Version + 1
+	}
 	if s.log == nil {
-		s.commitLocked(it)
+		s.commitLocked(it, false)
 		s.mu.Unlock()
 		return it, nil
 	}
@@ -321,10 +339,14 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 			}
 		}
 		before := len(s.gc.buf)
-		s.gc.buf = appendFramedRecord(s.gc.buf, Record{Key: key, Value: it.Value, Version: it.Version})
+		s.gc.buf = appendFramedRecord(s.gc.buf, Record{Key: key, Value: value, Version: it.Version})
 		s.gc.tail += int64(len(s.gc.buf) - before)
 		end := s.gc.tail
-		s.gc.queue = append(s.gc.queue, groupEntry{item: it, end: end})
+		var own []byte
+		if n := len(s.gc.free); n > 0 {
+			own, s.gc.free = s.gc.free[n-1], s.gc.free[:n-1]
+		}
+		s.gc.queue = append(s.gc.queue, groupEntry{Item{key, append(own[:0], value...), it.Version}, end})
 		s.gc.mu.Unlock()
 		s.mu.Unlock()
 		if err := s.waitGroup(log, gen, end); err != nil {
@@ -333,7 +355,7 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 		return it, nil
 	}
 
-	if err := s.log.Append(Record{Key: key, Value: it.Value, Version: it.Version}); err != nil {
+	if err := s.log.Append(Record{Key: key, Value: value, Version: it.Version}); err != nil {
 		s.failLocked(err)
 		s.mu.Unlock()
 		return Item{}, fmt.Errorf("%w: append: %v", ErrFailed, err)
@@ -346,7 +368,7 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 		}
 		mFsyncs.Inc()
 	}
-	s.commitLocked(it)
+	s.commitLocked(it, false)
 	s.mu.Unlock()
 	return it, nil
 }
@@ -358,29 +380,46 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 // current version is a no-op (false) so duplicated or reordered
 // deliveries are inert — and in-memory only: a log-backed store owns its
 // version chain and refuses with an error rather than splice foreign
-// versions into it. The value is copied; the key is retained (callers
-// holding borrowed transport memory must clone it first).
+// versions into it. The value is copied, as by Put; the key is retained
+// (callers holding borrowed transport memory must clone it first).
 func (s *Store) Install(it Item) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log != nil {
 		return false, fmt.Errorf("db: Install on a log-backed store (it owns its version chain)")
 	}
-	if cur, ok := s.items[it.Key]; ok && it.Version <= cur.Version {
+	if r := s.items[it.Key]; r != nil && it.Version <= r.Version {
 		return false, nil
 	}
-	it.Value = append([]byte(nil), it.Value...)
-	s.commitLocked(it)
+	s.commitLocked(it, false)
 	return true, nil
 }
 
-// commitLocked makes it visible and notifies subscribers; the caller
-// holds s.mu.
-func (s *Store) commitLocked(it Item) {
-	s.items[it.Key] = it
-	for _, fn := range s.subs[it.Key] {
-		fn(it)
+// commitLocked makes it visible, under s.mu; every commit goes through it.
+// The value is copied over the key's resident buffer when that is not lent
+// and large enough, into a fresh one otherwise. With own, the record adopts
+// it.Value itself and the displaced buffer is returned unless it was lent.
+func (s *Store) commitLocked(it Item, own bool) (displaced []byte) {
+	r := s.items[it.Key]
+	if r == nil {
+		r = &record{Item: Item{Key: it.Key}}
+		s.items[it.Key] = r
 	}
+	old, lent := r.Value, r.lent.Load()
+	switch {
+	case own:
+		r.Value = it.Value
+	case !lent && len(it.Value) > 0 && len(it.Value) <= cap(old):
+		r.Value = append(old[:0], it.Value...)
+	default:
+		r.Value = append([]byte(nil), it.Value...)
+	}
+	r.Version = it.Version
+	r.lent.Store(false)
+	if own && !lent {
+		return old
+	}
+	return nil
 }
 
 // failLocked records the first write-path failure; the store is
@@ -482,14 +521,18 @@ func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, wrote, stale bool,
 // in commit order. The caller holds both s.mu and gc.mu.
 func (s *Store) applyLocked() {
 	n := 0
-	for n < len(s.gc.queue) && s.gc.queue[n].end <= s.gc.synced {
-		s.commitLocked(s.gc.queue[n].item)
-		n++
+	for ; n < len(s.gc.queue) && s.gc.queue[n].end <= s.gc.synced; n++ {
+		b := s.commitLocked(s.gc.queue[n].item, true)
+		if cap(b) > 0 && cap(b) <= maxSpareBatch/maxFreeValues && len(s.gc.free) < maxFreeValues {
+			s.gc.free = append(s.gc.free, b)
+		}
 	}
 	if n > 0 {
 		mGroupCommits.Inc()
 		mGroupRecords.Add(uint64(n))
-		s.gc.queue = append(s.gc.queue[:0], s.gc.queue[n:]...)
+		rest := copy(s.gc.queue, s.gc.queue[n:])
+		clear(s.gc.queue[rest:]) // the applied values belong to records now
+		s.gc.queue = s.gc.queue[:rest]
 	}
 	if s.gc.applied < s.gc.synced {
 		s.gc.applied = s.gc.synced
@@ -618,24 +661,6 @@ func (s *Store) drainLocked() {
 	}
 	s.applyLocked()
 	s.gc.cond.Broadcast()
-}
-
-// Subscribe registers fn for updates of key and returns a cancel func.
-// fn observes every Put committed after Subscribe returns.
-func (s *Store) Subscribe(key string, fn Subscriber) (cancel func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.subs[key] == nil {
-		s.subs[key] = make(map[int]Subscriber)
-	}
-	id := s.nextS
-	s.nextS++
-	s.subs[key][id] = fn
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.subs[key], id)
-	}
 }
 
 // Len returns the number of distinct keys ever written.

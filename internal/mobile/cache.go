@@ -204,9 +204,11 @@ func (c *Cache) Peek(key string) (db.Item, bool) {
 // all reads, which the next requests wash out. The cache owns its bytes:
 // Key and Value are copied in, so the caller may pass fields that alias a
 // borrowed transport frame (wire.DecodeBorrowed) and reuse the buffer the
-// moment Install returns. It returns the cache-owned key and whether it
-// installed.
-func (c *Cache) Install(it db.Item, w core.Window) (string, bool) {
+// moment Install returns. It returns the installed item, lent (see lend),
+// so a reader waiting on the allocating response can take the cache's
+// copy instead of making its own, and whether it installed; when it did
+// not, only the item's Key — the cache-owned key — is set.
+func (c *Cache) Install(it db.Item, w core.Window) (db.Item, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[it.Key]
@@ -215,7 +217,7 @@ func (c *Cache) Install(it db.Item, w core.Window) (string, bool) {
 		e.item.Key = strings.Clone(it.Key)
 		c.entries[e.item.Key] = e
 	} else if e.live {
-		return e.item.Key, false
+		return db.Item{Key: e.item.Key}, false
 	} else {
 		c.archived--
 	}
@@ -231,7 +233,7 @@ func (c *Cache) Install(it db.Item, w core.Window) (string, bool) {
 		e.window = w
 	}
 	c.stats.Installs++
-	return e.item.Key, true
+	return e.lend(), true
 }
 
 // Outcome says what Apply did with a server-sent value.

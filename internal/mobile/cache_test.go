@@ -460,7 +460,7 @@ func TestCacheMatchesThreeMapReference(t *testing.T) {
 					if installed == live {
 						fail(step, "Install(%+v) installed=%v with a copy live=%v", it, installed, live)
 					}
-					sameKey(step, "Install", got, key)
+					sameKey(step, "Install", got.Key, key)
 				case 2, 3, 4:
 					gap := rng.Intn(2) == 0
 					got, out, win := c.Apply(it, gap)

@@ -227,14 +227,21 @@ func (ss *Session) onBatch(b wire.Batch) {
 // duration of done (on a relay its Value aliases the parent link's receive
 // buffer, which the next frame overwrites), and this is a retention
 // point: the value is kept until the last key resolves, so it is copied.
+// Locally the values are copied too, into one pooled buffer released when
+// finish returns: a store buffer lent out would make its next write allocate.
 func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.Item)) {
 	items := make([]db.Item, len(b.Keys))
 	o := ss.srv.origin.Load()
 	if o == nil || len(b.Keys) == 0 {
+		vb := wire.GetBuf()
 		for i, key := range b.Keys {
-			items[i], _ = ss.srv.store.Get(key)
+			n := len(vb.B)
+			items[i], _ = ss.srv.store.GetCopy(key, vb.B)
+			vb.B = items[i].Value
+			items[i].Value = vb.B[n:]
 		}
 		finish(b, items)
+		wire.PutBuf(vb)
 		return
 	}
 	var failed atomic.Bool

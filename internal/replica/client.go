@@ -415,13 +415,15 @@ func (c *Client) onReadResp(msg wire.Message) {
 			return
 		}
 	}
+	var copied []byte // the cache's new copy, lent, if this answer installed one
 	if msg.Allocate {
 		// An SW allocation without a window means the server is buggy; the
 		// cache assumes all reads, which the next requests wash out.
-		if key, ok := c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, msg.Window); ok {
+		if it, ok := c.cache.Install(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, msg.Window); ok {
+			copied = it.Value
 			mAllocs.Inc()
 			// The tracer's ring retains the key: the cache's own, not msg's.
-			obsTr.Record(obs.EvAllocate, key, "read-resp", int64(msg.Version), 0)
+			obsTr.Record(obs.EvAllocate, it.Key, "read-resp", int64(msg.Version), 0)
 		}
 	}
 	var w *readWaiter
@@ -466,10 +468,14 @@ func (c *Client) onReadResp(msg wire.Message) {
 	if w != nil {
 		// The reader consumes the result on another goroutine, after this
 		// handler has returned and the frame buffer has been reused: hand
-		// it an owning copy of the value — all it returns besides its own
-		// key and the version. The pop above made this the only send w.ch
-		// sees before the reader recycles w.
-		w.ch <- readResult{value: bytes.Clone(msg.Value), version: msg.Version}
+		// it an owned value — the cache's copy, or else a clone — which
+		// is all it returns besides its own key and the version. The pop
+		// above made this the only send w.ch sees before the reader
+		// recycles w.
+		if copied == nil {
+			copied = bytes.Clone(msg.Value)
+		}
+		w.ch <- readResult{value: copied, version: msg.Version}
 	}
 	if dropped != "" {
 		_ = c.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: dropped, Window: win})

@@ -298,7 +298,8 @@ func (s *Server) ExpireIdle(ttl time.Duration) int {
 // it — and the same bytes are handed to every link across all shards.
 // Links never retain a frame after Send returns, so sharing one pooled
 // buffer is safe, and a hot key with k subscribers costs one encode
-// instead of k.
+// instead of k. The store copies value; the returned item's Value is
+// value itself, which the caller may reuse once Write returns.
 func (s *Server) Write(key string, value []byte) (db.Item, error) {
 	it, err := s.store.Put(key, value)
 	if err != nil {
@@ -519,8 +520,13 @@ func (ss *Session) onReadReq(msg wire.Message) {
 		})
 		return
 	}
-	it, _ := ss.srv.store.Get(msg.Key)
+	// Copy, not borrow: a lent store buffer makes the key's next write
+	// allocate. The copy lives until the response is sent.
+	vb := wire.GetBuf()
+	it, _ := ss.srv.store.GetCopy(msg.Key, vb.B[:0])
+	vb.B = it.Value
 	ss.finishReadReq(msg.Key, it)
+	wire.PutBuf(vb)
 }
 
 // finishReadReq is the second half of onReadReq: with the item in hand,
