@@ -137,7 +137,7 @@ go test -race -count=1 -run 'TestSessionShardGoldens|TestKeyShardGoldens|TestSha
 go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.shards=1 -count=1
 go test ./internal/replica/ -run 'TestConformanceExplorer$' -conformance.shards=8 -count=1
 go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
-/tmp/mobirep-load-ci -sessions 5000 -duration 30s -floor-sessions-per-sec 500
+/tmp/mobirep-load-ci -case fleet -sessions 5000 -duration 30s -floor-sessions-per-sec 500
 rm -f /tmp/mobirep-load-ci
 if [ "${1:-}" = "-long" ]; then
     for n in 1 2 8; do
@@ -149,7 +149,8 @@ fi
 # Overload slice: the slow-consumer and write-deadline kills plus the
 # Send-after-Close parity contract under race, the admission/eviction/
 # shedding unit tests (including the supervisor honoring Busy retry-after
-# hints), the overload engine's own tests, then a 30s 2x-capacity smoke:
+# hints), the load case table (every row of load.Cases, shrunk, through
+# load.Check) and the overload tests, then a 30s 2x-capacity smoke:
 # every refused attach must be answered with Busy (the binary exits
 # nonzero otherwise), healthy-fleet p99 stays under 100ms, and no more
 # than 8 goroutines may survive teardown. The admission tests repeat at
@@ -161,9 +162,9 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTryAttach' ./internal/replica/
 done
 go test -race -count=1 -run 'TestEvictSendsBusyThenDetaches|TestMemBytesAccountsSessionsAndItems|TestShedToBudgetEvictsIdleLongestFirst|TestSupervisorHonorsBusyRetryAfter' ./internal/replica/
-go test -race -count=1 -run 'TestRunOverload|TestPercentileNearestRank' ./internal/load/
+go test -race -count=1 -run 'TestCaseTable|TestRunOverload|TestPercentileNearestRank|TestRecorder' ./internal/load/
 go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
-/tmp/mobirep-load-ci -overload -capacity 3000 -factor 2 -duration 30s \
+/tmp/mobirep-load-ci -case overload -capacity 3000 -sessions 6000 -duration 30s \
     -mem-soft-limit $((64 << 20)) -ceil-p99 100ms -max-goroutine-growth 8
 rm -f /tmp/mobirep-load-ci
 
@@ -204,7 +205,7 @@ for procs in 1 2 8; do
 done
 go test -race -count=1 -run 'TestHandoffUnderWrites' ./internal/tree/
 go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
-/tmp/mobirep-load-ci -tree -stations 7 -sessions 5000 -mode ST2 -placement T1:2 \
+/tmp/mobirep-load-ci -case tree -stations 7 -sessions 5000 -mode ST2 -placement T1:2 \
     -handoff-every 100 -duration 30s -floor-sessions-per-sec 500
 rm -f /tmp/mobirep-load-ci
 

@@ -1,20 +1,17 @@
-// mobirep-load drives a large fleet of chaos-wrapped client sessions
-// against an in-process sharded replica server and reports attach
-// throughput (sessions/sec) and read-latency percentiles. It is the
-// load half of the scale story: conformance proves the sharded core
-// behaves identically, this proves it carries six-figure session counts.
+// mobirep-load runs one row of internal/load's case table: a fleet of
+// client sessions attached in-process, driven with reads against
+// background writes, measured, and gated. -case picks the row; every
+// other flag overrides one field of it and defaults to the row's value.
 //
-//	mobirep-load -sessions 100000 -shards 0 -duration 5s
+//	mobirep-load -sessions 100000 -duration 5s
 //	mobirep-load -sessions 5000 -duration 30s -floor-sessions-per-sec 500
-//	mobirep-load -overload -capacity 3000 -factor 2 -duration 30s \
+//	mobirep-load -case overload -capacity 3000 -sessions 6000 -duration 30s \
 //	    -mem-soft-limit 67108864 -ceil-p99 100ms -max-goroutine-growth 8
+//	mobirep-load -case tree -sessions 5000 -mode ST2 -placement T1:2 -handoff-every 100
 //
-// With -floor-sessions-per-sec the exit status is 1 when the attach rate
-// lands under the floor — the ci.sh smoke gate. With -overload the fleet
-// is Factor x the admission cap and a slice of admitted readers wedges:
-// the run fails when any refused attach goes unanswered by a Busy frame,
-// and the -ceil-p99 / -max-goroutine-growth gates bound healthy-fleet
-// latency and teardown leaks.
+// The exit status is 1 when the run fails one of the row's gates or an
+// invariant every run must hold (load.Check), and 2 for a flag the row
+// does not read.
 package main
 
 import (
@@ -23,7 +20,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
+	"slices"
+	"strings"
 
 	"mobirep/internal/load"
 	"mobirep/internal/replica"
@@ -35,209 +33,100 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// readers names, for each flag not every case reads, the cases that do.
+var readers = map[string][]string{
+	"chaos":                  {"fleet"},
+	"floor-sessions-per-sec": {"fleet", "tree"},
+	"capacity":               {"overload"},
+	"mem-soft-limit":         {"overload"},
+	"ceil-p99":               {"overload"},
+	"max-goroutine-growth":   {"overload"},
+	"stations":               {"tree"},
+	"placement":              {"tree"},
+	"handoff-every":          {"tree"},
+}
+
+// flags binds every flag to a field of c, so c's values are the
+// defaults.
+func flags(c *load.Case, name *string, jsonOut *bool) *flag.FlagSet {
 	fs := flag.NewFlagSet("mobirep-load", flag.ContinueOnError)
+	var names []string
+	for _, c := range load.Cases {
+		names = append(names, c.Name)
+	}
+	fs.StringVar(name, "case", "fleet", "case to run: "+strings.Join(names, ", "))
+	fs.BoolVar(jsonOut, "json", false, "emit the result as JSON instead of text")
+	fs.IntVar(&c.Sessions, "sessions", c.Sessions, "clients that attach (overload: refused ones included)")
+	fs.IntVar(&c.Shards, "shards", c.Shards, "server shard count (power of two, 0 = automatic)")
+	fs.Func("mode", fmt.Sprintf("allocation mode: SWk, ST1 or ST2 (default %v)", c.Mode), func(s string) (err error) {
+		c.Mode, err = parseMode(s)
+		return err
+	})
+	fs.IntVar(&c.Keys, "keys", c.Keys, "shared key-pool size (0 = an eighth of the admitted fleet, at least 16)")
+	fs.DurationVar(&c.Duration, "duration", c.Duration, "drive phase length")
+	fs.Uint64Var(&c.Seed, "seed", c.Seed, "base seed for fault and drive RNGs")
+	fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "per-read timeout (0 = wait for ever)")
+	fs.IntVar(&c.Writers, "writers", c.Writers, "background server-write goroutines")
+	fs.Func("chaos", "fault spec for every session's links (key=value pairs: drop, dup, reorder, delay, maxdelay, crash, part, partlen); empty disables faults",
+		func(s string) (err error) {
+			c.Chaos, err = transport.ParseChaosSpec(s)
+			return err
+		})
+	fs.Float64Var(&c.Expect.FloorSessionsPerSec, "floor-sessions-per-sec", c.Expect.FloorSessionsPerSec,
+		"exit 1 when the attach rate falls below this (0 disables; skipped under 100 sessions)")
+	fs.IntVar(&c.Capacity, "capacity", c.Capacity, "server admission cap (MaxSessions)")
+	fs.Int64Var(&c.MemSoftLimit, "mem-soft-limit", c.MemSoftLimit,
+		"soft watermark on accounted server bytes; idle-longest sessions are shed while over it (0 disables)")
+	fs.DurationVar(&c.Expect.CeilP99, "ceil-p99", c.Expect.CeilP99,
+		"exit 1 when the healthy fleet's read p99 exceeds this (0 disables; skipped under 100 samples)")
+	fs.IntVar(&c.Expect.MaxGoroutineGrowth, "max-goroutine-growth", c.Expect.MaxGoroutineGrowth,
+		"exit 1 when more goroutines than this survive teardown (0 disables)")
+	fs.IntVar(&c.Stations, "stations", c.Stations, "binary-tree station count (heap order, station 0 the root)")
+	fs.Func("placement", fmt.Sprintf("per-relay placement policy: none, SWk, T1:m or T2:m (default %v)", c.Placement),
+		func(s string) (err error) {
+			c.Placement, err = tree.ParsePolicy(s)
+			return err
+		})
+	fs.IntVar(&c.HandoffEvery, "handoff-every", c.HandoffEvery,
+		"each worker hands one of its MCs to a random other leaf every N reads (0 = no motion)")
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	// Parse once to learn the case, then again with every flag bound to
+	// that row.
+	var name string
+	var jsonOut bool
+	probe := flags(&load.Case{}, &name, &jsonOut)
+	probe.SetOutput(io.Discard)
+	_ = probe.Parse(args) // the second parse reports any error
+	c, ok := load.Named(name)
+	if !ok {
+		fmt.Fprintf(stderr, "mobirep-load: no case %q\n", name)
+		return 2
+	}
+	fs := flags(&c, &name, &jsonOut)
 	fs.SetOutput(stderr)
-	var (
-		sessions = fs.Int("sessions", 100000, "concurrent client sessions to attach and drive")
-		shards   = fs.Int("shards", 0, "server shard count (power of two, 0 = automatic)")
-		mode     = fs.String("mode", "SW3", "allocation mode: SWk, ST1 or ST2")
-		keys     = fs.Int("keys", 0, "shared key-pool size (0 = sessions/8)")
-		duration = fs.Duration("duration", 5*time.Second, "steady-state drive phase length")
-		workers  = fs.Int("workers", 0, "driver goroutines (0 = 16*GOMAXPROCS)")
-		chaos    = fs.String("chaos", "drop=0.01,dup=0.01",
-			"fault spec for every session's links (key=value pairs: drop, dup, reorder, delay, maxdelay, crash, part, partlen); empty disables faults")
-		seed    = fs.Uint64("seed", 1994, "base seed for chaos and drive RNGs")
-		timeout = fs.Duration("timeout", 25*time.Millisecond, "per-read timeout (only chaos-dropped frames wait)")
-		writers = fs.Int("writers", 2, "background server-write goroutines")
-		jsonOut = fs.Bool("json", false, "emit the result as JSON instead of text")
-		floor   = fs.Float64("floor-sessions-per-sec", 0,
-			"exit nonzero when the attach rate falls below this (0 disables; skipped under 100 sessions)")
-
-		treeMode     = fs.Bool("tree", false, "run the fleet over a binary support-station tree instead of one flat server")
-		stations     = fs.Int("stations", 7, "tree: binary-tree station count (heap order, station 0 the root)")
-		handoffEvery = fs.Int("handoff-every", 0,
-			"tree: each worker hands one of its MCs to a random other leaf every N reads (0 = no motion)")
-		placementSpec = fs.String("placement", "none", "tree: per-relay placement policy (none, SWk, T1:m or T2:m)")
-
-		overload    = fs.Bool("overload", false, "run the overload scenario instead of the plain fleet drive")
-		capacity    = fs.Int("capacity", 5000, "overload: server admission cap (MaxSessions)")
-		factor      = fs.Float64("factor", 2, "overload: attempted fleet is factor*capacity")
-		stalledFrac = fs.Float64("stalled-frac", 0.1,
-			"overload: fraction of admitted clients whose reader wedges after attach (negative = none)")
-		stallCap = fs.Int("stall-cap", 256<<10,
-			"overload: outbox byte bound toward each stalled client before its link is killed")
-		memSoftLimit = fs.Int64("mem-soft-limit", 0,
-			"overload: soft watermark on accounted server bytes; idle-longest sessions are shed while over it (0 disables)")
-		shedEvery  = fs.Duration("shed-every", 50*time.Millisecond, "overload: shed ticker period")
-		retryAfter = fs.Duration("retry-after", 50*time.Millisecond, "overload: retry-after hint in Busy refusals")
-		ceilP99    = fs.Duration("ceil-p99", 0,
-			"overload: exit nonzero when healthy-fleet read p99 exceeds this (0 disables; skipped under 100 samples)")
-		maxGoroutineGrowth = fs.Int("max-goroutine-growth", 0,
-			"overload: exit nonzero when more goroutines than this survive teardown (0 disables)")
-	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	m, err := parseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(stderr, "mobirep-load:", err)
-		return 2
-	}
-	ccfg, err := transport.ParseChaosSpec(*chaos)
-	if err != nil {
-		fmt.Fprintln(stderr, "mobirep-load:", err)
-		return 2
-	}
-
-	if *treeMode {
-		// The tree drive brings no chaos: conformance owns the fault story;
-		// this measures what the composition carries.
-		place, err := tree.ParsePolicy(*placementSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "mobirep-load:", err)
-			return 2
+	code := 0
+	fs.Visit(func(f *flag.Flag) {
+		if cases, ok := readers[f.Name]; ok && !slices.Contains(cases, c.Name) {
+			fmt.Fprintf(stderr, "mobirep-load: case %s does not read -%s (only %s)\n", c.Name, f.Name, strings.Join(cases, ", "))
+			code = 2
 		}
-		res, err := load.RunTree(load.TreeConfig{
-			Stations:     *stations,
-			Sessions:     *sessions,
-			Shards:       *shards,
-			Mode:         m,
-			Placement:    place,
-			Keys:         *keys,
-			Duration:     *duration,
-			Workers:      *workers,
-			Seed:         *seed,
-			Timeout:      *timeout,
-			Writers:      *writers,
-			HandoffEvery: *handoffEvery,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "mobirep-load:", err)
-			return 1
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				fmt.Fprintln(stderr, "mobirep-load:", err)
-				return 1
-			}
-		} else {
-			fmt.Fprintf(stdout, "mobirep-load tree: %d MCs over %d stations / %d leaves (mode %v, placement %v, %d keys, %d workers)\n",
-				res.Sessions, res.Stations, res.Leaves, m, place, res.Keys, res.Workers)
-			fmt.Fprintf(stdout, "  attach: %.2fs  %.0f sessions/sec\n", res.AttachSeconds, res.SessionsPerSec)
-			fmt.Fprintf(stdout, "  drive:  %.2fs  %d reads (%.0f ops/sec), %d errors, %d root writes\n",
-				res.DriveSeconds, res.Ops, res.OpsPerSec, res.Errors, res.Writes)
-			fmt.Fprintf(stdout, "  read latency: p50=%v p90=%v p99=%v max=%v\n", res.P50, res.P90, res.P99, res.Max)
-			fmt.Fprintf(stdout, "  handoffs: %d (%d cold)  latency p50=%v p99=%v max=%v\n",
-				res.Handoffs, res.ColdHandoffs, res.HandoffP50, res.HandoffP99, res.HandoffMax)
-		}
-		if *floor > 0 {
-			if res.Sessions < 100 {
-				fmt.Fprintf(stderr, "mobirep-load: skipping -floor-sessions-per-sec gate: only %d sessions (rates under 100 sessions are noise)\n",
-					res.Sessions)
-			} else if res.SessionsPerSec < *floor {
-				fmt.Fprintf(stderr, "mobirep-load: attach rate %.0f sessions/sec is under the floor %.0f\n",
-					res.SessionsPerSec, *floor)
-				return 1
-			}
-		}
-		if res.ColdHandoffs > 0 {
-			fmt.Fprintf(stderr, "mobirep-load: %d handoffs arrived cold with no root restart in the run\n", res.ColdHandoffs)
-			return 1
-		}
-		return 0
-	}
-
-	if *overload {
-		// The overload scenario brings its own faults (stalled readers), so
-		// the -chaos spec does not apply here.
-		res, err := load.RunOverload(load.OverloadConfig{
-			Capacity:     *capacity,
-			Factor:       *factor,
-			StalledFrac:  *stalledFrac,
-			StallCap:     *stallCap,
-			Mode:         m,
-			Shards:       *shards,
-			Keys:         *keys,
-			Duration:     *duration,
-			Workers:      *workers,
-			Writers:      *writers,
-			Timeout:      *timeout,
-			Seed:         *seed,
-			MemSoftLimit: *memSoftLimit,
-			ShedEvery:    *shedEvery,
-			RetryAfter:   *retryAfter,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "mobirep-load:", err)
-			return 1
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				fmt.Fprintln(stderr, "mobirep-load:", err)
-				return 1
-			}
-		} else {
-			fmt.Fprintf(stdout, "mobirep-load overload: capacity %d, %d attempted (factor %.2f, mode %v)\n",
-				res.Capacity, res.Attempted, *factor, m)
-			fmt.Fprintf(stdout, "  admission: %d admitted, %d rejected, %d Busy frames delivered\n",
-				res.Admitted, res.Rejected, res.BusyFrames)
-			fmt.Fprintf(stdout, "  faults: %d stalled readers, %d sessions shed to the memory budget\n",
-				res.Stalled, res.Shed)
-			fmt.Fprintf(stdout, "  drive:  %.2fs  %d reads (%.0f ops/sec), %d errors over the healthy fleet\n",
-				res.DriveSeconds, res.Ops, res.OpsPerSec, res.Errors)
-			fmt.Fprintf(stdout, "  read latency: p50=%v p90=%v p99=%v max=%v (%d samples)\n",
-				res.P50, res.P90, res.P99, res.Max, res.Samples)
-			fmt.Fprintf(stdout, "  memory: heap peak %d bytes, accounted peak %d bytes\n",
-				res.HeapPeakBytes, res.MemAccountPeak)
-			fmt.Fprintf(stdout, "  goroutines: %d before, %d after teardown\n",
-				res.GoroutinesBefore, res.GoroutinesAfter)
-		}
-		code := 0
-		if res.BusyFrames != res.Rejected {
-			fmt.Fprintf(stderr, "mobirep-load: %d refused attaches but %d Busy frames received: a client was dropped without being told\n",
-				res.Rejected, res.BusyFrames)
-			code = 1
-		}
-		if *ceilP99 > 0 {
-			if res.Samples < 100 {
-				fmt.Fprintf(stderr, "mobirep-load: skipping -ceil-p99 gate: only %d samples (p99 of fewer than 100 is just the maximum)\n",
-					res.Samples)
-			} else if res.P99 > *ceilP99 {
-				fmt.Fprintf(stderr, "mobirep-load: healthy-fleet p99 %v is over the ceiling %v\n", res.P99, *ceilP99)
-				code = 1
-			}
-		}
-		if *maxGoroutineGrowth > 0 && res.GoroutinesAfter > res.GoroutinesBefore+*maxGoroutineGrowth {
-			fmt.Fprintf(stderr, "mobirep-load: %d goroutines before, %d after teardown (allowed growth %d): the run leaked\n",
-				res.GoroutinesBefore, res.GoroutinesAfter, *maxGoroutineGrowth)
-			code = 1
-		}
+	})
+	if code != 0 {
 		return code
 	}
 
-	res, err := load.Run(load.Config{
-		Sessions: *sessions,
-		Shards:   *shards,
-		Mode:     m,
-		Keys:     *keys,
-		Duration: *duration,
-		Workers:  *workers,
-		Chaos:    ccfg,
-		Seed:     *seed,
-		Timeout:  *timeout,
-		Writers:  *writers,
-	})
+	res, err := load.Run(c)
 	if err != nil {
 		fmt.Fprintln(stderr, "mobirep-load:", err)
 		return 1
 	}
-
-	if *jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -245,27 +134,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		fmt.Fprintf(stdout, "mobirep-load: %d sessions over %d shards (mode %v, %d keys, %d workers)\n",
-			res.Sessions, res.Shards, m, res.Keys, res.Workers)
-		fmt.Fprintf(stdout, "  attach: %.2fs  %.0f sessions/sec\n", res.AttachSeconds, res.SessionsPerSec)
-		fmt.Fprintf(stdout, "  drive:  %.2fs  %d reads (%.0f ops/sec), %d errors, %d background writes\n",
-			res.DriveSeconds, res.Ops, res.OpsPerSec, res.Errors, res.Writes)
-		fmt.Fprintf(stdout, "  read latency: p50=%v p90=%v p99=%v max=%v\n", res.P50, res.P90, res.P99, res.Max)
-		fmt.Fprintf(stdout, "  shard occupancy: min=%d max=%d\n", res.ShardMin, res.ShardMax)
+		report(stdout, c, res)
 	}
-	if *floor > 0 {
-		// A handful of attaches measures scheduler noise, not attach
-		// throughput; refuse to gate on it rather than flake.
-		if res.Sessions < 100 {
-			fmt.Fprintf(stderr, "mobirep-load: skipping -floor-sessions-per-sec gate: only %d sessions (rates under 100 sessions are noise)\n",
-				res.Sessions)
-		} else if res.SessionsPerSec < *floor {
-			fmt.Fprintf(stderr, "mobirep-load: attach rate %.0f sessions/sec is under the floor %.0f\n",
-				res.SessionsPerSec, *floor)
-			return 1
-		}
+	if err := load.Check(c, res); err != nil {
+		fmt.Fprintln(stderr, "mobirep-load:", err)
+		return 1
 	}
 	return 0
+}
+
+// report prints res as text, one line per concern the case touches.
+func report(w io.Writer, c load.Case, r load.Result) {
+	fmt.Fprintf(w, "mobirep-load %s: %d sessions over %d shards (mode %v, %d keys, %d workers)\n",
+		r.Case, r.Sessions, r.Shards, c.Mode, r.Keys, r.Workers)
+	if c.Stations > 0 {
+		fmt.Fprintf(w, "  tree: %d stations / %d leaves, placement %v\n", r.Stations, r.Leaves, c.Placement)
+	}
+	fmt.Fprintf(w, "  attach: %.2fs  %.0f sessions/sec\n", r.AttachSeconds, r.SessionsPerSec)
+	if c.Capacity > 0 {
+		fmt.Fprintf(w, "  admission: capacity %d, %d admitted, %d rejected, %d Busy frames delivered\n",
+			c.Capacity, r.Admitted, r.Rejected, r.BusyFrames)
+		fmt.Fprintf(w, "  faults: %d stalled readers, %d sessions shed to the memory budget\n", r.Stalled, r.Shed)
+	}
+	fmt.Fprintf(w, "  drive:  %.2fs  %d reads (%.0f reads/sec), %d errors; %d writes (%.0f writes/sec)\n",
+		r.DriveSeconds, r.Ops, r.OpsPerSec, r.Errors, r.Writes, r.WritesPerSec)
+	fmt.Fprintf(w, "  read latency: p50=%v p90=%v p99=%v max=%v (%d samples)\n", r.P50, r.P90, r.P99, r.Max, r.Samples)
+	if c.Stations == 0 {
+		fmt.Fprintf(w, "  shard occupancy: min=%d max=%d\n", r.ShardMin, r.ShardMax)
+	}
+	if c.HandoffEvery > 0 {
+		fmt.Fprintf(w, "  handoffs: %d (%d cold)  latency p50=%v p99=%v max=%v\n",
+			r.Handoffs, r.ColdHandoffs, r.HandoffP50, r.HandoffP99, r.HandoffMax)
+	}
+	if c.RestartEvery > 0 {
+		fmt.Fprintf(w, "  restarts: %d (epoch %d), %d fences, %d acknowledged writes lost, %d rollbacks\n",
+			r.Restarts, r.FinalEpoch, r.Fences, r.LostAcked, r.Rollbacks)
+	}
+	fmt.Fprintf(w, "  memory: heap peak %d bytes, accounted peak %d bytes\n", r.HeapPeakBytes, r.MemAccountPeak)
+	fmt.Fprintf(w, "  goroutines: %d before, %d after teardown\n", r.GoroutinesBefore, r.GoroutinesAfter)
 }
 
 func parseMode(name string) (replica.Mode, error) {

@@ -56,4 +56,48 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-sessions", "0", "-chaos", ""}, &out, &errb); code != 1 {
 		t.Errorf("zero sessions: exit %d, want 1", code)
 	}
+	// Flags the selected case does not read, and retired mode switches.
+	for _, args := range [][]string{
+		{"-case", "bogus"},
+		{"-tree", "-overload"},
+		{"-case", "tree", "-ceil-p99", "1ns"},
+		{"-case", "tree", "-chaos", "drop=0.5"},
+		{"-case", "tree", "-capacity", "10"},
+		{"-case", "overload", "-floor-sessions-per-sec", "1e12"},
+		{"-case", "overload", "-chaos", "drop=0.5"},
+		{"-case", "overload", "-handoff-every", "10"},
+		{"-case", "fleet", "-max-goroutine-growth", "8"},
+		{"-case", "fleet", "-stations", "7"},
+		{"-case", "restart", "-mem-soft-limit", "1"},
+		{"-stall-cap", "1"},
+	} {
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestRunCaseGates runs the overload and tree rows small through the same
+// binary path ci.sh drives, gates included.
+func TestRunCaseGates(t *testing.T) {
+	for _, args := range [][]string{
+		{"-case", "overload", "-capacity", "200", "-sessions", "400", "-duration", "100ms",
+			"-ceil-p99", "100ms", "-max-goroutine-growth", "8"},
+		{"-case", "tree", "-sessions", "200", "-mode", "ST2", "-placement", "T1:2",
+			"-handoff-every", "25", "-duration", "100ms", "-floor-sessions-per-sec", "500"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%q: exit %d, stderr: %s", args, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "p99=") {
+			t.Errorf("%q: output missing p99:\n%s", args, out.String())
+		}
+	}
+	// An impossible ceiling must fail the run.
+	var out, errb bytes.Buffer
+	if code := run([]string{"-case", "overload", "-capacity", "200", "-sessions", "400", "-duration", "100ms",
+		"-ceil-p99", "1ns"}, &out, &errb); code != 1 {
+		t.Errorf("impossible p99 ceiling: exit %d, want 1", code)
+	}
 }

@@ -1,6 +1,9 @@
 package load
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,30 +11,86 @@ import (
 	"mobirep/internal/transport"
 )
 
+// row returns the named row of Cases for a test to shrink.
+func row(t *testing.T, name string) Case {
+	t.Helper()
+	c, ok := Named(name)
+	if !ok {
+		t.Fatalf("no case %q in Cases", name)
+	}
+	return c
+}
+
+// run runs c and fails the test on an error or a failed gate.
+func run(t *testing.T, c Case) Result {
+	t.Helper()
+	res, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(c, res); err != nil {
+		t.Fatalf("%v\n%+v", err, res)
+	}
+	return res
+}
+
+// checkWriters fails the test when the background writers committed under
+// a tenth of what their pacing allows: drive workers that never yield
+// starve them. Not under the race detector, which makes the writes
+// themselves too slow for the pace.
+func checkWriters(t *testing.T, c Case, res Result) {
+	t.Helper()
+	if raceDetector {
+		return
+	}
+	nominal := float64(c.Writers) * c.Duration.Seconds() / writePause.Seconds()
+	if float64(res.Writes) < nominal/10 {
+		t.Fatalf("background writers committed %d writes, under a tenth of the nominal %.0f: %+v",
+			res.Writes, nominal, res)
+	}
+}
+
+// TestCaseTable runs every row of Cases, shrunk, through its own gates.
+func TestCaseTable(t *testing.T) {
+	for _, c := range Cases {
+		t.Run(c.Name, func(t *testing.T) {
+			c.Sessions = min(c.Sessions, 300)
+			c.Capacity = min(c.Capacity, 150)
+			c.Duration = 300 * time.Millisecond
+			res := run(t, c)
+			if res.Ops == 0 || res.Samples == 0 || res.Writes == 0 {
+				t.Fatalf("case drove no traffic: %+v", res)
+			}
+		})
+	}
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Sessions: 0, Mode: replica.Static2()}); err == nil {
-		t.Error("Run accepted zero sessions")
-	}
-	if _, err := Run(Config{Sessions: 10, Mode: replica.Static2(), Chaos: transport.Config{Manual: true}}); err == nil {
-		t.Error("Run accepted manual chaos")
-	}
-	if _, err := Run(Config{Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
-		t.Error("Run accepted a non-power-of-two shard count")
+	c := row(t, "fleet")
+	c.Sessions, c.Duration = 10, 10*time.Millisecond
+	for _, tc := range []struct {
+		name string
+		edit func(*Case)
+	}{
+		{"zero sessions", func(c *Case) { c.Sessions = 0 }},
+		{"zero duration", func(c *Case) { c.Duration = 0 }},
+		{"manual chaos", func(c *Case) { c.Chaos = transport.Config{Manual: true} }},
+		{"non-power-of-two shard count", func(c *Case) { c.Shards = 3 }},
+		{"two faults", func(c *Case) { c.Stations = 7 }},
+	} {
+		bad := c
+		tc.edit(&bad)
+		if _, err := Run(bad); err == nil {
+			t.Errorf("Run accepted %s", tc.name)
+		}
 	}
 }
 
 func TestRunSmallFleet(t *testing.T) {
-	res, err := Run(Config{
-		Sessions: 500,
-		Shards:   4,
-		Mode:     replica.SW(3),
-		Duration: 200 * time.Millisecond,
-		Chaos:    transport.Config{Drop: 0.01, Dup: 0.01},
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := row(t, "fleet")
+	c.Sessions, c.Shards, c.Mode, c.Duration, c.Seed = 500, 4, replica.SW(3), 200*time.Millisecond, 7
+	c.Chaos = transport.Config{Drop: 0.01, Dup: 0.01}
+	res := run(t, c)
 	if res.Sessions != 500 || res.Shards != 4 {
 		t.Fatalf("result identity wrong: %+v", res)
 	}
@@ -53,6 +112,15 @@ func TestRunSmallFleet(t *testing.T) {
 	if res.Writes == 0 {
 		t.Fatalf("background writers committed nothing: %+v", res)
 	}
+}
+
+// percentile records samples and reads back the q-quantile.
+func percentile(samples []time.Duration, q float64) time.Duration {
+	var r recorder
+	for _, s := range samples {
+		r.record(s)
+	}
+	return r.quantile(q)
 }
 
 // TestPercentileNearestRank pins the exact nearest-rank semantics: index
@@ -87,12 +155,54 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-func TestRunOverloadValidation(t *testing.T) {
-	if _, err := RunOverload(OverloadConfig{Capacity: 0, Mode: replica.Static2()}); err == nil {
-		t.Error("RunOverload accepted zero capacity")
+// TestRecorderBound checks every reported quantile of seeded samples,
+// spread log-uniformly from 1ns to about 17s, against the exact nearest
+// rank: never below it, and above it by at most 1/64.
+func TestRecorderBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1994))
+	for trial := 0; trial < 20; trial++ {
+		samples := make([]time.Duration, 1+rng.Intn(5000))
+		var r recorder
+		for i := range samples {
+			samples[i] = time.Duration(rng.Int63n(1 << (1 + rng.Intn(34))))
+			r.record(samples[i])
+		}
+		slices.Sort(samples)
+		for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			exact := samples[max(int(math.Ceil(q*float64(len(samples))))-1, 0)]
+			got := r.quantile(q)
+			if got < exact || float64(got) > float64(exact)*(1+1.0/64) {
+				t.Fatalf("trial %d, n=%d: q%v = %v, exact %v (allowed up to %v)",
+					trial, len(samples), q, got, exact, time.Duration(float64(exact)*(1+1.0/64)))
+			}
+		}
+		if r.max != samples[len(samples)-1] {
+			t.Fatalf("trial %d: max %v, want %v", trial, r.max, samples[len(samples)-1])
+		}
 	}
-	if _, err := RunOverload(OverloadConfig{Capacity: 10, Factor: -1, Mode: replica.Static2()}); err == nil {
-		t.Error("RunOverload accepted a negative factor")
+}
+
+func TestRecorderRecordDoesNotAllocate(t *testing.T) {
+	r := new(recorder)
+	d := time.Duration(1)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.record(d)
+		d = d*3 + 7
+	}); allocs != 0 {
+		t.Fatalf("record allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestRunOverloadValidation(t *testing.T) {
+	c := row(t, "overload")
+	c.Duration = 10 * time.Millisecond
+	c.Capacity = -1
+	if _, err := Run(c); err == nil {
+		t.Error("Run accepted a negative capacity")
+	}
+	c.Capacity, c.Sessions = 10, 0
+	if _, err := Run(c); err == nil {
+		t.Error("Run accepted an empty attempted fleet")
 	}
 }
 
@@ -101,25 +211,13 @@ func TestRunOverloadValidation(t *testing.T) {
 // have received a Busy frame, the healthy fleet must have been served,
 // and teardown must leak nothing.
 func TestRunOverloadTwiceCapacity(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
-		Capacity:     300,
-		Factor:       2,
-		StalledFrac:  0.1,
-		Mode:         replica.SW(3),
-		Shards:       4,
-		Duration:     300 * time.Millisecond,
-		MemSoftLimit: 32 << 20,
-		Seed:         7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attempted != 600 || res.Admitted != 300 || res.Rejected != 300 {
+	c := row(t, "overload")
+	c.Sessions, c.Capacity, c.Mode, c.Shards = 600, 300, replica.SW(3), 4
+	c.Duration, c.MemSoftLimit, c.Seed = 300*time.Millisecond, 32<<20, 7
+	c.Expect.MaxGoroutineGrowth = 5
+	res := run(t, c)
+	if res.Sessions != 600 || res.Admitted != 300 || res.Rejected != 300 {
 		t.Fatalf("admission counts wrong: %+v", res)
-	}
-	if res.BusyFrames != res.Rejected {
-		t.Fatalf("rejected %d clients but %d Busy frames received: every refusal must be answered",
-			res.Rejected, res.BusyFrames)
 	}
 	if res.Stalled != 30 {
 		t.Fatalf("stalled %d clients, want 30 (10%% of 300)", res.Stalled)
@@ -133,55 +231,33 @@ func TestRunOverloadTwiceCapacity(t *testing.T) {
 	if res.HeapPeakBytes == 0 || res.MemAccountPeak == 0 {
 		t.Fatalf("memory watchdogs sampled nothing: %+v", res)
 	}
-	if res.GoroutinesAfter > res.GoroutinesBefore+5 {
-		t.Fatalf("goroutines leaked across the run: before=%d after=%d",
-			res.GoroutinesBefore, res.GoroutinesAfter)
-	}
 }
 
 // TestRunOverloadSheds squeezes the watermark far below the fleet's base
 // cost so the shed ticker must evict sessions mid-run.
 func TestRunOverloadSheds(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
-		Capacity:     100,
-		Factor:       1.5,
-		StalledFrac:  0.1,
-		Mode:         replica.Static2(),
-		Shards:       2,
-		Duration:     300 * time.Millisecond,
-		MemSoftLimit: 20 << 10, // 100 sessions cost >50KiB base: always over
-		ShedEvery:    20 * time.Millisecond,
-		Seed:         3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := row(t, "overload")
+	c.Sessions, c.Capacity, c.Mode, c.Shards = 150, 100, replica.Static2(), 2
+	c.Duration, c.Seed = 300*time.Millisecond, 3
+	c.MemSoftLimit = 20 << 10 // 100 sessions cost >50KiB base: always over
+	res := run(t, c)
 	if res.Shed == 0 {
 		t.Fatalf("watermark below base cost but nothing was shed: %+v", res)
-	}
-	if res.BusyFrames != res.Rejected {
-		t.Fatalf("rejected %d clients but %d Busy frames received", res.Rejected, res.BusyFrames)
 	}
 }
 
 // TestRunFaultFree: with no chaos at all, every read over the in-memory
-// transport completes error-free. The read timeout is a second, not the
-// 25 ms default: without faults a read can only miss the default by
-// waiting for a CPU, which a host running other tests can make take
-// longer, while a lost read still fails.
+// transport completes error-free, and the writers keep writing. The read
+// timeout is a second, not the row's 25 ms: without faults a read can
+// only miss that by waiting for a CPU, which a host running other tests
+// can make take longer, while a lost read still fails.
 func TestRunFaultFree(t *testing.T) {
-	res, err := Run(Config{
-		Sessions: 128,
-		Shards:   2,
-		Mode:     replica.Static2(),
-		Duration: 100 * time.Millisecond,
-		Timeout:  time.Second,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := row(t, "fleet")
+	c.Sessions, c.Shards, c.Mode, c.Duration, c.Seed = 128, 2, replica.Static2(), 100*time.Millisecond, 1
+	c.Chaos, c.Timeout = transport.Config{}, time.Second
+	res := run(t, c)
 	if res.Errors != 0 {
 		t.Fatalf("fault-free run reported %d errors", res.Errors)
 	}
+	checkWriters(t, c, res)
 }

@@ -9,32 +9,28 @@ import (
 )
 
 func TestRunTreeValidation(t *testing.T) {
-	if _, err := RunTree(TreeConfig{Sessions: 0, Mode: replica.Static2()}); err == nil {
-		t.Error("RunTree accepted zero sessions")
+	c := row(t, "tree")
+	c.Sessions, c.Duration = 0, 10*time.Millisecond
+	if _, err := Run(c); err == nil {
+		t.Error("Run accepted zero sessions")
 	}
-	if _, err := RunTree(TreeConfig{Sessions: 10, Mode: replica.Static2(), Shards: 3}); err == nil {
-		t.Error("RunTree accepted a non-power-of-two shard count")
+	c.Sessions, c.Shards = 10, 3
+	if _, err := Run(c); err == nil {
+		t.Error("Run accepted a non-power-of-two shard count")
 	}
 }
 
 // TestRunTreeSmallFleet is the tree drive in miniature: a seven-station
 // binary tree, motion every 25 reads, a placement policy shedding relay
 // copies under the writes. Fault-free links mean every read must
-// succeed and every handoff must arrive warm.
+// succeed, every handoff must arrive warm, and the root's writers must
+// keep writing.
 func TestRunTreeSmallFleet(t *testing.T) {
-	res, err := RunTree(TreeConfig{
-		Stations:     7,
-		Sessions:     200,
-		Shards:       2,
-		Mode:         replica.Static2(),
-		Placement:    tree.Policy{Kind: tree.PolicyT1, K: 2},
-		Duration:     300 * time.Millisecond,
-		HandoffEvery: 25,
-		Seed:         7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := row(t, "tree")
+	c.Stations, c.Sessions, c.Shards, c.Mode = 7, 200, 2, replica.Static2()
+	c.Placement = tree.Policy{Kind: tree.PolicyT1, K: 2}
+	c.Duration, c.HandoffEvery, c.Seed = 300*time.Millisecond, 25, 7
+	res := run(t, c)
 	if res.Sessions != 200 || res.Stations != 7 || res.Leaves != 4 {
 		t.Fatalf("result identity wrong: %+v", res)
 	}
@@ -47,14 +43,9 @@ func TestRunTreeSmallFleet(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("fault-free tree run reported %d errors", res.Errors)
 	}
-	if res.Writes == 0 {
-		t.Fatalf("background writers committed nothing: %+v", res)
-	}
+	checkWriters(t, c, res)
 	if res.Handoffs == 0 {
 		t.Fatalf("motion enabled but no handoffs completed: %+v", res)
-	}
-	if res.ColdHandoffs != 0 {
-		t.Fatalf("%d handoffs arrived cold with no root restart", res.ColdHandoffs)
 	}
 	if res.P99 < res.P50 || res.Max < res.P99 {
 		t.Fatalf("percentiles out of order: p50=%v p99=%v max=%v", res.P50, res.P99, res.Max)

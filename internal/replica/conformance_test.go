@@ -269,8 +269,7 @@ func (h *conformance) tracef(format string, args ...any) {
 }
 
 func (h *conformance) fail(format string, args ...any) error {
-	return fmt.Errorf("%s\n  model: %s\n  trace:\n    %s",
-		fmt.Sprintf(format, args...), h.model, strings.Join(h.trace, "\n    "))
+	return fmt.Errorf("%s\n  trace:\n    %s", fmt.Sprintf(format, args...), strings.Join(h.trace, "\n    "))
 }
 
 func newConformance(t *testing.T, seed uint64, gen, shards int, verbose bool) (*conformance, error) {
