@@ -11,6 +11,15 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
+# Statement coverage of tier-1 across every package (ROADMAP item 17).
+# Printed, not gated: the speed pin that instrumentation would slow
+# (TestReplayHistogramResolvesBlockSpeed) skips under -cover, and
+# TestReplayHistogramLadder pins the same ladder in every mode.
+cover_out=$(mktemp)
+go test -short -coverpkg=./... -coverprofile="$cover_out" ./... > /dev/null
+go tool cover -func="$cover_out" | tail -n 1
+rm -f "$cover_out"
+
 # Protocol conformance under fault injection: a focused race-detector
 # slice, then fixed-seed smoke replays of frozen regression schedules —
 # one per generator generation — to prove seed replay works end to end.
@@ -74,12 +83,17 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # sharing proof, and the conformance explorer again with every link
 # coalescing — byte-stream batching must be invisible to the protocol.
 #
-# The transport package (reply-inline send, one-read receive, the single
-# close-reason path) and the replica waiter-pool tests run under the race
-# detector three times at GOMAXPROCS 1, 2 and 8: their outcome must not
-# depend on CPU count or scheduler luck (TestTCPWriteFailureShutsLinkDown
-# once passed or failed by CPU count; TestTCPWriteFailureRacesPeerEOF now
-# covers the race it hid). The replica
+# The transport package (one send path: reply-inline or the flusher;
+# one-read receive; the single close-reason path), the replica waiter-pool
+# tests, and the replica and tree tests that dial real TCP without
+# configuring the link (every TCPLink coalesces, so they ride the flusher
+# and the inline reply) run under the race detector three times at
+# GOMAXPROCS 1, 2 and 8: their outcome must not depend on CPU count or
+# scheduler luck. TestTCPWriteFailureShutsLinkDown once passed or failed
+# by CPU count; it now holds whichever Send sees the failure (the
+# sender's own write returns the error, a flusher write leaves ErrClosed
+# for the next Send) and TestTCPWriteFailureRacesPeerEOF covers the race
+# it hid. The replica
 # allocation pins run once more without -race (sync.Pool drops Puts under
 # the detector, so the client pin skips there). The non-unix stub of the
 # inline writer is proven to compile.
@@ -87,6 +101,8 @@ go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestEncodePooledRound
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
 done
 GOOS=windows go vet ./internal/transport/

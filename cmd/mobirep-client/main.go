@@ -46,11 +46,9 @@ func main() {
 		"serve offline reads from the cache up to this age, flagged stale; 0 fails them fast")
 	debugAddr := flag.String("debug-addr", "",
 		"HTTP listen address for /metrics, /healthz, /events and /debug/pprof (empty = disabled; use 127.0.0.1:0 for an ephemeral port)")
-	coalesce := flag.Bool("coalesce", true,
-		"batch outbound frames into writev calls on the server link (off forces one write per frame)")
 	flag.Parse()
 
-	mode, err := parseMode(*modeName)
+	mode, err := replica.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -88,9 +86,6 @@ func main() {
 		})
 		if err != nil {
 			return nil, err
-		}
-		if *coalesce {
-			tcp.SetCoalesce(true)
 		}
 		if !chaosCfg.Enabled() {
 			return tcp, nil
@@ -186,22 +181,4 @@ report:
 			st.Sent, st.Delivered, st.Dropped, st.Duplicated, st.Deferred)
 	}
 	fmt.Println("note: the server meters its own side; total cost is the sum of both meters")
-}
-
-func parseMode(name string) (replica.Mode, error) {
-	switch name {
-	case "ST1":
-		return replica.Static1(), nil
-	case "ST2":
-		return replica.Static2(), nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(name, "SW%d", &k); err == nil && n == 1 && fmt.Sprintf("SW%d", k) == name {
-		m := replica.SW(k)
-		if err := m.Validate(); err != nil {
-			return replica.Mode{}, err
-		}
-		return m, nil
-	}
-	return replica.Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
 }

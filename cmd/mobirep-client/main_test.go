@@ -9,31 +9,6 @@ import (
 	"mobirep/internal/transport"
 )
 
-func TestParseMode(t *testing.T) {
-	cases := map[string]string{
-		"ST1": "ST1", "ST2": "ST2", "SW1": "SW1", "SW9": "SW9",
-	}
-	for in, want := range cases {
-		m, err := parseMode(in)
-		if err != nil {
-			t.Fatalf("%q: %v", in, err)
-		}
-		if m.String() != want {
-			t.Fatalf("%q parsed to %q", in, m.String())
-		}
-	}
-	// SW127 is the largest legal window; SW129 is past core.MaxWindow and
-	// must fail here, at flag parsing, not at the first key touched.
-	if m, err := parseMode("SW127"); err != nil || m.String() != "SW127" {
-		t.Fatalf("SW127: %v, %v", m, err)
-	}
-	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX", "SW129"} {
-		if _, err := parseMode(bad); err == nil {
-			t.Fatalf("%q: expected error", bad)
-		}
-	}
-}
-
 // TestChaosWrappedDial mirrors main's -chaos wiring: dial a real TCP
 // server, wrap the link in the auto-mode injector, and check reads still
 // complete and the fault counters move. Duplication only, so no read can

@@ -59,7 +59,7 @@ func flags(c *load.Case, name *string, jsonOut *bool) *flag.FlagSet {
 	fs.IntVar(&c.Sessions, "sessions", c.Sessions, "clients that attach (overload: refused ones included)")
 	fs.IntVar(&c.Shards, "shards", c.Shards, "server shard count (power of two, 0 = automatic)")
 	fs.Func("mode", fmt.Sprintf("allocation mode: SWk, ST1 or ST2 (default %v)", c.Mode), func(s string) (err error) {
-		c.Mode, err = parseMode(s)
+		c.Mode, err = replica.ParseMode(s)
 		return err
 	})
 	fs.IntVar(&c.Keys, "keys", c.Keys, "shared key-pool size (0 = an eighth of the admitted fleet, at least 16)")
@@ -172,22 +172,4 @@ func report(w io.Writer, c load.Case, r load.Result) {
 	}
 	fmt.Fprintf(w, "  memory: heap peak %d bytes, accounted peak %d bytes\n", r.HeapPeakBytes, r.MemAccountPeak)
 	fmt.Fprintf(w, "  goroutines: %d before, %d after teardown\n", r.GoroutinesBefore, r.GoroutinesAfter)
-}
-
-func parseMode(name string) (replica.Mode, error) {
-	switch name {
-	case "ST1":
-		return replica.Static1(), nil
-	case "ST2":
-		return replica.Static2(), nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(name, "SW%d", &k); err == nil && n == 1 && fmt.Sprintf("SW%d", k) == name {
-		m := replica.SW(k)
-		if err := m.Validate(); err != nil {
-			return replica.Mode{}, err
-		}
-		return m, nil
-	}
-	return replica.Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
 }

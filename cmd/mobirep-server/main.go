@@ -54,8 +54,6 @@ func main() {
 		"detach sessions silent for this long (half-open links); 0 disables the reaper; clients must heartbeat well under it")
 	debugAddr := flag.String("debug-addr", "",
 		"HTTP listen address for /metrics, /healthz, /events and /debug/pprof (empty = disabled; use 127.0.0.1:0 for an ephemeral port)")
-	coalesce := flag.Bool("coalesce", true,
-		"batch outbound frames into writev calls on client links (lower syscall cost under fan-out; off forces one write per frame)")
 	maxSessions := flag.Int("max-sessions", 0,
 		"admission cap on concurrently attached sessions; attaches past it are refused with a Busy frame (0 = unlimited)")
 	attachRate := flag.Float64("attach-rate", 0,
@@ -77,7 +75,7 @@ func main() {
 		"keepalive probe interval on the parent link (only with -parent)")
 	flag.Parse()
 
-	mode, err := parseMode(*modeName)
+	mode, err := replica.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -130,9 +128,6 @@ func main() {
 			})
 			if err != nil {
 				return nil, err
-			}
-			if *coalesce {
-				tcp.SetCoalesce(true)
 			}
 			return tcp, nil
 		}
@@ -194,7 +189,7 @@ func main() {
 		}(*shedEvery)
 	}
 
-	ln, err := listenAndServe(srv, *listen, chaosCfg, *coalesce, *outboxBytes, *writeTimeout)
+	ln, err := listenAndServe(srv, *listen, chaosCfg, *outboxBytes, *writeTimeout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -241,7 +236,7 @@ func main() {
 // it, and attaches go through admission control — a refused client is
 // answered with Busy and its connection closed without a session ever
 // existing.
-func listenAndServe(srv *replica.Server, addr string, chaosCfg transport.Config, coalesce bool, outboxBytes int, writeTimeout time.Duration) (string, error) {
+func listenAndServe(srv *replica.Server, addr string, chaosCfg transport.Config, outboxBytes int, writeTimeout time.Duration) (string, error) {
 	ln, err := transport.Listen(addr)
 	if err != nil {
 		return "", err
@@ -251,9 +246,6 @@ func listenAndServe(srv *replica.Server, addr string, chaosCfg transport.Config,
 			link, err := ln.Accept()
 			if err != nil {
 				return
-			}
-			if coalesce {
-				link.SetCoalesce(true)
 			}
 			if outboxBytes > 0 {
 				link.SetQueueLimit(outboxBytes)
@@ -290,24 +282,6 @@ func listenAndServe(srv *replica.Server, addr string, chaosCfg transport.Config,
 		}
 	}()
 	return ln.Addr(), nil
-}
-
-func parseMode(name string) (replica.Mode, error) {
-	switch name {
-	case "ST1":
-		return replica.Static1(), nil
-	case "ST2":
-		return replica.Static2(), nil
-	}
-	var k int
-	if n, err := fmt.Sscanf(name, "SW%d", &k); err == nil && n == 1 && fmt.Sprintf("SW%d", k) == name {
-		m := replica.SW(k)
-		if err := m.Validate(); err != nil {
-			return replica.Mode{}, err
-		}
-		return m, nil
-	}
-	return replica.Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
 }
 
 func writeLoop(srv *replica.Server, key string, rate float64, seed uint64) {

@@ -9,31 +9,6 @@ import (
 	"mobirep/internal/transport"
 )
 
-func TestParseMode(t *testing.T) {
-	cases := map[string]string{
-		"ST1": "ST1", "ST2": "ST2", "SW1": "SW1", "SW9": "SW9",
-	}
-	for in, want := range cases {
-		m, err := parseMode(in)
-		if err != nil {
-			t.Fatalf("%q: %v", in, err)
-		}
-		if m.String() != want {
-			t.Fatalf("%q parsed to %q", in, m.String())
-		}
-	}
-	// SW127 is the largest legal window; SW129 is past core.MaxWindow and
-	// must fail here, at flag parsing, not at the first key touched.
-	if m, err := parseMode("SW127"); err != nil || m.String() != "SW127" {
-		t.Fatalf("SW127: %v, %v", m, err)
-	}
-	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX", "SW129"} {
-		if _, err := parseMode(bad); err == nil {
-			t.Fatalf("%q: expected error", bad)
-		}
-	}
-}
-
 // TestChaosSpecAccepted runs the accept loop with the -chaos injector
 // enabled and checks a real TCP client still completes reads. The spec
 // duplicates aggressively but never loses frames, so the run is flaky-free:
@@ -51,7 +26,7 @@ func TestChaosSpecAccepted(t *testing.T) {
 	if _, err := srv.Write("x", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := listenAndServe(srv, "127.0.0.1:0", cfg, true, 1<<20, 10*time.Second)
+	addr, err := listenAndServe(srv, "127.0.0.1:0", cfg, 1<<20, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,16 +312,6 @@ func (w Window) Bits() sched.Schedule {
 	return out
 }
 
-// LoadBits replaces the window contents with the given oldest-first
-// sequence, which must have exactly Size entries.
-func (w *Window) LoadBits(bits sched.Schedule) error {
-	if len(bits) != int(w.size) {
-		return fmt.Errorf("core: window handoff carried %d bits, want %d", len(bits), w.size)
-	}
-	*w = WindowOf(bits)
-	return nil
-}
-
 // Fill resets every slot to op.
 func (w *Window) Fill(op sched.Op) {
 	w.lo, w.hi, w.writes = 0, 0, 0

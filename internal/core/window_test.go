@@ -64,49 +64,6 @@ func TestWindowBitsOldestFirst(t *testing.T) {
 	}
 }
 
-func TestWindowLoadBitsRoundTrip(t *testing.T) {
-	check := func(raw []bool, extra []bool) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		bits := make(sched.Schedule, len(raw))
-		for i, b := range raw {
-			if b {
-				bits[i] = sched.Write
-			}
-		}
-		w := NewWindow(len(bits), sched.Read)
-		if err := w.LoadBits(bits); err != nil {
-			return false
-		}
-		if w.String() != bits.String() {
-			return false
-		}
-		// After arbitrary pushes, reloading must still round-trip.
-		for _, b := range extra {
-			op := sched.Read
-			if b {
-				op = sched.Write
-			}
-			w.Push(op)
-		}
-		if err := w.LoadBits(bits); err != nil {
-			return false
-		}
-		return w.String() == bits.String()
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWindowLoadBitsSizeMismatch(t *testing.T) {
-	w := NewWindow(3, sched.Read)
-	if err := w.LoadBits(sched.MustParse("rw")); err == nil {
-		t.Fatal("expected size-mismatch error")
-	}
-}
-
 func TestWindowFill(t *testing.T) {
 	w := NewWindow(5, sched.Write)
 	w.Push(sched.Read)
@@ -148,7 +105,7 @@ func TestWindowCountsConsistent(t *testing.T) {
 
 // TestWindowMatchesNaiveSlide drives the packed window and a plain
 // []sched.Op slide side by side at every legal size: push, Bits, the
-// LoadBits(Bits()) round trip, Fill, majority, the write counts and the
+// WindowOf(Bits()) round trip, Fill, majority, the write counts and the
 // newest-n count must agree after every step, across the 64-bit word
 // boundary and at the bound.
 func TestWindowMatchesNaiveSlide(t *testing.T) {
@@ -174,9 +131,8 @@ func TestWindowMatchesNaiveSlide(t *testing.T) {
 			if got := w.writesInNewest(n); got != newest {
 				t.Fatalf("k=%d %s: writesInNewest(%d) = %d, want %d", k, when, n, got, newest)
 			}
-			back := NewWindow(k, sched.Read)
-			if err := back.LoadBits(w.Bits()); err != nil || back != w {
-				t.Fatalf("k=%d %s: LoadBits(Bits()) = %v (err %v), want %v", k, when, back, err, w)
+			if back := WindowOf(w.Bits()); back != w {
+				t.Fatalf("k=%d %s: WindowOf(Bits()) = %v, want %v", k, when, back, w)
 			}
 			if WindowOf(ref) != w {
 				t.Fatalf("k=%d %s: WindowOf(%s) != window %s", k, when, ref, w)

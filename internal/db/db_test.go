@@ -226,7 +226,7 @@ func TestLogCloseSurfacesSyncFailure(t *testing.T) {
 	// when it cannot: a silently unsynced close is exactly the data-loss
 	// window the sync exists to shut.
 	path := filepath.Join(t.TempDir(), "x.log")
-	l, err := OpenLog(path)
+	l, err := OpenLogFS(OSFS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCloseIdempotentInMemory(t *testing.T) {
 
 func TestLogSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.log")
-	l, err := OpenLog(path)
+	l, err := OpenLogFS(OSFS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestOpenBadPath(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "no", "such", "dir", "x.log")); err == nil {
 		t.Fatal("open in missing directory should fail")
 	}
-	if _, err := OpenLog(filepath.Join(t.TempDir(), "no", "such", "dir", "x.log")); err == nil {
+	if _, err := OpenLogFS(OSFS(), filepath.Join(t.TempDir(), "no", "such", "dir", "x.log")); err == nil {
 		t.Fatal("openlog in missing directory should fail")
 	}
 }

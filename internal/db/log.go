@@ -69,9 +69,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // deleting the file) is required.
 var ErrCorruptHeader = errors.New("db: corrupt log file header")
 
-// OpenLog opens the log at path on the real filesystem.
-func OpenLog(path string) (*Log, error) { return OpenLogFS(OSFS(), path) }
-
 // OpenLogFS opens (creating if needed) the log at path on fs. An empty
 // file is a fresh log: it gets a header with epoch 0, synced along with
 // its parent directory so the file cannot vanish at a crash. Any other

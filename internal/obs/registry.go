@@ -124,12 +124,6 @@ var DurationBuckets = []float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16,
 }
 
-// SizeBuckets is the shared byte-size layout: 64B to 16MB in powers of
-// four (the transport's frame limit is 16MB).
-var SizeBuckets = []float64{
-	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20,
-}
-
 // metric is the registry's slot: exactly one of the three is non-nil.
 type metric struct {
 	counter *Counter

@@ -225,9 +225,6 @@ func (ss *Session) Evict(reason string, retryAfter time.Duration) bool {
 // enforces, in accounted bytes (see MemBytes). Zero disables shedding.
 func (s *Server) SetMemSoftLimit(bytes int64) { s.memSoft.Store(bytes) }
 
-// MemSoftLimit returns the soft watermark (zero when disabled).
-func (s *Server) MemSoftLimit() int64 { return s.memSoft.Load() }
-
 // queuedByteser is the optional link surface (transport.TCPLink has it)
 // reporting bytes parked in the link's outbox.
 type queuedByteser interface{ QueuedBytes() int }

@@ -99,7 +99,6 @@ func (e *syncEnd) start() {
 		_ = e.tcp.Send([]byte{1})
 		_ = e.tcp.Flush()
 	})
-	e.tcp.SetCoalesce(true)
 	e.tcp.Start(func(error) { e.once.Do(func() { close(e.closed) }) })
 }
 

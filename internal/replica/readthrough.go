@@ -184,14 +184,6 @@ func (c *Client) noteFloorLocked(key string, v uint64) {
 	}
 }
 
-// Floor returns the client's read floor for key (0 when floor tracking
-// is off or the key has never been read).
-func (c *Client) Floor(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.floors[key]
-}
-
 // DropCopy voluntarily deallocates key — the placement policy decided
 // this station should not hold it. The window rides the DeleteReq so the
 // server adopts the true read/write history, and the drop cascades

@@ -20,6 +20,8 @@ package replica
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"mobirep/internal/core"
@@ -88,6 +90,28 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("SW%d", m.K)
 	}
+}
+
+// ParseMode is the inverse of String: it accepts exactly "ST1", "ST2" and
+// "SWk" for a legal window size k written without sign or leading zeros,
+// so a bad mode fails at flag parsing, not at the first key touched.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "ST1":
+		return Static1(), nil
+	case "ST2":
+		return Static2(), nil
+	}
+	if digits, ok := strings.CutPrefix(name, "SW"); ok {
+		if k, err := strconv.Atoi(digits); err == nil && strconv.Itoa(k) == digits {
+			m := SW(k)
+			if err := m.validate(); err != nil {
+				return Mode{}, err
+			}
+			return m, nil
+		}
+	}
+	return Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
 }
 
 // Meter counts protocol traffic on one side. Combined over both sides it

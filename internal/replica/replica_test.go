@@ -75,6 +75,27 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestParseMode pins the one mode grammar every binary's -mode flag uses:
+// ParseMode inverts String on every legal mode and rejects everything
+// else, each legal-looking SW size by its Validate error.
+func TestParseMode(t *testing.T) {
+	modes := []Mode{Static1(), Static2()}
+	for k := 1; k < core.MaxWindow; k += 2 {
+		modes = append(modes, SW(k))
+	}
+	for _, m := range modes {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"SW0", "SW2", "SW4", "SW129", "SW5x", "SW9x", "sw5", "sw9", "", "T1:2", "SW05", "SW+5", "SW-1", "ST3", "XX", "SW"} {
+		if m, err := ParseMode(bad); err == nil {
+			t.Fatalf("ParseMode(%q) = %v, want an error", bad, m)
+		}
+	}
+}
+
 func TestSW3AllocationLifecycle(t *testing.T) {
 	cli, srv, _ := pair(t, SW(3))
 	srv.Write("x", []byte("v1"))

@@ -180,12 +180,6 @@ func (s *Server) attachSession(id uint64, link transport.Link) *Session {
 // Meter returns the SC-side traffic meter for this client.
 func (ss *Session) Meter() *Meter { return ss.meter }
 
-// ID returns the session's attach ID (unique per server, never reused).
-func (ss *Session) ID() uint64 { return ss.id }
-
-// Shard returns the id of the shard that owns this session.
-func (ss *Session) Shard() int { return ss.shard.id }
-
 // Detach removes the session: the server stops propagating writes to the
 // client and drops its per-key allocation state. Safe to call more than
 // once and from a link's close callback.
@@ -228,13 +222,6 @@ func (s *Server) Sessions() int {
 		sh.exit()
 	}
 	return n
-}
-
-// LastSeen returns when the client last proved liveness.
-func (ss *Session) LastSeen() time.Time {
-	ss.shard.enter()
-	defer ss.shard.exit()
-	return ss.lastSeen
 }
 
 // ExpireIdle is the session reaper: it detaches every session whose

@@ -225,8 +225,8 @@ func TestSessionKeysSameShardInvariant(t *testing.T) {
 		}
 	}
 	for i, sess := range sessions {
-		if want := sessionShard(sess.ID(), srv.Shards()); sess.Shard() != want {
-			t.Fatalf("session %d placed on shard %d, routing says %d", i, sess.Shard(), want)
+		if want := sessionShard(sess.id, srv.Shards()); sess.shard.id != want {
+			t.Fatalf("session %d placed on shard %d, routing says %d", i, sess.shard.id, want)
 		}
 	}
 	if got := checkKeyIndex(t, srv); got != len(sessions)*5 {
@@ -379,7 +379,7 @@ func TestExpireIdleShardBoundaries(t *testing.T) {
 	for i := range sessions {
 		links[i] = &closeCountLink{}
 		sessions[i] = srv.Attach(links[i])
-		perShard[sessions[i].Shard()]++
+		perShard[sessions[i].shard.id]++
 	}
 	for sh := 0; sh < srv.Shards(); sh++ {
 		if perShard[sh] == 0 {

@@ -85,23 +85,3 @@ func BinomialCDF(n, k int, p float64) float64 {
 	}
 	return sum
 }
-
-// Bisect finds a root of f in [a, b] assuming f(a) and f(b) have opposite
-// signs. It returns the midpoint after iter halvings (53 suffices for
-// float64 resolution).
-func Bisect(f func(float64) float64, a, b float64, iter int) float64 {
-	fa := f(a)
-	for i := 0; i < iter; i++ {
-		m := (a + b) / 2
-		fm := f(m)
-		if fm == 0 {
-			return m
-		}
-		if (fa < 0) == (fm < 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return (a + b) / 2
-}

@@ -134,17 +134,6 @@ func TestBinomialCDFMatchesSampling(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 80)
-	if math.Abs(root-math.Sqrt2) > 1e-12 {
-		t.Fatalf("root = %v", root)
-	}
-	root = Bisect(func(x float64) float64 { return 2 - x*x }, 0, 2, 80)
-	if math.Abs(root-math.Sqrt2) > 1e-12 {
-		t.Fatalf("descending root = %v", root)
-	}
-}
-
 func TestLogBinomialOutOfRange(t *testing.T) {
 	if !math.IsInf(LogBinomial(5, 9), -1) {
 		t.Fatal("LogBinomial out of range should be -Inf")

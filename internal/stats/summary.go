@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming moment statistics using Welford's method,
@@ -96,82 +95,4 @@ func (s Summary) CI95() float64 { return 1.96 * s.StdErr() }
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.6f ±%.6f [%.6f, %.6f]",
 		s.n, s.Mean(), s.CI95(), s.min, s.max)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the data using linear
-// interpolation between order statistics. The slice is not modified.
-func Quantile(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(data))
-	copy(sorted, data)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Histogram counts observations into uniform-width bins over [lo, hi).
-// Observations outside the range are clamped into the edge bins so that
-// every Add is accounted for.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.bins)) * (x - h.lo) / (h.hi - h.lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.bins[i]) / float64(h.n)
 }

@@ -86,65 +86,3 @@ func TestSummaryMergeEmptySides(t *testing.T) {
 		t.Fatalf("merge into empty: %v", b)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	data := []float64{5, 1, 4, 2, 3}
-	if q := Quantile(data, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(data, 1); q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(data, 0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := Quantile(data, 0.25); q != 2 {
-		t.Fatalf("q25 = %v", q)
-	}
-	// Input must not be mutated.
-	if data[0] != 5 {
-		t.Fatal("Quantile mutated its input")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-		if math.Abs(h.Fraction(i)-0.1) > 1e-12 {
-			t.Fatalf("fraction %d = %v", i, h.Fraction(i))
-		}
-	}
-	if h.N() != 10 || h.Bins() != 10 {
-		t.Fatalf("N=%d Bins=%d", h.N(), h.Bins())
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.5) > 1e-12 {
-		t.Fatalf("BinCenter(0) = %v", c)
-	}
-}
-
-func TestHistogramClampsOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(99)
-	if h.Bin(0) != 1 || h.Bin(3) != 1 {
-		t.Fatalf("edge bins = %d, %d", h.Bin(0), h.Bin(3))
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
-}

@@ -5,7 +5,7 @@ package transport
 import "net"
 
 // inlineWriter is the non-unix stub: no non-blocking descriptor write is
-// attempted, so every coalesced Send queues for the flusher.
+// attempted, so every Send queues for the flusher.
 type inlineWriter struct{}
 
 func newInlineWriter(net.Conn) *inlineWriter { return nil }

@@ -15,7 +15,7 @@ import (
 // Tests for the reply-inline send (sendInline) and the one-read receive
 // (readLoop's in-place parser).
 
-// rawPeer is a coalescing TCPLink under test plus the raw connection at
+// rawPeer is a TCPLink under test plus the raw connection at
 // the other end, which the test reads and writes by hand: it decides when
 // the link has "received a frame" and when (and whether) its sends drain.
 // sndbuf, when positive, shrinks the link's socket send buffer. (The raw
@@ -63,7 +63,6 @@ func newRawPeer(t *testing.T, sndbuf int) *rawPeer {
 		_ = tc.SetWriteBuffer(sndbuf)
 	}
 	p := &rawPeer{link: NewTCPLink(conn), peer: peer, armed: make(chan struct{}, 1<<16), closed: make(chan error, 1)}
-	p.link.SetCoalesce(true)
 	p.link.SetHandler(func([]byte) { p.armed <- struct{}{} })
 	p.link.Start(func(err error) { p.closed <- err })
 	t.Cleanup(func() {
@@ -416,7 +415,6 @@ func TestTCPNoDescriptorNeverInlines(t *testing.T) {
 	if l.inline != nil {
 		t.Fatal("a conn without SyscallConn got an inline writer")
 	}
-	l.SetCoalesce(true)
 	l.SetHandler(func([]byte) {})
 	l.Start(nil)
 	defer l.Close()

@@ -89,15 +89,14 @@ var (
 		"Frames a chaos link forwarded to the peer, duplicates included.")
 
 	mWritevFlushes = obsReg.Counter("mobirep_transport_writev_flushes_total",
-		"Writes issued by coalescing TCP links: writev batches plus reply-inline writes.")
+		"Writes issued by TCP links: writev batches plus reply-inline writes.")
 	mWritevFrames = obsReg.Counter("mobirep_transport_writev_frames_total",
-		"Frames carried by those writes. The per-frame path "+
-			"costs two syscalls, so 2*frames - flushes syscalls were saved.")
+		"Frames carried by those writes; frames/flushes is the batching factor.")
 
-	// Every Send on a coalescing link with a descriptor is one of these
+	// Every Send on a TCP link with a descriptor is one of these
 	// five: sent inline, or queued for the flusher for the named reason.
 	mInlineSends = obsReg.Counter("mobirep_transport_inline_sends_total",
-		"Frames a coalescing link wrote from the sender's goroutine (reply-inline send).")
+		"Frames a TCP link wrote from the sender's goroutine (reply-inline send).")
 	mInlineEagain = obsReg.Counter(`mobirep_transport_inline_fallbacks_total{reason="eagain"}`,
 		"Sends that left the reply-inline path: socket full (eagain), partly written (short), "+
 			"outbox non-empty or write in flight (busy), not the first send after a receive (burst).")

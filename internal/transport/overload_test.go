@@ -54,43 +54,33 @@ func stalledPair(t *testing.T) (*TCPLink, chan error) {
 // TestTCPWriteTimeoutKillsStalledLink is the write-deadline regression: a
 // peer that never reads must not wedge the writer forever. With a write
 // timeout armed, the blocked writev fails, the link dies through the
-// fail-closed path, and onClose reports the timeout as the root cause —
-// in both immediate and coalesced send modes (the latter is the flusher
-// goroutine the deadline exists to protect).
+// fail-closed path, and onClose reports the timeout as the root cause.
+// The flusher goroutine is what the deadline exists to protect.
 func TestTCPWriteTimeoutKillsStalledLink(t *testing.T) {
-	for _, coalesce := range []bool{false, true} {
-		name := "immediate"
-		if coalesce {
-			name = "coalesced"
+	t.Run("coalesced", func(t *testing.T) {
+		link, closed := stalledPair(t)
+		link.SetWriteTimeout(200 * time.Millisecond)
+		payload := bytes.Repeat([]byte{7}, 1<<16)
+		var sendErr error
+		for i := 0; i < 1000 && sendErr == nil; i++ {
+			sendErr = link.Send(payload)
 		}
-		t.Run(name, func(t *testing.T) {
-			link, closed := stalledPair(t)
-			link.SetWriteTimeout(200 * time.Millisecond)
-			if coalesce {
-				link.SetCoalesce(true)
+		if sendErr == nil {
+			t.Fatal("sends to a peer that never reads never failed")
+		}
+		if err := link.Send([]byte("x")); err != ErrClosed {
+			t.Fatalf("link still alive after write timeout: %v", err)
+		}
+		select {
+		case err := <-closed:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("onClose error %v is not a timeout", err)
 			}
-			payload := bytes.Repeat([]byte{7}, 1<<16)
-			var sendErr error
-			for i := 0; i < 1000 && sendErr == nil; i++ {
-				sendErr = link.Send(payload)
-			}
-			if sendErr == nil {
-				t.Fatal("sends to a peer that never reads never failed")
-			}
-			if err := link.Send([]byte("x")); err != ErrClosed {
-				t.Fatalf("link still alive after write timeout: %v", err)
-			}
-			select {
-			case err := <-closed:
-				var ne net.Error
-				if !errors.As(err, &ne) || !ne.Timeout() {
-					t.Fatalf("onClose error %v is not a timeout", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("close callback never fired")
-			}
-		})
-	}
+		case <-time.After(10 * time.Second):
+			t.Fatal("close callback never fired")
+		}
+	})
 }
 
 // TestTCPQueueLimitKillsSlowConsumer: with a bounded outbox, a stalled
@@ -99,7 +89,6 @@ func TestTCPWriteTimeoutKillsStalledLink(t *testing.T) {
 // detach path can tell "slow consumer" from "clean shutdown".
 func TestTCPQueueLimitKillsSlowConsumer(t *testing.T) {
 	link, closed := stalledPair(t)
-	link.SetCoalesce(true)
 	link.SetQueueLimit(32 << 10)
 	payload := bytes.Repeat([]byte{9}, 1024)
 	var sendErr error
@@ -138,24 +127,15 @@ func TestSendAfterCloseParity(t *testing.T) {
 			t.Fatalf("memLink Send after Close = %v, want ErrClosed", err)
 		}
 	})
-	for _, coalesce := range []bool{false, true} {
-		name := "tcp-immediate"
-		if coalesce {
-			name = "tcp-coalesced"
+	t.Run("tcp-coalesced", func(t *testing.T) {
+		cli, _, _ := tcpPair(t)
+		if err := cli.Close(); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			cli, _, _ := tcpPair(t)
-			if coalesce {
-				cli.SetCoalesce(true)
-			}
-			if err := cli.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Send([]byte("x")); !errors.Is(err, ErrClosed) {
-				t.Fatalf("TCPLink Send after Close = %v, want ErrClosed", err)
-			}
-		})
-	}
+		if err := cli.Send([]byte("x")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("TCPLink Send after Close = %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestTCPSlowConsumerHammer races many senders against a bounded outbox
@@ -165,7 +145,6 @@ func TestSendAfterCloseParity(t *testing.T) {
 func TestTCPSlowConsumerHammer(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		link, closed := stalledPair(t)
-		link.SetCoalesce(true)
 		link.SetQueueLimit(16 << 10)
 		link.SetWriteTimeout(time.Second)
 		var wg sync.WaitGroup

@@ -120,32 +120,32 @@ func (l *memLink) Close() error {
 // TCPLink frames messages over a TCP connection as a uint32 length prefix
 // followed by the payload.
 //
-// Sends are vectored: header and payload go to the kernel in one writev
-// instead of two Write syscalls. With coalescing enabled (SetCoalesce),
-// frames are instead copied into a small send queue that a background
-// flusher drains with a single writev per batch, so back-to-back frames —
-// heartbeats, propagation bursts, batch responses — share a syscall. The
-// flusher runs whenever the queue is non-empty, so the added latency is
-// bounded by one in-flight write; Flush forces a synchronous drain.
+// Every link coalesces: Send copies the frame into a small outbox that a
+// background flusher, started with the read loop, drains with a single
+// writev per batch, so back-to-back frames — heartbeats, propagation
+// bursts, batch responses — share a syscall. The flusher runs whenever
+// the outbox is non-empty, so the added latency is bounded by one
+// in-flight write; Flush forces a synchronous drain, and Close drains
+// before it hangs up.
 //
-// A closed-loop exchange has nothing to coalesce, so a coalescing link
-// sends a reply inline: the first Send after the link received a frame,
-// finding the outbox empty and no write in flight, makes one non-blocking
-// write from the sender's goroutine and skips the flusher hand-off. What
-// the socket does not take at once is left to the flusher; every other
-// Send queues as above. See sendInline.
+// A closed-loop exchange has nothing to coalesce, so a link sends a reply
+// inline: the first Send after the link received a frame, finding the
+// outbox empty and no write in flight, makes one non-blocking write from
+// the sender's goroutine and skips the flusher hand-off. What the socket
+// does not take at once is left to the flusher. See sendInline.
 //
 // Any failed or short write leaves the byte stream desynchronized for the
 // peer (a half-written frame shifts every later length prefix), so the
 // link shuts down on the first write error rather than returning an error
-// on a live link.
+// on a live link. A flusher write fails with no caller to tell, so a later
+// Send reports ErrClosed and onClose carries the write error.
 //
 // Two overload bounds protect the sender from a peer that stops reading:
 // SetWriteTimeout arms a deadline around every writev, so a stalled socket
 // fails the write instead of wedging the flusher forever; SetQueueLimit
-// caps the coalescing outbox, killing the link (ErrSlowConsumer) the
-// moment queued bytes would exceed the bound. Both funnel into the same
-// fail-closed path as any other write error (closeWith).
+// caps the outbox, killing the link (ErrSlowConsumer) the moment queued
+// bytes would exceed the bound. Both funnel into the same fail-closed path
+// as any other write error (closeWith).
 type TCPLink struct {
 	conn    net.Conn
 	hmu     sync.Mutex
@@ -160,13 +160,11 @@ type TCPLink struct {
 	reason   error         // why the link ended; nil is a clean shutdown
 	reported bool          // the read loop has taken reason for onClose
 
-	// wmu serializes writes to conn. Batch extraction from the coalescing
-	// queue happens under it too, so two concurrent flushes cannot write
-	// their batches out of order.
+	// wmu serializes writes to conn. Batch extraction from the outbox
+	// happens under it too, so two concurrent flushes cannot write their
+	// batches out of order.
 	wmu    sync.Mutex
-	whdr   [4]byte  // immediate-mode header scratch
-	wpair  [][]byte // immediate-mode two-entry writev scratch
-	wstore [][]byte // coalesced-mode writev view backing
+	wstore [][]byte // writev view backing
 	wview  net.Buffers
 	inline *inlineWriter // nil: conn has no descriptor, never send inline
 
@@ -177,8 +175,7 @@ type TCPLink struct {
 	// consumed by the next Send, which may then go inline.
 	replyArmed atomic.Bool
 
-	coalesce atomic.Bool
-	qmu      sync.Mutex // guards the coalescing queue
+	qmu      sync.Mutex // guards the outbox
 	pending  []*chunk
 	spare    []*chunk // recycled backing array for the next pending batch
 	pendingB int      // queued bytes, headers included
@@ -234,20 +231,10 @@ func NewTCPLink(conn net.Conn) *TCPLink {
 	}
 }
 
-// SetCoalesce turns on send coalescing: Send enqueues and a background
-// flusher drains the queue with one writev per batch. Call it before the
-// first Send; coalescing cannot be turned off again. Frames still queued
-// when the link closes are dropped, exactly like bytes sitting in a dying
-// socket's kernel buffer.
-func (l *TCPLink) SetCoalesce(on bool) {
-	if !on || l.coalesce.Swap(true) {
-		return
-	}
-	go l.flushLoop()
-}
-
-// Coalescing reports whether send coalescing is enabled.
-func (l *TCPLink) Coalescing() bool { return l.coalesce.Load() }
+// SetCoalesce does nothing: every TCPLink coalesces.
+//
+// Deprecated: kept only for callers written when coalescing was optional.
+func (l *TCPLink) SetCoalesce(bool) {}
 
 // SetWriteTimeout bounds every writev: a peer that accepts the TCP
 // handshake but never reads fills its receive window, the kernel buffer,
@@ -257,32 +244,31 @@ func (l *TCPLink) Coalescing() bool { return l.coalesce.Load() }
 // concurrently with sends.
 func (l *TCPLink) SetWriteTimeout(d time.Duration) { l.writeTimeout.Store(int64(d)) }
 
-// SetQueueLimit caps the coalescing outbox at bytes (length prefixes
-// included). Once the bound would be exceeded, Send kills the link and
-// returns ErrSlowConsumer rather than buffering without limit for a peer
-// that is not draining. While a limit is set, senders never flush inline —
+// SetQueueLimit caps the outbox at bytes (length prefixes included).
+// Once the bound would be exceeded, Send kills the link and returns
+// ErrSlowConsumer rather than buffering without limit for a peer that is
+// not draining. While a limit is set, senders never flush inline —
 // the bound, not coalesceFlushBytes, is the backpressure — so Send never
 // blocks on a stalled socket (the reply-inline write never waits either).
 // Zero (the default) restores unbounded queueing with inline flushes.
 func (l *TCPLink) SetQueueLimit(bytes int) { l.queueLimit.Store(int64(bytes)) }
 
-// QueuedBytes reports the bytes sitting in the coalescing outbox right
-// now, length prefixes included. The memory-budget accounting in the
-// replica server folds this into each session's footprint.
+// QueuedBytes reports the bytes sitting in the outbox right now, length
+// prefixes included. The memory-budget accounting in the replica server
+// folds this into each session's footprint.
 func (l *TCPLink) QueuedBytes() int {
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
 	return l.pendingB
 }
 
-// CoalesceStats counts the write syscalls a coalescing link has issued.
+// CoalesceStats counts the write syscalls a link has issued.
 type CoalesceStats struct {
-	// Flushes is the number of writes issued: the flusher's writev
-	// batches plus the reply-inline writes.
+	// Flushes is the number of writes issued: the writev batches plus the
+	// reply-inline writes.
 	Flushes uint64
-	// Frames is the number of frames those writes carried. The legacy
-	// path cost two Write syscalls per frame, so 2*Frames - Flushes
-	// syscalls were saved.
+	// Frames is the number of frames those writes carried; Frames/Flushes
+	// is the batching factor.
 	Frames uint64
 }
 
@@ -291,11 +277,14 @@ func (l *TCPLink) Stats() CoalesceStats {
 	return CoalesceStats{Flushes: l.flushes.Load(), Frames: l.flushFrames.Load()}
 }
 
-// Start launches the read loop. onClose, if non-nil, is invoked once when
-// the loop exits, with nil on clean shutdown.
+// Start launches the read loop and the flusher. onClose, if non-nil, is
+// invoked once when the read loop exits, with nil on clean shutdown. Both
+// goroutines end when the link closes; a link that is never started has
+// none, and frames sent before Start wait in the outbox for the flusher.
 func (l *TCPLink) Start(onClose func(error)) {
 	l.onClose = onClose
 	go l.readLoop()
+	go l.flushLoop()
 }
 
 // closeWith ends the link with err as the reason and reports whether err
@@ -421,36 +410,16 @@ func (l *TCPLink) Send(frame []byte) error {
 		return ErrClosed
 	default:
 	}
-	if l.coalesce.Load() {
-		c := newChunk(frame)
-		if l.inline != nil {
-			if sent, err := l.sendInline(c); sent {
-				if err == nil {
-					recordSend(frame)
-				}
-				return err
+	c := newChunk(frame)
+	if l.inline != nil {
+		if sent, err := l.sendInline(c); sent {
+			if err == nil {
+				recordSend(frame)
 			}
+			return err
 		}
-		return l.enqueue(c, frame)
 	}
-	l.wmu.Lock()
-	binary.BigEndian.PutUint32(l.whdr[:], uint32(len(frame)))
-	if l.wpair == nil {
-		l.wpair = make([][]byte, 2)
-	}
-	l.wpair[0], l.wpair[1] = l.whdr[:], frame
-	// One vectored write for header plus payload, where the old path paid
-	// two Write syscalls. net.Buffers.WriteTo mutates l.wview as it
-	// consumes; l.wpair keeps the stable backing.
-	l.wview = net.Buffers(l.wpair[:2])
-	err := l.writeLocked()
-	l.wpair[1] = nil
-	l.wmu.Unlock()
-	if err != nil {
-		return l.failWrite(err)
-	}
-	recordSend(frame)
-	return nil
+	return l.enqueue(c, frame)
 }
 
 // sendInline is the reply-inline send. It reports sent=false, leaving c
@@ -525,7 +494,7 @@ func (l *TCPLink) sendInline(c *chunk) (sent bool, err error) {
 	return true, nil
 }
 
-// enqueue puts c, the chunk holding frame, on the coalescing queue.
+// enqueue puts c, the chunk holding frame, in the outbox.
 func (l *TCPLink) enqueue(c *chunk, frame []byte) error {
 	limit := int(l.queueLimit.Load())
 	l.qmu.Lock()
@@ -570,7 +539,7 @@ func (l *TCPLink) wakeFlusher() {
 }
 
 // Flush synchronously writes every queued frame with a single vectored
-// write. It is a no-op when nothing is pending or coalescing is off.
+// write. It is a no-op when nothing is pending.
 func (l *TCPLink) Flush() error {
 	l.wmu.Lock()
 	err := l.flushLocked()
@@ -619,9 +588,9 @@ func (l *TCPLink) flushLocked() error {
 	return err
 }
 
-// flushLoop drains the coalescing queue whenever it is non-empty. Frames
-// sent while a writev is in flight pile up and go out together on the
-// next pass — batching emerges from backpressure, with no timers and no
+// flushLoop drains the outbox whenever it is non-empty. Frames sent
+// while a writev is in flight pile up and go out together on the next
+// pass — batching emerges from backpressure, with no timers and no
 // unbounded latency.
 func (l *TCPLink) flushLoop() {
 	for {
@@ -657,12 +626,11 @@ func (l *TCPLink) SetHandler(h Handler) {
 	l.handler = h
 }
 
+// Close drains the outbox, best effort, so frames accepted before Close
+// reach the peer, then tears the link down. Frames racing Close may be
+// dropped, exactly like bytes sitting in a dying socket's kernel buffer.
 func (l *TCPLink) Close() error {
-	if l.coalesce.Load() {
-		// Best-effort drain so frames accepted before Close reach the
-		// peer; racing Sends may still be dropped, as documented.
-		_ = l.Flush()
-	}
+	_ = l.Flush()
 	l.closeWith(nil)
 	return nil
 }

@@ -66,16 +66,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// Children returns each station's children, index == station.
-func (t Topology) Children() [][]int {
-	out := make([][]int, len(t.Parent))
-	for i := 1; i < len(t.Parent); i++ {
-		p := t.Parent[i]
-		out[p] = append(out[p], i)
-	}
-	return out
-}
-
 // Leaves returns the stations with no children, in order.
 func (t Topology) Leaves() []int {
 	hasChild := make([]bool, len(t.Parent))

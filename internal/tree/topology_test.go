@@ -33,10 +33,6 @@ func TestTopologyShapes(t *testing.T) {
 	if got := b.Leaves(); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
 		t.Fatalf("Binary(7) leaves = %v", got)
 	}
-	kids := b.Children()
-	if !reflect.DeepEqual(kids[0], []int{1, 2}) || !reflect.DeepEqual(kids[1], []int{3, 4}) {
-		t.Fatalf("Binary(7) children = %v", kids)
-	}
 }
 
 func TestTopologyValidateRejects(t *testing.T) {

@@ -42,9 +42,6 @@ func newTCPReadPair(b *testing.B, nkeys int) *tcpReadPair {
 		dialled.Close()
 		accepted.Close()
 	})
-	for _, l := range p.links {
-		l.SetCoalesce(true)
-	}
 	srv, err := replica.NewServer(db.NewStore(), replica.Static1())
 	if err != nil {
 		b.Fatal(err)
