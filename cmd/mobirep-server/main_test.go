@@ -9,6 +9,34 @@ import (
 	"mobirep/internal/transport"
 )
 
+// TestParseMode pins the grammar of this binary's -mode flag, which main
+// hands to replica.ParseMode: every mode the paper names parses to itself,
+// and a malformed or out-of-range mode fails at flag parsing.
+func TestParseMode(t *testing.T) {
+	cases := map[string]string{
+		"ST1": "ST1", "ST2": "ST2", "SW1": "SW1", "SW9": "SW9",
+	}
+	for in, want := range cases {
+		m, err := replica.ParseMode(in)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if m.String() != want {
+			t.Fatalf("%q parsed to %q", in, m.String())
+		}
+	}
+	// SW127 is the largest legal window; SW129 is past core.MaxWindow and
+	// must fail here, at flag parsing, not at the first key touched.
+	if m, err := replica.ParseMode("SW127"); err != nil || m.String() != "SW127" {
+		t.Fatalf("SW127: %v, %v", m, err)
+	}
+	for _, bad := range []string{"", "SW4", "SW0", "sw9", "SW9x", "XX", "SW129"} {
+		if _, err := replica.ParseMode(bad); err == nil {
+			t.Fatalf("%q: expected error", bad)
+		}
+	}
+}
+
 // TestChaosSpecAccepted runs the accept loop with the -chaos injector
 // enabled and checks a real TCP client still completes reads. The spec
 // duplicates aggressively but never loses frames, so the run is flaky-free:
