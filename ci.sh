@@ -11,8 +11,8 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
 
-# Statement coverage of tier-1 across every package (ROADMAP item 17).
-# Printed, not gated: the speed pin that instrumentation would slow
+# Statement coverage of tier-1 across every package, the total line of
+# go tool cover. Printed, not gated: the speed pin that instrumentation would slow
 # (TestReplayHistogramResolvesBlockSpeed) skips under -cover, and
 # TestReplayHistogramLadder pins the same ladder in every mode.
 cover_out=$(mktemp)
@@ -111,10 +111,12 @@ GOOS=windows go vet ./internal/transport/
 # never changes, a WriteProp applied with the relay's handlers set
 # allocates nothing) and its differential against the reference that
 # keeps the three cache maps, the copy bit and the window apart; the
-# store's one resident buffer per key (a Put allocates nothing in memory,
-# under SyncAlways and under group commit, and exactly one buffer right
-# after a Get; bytes Get returned never change, under a hammer of
-# writers, both readers and Compact; a queued group value stays
+# store's one resident buffer per key (TestPutAllocs and
+# TestGroupCommitPutAllocs: a Put allocates nothing in memory and under
+# group commit, and exactly one buffer right after a Get;
+# TestStoreReturnedValuesNeverChange and TestStoreOwnershipHammer: bytes
+# Get returned never change, under a hammer of writers, both readers and
+# Compact; TestGroupRoundHidesQueuedBytes: a queued group value stays
 # invisible), a fanned-out write at zero allocations and an allocating
 # miss at the MC at one; the key index's exactness and fan-out order
 # under the race detector; and the holder-count slope and working-set
@@ -224,6 +226,20 @@ go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
 /tmp/mobirep-load-ci -case tree -stations 7 -sessions 5000 -mode ST2 -placement T1:2 \
     -handoff-every 100 -duration 30s -floor-sessions-per-sec 500
 rm -f /tmp/mobirep-load-ci
+
+# One method grammar: FuzzParseSpec holds core.ParseSpec and Spec.String
+# inverse, and every binary reads the same spelling — T1:m parses, the
+# retired T1(m), an even placement window and -sync always exit 2.
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/core/
+cli_dir=$(mktemp -d)
+go build -o "$cli_dir/" ./cmd/mobirep-sim ./cmd/mobirep-game ./cmd/mobirep-load ./cmd/mobirep-server
+exits2() { if "$@" > /dev/null 2>&1; then return 1; else test $? -eq 2; fi; }
+"$cli_dir/mobirep-sim" -policy T1:2 -ops 20000 -trials 2 > /dev/null
+"$cli_dir/mobirep-game" -policy T1:4 -verify 5 > /dev/null
+exits2 "$cli_dir/mobirep-sim" -policy 'T1(2)'
+exits2 "$cli_dir/mobirep-load" -case tree -placement SW4
+exits2 "$cli_dir/mobirep-server" -sync always
+rm -rf "$cli_dir"
 
 # End-to-end: regenerate every experiment table and prove it equals the
 # committed bench_tables.txt byte for byte, run sequentially and eight

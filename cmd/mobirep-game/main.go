@@ -8,7 +8,7 @@
 //
 //	mobirep-game -policy SW9                      # ratio in the connection model
 //	mobirep-game -policy SW3 -model message -omega 0.5
-//	mobirep-game -policy T1(4) -verify 5          # is T1(4) 5-competitive?
+//	mobirep-game -policy T1:4 -verify 5           # is T1:4 5-competitive?
 //	mobirep-game -policy SW5 -witness             # print the adversary's cycle
 package main
 
@@ -24,7 +24,6 @@ import (
 	"mobirep/internal/core"
 	"mobirep/internal/cost"
 	"mobirep/internal/offline"
-	"mobirep/internal/sim"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mobirep-game", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	policyName := fs.String("policy", "SW9", "finite-state policy: ST1, ST2, SWk, SWek, T1m, T2m, CacheInv")
+	policyName := fs.String("policy", "SW9", "finite-state policy: ST1, ST2, SWk, SWek, T1:m, T2:m, CacheInv")
 	modelName := fs.String("model", "connection", "cost model: connection or message")
 	omega := fs.Float64("omega", 0.5, "control/data cost ratio for the message model")
 	limit := fs.Float64("limit", 64, "give up (report not-competitive) above this factor")
@@ -46,12 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	factory, err := sim.ParsePolicy(*policyName)
+	spec, err := core.ParsePolicy(*policyName)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	p, ok := factory().(core.Enumerable)
+	p, ok := spec.New().(core.Enumerable)
 	if !ok {
 		fmt.Fprintf(stderr, "policy %s is not finite-state; the game solver cannot analyze it\n", *policyName)
 		return 2
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cycle.String(), gain)
 		reps := 4000/len(cycle) + 1
 		s := cycle.Repeat(reps)
-		q := factory()
+		q := spec.New()
 		online := 0.0
 		for _, op := range s {
 			online += model.StepCost(q.Apply(op))

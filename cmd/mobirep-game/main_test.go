@@ -44,11 +44,11 @@ func TestNotCompetitive(t *testing.T) {
 }
 
 func TestVerifyBound(t *testing.T) {
-	code, out, _ := runCapture(t, "-policy", "T1(4)", "-verify", "5")
+	code, out, _ := runCapture(t, "-policy", "T1:4", "-verify", "5")
 	if code != 0 || !strings.Contains(out, "true") {
 		t.Fatalf("exit %d out %q", code, out)
 	}
-	code, out, _ = runCapture(t, "-policy", "T1(4)", "-verify", "4.5")
+	code, out, _ = runCapture(t, "-policy", "T1:4", "-verify", "4.5")
 	if code != 3 || !strings.Contains(out, "false") {
 		t.Fatalf("failed bound: exit %d out %q", code, out)
 	}
@@ -72,7 +72,7 @@ func TestBadInputs(t *testing.T) {
 	if code, _, _ := runCapture(t, "-policy", "NOPE"); code != 2 {
 		t.Fatal("bad policy accepted")
 	}
-	if code, _, errOut := runCapture(t, "-policy", "EWMA(0.5)"); code != 2 ||
+	if code, _, errOut := runCapture(t, "-policy", "EWMA:0.5"); code != 2 ||
 		!strings.Contains(errOut, "not finite-state") {
 		t.Fatal("EWMA should be rejected as non-enumerable")
 	}

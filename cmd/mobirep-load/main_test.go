@@ -68,6 +68,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-case", "overload", "-handoff-every", "10"},
 		{"-case", "fleet", "-max-goroutine-growth", "8"},
 		{"-case", "fleet", "-stations", "7"},
+		{"-case", "tree", "-placement", "SW4"},
+		{"-case", "tree", "-placement", "T1(2)"},
 		{"-case", "restart", "-mem-soft-limit", "1"},
 		{"-stall-cap", "1"},
 	} {
@@ -78,20 +80,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunCaseGates runs the overload and tree rows small through the same
-// binary path ci.sh drives, gates included.
+// binary path ci.sh drives, gates included. The tree row echoes its
+// placement in the spelling -placement reads.
 func TestRunCaseGates(t *testing.T) {
-	for _, args := range [][]string{
-		{"-case", "overload", "-capacity", "200", "-sessions", "400", "-duration", "100ms",
-			"-ceil-p99", "100ms", "-max-goroutine-growth", "8"},
-		{"-case", "tree", "-sessions", "200", "-mode", "ST2", "-placement", "T1:2",
-			"-handoff-every", "25", "-duration", "100ms", "-floor-sessions-per-sec", "500"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-case", "overload", "-capacity", "200", "-sessions", "400", "-duration", "100ms",
+			"-ceil-p99", "100ms", "-max-goroutine-growth", "8"}, "p99="},
+		{[]string{"-case", "tree", "-sessions", "200", "-mode", "ST2", "-placement", "T1:2",
+			"-handoff-every", "25", "-duration", "100ms", "-floor-sessions-per-sec", "500"}, "placement T1:2\n"},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("%q: exit %d, stderr: %s", args, code, errb.String())
+		if code := run(tc.args, &out, &errb); code != 0 {
+			t.Fatalf("%q: exit %d, stderr: %s", tc.args, code, errb.String())
 		}
-		if !strings.Contains(out.String(), "p99=") {
-			t.Errorf("%q: output missing p99:\n%s", args, out.String())
+		for _, want := range []string{"p99=", tc.want} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%q: output missing %q:\n%s", tc.args, want, out.String())
+			}
 		}
 	}
 	// An impossible ceiling must fail the run.

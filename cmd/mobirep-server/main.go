@@ -43,9 +43,7 @@ func main() {
 	writeRate := flag.Float64("write-rate", 0, "Poisson write rate per second (0 = no auto writes)")
 	logPath := flag.String("log", "", "append-only persistence log (empty = in-memory)")
 	syncPolicy := flag.String("sync", "group",
-		"durability policy for -log: always (fsync per write), group (group commit, default) or never (fsync only at shutdown)")
-	groupInterval := flag.Duration("group-commit-interval", 0,
-		"upper bound on how long a group-commit leader waits to grow a batch (0 = natural batching); only meaningful with -sync=group")
+		"durability policy for -log: group (group commit: a write is acknowledged once fsynced, default) or never (fsync only at shutdown)")
 	seed := flag.Uint64("seed", 1, "random seed for the write process")
 	statsEvery := flag.Duration("stats-every", 10*time.Second, "meter print interval")
 	chaosSpec := flag.String("chaos", "",
@@ -152,7 +150,7 @@ func main() {
 		fmt.Printf("relay: parent=%s placement=%s\n", *parent, place)
 	} else {
 		if *logPath != "" {
-			store, err = db.OpenWith(db.Options{Path: *logPath, Sync: pol, GroupInterval: *groupInterval})
+			store, err = db.OpenWith(db.Options{Path: *logPath, Sync: pol})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

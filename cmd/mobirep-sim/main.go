@@ -6,7 +6,7 @@
 //
 //	mobirep-sim -policy SW9 -theta 0.3 -model connection -ops 1000000
 //	mobirep-sim -policy SW1 -model message -omega 0.8 -avg
-//	mobirep-sim -policy T1(7) -theta 0.8 -trials 16
+//	mobirep-sim -policy T1:7 -theta 0.8 -trials 16
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"mobirep/internal/analytic"
+	"mobirep/internal/core"
 	"mobirep/internal/cost"
 	"mobirep/internal/sim"
 )
@@ -29,7 +30,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mobirep-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	policyName := fs.String("policy", "SW9", "policy: ST1, ST2, SWk, T1m, T2m")
+	policyName := fs.String("policy", "SW9", "policy: ST1, ST2, SWk, SWek, T1:m, T2:m, CacheInv or EWMA:alpha")
 	theta := fs.Float64("theta", 0.5, "write probability (fixed-theta mode)")
 	modelName := fs.String("model", "connection", "cost model: connection or message")
 	omega := fs.Float64("omega", 0.5, "control/data cost ratio for the message model")
@@ -44,11 +45,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	factory, err := sim.ParsePolicy(*policyName)
+	spec, err := core.ParsePolicy(*policyName)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	factory := spec.New
 	var model cost.Model
 	switch strings.ToLower(*modelName) {
 	case "connection", "conn":
@@ -66,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 		fmt.Fprintf(stdout, "policy=%s model=%s measure=AVG\n", factory().Name(), model.Name())
 		fmt.Fprintf(stdout, "measured: %s\n", sum.String())
-		if theory, ok := theoryAvg(*policyName, *modelName, *omega); ok {
+		if theory, ok := theoryAvg(spec, *modelName, *omega); ok {
 			fmt.Fprintf(stdout, "theory:   %.6f (paper closed form)\n", theory)
 		}
 		return 0
@@ -77,71 +79,64 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fmt.Fprintf(stdout, "policy=%s model=%s theta=%.3f measure=EXP\n", factory().Name(), model.Name(), *theta)
 	fmt.Fprintf(stdout, "measured: %s\n", sum.String())
-	if theory, ok := theoryExp(*policyName, *modelName, *theta, *omega); ok {
+	if theory, ok := theoryExp(spec, *modelName, *theta, *omega); ok {
 		fmt.Fprintf(stdout, "theory:   %.6f (paper closed form)\n", theory)
 	}
 	return 0
 }
 
 // theoryExp returns the closed-form EXP when the paper gives one.
-func theoryExp(policy, model string, theta, omega float64) (float64, bool) {
+func theoryExp(spec core.Spec, model string, theta, omega float64) (float64, bool) {
 	msg := strings.HasPrefix(strings.ToLower(model), "m")
-	var k, m int
-	switch {
-	case policy == "ST1":
+	switch spec.Kind {
+	case core.KindST1:
 		if msg {
 			return analytic.ExpST1Msg(theta, omega), true
 		}
 		return analytic.ExpST1Conn(theta), true
-	case policy == "ST2":
+	case core.KindST2:
 		if msg {
 			return analytic.ExpST2Msg(theta), true
 		}
 		return analytic.ExpST2Conn(theta), true
-	case scan(policy, "SW%d", &k):
+	case core.KindSW:
 		if msg {
-			return analytic.ExpSWMsg(k, theta, omega), true
+			return analytic.ExpSWMsg(spec.K, theta, omega), true
 		}
-		return analytic.ExpSWConn(k, theta), true
-	case scan(policy, "T1(%d)", &m) || scan(policy, "T1%d", &m):
+		return analytic.ExpSWConn(spec.K, theta), true
+	case core.KindT1:
 		if msg {
 			return 0, false // no closed form in the paper; use the oracle via the library
 		}
-		return analytic.ExpT1Conn(m, theta), true
-	case scan(policy, "T2(%d)", &m) || scan(policy, "T2%d", &m):
+		return analytic.ExpT1Conn(spec.K, theta), true
+	case core.KindT2:
 		if msg {
 			return 0, false
 		}
-		return analytic.ExpT2Conn(m, theta), true
+		return analytic.ExpT2Conn(spec.K, theta), true
 	}
 	return 0, false
 }
 
 // theoryAvg returns the closed-form AVG when the paper gives one.
-func theoryAvg(policy, model string, omega float64) (float64, bool) {
+func theoryAvg(spec core.Spec, model string, omega float64) (float64, bool) {
 	msg := strings.HasPrefix(strings.ToLower(model), "m")
-	var k int
-	switch {
-	case policy == "ST1":
+	switch spec.Kind {
+	case core.KindST1:
 		if msg {
 			return analytic.AvgST1Msg(omega), true
 		}
 		return analytic.AvgST1Conn, true
-	case policy == "ST2":
+	case core.KindST2:
 		if msg {
 			return analytic.AvgST2Msg, true
 		}
 		return analytic.AvgST2Conn, true
-	case scan(policy, "SW%d", &k):
+	case core.KindSW:
 		if msg {
-			return analytic.AvgSWMsg(k, omega), true
+			return analytic.AvgSWMsg(spec.K, omega), true
 		}
-		return analytic.AvgSWConn(k), true
+		return analytic.AvgSWConn(spec.K), true
 	}
 	return 0, false
-}
-
-func scan(name, format string, dst *int) bool {
-	n, err := fmt.Sscanf(name, format, dst)
-	return err == nil && n == 1 && fmt.Sprintf(format, *dst) == name
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mobirep/internal/core"
 )
 
 func runCapture(t *testing.T, args ...string) (int, string, string) {
@@ -42,8 +44,10 @@ func TestAvgRun(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if code, _, errOut := runCapture(t, "-policy", "NOPE"); code != 2 || errOut == "" {
-		t.Fatalf("bad policy: code=%d", code)
+	for _, bad := range []string{"NOPE", "T1(2)", "none"} {
+		if code, _, errOut := runCapture(t, "-policy", bad); code != 2 || errOut == "" {
+			t.Fatalf("bad policy %q: code=%d", bad, code)
+		}
 	}
 	if code, _, _ := runCapture(t, "-model", "carrier-pigeon"); code != 2 {
 		t.Fatal("bad model accepted")
@@ -66,14 +70,14 @@ func TestTheoryExp(t *testing.T) {
 		{"ST2", "message", 0.3, 0.5, 0.3, true},
 		{"SW1", "message", 0.5, 0.5, 0.5, true},
 		{"SW1", "connection", 0.5, 0, 0.5, true},
-		{"T13", "connection", 0.5, 0, 0.5, true},
-		{"T1(3)", "message", 0.5, 0.5, 0, false}, // no closed form
-		{"T23", "connection", 0.5, 0, 0.5, true},
-		{"T2(3)", "message", 0.5, 0.5, 0, false},
-		{"EWMA(0.5)", "connection", 0.5, 0, 0, false},
+		{"T1:3", "connection", 0.5, 0, 0.5, true},
+		{"T1:3", "message", 0.5, 0.5, 0, false}, // no closed form
+		{"T2:3", "connection", 0.5, 0, 0.5, true},
+		{"T2:3", "message", 0.5, 0.5, 0, false},
+		{"EWMA:0.5", "connection", 0.5, 0, 0, false},
 	}
 	for _, c := range cases {
-		got, ok := theoryExp(c.policy, c.model, c.theta, c.omega)
+		got, ok := theoryExp(mustSpec(t, c.policy), c.model, c.theta, c.omega)
 		if ok != c.ok {
 			t.Fatalf("%s/%s: ok=%v want %v", c.policy, c.model, ok, c.ok)
 		}
@@ -83,26 +87,35 @@ func TestTheoryExp(t *testing.T) {
 	}
 }
 
+func mustSpec(t *testing.T, name string) core.Spec {
+	t.Helper()
+	spec, err := core.ParsePolicy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func TestTheoryAvg(t *testing.T) {
-	if got, ok := theoryAvg("ST1", "message", 0.5); !ok || got != 0.75 {
+	if got, ok := theoryAvg(mustSpec(t, "ST1"), "message", 0.5); !ok || got != 0.75 {
 		t.Fatalf("ST1 msg avg: %v %v", got, ok)
 	}
-	if got, ok := theoryAvg("ST1", "connection", 0); !ok || got != 0.5 {
+	if got, ok := theoryAvg(mustSpec(t, "ST1"), "connection", 0); !ok || got != 0.5 {
 		t.Fatalf("ST1 conn avg: %v %v", got, ok)
 	}
-	if got, ok := theoryAvg("ST2", "message", 0.5); !ok || got != 0.5 {
+	if got, ok := theoryAvg(mustSpec(t, "ST2"), "message", 0.5); !ok || got != 0.5 {
 		t.Fatalf("ST2 msg avg: %v %v", got, ok)
 	}
-	if got, ok := theoryAvg("ST2", "connection", 0); !ok || got != 0.5 {
+	if got, ok := theoryAvg(mustSpec(t, "ST2"), "connection", 0); !ok || got != 0.5 {
 		t.Fatalf("ST2 conn avg: %v %v", got, ok)
 	}
-	if got, ok := theoryAvg("SW9", "connection", 0); !ok || math.Abs(got-(0.25+1.0/44)) > 1e-12 {
+	if got, ok := theoryAvg(mustSpec(t, "SW9"), "connection", 0); !ok || math.Abs(got-(0.25+1.0/44)) > 1e-12 {
 		t.Fatalf("SW9 conn avg: %v %v", got, ok)
 	}
-	if got, ok := theoryAvg("SW9", "message", 0.5); !ok || got <= 0.25 {
+	if got, ok := theoryAvg(mustSpec(t, "SW9"), "message", 0.5); !ok || got <= 0.25 {
 		t.Fatalf("SW9 msg avg: %v %v", got, ok)
 	}
-	if _, ok := theoryAvg("T13", "connection", 0); ok {
+	if _, ok := theoryAvg(mustSpec(t, "T1:3"), "connection", 0); ok {
 		t.Fatal("T1 AVG should have no exported closed form")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"mobirep/internal/core"
 	"mobirep/internal/cost"
 	"mobirep/internal/offline"
 	"mobirep/internal/sim"
@@ -137,12 +138,12 @@ func cmdCost(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "%-8s %14s %18s %12s\n", "policy", "connections", "message(w="+fmt.Sprintf("%.2f", *omega)+")", "vs offline")
 	fmt.Fprintf(stdout, "%-8s %14.0f %18.2f %12s\n", "OPT", opt, opt, "1.00")
 	for _, name := range policies {
-		factory, err := sim.ParsePolicy(name)
+		spec, err := core.ParsePolicy(name)
 		if err != nil {
 			return err
 		}
-		conn := sim.Replay(factory(), cost.NewConnection(), s, 0).Cost
-		msg := sim.Replay(factory(), cost.NewMessage(*omega), s, 0).Cost
+		conn := sim.Replay(spec.New(), cost.NewConnection(), s, 0).Cost
+		msg := sim.Replay(spec.New(), cost.NewMessage(*omega), s, 0).Cost
 		ratio := "inf"
 		if opt > 0 {
 			ratio = fmt.Sprintf("%.2f", conn/opt)

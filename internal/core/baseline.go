@@ -88,8 +88,8 @@ func NewEWMABand(alpha, low, high float64) *EWMA {
 
 // Name implements Policy.
 func (e *EWMA) Name() string {
-	if e.Low == e.High {
-		return fmt.Sprintf("EWMA(%.2f)", e.Alpha)
+	if e.Low == 0.5 && e.High == 0.5 {
+		return Spec{Kind: KindEWMA, Alpha: e.Alpha}.String()
 	}
 	return fmt.Sprintf("EWMA(%.2f,%.2f-%.2f)", e.Alpha, e.Low, e.High)
 }

@@ -69,7 +69,7 @@ func TestEWMAValidation(t *testing.T) {
 }
 
 func TestEWMANames(t *testing.T) {
-	if NewEWMA(0.25).Name() != "EWMA(0.25)" {
+	if NewEWMA(0.25).Name() != "EWMA:0.25" {
 		t.Fatalf("name = %q", NewEWMA(0.25).Name())
 	}
 	if NewEWMABand(0.1, 0.4, 0.6).Name() != "EWMA(0.10,0.40-0.60)" {

@@ -112,7 +112,7 @@ func NewEvenSW(k int) *EvenSW {
 }
 
 // Name implements Policy.
-func (s *EvenSW) Name() string { return fmt.Sprintf("SWe%d", s.window.Size()) }
+func (s *EvenSW) Name() string { return Spec{Kind: KindSWe, K: s.window.Size()}.String() }
 
 // HasCopy implements Policy.
 func (s *EvenSW) HasCopy() bool { return s.hasCopy }

@@ -87,7 +87,8 @@ func (c Code) Step() Step {
 // a single mobile computer. Implementations are deterministic and are not
 // safe for concurrent use.
 type Policy interface {
-	// Name identifies the algorithm, e.g. "ST1", "SW5", "T1(7)".
+	// Name identifies the algorithm, e.g. "ST1", "SW5", "T1:7"; for a
+	// policy a Spec builds, it is the Spec's String.
 	Name() string
 	// HasCopy reports whether the MC currently holds a copy.
 	HasCopy() bool

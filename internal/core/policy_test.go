@@ -211,7 +211,7 @@ func TestSWAccessors(t *testing.T) {
 
 func TestT1PhaseMachine(t *testing.T) {
 	p := NewT1(3)
-	if p.Name() != "T1(3)" || p.M() != 3 {
+	if p.Name() != "T1:3" || p.M() != 3 {
 		t.Fatalf("name=%q m=%d", p.Name(), p.M())
 	}
 	// Two reads, a write resets the count.
@@ -257,7 +257,7 @@ func TestT1CountResetAfterAllocationCycle(t *testing.T) {
 
 func TestT2PhaseMachine(t *testing.T) {
 	p := NewT2(2)
-	if p.Name() != "T2(2)" || p.M() != 2 {
+	if p.Name() != "T2:2" || p.M() != 2 {
 		t.Fatalf("name=%q m=%d", p.Name(), p.M())
 	}
 	if !p.HasCopy() {

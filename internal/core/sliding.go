@@ -43,7 +43,7 @@ func NewSWInitial(k int, fill sched.Op) *SW {
 }
 
 // Name implements Policy; it returns "SW1", "SW3", ...
-func (s *SW) Name() string { return fmt.Sprintf("SW%d", s.K()) }
+func (s *SW) Name() string { return Spec{Kind: KindSW, K: s.K()}.String() }
 
 // K returns the window size.
 func (s *SW) K() int { return s.window.Size() }

@@ -34,7 +34,7 @@ func NewT1(m int) *T1 {
 }
 
 // Name implements Policy.
-func (t *T1) Name() string { return fmt.Sprintf("T1(%d)", t.m) }
+func (t *T1) Name() string { return Spec{Kind: KindT1, K: t.m}.String() }
 
 // M returns the consecutive-read threshold.
 func (t *T1) M() int { return t.m }
@@ -125,7 +125,7 @@ func NewT2(m int) *T2 {
 }
 
 // Name implements Policy.
-func (t *T2) Name() string { return fmt.Sprintf("T2(%d)", t.m) }
+func (t *T2) Name() string { return Spec{Kind: KindT2, K: t.m}.String() }
 
 // M returns the consecutive-write threshold.
 func (t *T2) M() int { return t.m }

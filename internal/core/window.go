@@ -13,8 +13,8 @@ const MaxWindow = 128
 
 // CheckWindowSize reports whether k is a legal window size. It is the one
 // statement of the bound and its error: the constructors here panic with
-// it, and replica.Mode, tree.Policy, sim.ParsePolicy and the wire decoder
-// return it wrapped, wherever a size enters the program.
+// it, and Spec.Validate and the wire decoder return it wrapped, wherever a
+// size enters the program.
 func CheckWindowSize(k int) error {
 	if k < 1 || k > MaxWindow {
 		return fmt.Errorf("window size %d outside [1, %d]", k, MaxWindow)

@@ -226,7 +226,7 @@ func TestCompactReplacesLeftoverTmp(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			fs := NewCrashFS()
-			s, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: fs})
+			s, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: fs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestCompactReplacesLeftoverTmp(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: fs})
+			re, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: fs})
 			if err != nil {
 				t.Fatal(err)
 			}

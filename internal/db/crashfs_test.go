@@ -150,7 +150,7 @@ func TestCrashFSKillAtEveryPoint(t *testing.T) {
 // and the recovered state is a prefix of the acknowledged sequence (no
 // rollback past a durable record, no phantom writes).
 func TestStoreKillPointSweep(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup} {
+	for _, policy := range []SyncPolicy{SyncGroup} {
 		t.Run(policy.String(), func(t *testing.T) {
 			const writes = 8
 			// First, a dry run to learn the journal length.
@@ -213,7 +213,7 @@ func TestStoreKillPointSweep(t *testing.T) {
 func TestCompactKillPointSweep(t *testing.T) {
 	const keys = 4
 	run := func(c *CrashFS) (*Store, error) {
-		s, err := OpenWith(Options{Path: "ck.log", Sync: SyncAlways, FS: c})
+		s, err := OpenWith(Options{Path: "ck.log", Sync: SyncGroup, FS: c})
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func TestCompactKillPointSweep(t *testing.T) {
 		}
 		epochBefore := s.Epoch()
 		c.Kill(kill)
-		re, err := OpenWith(Options{Path: "ck.log", Sync: SyncAlways, FS: c})
+		re, err := OpenWith(Options{Path: "ck.log", Sync: SyncGroup, FS: c})
 		if err != nil {
 			t.Fatalf("kill=%d: reopen: %v (ops: %v)", kill, err, c.OpDescriptions())
 		}

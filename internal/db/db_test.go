@@ -637,3 +637,19 @@ func TestGroupCommitPutAllocs(t *testing.T) {
 		t.Fatalf("replayed %+v, want version %d", it.Version, last.Version)
 	}
 }
+
+// TestParseSyncPolicy pins -sync's grammar: the two policies round-trip
+// through String, and the retired "always" is refused like any other
+// unknown name.
+func TestParseSyncPolicy(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncGroup, SyncNever} {
+		if got, err := ParseSyncPolicy(p.String()); err != nil || got != p {
+			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	for _, bad := range []string{"always", "", "Group", "bogus"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Fatalf("ParseSyncPolicy(%q) accepted", bad)
+		}
+	}
+}

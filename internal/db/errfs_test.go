@@ -98,7 +98,7 @@ func openErrStore(t *testing.T, policy SyncPolicy) (*Store, *errFS) {
 }
 
 func TestFailedSyncFailsThePutThatNeededIt(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup} {
+	for _, policy := range []SyncPolicy{SyncGroup} {
 		t.Run(policy.String(), func(t *testing.T) {
 			s, efs := openErrStore(t, policy)
 			if _, err := s.Put("x", []byte("ok")); err != nil {
@@ -133,7 +133,7 @@ func TestFailedAppendFailsPut(t *testing.T) {
 }
 
 func TestStoreFailsClosedAfterSyncError(t *testing.T) {
-	s, efs := openErrStore(t, SyncAlways)
+	s, efs := openErrStore(t, SyncGroup)
 	s.Put("x", []byte("ok"))
 	*efs.file.failSync = errInjected
 	if _, err := s.Put("x", []byte("doomed")); err == nil {
@@ -179,7 +179,7 @@ func TestGroupWaitersAllFailOnOneBadSync(t *testing.T) {
 }
 
 func TestCloseSurfacesInjectedCloseError(t *testing.T) {
-	s, efs := openErrStore(t, SyncAlways)
+	s, efs := openErrStore(t, SyncGroup)
 	s.Put("x", []byte("v"))
 	*efs.file.failClose = errInjected
 	if err := s.Close(); !errors.Is(err, errInjected) {
@@ -190,7 +190,7 @@ func TestCloseSurfacesInjectedCloseError(t *testing.T) {
 func TestCompactRenameFailureKeepsStoreWorking(t *testing.T) {
 	cfs := NewCrashFS()
 	efs := newErrFS(cfs)
-	s, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: efs})
+	s, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: efs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCompactRenameFailureKeepsStoreWorking(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: efs})
+	re, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: efs})
 	if err != nil {
 		t.Fatal(err)
 	}

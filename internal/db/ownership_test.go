@@ -43,11 +43,11 @@ type ownershipStore struct {
 }
 
 // ownershipStores opens a store in memory, and on a crash-simulating FS
-// under SyncGroup and SyncAlways.
+// under SyncGroup.
 func ownershipStores(t *testing.T) []ownershipStore {
 	t.Helper()
 	out := []ownershipStore{{name: "memory", s: NewStore()}}
-	for _, p := range []SyncPolicy{SyncGroup, SyncAlways} {
+	for _, p := range []SyncPolicy{SyncGroup} {
 		o := Options{Path: "items.log", Sync: p, FS: NewCrashFS()}
 		s, err := OpenWith(o)
 		if err != nil {
@@ -336,7 +336,7 @@ func TestGroupRoundHidesQueuedBytes(t *testing.T) {
 
 // TestPutAllocs pins the resident buffer: a Put over a key whose value
 // nobody holds copies in place and allocates nothing, in memory and with
-// a SyncAlways log on the flat FS; a Put right after a Get of the same key
+// a SyncGroup log on the flat FS; a Put right after a Get of the same key
 // must leave the lent bytes alone and so allocates exactly the new
 // buffer. It also pins Put's result: the caller's own slice.
 func TestPutAllocs(t *testing.T) {
@@ -346,8 +346,8 @@ func TestPutAllocs(t *testing.T) {
 		open func() *Store
 	}{
 		{"memory", NewStore},
-		{"always", func() *Store {
-			s, err := OpenWith(Options{Path: "items.log", Sync: SyncAlways, FS: newFlatFS(4 << 20)})
+		{"group", func() *Store {
+			s, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: newFlatFS(4 << 20)})
 			if err != nil {
 				t.Fatal(err)
 			}

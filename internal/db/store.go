@@ -13,20 +13,20 @@
 //
 // # Durability contract
 //
-// A persistent store opens with one of three sync policies:
+// Every Put on a persistent store takes one path: it frames its record
+// into the group buffer, and the leader of the next round writes the
+// whole buffer to the file at once (group commit). A Put's effects
+// become visible — to its caller AND to concurrent readers — only once
+// its round has landed. The sync policy decides what landing means:
 //
-//   - SyncAlways: every Put fsyncs its own record before committing it
-//     to memory and returning. Strongest, slowest.
-//   - SyncGroup: concurrent Puts are batched into one fsync (group
-//     commit). A Put's effects become visible — to its caller AND to
-//     concurrent readers — only after the fsync covering its record
-//     returns, so nothing a reader can observe is ever lost to a crash.
-//     GroupInterval bounds how long the committer waits to grow a batch.
-//   - SyncNever: records reach the OS on every Put but are never
-//     explicitly fsynced until Close. Fast; a power cut loses the
-//     un-synced suffix. For simulations and caches only.
+//   - SyncGroup: the round's write is fsynced before anything it covers
+//     is acknowledged, so nothing a reader can observe is ever lost to a
+//     crash.
+//   - SyncNever: the round's write reaches the OS but is never explicitly
+//     fsynced until Close. Fast; a power cut loses the un-synced suffix.
+//     For simulations and caches only.
 //
-// Under SyncAlways and SyncGroup an acknowledged Put survives any crash;
+// Under SyncGroup an acknowledged Put survives any crash;
 // replay after restart never rolls an acknowledged version back. A
 // failed sync fails the Puts that depended on it and marks the store
 // failed: reads keep working from the last consistent state, further
@@ -71,16 +71,12 @@ const (
 	// SyncGroup batches concurrent Puts into one fsync; acknowledgement
 	// and visibility wait for it. The default for persistent stores.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs each Put individually before it commits.
-	SyncAlways
 	// SyncNever leaves fsync to Close; a crash loses the un-synced tail.
 	SyncNever
 )
 
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncAlways:
-		return "always"
 	case SyncGroup:
 		return "group"
 	case SyncNever:
@@ -89,17 +85,15 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// ParseSyncPolicy parses "always", "group" or "never".
+// ParseSyncPolicy parses "group" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
-		return SyncAlways, nil
 	case "group":
 		return SyncGroup, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("db: unknown sync policy %q (want always, group or never)", s)
+	return 0, fmt.Errorf("db: unknown sync policy %q (want group or never)", s)
 }
 
 // ErrFailed wraps the first sync or append error after which the store
@@ -112,10 +106,8 @@ type Options struct {
 	Path string
 	// Sync is the durability policy; the zero value is SyncGroup.
 	Sync SyncPolicy
-	// GroupInterval bounds how long a group-commit leader waits to
-	// accumulate a batch before fsyncing. 0 means natural batching: the
-	// leader fsyncs immediately and whatever queued behind the previous
-	// fsync forms the next batch.
+	// Deprecated: GroupInterval is ignored. Every round batches
+	// naturally: whatever queued behind the previous round forms the next.
 	GroupInterval time.Duration
 	// FS is the filesystem; nil means the real one. Tests inject
 	// CrashFS or fault wrappers here.
@@ -134,7 +126,7 @@ type groupState struct {
 	queue   []groupEntry
 	buf     []byte // framed records not yet written to the file
 	tail    int64  // logical end offset of the last buffered record
-	synced  int64  // logical offset durable on disk
+	synced  int64  // logical offset landed: written, and fsynced under SyncGroup
 	applied int64  // logical offset whose entries are visible in items
 	leading bool   // a leader is between fsyncs
 	err     error  // sticky: first sync failure
@@ -185,10 +177,9 @@ type Store struct {
 	items map[string]*record
 	log   *Log // nil when running purely in memory
 
-	policy   SyncPolicy
-	interval time.Duration
-	epoch    uint64
-	failed   error // sticky write-path failure; store is fail-closed
+	policy SyncPolicy
+	epoch  uint64
+	failed error // sticky write-path failure; store is fail-closed
 
 	gc groupState
 }
@@ -215,7 +206,6 @@ func OpenWith(o Options) (*Store, error) {
 	}
 	s := NewStore()
 	s.policy = o.Sync
-	s.interval = o.GroupInterval
 	log, err := OpenLogFS(o.FS, o.Path)
 	if err != nil {
 		return nil, err
@@ -277,8 +267,8 @@ func (s *Store) Close() error {
 // Get returns the current item for key. The value slice is lent: neither
 // the caller nor the store may modify it, so the key's next write copies
 // into a fresh buffer. The second result reports whether the key has ever
-// been written. Under SyncGroup, "current" means the newest durable
-// version: an in-flight Put is invisible until its fsync lands.
+// been written. On a persistent store, "current" means the newest landed
+// version: an in-flight Put is invisible until its round lands.
 func (s *Store) Get(key string) (Item, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -321,55 +311,36 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 		return it, nil
 	}
 
-	// SyncGroup: frame the record into the group buffer — no file I/O on
-	// the Put path, so appends never stall behind an in-flight fsync —
-	// enqueue, release the store lock, then ride the group committer
-	// until the batch holding this record is on disk and its entry has
-	// been applied in commit order. Pending group entries for this key
-	// hold versions newer than s.items; the chain must continue from the
-	// newest assigned one.
-	if s.policy == SyncGroup {
-		log := s.log
-		s.gc.mu.Lock()
-		gen := s.gc.gen
-		for i := len(s.gc.queue) - 1; i >= 0; i-- {
-			if s.gc.queue[i].item.Key == key {
-				it.Version = s.gc.queue[i].item.Version + 1
-				break
-			}
+	// Frame the record into the group buffer — no file I/O on the Put
+	// path, so appends never stall behind an in-flight round — enqueue,
+	// release the store lock, then ride the group committer until the
+	// round holding this record has landed and its entry has been applied
+	// in commit order. Pending group entries for this key hold versions
+	// newer than s.items; the chain must continue from the newest
+	// assigned one.
+	log := s.log
+	s.gc.mu.Lock()
+	gen := s.gc.gen
+	for i := len(s.gc.queue) - 1; i >= 0; i-- {
+		if s.gc.queue[i].item.Key == key {
+			it.Version = s.gc.queue[i].item.Version + 1
+			break
 		}
-		before := len(s.gc.buf)
-		s.gc.buf = appendFramedRecord(s.gc.buf, Record{Key: key, Value: value, Version: it.Version})
-		s.gc.tail += int64(len(s.gc.buf) - before)
-		end := s.gc.tail
-		var own []byte
-		if n := len(s.gc.free); n > 0 {
-			own, s.gc.free = s.gc.free[n-1], s.gc.free[:n-1]
-		}
-		s.gc.queue = append(s.gc.queue, groupEntry{Item{key, append(own[:0], value...), it.Version}, end})
-		s.gc.mu.Unlock()
-		s.mu.Unlock()
-		if err := s.waitGroup(log, gen, end); err != nil {
-			return Item{}, err
-		}
-		return it, nil
 	}
-
-	if err := s.log.Append(Record{Key: key, Value: value, Version: it.Version}); err != nil {
-		s.failLocked(err)
-		s.mu.Unlock()
-		return Item{}, fmt.Errorf("%w: append: %v", ErrFailed, err)
+	before := len(s.gc.buf)
+	s.gc.buf = appendFramedRecord(s.gc.buf, Record{Key: key, Value: value, Version: it.Version})
+	s.gc.tail += int64(len(s.gc.buf) - before)
+	end := s.gc.tail
+	var own []byte
+	if n := len(s.gc.free); n > 0 {
+		own, s.gc.free = s.gc.free[n-1], s.gc.free[:n-1]
 	}
-	if s.policy == SyncAlways {
-		if err := s.log.Sync(); err != nil {
-			s.failLocked(err)
-			s.mu.Unlock()
-			return Item{}, fmt.Errorf("%w: sync: %v", ErrFailed, err)
-		}
-		mFsyncs.Inc()
-	}
-	s.commitLocked(it, false)
+	s.gc.queue = append(s.gc.queue, groupEntry{Item{key, append(own[:0], value...), it.Version}, end})
+	s.gc.mu.Unlock()
 	s.mu.Unlock()
+	if err := s.waitGroup(log, gen, end); err != nil {
+		return Item{}, err
+	}
 	return it, nil
 }
 
@@ -437,11 +408,11 @@ func (s *Store) failLocked(err error) {
 	s.gc.mu.Unlock()
 }
 
-// waitGroup blocks until the log is durable and applied through end, an
-// offset in generation gen's coordinate space. The first waiter that
-// finds no leader becomes one: it optionally sleeps the batching
-// interval, snapshots the appended offset, fsyncs, and then applies
-// every covered entry in commit order.
+// waitGroup blocks until the log has landed and is applied through end,
+// an offset in generation gen's coordinate space. The first waiter that
+// finds no leader becomes one: it lets the queue settle, writes the
+// buffer (fsyncing under SyncGroup), and then applies every covered
+// entry in commit order.
 func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
 	s.gc.mu.Lock()
 	for {
@@ -471,11 +442,11 @@ func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
 	}
 }
 
-// writeBatch drains the group buffer to the file with one write and one
-// fsync, serialized by gc.wmu. It returns the logical tail the round
-// guarantees durable and whether an fsync actually ran; with an empty
-// buffer the tail is already durable (whichever round grabbed those
-// bytes wrote and fsynced them before releasing wmu) and no I/O happens.
+// writeBatch drains the group buffer to the file with one write and,
+// under SyncGroup, one fsync, serialized by gc.wmu. It returns the
+// logical tail the round has landed; with an empty buffer the tail has
+// already landed (whichever round grabbed those bytes wrote them before
+// releasing wmu) and no I/O happens.
 //
 // stale reports that Compact swapped the log since this round's gen was
 // captured: the pinned handle is closed and any buffered records belong
@@ -483,16 +454,16 @@ func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
 // The check is sound because it happens under wmu: while a live round
 // holds wmu with undrained entries, Compact's own drain blocks on wmu,
 // so gen cannot advance mid-write.
-func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, wrote, stale bool, err error) {
+func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, stale bool, err error) {
 	s.gc.wmu.Lock()
 	defer s.gc.wmu.Unlock()
 	if s.gc.werr != nil {
-		return 0, false, false, s.gc.werr
+		return 0, false, s.gc.werr
 	}
 	s.gc.mu.Lock()
 	if s.gc.gen != gen {
 		s.gc.mu.Unlock()
-		return 0, false, true, nil
+		return 0, true, nil
 	}
 	buf := s.gc.buf
 	tail = s.gc.tail
@@ -501,23 +472,26 @@ func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, wrote, stale bool,
 	}
 	s.gc.mu.Unlock()
 	if len(buf) == 0 {
-		return tail, false, false, nil
+		return tail, false, nil
 	}
 	if err := log.AppendFramed(buf); err != nil {
 		s.gc.werr = err
-		return 0, false, false, err
+		return 0, false, err
 	}
-	if err := log.fsync(); err != nil {
-		s.gc.werr = err
-		return 0, false, false, err
+	if s.policy == SyncGroup {
+		if err := log.fsync(); err != nil {
+			s.gc.werr = err
+			return 0, false, err
+		}
+		mFsyncs.Inc()
 	}
 	if cap(buf) <= maxSpareBatch {
 		s.gc.spare = buf[:0]
 	}
-	return tail, true, false, nil
+	return tail, false, nil
 }
 
-// applyLocked commits every queued entry the durable offset now covers,
+// applyLocked commits every queued entry the landed offset now covers,
 // in commit order. The caller holds both s.mu and gc.mu.
 func (s *Store) applyLocked() {
 	n := 0
@@ -539,128 +513,82 @@ func (s *Store) applyLocked() {
 	}
 }
 
-// leadCommit runs one group-commit round as leader: optionally sleep to
-// grow the batch, land the whole buffer on disk, then apply every
-// covered entry. The log handle is pinned by the caller so a concurrent
-// Close cannot pull it away mid-round; a write on a closed file fails
-// loudly and fails the round. gen fences the round against Compact: if
-// the generation moves, the round's work was taken over by Compact's
-// drain and its offsets are from a dead coordinate space.
+// leadCommit runs one group-commit round as leader: let the queue
+// settle, land the whole buffer, then apply every covered entry. The log
+// handle is pinned by the caller so a concurrent Close cannot pull it
+// away mid-round; a write on a closed file fails loudly and fails the
+// round. gen fences the round against Compact: if the generation moves,
+// the round's work was taken over by Compact's drain and its offsets are
+// from a dead coordinate space.
 func (s *Store) leadCommit(log *Log, gen uint64) {
-	switch {
-	case s.interval > 0:
-		time.Sleep(s.interval)
-	default:
-		// Natural batching: the waiters of the previous round have just
-		// been woken and are about to re-enqueue. Yield until the queue
-		// stops growing so the round grabs the whole herd, not the two or
-		// three writers the scheduler happened to run first — on a loaded
-		// scheduler each yield runs every runnable goroutine once, so the
-		// loop settles in a handful of iterations and costs no timer.
-		prev := -1
-		for i := 0; i < 64; i++ {
-			s.gc.mu.Lock()
-			n := len(s.gc.queue)
-			s.gc.mu.Unlock()
-			if n == prev {
-				break
-			}
-			prev = n
-			runtime.Gosched()
-		}
-	}
-	tail, wrote, stale, err := s.writeBatch(log, gen)
-	if stale {
-		// Compact drained, applied, and re-coordinated everything this
-		// round was elected for. Nothing to fold; just hand back
-		// leadership so current-generation waiters can elect their own.
+	// Natural batching: the waiters of the previous round have just been
+	// woken and are about to re-enqueue. Yield until the queue stops
+	// growing so the round grabs the whole herd, not the two or three
+	// writers the scheduler happened to run first — on a loaded scheduler
+	// each yield runs every runnable goroutine once, so the loop settles
+	// in a handful of iterations and costs no timer.
+	prev := -1
+	for i := 0; i < 64; i++ {
 		s.gc.mu.Lock()
-		s.gc.leading = false
-		s.gc.cond.Broadcast()
+		n := len(s.gc.queue)
 		s.gc.mu.Unlock()
-		return
+		if n == prev {
+			break
+		}
+		prev = n
+		runtime.Gosched()
 	}
-
+	tail, stale, err := s.writeBatch(log, gen)
 	s.mu.Lock()
 	s.gc.mu.Lock()
-	if err != nil {
-		if s.failed == nil {
-			s.failed = err
-			mSyncFailures.Inc()
-		}
-		if s.gc.err == nil {
-			s.gc.err = err
-		}
-		s.gc.leading = false
-		s.gc.cond.Broadcast()
-		s.gc.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	if wrote {
-		mFsyncs.Inc()
-	}
-	// A Compact may have slipped in between writeBatch releasing wmu and
-	// this lock acquisition. Its drain already folded and applied this
-	// round's records; folding the pre-compaction tail here would inflate
-	// synced/applied past the real end of the *new* file and acknowledge
-	// future Puts that were never written. Fold only if the coordinate
-	// space is still ours.
-	if s.gc.gen == gen {
-		if tail > s.gc.synced {
-			s.gc.synced = tail
-		}
-	}
-	s.applyLocked()
 	s.gc.leading = false
-	s.gc.cond.Broadcast()
+	// A Compact may have slipped in between writeBatch releasing wmu and
+	// this lock acquisition (or, when stale, before the round started).
+	// Its drain already folded and applied this round's records; folding
+	// the pre-compaction tail here would inflate synced/applied past the
+	// real end of the *new* file and acknowledge future Puts that were
+	// never written. Fold only if the coordinate space is still ours.
+	if stale || s.gc.gen != gen {
+		tail = 0
+	}
 	s.gc.mu.Unlock()
+	s.foldRound(tail, err)
 	s.mu.Unlock()
 }
 
 // drainLocked force-completes the group pipeline; the caller holds
 // s.mu, so no new appends can race in. Used by Close and Compact.
 func (s *Store) drainLocked() {
-	if s.log == nil || s.policy != SyncGroup {
+	if s.log == nil {
 		return
 	}
 	s.gc.mu.Lock()
-	if s.gc.err != nil {
-		s.gc.mu.Unlock()
-		return
-	}
 	gen := s.gc.gen
-	idle := len(s.gc.buf) == 0 && len(s.gc.queue) == 0 && s.gc.applied >= s.gc.tail
+	idle := s.gc.err != nil || len(s.gc.buf) == 0 && len(s.gc.queue) == 0 && s.gc.applied >= s.gc.tail
 	s.gc.mu.Unlock()
 	if idle {
 		return
 	}
-	tail, wrote, stale, err := s.writeBatch(s.log, gen)
-	if stale {
-		// Unreachable: gen only moves under s.mu, which the caller holds.
+	// gen only moves under s.mu, which the caller holds: never stale.
+	tail, _, err := s.writeBatch(s.log, gen)
+	s.foldRound(tail, err)
+}
+
+// foldRound ends a writeBatch round under s.mu: a failure fails the
+// store; a success marks the log landed through tail and applies every
+// entry that covers. Either way the waiters are woken.
+func (s *Store) foldRound(tail int64, err error) {
+	if err != nil {
+		s.failLocked(err)
 		return
 	}
 	s.gc.mu.Lock()
-	defer s.gc.mu.Unlock()
-	if err != nil {
-		if s.failed == nil {
-			s.failed = err
-			mSyncFailures.Inc()
-		}
-		if s.gc.err == nil {
-			s.gc.err = err
-		}
-		s.gc.cond.Broadcast()
-		return
-	}
-	if wrote {
-		mFsyncs.Inc()
-	}
 	if tail > s.gc.synced {
 		s.gc.synced = tail
 	}
 	s.applyLocked()
 	s.gc.cond.Broadcast()
+	s.gc.mu.Unlock()
 }
 
 // Len returns the number of distinct keys ever written.

@@ -23,8 +23,8 @@ func restartCase(t *testing.T, sync db.SyncPolicy, d time.Duration, seed uint64)
 	return c
 }
 
-// TestRestartSoakDurable is the crash-consistency soak under both
-// durable policies: repeated power-cut restarts under live read/write
+// TestRestartSoakDurable is the crash-consistency soak under the
+// durable policy: repeated power-cut restarts under live read/write
 // traffic must lose no acknowledged write and show no client a version
 // rollback, while every restart bumps the epoch exactly once and fences
 // the warm fleet. Check asserts all four.
@@ -33,12 +33,10 @@ func TestRestartSoakDurable(t *testing.T) {
 		name string
 		pol  db.SyncPolicy
 	}{
-		{"always", db.SyncAlways},
 		{"group", db.SyncGroup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two policies share the budget.
-			res := run(t, restartCase(t, tc.pol, *restartSoak/2, 7))
+			res := run(t, restartCase(t, tc.pol, *restartSoak, 7))
 			if res.Restarts == 0 {
 				t.Fatalf("soak finished without a single restart: %+v", res)
 			}

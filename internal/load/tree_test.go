@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/replica"
 	"mobirep/internal/tree"
 )
@@ -28,7 +29,7 @@ func TestRunTreeValidation(t *testing.T) {
 func TestRunTreeSmallFleet(t *testing.T) {
 	c := row(t, "tree")
 	c.Stations, c.Sessions, c.Shards, c.Mode = 7, 200, 2, replica.Static2()
-	c.Placement = tree.Policy{Kind: tree.PolicyT1, K: 2}
+	c.Placement = tree.Policy{Kind: core.KindT1, K: 2}
 	c.Duration, c.HandoffEvery, c.Seed = 300*time.Millisecond, 25, 7
 	res := run(t, c)
 	if res.Sessions != 200 || res.Stations != 7 || res.Leaves != 4 {

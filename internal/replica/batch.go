@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/sched"
 	"mobirep/internal/wire"
@@ -72,7 +73,7 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		return out, nil
 	}
 	ch := make(chan wire.Batch, 1)
-	c.pendingBatch = append(c.pendingBatch, ch)
+	c.pendingBatch = append(c.pendingBatch, batchWaiter{missing, ch})
 	link := c.link
 	c.mu.Unlock()
 
@@ -141,11 +142,32 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	return out, nil
 }
 
+// batchWaiter is a parked joint read: the keys its request asked the
+// server for, in request order, and where its answer goes.
+type batchWaiter struct {
+	keys []string
+	ch   chan wire.Batch
+}
+
+// answers reports whether a MultiReadResp's entries answer w's request:
+// the server answers one entry per requested key, in order.
+func (w batchWaiter) answers(entries []wire.Entry) bool {
+	if len(entries) != len(w.keys) {
+		return false
+	}
+	for i, e := range entries {
+		if e.Key != w.keys[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *Client) cancelPendingBatch(ch chan wire.Batch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, w := range c.pendingBatch {
-		if w == ch {
+		if w.ch == ch {
 			c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
 			return
 		}
@@ -153,8 +175,10 @@ func (c *Client) cancelPendingBatch(ch chan wire.Batch) {
 }
 
 // onBatch handles server-to-client batch messages. For a MultiReadResp:
-// install allocations and wake the oldest joint read (the transport is
-// ordered, so responses arrive in request order).
+// install allocations and wake the oldest joint read the response
+// answers. A late answer to a read that already gave up matches no
+// waiter, or one that asked for the same keys, and so never completes a
+// read with another read's items.
 func (c *Client) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncResp {
 		c.onResyncResp(b)
@@ -191,9 +215,12 @@ func (c *Client) onBatch(b wire.Batch) {
 		}
 	}
 	var ch chan wire.Batch
-	if len(c.pendingBatch) > 0 {
-		ch = c.pendingBatch[0]
-		c.pendingBatch = c.pendingBatch[1:]
+	for i, w := range c.pendingBatch {
+		if w.answers(b.Entries) {
+			ch = w.ch
+			c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
+			break
+		}
 	}
 	c.mu.Unlock()
 	if ch != nil {
@@ -287,8 +314,8 @@ func (ss *Session) finishMultiRead(b wire.Batch, items []db.Item) {
 			e.Value = nil
 		}
 		switch st.kind {
-		case ModeStatic1:
-		case ModeStatic2:
+		case core.KindST1:
+		case core.KindST2:
 			if !st.hasCopy && ss.allocAllowed(key) {
 				e.Allocate = true
 				st.hasCopy = true
@@ -373,7 +400,7 @@ func (ss *Session) finishResync(b wire.Batch, items []db.Item) {
 	for ki, key := range b.Keys {
 		it := items[ki]
 		st := ss.state(key)
-		if st.kind != ModeStatic1 {
+		if st.kind != core.KindST1 {
 			// ST1 never places copies; a declared copy there is a client
 			// bug and gets a refresh without a subscription.
 			if ss.allocAllowed(key) {

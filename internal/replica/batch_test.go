@@ -1,11 +1,15 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"mobirep/internal/core"
+	"mobirep/internal/db"
 	"mobirep/internal/sched"
+	"mobirep/internal/transport"
 )
 
 func TestReadManyAllMissing(t *testing.T) {
@@ -190,5 +194,57 @@ func TestBatchWindowHandoffMatchesPolicy(t *testing.T) {
 		if cli.HasCopy("x") != policy.HasCopy() {
 			t.Fatalf("op %d: protocol %v vs policy %v", i, cli.HasCopy("x"), policy.HasCopy())
 		}
+	}
+}
+
+// TestReadManyLateAnswerWakesNoOtherRead: a joint read that times out
+// leaves its request in flight, and the late answer arrives while the
+// next joint read waits. It must not complete that read with the first
+// one's entries; the next read gets its own answer.
+func TestReadManyLateAnswerWakesNoOtherRead(t *testing.T) {
+	srv, err := NewServer(db.NewStore(), Static1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if _, err := srv.Write(k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2c, c2s, err := transport.NewChaosPair(transport.Config{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Attach(s2c)
+	cli, err := NewClient(c2s, Static1())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cli.Timeout = 10 * time.Millisecond
+	if _, err := cli.ReadMany([]string{"a", "b"}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("undelivered joint read: %v, want ErrTimeout", err)
+	}
+	c2s.Step() // the server answers [a b] late
+
+	cli.Timeout = 10 * time.Second
+	type result struct {
+		items []db.Item
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		items, err := cli.ReadMany([]string{"c"})
+		done <- result{items, err}
+	}()
+	if !c2s.WaitPending(1, 5*time.Second) {
+		t.Fatal("second joint read never sent its request")
+	}
+	s2c.Step() // the late [a b] answer
+	c2s.Step() // the [c] request
+	s2c.Step() // its answer
+	r := <-done
+	if r.err != nil || len(r.items) != 1 || r.items[0].Key != "c" || string(r.items[0].Value) != "v-c" {
+		t.Fatalf("ReadMany([c]) = %+v, %v; want c's item", r.items, r.err)
 	}
 }

@@ -31,7 +31,7 @@ type Client struct {
 
 	mu           sync.Mutex
 	pending      map[string]*readWaiter // per key, the oldest parked read; the rest chain behind it
-	pendingBatch []chan wire.Batch
+	pendingBatch []batchWaiter          // parked joint reads, oldest first
 	// pendingFn holds continuation-style read waiters (ReadThrough): a
 	// relay station's fetches, which must never park a goroutine on a
 	// channel because they run on transport delivery goroutines.
@@ -85,11 +85,11 @@ var ErrTimeout = errors.New("replica: read timed out")
 // NewClient creates the MC endpoint over the given link. mode must match
 // the server's mode. The link's handler is installed by NewClient.
 func NewClient(link transport.Link, mode Mode) (*Client, error) {
-	if err := mode.validate(); err != nil {
+	if err := checkMode(mode); err != nil {
 		return nil, err
 	}
 	cache := mobile.NewCache()
-	if mode.Kind == ModeSW {
+	if mode.Kind == core.KindSW {
 		cache = mobile.NewWindowCache(mode.K)
 	}
 	c := &Client{

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/sched"
 	"mobirep/internal/stats"
@@ -888,7 +889,7 @@ func (h *conformance) checkFinalState() error {
 		if cached && (cacheIt.Version != mv || !bytes.Equal(cacheIt.Value, valueFor(key, mv))) {
 			return h.fail("final %s: cache v%d %q, model v%d", key, cacheIt.Version, cacheIt.Value, mv)
 		}
-		if h.mode.Kind == ModeSW && mcCopy && !windowsEqual(mcWin, h.model.MCWindow(key)) {
+		if h.mode.Kind == core.KindSW && mcCopy && !windowsEqual(mcWin, h.model.MCWindow(key)) {
 			return h.fail("final %s: MC window %v, model %v", key, mcWin, h.model.MCWindow(key))
 		}
 
@@ -896,7 +897,7 @@ func (h *conformance) checkFinalState() error {
 		if scCopy != h.model.SCHasCopy(key) {
 			return h.fail("final %s: SC hasCopy=%v, model %v", key, scCopy, h.model.SCHasCopy(key))
 		}
-		if h.mode.Kind == ModeSW && !scCopy && !windowsEqual(scWin, h.model.SCWindow(key)) {
+		if h.mode.Kind == core.KindSW && !scCopy && !windowsEqual(scWin, h.model.SCWindow(key)) {
 			return h.fail("final %s: SC window %v, model %v", key, scWin, h.model.SCWindow(key))
 		}
 	}

@@ -105,7 +105,7 @@ func NewModel(mode Mode) *Model {
 
 func (m *Model) newSide() *modelSide {
 	s := &modelSide{}
-	if m.mode.Kind == ModeSW {
+	if m.mode.Kind == core.KindSW {
 		s.window = make(sched.Schedule, m.mode.K)
 		for i := range s.window {
 			s.window[i] = sched.Write
@@ -192,9 +192,9 @@ func (m *Model) Write(key string) (uint64, []wire.Message) {
 	}
 	st := m.side(m.sc, key)
 	switch m.mode.Kind {
-	case ModeStatic1:
+	case core.KindST1:
 		return v, nil
-	case ModeStatic2:
+	case core.KindST2:
 		if st.hasCopy {
 			return v, []wire.Message{{Kind: wire.KindWriteProp, Key: key, Version: v}}
 		}
@@ -271,9 +271,9 @@ func (m *Model) scReadReq(key string) []wire.Message {
 	st := m.side(m.sc, key)
 	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Version: m.store[key]}
 	switch m.mode.Kind {
-	case ModeStatic1:
+	case core.KindST1:
 		// Never allocate.
-	case ModeStatic2:
+	case core.KindST2:
 		if !st.hasCopy {
 			resp.Allocate = true
 			st.hasCopy = true
@@ -297,7 +297,7 @@ func (m *Model) scDeleteReq(msg wire.Message) {
 		return // stale duplicate
 	}
 	st.hasCopy = false
-	if m.mode.Kind == ModeSW && msg.Window.Size() == m.mode.K {
+	if m.mode.Kind == core.KindSW && msg.Window.Size() == m.mode.K {
 		st.window = msg.Window.Bits()
 	}
 }
@@ -334,7 +334,7 @@ func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
 	st := m.side(m.mc, msg.Key)
 	if msg.Allocate && !st.hasCopy {
 		st.hasCopy = true
-		if m.mode.Kind == ModeSW {
+		if m.mode.Kind == core.KindSW {
 			if msg.Window.Size() == m.mode.K {
 				st.window = msg.Window.Bits()
 			} else {
@@ -358,7 +358,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 		// the deallocation was lost or is still in flight. Re-assert it so
 		// the SC stops paying a data message per write.
 		out := wire.Message{Kind: wire.KindDeleteReq, Key: msg.Key}
-		if m.mode.Kind == ModeSW {
+		if m.mode.Kind == core.KindSW {
 			out.Window = core.WindowOf(st.window)
 		}
 		return []wire.Message{out}
@@ -367,7 +367,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 		return nil // stale or duplicated propagation: inert
 	}
 	m.cache[msg.Key] = msg.Version
-	if m.mode.Kind != ModeSW {
+	if m.mode.Kind != core.KindSW {
 		return nil
 	}
 	st.push(sched.Write)
@@ -517,7 +517,7 @@ func (m *Model) DeliverResyncToServer(b wire.Batch) *wire.Batch {
 	resp := &wire.Batch{Kind: wire.KindResyncResp, Epoch: m.epoch}
 	for i, key := range b.Keys {
 		st := m.side(m.sc, key)
-		if m.mode.Kind != ModeStatic1 {
+		if m.mode.Kind != core.KindST1 {
 			st.hasCopy = true
 		}
 		e := wire.Entry{Key: key, Version: m.store[key]}
@@ -558,7 +558,7 @@ func (m *Model) DeliverResyncToClient(b wire.Batch) []wire.Message {
 			continue // duplicated or reordered answer
 		}
 		m.cache[e.Key] = e.Version
-		if m.mode.Kind != ModeSW {
+		if m.mode.Kind != core.KindSW {
 			continue
 		}
 		// Missed writes slide the window as if propagated one by one,

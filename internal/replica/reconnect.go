@@ -64,7 +64,7 @@ func (c *Client) AllowStale(maxAge time.Duration) {
 // the link: pending singleton reads, pending joint reads, pending
 // continuation reads, and the in-flight resync signal. The caller must
 // hold c.mu and fail them all after releasing it.
-func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []chan wire.Batch, map[string][]*fnWaiter, chan struct{}) {
+func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []batchWaiter, map[string][]*fnWaiter, chan struct{}) {
 	pending := c.pending
 	c.pending = make(map[string]*readWaiter)
 	batch := c.pendingBatch
@@ -79,14 +79,14 @@ func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []chan wire.Batch,
 // failWaiters closes every channel collected by takeWaitersLocked
 // (receivers treat a closed channel as ErrOffline) and fails every
 // continuation waiter with ok=false.
-func failWaiters(pending map[string]*readWaiter, batch []chan wire.Batch, fns map[string][]*fnWaiter, done chan struct{}) {
+func failWaiters(pending map[string]*readWaiter, batch []batchWaiter, fns map[string][]*fnWaiter, done chan struct{}) {
 	for _, w := range pending {
 		for ; w != nil; w = w.next {
 			close(w.ch)
 		}
 	}
-	for _, ch := range batch {
-		close(ch)
+	for _, w := range batch {
+		close(w.ch)
 	}
 	for _, waiters := range fns {
 		for _, fw := range waiters {

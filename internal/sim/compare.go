@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
+	"mobirep/internal/core"
 	"mobirep/internal/cost"
 	"mobirep/internal/offline"
 	"mobirep/internal/sched"
@@ -71,11 +71,11 @@ func Compare(candidates []Factory, m cost.Model, s sched.Schedule) Comparison {
 func BestWindow(ks []int, m cost.Model, s sched.Schedule) (int, float64) {
 	bestK, bestCost := 0, math.Inf(1)
 	for _, k := range ks {
-		f, err := ParsePolicy(fmt.Sprintf("SW%d", k))
-		if err != nil {
+		spec := core.Spec{Kind: core.KindSW, K: k}
+		if spec.Validate() != nil {
 			continue
 		}
-		if c := Replay(f(), m, s, 0).Cost; c < bestCost {
+		if c := Replay(spec.New(), m, s, 0).Cost; c < bestCost {
 			bestK, bestCost = k, c
 		}
 	}

@@ -14,11 +14,11 @@ import (
 func factories(names ...string) []Factory {
 	out := make([]Factory, len(names))
 	for i, n := range names {
-		f, err := ParsePolicy(n)
+		spec, err := core.ParsePolicy(n)
 		if err != nil {
 			panic(err)
 		}
-		out[i] = f
+		out[i] = spec.New
 	}
 	return out
 }

@@ -9,8 +9,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"mobirep/internal/core"
 	"mobirep/internal/cost"
 	"mobirep/internal/sched"
@@ -157,73 +155,4 @@ func parallelTrials(trials int, fn func(trial int) float64) []float64 {
 	out := make([]float64, trials)
 	Fan(trials, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// ParsePolicy builds a policy factory from a compact name: "ST1", "ST2",
-// "SW<k>" (e.g. "SW5"), "T1(<m>)" or "T1<m>" (likewise T2), the baseline
-// names "CacheInv" and "EWMA(<alpha>)", and the even-window ablation
-// "SWe<k>". The CLI tools and trace tooling use it.
-func ParsePolicy(name string) (Factory, error) {
-	var k, m int
-	var alpha float64
-	switch {
-	case name == "ST1":
-		return func() core.Policy { return core.NewST1() }, nil
-	case name == "ST2":
-		return func() core.Policy { return core.NewST2() }, nil
-	case name == "CacheInv":
-		return func() core.Policy { return core.NewCacheInvalidate() }, nil
-	case scanF(name, "EWMA(%g)", &alpha):
-		if alpha <= 0 || alpha > 1 {
-			return nil, fmt.Errorf("sim: EWMA alpha in %q must be in (0,1]", name)
-		}
-		return func() core.Policy { return core.NewEWMA(alpha) }, nil
-	case scan(name, "SWe%d", &k):
-		if k <= 0 || k%2 == 1 {
-			return nil, fmt.Errorf("sim: even window size in %q must be even and positive", name)
-		}
-		if err := core.CheckWindowSize(k); err != nil {
-			return nil, fmt.Errorf("sim: %q: %w", name, err)
-		}
-		return func() core.Policy { return core.NewEvenSW(k) }, nil
-	case scan(name, "SW%d", &k):
-		if k <= 0 || k%2 == 0 {
-			return nil, fmt.Errorf("sim: window size in %q must be odd and positive", name)
-		}
-		if err := core.CheckWindowSize(k); err != nil {
-			return nil, fmt.Errorf("sim: %q: %w", name, err)
-		}
-		return func() core.Policy { return core.NewSW(k) }, nil
-	case scan(name, "T1(%d)", &m), scan(name, "T1%d", &m):
-		if m <= 0 {
-			return nil, fmt.Errorf("sim: threshold in %q must be positive", name)
-		}
-		return func() core.Policy { return core.NewT1(m) }, nil
-	case scan(name, "T2(%d)", &m), scan(name, "T2%d", &m):
-		if m <= 0 {
-			return nil, fmt.Errorf("sim: threshold in %q must be positive", name)
-		}
-		return func() core.Policy { return core.NewT2(m) }, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown policy %q (want ST1, ST2, SWk, T1m or T2m)", name)
-	}
-}
-
-// scan matches name against format with a single integer verb.
-func scan(name, format string, dst *int) bool {
-	n, err := fmt.Sscanf(name, format, dst)
-	if err != nil || n != 1 {
-		return false
-	}
-	// Reject trailing garbage such as "SW5x" by re-rendering.
-	return fmt.Sprintf(format, *dst) == name
-}
-
-// scanF matches name against format with a single float verb.
-func scanF(name, format string, dst *float64) bool {
-	n, err := fmt.Sscanf(name, format, dst)
-	if err != nil || n != 1 {
-		return false
-	}
-	return fmt.Sprintf(format, *dst) == name
 }

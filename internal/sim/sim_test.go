@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mobirep/internal/analytic"
@@ -372,92 +371,6 @@ func TestEstimateAverageMatchesTheory(t *testing.T) {
 		if d := math.Abs(got.Mean() - want); d > 0.015 {
 			t.Fatalf("msg k=%d: measured %v vs theory %v", k, got.Mean(), want)
 		}
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]string{
-		"ST1": "ST1", "ST2": "ST2", "SW1": "SW1", "SW15": "SW15",
-		"T1(3)": "T1(3)", "T13": "T1(3)", "T2(7)": "T2(7)", "T27": "T2(7)",
-		"CacheInv": "CacheInv", "EWMA(0.25)": "EWMA(0.25)", "SWe4": "SWe4",
-	}
-	for in, want := range cases {
-		f, err := ParsePolicy(in)
-		if err != nil {
-			t.Fatalf("%q: %v", in, err)
-		}
-		if got := f().Name(); got != want {
-			t.Fatalf("%q parsed to %q, want %q", in, got, want)
-		}
-	}
-	for _, bad := range []string{"", "SW4", "SW0", "SW-3", "T10", "XX", "SW5x", "sw5",
-		"SWe3", "SWe0", "EWMA(0)", "EWMA(2)", "cacheinv"} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Fatalf("%q: expected error", bad)
-		}
-	}
-}
-
-// TestParsePolicyWindowBound accepts every size up to core.MaxWindow
-// under its parity rule; the rejection table below covers the far side.
-func TestParsePolicyWindowBound(t *testing.T) {
-	for _, name := range []string{"SW1", "SW63", "SWe64", "SW65", "SW127", "SWe128"} {
-		f, err := ParsePolicy(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := f().Name(); got != name {
-			t.Fatalf("%s built %s", name, got)
-		}
-	}
-}
-
-// TestParsePolicyRejectionMessages pins each rejection family to its
-// diagnostic, so the CLI's error text names the actual constraint rather
-// than falling through to "unknown policy".
-func TestParsePolicyRejectionMessages(t *testing.T) {
-	cases := map[string]string{
-		// Even (and non-positive) sliding windows.
-		"SW2":   "must be odd and positive",
-		"SW100": "must be odd and positive",
-		"SW0":   "must be odd and positive",
-		// Past the one window bound, whatever the parity rule.
-		"SW129":  "outside [1, 128]",
-		"SWe130": "outside [1, 128]",
-		// The even-window ablation is the dual: it rejects odd sizes.
-		"SWe7": "must be even and positive",
-		"SWe0": "must be even and positive",
-		// Trailing garbage must not silently truncate to a valid name.
-		"SW5x":      "unknown policy",
-		"SW5 ":      "unknown policy",
-		"SWe4x":     "unknown policy",
-		"T1(3)x":    "unknown policy",
-		"EWMA(0.5x": "unknown policy",
-		// EWMA alpha must lie in (0, 1].
-		"EWMA(0)":    "must be in (0,1]",
-		"EWMA(-0.5)": "must be in (0,1]",
-		"EWMA(1.5)":  "must be in (0,1]",
-		// Thresholds must be positive.
-		"T1(0)":  "must be positive",
-		"T1(-2)": "must be positive",
-		"T2(0)":  "must be positive",
-	}
-	for in, want := range cases {
-		_, err := ParsePolicy(in)
-		if err == nil {
-			t.Fatalf("%q: expected error containing %q", in, want)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("%q: error %q does not mention %q", in, err, want)
-		}
-	}
-	// Boundary acceptance: alpha exactly 1 is legal.
-	f, err := ParsePolicy("EWMA(1)")
-	if err != nil {
-		t.Fatalf("EWMA(1): %v", err)
-	}
-	if got := f().Name(); got != "EWMA(1.00)" {
-		t.Fatalf("EWMA(1) parsed to %q", got)
 	}
 }
 

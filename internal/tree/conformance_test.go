@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/replica"
 	"mobirep/internal/stats"
@@ -27,7 +28,7 @@ import (
 //
 //   - no invented values: every read returns exactly the payload the
 //     root committed for that version;
-//   - no lost acked writes: the root (sync=always) never loses a
+//   - no lost acked writes: the root (sync=group) never loses a
 //     version, and after repair every MC converges to it exactly;
 //   - no unflagged staleness: reads never run ahead of the root and
 //     never step backwards per MC per key (floors survive handoffs; a
@@ -167,8 +168,8 @@ func newTreeConf(t *testing.T, seed uint64, shards int, verbose bool) (*treeConf
 	modes := []replica.Mode{replica.SW(1), replica.SW(3), replica.SW(5), replica.Static1(), replica.Static2()}
 	mode := modes[rng.Intn(len(modes))]
 	places := []Policy{
-		{Kind: PolicyNone}, {Kind: PolicyNone},
-		{Kind: PolicySW, K: 9}, {Kind: PolicyT1, K: 2}, {Kind: PolicyT2, K: 2},
+		{}, {},
+		{Kind: PolicySW, K: 9}, {Kind: core.KindT1, K: 2}, {Kind: core.KindT2, K: 2},
 	}
 	place := places[rng.Intn(len(places))]
 	topos := []Topology{Chain(2), Chain(3), Binary(3), Binary(7)}
@@ -185,11 +186,11 @@ func newTreeConf(t *testing.T, seed uint64, shards int, verbose bool) (*treeConf
 	if shards == 0 {
 		shards = []int{1, 8}[seed%2]
 	}
-	// The root is durable with sync=always: acknowledged writes survive
+	// The root is durable with sync=group: acknowledged writes survive
 	// any power cut, so floors stay satisfiable across restarts and the
 	// sweep can demand exact convergence.
 	cfs := db.NewCrashFS()
-	store, err := db.OpenWith(db.Options{Path: "root.log", Sync: db.SyncAlways, FS: cfs})
+	store, err := db.OpenWith(db.Options{Path: "root.log", Sync: db.SyncGroup, FS: cfs})
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +530,7 @@ func (h *treeConf) doRelayCrash() error {
 	return nil
 }
 
-// doRootCrash power-cuts the root and restarts it. sync=always means no
+// doRootCrash power-cuts the root and restarts it. sync=group means no
 // acked write may be missing from the reopened store; the bumped epoch
 // fences the direct children on reattach and the fence cascades cold
 // through the whole tree.
@@ -537,7 +538,7 @@ func (h *treeConf) doRootCrash() error {
 	cut := h.rng.Intn(h.cfs.Ops() + 1)
 	h.tracef("root crash (cut %d/%d) + restart", cut, h.cfs.Ops())
 	h.cfs.Kill(cut)
-	store, err := db.OpenWith(db.Options{Path: "root.log", Sync: db.SyncAlways, FS: h.cfs})
+	store, err := db.OpenWith(db.Options{Path: "root.log", Sync: db.SyncGroup, FS: h.cfs})
 	if err != nil {
 		return h.fail("reopen root store: %v", err)
 	}

@@ -24,92 +24,33 @@ import (
 // inline in a slice, so a tracked key costs no heap object beyond its
 // map entry and every step is core's.
 
-// PolicyKind selects the placement algorithm.
-type PolicyKind uint8
+// Policy is a placement policy choice: none, SWk, T1:m or T2:m. It is
+// core's Spec; placement runs only those kinds.
+type Policy = core.Spec
 
-const (
-	// PolicyNone disables placement: the edge protocol alone decides.
-	PolicyNone PolicyKind = iota
-	// PolicySW holds a copy while reads hold the majority of the last K
-	// observed requests (the paper's SWk, core.Window semantics).
-	PolicySW
-	// PolicyT1 holds a copy after K consecutive reads, until the next
-	// write (the paper's T1m, core.T1 semantics; K is m).
-	PolicyT1
-	// PolicyT2 holds a copy until K consecutive writes, re-holding on
-	// the next read (the paper's T2m, core.T2 semantics; K is m).
-	PolicyT2
-)
+// PolicySW holds a copy while reads hold the majority of the last K
+// observed requests (the paper's SWk, core.Window semantics).
+const PolicySW = core.KindSW
 
-// Policy is a placement policy choice: the algorithm and its parameter
-// (window size for SW, threshold m for T1/T2).
-type Policy struct {
-	Kind PolicyKind
-	K    int
-}
-
-// ParsePolicy parses a placement spec: "none", "SWk", "T1:m" or "T2:m".
+// ParsePolicy is core.ParseSpec restricted to the placement kinds.
 func ParsePolicy(s string) (Policy, error) {
-	if s == "" || s == "none" {
-		return Policy{Kind: PolicyNone}, nil
+	p, err := core.ParseSpec(s)
+	if err != nil {
+		return Policy{}, err
 	}
-	var k int
-	switch {
-	case parseInt(s, "SW%d", &k):
-		return checkPolicy(Policy{Kind: PolicySW, K: k})
-	case parseInt(s, "T1:%d", &k):
-		return checkPolicy(Policy{Kind: PolicyT1, K: k})
-	case parseInt(s, "T2:%d", &k):
-		return checkPolicy(Policy{Kind: PolicyT2, K: k})
-	}
-	return Policy{}, fmt.Errorf("tree: bad placement %q (want none, SWk, T1:m or T2:m)", s)
-}
-
-func parseInt(s, format string, k *int) bool {
-	n, err := fmt.Sscanf(s, format, k)
-	return err == nil && n == 1 && fmt.Sprintf(format, *k) == s
-}
-
-func checkPolicy(p Policy) (Policy, error) {
-	if err := p.Validate(); err != nil {
+	if err := checkPolicy(p); err != nil {
 		return Policy{}, err
 	}
 	return p, nil
 }
 
-func (p Policy) String() string {
+// checkPolicy is placement's membership check on top of Validate.
+func checkPolicy(p Policy) error {
 	switch p.Kind {
-	case PolicyNone:
-		return "none"
-	case PolicySW:
-		return fmt.Sprintf("SW%d", p.K)
-	case PolicyT1:
-		return fmt.Sprintf("T1(%d)", p.K)
-	case PolicyT2:
-		return fmt.Sprintf("T2(%d)", p.K)
+	case core.KindNone, core.KindSW, core.KindT1, core.KindT2:
+		return p.Validate()
 	}
-	return "?"
-}
-
-// Validate checks the parameter range. SW windows share the one bound
-// every window in the program has, core.MaxWindow; unlike the SWk
-// policy, placement accepts an even K (a tie votes against the copy).
-func (p Policy) Validate() error {
-	switch p.Kind {
-	case PolicyNone:
-		return nil
-	case PolicySW:
-		if err := core.CheckWindowSize(p.K); err != nil {
-			return fmt.Errorf("tree: SW placement %w", err)
-		}
-		return nil
-	case PolicyT1, PolicyT2:
-		if p.K < 1 {
-			return fmt.Errorf("tree: T* placement threshold %d must be positive", p.K)
-		}
-		return nil
-	}
-	return fmt.Errorf("tree: unknown placement kind %d", p.Kind)
+	return fmt.Errorf("tree: bad placement %v (want none, SWk, T1:m or T2:m)", p)
 }
 
 // Table is the per-key placement state for one station. Not
@@ -125,10 +66,10 @@ type Table struct {
 }
 
 // NewTable returns an empty table for the given policy. Panics on an
-// invalid policy; PolicyNone yields a table that always votes to hold
+// invalid policy; none yields a table that always votes to hold
 // (placement disabled — the edge protocol alone decides).
 func NewTable(p Policy) *Table {
-	if err := p.Validate(); err != nil {
+	if err := checkPolicy(p); err != nil {
 		panic(err.Error())
 	}
 	return &Table{pol: p, ids: make(map[string]uint32)}
@@ -153,11 +94,11 @@ func (t *Table) row(key string) uint32 {
 	// transport memory.
 	t.ids[strings.Clone(key)] = r
 	switch t.pol.Kind {
-	case PolicySW:
+	case core.KindSW:
 		t.sw = append(t.sw, core.NewWindow(t.pol.K, sched.Write))
-	case PolicyT1:
+	case core.KindT1:
 		t.t1 = append(t.t1, *core.NewT1(t.pol.K))
-	case PolicyT2:
+	case core.KindT2:
 		t.t2 = append(t.t2, *core.NewT2(t.pol.K))
 	}
 	return r
@@ -167,12 +108,12 @@ func (t *Table) row(key string) uint32 {
 // this station. Untracked keys answer the policy's initial state without
 // allocating a row.
 func (t *Table) Holds(key string) bool {
-	if t.pol.Kind == PolicyNone {
+	if t.pol.Kind == core.KindNone {
 		return true
 	}
 	r, ok := t.ids[key]
 	if !ok {
-		return t.pol.Kind == PolicyT2
+		return t.pol.Kind == core.KindT2
 	}
 	return t.vote(r)
 }
@@ -180,9 +121,9 @@ func (t *Table) Holds(key string) bool {
 // vote reads row r's current vote.
 func (t *Table) vote(r uint32) bool {
 	switch t.pol.Kind {
-	case PolicySW:
+	case core.KindSW:
 		return t.sw[r].ReadMajority()
-	case PolicyT1:
+	case core.KindT1:
 		return t.t1[r].HasCopy()
 	}
 	return t.t2[r].HasCopy()
@@ -198,16 +139,16 @@ func (t *Table) OnWrite(key string) bool { return t.observe(key, sched.Write) }
 
 // observe feeds op to key's row — core's step — and returns the vote.
 func (t *Table) observe(key string, op sched.Op) bool {
-	if t.pol.Kind == PolicyNone {
+	if t.pol.Kind == core.KindNone {
 		return true
 	}
 	r := t.row(key) // may grow the row slices: resolve before indexing
 	switch t.pol.Kind {
-	case PolicySW:
+	case core.KindSW:
 		t.sw[r].Push(op)
-	case PolicyT1:
+	case core.KindT1:
 		t.t1[r].Apply(op)
-	case PolicyT2:
+	case core.KindT2:
 		t.t2[r].Apply(op)
 	}
 	return t.vote(r)

@@ -49,9 +49,9 @@ func checkTableAgainst(t *testing.T, pol Policy, seed uint64, newRef func() vote
 
 // TestPlacementSWEquivalence checks SW rows against a naive slide: the
 // last K observed requests, all writes before the first, hold on a strict
-// read majority — including the even K the SWk policy itself excludes.
+// read majority.
 func TestPlacementSWEquivalence(t *testing.T) {
-	for _, k := range []int{1, 3, 5, 9, 17, 64} {
+	for _, k := range []int{1, 3, 5, 9, 17} {
 		t.Run(fmt.Sprintf("SW%d", k), func(t *testing.T) {
 			checkTableAgainst(t, Policy{Kind: PolicySW, K: k}, uint64(1000+k), func() voter {
 				last := sched.Block(sched.Write, k)
@@ -69,14 +69,15 @@ func TestPlacementSWEquivalence(t *testing.T) {
 // per key.
 func TestPlacementTStarEquivalence(t *testing.T) {
 	for _, m := range []int{1, 2, 3, 7} {
-		for _, kind := range []PolicyKind{PolicyT1, PolicyT2} {
-			pol := Policy{Kind: kind, K: m}
-			t.Run(pol.String(), func(t *testing.T) {
-				checkTableAgainst(t, pol, uint64(2000+m+int(kind)*100), func() voter {
-					var p core.Policy = core.NewT1(m)
-					if kind == PolicyT2 {
-						p = core.NewT2(m)
-					}
+		for _, tc := range []struct {
+			name string
+			kind core.Kind
+			seed int
+		}{{"T1", core.KindT1, 2200}, {"T2", core.KindT2, 2300}} {
+			pol := Policy{Kind: tc.kind, K: m}
+			t.Run(fmt.Sprintf("%s(%d)", tc.name, m), func(t *testing.T) {
+				checkTableAgainst(t, pol, uint64(tc.seed+m), func() voter {
+					p := pol.New()
 					return func(op sched.Op) bool { return p.Apply(op).HasCopy }
 				})
 			})
@@ -90,43 +91,57 @@ func TestPlacementInitialVotes(t *testing.T) {
 	if sw.Holds("x") {
 		t.Fatal("SW starts all-writes: must not vote to hold an untracked key")
 	}
-	t1 := NewTable(Policy{Kind: PolicyT1, K: 2})
+	t1 := NewTable(Policy{Kind: core.KindT1, K: 2})
 	if t1.Holds("x") {
 		t.Fatal("T1 starts not holding")
 	}
-	t2 := NewTable(Policy{Kind: PolicyT2, K: 2})
+	t2 := NewTable(Policy{Kind: core.KindT2, K: 2})
 	if !t2.Holds("x") {
 		t.Fatal("T2 starts holding")
 	}
 	if sw.Len() != 0 || t1.Len() != 0 || t2.Len() != 0 {
 		t.Fatal("Holds must not allocate rows")
 	}
-	none := NewTable(Policy{Kind: PolicyNone})
+	none := NewTable(Policy{})
 	if !none.OnRead("x") || !none.OnWrite("x") || !none.Holds("x") {
-		t.Fatal("PolicyNone always votes to hold")
+		t.Fatal("none always votes to hold")
 	}
 }
 
+// TestPolicyValidate pins placement's membership check: none, odd SWk,
+// T1:m and T2:m pass and round-trip through ParsePolicy; an even or
+// out-of-range window, a zero threshold and a kind placement does not run
+// are refused.
 func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
 		{Kind: PolicySW, K: 0},
+		{Kind: PolicySW, K: 64},
+		{Kind: PolicySW, K: core.MaxWindow},
 		{Kind: PolicySW, K: core.MaxWindow + 1},
-		{Kind: PolicyT1, K: 0},
-		{Kind: PolicyT2, K: -1},
-		{Kind: PolicyKind(9), K: 1},
+		{Kind: core.KindT1, K: 0},
+		{Kind: core.KindT2, K: -1},
+		{Kind: core.KindST2},
+		{Kind: core.KindEWMA, Alpha: 0.5},
+		{Kind: core.Kind(99), K: 1},
 	}
 	for _, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", p)
+		if err := checkPolicy(p); err == nil {
+			t.Errorf("checkPolicy accepted %+v", p)
+		}
+		if _, err := ParsePolicy(p.String()); err == nil {
+			t.Errorf("ParsePolicy accepted %q", p)
 		}
 	}
-	good := []Policy{{Kind: PolicyNone}, {Kind: PolicyT1, K: 1}, {Kind: PolicyT2, K: 9}}
-	for _, k := range []int{1, 63, 64, 65, 127, 128} {
+	good := []Policy{{}, {Kind: core.KindT1, K: 1}, {Kind: core.KindT2, K: 9}}
+	for _, k := range []int{1, 63, 65, 127} {
 		good = append(good, Policy{Kind: PolicySW, K: k})
 	}
 	for _, p := range good {
-		if err := p.Validate(); err != nil {
-			t.Errorf("Validate rejected %v: %v", p, err)
+		if err := checkPolicy(p); err != nil {
+			t.Errorf("checkPolicy rejected %v: %v", p, err)
+		}
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/replica"
 	"mobirep/internal/transport"
@@ -63,7 +64,7 @@ func NewRoot(store *db.Store, mode replica.Mode, shards int) (*Station, error) {
 // (optionally) a placement table. The parent face is wired separately
 // with ConnectParent.
 func NewRelay(idx int, mode replica.Mode, shards int, placement Policy) (*Station, error) {
-	if err := placement.Validate(); err != nil {
+	if err := checkPolicy(placement); err != nil {
 		return nil, err
 	}
 	store := db.NewStore()
@@ -72,7 +73,7 @@ func NewRelay(idx int, mode replica.Mode, shards int, placement Policy) (*Statio
 		return nil, err
 	}
 	st := &Station{idx: idx, mode: mode, store: store, srv: srv}
-	if placement.Kind != PolicyNone {
+	if placement.Kind != core.KindNone {
 		st.placement = NewTable(placement)
 	}
 	srv.SetOrigin(st.fetch)
@@ -115,11 +116,10 @@ func (st *Station) Client() *replica.Client { return st.cli.Load() }
 // warm mirror at a relay.
 func (st *Station) Store() *db.Store { return st.store }
 
-// Placement returns the station's placement policy (PolicyNone when
-// disabled).
+// Placement returns the station's placement policy (none when disabled).
 func (st *Station) Placement() Policy {
 	if st.placement == nil {
-		return Policy{Kind: PolicyNone}
+		return Policy{}
 	}
 	return st.placement.Policy()
 }

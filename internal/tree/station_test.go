@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirep/internal/core"
 	"mobirep/internal/db"
 	"mobirep/internal/replica"
 	"mobirep/internal/transport"
@@ -59,7 +60,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 func TestChainReadThroughAndPropagation(t *testing.T) {
-	tr, _ := buildTest(t, Chain(3), replica.Static2(), Policy{Kind: PolicyNone})
+	tr, _ := buildTest(t, Chain(3), replica.Static2(), Policy{})
 	mc := attachTestMC(t, tr, 2)
 
 	if _, err := tr.Stations[0].Server().Write("x", []byte("x#1")); err != nil {
@@ -92,7 +93,7 @@ func TestChainReadThroughAndPropagation(t *testing.T) {
 }
 
 func TestDropCascade(t *testing.T) {
-	tr, _ := buildTest(t, Chain(3), replica.Static2(), Policy{Kind: PolicyNone})
+	tr, _ := buildTest(t, Chain(3), replica.Static2(), Policy{})
 	mc := attachTestMC(t, tr, 2)
 
 	tr.Stations[0].Server().Write("x", []byte("x#1"))
@@ -121,7 +122,7 @@ func TestDropCascade(t *testing.T) {
 func TestPlacementShedsAndReholds(t *testing.T) {
 	// T1(2) at the relay: it refuses the copy until two consecutive
 	// reads, and sheds it again on the next write.
-	tr, _ := buildTest(t, Chain(2), replica.Static2(), Policy{Kind: PolicyT1, K: 2})
+	tr, _ := buildTest(t, Chain(2), replica.Static2(), Policy{Kind: core.KindT1, K: 2})
 	mc := attachTestMC(t, tr, 1)
 	st := tr.Stations[1]
 
@@ -157,7 +158,7 @@ func TestPlacementShedsAndReholds(t *testing.T) {
 }
 
 func TestHandoffWarm(t *testing.T) {
-	tr, _ := buildTest(t, Binary(3), replica.Static2(), Policy{Kind: PolicyNone})
+	tr, _ := buildTest(t, Binary(3), replica.Static2(), Policy{})
 	mc := attachTestMC(t, tr, 1)
 
 	tr.Stations[0].Server().Write("x", []byte("x#1"))
@@ -201,7 +202,7 @@ func TestHandoffWarm(t *testing.T) {
 // must stay per-key monotone across every move (floors make a warm
 // arrival at a colder station serve upstream rather than step back).
 func TestHandoffUnderWrites(t *testing.T) {
-	tr, _ := buildTest(t, Binary(3), replica.Static2(), Policy{Kind: PolicyNone})
+	tr, _ := buildTest(t, Binary(3), replica.Static2(), Policy{})
 	mc := attachTestMC(t, tr, 1)
 
 	keys := []string{"a", "b", "c"}
@@ -307,7 +308,7 @@ func tcpConnect(t *testing.T) LinkFactory {
 // the buffer last.
 func TestWarmResyncOverTCPReshipsOwnPayloads(t *testing.T) {
 	connect := tcpConnect(t)
-	tr, err := Build(Binary(3), db.NewStore(), replica.Static2(), 1, Policy{Kind: PolicyNone}, connect)
+	tr, err := Build(Binary(3), db.NewStore(), replica.Static2(), 1, Policy{}, connect)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

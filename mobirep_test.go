@@ -188,3 +188,51 @@ func TestFacadeMultiObject(t *testing.T) {
 		t.Fatalf("dynamic alloc = %v", dyn.Alloc())
 	}
 }
+
+func TestFacadeParsePolicy(t *testing.T) {
+	for _, name := range []string{"ST1", "SW9", "SWe4", "T1:4", "T2:4", "CacheInv", "EWMA:0.3"} {
+		f, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := f().Name(); got != name {
+			t.Fatalf("%s built %s", name, got)
+		}
+	}
+	for _, bad := range []string{"none", "T1(4)", "T14", "EWMA(0.3)", "SW4"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("%q parsed", bad)
+		}
+	}
+}
+
+func TestFacadeReplay(t *testing.T) {
+	s := BernoulliSchedule(NewRNG(11), 0.4, 2000)
+	full := Replay(NewSW(3), ConnectionModel(), s, 0)
+	if want := TotalCost(ConnectionModel(), RunPolicy(NewSW(3), s)); full.Ops != len(s) || full.Cost != want {
+		t.Fatalf("Replay = %d ops, cost %v; want %d ops, cost %v", full.Ops, full.Cost, len(s), want)
+	}
+	// Warmup requests still move the window but are not priced.
+	warm := Replay(NewSW(3), ConnectionModel(), s, 500)
+	if want := TotalCost(ConnectionModel(), RunPolicy(NewSW(3), s)[500:]); warm.Ops != len(s)-500 || warm.Cost != want {
+		t.Fatalf("Replay with warmup = %d ops, cost %v; want %d ops, cost %v", warm.Ops, warm.Cost, len(s)-500, want)
+	}
+}
+
+func TestFacadeBestWindow(t *testing.T) {
+	s := BernoulliSchedule(NewRNG(12), 0.3, 5000)
+	m := ConnectionModel()
+	bestK, bestCost := 0, math.Inf(1)
+	for _, k := range []int{1, 3, 5, 9} {
+		if c := Replay(NewSW(k), m, s, 0).Cost; c < bestCost {
+			bestK, bestCost = k, c
+		}
+	}
+	// Sizes no SWk accepts are skipped, not fatal.
+	if k, c := BestWindow([]int{1, 3, 4, 5, 9, 129}, m, s); k != bestK || c != bestCost {
+		t.Fatalf("BestWindow = SW%d at %v, want SW%d at %v", k, c, bestK, bestCost)
+	}
+	if k, c := BestWindow([]int{0, 2}, m, s); k != 0 || !math.IsInf(c, 1) {
+		t.Fatalf("BestWindow over no legal size = SW%d at %v", k, c)
+	}
+}

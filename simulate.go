@@ -1,6 +1,7 @@
 package mobirep
 
 import (
+	"mobirep/internal/core"
 	"mobirep/internal/offline"
 	"mobirep/internal/sim"
 	"mobirep/internal/stats"
@@ -43,8 +44,15 @@ func EstimateAverage(f Factory, m CostModel, opts AverageOpts) Summary {
 	return sim.EstimateAverage(f, m, opts)
 }
 
-// ParsePolicy builds a policy factory from a name such as "SW9" or "ST1".
-func ParsePolicy(name string) (Factory, error) { return sim.ParsePolicy(name) }
+// ParsePolicy builds a policy factory from a name such as "SW9", "ST1" or
+// "T1:4"; the grammar is core.ParseSpec's.
+func ParsePolicy(name string) (Factory, error) {
+	spec, err := core.ParsePolicy(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.New, nil
+}
 
 // RNG is a deterministic random number generator for workloads.
 type RNG = stats.RNG
