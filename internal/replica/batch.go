@@ -1,15 +1,14 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"mobirep/internal/core"
 	"mobirep/internal/db"
-	"mobirep/internal/sched"
 	"mobirep/internal/wire"
 )
 
@@ -73,7 +72,7 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		return out, nil
 	}
 	ch := make(chan wire.Batch, 1)
-	c.pendingBatch = append(c.pendingBatch, batchWaiter{missing, ch})
+	c.pendingBatch = append(c.pendingBatch, batchWaiter{keys: missing, ch: ch})
 	link := c.link
 	c.mu.Unlock()
 
@@ -143,10 +142,21 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 }
 
 // batchWaiter is a parked joint read: the keys its request asked the
-// server for, in request order, and where its answer goes.
+// server for, in request order, where its answer goes, and the indexes of
+// the keys a deallocation disowned.
 type batchWaiter struct {
-	keys []string
-	ch   chan wire.Batch
+	keys     []string
+	ch       chan wire.Batch
+	disowned []int
+}
+
+// disown marks key, if w asked for it, as disowned (see deallocate).
+func (w *batchWaiter) disown(key string) {
+	for i, k := range w.keys {
+		if k == key {
+			w.disowned = append(w.disowned, i)
+		}
+	}
 }
 
 // answers reports whether a MultiReadResp's entries answer w's request:
@@ -175,10 +185,11 @@ func (c *Client) cancelPendingBatch(ch chan wire.Batch) {
 }
 
 // onBatch handles server-to-client batch messages. For a MultiReadResp:
-// install allocations and wake the oldest joint read the response
-// answers. A late answer to a read that already gave up matches no
-// waiter, or one that asked for the same keys, and so never completes a
-// read with another read's items.
+// wake the oldest joint read the response answers and install the
+// allocations it asked for, except on keys a deallocation disowned. A
+// late answer to a read that already gave up matches no waiter, or one
+// that asked for the same keys, and so never completes a read with
+// another read's items; matching none, it installs nothing.
 func (c *Client) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncResp {
 		c.onResyncResp(b)
@@ -196,31 +207,30 @@ func (c *Client) onBatch(b wire.Batch) {
 		c.epoch = b.Epoch
 	}
 	for _, e := range b.Entries {
-		if !e.Allocate {
-			continue
-		}
-		item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
-		if e.NotModified {
-			if arch, ok := c.cache.Revalidated(e.Key); ok {
-				item = arch
-			}
-		}
-		c.cache.Install(item, e.Window)
-	}
-	if c.trackFloors {
 		// Joint reads record floors (they raise what singleton reads must
 		// honor) but are not floor-gated themselves.
-		for _, e := range b.Entries {
-			c.noteFloorLocked(e.Key, e.Version)
-		}
+		c.noteFloorLocked(e.Key, e.Version)
 	}
 	var ch chan wire.Batch
 	for i, w := range c.pendingBatch {
-		if w.answers(b.Entries) {
-			ch = w.ch
-			c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
-			break
+		if !w.answers(b.Entries) {
+			continue
 		}
+		ch = w.ch
+		c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
+		for ei, e := range b.Entries {
+			if !e.Allocate || slices.Contains(w.disowned, ei) {
+				continue
+			}
+			item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
+			if e.NotModified {
+				if arch, ok := c.cache.Revalidated(e.Key); ok {
+					item = arch
+				}
+			}
+			c.cache.Install(item, e.Window)
+		}
+		break
 	}
 	c.mu.Unlock()
 	if ch != nil {
@@ -230,9 +240,9 @@ func (c *Client) onBatch(b wire.Batch) {
 
 // onBatch handles client-to-server batch messages. For a MultiReadReq:
 // every key gets the same treatment as a singleton read request, but the
-// whole answer rides one data message. On a relay the items are resolved
-// through the origin first (see fetchAll); the allocation pass runs only
-// once every key is in hand, so the answer is still one frame.
+// whole answer rides one data message. On a relay the keys are freshened
+// through the origin first (see fetchAll); the answer is built only once
+// every key has resolved, so it is still one frame.
 func (ss *Session) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncReq {
 		ss.onResyncReq(b)
@@ -244,31 +254,17 @@ func (ss *Session) onBatch(b wire.Batch) {
 	ss.fetchAll(b, ss.finishMultiRead)
 }
 
-// fetchAll resolves every key of a batch request — locally, or through
-// the origin hook on a relay — and calls finish with the items once all
-// have resolved. Any failed origin fetch drops the whole request (to the
+// fetchAll runs finish once every key of a batch request is ready to be
+// served: at once on a plain server, after every origin fetch has
+// completed on a relay. Any failed fetch drops the whole request (to the
 // client, a lost frame). The batch's memory is owned (wire.DecodeBatch
 // copies), so retaining b in the continuation is safe. The version hints
 // double as fetch floors: the client has seen the hinted version, so the
-// origin must not answer below it. An origin's item is only lent for the
-// duration of done (on a relay its Value aliases the parent link's receive
-// buffer, which the next frame overwrites), and this is a retention
-// point: the value is kept until the last key resolves, so it is copied.
-// Locally the values are copied too, into one pooled buffer released when
-// finish returns: a store buffer lent out would make its next write allocate.
-func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.Item)) {
-	items := make([]db.Item, len(b.Keys))
+// origin must not answer below it.
+func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch)) {
 	o := ss.srv.origin.Load()
 	if o == nil || len(b.Keys) == 0 {
-		vb := wire.GetBuf()
-		for i, key := range b.Keys {
-			n := len(vb.B)
-			items[i], _ = ss.srv.store.GetCopy(key, vb.B)
-			vb.B = items[i].Value
-			items[i].Value = vb.B[n:]
-		}
-		finish(b, items)
-		wire.PutBuf(vb)
+		finish(b)
 		return
 	}
 	var failed atomic.Bool
@@ -279,76 +275,70 @@ func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch, items []db.I
 		if i < len(b.Versions) {
 			floor = b.Versions[i]
 		}
-		i := i
-		(*o)(key, floor, func(it db.Item, ok bool) {
-			if ok {
-				it.Value = bytes.Clone(it.Value)
-				items[i] = it
-			} else {
+		(*o)(key, floor, func(ok bool) {
+			if !ok {
 				failed.Store(true)
 			}
 			if left.Add(-1) == 0 && !failed.Load() {
-				finish(b, items)
+				finish(b)
 			}
 		})
 	}
 }
 
-// finishMultiRead is the allocation half of a MultiReadReq, run with
-// every item already resolved.
-func (ss *Session) finishMultiRead(b wire.Batch, items []db.Item) {
-	resp := wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch()}
-	sh := ss.shard
-	sh.enter()
-	if ss.detached {
-		sh.exit()
-		return
-	}
+// serveAll builds the answer to a batch request under the shard token,
+// which the caller holds: it copies every key's value out of the store
+// into one pooled buffer, lets entry turn each item into the key's entry
+// (deciding allocation on the way), and returns the encoded answer in a
+// pooled buffer.
+func (ss *Session) serveAll(b wire.Batch, resp wire.Batch, entry func(ki int, it db.Item, st *itemState) wire.Entry) *wire.Buf {
+	vb := wire.GetBuf()
 	for ki, key := range b.Keys {
-		it := items[ki]
-		st := ss.state(key)
-		e := wire.Entry{Key: key, Value: it.Value, Version: it.Version}
-		if ki < len(b.Versions) && b.Versions[ki] != 0 && b.Versions[ki] == it.Version {
-			// Version hint matches: skip the payload.
-			e.NotModified = true
-			e.Value = nil
-		}
-		switch st.kind {
-		case core.KindST1:
-		case core.KindST2:
-			if !st.hasCopy && ss.allocAllowed(key) {
-				e.Allocate = true
-				st.hasCopy = true
-			}
-		default:
-			if !st.hasCopy {
-				st.window.Push(sched.Read)
-				if st.window.ReadMajority() && ss.allocAllowed(key) {
-					e.Allocate = true
-					e.Window = st.window
-					st.hasCopy = true
-				}
-			}
-		}
-		resp.Entries = append(resp.Entries, e)
+		n := len(vb.B)
+		it, _ := ss.srv.store.GetCopy(key, vb.B)
+		vb.B = it.Value
+		it.Value = vb.B[n:]
+		resp.Entries = append(resp.Entries, entry(ki, it, ss.state(key)))
 	}
-	sh.exit()
-	ss.sendBatch(resp)
-}
-
-// sendBatch encodes a batch response into a pooled buffer and transmits
-// it, releasing the buffer as soon as Send returns (links never retain).
-func (ss *Session) sendBatch(resp wire.Batch) {
 	buf := wire.GetBuf()
-	b, err := wire.AppendEncodeBatch(buf.B[:0], resp)
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], resp)
 	if err != nil {
-		wire.PutBuf(buf)
 		panic(fmt.Sprintf("replica: encode batch response: %v", err))
 	}
-	buf.B = b
-	ss.meter.addData(len(b))
-	_ = ss.link.Send(b)
-	wire.PutBuf(buf)
+	buf.B = frame
+	wire.PutBuf(vb)
+	return buf
+}
+
+// hint returns the version hint the batch carried for its ki-th key, 0
+// when none.
+func hint(b wire.Batch, ki int) uint64 {
+	if ki < len(b.Versions) {
+		return b.Versions[ki]
+	}
+	return 0
+}
+
+// finishMultiRead answers a MultiReadReq: each key is served and decides
+// allocation exactly as a singleton read would (allocOnRead).
+func (ss *Session) finishMultiRead(b wire.Batch) {
+	ss.shard.enter()
+	if ss.detached {
+		ss.shard.exit()
+		return
+	}
+	resp := wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch()}
+	ss.send(ss.serveAll(b, resp, func(ki int, it db.Item, st *itemState) wire.Entry {
+		e := wire.Entry{Key: b.Keys[ki], Value: it.Value, Version: it.Version}
+		if h := hint(b, ki); h != 0 && h == it.Version {
+			// Version hint matches: skip the payload.
+			e.NotModified, e.Value = true, nil
+		}
+		if ss.allocOnRead(e.Key, st) {
+			e.Allocate, e.Window = true, st.window
+		}
+		return e
+	}), reply)
 }
 
 // onResyncReq re-admits a warm client after a link blip: re-assert every
@@ -370,62 +360,50 @@ func (ss *Session) onResyncReq(b wire.Batch) {
 		// reattach cold. (A hint of 0 means the client never learned an
 		// epoch; its copies were placed by some live incarnation and the
 		// version-guarded warm path below handles them.)
-		sh := ss.shard
-		sh.enter()
-		dead := ss.detached
-		sh.exit()
-		if !dead {
-			ss.sendBatch(wire.Batch{Kind: wire.KindResyncResp, Epoch: epoch})
-		}
-		return
+		b.Keys, b.Versions = nil, nil
 	}
 	ss.fetchAll(b, ss.finishResync)
 }
 
-// finishResync is the subscription half of a ResyncReq, run with every
-// declared key's item already resolved. On a relay the allocation gate
+// finishResync answers a ResyncReq. On a relay the allocation gate
 // decides per key whether the declared copy may stand: a key the relay
 // could not secure upstream is answered normally but then revoked with a
-// DeleteReq, so the child drops a copy that would sit outside the
-// root-to-leaf placement path.
-func (ss *Session) finishResync(b wire.Batch, items []db.Item) {
-	resp := wire.Batch{Kind: wire.KindResyncResp, Epoch: ss.srv.store.Epoch()}
-	var revoke []string
-	sh := ss.shard
-	sh.enter()
+// DeleteReq posted behind the answer, so the child drops a copy that
+// would sit outside the root-to-leaf placement path.
+func (ss *Session) finishResync(b wire.Batch) {
+	ss.shard.enter()
 	if ss.detached {
-		sh.exit()
+		ss.shard.exit()
 		return
 	}
-	for ki, key := range b.Keys {
-		it := items[ki]
-		st := ss.state(key)
+	var revoked []string
+	resp := wire.Batch{Kind: wire.KindResyncResp, Epoch: ss.srv.store.Epoch()}
+	buf := ss.serveAll(b, resp, func(ki int, it db.Item, st *itemState) wire.Entry {
+		key := b.Keys[ki]
 		if st.kind != core.KindST1 {
 			// ST1 never places copies; a declared copy there is a client
 			// bug and gets a refresh without a subscription.
-			if ss.allocAllowed(key) {
-				st.hasCopy = true
-			} else {
-				// b's memory is owned (wire.DecodeBatch copies), so the key
-				// can be retained as-is.
-				revoke = append(revoke, key)
+			if st.hasCopy = ss.allocAllowed(key); !st.hasCopy {
+				revoked = append(revoked, key)
 			}
 		}
 		e := wire.Entry{Key: key, Version: it.Version}
-		hint := uint64(0)
-		if ki < len(b.Versions) {
-			hint = b.Versions[ki]
-		}
-		if hint == it.Version {
+		if hint(b, ki) == it.Version {
 			e.NotModified = true
 		} else {
 			e.Value = it.Value
 		}
-		resp.Entries = append(resp.Entries, e)
+		return e
+	})
+	turn := ss.post(buf.B, reply)
+	for _, key := range revoked {
+		d := encodePooled(wire.Message{Kind: wire.KindDeleteReq, Key: key})
+		ss.post(d.B, revoke)
+		wire.PutBuf(d)
 	}
-	sh.exit()
-	ss.sendBatch(resp)
-	for _, key := range revoke {
-		ss.sendControl(wire.Message{Kind: wire.KindDeleteReq, Key: key})
+	ss.shard.exit()
+	if turn {
+		ss.release(buf.B)
 	}
+	wire.PutBuf(buf)
 }

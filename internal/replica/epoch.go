@@ -96,16 +96,3 @@ func (c *Client) onAttachResp(msg wire.Message) {
 		fence()
 	}
 }
-
-// sendAttachResp sends the epoch greeting to a freshly attached session.
-// Liveness traffic, not metered; an in-memory store (epoch 0) sends
-// nothing, which keeps epoch-less deployments wire-identical.
-func (ss *Session) sendAttachResp() {
-	epoch := ss.srv.store.Epoch()
-	if epoch == 0 {
-		return
-	}
-	buf := encodePooled(wire.Message{Kind: wire.KindAttachResp, Version: epoch})
-	_ = ss.link.Send(buf.B)
-	wire.PutBuf(buf)
-}

@@ -26,7 +26,13 @@ import (
 //     the cache must not slide the window (stale propagations are inert);
 //   - a WriteProp arriving while the MC holds no copy means the SC has
 //     lost (or not yet received) the deallocation — the MC re-asserts it
-//     with a DeleteReq so the SC stops propagating into the void.
+//     with a DeleteReq so the SC stops propagating into the void;
+//   - every DeleteReq the MC sends disowns the read of that key requested
+//     before it: the SC serves that read first, so the allocation its
+//     answer carries is cancelled by the DeleteReq and must not install;
+//   - only the answer to the read that asked installs: an allocating
+//     answer with no read of its key outstanding (a duplicate) installs
+//     nothing.
 //
 // The recovery layer adds two exchanges, modeled here so the conformance
 // explorer can schedule them against chaos faults:
@@ -71,6 +77,8 @@ type Model struct {
 	// so a single slot suffices.
 	pendingRead    string
 	hasPendingRead bool
+	// disowned says a DeleteReq for pendingRead left after its request.
+	disowned bool
 	// scDetached is set by EvictSC: the server shed the session, so the SC
 	// ignores everything from this client and propagates nothing to it
 	// until Reconnect or DetachSC re-pairs them.
@@ -235,7 +243,7 @@ func (m *Model) StartRead(key string) []wire.Message {
 	if m.hasPendingRead {
 		panic("model: overlapping remote reads")
 	}
-	m.pendingRead, m.hasPendingRead = key, true
+	m.pendingRead, m.hasPendingRead, m.disowned = key, true, false
 	return []wire.Message{{Kind: wire.KindReadReq, Key: key}}
 }
 
@@ -332,7 +340,8 @@ func (m *Model) DeliverToClient(msg wire.Message) (emits []wire.Message, complet
 
 func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
 	st := m.side(m.mc, msg.Key)
-	if msg.Allocate && !st.hasCopy {
+	asked := m.hasPendingRead && m.pendingRead == msg.Key
+	if msg.Allocate && asked && !m.disowned && !st.hasCopy {
 		st.hasCopy = true
 		if m.mode.Kind == core.KindSW {
 			if msg.Window.Size() == m.mode.K {
@@ -343,7 +352,7 @@ func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
 		}
 		m.cache[msg.Key] = msg.Version
 	}
-	if m.hasPendingRead && m.pendingRead == msg.Key {
+	if asked {
 		m.pendingRead, m.hasPendingRead = "", false
 		v := msg.Version
 		return &v
@@ -361,7 +370,7 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 		if m.mode.Kind == core.KindSW {
 			out.Window = core.WindowOf(st.window)
 		}
-		return []wire.Message{out}
+		return []wire.Message{m.deallocate(out)}
 	}
 	if msg.Version <= m.cache[msg.Key] {
 		return nil // stale or duplicated propagation: inert
@@ -377,9 +386,18 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 	// Write majority: deallocate and hand the window back.
 	st.hasCopy = false
 	delete(m.cache, msg.Key)
-	return []wire.Message{{
+	return []wire.Message{m.deallocate(wire.Message{
 		Kind: wire.KindDeleteReq, Key: msg.Key, Window: core.WindowOf(st.window),
-	}}
+	})}
+}
+
+// deallocate returns the MC's DeleteReq d after disowning the read of its
+// key parked before it, if any.
+func (m *Model) deallocate(d wire.Message) wire.Message {
+	if m.hasPendingRead && m.pendingRead == d.Key {
+		m.disowned = true
+	}
+	return d
 }
 
 func (m *Model) mcDeleteReq(key string) {
@@ -573,9 +591,9 @@ func (m *Model) DeliverResyncToClient(b wire.Batch) []wire.Message {
 		if !st.readMajority() {
 			st.hasCopy = false
 			delete(m.cache, e.Key)
-			emits = append(emits, wire.Message{
+			emits = append(emits, m.deallocate(wire.Message{
 				Kind: wire.KindDeleteReq, Key: e.Key, Window: core.WindowOf(st.window),
-			})
+			}))
 		}
 	}
 	return emits

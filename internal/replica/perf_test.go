@@ -7,9 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"mobirep/internal/core"
 	"mobirep/internal/db"
-	"mobirep/internal/sched"
 	"mobirep/internal/transport"
 	"mobirep/internal/wire"
 )
@@ -107,8 +105,11 @@ func TestAllocatingReadRespAllocs(t *testing.T) {
 }
 
 // TestServerSendPathAllocs pins the SC steady-state send machinery —
-// pooled encode, meter, link hand-off, buffer release — at zero
-// allocations per message.
+// pooled encode, post under the shard token (meter, send turn), link
+// hand-off after it, buffer release — at zero allocations per message,
+// and the queued path too: a frame posted while another goroutine holds
+// the session's send turn is copied into a pooled buffer that the turn
+// holder sends and releases.
 func TestServerSendPathAllocs(t *testing.T) {
 	srv, err := NewServer(db.NewStore(), Static2())
 	if err != nil {
@@ -116,12 +117,44 @@ func TestServerSendPathAllocs(t *testing.T) {
 	}
 	sess := srv.Attach(nullLink{})
 	msg := wire.Message{Kind: wire.KindWriteProp, Key: "hot", Value: []byte("payload-123456"), Version: 7}
-	sess.sendData(msg) // warm the pool
-	allocs := testing.AllocsPerRun(200, func() {
-		sess.sendData(msg)
-	})
-	if allocs != 0 {
-		t.Fatalf("sendData allocated %.1f times per run, want 0", allocs)
+	send := func() {
+		sess.shard.enter()
+		sess.send(encodePooled(msg), data)
+	}
+	queued := func() {
+		sess.shard.enter()
+		buf := encodePooled(msg)
+		turn := sess.post(buf.B, data)
+		sess.send(encodePooled(msg), data) // queued behind buf
+		if turn {
+			sess.release(buf.B)
+		}
+		wire.PutBuf(buf)
+	}
+	for _, path := range []struct {
+		name string
+		fn   func()
+	}{{"send", send}, {"queued", queued}} {
+		if raceEnabled && path.name == "queued" {
+			// Three pooled buffers a run: the race detector drops pooled
+			// items often enough to show.
+			queued()
+			continue
+		}
+		for i := 0; i < 4; i++ {
+			path.fn() // warm the pools
+		}
+		if allocs := testing.AllocsPerRun(200, path.fn); allocs != 0 {
+			t.Errorf("%s path allocated %.1f times per run, want 0", path.name, allocs)
+		}
+	}
+	// AllocsPerRun adds a warm-up call; the queued path posts twice.
+	want := 3 * (4 + 201)
+	if raceEnabled {
+		want = 4 + 201 + 2
+	}
+	if d := sess.Meter().Snapshot().DataMsgs; d != want {
+		t.Errorf("meter counted %d data messages, want one per post (%d)", d, want)
 	}
 }
 
@@ -409,7 +442,10 @@ func BenchmarkFanOutWorkingSet(b *testing.B) {
 // probe, the value lands over the resident buffer, and the handler gets
 // the cache's own key instead of a clone.
 func TestWritePropApplyAllocs(t *testing.T) {
-	cli, err := NewClient(nullLink{}, Static2())
+	value := make([]byte, 1024)
+	// The copy is installed the only way an allocation installs: by the
+	// answer to a read that asked for it.
+	cli, err := NewClient(&echoLink{value: value, allocate: true}, Static2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,12 +453,9 @@ func TestWritePropApplyAllocs(t *testing.T) {
 	drops := 0
 	cli.SetApplyHandler(func(it db.Item) { applied = it.Version })
 	cli.SetDropHandler(func(string) { drops++ })
-	value := make([]byte, 1024)
-	resp, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadResp, Key: "k", Value: value, Version: 1, Allocate: true})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := cli.Read("k"); err != nil || !cli.HasCopy("k") {
+		t.Fatalf("allocating read: %v, held=%v", err, cli.HasCopy("k"))
 	}
-	cli.onFrame(resp)
 	version := uint64(1)
 	var frame []byte
 	write := func() {
@@ -495,33 +528,32 @@ func TestFirstTouchAllocations(t *testing.T) {
 	}
 	mode := SW(9)
 
-	cli, err := NewClient(nullLink{}, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := make([][]byte, len(keys))
-	for i, k := range keys {
-		frames[i], err = wire.AppendEncode(nil, wire.Message{
-			Kind: wire.KindReadResp, Key: k, Value: []byte("value"), Version: 1,
-			Allocate: true, Window: core.NewWindow(9, sched.Read),
-		})
+	next := 0
+	if !raceEnabled { // the read's waiter is pooled
+		// An allocation installs only through the read that asked for it:
+		// each key is one allocating read, the reader handed the cache's
+		// copy.
+		cli, err := NewClient(&echoLink{value: []byte("value"), allocate: true}, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		cli.onFrame(frames[next])
-		next++
-	})
-	if allocs > 3 {
-		t.Errorf("client allocation of a new key cost %.0f objects, want at most 3 (record, key, value)", allocs)
-	}
-	if n := cli.Cache().Len(); n != len(keys) {
-		t.Fatalf("client holds %d copies, want %d", n, len(keys))
-	}
+		for i := 0; i < 8; i++ {
+			cli.Read("warm")             // fill the waiter pool and the encode buffers
+			cli.cache.Drop("warm", true) // and miss again
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := cli.Read(keys[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs > 3 {
+			t.Errorf("client allocation of a new key cost %.0f objects, want at most 3 (record, key, value)", allocs)
+		}
+		if n := cli.Cache().Len(); n != len(keys) {
+			t.Fatalf("client holds %d copies, want %d", n, len(keys))
+		}
 
-	if !raceEnabled { // the read's waiter is pooled
 		echo := &echoLink{value: []byte("value")}
 		st1, err := NewClient(echo, Static1())
 		if err != nil {
@@ -567,7 +599,7 @@ func TestFirstTouchAllocations(t *testing.T) {
 	}
 	sh.exit()
 	next = 0
-	allocs = testing.AllocsPerRun(holders*nkeys-1, func() {
+	allocs := testing.AllocsPerRun(holders*nkeys-1, func() {
 		sh.enter()
 		sessions[holders+next/nkeys].state(keys[next%nkeys])
 		sh.exit()

@@ -72,11 +72,11 @@ type shard struct {
 	memGauge *obs.Gauge
 }
 
-// fanEntry is one prepared send of a write fan-out: which session, and
-// whether it gets the shared WriteProp (data) or DeleteReq (control).
+// fanEntry is a session whose send turn a fan-out took, and the shared
+// frame it posted there.
 type fanEntry struct {
 	sess  *Session
-	class sendClass
+	frame []byte
 }
 
 func newShard(id int) *shard {

@@ -124,24 +124,24 @@ func (st *Station) Placement() Policy {
 	return st.placement.Policy()
 }
 
-// fetch is the origin hook: resolve a child's read through the parent
-// face, fold the answer into the mirror, and let placement reconsider.
-// Runs on a child delivery goroutine and never blocks — ReadThrough
-// completes synchronously from the station's own copy or registers a
-// continuation for the upstream round trip.
-func (st *Station) fetch(key string, floor uint64, done func(it db.Item, ok bool)) {
+// fetch is the origin hook: freshen the mirror for a child's read through
+// the parent face, and let placement reconsider; the server then serves
+// the child from the mirror. Runs on a child delivery goroutine and never
+// blocks — ReadThrough completes synchronously from the station's own
+// copy or registers a continuation for the upstream round trip.
+func (st *Station) fetch(key string, floor uint64, done func(ok bool)) {
 	st.noteRead(key)
 	cli := st.cli.Load()
 	if cli == nil {
 		mFetchFailed.Inc()
-		done(db.Item{}, false)
+		done(false)
 		return
 	}
 	local := cli.HasCopy(key)
 	cli.ReadThrough(key, floor, func(it db.Item, ok bool) {
 		if !ok {
 			mFetchFailed.Inc()
-			done(db.Item{}, false)
+			done(false)
 			return
 		}
 		if local {
@@ -157,7 +157,7 @@ func (st *Station) fetch(key string, floor uint64, done func(it db.Item, ok bool
 			}
 		}
 		st.realize(key)
-		done(it, ok)
+		done(true)
 	})
 }
 
