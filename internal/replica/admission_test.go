@@ -183,6 +183,50 @@ func TestEvictSendsBusyThenDetaches(t *testing.T) {
 	}
 }
 
+// TestEvictWhileAnotherGoroutineSends evicts a session while another
+// goroutine holds its send turn, stalled inside Send (here a Pong; under
+// memory pressure, a fan-out). The Busy frame queues behind that frame,
+// and the link may close only once the turn holder has sent it.
+func TestEvictWhileAnotherGoroutineSends(t *testing.T) {
+	srv, err := NewServer(db.NewStore(), SW(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := transport.NewMemPair()
+	hold := newHoldLink(a, wire.KindPong)
+	ss := srv.Attach(hold)
+	var bc busyCollector
+	bc.install(b)
+	ping := encodePooled(wire.Message{Kind: wire.KindPing, Version: 1})
+	pinged := make(chan error, 1)
+	go func() { pinged <- b.Send(ping.B) }()
+	select {
+	case <-hold.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never sent its Pong")
+	}
+	if !ss.Evict("shed", 250*time.Millisecond) {
+		t.Fatal("Evict lost the detach race against nobody")
+	}
+	if hold.closed.Load() || len(bc.snapshot()) != 0 {
+		t.Fatal("the link closed, or Busy left, before the turn holder's frame")
+	}
+	close(hold.release)
+	if err := <-pinged; err != nil {
+		t.Fatal(err)
+	}
+	wire.PutBuf(ping)
+	if busies := bc.snapshot(); len(busies) != 1 || busies[0].Key != "shed" || busies[0].Version != 250 {
+		t.Fatalf("busy frames = %+v, want one shed notice with 250ms hint", busies)
+	}
+	if !hold.closed.Load() {
+		t.Fatal("the link stayed open after the Busy frame")
+	}
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("sessions after eviction = %d, want 0", n)
+	}
+}
+
 func TestMemBytesAccountsSessionsAndItems(t *testing.T) {
 	mode := SW(3)
 	srv, err := NewServer(db.NewStore(), mode)

@@ -24,6 +24,9 @@
 //   - Busy (SC -> MC): overload signal; Key carries the reason and
 //     Version a retry-after hint in milliseconds (see KindBusy).
 //
+// A relay adds one more, ReadFail (SC -> MC): the answer to a read its
+// upstream fetch could not serve (see KindReadFail).
+//
 // The encoding is a fixed header plus length-prefixed fields; window bits
 // are packed eight per byte. DecodeBorrowed rejects malformed frames
 // rather than guessing.
@@ -73,6 +76,12 @@ const (
 	// is the epoch echoed on every ResyncResp. Liveness traffic, not
 	// metered as protocol cost.
 	KindAttachResp
+	// KindReadFail answers a ReadReq the SC could not serve (SC -> MC): a
+	// relay whose upstream fetch failed. Key names the item; there is no
+	// value. Every request thus gets exactly one answer, which keeps the
+	// MC's count of a key's unanswered requests exact. Not metered as
+	// protocol cost.
+	KindReadFail
 )
 
 // String implements fmt.Stringer.
@@ -94,6 +103,8 @@ func (k Kind) String() string {
 		return "busy"
 	case KindAttachResp:
 		return "attach-resp"
+	case KindReadFail:
+		return "read-fail"
 	case KindMultiReadReq:
 		return "multi-read-req"
 	case KindMultiReadResp:
@@ -223,7 +234,7 @@ func DecodeBorrowed(p []byte) (Message, error) {
 		return m, errTruncated
 	}
 	m.Kind = Kind(p[0])
-	if m.Kind < KindReadReq || m.Kind > KindAttachResp {
+	if m.Kind < KindReadReq || m.Kind > KindReadFail {
 		return m, fmt.Errorf("wire: unknown message kind %d", p[0])
 	}
 	if p[1] > 1 {

@@ -16,6 +16,7 @@ func TestKindStrings(t *testing.T) {
 		KindReadReq: "read-req", KindReadResp: "read-resp",
 		KindWriteProp: "write-prop", KindDeleteReq: "delete-req",
 		KindPing: "ping", KindPong: "pong", KindBusy: "busy",
+		KindAttachResp: "attach-resp", KindReadFail: "read-fail",
 		KindMultiReadReq: "multi-read-req", KindMultiReadResp: "multi-read-resp",
 		KindResyncReq: "resync-req", KindResyncResp: "resync-resp",
 		Kind(0): "kind(0)",
@@ -68,6 +69,7 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 		{Kind: KindPing, Version: 17},
 		{Kind: KindPong, Version: 17},
 		{Kind: KindBusy, Key: "full", Version: 1500},
+		{Kind: KindReadFail, Key: "x"},
 		{Kind: KindWriteProp, Key: "hot", Value: bytes.Repeat([]byte{0xA5}, 300), Version: 9000},
 		{Kind: KindDeleteReq, Key: "gone", Window: win("wwwwwwww")},
 		{Kind: KindDeleteReq, Key: "nine-bits", Window: win("rwrwrwrwr")},
