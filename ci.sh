@@ -85,7 +85,9 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 #
 # The transport package (one send path: reply-inline or the flusher;
 # one-read receive; the single close-reason path), the replica waiter-pool
-# tests, and the replica and tree tests that dial real TCP without
+# tests and the recycled relay Fetch records' tests (every ReadThrough
+# completes once, a recycled record never takes an earlier read's
+# answer), and the replica and tree tests that dial real TCP without
 # configuring the link (every TCPLink coalesces, so they ride the flusher
 # and the inline reply) run under the race detector three times at
 # GOMAXPROCS 1, 2 and 8: their outcome must not depend on CPU count or
@@ -94,17 +96,22 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # sender's own write returns the error, a flusher write leaves ErrClosed
 # for the next Send) and TestTCPWriteFailureRacesPeerEOF covers the race
 # it hid. The replica
-# allocation pins run once more without -race (sync.Pool drops Puts under
-# the detector, so the client pin skips there). The non-unix stub of the
-# inline writer is proven to compile.
+# allocation pins and the relay read-through pin (a miss through two
+# relays allocates only the returned value) run once more without -race
+# (sync.Pool drops Puts under the detector, so those pins skip there), and
+# the relay read-through benchmark runs once so it cannot rot. The
+# non-unix stub of the inline writer is proven to compile.
 go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
+    GOMAXPROCS=$procs go test -count=3 -run 'TestRelayReadThroughAllocs' ./internal/tree/
 done
+go test -run '^$' -bench 'BenchmarkRelayReadThrough' -benchtime=1x ./internal/tree/
 GOOS=windows go vet ./internal/transport/
 # A propagated write, holder by holder: the MC record's pins (in-place
 # update allocates nothing until a reader holds the value, a held value

@@ -279,6 +279,17 @@ func (s *Store) Get(key string) (Item, bool) {
 	return Item{}, false
 }
 
+// Key returns the store's own copy of key, which a caller may retain in
+// place of a borrowed one, and whether the key has ever been written.
+func (s *Store) Key(key string) (string, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.items[key]; r != nil {
+		return r.Key, true
+	}
+	return "", false
+}
+
 // GetCopy is Get without the loan: it appends key's value to dst, under
 // the read lock, and returns the item with Value set to the extended dst.
 func (s *Store) GetCopy(key string, dst []byte) (Item, bool) {

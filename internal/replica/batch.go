@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +54,7 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	missingIdx := make(map[string][]int)
 	for i, key := range keys {
 		if it, ok := c.cache.Get(key, 0); ok {
-			c.noteFloorLocked(key, it.Version)
+			c.noteFloorLocked(it.Key, it.Version)
 			out[i] = it
 			continue
 		}
@@ -251,38 +252,65 @@ func (ss *Session) onBatch(b wire.Batch) {
 	if b.Kind != wire.KindMultiReadReq {
 		return
 	}
-	ss.fetchAll(b, ss.finishMultiRead)
+	ss.fetchAll(b)
 }
 
-// fetchAll runs finish once every key of a batch request is ready to be
-// served: at once on a plain server, after every origin fetch has
-// completed on a relay. Any failed fetch drops the whole request (to the
-// client, a lost frame). The batch's memory is owned (wire.DecodeBatch
-// copies), so retaining b in the continuation is safe. The version hints
-// double as fetch floors: the client has seen the hinted version, so the
-// origin must not answer below it.
-func (ss *Session) fetchAll(b wire.Batch, finish func(b wire.Batch)) {
+// fetchBatch is a batch request waiting on its relay fetches: one pooled
+// record the keys' Fetch records count down.
+type fetchBatch struct {
+	b      wire.Batch
+	left   atomic.Int64
+	failed atomic.Bool
+}
+
+var batchPool = sync.Pool{New: func() any { return new(fetchBatch) }}
+
+// fetchAll answers a batch request once every key is ready to be served:
+// at once on a plain server, after every origin fetch has completed on a
+// relay. Any failed fetch drops the whole request (to the client, a lost
+// frame). The batch's memory is owned (wire.DecodeBatch copies), so its
+// keys are the Fetch records' own. The version hints double as fetch
+// floors: the client has seen the hinted version, so the origin must not
+// answer below it. Once the last fetch is started the batch may already
+// be answered, so the loop reads nothing from fb.
+func (ss *Session) fetchAll(b wire.Batch) {
 	o := ss.srv.origin.Load()
 	if o == nil || len(b.Keys) == 0 {
-		finish(b)
+		ss.finishBatch(b)
 		return
 	}
-	var failed atomic.Bool
-	var left atomic.Int64
-	left.Store(int64(len(b.Keys)))
+	fb := batchPool.Get().(*fetchBatch)
+	fb.b = b
+	fb.left.Store(int64(len(b.Keys)))
 	for i, key := range b.Keys {
-		floor := uint64(0)
-		if i < len(b.Versions) {
-			floor = b.Versions[i]
-		}
-		(*o)(key, floor, func(ok bool) {
-			if !ok {
-				failed.Store(true)
-			}
-			if left.Add(-1) == 0 && !failed.Load() {
-				finish(b)
-			}
-		})
+		(*o)(newFetch(ss, key, hint(b, i), fb))
+	}
+}
+
+// done counts one key's fetch; the last one answers the batch, unless any
+// failed, and recycles fb.
+func (fb *fetchBatch) done(ss *Session, ok bool) {
+	if !ok {
+		fb.failed.Store(true)
+	}
+	if fb.left.Add(-1) != 0 {
+		return
+	}
+	b, failed := fb.b, fb.failed.Load()
+	fb.b = wire.Batch{}
+	fb.failed.Store(false)
+	batchPool.Put(fb)
+	if !failed {
+		ss.finishBatch(b)
+	}
+}
+
+// finishBatch answers a batch request whose keys are ready.
+func (ss *Session) finishBatch(b wire.Batch) {
+	if b.Kind == wire.KindResyncReq {
+		ss.finishResync(b)
+	} else {
+		ss.finishMultiRead(b)
 	}
 }
 
@@ -362,7 +390,7 @@ func (ss *Session) onResyncReq(b wire.Batch) {
 		// version-guarded warm path below handles them.)
 		b.Keys, b.Versions = nil, nil
 	}
-	ss.fetchAll(b, ss.finishResync)
+	ss.fetchAll(b)
 }
 
 // finishResync answers a ResyncReq. On a relay the allocation gate

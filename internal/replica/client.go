@@ -32,6 +32,7 @@ type Client struct {
 	mu           sync.Mutex
 	pending      map[string]parked // per key, the singleton reads in flight
 	pendingBatch []batchWaiter     // parked joint reads, oldest first
+	parks        uint64            // tickets drawn by parkLocked
 	offline      bool
 	// epoch is the server store epoch the client has adopted (0 = not yet
 	// learned); fenced latches once an epoch change forced the warm state
@@ -55,16 +56,17 @@ type Client struct {
 	onBusy func(retryAfter time.Duration, reason string)
 
 	// Tree hooks (readthrough.go). applyFn/dropFn let a relay station
-	// mirror parent-face state changes downward — read without c.mu, so
-	// applying a write takes no lock but the cache's (nil until set, or
-	// pointing at a nil func once cleared); fenceFn announces an
-	// epoch fence so the station can invalidate its subtree. trackFloors
-	// turns on per-key read floors: remote reads then carry the highest
-	// version this client has observed, making reads monotone per key
-	// even across relay staleness. All off by default — a plain client
-	// stays wire-identical.
+	// mirror parent-face state changes downward, and fetchFn completes its
+	// read-throughs — read without c.mu, so applying a write takes no lock
+	// but the cache's (nil until set, or pointing at a nil func once
+	// cleared); fenceFn announces an epoch fence so the station can
+	// invalidate its subtree. trackFloors turns on per-key read floors:
+	// remote reads then carry the highest version this client has
+	// observed, making reads monotone per key even across relay
+	// staleness. All off by default — a plain client stays wire-identical.
 	applyFn     atomic.Pointer[func(it db.Item)]
 	dropFn      atomic.Pointer[func(key string)]
+	fetchFn     atomic.Pointer[func(f *Fetch, it db.Item, ok bool)]
 	fenceFn     func()
 	trackFloors bool
 	floors      map[string]uint64
@@ -117,7 +119,7 @@ func (c *Client) AwaitingRead(key string) bool {
 }
 
 // parked is one key's singleton reads in flight: the parked readers — a
-// goroutine in ReadContext or a continuation from ReadThrough — oldest
+// goroutine in ReadContext or a relay's Fetch from ReadThrough — oldest
 // first, and the key's requests still unanswered (a reader that gave up
 // leaves its request behind). Links are FIFO and every request is
 // answered — by a ReadResp, or by a ReadFail from a relay that could not
@@ -160,7 +162,7 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	}
 	if it, ok := c.cache.Get(key, 0); ok {
 		// Local read: the MC is in charge, and the cache slid its window.
-		c.noteFloorLocked(key, it.Version)
+		c.noteFloorLocked(it.Key, it.Version)
 		c.mu.Unlock()
 		mReadLocal.Inc()
 		return it, nil
@@ -178,7 +180,7 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	c.meter.addConnection()
 	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
 		c.suspect(link, err)
-		w.done(c.cancelPending(w, link))
+		w.done(c.cancelPending(key, w, w.ticket, link))
 		mReadOffline.Inc()
 		// A link that fails mid-send is an offline condition to the
 		// caller (the suspect hook has already told the recovery layer);
@@ -202,13 +204,13 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 		return db.Item{Key: key, Value: resp.value, Version: resp.version}, nil
 	case <-timeout:
 		w.armed = false // the tick is consumed
-		w.done(c.cancelPending(w, nil))
+		w.done(c.cancelPending(key, w, w.ticket, nil))
 		mReadTimeout.Inc()
 		// A silent link is as suspect as a failing one.
 		c.suspect(link, ErrTimeout)
 		return db.Item{}, ErrTimeout
 	case <-ctx.Done():
-		w.done(c.cancelPending(w, nil))
+		w.done(c.cancelPending(key, w, w.ticket, nil))
 		mReadCanceled.Inc()
 		return db.Item{}, ctx.Err()
 	}
@@ -231,9 +233,11 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 	return it, ErrStale
 }
 
-// parkLocked queues w behind the reads already waiting on its key and
-// counts its request. The caller holds c.mu.
+// parkLocked queues w behind the reads already waiting on its key, counts
+// its request and draws its ticket. The caller holds c.mu.
 func (c *Client) parkLocked(w *readWaiter) {
+	c.parks++
+	w.ticket = c.parks
 	p, ok := c.pending[w.key]
 	if !ok {
 		p.key = w.key
@@ -247,23 +251,25 @@ func (c *Client) parkLocked(w *readWaiter) {
 	c.pending[p.key] = p
 }
 
-// cancelPending removes w from the readers of its key and reports whether
-// it was still there. True means no response and no Disconnect got to w
-// first, so nothing can still send on or close its channel. A request
-// that left stays counted: its answer may still come. One whose send on
-// unsent failed never left, and while unsent is still the client's link
-// its count is taken back.
-func (c *Client) cancelPending(w *readWaiter, unsent transport.Link) bool {
+// cancelPending removes w, parked on key with ticket, from the readers of
+// key and reports whether it was still there. True means no response and
+// no Disconnect got to w first, so nothing can still complete it. A
+// request that left stays counted: its answer may still come. One whose
+// send on unsent failed never left, and while unsent is still the
+// client's link its count is taken back. The ticket is read only from a
+// waiter found parked: a Fetch completed meanwhile may be parked again
+// for a later read, under a later ticket.
+func (c *Client) cancelPending(key string, w *readWaiter, ticket uint64, unsent transport.Link) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.pending[w.key] // the zero entry, with no key, when reset
+	p := c.pending[key] // the zero entry, with no key, when reset
 	if unsent != nil && unsent == c.link {
 		p.out = max(p.out, 1) - 1
 		p.dis = min(p.dis, p.out)
 	}
 	found := false
 	for q := &p.head; *q != nil; q = &(*q).next {
-		if *q == w {
+		if *q == w && w.ticket == ticket {
 			*q, found = w.next, true
 			break
 		}
@@ -437,10 +443,10 @@ func (c *Client) onReadResp(msg wire.Message) {
 			tail.next = w
 		}
 		tail = w
-		relay = relay || w.fn != nil
+		relay = relay || w.fetch != nil
 	}
 	c.putLocked(p)
-	c.noteFloorLocked(msg.Key, msg.Version)
+	c.noteFloorLocked(p.key, msg.Version)
 	it := db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}
 	var copied []byte // the cache's new copy, lent, if this answer installed one
 	if msg.Allocate && own {
@@ -467,11 +473,11 @@ func (c *Client) onReadResp(msg wire.Message) {
 	}
 	for w := got; w != nil; {
 		next := w.next // a completed reader may recycle w at once
-		if w.fn != nil {
+		if w.fetch != nil {
 			// Synchronous completion on the delivery goroutine: msg is
-			// borrowed, so the continuation must finish with it before
+			// borrowed, so the handler must finish with it before
 			// returning (relay stations copy at every retention point).
-			w.fn(db.Item{Key: w.key, Value: msg.Value, Version: msg.Version}, true)
+			c.fetched(w.fetch, db.Item{Key: w.key, Value: msg.Value, Version: msg.Version}, true)
 		} else {
 			// The reader consumes the result on another goroutine, after
 			// this handler has returned and the frame buffer has been
@@ -490,7 +496,7 @@ func (c *Client) onReadResp(msg wire.Message) {
 
 // onReadFail takes a relay's refusal as the answer to the key's oldest
 // unanswered request. Once none is left unanswered, nothing can complete
-// the reads still parked: they fail at once, and a continuation passes
+// the reads still parked: they fail at once, and a relay's Fetch passes
 // the refusal on down the tree.
 func (c *Client) onReadFail(key string) {
 	c.mu.Lock()
@@ -502,7 +508,7 @@ func (c *Client) onReadFail(key string) {
 	}
 	c.putLocked(p)
 	c.mu.Unlock()
-	failReads(stranded)
+	c.failReads(stranded)
 }
 
 // onWriteProp applies a propagated write: update the cached copy, slide

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -10,34 +9,39 @@ import (
 )
 
 // Client-side relay hooks. A support station's parent face is a Client;
-// the station fetches through it with ReadThrough (continuation-style,
-// never parking a goroutine), mirrors parent-face state changes downward
+// the station fetches through it with ReadThrough (a pooled Fetch record,
+// never a parked goroutine), mirrors parent-face state changes downward
 // through the apply/drop/fence handlers, and sheds copies the placement
 // policy vetoes with DropCopy. Read floors (SetTrackFloors) make reads
 // monotone per key even when a relay's copy lags the root.
 
 // readWaiter is one parked singleton read: the channel its goroutine
-// waits on — or, for ReadThrough, the continuation to run instead — the
-// floor its request carried (0 = none) and the next-younger read parked
-// on the same key. A response below a waiter's floor is not its answer
-// and must not complete it.
+// waits on — or, for a relay's read-through, the Fetch record to complete
+// instead — the floor its request carried (0 = none), the ticket its
+// parking drew and the next-younger read parked on the same key. A
+// response below a waiter's floor is not its answer and must not complete
+// it.
 //
 // Waiters are pooled, channel and timeout timer included, so a remote
 // read allocates nothing but the value it returns. What makes reuse safe
-// is ownership of ch: whoever unlinks a waiter from Client.pending under
-// c.mu is the only party that may still send on or close its channel. A
-// reader recycles its waiter after taking the one response, or after
-// unlinking it itself (cancelPending reports true); a waiter it lost to
-// onReadResp, onReadFail or failWaiters it abandons — a late response or a close
-// must land on a channel no later read will ever see.
+// is ownership: whoever unlinks a waiter from Client.pending under c.mu
+// is the only party that may still complete it. A reader recycles its
+// waiter after taking the one response, or after unlinking it itself
+// (cancelPending reports true); a waiter it lost to onReadResp,
+// onReadFail or failWaiters it abandons — a late response or a close must
+// land on a channel no later read will ever see. A Fetch is recycled by
+// whoever completes it (Fetch.Done), so a ReadThrough that lost its
+// record may find it parked again for a later read; the ticket tells the
+// two apart.
 type readWaiter struct {
-	ch    chan readResult
-	fn    func(it db.Item, ok bool) // ReadThrough's continuation; nil for ReadContext
-	key   string                    // the reader's own key: what Client.pending is indexed by
-	floor uint64
-	next  *readWaiter
-	timer *time.Timer // created by the first read with a Timeout
-	armed bool        // timer is running, or its tick is unconsumed
+	ch     chan readResult
+	fetch  *Fetch // the relay read this waiter parks; nil for ReadContext
+	key    string // the reader's own key: what Client.pending is indexed by
+	floor  uint64
+	ticket uint64 // drawn by parkLocked, under c.mu
+	next   *readWaiter
+	timer  *time.Timer // created by the first read with a Timeout
+	armed  bool        // timer is running, or its tick is unconsumed
 }
 
 // readResult is what a response gives the parked reader: an owned copy
@@ -79,42 +83,92 @@ func (w *readWaiter) done(recycle bool) {
 	}
 }
 
-// ReadThrough performs a read that never blocks: served synchronously
-// from the local copy when it satisfies floor, otherwise done is
-// registered as a continuation and runs when the response arrives (or
-// with ok=false if the read is abandoned — offline, link failure, or a
-// reconnect clearing the waiters). done runs on the caller's goroutine
-// or a transport delivery goroutine; the item's Value is only valid for
-// the duration of the call and must be copied at any retention point.
-// done is called exactly once unless the response is lost in transit
-// with no subsequent reconnect (the caller's retry machinery owns that
-// case, exactly as a timed-out Read does).
-func (c *Client) ReadThrough(key string, floor uint64, done func(it db.Item, ok bool)) {
+// Fetch is one child read in flight through a relay: the record a relay
+// server hands its Origin, which the parent face parks (ReadThrough) and
+// completes through its read-through handler, and which Done hands back
+// to the server to answer the child. Records are pooled and carry no
+// func value, so a hop through a relay allocates nothing once the key is
+// known to the station. A record belongs to whoever holds it last: it
+// must not be touched after Done.
+type Fetch struct {
+	w        readWaiter // the record's place on the parent face's parked chain
+	ss       *Session
+	batch    *fetchBatch // the joint read or resync this key is part of; nil for a singleton
+	upstream bool        // ReadThrough parked it for the parent's answer
+}
+
+var fetchPool = sync.Pool{New: func() any {
+	f := new(Fetch)
+	f.w.fetch = f
+	return f
+}}
+
+// newFetch takes a record for ss's read of key, which must be owned.
+func newFetch(ss *Session, key string, floor uint64, fb *fetchBatch) *Fetch {
+	f := fetchPool.Get().(*Fetch)
+	f.w.key, f.w.floor, f.ss, f.batch = key, floor, ss, fb
+	return f
+}
+
+// Key returns the key the child reads. It is owned, and may be retained.
+func (f *Fetch) Key() string { return f.w.key }
+
+// Upstream reports whether ReadThrough sent the read to the parent rather
+// than answering it from the station's own copy.
+func (f *Fetch) Upstream() bool { return f.upstream }
+
+// Done hands the fetch back to the server that started it: ok serves the
+// child from the store (or counts the key toward its batch), !ok refuses
+// the read. The record is recycled.
+func (f *Fetch) Done(ok bool) {
+	ss, fb, key := f.ss, f.batch, f.w.key
+	*f = Fetch{w: readWaiter{fetch: f}}
+	fetchPool.Put(f)
+	if fb != nil {
+		fb.done(ss, ok)
+	} else {
+		ss.finishReadReq(key, ok)
+	}
+}
+
+// ReadThrough is a relay's read of f's key through the parent face, and
+// never blocks: answered synchronously from the local copy when it
+// satisfies the floor, otherwise parked until the response arrives (or
+// abandoned — offline, link failure, or a reconnect clearing the waiters).
+// Either way the read-through handler (SetReadThroughHandler) completes f
+// exactly once, on the caller's goroutine or a transport delivery
+// goroutine; the item's Value is only valid for the duration of the call
+// and must be copied at any retention point. The exception is a response
+// lost in transit with no subsequent reconnect: the caller's retry
+// machinery owns that case, exactly as a timed-out Read does.
+func (c *Client) ReadThrough(f *Fetch) {
+	w := &f.w
+	key := w.key
 	c.mu.Lock()
 	if c.offline {
 		c.mu.Unlock()
 		mReadOffline.Inc()
-		done(db.Item{}, false)
+		c.fetched(f, db.Item{}, false)
 		return
 	}
-	if f := c.floors[key]; f > floor {
+	if fl := c.floors[key]; fl > w.floor {
 		// The client's own floor folds in: the subtree below a relay gets
 		// collectively monotone reads, not just per original requester.
-		floor = f
+		w.floor = fl
 	}
-	if it, ok := c.cache.Get(key, floor); ok {
+	if it, ok := c.cache.Get(key, w.floor); ok {
 		c.noteFloorLocked(key, it.Version)
 		c.mu.Unlock()
 		mReadLocal.Inc()
-		done(it, true)
+		c.fetched(f, it, true)
 		return
 	}
 	// A held copy below the floor stays held: the remote answer is
-	// absorbed like a one-key resync (see onReadResp). key is retained
-	// while the read is parked.
-	w := &readWaiter{fn: done, key: key, floor: floor}
+	// absorbed like a one-key resync (see onReadResp). Once parked, f
+	// belongs to whoever unlinks it: only what was read before is used.
+	f.upstream = true
 	c.parkLocked(w)
-	link := c.link
+	floor, ticket, link := w.floor, w.ticket, c.link
 	c.mu.Unlock()
 
 	c.meter.addConnection()
@@ -123,23 +177,39 @@ func (c *Client) ReadThrough(key string, floor uint64, done func(it db.Item, ok 
 		// Only the goroutine that actually removed the waiter may fail it:
 		// a concurrent Suspend that already took the waiter set fails it
 		// through failWaiters.
-		if c.cancelPending(w, link) {
+		if c.cancelPending(key, w, ticket, link) {
 			mReadOffline.Inc()
-			done(db.Item{}, false)
+			c.fetched(f, db.Item{}, false)
 		}
 		return
 	}
 	mReadRemote.Inc()
 }
 
-// noteFloorLocked raises key's read floor to v when floor tracking is
-// on. Caller holds c.mu; key may be borrowed (cloned on insert).
-func (c *Client) noteFloorLocked(key string, v uint64) {
-	if !c.trackFloors || v == 0 {
+// fetched completes f through the read-through handler, or, with none
+// set, hands it straight back to its server.
+func (c *Client) fetched(f *Fetch, it db.Item, ok bool) {
+	if h := c.fetchFn.Load(); h != nil && *h != nil {
+		(*h)(f, it, ok)
 		return
 	}
-	if v > c.floors[key] {
-		c.floors[strings.Clone(key)] = v
+	f.Done(ok)
+}
+
+// SetReadThroughHandler registers h to complete every ReadThrough: a relay
+// mirrors the item into its store, then calls f.Done. h runs on the
+// caller's goroutine or a transport delivery goroutine, after the
+// client's lock is released; it.Value is borrowed.
+func (c *Client) SetReadThroughHandler(h func(f *Fetch, it db.Item, ok bool)) {
+	c.fetchFn.Store(&h)
+}
+
+// noteFloorLocked raises key's read floor to v when floor tracking is
+// on. Caller holds c.mu. key is retained, so it must be owned: an
+// assignment stores the key it is given even when the entry exists.
+func (c *Client) noteFloorLocked(key string, v uint64) {
+	if c.trackFloors && v > c.floors[key] {
+		c.floors[key] = v
 	}
 }
 
@@ -166,7 +236,7 @@ func (c *Client) DropCopy(key string) bool {
 
 // SetApplyHandler registers f to receive every fresh value the client
 // learns passively from its server — write propagations and resync
-// re-ships (reads complete through their own continuations instead, so
+// re-ships (reads complete through the read-through handler instead, so
 // a fetch never double-fires). f runs on the transport delivery
 // goroutine after the client's lock is released; the item's Key is the
 // cache's own and may be retained, its Value is borrowed and must be

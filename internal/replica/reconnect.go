@@ -61,7 +61,7 @@ func (c *Client) AllowStale(maxAge time.Duration) {
 }
 
 // takeWaitersLocked clears and returns everything currently blocked on
-// the link: parked singleton reads (goroutines and continuations), parked
+// the link: parked singleton reads (goroutines and relay fetches), parked
 // joint reads, and the in-flight resync signal. The caller must hold c.mu
 // and fail them all after releasing it.
 func (c *Client) takeWaitersLocked() (map[string]parked, []batchWaiter, chan struct{}) {
@@ -76,10 +76,10 @@ func (c *Client) takeWaitersLocked() (map[string]parked, []batchWaiter, chan str
 
 // failWaiters closes every channel collected by takeWaitersLocked
 // (receivers treat a closed channel as ErrOffline) and fails every
-// continuation with ok=false.
-func failWaiters(pending map[string]parked, batch []batchWaiter, done chan struct{}) {
+// relay Fetch.
+func (c *Client) failWaiters(pending map[string]parked, batch []batchWaiter, done chan struct{}) {
 	for _, p := range pending {
-		failReads(p.head)
+		c.failReads(p.head)
 	}
 	for _, w := range batch {
 		close(w.ch)
@@ -91,12 +91,12 @@ func failWaiters(pending map[string]parked, batch []batchWaiter, done chan struc
 
 // failReads fails every parked read on the chain from w, which the
 // caller has unlinked under c.mu: a closed channel is ErrOffline to its
-// reader, and a continuation runs with ok=false.
-func failReads(w *readWaiter) {
+// reader, and a Fetch completes with ok=false.
+func (c *Client) failReads(w *readWaiter) {
 	for w != nil {
 		next := w.next
-		if w.fn != nil {
-			w.fn(db.Item{}, false)
+		if w.fetch != nil {
+			c.fetched(w.fetch, db.Item{}, false)
 		} else {
 			close(w.ch)
 		}
@@ -123,7 +123,7 @@ func (c *Client) Disconnect() {
 	if old != nil {
 		old.Close()
 	}
-	failWaiters(pending, batch, done)
+	c.failWaiters(pending, batch, done)
 }
 
 // Suspend takes the client offline warm: cached copies, windows, and
@@ -142,7 +142,7 @@ func (c *Client) Suspend() {
 	if old != nil {
 		old.Close()
 	}
-	failWaiters(pending, batch, done)
+	c.failWaiters(pending, batch, done)
 }
 
 // Offline reports whether the client is currently disconnected.
@@ -185,7 +185,7 @@ func (c *Client) Reattach(link transport.Link) {
 	if old != nil && old != link {
 		old.Close()
 	}
-	failWaiters(pending, batch, done)
+	c.failWaiters(pending, batch, done)
 }
 
 // ResumeResync brings a suspended client back over a new link with a
@@ -224,7 +224,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	if old != nil && old != link {
 		old.Close()
 	}
-	failWaiters(pending, batch, prevDone)
+	c.failWaiters(pending, batch, prevDone)
 	if len(keys) == 0 {
 		mResyncImmediate.Inc()
 		obsTr.Record(obs.EvResync, "", "immediate", 0, 0)

@@ -16,17 +16,17 @@ import (
 // which leaves the server byte-for-byte identical to the plain two-node
 // SC — the depth-1 tree IS the two-node pair.
 
-// Origin freshens a relay server's mirror store for a read of key: make
-// the store hold key at version >= floor (when floor > 0) — typically by
-// Apply-ing what the parent face returns — then call done exactly once.
-// The server then serves the read from the store itself, under the
-// session's shard token. done(false) refuses the read: the client is
-// answered with a ReadFail, which fails it. The origin must not block: it is called on a
-// transport delivery goroutine, so a fetch that needs the network
-// registers a continuation (see Client.ReadThrough) instead of waiting.
-// done may run synchronously or on a later delivery. key is owned and may
-// be retained.
-type Origin func(key string, floor uint64, done func(ok bool))
+// Origin freshens a relay server's mirror store for a child's read, the
+// Fetch f: make the store hold f.Key() at the floor the read carried or
+// above — typically by Client.ReadThrough(f) and Apply-ing what the
+// parent face returns — then call f.Done exactly once. The server then
+// serves the read from the store itself, under the session's shard token.
+// f.Done(false) refuses the read: the client is answered with a ReadFail,
+// which fails it. The origin must not block: it is called on a transport
+// delivery goroutine, so a fetch that needs the network parks f on the
+// parent face instead of waiting. f.Done may run synchronously or on a
+// later delivery.
+type Origin func(f *Fetch)
 
 // SetOrigin installs (or, with nil, removes) the read-path origin hook.
 // Install hooks before attaching any session; the pointer is read per

@@ -577,11 +577,15 @@ func (ss *Session) onPing(msg wire.Message) {
 // seen. Then finishReadReq serves the key.
 func (ss *Session) onReadReq(msg wire.Message) {
 	if o := ss.srv.origin.Load(); o != nil {
-		// The continuation outlives this handler (an upstream fetch may
-		// resolve on a later delivery); msg.Key is borrowed transport
-		// memory, so clone it now.
-		key := strings.Clone(msg.Key)
-		(*o)(key, msg.Version, func(ok bool) { ss.finishReadReq(key, ok) })
+		// The Fetch outlives this handler (an upstream fetch may resolve
+		// on a later delivery), and msg.Key is borrowed transport memory:
+		// the record takes the mirror store's own copy of the key, cloned
+		// only when the station has never stored it.
+		key, ok := ss.srv.store.Key(msg.Key)
+		if !ok {
+			key = strings.Clone(msg.Key)
+		}
+		(*o)(newFetch(ss, key, msg.Version, nil))
 		return
 	}
 	ss.finishReadReq(msg.Key, true)

@@ -164,9 +164,9 @@ func TestStaleCopyInterleavings(t *testing.T) {
 		{"A read racing a write", Static2(), false, func(p *stalePair) {
 			// The origin hook lets a write commit before the read is served.
 			var once sync.Once
-			p.srv.SetOrigin(func(key string, floor uint64, done func(ok bool)) {
+			p.srv.SetOrigin(func(f *Fetch) {
 				once.Do(func() { p.write(2) })
-				done(true)
+				f.Done(true)
 			})
 			read := p.startRead(context.Background())
 			p.settle()

@@ -271,8 +271,9 @@ func TestTCPCoalescedBurstWithReceives(t *testing.T) {
 	}
 }
 
-// TestInlineCountersAllocFree pins the ROADMAP aim 4 rule for the new
-// series: resolved at init, one atomic add, no allocation.
+// TestInlineCountersAllocFree pins DESIGN.md §10's rule (recording is
+// allocation-free; TestObsRecordPathZeroAllocs) for the inline series:
+// resolved at init, one atomic add, no allocation.
 func TestInlineCountersAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		mInlineSends.Inc()

@@ -95,15 +95,13 @@ func (st *Station) ConnectParent(link transport.Link) error {
 		return err
 	}
 	cli.SetTrackFloors(true)
+	cli.SetReadThroughHandler(st.fetched)
 	cli.SetApplyHandler(st.onApply)
 	cli.SetDropHandler(st.dropDown)
 	cli.SetFenceHandler(st.onFence)
 	st.cli.Store(cli)
 	return nil
 }
-
-// Index returns the station's position in the topology.
-func (st *Station) Index() int { return st.idx }
 
 // Server returns the child-face server (attach children and MCs here).
 func (st *Station) Server() *replica.Server { return st.srv }
@@ -125,40 +123,46 @@ func (st *Station) Placement() Policy {
 }
 
 // fetch is the origin hook: freshen the mirror for a child's read through
-// the parent face, and let placement reconsider; the server then serves
-// the child from the mirror. Runs on a child delivery goroutine and never
-// blocks — ReadThrough completes synchronously from the station's own
-// copy or registers a continuation for the upstream round trip.
-func (st *Station) fetch(key string, floor uint64, done func(ok bool)) {
-	st.noteRead(key)
+// the parent face. Runs on a child delivery goroutine and never blocks —
+// ReadThrough completes f synchronously from the station's own copy or
+// parks it for the upstream round trip, and fetched finishes it either
+// way.
+func (st *Station) fetch(f *replica.Fetch) {
+	st.noteRead(f.Key())
 	cli := st.cli.Load()
 	if cli == nil {
 		mFetchFailed.Inc()
-		done(false)
+		f.Done(false)
 		return
 	}
-	local := cli.HasCopy(key)
-	cli.ReadThrough(key, floor, func(it db.Item, ok bool) {
-		if !ok {
-			mFetchFailed.Inc()
-			done(false)
-			return
+	cli.ReadThrough(f)
+}
+
+// fetched is the parent face's read-through handler: it counts the fetch
+// by the path ReadThrough took, mirrors the value, lets placement
+// reconsider, and hands f back to the server, which serves the child
+// from the mirror.
+func (st *Station) fetched(f *replica.Fetch, it db.Item, ok bool) {
+	if !ok {
+		mFetchFailed.Inc()
+		f.Done(false)
+		return
+	}
+	if f.Upstream() {
+		mFetchParent.Inc()
+	} else {
+		mFetchLocal.Inc()
+	}
+	key := f.Key()
+	if it.Version > 0 {
+		// Mirror the fetched value: children holding copies see it as a
+		// propagation; stale answers are version-guarded inert.
+		if fresh, _ := st.srv.Apply(db.Item{Key: key, Value: it.Value, Version: it.Version}); fresh {
+			mApplies.Inc()
 		}
-		if local {
-			mFetchLocal.Inc()
-		} else {
-			mFetchParent.Inc()
-		}
-		if it.Version > 0 {
-			// Mirror the fetched value: children holding copies see it as
-			// a propagation; stale answers are version-guarded inert.
-			if fresh, _ := st.srv.Apply(db.Item{Key: key, Value: it.Value, Version: it.Version}); fresh {
-				mApplies.Inc()
-			}
-		}
-		st.realize(key)
-		done(true)
-	})
+	}
+	st.realize(key)
+	f.Done(true)
 }
 
 // gate is the allocation gate: a child may hold key only while this
