@@ -98,8 +98,7 @@ func newRelayRig(t *testing.T) *relayRig {
 }
 
 // send encodes m onto l.
-func send(t *testing.T, l transport.Link, m wire.Message) error {
-	t.Helper()
+func send(l transport.Link, m wire.Message) error {
 	buf := encodePooled(m)
 	defer wire.PutBuf(buf)
 	return l.Send(buf.B)
@@ -108,7 +107,7 @@ func send(t *testing.T, l transport.Link, m wire.Message) error {
 // read has the child ask the relay for key.
 func (r *relayRig) read(key string, floor uint64) {
 	r.t.Helper()
-	if err := send(r.t, r.child, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
+	if err := send(r.child, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -117,7 +116,7 @@ func (r *relayRig) read(key string, floor uint64) {
 func (r *relayRig) answer(key string, v uint64, allocate bool) {
 	r.t.Helper()
 	m := wire.Message{Kind: wire.KindReadResp, Key: key, Value: []byte(fmt.Sprintf("%s@%d", key, v)), Version: v, Allocate: allocate}
-	if err := send(r.t, r.peer, m); err != nil {
+	if err := send(r.peer, m); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -151,7 +150,7 @@ func TestReadThroughCompletesOnce(t *testing.T) {
 	}{
 		{"answer", true, func(r *relayRig) { r.answer("k", 1, false) }},
 		{"ReadFail", false, func(r *relayRig) {
-			if err := send(r.t, r.peer, wire.Message{Kind: wire.KindReadFail, Key: "k"}); err != nil {
+			if err := send(r.peer, wire.Message{Kind: wire.KindReadFail, Key: "k"}); err != nil {
 				r.t.Fatal(err)
 			}
 		}},
@@ -161,7 +160,7 @@ func TestReadThroughCompletesOnce(t *testing.T) {
 			// A WriteProp for a key up does not hold re-asserts the
 			// deallocation, which disowns the parked read: its answer
 			// completes it but places no copy.
-			if err := send(r.t, r.peer, wire.Message{Kind: wire.KindWriteProp, Key: "k", Value: []byte("w"), Version: 1}); err != nil {
+			if err := send(r.peer, wire.Message{Kind: wire.KindWriteProp, Key: "k", Value: []byte("w"), Version: 1}); err != nil {
 				r.t.Fatal(err)
 			}
 			r.answer("k", 1, true)
@@ -253,7 +252,7 @@ func TestFetchBatchWithAFailedKey(t *testing.T) {
 	}
 	ask()
 	r.answer("a", 1, false)
-	if err := send(t, r.peer, wire.Message{Kind: wire.KindReadFail, Key: "b"}); err != nil {
+	if err := send(r.peer, wire.Message{Kind: wire.KindReadFail, Key: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	r.answer("c", 1, false)
@@ -452,9 +451,7 @@ func TestFailedSendSparesARecycledFetch(t *testing.T) {
 	first := make(chan struct{})
 	go func() {
 		defer close(first)
-		buf := encodePooled(wire.Message{Kind: wire.KindReadReq, Key: "k"})
-		defer wire.PutBuf(buf)
-		_ = r.child.Send(buf.B)
+		_ = send(r.child, wire.Message{Kind: wire.KindReadReq, Key: "k"})
 	}()
 	<-gated.entered
 	r.up.Reattach(dial()) // fails the first read, parked on the gated link

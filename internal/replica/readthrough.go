@@ -186,20 +186,15 @@ func (c *Client) ReadThrough(f *Fetch) {
 	mReadRemote.Inc()
 }
 
-// fetched completes f through the read-through handler, or, with none
-// set, hands it straight back to its server.
+// fetched completes f through the read-through handler.
 func (c *Client) fetched(f *Fetch, it db.Item, ok bool) {
-	if h := c.fetchFn.Load(); h != nil && *h != nil {
-		(*h)(f, it, ok)
-		return
-	}
-	f.Done(ok)
+	(*c.fetchFn.Load())(f, it, ok)
 }
 
-// SetReadThroughHandler registers h to complete every ReadThrough: a relay
-// mirrors the item into its store, then calls f.Done. h runs on the
-// caller's goroutine or a transport delivery goroutine, after the
-// client's lock is released; it.Value is borrowed.
+// SetReadThroughHandler registers h to complete every ReadThrough, which
+// needs one: a relay mirrors the item into its store, then calls f.Done.
+// h runs on the caller's goroutine or a transport delivery goroutine,
+// after the client's lock is released; it.Value is borrowed.
 func (c *Client) SetReadThroughHandler(h func(f *Fetch, it db.Item, ok bool)) {
 	c.fetchFn.Store(&h)
 }
