@@ -1,10 +1,9 @@
 package mobirep
 
-// Benchmark harness: one benchmark per experiment (E01-E13 reproduce the
-// paper's artifacts, E14-E22 the extensions; all run in quick mode under
-// -bench), micro-benchmarks of the hot paths, and the ablation studies
-// DESIGN.md calls out. Regenerate the full-size tables with
-// cmd/mobirep-bench.
+// Benchmark harness: every experiment in quick mode (E01-E13 reproduce
+// the paper's artifacts, E14-E22 the extensions), micro-benchmarks of the
+// hot paths, and the ablation studies DESIGN.md calls out. Regenerate the
+// full-size tables with cmd/mobirep-bench.
 
 import (
 	"fmt"
@@ -25,44 +24,20 @@ import (
 	"mobirep/internal/workload"
 )
 
-// benchExperiment runs one registered experiment in quick mode.
-func benchExperiment(b *testing.B, id string) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkExperiments runs every row of the experiment table in quick
+// mode, one sub-benchmark per ID (BenchmarkExperiments/E05 picks one).
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Config{Seed: 1994, Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tables := e.Run(cfg)
-		if len(tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(e.Run(cfg)) == 0 {
+					b.Fatalf("%s produced no tables", e.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE01Fig1Dominance(b *testing.B)   { benchExperiment(b, "E01") }
-func BenchmarkE02Fig2Threshold(b *testing.B)   { benchExperiment(b, "E02") }
-func BenchmarkE03ConnExpected(b *testing.B)    { benchExperiment(b, "E03") }
-func BenchmarkE04ConnAverage(b *testing.B)     { benchExperiment(b, "E04") }
-func BenchmarkE05ConnCompetitive(b *testing.B) { benchExperiment(b, "E05") }
-func BenchmarkE06MsgExpected(b *testing.B)     { benchExperiment(b, "E06") }
-func BenchmarkE07MsgAverage(b *testing.B)      { benchExperiment(b, "E07") }
-func BenchmarkE08MsgCompetitive(b *testing.B)  { benchExperiment(b, "E08") }
-func BenchmarkE09TStar(b *testing.B)           { benchExperiment(b, "E09") }
-func BenchmarkE10Conclusions(b *testing.B)     { benchExperiment(b, "E10") }
-func BenchmarkE11MultiObject(b *testing.B)     { benchExperiment(b, "E11") }
-func BenchmarkE12PeriodModel(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkE13Protocol(b *testing.B)        { benchExperiment(b, "E13") }
-func BenchmarkE14Baselines(b *testing.B)       { benchExperiment(b, "E14") }
-func BenchmarkE15Fleet(b *testing.B)           { benchExperiment(b, "E15") }
-func BenchmarkE16ColdStartParity(b *testing.B) { benchExperiment(b, "E16") }
-func BenchmarkE17AdaptiveWindow(b *testing.B)  { benchExperiment(b, "E17") }
-func BenchmarkE18JointReads(b *testing.B)      { benchExperiment(b, "E18") }
-func BenchmarkE19BurstyWorkloads(b *testing.B) { benchExperiment(b, "E19") }
-func BenchmarkE20GameSolver(b *testing.B)      { benchExperiment(b, "E20") }
-func BenchmarkE21Lookahead(b *testing.B)       { benchExperiment(b, "E21") }
-func BenchmarkE22Revalidation(b *testing.B)    { benchExperiment(b, "E22") }
 
 // --- Micro-benchmarks of the hot paths -----------------------------------
 

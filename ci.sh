@@ -270,7 +270,12 @@ rm -rf "$cli_dir"
 # wall-clock footers go to stderr), so any diff is a behaviour change;
 # speed is measured by benchmark/, not here. This stays out of the Go
 # test suite: a host whose compiler fuses float multiply-adds may print
-# a different last digit.
+# a different last digit. Next to the diff, the experiments' tolerance
+# gate (every row in quick mode; any printed theory/measurement pair or
+# verdict outside its claim's tolerance fails) and the runner's
+# sequential-against-parallel check run at 1 and 8 CPUs, so that no
+# verdict depends on the CPU count.
+go test -count=1 -cpu 1,8 -run 'TestAllExperimentsRunQuick|TestGridMatchesSequential' ./internal/experiments/
 go build -o /tmp/mobirep-bench-ci ./cmd/mobirep-bench
 /tmp/mobirep-bench-ci -seed 1994 -parallel 1 2>/dev/null | diff bench_tables.txt -
 /tmp/mobirep-bench-ci -seed 1994 -parallel 8 2>/dev/null | diff bench_tables.txt -

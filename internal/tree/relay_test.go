@@ -233,3 +233,34 @@ func TestParentSessionMetersItsEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestRelayStoreMirrorsARead: after a leaf MC's read through two relays,
+// each relay's Store holds the root's value at the root's version.
+func TestRelayStoreMirrorsARead(t *testing.T) {
+	tr, err := Build(Chain(3), db.NewStore(), replica.Static1(), 1, Policy{}, memConnect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Stations[0].Server()
+	if _, err := root.Write("k", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	want, err := root.Write("k", []byte("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.Stations[1].Store().Get("k"); ok {
+		t.Fatal("relay 1's store holds k before any read")
+	}
+	mc := attachTestMC(t, tr, 2)
+	if _, err := mc.Client.Read("k"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3; i++ {
+		got, ok := tr.Stations[i].Store().Get("k")
+		if !ok || got.Version != want.Version || !bytes.Equal(got.Value, want.Value) {
+			t.Errorf("relay %d's store holds %q at version %d (ok=%v), want %q at %d",
+				i, got.Value, got.Version, ok, want.Value, want.Version)
+		}
+	}
+}

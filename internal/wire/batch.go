@@ -92,11 +92,6 @@ type Batch struct {
 	Entries []Entry
 }
 
-// Control reports whether the batch is a control message.
-func (b Batch) Control() bool {
-	return b.Kind == KindMultiReadReq || b.Kind == KindResyncReq
-}
-
 const maxBatch = 1 << 12
 
 // AppendEncodeBatch serializes b, appending the frame to dst and
