@@ -14,7 +14,7 @@ go test -race ./...
 # Statement coverage of tier-1 across every package, the total line of
 # go tool cover. Printed, not gated: the speed pin that instrumentation would slow
 # (TestReplayHistogramResolvesBlockSpeed) skips under -cover, and
-# TestReplayHistogramLadder pins the same ladder in every mode.
+# TestReplayHistogramLadder pins the same resolution in every mode.
 cover_out=$(mktemp)
 go test -short -coverpkg=./... -coverprofile="$cover_out" ./... > /dev/null
 go tool cover -func="$cover_out" | tail -n 1
@@ -45,7 +45,10 @@ go test -race -count=2 -run 'TestChaosSoakRecovery|TestSupervisor|TestServerClos
 # pricing) and the offline optimum's closed form against the dynamic
 # program and the brute force, each with a 10 s fuzz, the once-per-replay
 # recording under race and the speed histogram's sub-nanosecond buckets
-# without it, the first-touch pin (two objects per (session, key) at the
+# without it (both histogram tests read the exposition's
+# mobirep_sim_replay_ns_per_op_bucket{le="1"} line: the server below
+# does not link the replay engine, so its /metrics has no such series),
+# the first-touch pin (two objects per (session, key) at the
 # SC, three per allocated key and none per ST1 miss at the MC), the
 # kernel-sampled process counters, the inventory check that internal/core
 # stays the only window implementation, then a live server with
@@ -55,7 +58,7 @@ go test -count=1 -run 'TestObsRecordPathZeroAllocs|TestProcessCountersRegistered
 go test -count=1 -run 'TestFusedKernelZeroAllocs|TestPolicyApplyZeroAllocs' .
 go test -race -count=1 -run 'TestApplyBlockMatchesApply|TestCodeRoundTrip|TestBlockFormInventory' ./internal/core/
 go test -race -count=1 -run 'TestReplayMatchesReference|TestExactSumBoundary|TestKernelRejectsUnknown|TestReplayRecordedOnEveryEntryPoint' ./internal/sim/
-go test -count=1 -run 'TestReplayHistogramResolvesBlockSpeed' ./internal/sim/
+go test -count=1 -run 'TestReplayHistogramResolvesBlockSpeed|TestReplayHistogramLadder' ./internal/sim/
 go test -race -count=1 -run 'TestIdealClosedForm|TestCostMatchesBruteForce' ./internal/offline/
 go test -race -run '^$' -fuzz=FuzzReplayMatchesReference -fuzztime=10s ./internal/sim/
 go test -race -run '^$' -fuzz=FuzzCostMatchesBruteForce -fuzztime=10s ./internal/offline/
@@ -175,7 +178,9 @@ fi
 # Send-after-Close parity contract under race, the admission/eviction/
 # shedding unit tests (including the supervisor honoring Busy retry-after
 # hints), the load case table (every row of load.Cases, shrunk, through
-# load.Check) and the overload tests, then a 30s 2x-capacity smoke:
+# load.Check), the overload tests and the percentiles every run reports
+# (obs.Histogram's quantiles, merged across drive workers), then a 30s
+# 2x-capacity smoke:
 # every refused attach must be answered with Busy (the binary exits
 # nonzero otherwise), healthy-fleet p99 stays under 100ms, and no more
 # than 8 goroutines may survive teardown. The admission tests repeat at
@@ -187,7 +192,8 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTryAttach' ./internal/replica/
 done
 go test -race -count=1 -run 'TestEvictSendsBusyThenDetaches|TestMemBytesAccountsSessionsAndItems|TestShedToBudgetEvictsIdleLongestFirst|TestSupervisorHonorsBusyRetryAfter' ./internal/replica/
-go test -race -count=1 -run 'TestCaseTable|TestRunOverload|TestPercentileNearestRank|TestRecorder' ./internal/load/
+go test -race -count=1 -run 'TestCaseTable|TestRunOverload|TestResultPercentilesAreMergedQuantiles' ./internal/load/
+go test -race -count=1 -run 'TestPercentileNearestRank|TestQuantileBound' ./internal/obs/
 go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
 /tmp/mobirep-load-ci -case overload -capacity 3000 -sessions 6000 -duration 30s \
     -mem-soft-limit $((64 << 20)) -ceil-p99 100ms -max-goroutine-growth 8

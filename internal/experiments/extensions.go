@@ -119,20 +119,24 @@ func e14(o *out) {
 		avgT.AddRow(names[i], report.F(drift{600, 60, 500, 200}.of(o.Config, f, model, o.Seed), 4), "-")
 	}
 
-	// The EWMA has no competitive bound; show its measured ratio on its
-	// own adversary (pin the estimate at the threshold, then alternate).
-	worst := o.table("Worst case: windows are competitive, estimators are not",
+	// No competitive bound is proven for the EWMA; show its measured
+	// ratio on its own adversary (pin the estimate at the threshold, then
+	// alternate), which settles as the schedule grows.
+	worst := o.table("Worst case: SW9 meets its bound; the EWMA's ratio on its adversary settles near 17",
 		"policy", "adversary", "cycles", "measured ratio", "bound")
 	cycles := o.scale(1000, 100)
 	res := workload.MeasureRatio(core.NewSW(9), cost.NewConnection(), workload.SWkAdversary(9, cycles))
 	o.near(tolTight*10, analytic.CompetitiveSWConn(9), res.Ratio, "SW9 on (r^5 w^5)^N")
 	worst.AddRow("SW9", "(r^5 w^5)^N", report.I(cycles), report.F(res.Ratio, 3),
 		report.F(analytic.CompetitiveSWConn(9), 0))
+	last := math.Inf(1)
 	for _, n := range []int{10, 100, o.scale(1000, 300)} {
 		res := workload.MeasureRatio(core.NewEWMA(0.05), cost.NewConnection(), ewmaAdversary(0.05, n))
-		worst.AddRow("EWMA(0.05)", "pin-then-flip", report.I(n), report.F(res.Ratio, 3), "none (grows)")
+		o.hold(res.Ratio <= last, "EWMA(0.05) ratio grows to %.3f at %d cycles", res.Ratio, n)
+		last = res.Ratio
+		worst.AddRow("EWMA(0.05)", "pin-then-flip", report.I(n), report.F(res.Ratio, 3), "none proven")
 	}
-	worst.AddNote("the EWMA's long memory costs it: after a long read phase an adversary issues writes, each propagated, until the estimate crosses 1/2 — about ln2/alpha writes — while the offline optimum drops the copy immediately")
+	worst.AddNote("on the pin-then-flip family the EWMA's ratio settles near 17 and does not grow: each cycle costs it the writes propagated until its estimate crosses 1/2 (about ln2/alpha) plus the reads served remotely until the estimate falls back, about 17 in all, while the offline optimum pays 1")
 }
 
 // ewmaAdversary builds a schedule that exploits the estimator's memory:

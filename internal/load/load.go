@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mobirep/internal/db"
+	"mobirep/internal/obs"
 	"mobirep/internal/replica"
 	"mobirep/internal/stats"
 	"mobirep/internal/transport"
@@ -184,8 +185,9 @@ type Result struct {
 
 	// Drive phase. Errors counts reads (and handoffs) that failed;
 	// Samples, the successful reads the latency percentiles summarize.
-	// Percentiles are nearest-rank over a log-linear histogram: never
-	// below the exact value and at most 1/64 above it.
+	// Percentiles are obs.HistogramSnapshot.Quantile over the drive
+	// workers' merged histograms: never below the exact nearest rank and
+	// at most 1/64 above it.
 	DriveSeconds       float64
 	Ops                int
 	OpsPerSec          float64
@@ -258,10 +260,11 @@ type engine struct {
 	acked map[string]uint64
 }
 
-// workerStats is one drive worker's tally.
+// workerStats is one drive worker's tally. Its histograms are its own
+// and unregistered; Run merges their snapshots.
 type workerStats struct {
 	ops, errs, cold, rollbacks int
-	lat, handoffs              recorder
+	lat, handoffs              obs.Histogram
 }
 
 // Run executes one case and tears everything down before returning.
@@ -401,25 +404,32 @@ func Run(c Case) (Result, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	var lat, handoffs recorder
-	for w := range perWorker {
-		st := &perWorker[w]
-		res.Ops += st.ops
-		res.Errors += st.errs
-		res.ColdHandoffs += st.cold
-		res.Rollbacks += st.rollbacks
-		lat.merge(&st.lat)
-		handoffs.merge(&st.handoffs)
-	}
+	res.tally(perWorker)
 	res.Workers = workers
 	res.OpsPerSec = float64(res.Ops) / res.DriveSeconds
 	res.Writes, res.WriteErrors = int(writes.Load()), int(writeErrs.Load())
 	res.WritesPerSec = float64(res.Writes) / res.DriveSeconds
-	res.Samples = int(lat.n)
-	res.P50, res.P90, res.P99, res.Max = lat.quantile(0.50), lat.quantile(0.90), lat.quantile(0.99), lat.max
-	res.Handoffs = int(handoffs.n)
-	res.HandoffP50, res.HandoffP99, res.HandoffMax = handoffs.quantile(0.50), handoffs.quantile(0.99), handoffs.max
 	return res, nil
+}
+
+// tally folds the drive workers' counts into r, and their latencies as
+// nearest-rank percentiles of the merged histograms: the same Quantile
+// that serves /metrics.
+func (r *Result) tally(perWorker []workerStats) {
+	var lat, handoffs obs.HistogramSnapshot
+	for w := range perWorker {
+		st := &perWorker[w]
+		r.Ops += st.ops
+		r.Errors += st.errs
+		r.ColdHandoffs += st.cold
+		r.Rollbacks += st.rollbacks
+		lat.Merge(st.lat.Snapshot())
+		handoffs.Merge(st.handoffs.Snapshot())
+	}
+	d := func(s obs.HistogramSnapshot, q float64) time.Duration { return time.Duration(s.Quantile(q)) }
+	r.Samples, r.Handoffs = int(lat.Count), int(handoffs.Count)
+	r.P50, r.P90, r.P99, r.Max = d(lat, 0.50), d(lat, 0.90), d(lat, 0.99), time.Duration(lat.Max)
+	r.HandoffP50, r.HandoffP99, r.HandoffMax = d(handoffs, 0.50), d(handoffs, 0.99), time.Duration(handoffs.Max)
 }
 
 // Check applies c's gates, and the invariants every run must hold, to r
@@ -739,7 +749,7 @@ func (e *engine) drive(w, workers int, deadline time.Time, st *workerStats) {
 		if err != nil {
 			st.errs++
 		} else {
-			st.lat.record(d)
+			st.lat.Observe(float64(d))
 		}
 		if e.c.HandoffEvery > 0 && st.ops%e.c.HandoffEvery == 0 {
 			e.handoff(m, rng, st)
@@ -762,7 +772,7 @@ func (e *engine) handoff(m *member, rng *stats.RNG, st *workerStats) {
 		return
 	}
 	<-done
-	st.handoffs.record(time.Since(t0))
+	st.handoffs.Observe(float64(time.Since(t0)))
 	if !m.mc.FinishHandoff(a) {
 		st.cold++
 	}

@@ -24,8 +24,10 @@
 //
 // Layout:
 //
-//   - registry.go: Counter, Gauge, Histogram, Registry, Snapshot, and
-//     the Prometheus-text WriteTo.
+//   - registry.go: Counter, Gauge, Registry, Snapshot, and the
+//     Prometheus-text WriteTo.
+//   - histogram.go: Histogram, one bound-free log-linear layout for every
+//     distribution, and HistogramSnapshot's Merge and Quantile.
 //   - trace.go: typed ring-buffer event tracer (allocation flips,
 //     reconnect attempts, resync outcomes, chaos faults, heartbeat
 //     misses), each event carrying a monotonic sequence number and a

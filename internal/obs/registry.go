@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,88 +40,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Histogram counts observations into a fixed bucket layout chosen at
-// construction. Observe is lock-free and allocation-free: one atomic add
-// on the bucket, one on the count, and a CAS loop folding the value into
-// the float64 sum.
-type Histogram struct {
-	// bounds are the inclusive upper bounds of the buckets, ascending;
-	// an implicit +Inf bucket catches the rest. Immutable after New.
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, accumulated by CAS
-}
-
-// NewHistogram builds a standalone histogram with the given ascending
-// upper bounds. Registry users call Registry.Histogram instead.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram bounds not ascending at %d: %v", i, bounds))
-		}
-	}
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	// Linear scan: bucket layouts are small (≤ ~20) and the branch
-	// predictor eats this; a binary search buys nothing at this size.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// snapshot returns a consistent-enough copy (each cell individually
-// atomic; cross-cell skew is bounded by in-flight Observes).
-func (h *Histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-	}
-	// Read the total first: concurrent Observes bump buckets before the
-	// total, so Count ≤ sum(Counts) and cumulative emission stays sane.
-	s.Count = h.count.Load()
-	s.Sum = h.Sum()
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// HistogramSnapshot is an immutable copy of a histogram's state.
-type HistogramSnapshot struct {
-	// Bounds are the upper bounds; Counts has one extra slot for +Inf.
-	Bounds []float64
-	Counts []uint64
-	Count  uint64
-	Sum    float64
-}
-
-// DurationBuckets is the shared latency layout, in seconds: 1µs to ~16s
-// in powers of four. Fixed so dashboards can compare any two series.
-var DurationBuckets = []float64{
-	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16,
-}
 
 // metric is the registry's slot: exactly one of the three is non-nil.
 type metric struct {
@@ -225,10 +142,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name with the given
-// fixed bucket bounds, creating it if needed. Re-registration must use
-// the same layout.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+// Histogram returns the histogram registered under name, creating it if
+// needed.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	checkName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -236,12 +152,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		if m.hist == nil {
 			panic(fmt.Sprintf("obs: %q already registered as a different type", name))
 		}
-		if len(m.hist.bounds) != len(bounds) {
-			panic(fmt.Sprintf("obs: %q re-registered with a different bucket layout", name))
-		}
 		return m.hist
 	}
-	h := NewHistogram(bounds)
+	h := NewHistogram()
 	r.metrics[name] = metric{hist: h}
 	r.setHelpLocked(name, help)
 	return h
@@ -306,7 +219,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case m.gauge != nil:
 			s.Gauges[name] = m.gauge.Load()
 		case m.hist != nil:
-			s.Histograms[name] = m.hist.snapshot()
+			s.Histograms[name] = m.hist.Snapshot()
 		}
 	}
 	return s
@@ -359,14 +272,16 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		case m.gauge != nil:
 			fmt.Fprintf(&b, "%s %d\n", name, m.gauge.Load())
 		case m.hist != nil:
-			writeHistogram(&b, name, m.hist.snapshot())
+			writeHistogram(&b, name, m.hist.Snapshot())
 		}
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
 }
 
-// writeHistogram emits one histogram's cumulative bucket series.
+// writeHistogram emits one histogram's cumulative bucket series,
+// coarsened to one le per power of two from 2^minExp to 2^maxExp, so
+// every scrape carries the same ladder.
 func writeHistogram(b *strings.Builder, name string, s HistogramSnapshot) {
 	base, labels := name, ""
 	if i := strings.IndexByte(name, '{'); i >= 0 {
@@ -374,13 +289,11 @@ func writeHistogram(b *strings.Builder, name string, s HistogramSnapshot) {
 	}
 	cum := uint64(0)
 	for i, c := range s.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(s.Bounds) {
-			le = formatFloat(s.Bounds[i])
+		if cum += c; i%(1<<subBits) == 1 {
+			fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", base, labels, formatFloat(bound(i)), cum)
 		}
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", base, labels, le, cum)
 	}
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", base, labels, cum)
 	tail := ""
 	if labels != "" {
 		tail = "{" + labels[:len(labels)-1] + "}"

@@ -27,22 +27,39 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
 
-	h := r.Histogram("test_latency_seconds", "latency", []float64{1, 10})
-	for _, v := range []float64{0.5, 0.9, 5, 100} {
+	h := r.Histogram("test_latency_ns", "latency")
+	if again := r.Histogram("test_latency_ns", ""); again != h {
+		t.Fatal("re-registration returned a different histogram")
+	}
+	for _, v := range []float64{0.5, 0.9, 5, 100, 0} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("histogram count = %d, want 4", h.Count())
+	s := h.Snapshot()
+	if s.Count != 5 || s.Sum != 106.4 || s.Max != 100 {
+		t.Fatalf("histogram count, sum, max = %d, %v, %v, want 5, 106.4, 100", s.Count, s.Sum, s.Max)
 	}
-	if h.Sum() != 106.4 {
-		t.Fatalf("histogram sum = %v, want 106.4", h.Sum())
-	}
-	s := h.snapshot()
-	want := []uint64{2, 1, 1}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (snapshot %+v)", i, s.Counts[i], w, s)
+	// Ranks 1..5 are 0, 0.5, 0.9, 5 and 100: integers are exact, and a
+	// fraction reads at most 1/64 high.
+	for _, c := range []struct{ q, lo, hi float64 }{
+		{0, 0, 0}, {0.4, 0.5, 0.5}, {0.6, 0.9, 0.9 * (1 + 1.0/64)}, {0.8, 5, 5}, {1, 100, 100},
+	} {
+		if got := s.Quantile(c.q); got < c.lo || got > c.hi {
+			t.Fatalf("Quantile(%v) = %v, want in [%v, %v]", c.q, got, c.lo, c.hi)
 		}
+	}
+	var merged HistogramSnapshot
+	merged.Merge(s)
+	merged.Merge(s)
+	if merged.Count != 10 || merged.Max != 100 || merged.Quantile(0.5) != s.Quantile(0.5) {
+		t.Fatalf("merging a snapshot with itself: %d observations, max %v, median %v",
+			merged.Count, merged.Max, merged.Quantile(0.5))
+	}
+	// Out of range: below zero shares zero's bucket, past 2^maxExp clamps
+	// into the last bucket, and Max stays exact.
+	h.Observe(-3)
+	h.Observe(1e30)
+	if s = h.Snapshot(); s.Counts[0] != 2 || s.Counts[numBuckets-1] != 1 || s.Max != 1e30 {
+		t.Fatalf("clamping: zero bucket %d, last bucket %d, max %v", s.Counts[0], s.Counts[numBuckets-1], s.Max)
 	}
 }
 
@@ -89,10 +106,11 @@ func TestWriteToPrometheusFormat(t *testing.T) {
 	r.Counter(`app_reads_by_result_total{result="local"}`, "reads by result").Add(2)
 	r.Counter(`app_reads_by_result_total{result="remote"}`, "").Add(1)
 	r.Gauge("app_sessions", "open sessions").Set(-2)
-	h := r.Histogram(`app_rt_seconds{path="read"}`, "rt", []float64{0.1, 1})
+	h := r.Histogram(`app_rt_seconds{path="read"}`, "rt")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
+	r.Histogram("app_empty", "never observed")
 
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
@@ -171,11 +189,22 @@ func TestWriteToPrometheusFormat(t *testing.T) {
 	if samples["app_sessions"] != -2 {
 		t.Fatalf("gauge = %v", samples["app_sessions"])
 	}
-	// Cumulative buckets: 1 ≤ 0.1, 2 ≤ 1, 3 ≤ +Inf, count 3, sum 2.55.
-	if samples[`app_rt_seconds_bucket{path="read",le="0.1"}`] != 1 ||
+	// Cumulative buckets, one per power of two: 1 ≤ 0.0625, 2 ≤ 0.5 and
+	// ≤ 1, 3 ≤ 2 and ≤ +Inf, count 3, sum 2.55.
+	if samples[`app_rt_seconds_bucket{path="read",le="0.03125"}`] != 0 ||
+		samples[`app_rt_seconds_bucket{path="read",le="0.0625"}`] != 1 ||
+		samples[`app_rt_seconds_bucket{path="read",le="0.5"}`] != 2 ||
 		samples[`app_rt_seconds_bucket{path="read",le="1"}`] != 2 ||
+		samples[`app_rt_seconds_bucket{path="read",le="2"}`] != 3 ||
 		samples[`app_rt_seconds_bucket{path="read",le="+Inf"}`] != 3 {
 		t.Fatalf("histogram buckets not cumulative: %v", samples)
+	}
+	// The ladder is fixed: an empty histogram has the same le lines, from
+	// 2^minExp to 2^maxExp and +Inf.
+	for _, name := range []string{`app_rt_seconds_bucket{path="read",le=`, "app_empty_bucket{le="} {
+		if got, want := strings.Count(text, name), maxExp-minExp+2; got != want {
+			t.Fatalf("%s: %d bucket lines, want %d", name, got, want)
+		}
 	}
 	if samples[`app_rt_seconds_count{path="read"}`] != 3 {
 		t.Fatalf("histogram count = %v", samples[`app_rt_seconds_count{path="read"}`])
@@ -197,7 +226,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	)
 	c := r.Counter("hammer_ops_total", "")
 	g := r.Gauge("hammer_depth", "")
-	h := r.Histogram("hammer_obs", "", []float64{1, 2, 4, 8})
+	h := r.Histogram("hammer_obs", "")
 
 	var writers, readers sync.WaitGroup
 	stopReaders := make(chan struct{})
@@ -281,7 +310,8 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := g.Load(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if got := h.Count(); got != goroutines*iters {
+	hs := h.Snapshot()
+	if got := hs.Count; got != goroutines*iters {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 	var wantSum float64
@@ -289,7 +319,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		wantSum += float64(j % 10)
 	}
 	wantSum *= goroutines
-	if got := h.Sum(); got != wantSum {
+	if got := hs.Sum; got != wantSum {
 		t.Fatalf("histogram sum = %v, want %v (torn CAS accumulation)", got, wantSum)
 	}
 }
@@ -302,13 +332,15 @@ func TestObsRecordPathZeroAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("za_total", "")
 	g := r.Gauge("za_depth", "")
-	h := r.Histogram("za_hist", "", DurationBuckets)
+	h := r.Histogram("za_hist", "")
 	tr := NewTracer(64)
+	v := 0.004
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
 		g.Add(1)
-		h.Observe(0.004)
+		h.Observe(v)
+		v = v*3 + 7
 		tr.Record(EvAllocate, "key", "detail", 1, 2)
 	})
 	if allocs != 0 {
@@ -326,7 +358,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := New().Histogram("bench_hist", "", DurationBuckets)
+	h := New().Histogram("bench_hist", "")
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			h.Observe(0.0001)

@@ -80,8 +80,10 @@ func planFirstMove(window sched.Schedule, state int, c Costs) (float64, int) {
 	return firstCost[state], firstState[state]
 }
 
-// transitionCost prices serving op from state st and moving to nxt, using
-// the same conventions as the offline DP in this package.
+// transitionCost prices serving op from state st and moving to nxt: the
+// one statement of the comparator's edge prices, which solve and
+// planFirstMove both use (BruteForce restates them as the independent
+// oracle).
 func transitionCost(op sched.Op, st, nxt int, c Costs) float64 {
 	cost := 0.0
 	if op == sched.Read {

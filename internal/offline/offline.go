@@ -117,22 +117,8 @@ func solve(s sched.Schedule, c Costs, wantTrace bool) (float64, []bool) {
 		choice = make([][2]uint8, len(s))
 	}
 	for i, op := range s {
-		var n0, n1 float64
-		var p0, p1 uint8
-		if op == sched.Read {
-			// Serving from state 1 is free; from state 0 costs ReadMiss.
-			// Every post-read transition is free (data flowed on a miss,
-			// deallocation is free for the ideal comparator... but not for
-			// a handicapped one, so price Dealloc on the 1 -> 0 edge).
-			n0, p0 = pick(dp1+c.Dealloc, dp0+c.ReadMiss)
-			n1, p1 = pick(dp1, dp0+c.ReadMiss)
-		} else {
-			// Serving from state 1 costs WriteHit; from state 0 it is
-			// free. Ending with a copy from state 0 means pushing the new
-			// value: Alloc.
-			n0, p0 = pick(dp1+c.WriteHit+c.Dealloc, dp0)
-			n1, p1 = pick(dp1+c.WriteHit, dp0+c.Alloc)
-		}
+		n0, p0 := pick(dp1+transitionCost(op, 1, 0, c), dp0+transitionCost(op, 0, 0, c))
+		n1, p1 := pick(dp1+transitionCost(op, 1, 1, c), dp0+transitionCost(op, 0, 1, c))
 		if wantTrace {
 			choice[i] = [2]uint8{p0, p1}
 		}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,26 +252,30 @@ func BenchmarkRecordReplay(b *testing.B) {
 	}
 }
 
-// replaysBelow1ns counts the speed histogram's observations in buckets
-// below 1 ns a request.
-func replaysBelow1ns() uint64 {
-	h := simReg.Snapshot().Histograms["mobirep_sim_replay_ns_per_op"]
-	var n uint64
-	for i, bound := range h.Bounds {
-		if bound < 1 {
-			n += h.Counts[i]
-		}
+// replaysBelow1ns reads the speed histogram's `le="1"` line off the
+// Prometheus exposition: the replays observed at or below 1 ns a request.
+func replaysBelow1ns(t *testing.T) uint64 {
+	var b strings.Builder
+	if _, err := simReg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	const series = `mobirep_sim_replay_ns_per_op_bucket{le="1"} `
+	_, rest, ok := strings.Cut(b.String(), "\n"+series)
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.ParseUint(line, 10, 64)
+	if !ok || err != nil {
+		t.Fatalf("no %q line in the exposition (%v)", series, err)
 	}
 	return n
 }
 
-// TestReplayHistogramResolvesBlockSpeed pins the speed histogram's ladder
-// below the block forms: a 64k-request ST1 replay, priced from its copy
+// TestReplayHistogramResolvesBlockSpeed pins the speed histogram's
+// resolution below the block forms: a 64k-request ST1 replay, priced from its copy
 // bits, must be observed below 1 ns a request. The best of ten replays
 // counts, so one that was preempted does not fail it. The race detector
 // and coverage instrumentation both add work to every block, so the
 // replay is not that fast under either; TestReplayHistogramLadder pins
-// the ladder itself in every mode.
+// the resolution itself in every mode.
 func TestReplayHistogramResolvesBlockSpeed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments every load")
@@ -278,23 +284,23 @@ func TestReplayHistogramResolvesBlockSpeed(t *testing.T) {
 		t.Skip("coverage instrumentation counts every basic block")
 	}
 	s := workload.Bernoulli(stats.NewRNG(3), 0.5, 1<<16)
-	before := replaysBelow1ns()
+	before := replaysBelow1ns(t)
 	for range 10 {
 		Replay(core.NewST1(), cost.NewConnection(), s, 0)
 	}
-	if replaysBelow1ns() == before {
+	if replaysBelow1ns(t) == before {
 		t.Fatal("no 64k-request ST1 replay of ten was observed below 1 ns a request")
 	}
 }
 
 // TestReplayHistogramLadder: a replay at block-form speed — 64k requests
-// in 30 µs, about 0.46 ns a request — is recorded in a bucket below 1 ns.
-// It feeds recordReplay a fixed duration, so it holds with or without
-// instrumentation.
+// in 30 µs, about 0.46 ns a request — is recorded in a bucket below 1 ns
+// and served on the exposition's `le="1"` line. It feeds recordReplay a
+// fixed duration, so it holds with or without instrumentation.
 func TestReplayHistogramLadder(t *testing.T) {
-	before := replaysBelow1ns()
+	before := replaysBelow1ns(t)
 	recordReplay(kindST1, 1<<16, 30*time.Microsecond)
-	if got := replaysBelow1ns() - before; got != 1 {
+	if got := replaysBelow1ns(t) - before; got != 1 {
 		t.Fatalf("a 0.46 ns/request replay added %d observations below 1 ns, want 1", got)
 	}
 }
@@ -336,7 +342,7 @@ func TestReplayRecordedOnEveryEntryPoint(t *testing.T) {
 			"ReplayBernoulli": func() { kn.ReplayBernoulli(stats.NewRNG(1), 0.5, n, warmup) },
 			"ReplayDrifting":  func() { kn.ReplayDrifting(stats.NewRNG(1), 1, n-warmup) },
 		} {
-			replays, ops, observed := mReplays[tc.kind].Load(), mReplayOps[tc.kind].Load(), hReplayNsPerOp.Count()
+			replays, ops, observed := mReplays[tc.kind].Load(), mReplayOps[tc.kind].Load(), hReplayNsPerOp.Snapshot().Count
 			run()
 			if got := mReplays[tc.kind].Load() - replays; got != 1 {
 				t.Errorf("%s of %s: %d replays recorded under %q, want 1", entry, tc.mk().Name(), got, kindNames[tc.kind])
@@ -344,7 +350,7 @@ func TestReplayRecordedOnEveryEntryPoint(t *testing.T) {
 			if got := mReplayOps[tc.kind].Load() - ops; got != n-warmup {
 				t.Errorf("%s of %s: %d requests recorded under %q, want %d", entry, tc.mk().Name(), got, kindNames[tc.kind], n-warmup)
 			}
-			if got := hReplayNsPerOp.Count() - observed; got != 1 {
+			if got := hReplayNsPerOp.Snapshot().Count - observed; got != 1 {
 				t.Errorf("%s of %s: %d speed observations, want 1", entry, tc.mk().Name(), got)
 			}
 		}

@@ -46,15 +46,11 @@ var (
 	mReplayOps [numKinds]*obs.Counter
 
 	// Replay speed in nanoseconds per request, amortized over one replay
-	// call. A block-form policy on a materialized schedule sits around
-	// 0.1-1 ns/op (a static policy at the bottom, a window or threshold
-	// rule higher), a drawn schedule adds the generator's 3-4, and a
-	// generic policy pays its Apply per request (10-25); the bucket ladder
-	// starts at 1/8 ns so the block forms spread over buckets, and climbs
-	// to 4 us so a catastrophic regression still lands inside it.
+	// call: about 0.1-1 for a block-form policy on a materialized
+	// schedule, 3-4 more on a drawn one, 10-25 for a generic policy.
+	// obs.Histogram resolves each to 1/64 with no ladder.
 	hReplayNsPerOp = simReg.Histogram("mobirep_sim_replay_ns_per_op",
-		"Nanoseconds per replayed request, one observation per Replay call.",
-		[]float64{0.125, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096})
+		"Nanoseconds per replayed request, one observation per Replay call.")
 )
 
 func init() {

@@ -82,18 +82,10 @@ func (tr *Tree) ParentSession(i int) *replica.Session { return tr.sess[i] }
 // returned channel closes when the resync completes; if the resync
 // surfaces an epoch fence, follow with ColdReconnectEdge.
 func (tr *Tree) ReconnectEdge(i int, connect LinkFactory) (<-chan struct{}, error) {
-	if i <= 0 || i >= tr.Topo.N() {
-		return nil, fmt.Errorf("tree: station %d has no parent edge", i)
-	}
-	st := tr.Stations[i]
-	cli := st.Client()
-	cli.Suspend()
-	tr.sess[i].Detach()
-	childEnd, parentEnd, err := connect(i, tr.Topo.Parent[i])
+	cli, childEnd, err := tr.cycleEdge(i, connect)
 	if err != nil {
 		return nil, err
 	}
-	tr.sess[i] = tr.Stations[tr.Topo.Parent[i]].srv.Attach(parentEnd)
 	return cli.ResumeResync(childEnd)
 }
 
@@ -101,20 +93,30 @@ func (tr *Tree) ReconnectEdge(i int, connect LinkFactory) (<-chan struct{}, erro
 // reattaches from scratch (its warm parent-face state was dropped by the
 // fence that demanded this).
 func (tr *Tree) ColdReconnectEdge(i int, connect LinkFactory) error {
-	if i <= 0 || i >= tr.Topo.N() {
-		return fmt.Errorf("tree: station %d has no parent edge", i)
+	cli, childEnd, err := tr.cycleEdge(i, connect)
+	if err == nil {
+		cli.Reattach(childEnd)
 	}
-	st := tr.Stations[i]
-	cli := st.Client()
+	return err
+}
+
+// cycleEdge is both reconnects' shared part: it suspends station i's
+// parent face, abandons its session and links, and attaches a fresh edge
+// from connect at the parent. It returns the suspended client and its
+// new end of the edge, for the caller to resume warm or cold.
+func (tr *Tree) cycleEdge(i int, connect LinkFactory) (*replica.Client, transport.Link, error) {
+	if i <= 0 || i >= tr.Topo.N() {
+		return nil, nil, fmt.Errorf("tree: station %d has no parent edge", i)
+	}
+	cli := tr.Stations[i].Client()
 	cli.Suspend()
 	tr.sess[i].Detach()
 	childEnd, parentEnd, err := connect(i, tr.Topo.Parent[i])
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	tr.sess[i] = tr.Stations[tr.Topo.Parent[i]].srv.Attach(parentEnd)
-	cli.Reattach(childEnd)
-	return nil
+	return cli, childEnd, nil
 }
 
 // ReplaceRelay models a relay crash: station i is rebuilt from scratch
