@@ -239,14 +239,15 @@ go test -race -count=1 -run 'TestHandoffUnderWrites' ./internal/tree/
 # Stale-copy slice: the scripted interleavings that once left a pair's or
 # a relay's copy stale (a read racing a write, frames overtaking the
 # allocation they follow, a re-asserted DeleteReq cancelling a later
-# allocation, a late answer to a read that gave up), a request left
-# counted with no answer coming (a failed send, a relay's failed fetch)
-# and an eviction racing the send turn, under the race detector at
+# allocation, a late answer to a read that gave up), the request-id
+# table (a duplicated answer, a relay answering out of order, a lost
+# request, a joint read that gave up, a joint read behind a DeleteReq),
+# a failed send, and an eviction racing the send turn, under the race detector at
 # GOMAXPROCS 1, 2 and 8, and the unshaped TCP tree: two reads
 # per key in flight per MC, continuous root writes, placement shedding,
 # and at quiescence every held copy at the root's version.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestStaleCopyInterleavings|TestFailedSendLeavesNoRequestCounted|TestEvictWhileAnotherGoroutineSends' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestStaleCopyInterleavings|TestRequestIDCases|TestFailedSendLeavesNoRequestCounted|TestEvictWhileAnotherGoroutineSends' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestRelayStaleCopyRegressions' ./internal/tree/
 done
 go test -count=10 -run 'TestTCPTreeHeldCopiesCurrent' ./internal/tree/

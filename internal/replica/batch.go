@@ -72,31 +72,32 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		c.mu.Unlock()
 		return out, nil
 	}
-	ch := make(chan wire.Batch, 1)
-	c.pendingBatch = append(c.pendingBatch, batchWaiter{keys: missing, ch: ch})
+	c.seq++
+	w := batchWaiter{id: c.seq, ch: make(chan wire.Batch, 1)}
+	c.pendingBatch = append(c.pendingBatch, w)
 	link := c.link
 	c.mu.Unlock()
 
 	// One connection, one control message for the whole batch.
 	c.meter.addConnection()
 	buf := wire.GetBuf()
-	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, Keys: missing, Versions: hints})
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, ID: w.id, Keys: missing, Versions: hints})
 	if err != nil {
 		wire.PutBuf(buf)
-		c.cancelPendingBatch(ch)
+		c.cancelPendingBatch(w.id)
 		return nil, fmt.Errorf("replica: encode batch: %w", err)
 	}
 	buf.B = frame
 	c.meter.addControl(len(frame))
 	if link == nil {
 		wire.PutBuf(buf)
-		c.cancelPendingBatch(ch)
+		c.cancelPendingBatch(w.id)
 		return nil, ErrOffline
 	}
 	err = link.Send(frame)
 	wire.PutBuf(buf)
 	if err != nil {
-		c.cancelPendingBatch(ch)
+		c.cancelPendingBatch(w.id)
 		c.suspect(link, err)
 		// As in ReadContext: a failed send is an offline condition.
 		return nil, fmt.Errorf("%w: %v", ErrOffline, err)
@@ -110,17 +111,17 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		timeout = t.C
 	}
 	select {
-	case r, ok := <-ch:
+	case r, ok := <-w.ch:
 		if !ok {
 			return nil, ErrOffline
 		}
 		resp = r
 	case <-timeout:
-		c.cancelPendingBatch(ch)
+		c.cancelPendingBatch(w.id)
 		c.suspect(link, ErrTimeout)
 		return nil, ErrTimeout
 	case <-ctx.Done():
-		c.cancelPendingBatch(ch)
+		c.cancelPendingBatch(w.id)
 		return nil, ctx.Err()
 	}
 	for _, e := range resp.Entries {
@@ -142,55 +143,25 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	return out, nil
 }
 
-// batchWaiter is a parked joint read: the keys its request asked the
-// server for, in request order, where its answer goes, and the indexes of
-// the keys a deallocation disowned.
+// batchWaiter is a parked joint read: its request id and where its
+// answer goes.
 type batchWaiter struct {
-	keys     []string
-	ch       chan wire.Batch
-	disowned []int
+	id uint64
+	ch chan wire.Batch
 }
 
-// disown marks key, if w asked for it, as disowned (see deallocate).
-func (w *batchWaiter) disown(key string) {
-	for i, k := range w.keys {
-		if k == key {
-			w.disowned = append(w.disowned, i)
-		}
-	}
-}
-
-// answers reports whether a MultiReadResp's entries answer w's request:
-// the server answers one entry per requested key, in order.
-func (w batchWaiter) answers(entries []wire.Entry) bool {
-	if len(entries) != len(w.keys) {
-		return false
-	}
-	for i, e := range entries {
-		if e.Key != w.keys[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Client) cancelPendingBatch(ch chan wire.Batch) {
+// cancelPendingBatch unparks the joint read with request id id, if it is
+// still parked.
+func (c *Client) cancelPendingBatch(id uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, w := range c.pendingBatch {
-		if w.ch == ch {
-			c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
-			return
-		}
-	}
+	c.pendingBatch = slices.DeleteFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == id })
 }
 
 // onBatch handles server-to-client batch messages. For a MultiReadResp:
-// wake the oldest joint read the response answers and install the
-// allocations it asked for, except on keys a deallocation disowned. A
-// late answer to a read that already gave up matches no waiter, or one
-// that asked for the same keys, and so never completes a read with
-// another read's items; matching none, it installs nothing.
+// install each allocation its request id allows (allocateLocked), whether
+// or not the joint read that asked is still parked, and wake that read.
+// An answer to a request sent on an earlier link is ignored.
 func (c *Client) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncResp {
 		c.onResyncResp(b)
@@ -200,6 +171,10 @@ func (c *Client) onBatch(b wire.Batch) {
 		return
 	}
 	c.mu.Lock()
+	if b.ID <= c.since {
+		c.mu.Unlock()
+		return
+	}
 	if c.epoch == 0 && b.Epoch != 0 {
 		// A joint read can be the first frame that tells an attach-greeting-
 		// deprived client which epoch it is talking to; adopt it. (A changed
@@ -212,26 +187,22 @@ func (c *Client) onBatch(b wire.Batch) {
 		// honor) but are not floor-gated themselves.
 		c.noteFloorLocked(e.Key, e.Version)
 	}
-	var ch chan wire.Batch
-	for i, w := range c.pendingBatch {
-		if !w.answers(b.Entries) {
+	for _, e := range b.Entries {
+		if !e.Allocate {
 			continue
 		}
-		ch = w.ch
-		c.pendingBatch = append(c.pendingBatch[:i], c.pendingBatch[i+1:]...)
-		for ei, e := range b.Entries {
-			if !e.Allocate || slices.Contains(w.disowned, ei) {
-				continue
+		item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
+		if e.NotModified {
+			if arch, ok := c.cache.Revalidated(e.Key); ok {
+				item = arch
 			}
-			item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
-			if e.NotModified {
-				if arch, ok := c.cache.Revalidated(e.Key); ok {
-					item = arch
-				}
-			}
-			c.cache.Install(item, e.Window)
 		}
-		break
+		c.allocateLocked(item, e.Window, b.ID)
+	}
+	var ch chan wire.Batch
+	if i := slices.IndexFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == b.ID }); i >= 0 {
+		ch = c.pendingBatch[i].ch
+		c.pendingBatch = slices.Delete(c.pendingBatch, i, i+1)
 	}
 	c.mu.Unlock()
 	if ch != nil {
@@ -283,7 +254,7 @@ func (ss *Session) fetchAll(b wire.Batch) {
 	fb.b = b
 	fb.left.Store(int64(len(b.Keys)))
 	for i, key := range b.Keys {
-		(*o)(newFetch(ss, key, hint(b, i), fb))
+		(*o)(newFetch(ss, key, hint(b, i), 0, fb))
 	}
 }
 
@@ -355,7 +326,7 @@ func (ss *Session) finishMultiRead(b wire.Batch) {
 		ss.shard.exit()
 		return
 	}
-	resp := wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch()}
+	resp := wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch(), ID: b.ID}
 	ss.send(ss.serveAll(b, resp, func(ki int, it db.Item, st *itemState) wire.Entry {
 		e := wire.Entry{Key: b.Keys[ki], Value: it.Value, Version: it.Version}
 		if h := hint(b, ki); h != 0 && h == it.Version {

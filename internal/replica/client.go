@@ -22,18 +22,24 @@ import (
 // a copy is allocated and runs the MC side of the allocation protocol.
 // The cache is the MC's one record per key — copy, allocation bit and
 // window — so a propagated write or a revocation runs under the cache's
-// lock alone; c.mu guards the link, the parked reads, the floors and the
-// epoch.
+// lock alone; c.mu guards the link, the parked reads, the request ids,
+// the floors and the epoch.
 type Client struct {
 	link  transport.Link
 	cache *mobile.Cache
 	meter *Meter
 
 	mu           sync.Mutex
-	pending      map[string]parked // per key, the singleton reads in flight
-	pendingBatch []batchWaiter     // parked joint reads, oldest first
-	parks        uint64            // tickets drawn by parkLocked
-	offline      bool
+	pending      map[string]*readWaiter // per key, the parked singleton reads, oldest first
+	pendingBatch []batchWaiter          // parked joint reads
+	// seq is the last request id drawn: every read request and every
+	// DeleteReq sent takes the next one. marks holds, per key the MC has
+	// deallocated, seq at its last DeleteReq, sent or received, and since
+	// is seq at the last link change (see allocateLocked). The map keeps
+	// the keys it is given, so they must be owned.
+	seq, since uint64
+	marks      map[string]uint64
+	offline    bool
 	// epoch is the server store epoch the client has adopted (0 = not yet
 	// learned); fenced latches once an epoch change forced the warm state
 	// to be dropped, until a cold Reattach. See epoch.go.
@@ -94,7 +100,8 @@ func NewClient(link transport.Link, mode Mode) (*Client, error) {
 		link:    link,
 		cache:   cache,
 		meter:   newMeter(mcMirror),
-		pending: make(map[string]parked),
+		pending: make(map[string]*readWaiter),
+		marks:   make(map[string]uint64),
 	}
 	link.SetHandler(c.onFrame)
 	return c, nil
@@ -115,23 +122,7 @@ func (c *Client) HasCopy(key string) bool { return c.cache.Contains(key) }
 func (c *Client) AwaitingRead(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pending[key].head != nil
-}
-
-// parked is one key's singleton reads in flight: the parked readers — a
-// goroutine in ReadContext or a relay's Fetch from ReadThrough — oldest
-// first, and the key's requests still unanswered (a reader that gave up
-// leaves its request behind). Links are FIFO and every request is
-// answered — by a ReadResp, or by a ReadFail from a relay that could not
-// fetch — so an answer is the oldest unanswered request's; dis of those
-// oldest ones were disowned by a DeleteReq sent after them (deallocate).
-// key is the entry's own, owned copy of the map key: an update re-assigns
-// under it, never under a borrowed msg.Key, because assigning under an
-// existing string key replaces the stored key too.
-type parked struct {
-	key      string
-	head     *readWaiter
-	out, dis uint32
+	return c.pending[key] != nil
 }
 
 // Read performs a read at the mobile computer: local when a copy exists,
@@ -178,9 +169,9 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	c.mu.Unlock()
 
 	c.meter.addConnection()
-	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
+	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor, ID: w.ticket}); err != nil {
 		c.suspect(link, err)
-		w.done(c.cancelPending(key, w, w.ticket, link))
+		w.done(c.cancelPending(key, w, w.ticket))
 		mReadOffline.Inc()
 		// A link that fails mid-send is an offline condition to the
 		// caller (the suspect hook has already told the recovery layer);
@@ -204,13 +195,13 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 		return db.Item{Key: key, Value: resp.value, Version: resp.version}, nil
 	case <-timeout:
 		w.armed = false // the tick is consumed
-		w.done(c.cancelPending(key, w, w.ticket, nil))
+		w.done(c.cancelPending(key, w, w.ticket))
 		mReadTimeout.Inc()
 		// A silent link is as suspect as a failing one.
 		c.suspect(link, ErrTimeout)
 		return db.Item{}, ErrTimeout
 	case <-ctx.Done():
-		w.done(c.cancelPending(key, w, w.ticket, nil))
+		w.done(c.cancelPending(key, w, w.ticket))
 		mReadCanceled.Inc()
 		return db.Item{}, ctx.Err()
 	}
@@ -233,59 +224,55 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 	return it, ErrStale
 }
 
-// parkLocked queues w behind the reads already waiting on its key, counts
-// its request and draws its ticket. The caller holds c.mu.
+// parkLocked queues w behind the reads already waiting on its key and
+// draws its ticket, the id its request carries. The caller holds c.mu.
 func (c *Client) parkLocked(w *readWaiter) {
-	c.parks++
-	w.ticket = c.parks
-	p, ok := c.pending[w.key]
-	if !ok {
-		p.key = w.key
+	c.seq++
+	w.ticket = c.seq
+	q := c.pending[w.key]
+	if q == nil {
+		c.pending[w.key] = w
+		return
 	}
-	q := &p.head
-	for *q != nil {
-		q = &(*q).next
+	for q.next != nil {
+		q = q.next
 	}
-	*q = w
-	p.out++
-	c.pending[p.key] = p
+	q.next = w
+}
+
+// unparkLocked unlinks every read parked on key that take accepts and
+// returns them as a chain, oldest first. The rest stay parked, stored
+// under the head's own key: assigning under an existing string key
+// replaces the stored key too, so never under a borrowed one. The caller
+// holds c.mu.
+func (c *Client) unparkLocked(key string, take func(w *readWaiter) bool) *readWaiter {
+	var got *readWaiter
+	head, tail := c.pending[key], &got
+	for q := &head; *q != nil; {
+		if w := *q; take(w) {
+			*q, w.next = w.next, nil
+			*tail, tail = w, &w.next
+		} else {
+			q = &w.next
+		}
+	}
+	if head == nil {
+		delete(c.pending, key)
+	} else {
+		c.pending[head.key] = head
+	}
+	return got
 }
 
 // cancelPending removes w, parked on key with ticket, from the readers of
 // key and reports whether it was still there. True means no response and
-// no Disconnect got to w first, so nothing can still complete it. A
-// request that left stays counted: its answer may still come. One whose
-// send on unsent failed never left, and while unsent is still the
-// client's link its count is taken back. The ticket is read only from a
-// waiter found parked: a Fetch completed meanwhile may be parked again
-// for a later read, under a later ticket.
-func (c *Client) cancelPending(key string, w *readWaiter, ticket uint64, unsent transport.Link) bool {
+// no Disconnect got to w first, so nothing can still complete it. The
+// ticket is read only from a waiter found parked: a Fetch completed
+// meanwhile may be parked again for a later read, under a later ticket.
+func (c *Client) cancelPending(key string, w *readWaiter, ticket uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.pending[key] // the zero entry, with no key, when reset
-	if unsent != nil && unsent == c.link {
-		p.out = max(p.out, 1) - 1
-		p.dis = min(p.dis, p.out)
-	}
-	found := false
-	for q := &p.head; *q != nil; q = &(*q).next {
-		if *q == w && w.ticket == ticket {
-			*q, found = w.next, true
-			break
-		}
-	}
-	c.putLocked(p)
-	return found
-}
-
-// putLocked stores p back, or deletes its entry once no read is parked
-// and no request unanswered. The caller holds c.mu.
-func (c *Client) putLocked(p parked) {
-	if p.head == nil && p.out == 0 {
-		delete(c.pending, p.key)
-	} else {
-		c.pending[p.key] = p
-	}
+	return c.unparkLocked(key, func(x *readWaiter) bool { return x == w && x.ticket == ticket }) != nil
 }
 
 // onFrame handles one message from the server.
@@ -310,7 +297,7 @@ func (c *Client) onFrame(frame []byte) {
 	case wire.KindReadResp:
 		c.onReadResp(msg)
 	case wire.KindReadFail:
-		c.onReadFail(msg.Key)
+		c.onReadFail(msg)
 	case wire.KindWriteProp:
 		c.onWriteProp(msg)
 	case wire.KindDeleteReq:
@@ -410,51 +397,33 @@ func (c *Client) suspect(link transport.Link, err error) {
 	}
 }
 
-// onReadResp takes the answer to the key's oldest unanswered request and
-// completes every parked read of the key whose floor it clears (every
-// upstream serve respects the request's floor, so an answer below a
-// read's floor is not its answer). Its allocation applies only when a
-// request was unanswered — not for a chaos duplicate — and a deallocation
-// sent after that request did not disown it (deallocate), and only while
-// no copy is held: a duplicated allocating response must not reinstall a
-// possibly older value or roll the window back to the bits that rode the
-// original handoff.
+// onReadResp completes every parked read of the answer's key whose floor
+// it clears (every upstream serve respects the request's floor, so an
+// answer below a read's floor is not its answer), whichever request it
+// answers. The id decides the allocation alone (allocateLocked), whether
+// or not the read that asked is still parked. An answer to a request sent
+// on an earlier link is ignored: its session is gone.
 func (c *Client) onReadResp(msg wire.Message) {
 	c.mu.Lock()
-	p, ok := c.pending[msg.Key]
-	if !ok {
+	if msg.ID <= c.since {
 		c.mu.Unlock()
 		return
 	}
-	own := p.out > 0 && p.dis == 0
-	p.out, p.dis = max(p.out, 1)-1, max(p.dis, 1)-1
-	var got, tail *readWaiter // the completed reads, oldest first
+	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.floor <= msg.Version })
 	relay := false
-	for q := &p.head; *q != nil; {
-		w := *q
-		if w.floor > msg.Version {
-			q = &w.next
-			continue
-		}
-		*q, w.next = w.next, nil
-		if got == nil {
-			got = w
-		} else {
-			tail.next = w
-		}
-		tail = w
+	for w := got; w != nil; w = w.next {
 		relay = relay || w.fetch != nil
 	}
-	c.putLocked(p)
-	c.noteFloorLocked(p.key, msg.Version)
+	if got != nil {
+		c.noteFloorLocked(got.key, msg.Version) // the reader's own key
+	}
 	it := db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}
 	var copied []byte // the cache's new copy, lent, if this answer installed one
-	if msg.Allocate && own {
-		// An SW allocation without a window means the server is buggy; the
-		// cache assumes all reads, which the next requests wash out.
-		if in, ok := c.cache.Install(it, msg.Window); ok {
+	if msg.Allocate {
+		if in, ok := c.allocateLocked(it, msg.Window, msg.ID); ok {
 			copied = in.Value
 			mAllocs.Inc()
+			c.noteFloorLocked(in.Key, msg.Version)
 			// The tracer's ring retains the key: the cache's own, not msg's.
 			obsTr.Record(obs.EvAllocate, in.Key, "read-resp", int64(msg.Version), 0)
 		}
@@ -494,21 +463,29 @@ func (c *Client) onReadResp(msg wire.Message) {
 	}
 }
 
-// onReadFail takes a relay's refusal as the answer to the key's oldest
-// unanswered request. Once none is left unanswered, nothing can complete
-// the reads still parked: they fail at once, and a relay's Fetch passes
-// the refusal on down the tree.
-func (c *Client) onReadFail(key string) {
-	c.mu.Lock()
-	p := c.pending[key]
-	p.out, p.dis = max(p.out, 1)-1, max(p.dis, 1)-1
-	var stranded *readWaiter
-	if p.out == 0 {
-		stranded, p.head = p.head, nil
+// allocateLocked installs an allocating answer's copy if the request it
+// answers, id, is newer than the key's mark. A DeleteReq sent after the
+// request cancels the allocation, because the SC served the request
+// first. A DeleteReq received from the SC revokes every allocation
+// answered before it, and FIFO links deliver those first, so an older id
+// arriving later is a duplicate. A held copy is never replaced, so no
+// answer rolls the value or window back. The caller holds c.mu.
+func (c *Client) allocateLocked(it db.Item, win core.Window, id uint64) (db.Item, bool) {
+	if id <= c.marks[it.Key] {
+		return db.Item{}, false
 	}
-	c.putLocked(p)
+	// An SW allocation without a window means the server is buggy; the
+	// cache assumes all reads, which the next requests wash out.
+	return c.cache.Install(it, win)
+}
+
+// onReadFail fails the read whose request a relay refused; a relay's
+// Fetch passes the refusal on down the tree.
+func (c *Client) onReadFail(msg wire.Message) {
+	c.mu.Lock()
+	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.ticket == msg.ID })
 	c.mu.Unlock()
-	c.failReads(stranded)
+	c.failReads(got)
 }
 
 // onWriteProp applies a propagated write: update the cached copy, slide
@@ -527,10 +504,13 @@ func (c *Client) onWriteProp(msg wire.Message) {
 		// (our delete-request, or the allocation response it answers) was
 		// lost in transit or is still on its way. Re-assert it so the SC
 		// stops paying a data message per write; a duplicate delete-request
-		// is ignored there. msg.Key is borrowed: deallocate retains no key
-		// when no copy was dropped.
+		// is ignored there. msg.Key is borrowed, and deallocate retains the
+		// key it marks: the cache's own, or a clone for a key never held.
+		if key == "" {
+			key = strings.Clone(msg.Key)
+		}
 		c.mu.Lock()
-		c.deallocate(msg.Key, win, "", 0)
+		c.deallocate(key, win, "", 0)
 		return
 	}
 	// The relay mirrors the write downward before any revocation: children
@@ -548,23 +528,19 @@ func (c *Client) onWriteProp(msg wire.Message) {
 
 // deallocate is the MC's one path for a DeleteReq: a write-majority drop,
 // a NotHeld re-assert (reason ""), an absorbed read-through answer, a
-// resync deallocation, DropCopy. It hands win back to the SC and disowns
-// every read of key requested before it: the SC serves those reads before
-// it takes this DeleteReq, so an allocation they carry is cancelled by it
-// and must not be installed. The caller holds c.mu, having decided the
-// drop under it or on the link's delivery goroutine; deallocate sends
-// under it — so no read parks between the disowning and the send — and
-// releases it. That cannot re-enter: the SC never answers a DeleteReq.
-// A dropped copy (reason set) is counted and cascades through the drop
-// handler; key must then be the cache's own.
+// resync deallocation, DropCopy. It hands win back to the SC and draws
+// the DeleteReq an id as key's mark: the SC serves every read requested
+// before it first, so an allocation they carry is cancelled by it and
+// must not be installed (allocateLocked). key is retained, so it must be
+// owned: the cache's own whenever a copy was dropped (reason set), which
+// is counted and cascades through the drop handler. The caller holds
+// c.mu, having decided the drop under it or on the link's delivery
+// goroutine; deallocate sends under it — so no read draws an id between
+// the mark and the send — and releases it. That cannot re-enter: the SC
+// never answers a DeleteReq.
 func (c *Client) deallocate(key string, win core.Window, reason string, version uint64) {
-	if p, ok := c.pending[key]; ok {
-		p.dis = p.out
-		c.pending[p.key] = p
-	}
-	for i := range c.pendingBatch {
-		c.pendingBatch[i].disown(key)
-	}
+	c.seq++
+	c.marks[key] = c.seq
 	link := c.link
 	err := c.sendOn(link, wire.Message{Kind: wire.KindDeleteReq, Key: key, Window: win})
 	c.mu.Unlock()
@@ -579,9 +555,15 @@ func (c *Client) deallocate(key string, win core.Window, reason string, version 
 }
 
 // onDeleteReq handles the SW1 optimization (and any server-initiated
-// deallocation): drop the copy.
+// deallocation): drop the copy, and mark the key so that no duplicate of
+// the answer that placed it installs again (allocateLocked).
 func (c *Client) onDeleteReq(msg wire.Message) {
+	c.mu.Lock()
 	key, _, had := c.cache.Drop(msg.Key, true)
+	if had {
+		c.marks[key] = c.seq
+	}
+	c.mu.Unlock()
 	if !had {
 		return
 	}

@@ -148,6 +148,9 @@ func describeMsg(m wire.Message) string {
 	if m.Kind == wire.KindReadResp || m.Kind == wire.KindWriteProp {
 		s += fmt.Sprintf(" v%d", m.Version)
 	}
+	if m.ID != 0 {
+		s += fmt.Sprintf(" id=%d", m.ID)
+	}
 	if m.Kind == wire.KindPing || m.Kind == wire.KindPong {
 		s += fmt.Sprintf(" seq=%d", m.Version)
 	}
@@ -211,6 +214,8 @@ func diffMsg(got, want wire.Message) string {
 		return "key"
 	case got.Version != want.Version:
 		return "version"
+	case got.ID != want.ID:
+		return "request id"
 	case got.Allocate != want.Allocate:
 		return "allocate flag"
 	case !bytes.Equal(got.Value, want.Value):

@@ -43,16 +43,7 @@ func newRelayRig(t *testing.T) *relayRig {
 	r := &relayRig{t: t, done: make(map[string][]bool)}
 	var upEnd transport.Link
 	r.peer, upEnd = transport.NewMemPair()
-	r.peer.SetHandler(func(frame []byte) {
-		msg, err := wire.DecodeBorrowed(frame)
-		if err != nil {
-			t.Errorf("up sent a bad frame: %v", err)
-			return
-		}
-		r.mu.Lock()
-		r.upSent = append(r.upSent, msg.Clone())
-		r.mu.Unlock()
-	})
+	r.peer.SetHandler(r.record)
 	var err error
 	if r.up, err = NewClient(upEnd, Static2()); err != nil {
 		t.Fatal(err)
@@ -97,6 +88,31 @@ func newRelayRig(t *testing.T) *relayRig {
 	return r
 }
 
+// record notes a frame up sent its parent.
+func (r *relayRig) record(frame []byte) {
+	msg, err := wire.DecodeBorrowed(frame)
+	if err != nil {
+		r.t.Errorf("up sent a bad frame: %v", err)
+		return
+	}
+	r.mu.Lock()
+	r.upSent = append(r.upSent, msg.Clone())
+	r.mu.Unlock()
+}
+
+// idOf returns the id of up's last read request for key.
+func (r *relayRig) idOf(key string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.upSent) - 1; i >= 0; i-- {
+		if m := r.upSent[i]; m.Kind == wire.KindReadReq && m.Key == key {
+			return m.ID
+		}
+	}
+	r.t.Fatalf("up never asked for %s", key)
+	return 0
+}
+
 // send encodes m onto l.
 func send(l transport.Link, m wire.Message) error {
 	buf := encodePooled(m)
@@ -112,11 +128,19 @@ func (r *relayRig) read(key string, floor uint64) {
 	}
 }
 
-// answer has the parent answer up's read of key at version v.
+// answer has the parent answer up's last read of key at version v.
 func (r *relayRig) answer(key string, v uint64, allocate bool) {
 	r.t.Helper()
-	m := wire.Message{Kind: wire.KindReadResp, Key: key, Value: []byte(fmt.Sprintf("%s@%d", key, v)), Version: v, Allocate: allocate}
+	m := wire.Message{Kind: wire.KindReadResp, Key: key, Value: []byte(fmt.Sprintf("%s@%d", key, v)), Version: v, Allocate: allocate, ID: r.idOf(key)}
 	if err := send(r.peer, m); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// refuse has the parent refuse up's last read of key.
+func (r *relayRig) refuse(key string) {
+	r.t.Helper()
+	if err := send(r.peer, wire.Message{Kind: wire.KindReadFail, Key: key, ID: r.idOf(key)}); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -149,17 +173,13 @@ func TestReadThroughCompletesOnce(t *testing.T) {
 		end  func(r *relayRig)
 	}{
 		{"answer", true, func(r *relayRig) { r.answer("k", 1, false) }},
-		{"ReadFail", false, func(r *relayRig) {
-			if err := send(r.peer, wire.Message{Kind: wire.KindReadFail, Key: "k"}); err != nil {
-				r.t.Fatal(err)
-			}
-		}},
+		{"ReadFail", false, func(r *relayRig) { r.refuse("k") }},
 		{"Suspend", false, func(r *relayRig) { r.up.Suspend() }},
 		{"Disconnect", false, func(r *relayRig) { r.up.Disconnect() }},
 		{"answer after disowned", true, func(r *relayRig) {
 			// A WriteProp for a key up does not hold re-asserts the
-			// deallocation, which disowns the parked read: its answer
-			// completes it but places no copy.
+			// deallocation, whose id is newer than the parked read's: its
+			// answer completes it but places no copy.
 			if err := send(r.peer, wire.Message{Kind: wire.KindWriteProp, Key: "k", Value: []byte("w"), Version: 1}); err != nil {
 				r.t.Fatal(err)
 			}
@@ -252,9 +272,7 @@ func TestFetchBatchWithAFailedKey(t *testing.T) {
 	}
 	ask()
 	r.answer("a", 1, false)
-	if err := send(r.peer, wire.Message{Kind: wire.KindReadFail, Key: "b"}); err != nil {
-		t.Fatal(err)
-	}
+	r.refuse("b")
 	r.answer("c", 1, false)
 	for _, k := range keys {
 		if got, want := r.completions(k), []bool{k != "b"}; len(got) != 1 || got[0] != want[0] {
@@ -442,7 +460,7 @@ func TestFailedSendSparesARecycledFetch(t *testing.T) {
 	})
 	dial := func() transport.Link {
 		peer, up := transport.NewMemPair()
-		peer.SetHandler(func([]byte) {})
+		peer.SetHandler(r.record)
 		r.peer = peer
 		return up
 	}

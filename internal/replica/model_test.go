@@ -27,12 +27,16 @@ import (
 //   - a WriteProp arriving while the MC holds no copy means the SC has
 //     lost (or not yet received) the deallocation — the MC re-asserts it
 //     with a DeleteReq so the SC stops propagating into the void;
-//   - every DeleteReq the MC sends disowns the read of that key requested
-//     before it: the SC serves that read first, so the allocation its
-//     answer carries is cancelled by the DeleteReq and must not install;
-//   - only the answer to the read that asked installs: an allocating
-//     answer with no read of its key outstanding (a duplicate) installs
-//     nothing.
+//   - every read request and every DeleteReq the MC sends draws the next
+//     id from one sequence, and a read's answer echoes its id; a
+//     DeleteReq sets its key's mark to its own id, and one received that
+//     drops a copy sets it to the last id drawn;
+//   - an allocating answer installs only if its id is above its key's
+//     mark: the SC serves a read requested before a DeleteReq first, so
+//     the DeleteReq cancels that allocation, and FIFO delivery brings
+//     every answer the SC sent before its DeleteReq ahead of it, so an
+//     older id arriving later is a duplicate. Answers to requests sent
+//     on an earlier link are ignored.
 //
 // The recovery layer adds two exchanges, modeled here so the conformance
 // explorer can schedule them against chaos faults:
@@ -77,8 +81,10 @@ type Model struct {
 	// so a single slot suffices.
 	pendingRead    string
 	hasPendingRead bool
-	// disowned says a DeleteReq for pendingRead left after its request.
-	disowned bool
+	// seq is the MC's last request id, marks its per-key marks, and since
+	// seq at the last link change.
+	seq, since uint64
+	marks      map[string]uint64
 	// scDetached is set by EvictSC: the server shed the session, so the SC
 	// ignores everything from this client and propagates nothing to it
 	// until Reconnect or DetachSC re-pairs them.
@@ -108,6 +114,7 @@ func NewModel(mode Mode) *Model {
 		sc:    make(map[string]*modelSide),
 		mc:    make(map[string]*modelSide),
 		cache: make(map[string]uint64),
+		marks: make(map[string]uint64),
 	}
 }
 
@@ -243,8 +250,9 @@ func (m *Model) StartRead(key string) []wire.Message {
 	if m.hasPendingRead {
 		panic("model: overlapping remote reads")
 	}
-	m.pendingRead, m.hasPendingRead, m.disowned = key, true, false
-	return []wire.Message{{Kind: wire.KindReadReq, Key: key}}
+	m.pendingRead, m.hasPendingRead = key, true
+	m.seq++
+	return []wire.Message{{Kind: wire.KindReadReq, Key: key, ID: m.seq}}
 }
 
 // FailPendingRead abandons the outstanding remote read (the client
@@ -263,7 +271,7 @@ func (m *Model) DeliverToServer(msg wire.Message) []wire.Message {
 	}
 	switch msg.Kind {
 	case wire.KindReadReq:
-		return m.scReadReq(msg.Key)
+		return m.scReadReq(msg.Key, msg.ID)
 	case wire.KindDeleteReq:
 		m.scDeleteReq(msg)
 		return nil
@@ -275,9 +283,9 @@ func (m *Model) DeliverToServer(msg wire.Message) []wire.Message {
 	}
 }
 
-func (m *Model) scReadReq(key string) []wire.Message {
+func (m *Model) scReadReq(key string, id uint64) []wire.Message {
 	st := m.side(m.sc, key)
-	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Version: m.store[key]}
+	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Version: m.store[key], ID: id}
 	switch m.mode.Kind {
 	case core.KindST1:
 		// Never allocate.
@@ -339,9 +347,12 @@ func (m *Model) DeliverToClient(msg wire.Message) (emits []wire.Message, complet
 }
 
 func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
+	if msg.ID <= m.since {
+		return nil
+	}
 	st := m.side(m.mc, msg.Key)
 	asked := m.hasPendingRead && m.pendingRead == msg.Key
-	if msg.Allocate && asked && !m.disowned && !st.hasCopy {
+	if msg.Allocate && msg.ID > m.marks[msg.Key] && !st.hasCopy {
 		st.hasCopy = true
 		if m.mode.Kind == core.KindSW {
 			if msg.Window.Size() == m.mode.K {
@@ -391,17 +402,19 @@ func (m *Model) mcWriteProp(msg wire.Message) []wire.Message {
 	})}
 }
 
-// deallocate returns the MC's DeleteReq d after disowning the read of its
-// key parked before it, if any.
+// deallocate returns the MC's DeleteReq d after drawing it an id as its
+// key's mark.
 func (m *Model) deallocate(d wire.Message) wire.Message {
-	if m.hasPendingRead && m.pendingRead == d.Key {
-		m.disowned = true
-	}
+	m.seq++
+	m.marks[d.Key] = m.seq
 	return d
 }
 
 func (m *Model) mcDeleteReq(key string) {
 	st := m.side(m.mc, key)
+	if st.hasCopy {
+		m.marks[key] = m.seq
+	}
 	st.hasCopy = false
 	st.fill(sched.Write)
 	delete(m.cache, key)
@@ -416,6 +429,7 @@ func (m *Model) Reconnect() {
 	m.sc = make(map[string]*modelSide)
 	m.cache = make(map[string]uint64)
 	m.pendingRead, m.hasPendingRead = "", false
+	m.since = m.seq
 	m.scDetached = false
 }
 
@@ -424,6 +438,7 @@ func (m *Model) Reconnect() {
 // keeps its warm copies, anticipating a resync.
 func (m *Model) DetachSC() {
 	m.sc = make(map[string]*modelSide)
+	m.since = m.seq
 	m.scDetached = false
 }
 

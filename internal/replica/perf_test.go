@@ -44,7 +44,8 @@ func (nullLink) SetHandler(transport.Handler) {}
 func (nullLink) Close() error                 { return nil }
 
 // echoLink answers every ReadReq on the spot with a non-allocating
-// ReadResp for version 1 of value, encoded into one reused buffer: a
+// ReadResp for version 1 of value, echoing the request's id, encoded into
+// one reused buffer: a
 // server that costs the client nothing, so a client pin counts only the
 // client.
 type echoLink struct {
@@ -59,7 +60,7 @@ func (l *echoLink) Send(frame []byte) error {
 	if err != nil || m.Kind != wire.KindReadReq {
 		return err
 	}
-	resp := wire.Message{Kind: wire.KindReadResp, Key: m.Key, Value: l.value, Version: 1, Allocate: l.allocate}
+	resp := wire.Message{Kind: wire.KindReadResp, Key: m.Key, Value: l.value, Version: 1, Allocate: l.allocate, ID: m.ID}
 	if l.buf, err = wire.AppendEncode(l.buf[:0], resp); err != nil {
 		return err
 	}

@@ -18,9 +18,9 @@ import (
 // readWaiter is one parked singleton read: the channel its goroutine
 // waits on — or, for a relay's read-through, the Fetch record to complete
 // instead — the floor its request carried (0 = none), the ticket its
-// parking drew and the next-younger read parked on the same key. A
-// response below a waiter's floor is not its answer and must not complete
-// it.
+// parking drew (the request's id) and the next-younger read parked on the
+// same key. A response below a waiter's floor is not its answer and must
+// not complete it.
 //
 // Waiters are pooled, channel and timeout timer included, so a remote
 // read allocates nothing but the value it returns. What makes reuse safe
@@ -38,7 +38,7 @@ type readWaiter struct {
 	fetch  *Fetch // the relay read this waiter parks; nil for ReadContext
 	key    string // the reader's own key: what Client.pending is indexed by
 	floor  uint64
-	ticket uint64 // drawn by parkLocked, under c.mu
+	ticket uint64 // the request id, drawn by parkLocked under c.mu
 	next   *readWaiter
 	timer  *time.Timer // created by the first read with a Timeout
 	armed  bool        // timer is running, or its tick is unconsumed
@@ -93,6 +93,7 @@ func (w *readWaiter) done(recycle bool) {
 type Fetch struct {
 	w        readWaiter // the record's place on the parent face's parked chain
 	ss       *Session
+	id       uint64      // the child's request id, echoed in the answer
 	batch    *fetchBatch // the joint read or resync this key is part of; nil for a singleton
 	upstream bool        // ReadThrough parked it for the parent's answer
 }
@@ -103,10 +104,11 @@ var fetchPool = sync.Pool{New: func() any {
 	return f
 }}
 
-// newFetch takes a record for ss's read of key, which must be owned.
-func newFetch(ss *Session, key string, floor uint64, fb *fetchBatch) *Fetch {
+// newFetch takes a record for ss's read of key, which must be owned,
+// requested under id (0 when the key is part of fb).
+func newFetch(ss *Session, key string, floor, id uint64, fb *fetchBatch) *Fetch {
 	f := fetchPool.Get().(*Fetch)
-	f.w.key, f.w.floor, f.ss, f.batch = key, floor, ss, fb
+	f.w.key, f.w.floor, f.ss, f.id, f.batch = key, floor, ss, id, fb
 	return f
 }
 
@@ -121,13 +123,13 @@ func (f *Fetch) Upstream() bool { return f.upstream }
 // child from the store (or counts the key toward its batch), !ok refuses
 // the read. The record is recycled.
 func (f *Fetch) Done(ok bool) {
-	ss, fb, key := f.ss, f.batch, f.w.key
+	ss, fb, key, id := f.ss, f.batch, f.w.key, f.id
 	*f = Fetch{w: readWaiter{fetch: f}}
 	fetchPool.Put(f)
 	if fb != nil {
 		fb.done(ss, ok)
 	} else {
-		ss.finishReadReq(key, ok)
+		ss.finishReadReq(key, id, ok)
 	}
 }
 
@@ -172,12 +174,12 @@ func (c *Client) ReadThrough(f *Fetch) {
 	c.mu.Unlock()
 
 	c.meter.addConnection()
-	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor}); err != nil {
+	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor, ID: ticket}); err != nil {
 		c.suspect(link, err)
 		// Only the goroutine that actually removed the waiter may fail it:
 		// a concurrent Suspend that already took the waiter set fails it
 		// through failWaiters.
-		if c.cancelPending(key, w, ticket, link) {
+		if c.cancelPending(key, w, ticket) {
 			mReadOffline.Inc()
 			c.fetched(f, db.Item{}, false)
 		}
@@ -214,7 +216,8 @@ func (c *Client) noteFloorLocked(key string, v uint64) {
 // through the drop handler. Reports whether a copy was actually held.
 func (c *Client) DropCopy(key string) bool {
 	// The drop is decided under c.mu, so an allocating answer either
-	// installs before it (and is dropped here) or finds its read disowned.
+	// installs before it (and is dropped here) or finds its id below the
+	// DeleteReq's mark.
 	c.mu.Lock()
 	own, win, ok := c.cache.Drop(key, false)
 	if !ok {

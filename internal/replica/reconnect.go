@@ -62,11 +62,14 @@ func (c *Client) AllowStale(maxAge time.Duration) {
 
 // takeWaitersLocked clears and returns everything currently blocked on
 // the link: parked singleton reads (goroutines and relay fetches), parked
-// joint reads, and the in-flight resync signal. The caller must hold c.mu
-// and fail them all after releasing it.
-func (c *Client) takeWaitersLocked() (map[string]parked, []batchWaiter, chan struct{}) {
+// joint reads, and the in-flight resync signal. Every request sent so far
+// belongs to the link being left, so their answers are ignored from here
+// on (since). The caller must hold c.mu and fail them all after releasing
+// it.
+func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []batchWaiter, chan struct{}) {
+	c.since = c.seq
 	pending := c.pending
-	c.pending = make(map[string]parked)
+	c.pending = make(map[string]*readWaiter)
 	batch := c.pendingBatch
 	c.pendingBatch = nil
 	done := c.resyncDone
@@ -77,9 +80,9 @@ func (c *Client) takeWaitersLocked() (map[string]parked, []batchWaiter, chan str
 // failWaiters closes every channel collected by takeWaitersLocked
 // (receivers treat a closed channel as ErrOffline) and fails every
 // relay Fetch.
-func (c *Client) failWaiters(pending map[string]parked, batch []batchWaiter, done chan struct{}) {
-	for _, p := range pending {
-		c.failReads(p.head)
+func (c *Client) failWaiters(pending map[string]*readWaiter, batch []batchWaiter, done chan struct{}) {
+	for _, w := range pending {
+		c.failReads(w)
 	}
 	for _, w := range batch {
 		close(w.ch)

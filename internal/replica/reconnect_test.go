@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -134,7 +135,12 @@ func TestDisconnectUnblocksPendingRead(t *testing.T) {
 		_, err := cli.Read("x")
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the read register
+	for i := 0; !cli.AwaitingRead("x"); i++ {
+		if i == 1_000_000 {
+			t.Fatal("the read never parked")
+		}
+		runtime.Gosched()
+	}
 	cli.Disconnect()
 	select {
 	case err := <-done:

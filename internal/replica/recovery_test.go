@@ -386,12 +386,10 @@ func TestReadContextDeadline(t *testing.T) {
 		t.Fatalf("batch read returned %v, want DeadlineExceeded", err)
 	}
 	// Cancelled waiters leave no residue: a later response wakes nobody.
-	// The key's entry itself stays, counting the request whose answer may
-	// still come, with no reader parked on it.
 	cli.mu.Lock()
 	residue := len(cli.pendingBatch)
-	for _, p := range cli.pending {
-		for w := p.head; w != nil; w = w.next {
+	for _, w := range cli.pending {
+		for ; w != nil; w = w.next {
 			residue++
 		}
 	}
@@ -399,8 +397,8 @@ func TestReadContextDeadline(t *testing.T) {
 	if residue != 0 {
 		t.Fatalf("%d stale waiters left after context expiry", residue)
 	}
-	// The late answer settles the request, and the entry goes with it.
-	late := encodePooled(wire.Message{Kind: wire.KindReadResp, Key: "x", Value: []byte("v"), Version: 1})
+	// The late answer to the cancelled read finds nothing to complete.
+	late := encodePooled(wire.Message{Kind: wire.KindReadResp, Key: "x", Value: []byte("v"), Version: 1, ID: 1})
 	if err := blackhole.Send(late.B); err != nil {
 		t.Fatal(err)
 	}

@@ -585,10 +585,10 @@ func (ss *Session) onReadReq(msg wire.Message) {
 		if !ok {
 			key = strings.Clone(msg.Key)
 		}
-		(*o)(newFetch(ss, key, msg.Version, nil))
+		(*o)(newFetch(ss, key, msg.Version, msg.ID, nil))
 		return
 	}
-	ss.finishReadReq(msg.Key, true)
+	ss.finishReadReq(msg.Key, msg.ID, true)
 }
 
 // finishReadReq serves key: under the shard token it copies the value out
@@ -597,8 +597,9 @@ func (ss *Session) onReadReq(msg wire.Message) {
 // — so a write committed before the read is served with it, and one
 // committed after is propagated behind it. A read whose upstream fetch
 // failed (!ok) is answered with a ReadFail instead, so the client knows
-// no other answer will follow its request.
-func (ss *Session) finishReadReq(key string, ok bool) {
+// no other answer will follow its request. Either answer echoes the
+// request's id.
+func (ss *Session) finishReadReq(key string, id uint64, ok bool) {
 	sh := ss.shard
 	sh.enter()
 	if ss.detached {
@@ -606,14 +607,14 @@ func (ss *Session) finishReadReq(key string, ok bool) {
 		return
 	}
 	if !ok {
-		ss.send(encodePooled(wire.Message{Kind: wire.KindReadFail, Key: key}), none)
+		ss.send(encodePooled(wire.Message{Kind: wire.KindReadFail, Key: key, ID: id}), none)
 		return
 	}
 	st := ss.state(key)
 	vb := wire.GetBuf()
 	it, _ := ss.srv.store.GetCopy(key, vb.B[:0])
 	vb.B = it.Value
-	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version}
+	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version, ID: id}
 	if ss.allocOnRead(key, st) {
 		// Piggyback the save indication and the window; the MC takes
 		// charge.

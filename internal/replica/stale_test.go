@@ -3,6 +3,11 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,9 +299,10 @@ func (l *failOnceLink) Send(frame []byte) error {
 }
 
 // TestFailedSendLeavesNoRequestCounted: a read whose request never left
-// must not stay counted as unanswered, or the next deallocation would
-// disown a later read's allocation and the key would never be placed
-// again.
+// must leave nothing behind that cancels a later read's allocation, or
+// the key would never be placed again. (When the MC counted each key's
+// unanswered requests, such a read stayed counted unless its send failed
+// on the client's current link.)
 func TestFailedSendLeavesNoRequestCounted(t *testing.T) {
 	srv, err := NewServer(db.NewStore(), Static2())
 	if err != nil {
@@ -321,5 +327,381 @@ func TestFailedSendLeavesNoRequestCounted(t *testing.T) {
 	}
 	if sc, _ := implSCState(sess, Static2(), "k"); !cli.HasCopy("k") || !sc {
 		t.Fatalf("after a drop, a write and a read: MC holds a copy %v, SC copy bit %v; want both", cli.HasCopy("k"), sc)
+	}
+}
+
+// TestCase is one scripted schedule over a manual chaos pair: Script is
+// one step per line, Expect the final state of every key it touched, one
+// line per key in key order.
+type TestCase struct {
+	Name   string
+	Script string
+	Expect []string
+}
+
+// The steps a script may take:
+//
+//	read K / readmany K...  start a singleton / joint read; it waits on
+//	                        its own goroutine once its request is queued
+//	cancel                  the last read started gives up
+//	refused                 the oldest read still waited on fails offline
+//	done                    every other read started returns
+//	up / down               deliver the next client->server / server->client frame
+//	lose up / lose down     chaos loses that frame instead
+//	dup down                deliver it, and queue a copy behind the rest
+//	write K                 commit the next version of K at the SC
+//	drop K                  the MC deallocates its copy of K
+//	revoke K                the SC revokes every copy of K (a relay's Invalidate)
+//	hold                    the origin keeps the next read's fetch (a relay
+//	                        waiting on its parent)
+//	release / refuse        the oldest kept fetch completes / fails
+//	settle                  deliver everything queued, both ways
+type scriptRun struct {
+	*stalePair
+	versions map[string]uint64
+	reads    []scriptRead
+	held     []*Fetch
+	holdNext bool
+}
+
+type scriptRead struct {
+	cancel context.CancelFunc
+	done   chan error
+}
+
+func runTestCase(t *testing.T, tc TestCase) {
+	t.Helper()
+	r := &scriptRun{stalePair: newStalePair(t, Static2(), false), versions: map[string]uint64{"k": 1}}
+	r.srv.SetOrigin(func(f *Fetch) {
+		if r.holdNext {
+			r.holdNext, r.held = false, append(r.held, f)
+			return
+		}
+		f.Done(true)
+	})
+	for _, line := range strings.Split(strings.TrimSpace(tc.Script), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			r.step(f[0], f[1:])
+		}
+	}
+	var keys, got []string
+	for key := range r.versions {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		got = append(got, r.state(key))
+	}
+	if !slices.Equal(got, tc.Expect) {
+		t.Errorf("final state:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(tc.Expect, "\n  "))
+	}
+}
+
+func (r *scriptRun) step(op string, args []string) {
+	t := r.t
+	t.Helper()
+	switch op {
+	case "read", "readmany":
+		ctx, cancel := context.WithCancel(context.Background())
+		before := r.c2s.Pending()
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			if op == "read" {
+				_, err = r.cli.ReadContext(ctx, args[0])
+			} else {
+				_, err = r.cli.ReadManyContext(ctx, args)
+			}
+			done <- err
+		}()
+		if !r.c2s.WaitPending(before+1, 5*time.Second) {
+			t.Fatalf("%s %v sent no request", op, args)
+		}
+		r.reads = append(r.reads, scriptRead{cancel, done})
+	case "cancel":
+		last := r.reads[len(r.reads)-1]
+		r.reads = r.reads[:len(r.reads)-1]
+		last.cancel()
+		if err := <-last.done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("the cancelled read returned %v", err)
+		}
+	case "refused":
+		first := r.reads[0]
+		r.reads = r.reads[1:]
+		defer first.cancel()
+		if err := <-first.done; !errors.Is(err, ErrOffline) {
+			t.Fatalf("the refused read returned %v", err)
+		}
+	case "done":
+		for _, rd := range r.reads {
+			defer rd.cancel()
+			if err := <-rd.done; err != nil {
+				t.Fatalf("a read failed: %v", err)
+			}
+		}
+		r.reads = nil
+	case "up", "down":
+		if _, ok := r.queue(op).Step(); !ok {
+			t.Fatalf("nothing to deliver %s", op)
+		}
+	case "lose":
+		q := r.queue(args[0])
+		q.Partition(1)
+		if ev, ok := q.Step(); !ok || ev.Action != transport.ChaosDropped {
+			t.Fatalf("nothing to lose %s", args[0])
+		}
+	case "dup":
+		q := r.queue(args[0])
+		frame := q.PendingFrames()[0]
+		if _, ok := q.Step(); !ok {
+			t.Fatalf("nothing to duplicate %s", args[0])
+		}
+		if err := q.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	case "write":
+		r.versions[args[0]]++
+		if _, err := r.srv.Write(args[0], []byte{byte(r.versions[args[0]])}); err != nil {
+			t.Fatal(err)
+		}
+	case "drop":
+		if !r.cli.DropCopy(args[0]) {
+			t.Fatalf("the MC held no copy of %s to drop", args[0])
+		}
+	case "revoke":
+		r.srv.Invalidate(args[0])
+	case "hold":
+		r.holdNext = true
+	case "release", "refuse":
+		f := r.held[0]
+		r.held = r.held[1:]
+		f.Done(op == "release")
+	case "settle":
+		r.settle()
+	default:
+		t.Fatalf("unknown step %q", op)
+	}
+}
+
+func (r *scriptRun) queue(dir string) *transport.Chaos {
+	if dir == "up" {
+		return r.c2s
+	}
+	return r.s2c
+}
+
+// state renders key's final state — the MC's copy and the SC's copy bit —
+// after checking the section 4 invariant on it.
+func (r *scriptRun) state(key string) string {
+	r.t.Helper()
+	mc, sc := "-", "-"
+	it, held := r.cli.Cache().Peek(key)
+	if held {
+		mc = fmt.Sprintf("v%d", it.Version)
+		if it.Version != r.versions[key] {
+			r.t.Errorf("the MC's copy of %s is at v%d, the store at v%d", key, it.Version, r.versions[key])
+		}
+	}
+	if copyBit, _ := implSCState(r.sess, Static2(), key); copyBit {
+		sc = "copy"
+	}
+	if (sc == "copy") != held {
+		r.t.Errorf("%s: the SC's copy bit says %s, the MC holds %s", key, sc, mc)
+	}
+	return fmt.Sprintf("%s: mc %s, sc %s", key, mc, sc)
+}
+
+// TestRequestIDCases: the MC installs an allocating answer only if the
+// request it answers is newer than the key's last DeleteReq (and than any
+// allocating answer already taken), so no frame lost, duplicated or
+// reordered on the way makes the two sides disagree about a copy, and a
+// ReadFail fails the one read it names. The first four rows ended with a
+// stale or orphaned copy when the MC credited each answer to the key's
+// oldest unanswered request instead, and the sixth left the refused read
+// parked until some other answer came; the fifth and the last pin what
+// that counting got right.
+func TestRequestIDCases(t *testing.T) {
+	for _, tc := range []TestCase{{
+		Name: "duplicated answer",
+		Script: `
+			read k
+			up
+			dup down
+			done
+			drop k
+			up
+			write k
+			read k
+			up
+			settle
+			done`,
+		Expect: []string{"k: mc v2, sc copy"},
+	}, {
+		Name: "relay answers two reads of a key out of order",
+		Script: `
+			read k
+			read k
+			up
+			hold
+			up
+			down
+			done
+			drop k
+			up
+			read k
+			up
+			release
+			settle
+			done`,
+		Expect: []string{"k: mc v1, sc copy"},
+	}, {
+		Name: "a request lost on a live link",
+		Script: `
+			read k
+			lose up
+			cancel
+			read k
+			up
+			down
+			done
+			drop k
+			up
+			write k
+			read k
+			up
+			down
+			done`,
+		Expect: []string{"k: mc v2, sc copy"},
+	}, {
+		Name: "a joint read that gave up answers no younger one",
+		Script: `
+			read k
+			settle
+			done
+			drop k
+			write k
+			readmany k
+			up
+			up
+			cancel
+			down
+			readmany k
+			up
+			write k
+			up
+			settle
+			done`,
+		Expect: []string{"k: mc v3, sc copy"},
+	}, {
+		Name: "a joint read parked behind a DeleteReq of one of its keys",
+		Script: `
+			write j
+			read k
+			settle
+			done
+			drop k
+			write k
+			readmany k j
+			up
+			up
+			down
+			up
+			down
+			done`,
+		Expect: []string{"j: mc v1, sc copy", "k: mc -, sc -"},
+	}, {
+		Name: "a relay refuses one of two reads of a key",
+		Script: `
+			hold
+			read k
+			up
+			hold
+			read k
+			up
+			refuse
+			down
+			refused
+			release
+			down
+			done`,
+		Expect: []string{"k: mc v1, sc copy"},
+	}, {
+		Name: "a duplicated answer behind the SC's revocation",
+		Script: `
+			read k
+			up
+			revoke k
+			dup down
+			done
+			settle
+			write k`,
+		Expect: []string{"k: mc -, sc -"},
+	}} {
+		t.Run(tc.Name, func(t *testing.T) { runTestCase(t, tc) })
+	}
+}
+
+// TestEarlierLinkAnswersIgnored: once the client has moved to a new link,
+// an answer to a request sent on the old one — singleton or joint —
+// installs nothing and completes nothing: the session that sent it is
+// gone.
+func TestEarlierLinkAnswersIgnored(t *testing.T) {
+	blackhole := func() transport.Link {
+		a, b := transport.NewMemPair()
+		a.SetHandler(func([]byte) {})
+		return b
+	}
+	cli, err := NewClient(blackhole(), Static2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make(chan error, 2)
+	go func() { _, err := cli.Read("x"); reads <- err }()
+	go func() { _, err := cli.ReadMany([]string{"y"}); reads <- err }()
+	for i := 0; ; i++ {
+		cli.mu.Lock()
+		parked := cli.pending["x"] != nil && len(cli.pendingBatch) == 1
+		cli.mu.Unlock()
+		if parked {
+			break
+		}
+		if i == 1_000_000 {
+			t.Fatal("the reads never parked")
+		}
+		runtime.Gosched()
+	}
+	cli.Reattach(blackhole())
+	for range 2 {
+		if err := <-reads; !errors.Is(err, ErrOffline) {
+			t.Fatalf("a read on the old link returned %v, want ErrOffline", err)
+		}
+	}
+	read := make(chan error, 1)
+	go func() { _, err := cli.Read("x"); read <- err }()
+	for i := 0; !cli.AwaitingRead("x"); i++ {
+		if i == 1_000_000 {
+			t.Fatal("the read on the new link never parked")
+		}
+		runtime.Gosched()
+	}
+	for id := uint64(1); id <= 2; id++ {
+		frame, err := wire.AppendEncode(nil, wire.Message{Kind: wire.KindReadResp, Key: "x", Value: []byte("old"), Version: 1, Allocate: true, ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.onFrame(frame)
+		if frame, err = wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadResp, ID: id,
+			Entries: []wire.Entry{{Key: "y", Value: []byte("old"), Version: 1, Allocate: true}}}); err != nil {
+			t.Fatal(err)
+		}
+		cli.onFrame(frame)
+	}
+	if cli.HasCopy("x") || cli.HasCopy("y") || !cli.AwaitingRead("x") {
+		t.Fatalf("old answers: copy of x %v, of y %v, the new read still parked %v; want no copies and parked",
+			cli.HasCopy("x"), cli.HasCopy("y"), cli.AwaitingRead("x"))
+	}
+	cli.Disconnect()
+	if err := <-read; !errors.Is(err, ErrOffline) {
+		t.Fatalf("the new read returned %v, want ErrOffline", err)
 	}
 }

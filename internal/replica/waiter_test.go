@@ -166,8 +166,8 @@ func TestFailedWaitersAreNotRecycled(t *testing.T) {
 			for {
 				cli.mu.Lock()
 				n := 0
-				for _, p := range cli.pending {
-					for w := p.head; w != nil; w = w.next {
+				for _, w := range cli.pending {
+					for ; w != nil; w = w.next {
 						n++
 					}
 				}

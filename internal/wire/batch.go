@@ -47,9 +47,10 @@ const (
 // constant (and renumber the kinds if the change must also be rejected
 // by peers predating the format byte itself).
 //
-// Format 2 added the 8-byte store epoch after the format byte; format 1
-// (no epoch, no format byte) used kinds 10–13 and is no longer spoken.
-const batchFormat = 2
+// Format 3 added the request id (a uvarint) after the epoch; format 2 had
+// the 8-byte store epoch after the format byte; format 1 (no epoch, no
+// format byte) used kinds 10–13. Only format 3 is spoken.
+const batchFormat = 3
 
 // isBatchKind reports whether k uses the batch codec.
 func isBatchKind(k Kind) bool {
@@ -81,6 +82,9 @@ type Batch struct {
 	// Clients fence on it: a changed epoch means the authority restarted
 	// and warm state cannot be trusted.
 	Epoch uint64
+	// ID names a joint read: the MC draws it for a MultiReadReq, and the
+	// MultiReadResp answering it echoes it. 0 on the resync pair.
+	ID uint64
 	// Keys lists the requested keys (requests only).
 	Keys []string
 	// Versions, parallel to Keys, carries revalidation hints: the version
@@ -119,6 +123,7 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	}
 	out := append(dst, byte(b.Kind), batchFormat)
 	out = binary.LittleEndian.AppendUint64(out, b.Epoch)
+	out = binary.AppendUvarint(out, b.ID)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(b.Keys)))
 	for i, k := range b.Keys {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(k)))
@@ -173,6 +178,11 @@ func DecodeBatch(p []byte) (Batch, error) {
 	if b.Epoch, err = r.uint64(); err != nil {
 		return b, err
 	}
+	var n int
+	if b.ID, n = binary.Uvarint(r.p[r.off:]); n <= 0 {
+		return b, errBadID
+	}
+	r.off += n
 	nKeys, err := r.uint16()
 	if err != nil {
 		return b, err

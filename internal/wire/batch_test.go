@@ -10,8 +10,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	batches := []Batch{
 		{Kind: KindMultiReadReq, Keys: []string{"a", "b", "long key with spaces"}},
 		{Kind: KindMultiReadReq, Keys: nil},
-		{Kind: KindMultiReadReq, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
-		{Kind: KindMultiReadResp, Entries: []Entry{
+		{Kind: KindMultiReadReq, ID: 1, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
+		{Kind: KindMultiReadResp, ID: 1<<64 - 1, Entries: []Entry{
 			{Key: "a", Value: []byte("v1"), Version: 1},
 			{Key: "b", Value: nil, Version: 0, Allocate: true, Window: win("rwr")},
 			{Key: "", Value: bytes.Repeat([]byte{7}, 300), Version: 1 << 40},
@@ -39,7 +39,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if back.Kind != b.Kind || len(back.Keys) != len(b.Keys) || len(back.Entries) != len(b.Entries) {
+		if back.Kind != b.Kind || back.ID != b.ID || len(back.Keys) != len(b.Keys) || len(back.Entries) != len(b.Entries) {
 			t.Fatalf("batch %d shape: %+v vs %+v", i, back, b)
 		}
 		for j := range b.Keys {
@@ -166,12 +166,20 @@ func TestBatchProperty(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch mirrors FuzzDecode for the batch codec.
+// FuzzDecodeBatch mirrors FuzzDecode for the batch codec, with one seed
+// per batch kind.
 func FuzzDecodeBatch(f *testing.F) {
-	seed, _ := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadResp, Entries: []Entry{
-		{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrrwr")},
-	}})
-	f.Add(seed)
+	for k := KindMultiReadReq; isBatchKind(k); k++ {
+		seed, err := AppendEncodeBatch(nil, Batch{Kind: k, Epoch: 2, ID: uint64(k) << 10,
+			Keys: []string{"k"}, Versions: []uint64{3}, Entries: []Entry{
+				{Key: "k", Value: []byte("v"), Version: 3, Allocate: true, Window: win("rrrwr")},
+				{Key: "j", Version: 4, NotModified: true},
+			}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	f.Add([]byte{byte(KindMultiReadReq), 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		b, err := DecodeBatch(frame)

@@ -11,10 +11,11 @@ import (
 // fields, byte-boundary windows, and binary payloads.
 func perfCorpus() []Message {
 	return []Message{
-		{Kind: KindReadReq, Key: "k"},
-		{Kind: KindReadResp, Key: "key-7", Value: []byte("value"), Version: 42},
+		{Kind: KindReadReq, Key: "k", ID: 1},
+		{Kind: KindReadResp, Key: "key-7", Value: []byte("value"), Version: 42, ID: 300},
 		{Kind: KindReadResp, Key: "key-7", Value: []byte("v"), Version: 3,
-			Allocate: true, Window: win("rrwrr")},
+			Allocate: true, Window: win("rrwrr"), ID: 1<<64 - 1},
+		{Kind: KindReadFail, Key: "k", ID: 7},
 		{Kind: KindWriteProp, Key: "hot", Value: bytes.Repeat([]byte{0xA5}, 300), Version: 9000},
 		{Kind: KindDeleteReq, Key: "gone", Window: win("wwwwwwww")},
 		{Kind: KindDeleteReq, Key: "nine-bits", Window: win("rwrwrwrwr")},
@@ -25,17 +26,24 @@ func perfCorpus() []Message {
 }
 
 // refEncode writes the singleton frame layout out field by field, apart
-// from AppendEncode's single append chain: kind, flags, version, key,
-// value, window length, packed window bits.
+// from AppendEncode's single append chain: kind, flags, version, the
+// request id as a uvarint when flag bit 2 announces one, key, value,
+// window length, packed window bits.
 func refEncode(m Message) []byte {
 	var b bytes.Buffer
 	flags := byte(0)
 	if m.Allocate {
 		flags = 1
 	}
+	if m.ID != 0 {
+		flags |= 2
+	}
 	b.WriteByte(byte(m.Kind))
 	b.WriteByte(flags)
 	binary.Write(&b, binary.LittleEndian, m.Version)
+	if m.ID != 0 {
+		b.Write(binary.AppendUvarint(nil, m.ID))
+	}
 	binary.Write(&b, binary.LittleEndian, uint16(len(m.Key)))
 	b.WriteString(m.Key)
 	binary.Write(&b, binary.LittleEndian, uint32(len(m.Value)))
@@ -52,6 +60,7 @@ func refEncodeBatch(bt Batch) []byte {
 	b.WriteByte(byte(bt.Kind))
 	b.WriteByte(batchFormat)
 	binary.Write(&b, le, bt.Epoch)
+	b.Write(binary.AppendUvarint(nil, bt.ID))
 	binary.Write(&b, le, uint16(len(bt.Keys)))
 	for i, k := range bt.Keys {
 		binary.Write(&b, le, uint16(len(k)))
@@ -189,8 +198,8 @@ func TestDecodeBorrowedAliasesFrame(t *testing.T) {
 // path leaves dst unchanged.
 func TestAppendEncodeBatchMatchesEncodeBatch(t *testing.T) {
 	batches := []Batch{
-		{Kind: KindMultiReadReq, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
-		{Kind: KindMultiReadResp, Entries: []Entry{
+		{Kind: KindMultiReadReq, ID: 5, Keys: []string{"a", "bb", "ccc"}, Versions: []uint64{0, 7, 9}},
+		{Kind: KindMultiReadResp, ID: 1 << 40, Entries: []Entry{
 			{Key: "a", Value: []byte("v1"), Version: 1},
 			{Key: "bb", Version: 2, NotModified: true},
 			{Key: "ccc", Value: []byte("v3"), Version: 3, Allocate: true, Window: win("rrrwr")},

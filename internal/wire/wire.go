@@ -28,8 +28,9 @@
 // upstream fetch could not serve (see KindReadFail).
 //
 // The encoding is a fixed header plus length-prefixed fields; window bits
-// are packed eight per byte. DecodeBorrowed rejects malformed frames
-// rather than guessing.
+// are packed eight per byte, and a request id, when set, follows the
+// version as a uvarint announced by flag bit 2. DecodeBorrowed rejects
+// malformed frames rather than guessing.
 package wire
 
 import (
@@ -77,10 +78,9 @@ const (
 	// metered as protocol cost.
 	KindAttachResp
 	// KindReadFail answers a ReadReq the SC could not serve (SC -> MC): a
-	// relay whose upstream fetch failed. Key names the item; there is no
-	// value. Every request thus gets exactly one answer, which keeps the
-	// MC's count of a key's unanswered requests exact. Not metered as
-	// protocol cost.
+	// relay whose upstream fetch failed. Key names the item and ID the
+	// request; there is no value. It fails exactly the read with that id.
+	// Not metered as protocol cost.
 	KindReadFail
 )
 
@@ -140,6 +140,9 @@ type Message struct {
 	// (allocating ReadResp and MC-originated DeleteReq); the zero Window
 	// means none. It is a value: decoding and cloning copy it whole.
 	Window core.Window
+	// ID names a read request: the MC draws it for a ReadReq, and the
+	// ReadResp or ReadFail answering that request echoes it. 0 means none.
+	ID uint64
 }
 
 const maxKeyLen = 1<<16 - 1
@@ -169,8 +172,14 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	if m.Allocate {
 		flags = 1
 	}
+	if m.ID != 0 {
+		flags |= 2
+	}
 	dst = append(dst, byte(m.Kind), flags)
 	dst = binary.LittleEndian.AppendUint64(dst, m.Version)
+	if m.ID != 0 {
+		dst = binary.AppendUvarint(dst, m.ID)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Key)))
 	dst = append(dst, m.Key...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Value)))
@@ -210,6 +219,7 @@ func PutBuf(b *Buf) {
 }
 
 var errTruncated = errors.New("wire: truncated message")
+var errBadID = errors.New("wire: truncated or oversized request id")
 
 // FrameKind peeks the message kind of an encoded frame — singleton or
 // batch, both put the kind in byte 0 — without decoding it. ok is false
@@ -237,13 +247,21 @@ func DecodeBorrowed(p []byte) (Message, error) {
 	if m.Kind < KindReadReq || m.Kind > KindReadFail {
 		return m, fmt.Errorf("wire: unknown message kind %d", p[0])
 	}
-	if p[1] > 1 {
-		return m, fmt.Errorf("wire: bad flags %#x", p[1])
+	flags := p[1]
+	if flags > 3 {
+		return m, fmt.Errorf("wire: bad flags %#x", flags)
 	}
-	m.Allocate = p[1] == 1
+	m.Allocate = flags&1 != 0
 	p = p[2:]
 	m.Version = binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
+	if flags&2 != 0 {
+		var k int
+		if m.ID, k = binary.Uvarint(p); k <= 0 || len(p) < k+2 {
+			return m, errBadID
+		}
+		p = p[k:]
+	}
 	klen := int(binary.LittleEndian.Uint16(p[:2]))
 	p = p[2:]
 	if len(p) < klen+4 {

@@ -60,16 +60,17 @@ func TestKindControl(t *testing.T) {
 func TestEncodeDecodeAllKinds(t *testing.T) {
 	msgs := []Message{
 		{Kind: KindReadReq, Key: "x"},
-		{Kind: KindReadResp, Key: "x", Value: []byte("payload"), Version: 42},
+		{Kind: KindReadReq, Key: "x", Version: 3, ID: 1},
+		{Kind: KindReadResp, Key: "x", Value: []byte("payload"), Version: 42, ID: 127},
 		{Kind: KindReadResp, Key: "x", Value: []byte("p"), Version: 7, Allocate: true,
-			Window: win("rwrwr")},
+			Window: win("rwrwr"), ID: 128},
 		{Kind: KindWriteProp, Key: "a key with spaces", Value: nil, Version: 1},
 		{Kind: KindDeleteReq, Key: "x", Window: win("wwr")},
 		{Kind: KindDeleteReq, Key: ""},
 		{Kind: KindPing, Version: 17},
 		{Kind: KindPong, Version: 17},
 		{Kind: KindBusy, Key: "full", Version: 1500},
-		{Kind: KindReadFail, Key: "x"},
+		{Kind: KindReadFail, Key: "x", ID: 1<<64 - 1},
 		{Kind: KindWriteProp, Key: "hot", Value: bytes.Repeat([]byte{0xA5}, 300), Version: 9000},
 		{Kind: KindDeleteReq, Key: "gone", Window: win("wwwwwwww")},
 		{Kind: KindDeleteReq, Key: "nine-bits", Window: win("rwrwrwrwr")},
@@ -93,7 +94,7 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 			t.Fatalf("msg %d: %v", i, err)
 		}
 		if back.Kind != m.Kind || back.Key != m.Key || back.Version != m.Version ||
-			back.Allocate != m.Allocate {
+			back.Allocate != m.Allocate || back.ID != m.ID {
 			t.Fatalf("msg %d: %+v != %+v", i, back, m)
 		}
 		if !bytes.Equal(back.Value, m.Value) {
@@ -183,8 +184,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{1, 0},
 		{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown kind
 		{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},  // bad flags
-		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 'k'}, // truncated key
-		append(make([]byte, 12), 0xFF),            // trailing garbage window
+		{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80}, // truncated id
+		{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0},       // id, then no room for the key length
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 'k'},  // truncated key
+		append(make([]byte, 12), 0xFF),             // trailing garbage window
 	} {
 		if _, err := DecodeBorrowed(p); err == nil {
 			t.Fatalf("malformed frame %d (%x) decoded", i, p)
@@ -249,18 +252,20 @@ func goldenWindow(n int) core.Window {
 // golden frames were produced by the per-bit encoder this codec replaced
 // (a DeleteReq for key "k", and a MultiReadResp, epoch 2, with one
 // allocating entry k=v version 3), so they are the compatibility
-// contract with every peer and every frozen conformance seed.
+// contract with every peer and every frozen conformance seed. The batch
+// frames are format 3's, which put a request id (0, one byte) after the
+// epoch.
 func TestWindowPackingDense(t *testing.T) {
 	golden := []struct {
 		bits           int
 		message, batch string
 	}{
-		{1, "0400000000000000000001006b00000000010001", "150202000000000000000000010001030000000000000001006b0100000076010001"},
-		{8, "0400000000000000000001006b0000000008004d", "150202000000000000000000010001030000000000000001006b010000007608004d"},
-		{9, "0400000000000000000001006b0000000009004d00", "150202000000000000000000010001030000000000000001006b010000007609004d00"},
-		{64, "0400000000000000000001006b0000000040004d92a549b2344996", "150202000000000000000000010001030000000000000001006b010000007640004d92a549b2344996"},
-		{65, "0400000000000000000001006b0000000041004d92a549b234499600", "150202000000000000000000010001030000000000000001006b010000007641004d92a549b234499600"},
-		{128, "0400000000000000000001006b0000000080004d92a549b234499626c9d224599a244b", "150202000000000000000000010001030000000000000001006b010000007680004d92a549b234499626c9d224599a244b"},
+		{1, "0400000000000000000001006b00000000010001", "15030200000000000000000000010001030000000000000001006b0100000076010001"},
+		{8, "0400000000000000000001006b0000000008004d", "15030200000000000000000000010001030000000000000001006b010000007608004d"},
+		{9, "0400000000000000000001006b0000000009004d00", "15030200000000000000000000010001030000000000000001006b010000007609004d00"},
+		{64, "0400000000000000000001006b0000000040004d92a549b2344996", "15030200000000000000000000010001030000000000000001006b010000007640004d92a549b2344996"},
+		{65, "0400000000000000000001006b0000000041004d92a549b234499600", "15030200000000000000000000010001030000000000000001006b010000007641004d92a549b234499600"},
+		{128, "0400000000000000000001006b0000000080004d92a549b234499626c9d224599a244b", "15030200000000000000000000010001030000000000000001006b010000007680004d92a549b234499626c9d224599a244b"},
 	}
 	for _, g := range golden {
 		w := goldenWindow(g.bits)
