@@ -98,7 +98,8 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # by CPU count; it now holds whichever Send sees the failure (the
 # sender's own write returns the error, a flusher write leaves ErrClosed
 # for the next Send) and TestTCPWriteFailureRacesPeerEOF covers the race
-# it hid. The replica
+# it hid. The relay tests drive a relay's direct calls between its two
+# faces (read-through, mirror, drop cascade, placement shed). The replica
 # allocation pins and the relay read-through pin (a miss through two
 # relays allocates only the returned value) run once more without -race
 # (sync.Pool drops Puts under the detector, so those pins skip there), and
@@ -110,7 +111,7 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads' ./internal/tree/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads|TestDropCascade|TestChainReadThroughAndPropagation|TestPlacementShedsAndReholds|TestRelayStoreMirrorsARead' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
     GOMAXPROCS=$procs go test -count=3 -run 'TestRelayReadThroughAllocs' ./internal/tree/
 done

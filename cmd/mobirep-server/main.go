@@ -116,7 +116,7 @@ func main() {
 		// The parent link gets the same supervision as a mobile client's
 		// server link: suspect on close, redial under backoff, warm resync.
 		// An epoch fence from a restarted root reaches the children through
-		// the station's InvalidateAll cascade.
+		// the relay's fence, which revokes every copy below it.
 		var sup atomic.Pointer[replica.Supervisor]
 		dial := func() (transport.Link, error) {
 			tcp, err := transport.DialLink(*parent, nil, func(error) {

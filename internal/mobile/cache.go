@@ -169,20 +169,45 @@ func (c *Cache) archive(e *entry) {
 func (c *Cache) Get(key string, floor uint64) (db.Item, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e := c.hit(key, floor); e != nil {
+		return e.lend(), true
+	}
+	return db.Item{}, false
+}
+
+// GetCopy is Get with the value copied out, appended to dst under the
+// cache's lock: the record's buffer is not lent, so the key's next write
+// still overwrites it in place.
+func (c *Cache) GetCopy(key string, floor uint64, dst []byte) (db.Item, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.hit(key, floor)
+	if e == nil {
+		return db.Item{}, false
+	}
+	it := e.item
+	it.Value = append(dst, it.Value...)
+	return it, true
+}
+
+// hit is a local read's step on key's record: it counts the hit or miss
+// and, when the copy serves the floor, slides the window and returns the
+// record. Caller holds c.mu.
+func (c *Cache) hit(key string, floor uint64) *entry {
 	e := c.find(key)
 	if e == nil {
 		c.stats.Misses++
-		return db.Item{}, false
+		return nil
 	}
 	c.stats.Hits++
 	if e.item.Version < floor {
-		return db.Item{}, false
+		return nil
 	}
 	if c.k > 0 {
 		// The MC is in charge of a key it holds: slide its window.
 		e.window.Push(sched.Read)
 	}
-	return e.lend(), true
+	return e
 }
 
 // Peek returns the cached item without touching statistics.

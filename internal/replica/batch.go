@@ -213,7 +213,7 @@ func (c *Client) onBatch(b wire.Batch) {
 // onBatch handles client-to-server batch messages. For a MultiReadReq:
 // every key gets the same treatment as a singleton read request, but the
 // whole answer rides one data message. On a relay the keys are freshened
-// through the origin first (see fetchAll); the answer is built only once
+// through the parent face first (see fetchAll); the answer is built only once
 // every key has resolved, so it is still one frame.
 func (ss *Session) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncReq {
@@ -227,7 +227,7 @@ func (ss *Session) onBatch(b wire.Batch) {
 }
 
 // fetchBatch is a batch request waiting on its relay fetches: one pooled
-// record the keys' Fetch records count down.
+// record the keys' fetch records count down.
 type fetchBatch struct {
 	b      wire.Batch
 	left   atomic.Int64
@@ -237,16 +237,15 @@ type fetchBatch struct {
 var batchPool = sync.Pool{New: func() any { return new(fetchBatch) }}
 
 // fetchAll answers a batch request once every key is ready to be served:
-// at once on a plain server, after every origin fetch has completed on a
+// at once on a plain server, after every key's fetch has completed on a
 // relay. Any failed fetch drops the whole request (to the client, a lost
 // frame). The batch's memory is owned (wire.DecodeBatch copies), so its
-// keys are the Fetch records' own. The version hints double as fetch
-// floors: the client has seen the hinted version, so the origin must not
-// answer below it. Once the last fetch is started the batch may already
+// keys are the fetch records' own. The version hints double as fetch
+// floors: the client has seen the hinted version, so the parent face must
+// not answer below it. Once the last fetch is started the batch may already
 // be answered, so the loop reads nothing from fb.
 func (ss *Session) fetchAll(b wire.Batch) {
-	o := ss.srv.origin.Load()
-	if o == nil || len(b.Keys) == 0 {
+	if !ss.srv.fetching() || len(b.Keys) == 0 {
 		ss.finishBatch(b)
 		return
 	}
@@ -254,7 +253,7 @@ func (ss *Session) fetchAll(b wire.Batch) {
 	fb.b = b
 	fb.left.Store(int64(len(b.Keys)))
 	for i, key := range b.Keys {
-		(*o)(newFetch(ss, key, hint(b, i), 0, fb))
+		ss.srv.startFetch(newFetch(ss, key, hint(b, i), 0, fb))
 	}
 }
 

@@ -61,19 +61,19 @@ type Client struct {
 	// and the retry-after hint from each Busy frame.
 	onBusy func(retryAfter time.Duration, reason string)
 
-	// Tree hooks (readthrough.go). applyFn/dropFn let a relay station
-	// mirror parent-face state changes downward, and fetchFn completes its
-	// read-throughs — read without c.mu, so applying a write takes no lock
-	// but the cache's (nil until set, or pointing at a nil func once
-	// cleared); fenceFn announces an epoch fence so the station can
-	// invalidate its subtree. trackFloors turns on per-key read floors:
-	// remote reads then carry the highest version this client has
-	// observed, making reads monotone per key even across relay
-	// staleness. All off by default — a plain client stays wire-identical.
+	// relay is the server this client is the parent face of (relay.go);
+	// nil for an MC. Its fetches complete through it, and what the client
+	// learns passively — values, drops, fences — reaches its children
+	// through it. applyFn/dropFn tell an MC's own observer the same (nil
+	// until set, or pointing at a nil func once cleared), read without
+	// c.mu so applying a write takes no lock but the cache's. trackFloors
+	// turns on per-key read floors: remote reads then carry the highest
+	// version this client has observed, making reads monotone per key even
+	// across relay staleness. A relay's parent face tracks floors; an MC
+	// stays wire-identical unless asked.
+	relay       *Server
 	applyFn     atomic.Pointer[func(it db.Item)]
 	dropFn      atomic.Pointer[func(key string)]
-	fetchFn     atomic.Pointer[func(f *Fetch, it db.Item, ok bool)]
-	fenceFn     func()
 	trackFloors bool
 	floors      map[string]uint64
 
@@ -89,6 +89,12 @@ var ErrTimeout = errors.New("replica: read timed out")
 // NewClient creates the MC endpoint over the given link. mode must match
 // the server's mode. The link's handler is installed by NewClient.
 func NewClient(link transport.Link, mode Mode) (*Client, error) {
+	return newClient(link, mode, nil)
+}
+
+// newClient is NewClient for relay's parent face, when relay is not nil:
+// wired to it, with floors on, before the link can deliver a frame.
+func newClient(link transport.Link, mode Mode, relay *Server) (*Client, error) {
 	if err := checkMode(mode); err != nil {
 		return nil, err
 	}
@@ -102,6 +108,9 @@ func NewClient(link transport.Link, mode Mode) (*Client, error) {
 		meter:   newMeter(mcMirror),
 		pending: make(map[string]*readWaiter),
 		marks:   make(map[string]uint64),
+	}
+	if relay != nil {
+		c.relay, c.trackFloors, c.floors = relay, true, make(map[string]uint64)
 	}
 	link.SetHandler(c.onFrame)
 	return c, nil
@@ -397,19 +406,23 @@ func (c *Client) suspect(link transport.Link, err error) {
 	}
 }
 
-// onReadResp completes every parked read of the answer's key whose floor
-// it clears (every upstream serve respects the request's floor, so an
-// answer below a read's floor is not its answer), whichever request it
-// answers. The id decides the allocation alone (allocateLocked), whether
-// or not the read that asked is still parked. An answer to a request sent
-// on an earlier link is ignored: its session is gone.
+// onReadResp completes every read of the answer's key parked at or
+// before the request it answers whose floor it clears (every upstream
+// serve respects the request's floor, so an answer below a read's floor
+// is not its answer): the SC served the request after each of those was
+// sent, so none gets a value older than its own request. A read parked
+// later waits for an answer of its own, so a duplicated older answer
+// completes nothing younger. The id decides the allocation alone
+// (allocateLocked), whether or not the read that asked is still parked.
+// An answer to a request sent on an earlier link is ignored: its session
+// is gone.
 func (c *Client) onReadResp(msg wire.Message) {
 	c.mu.Lock()
 	if msg.ID <= c.since {
 		c.mu.Unlock()
 		return
 	}
-	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.floor <= msg.Version })
+	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.ticket <= msg.ID && w.floor <= msg.Version })
 	relay := false
 	for w := got; w != nil; w = w.next {
 		relay = relay || w.fetch != nil
@@ -444,9 +457,8 @@ func (c *Client) onReadResp(msg wire.Message) {
 		next := w.next // a completed reader may recycle w at once
 		if w.fetch != nil {
 			// Synchronous completion on the delivery goroutine: msg is
-			// borrowed, so the handler must finish with it before
-			// returning (relay stations copy at every retention point).
-			c.fetched(w.fetch, db.Item{Key: w.key, Value: msg.Value, Version: msg.Version}, true)
+			// borrowed, and the relay copies at every retention point.
+			c.relay.fetched(w.fetch, db.Item{Key: w.key, Value: msg.Value, Version: msg.Version}, true)
 		} else {
 			// The reader consumes the result on another goroutine, after
 			// this handler has returned and the frame buffer has been
@@ -515,7 +527,7 @@ func (c *Client) onWriteProp(msg wire.Message) {
 	}
 	// The relay mirrors the write downward before any revocation: children
 	// that keep their copies see the value. The key is the cache's own;
-	// Value stays borrowed (the handler copies at retention points).
+	// Value stays borrowed (retention points copy).
 	c.notifyApply(db.Item{Key: key, Value: msg.Value, Version: msg.Version})
 	if out == mobile.Dropped {
 		// Deallocate: hand the window back to the SC. The delete-request
@@ -533,7 +545,7 @@ func (c *Client) onWriteProp(msg wire.Message) {
 // before it first, so an allocation they carry is cancelled by it and
 // must not be installed (allocateLocked). key is retained, so it must be
 // owned: the cache's own whenever a copy was dropped (reason set), which
-// is counted and cascades through the drop handler. The caller holds
+// is counted and cascades (notifyDrop). The caller holds
 // c.mu, having decided the drop under it or on the link's delivery
 // goroutine; deallocate sends under it — so no read draws an id between
 // the mark and the send — and releases it. That cannot re-enter: the SC
@@ -572,15 +584,23 @@ func (c *Client) onDeleteReq(msg wire.Message) {
 	c.notifyDrop(key)
 }
 
-// notifyApply hands it to the apply handler, if any.
+// notifyApply mirrors it down a relay's subtree and hands it to the apply
+// handler, if any.
 func (c *Client) notifyApply(it db.Item) {
+	if c.relay != nil {
+		c.relay.parentApplied(it)
+	}
 	if apply := c.applyFn.Load(); apply != nil && *apply != nil {
 		(*apply)(it)
 	}
 }
 
-// notifyDrop tells the drop handler, if any, that key's copy is gone.
+// notifyDrop revokes key's copies below a relay and tells the drop
+// handler, if any, that key's copy is gone.
 func (c *Client) notifyDrop(key string) {
+	if c.relay != nil {
+		c.relay.invalidate(key)
+	}
 	if drop := c.dropFn.Load(); drop != nil && *drop != nil {
 		(*drop)(key)
 	}

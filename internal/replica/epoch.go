@@ -88,11 +88,10 @@ func (c *Client) fenceLocked(epoch uint64) {
 func (c *Client) onAttachResp(msg wire.Message) {
 	c.mu.Lock()
 	fenced := c.noteEpochLocked(msg.Version)
-	fence := c.fenceFn
 	c.mu.Unlock()
-	if fenced && fence != nil {
+	if fenced && c.relay != nil {
 		// A relay that fenced must invalidate its subtree even when the
 		// fence arrived via the greeting rather than the resync answer.
-		fence()
+		c.relay.fence()
 	}
 }

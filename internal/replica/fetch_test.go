@@ -14,16 +14,16 @@ import (
 	"mobirep/internal/wire"
 )
 
-// A relay's read-through rides a pooled Fetch record that whoever
+// A relay's read-through rides a pooled fetch record that whoever
 // completes it recycles (readWaiter). These tests pin that every
-// ReadThrough completes exactly once on every path that can end it, and
+// readThrough completes exactly once on every path that can end it, and
 // that a recycled record never takes an answer meant for an earlier read.
 
-// relayRig is a relay in miniature, wired as tree.Station wires one: a
-// server whose origin reads through up, its parent face, and whose
-// read-through handler mirrors what it fetched. The test plays the parent
-// (peer, the far end of up's link) and the child (child, the far end of a
-// session's link) frame by frame.
+// relayRig is a relay with one child. The test plays the parent (peer,
+// the far end of the parent face's link) and the child (child, the far
+// end of a session's link) frame by frame. Every completion of a child's
+// singleton fetch is one answer to the child: a ReadResp when it
+// completed ok, a ReadFail when it failed.
 type relayRig struct {
 	t     *testing.T
 	up    *Client
@@ -32,38 +32,24 @@ type relayRig struct {
 	child transport.Link
 
 	mu      sync.Mutex
-	upSent  []wire.Message    // what up sent its parent
-	answers []wire.Message    // what the relay sent the child
-	batches []wire.Batch      // batch answers the relay sent the child
-	done    map[string][]bool // every completion of a fetch, by key
+	upSent  []wire.Message // what up sent its parent
+	answers []wire.Message // what the relay sent the child
+	batches []wire.Batch   // batch answers the relay sent the child
 }
 
 func newRelayRig(t *testing.T) *relayRig {
 	t.Helper()
-	r := &relayRig{t: t, done: make(map[string][]bool)}
+	r := &relayRig{t: t}
 	var upEnd transport.Link
 	r.peer, upEnd = transport.NewMemPair()
 	r.peer.SetHandler(r.record)
 	var err error
-	if r.up, err = NewClient(upEnd, Static2()); err != nil {
+	if r.relay, err = NewRelay(db.NewStore(), Static2(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	r.up.SetTrackFloors(true)
-	if r.relay, err = NewServer(db.NewStore(), Static2()); err != nil {
+	if r.up, err = r.relay.ConnectParent(upEnd); err != nil {
 		t.Fatal(err)
 	}
-	r.relay.SetOrigin(r.up.ReadThrough)
-	r.up.SetReadThroughHandler(func(f *Fetch, it db.Item, ok bool) {
-		r.mu.Lock()
-		r.done[f.Key()] = append(r.done[f.Key()], ok)
-		r.mu.Unlock()
-		if ok && it.Version > 0 {
-			if _, err := r.relay.Apply(db.Item{Key: f.Key(), Value: it.Value, Version: it.Version}); err != nil {
-				t.Error(err)
-			}
-		}
-		f.Done(ok)
-	})
 	var sessEnd transport.Link
 	r.child, sessEnd = transport.NewMemPair()
 	r.child.SetHandler(func(frame []byte) {
@@ -145,11 +131,24 @@ func (r *relayRig) refuse(key string) {
 	}
 }
 
-// completions returns how the fetches of key completed, in order.
+// completions returns how the singleton fetches of key completed, in
+// order: the relay's answers to the child.
 func (r *relayRig) completions(key string) []bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]bool(nil), r.done[key]...)
+	var got []bool
+	for _, a := range r.answers {
+		if a.Key == key && (a.Kind == wire.KindReadResp || a.Kind == wire.KindReadFail) {
+			got = append(got, a.Kind == wire.KindReadResp)
+		}
+	}
+	return got
+}
+
+// fetchCounts returns the relay fetch counters: completions served from
+// the station's copy, through the parent, and failed.
+func fetchCounts() [3]uint64 {
+	return [3]uint64{mFetchLocal.Load(), mFetchParent.Load(), mFetchFailed.Load()}
 }
 
 // lastAnswer returns the relay's last answer to the child.
@@ -162,7 +161,7 @@ func (r *relayRig) lastAnswer() wire.Message {
 	return r.answers[len(r.answers)-1]
 }
 
-// TestReadThroughCompletesOnce ends a parked ReadThrough on each path that
+// TestReadThroughCompletesOnce ends a parked readThrough on each path that
 // can end one, then sends the parent's late answer, and checks that the
 // fetch completed exactly once, as that path says, and that the child got
 // one answer to match.
@@ -270,13 +269,20 @@ func TestFetchBatchWithAFailedKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	before := fetchCounts()
 	ask()
 	r.answer("a", 1, false)
 	r.refuse("b")
 	r.answer("c", 1, false)
+	// Each key's fetch completed once: a and c through the parent, whose
+	// values the mirror holds, and b failed.
+	if after := fetchCounts(); after[1]-before[1] != 2 || after[2]-before[2] != 1 || after[0] != before[0] {
+		t.Fatalf("the fetches completed %v (local, parent, failed), want [0 2 1]",
+			[3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]})
+	}
 	for _, k := range keys {
-		if got, want := r.completions(k), []bool{k != "b"}; len(got) != 1 || got[0] != want[0] {
-			t.Fatalf("the fetch of %s completed %v, want %v", k, got, want)
+		if _, ok := r.relay.Store().Get(k); ok != (k != "b") {
+			t.Fatalf("the mirror holds %s: %v, want %v", k, ok, k != "b")
 		}
 	}
 	if len(r.batches) != 0 {
@@ -350,32 +356,15 @@ func TestRecycledFetchNeverTakesAnEarlierAnswer(t *testing.T) {
 		root.Attach(a)
 		return &flakyLink{Link: b, rng: rand.New(rand.NewSource(rng.Int63())), wg: &wg}
 	}
-	up, err := NewClient(dial(), Static1())
+	relay, err := NewRelay(db.NewStore(), Static1(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up.SetTrackFloors(true)
-	relay, err := NewServer(db.NewStore(), Static1())
+	up, err := relay.ConnectParent(dial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var started, completed atomic.Int64
-	relay.SetOrigin(func(f *Fetch) {
-		started.Add(1)
-		up.ReadThrough(f)
-	})
-	up.SetReadThroughHandler(func(f *Fetch, it db.Item, ok bool) {
-		completed.Add(1)
-		if ok && string(it.Value) != f.Key() {
-			t.Errorf("the fetch of %s completed with %q", f.Key(), it.Value)
-		}
-		if ok && it.Version > 0 {
-			if _, err := relay.Apply(db.Item{Key: f.Key(), Value: it.Value, Version: it.Version}); err != nil {
-				t.Error(err)
-			}
-		}
-		f.Done(ok)
-	})
+	before := fetchCounts()
 
 	const children, reads = 4, 300
 	stop := make(chan struct{})
@@ -427,8 +416,10 @@ func TestRecycledFetchNeverTakesAnEarlierAnswer(t *testing.T) {
 	if served.Load() == 0 || refused.Load() == 0 {
 		t.Fatalf("%d reads served, %d refused: the test needs both", served.Load(), refused.Load())
 	}
-	if s, c := started.Load(), completed.Load(); s != c {
-		t.Fatalf("%d fetches started, %d completions", s, c)
+	// Every child read is one fetch, as every child read misses under ST1.
+	after := fetchCounts()
+	if c := after[0] + after[1] + after[2] - before[0] - before[1] - before[2]; c != children*reads {
+		t.Fatalf("%d fetches started, %d completions", children*reads, c)
 	}
 }
 
@@ -444,20 +435,19 @@ func (l *gatedLink) Send([]byte) error {
 	return transport.ErrClosed
 }
 
-// TestFailedSendSparesARecycledFetch: a ReadThrough whose send fails may
+// TestFailedSendSparesARecycledFetch: a readThrough whose send fails may
 // find its record already failed by a reconnect, recycled, and parked
 // again for a later read of the same key. Cancelling its own read must
 // leave that later one parked, to be completed by its own answer.
 func TestFailedSendSparesARecycledFetch(t *testing.T) {
 	r := newRelayRig(t)
-	var seen []*Fetch
-	r.up.SetReadThroughHandler(func(f *Fetch, it db.Item, ok bool) {
+	var seen []*fetch
+	r.relay.holdFetch = func(f *fetch) {
 		r.mu.Lock()
-		r.done[f.Key()] = append(r.done[f.Key()], ok)
 		seen = append(seen, f)
 		r.mu.Unlock()
-		f.Done(ok)
-	})
+		r.up.readThrough(f)
+	}
 	dial := func() transport.Link {
 		peer, up := transport.NewMemPair()
 		peer.SetHandler(r.record)

@@ -88,6 +88,23 @@ var (
 		"Recoveries that brought a client back online.")
 	mHeartbeatMisses = obsReg.Counter("mobirep_replica_heartbeat_misses_total",
 		"Probe intervals that saw no pong.")
+
+	// Relay stations of a replica tree (relay.go): fetch outcomes, what
+	// the parent face mirrors downward, and placement.
+	mFetchLocal = obsReg.Counter(`mobirep_tree_fetches_total{result="local"}`,
+		"Relay read-path fetches by outcome: served from the station's own "+
+			"copy, resolved through the parent, or failed (offline/abandoned).")
+	mFetchParent = obsReg.Counter(`mobirep_tree_fetches_total{result="parent"}`, "")
+	mFetchFailed = obsReg.Counter(`mobirep_tree_fetches_total{result="failed"}`, "")
+	mApplies     = obsReg.Counter("mobirep_tree_applies_total",
+		"Parent-face values folded into a relay's mirror store and fanned "+
+			"to its children (fresh versions only; duplicates are inert).")
+	mInvalidations = obsReg.Counter("mobirep_tree_invalidations_total",
+		"Child copies revoked by a relay cascade (parent-face drops, fences).")
+	mFences = obsReg.Counter("mobirep_tree_fences_total",
+		"Subtree invalidations triggered by an upstream epoch fence.")
+	mPlacementDrops = obsReg.Counter("mobirep_tree_placement_drops_total",
+		"Copies shed because the station's placement policy voted against them.")
 )
 
 // meterMirror holds the global per-side registry counters a Meter

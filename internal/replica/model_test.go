@@ -77,9 +77,10 @@ type Model struct {
 	mc    map[string]*modelSide
 	cache map[string]uint64 // live MC cache: present iff MC holds a copy
 	// pendingRead is the key of the one outstanding remote read, "" when
-	// none. The harness resolves each read fully before starting the next,
-	// so a single slot suffices.
+	// none, and pendingID its request's id. The harness resolves each read
+	// fully before starting the next, so a single slot suffices.
 	pendingRead    string
+	pendingID      uint64
 	hasPendingRead bool
 	// seq is the MC's last request id, marks its per-key marks, and since
 	// seq at the last link change.
@@ -250,8 +251,8 @@ func (m *Model) StartRead(key string) []wire.Message {
 	if m.hasPendingRead {
 		panic("model: overlapping remote reads")
 	}
-	m.pendingRead, m.hasPendingRead = key, true
 	m.seq++
+	m.pendingRead, m.pendingID, m.hasPendingRead = key, m.seq, true
 	return []wire.Message{{Kind: wire.KindReadReq, Key: key, ID: m.seq}}
 }
 
@@ -351,7 +352,10 @@ func (m *Model) mcReadResp(msg wire.Message) (completed *uint64) {
 		return nil
 	}
 	st := m.side(m.mc, msg.Key)
-	asked := m.hasPendingRead && m.pendingRead == msg.Key
+	// An answer completes the read only if it answers that request or a
+	// later one: an older answer (a duplicate, or the answer to a read
+	// that gave up) was served before the read was asked.
+	asked := m.hasPendingRead && m.pendingRead == msg.Key && m.pendingID <= msg.ID
 	if msg.Allocate && msg.ID > m.marks[msg.Key] && !st.hasCopy {
 		st.hasCopy = true
 		if m.mode.Kind == core.KindSW {

@@ -8,15 +8,12 @@ import (
 	"mobirep/internal/wire"
 )
 
-// Client-side relay hooks. A support station's parent face is a Client;
-// the station fetches through it with ReadThrough (a pooled Fetch record,
-// never a parked goroutine), mirrors parent-face state changes downward
-// through the apply/drop/fence handlers, and sheds copies the placement
-// policy vetoes with DropCopy. Read floors (SetTrackFloors) make reads
-// monotone per key even when a relay's copy lags the root.
+// A relay's parent face reads through for its children with readThrough,
+// on a pooled fetch record, never a parked goroutine. Read floors make
+// reads monotone per key even when a relay's copy lags the root.
 
 // readWaiter is one parked singleton read: the channel its goroutine
-// waits on — or, for a relay's read-through, the Fetch record to complete
+// waits on — or, for a relay's read-through, the fetch record to complete
 // instead — the floor its request carried (0 = none), the ticket its
 // parking drew (the request's id) and the next-younger read parked on the
 // same key. A response below a waiter's floor is not its answer and must
@@ -29,13 +26,13 @@ import (
 // waiter after taking the one response, or after unlinking it itself
 // (cancelPending reports true); a waiter it lost to onReadResp,
 // onReadFail or failWaiters it abandons — a late response or a close must
-// land on a channel no later read will ever see. A Fetch is recycled by
-// whoever completes it (Fetch.Done), so a ReadThrough that lost its
+// land on a channel no later read will ever see. A fetch is recycled by
+// whoever completes it (fetch.done), so a readThrough that lost its
 // record may find it parked again for a later read; the ticket tells the
 // two apart.
 type readWaiter struct {
 	ch     chan readResult
-	fetch  *Fetch // the relay read this waiter parks; nil for ReadContext
+	fetch  *fetch // the relay read this waiter parks; nil for ReadContext
 	key    string // the reader's own key: what Client.pending is indexed by
 	floor  uint64
 	ticket uint64 // the request id, drawn by parkLocked under c.mu
@@ -83,48 +80,41 @@ func (w *readWaiter) done(recycle bool) {
 	}
 }
 
-// Fetch is one child read in flight through a relay: the record a relay
-// server hands its Origin, which the parent face parks (ReadThrough) and
-// completes through its read-through handler, and which Done hands back
-// to the server to answer the child. Records are pooled and carry no
-// func value, so a hop through a relay allocates nothing once the key is
+// fetch is one child read in flight through a relay: the record the
+// relay's server starts (startFetch), its parent face parks
+// (readThrough) and completes (Server.fetched), and done hands back to
+// the session to answer the child. Records are pooled and carry no func
+// value, so a hop through a relay allocates nothing once the key is
 // known to the station. A record belongs to whoever holds it last: it
-// must not be touched after Done.
-type Fetch struct {
+// must not be touched after done.
+type fetch struct {
 	w        readWaiter // the record's place on the parent face's parked chain
 	ss       *Session
 	id       uint64      // the child's request id, echoed in the answer
 	batch    *fetchBatch // the joint read or resync this key is part of; nil for a singleton
-	upstream bool        // ReadThrough parked it for the parent's answer
+	upstream bool        // readThrough parked it for the parent's answer
 }
 
 var fetchPool = sync.Pool{New: func() any {
-	f := new(Fetch)
+	f := new(fetch)
 	f.w.fetch = f
 	return f
 }}
 
 // newFetch takes a record for ss's read of key, which must be owned,
 // requested under id (0 when the key is part of fb).
-func newFetch(ss *Session, key string, floor, id uint64, fb *fetchBatch) *Fetch {
-	f := fetchPool.Get().(*Fetch)
+func newFetch(ss *Session, key string, floor, id uint64, fb *fetchBatch) *fetch {
+	f := fetchPool.Get().(*fetch)
 	f.w.key, f.w.floor, f.ss, f.id, f.batch = key, floor, ss, id, fb
 	return f
 }
 
-// Key returns the key the child reads. It is owned, and may be retained.
-func (f *Fetch) Key() string { return f.w.key }
-
-// Upstream reports whether ReadThrough sent the read to the parent rather
-// than answering it from the station's own copy.
-func (f *Fetch) Upstream() bool { return f.upstream }
-
-// Done hands the fetch back to the server that started it: ok serves the
-// child from the store (or counts the key toward its batch), !ok refuses
-// the read. The record is recycled.
-func (f *Fetch) Done(ok bool) {
+// done hands the fetch back to the session that started it: ok serves
+// the child from the store (or counts the key toward its batch), !ok
+// refuses the read. The record is recycled.
+func (f *fetch) done(ok bool) {
 	ss, fb, key, id := f.ss, f.batch, f.w.key, f.id
-	*f = Fetch{w: readWaiter{fetch: f}}
+	*f = fetch{w: readWaiter{fetch: f}}
 	fetchPool.Put(f)
 	if fb != nil {
 		fb.done(ss, ok)
@@ -133,24 +123,23 @@ func (f *Fetch) Done(ok bool) {
 	}
 }
 
-// ReadThrough is a relay's read of f's key through the parent face, and
-// never blocks: answered synchronously from the local copy when it
-// satisfies the floor, otherwise parked until the response arrives (or
-// abandoned — offline, link failure, or a reconnect clearing the waiters).
-// Either way the read-through handler (SetReadThroughHandler) completes f
-// exactly once, on the caller's goroutine or a transport delivery
-// goroutine; the item's Value is only valid for the duration of the call
-// and must be copied at any retention point. The exception is a response
-// lost in transit with no subsequent reconnect: the caller's retry
-// machinery owns that case, exactly as a timed-out Read does.
-func (c *Client) ReadThrough(f *Fetch) {
+// readThrough is a relay's read of f's key through its parent face, and
+// never blocks: answered synchronously from the station's own copy when
+// it satisfies the floor, otherwise parked until the response arrives (or
+// abandoned — offline, link failure, or a reconnect clearing the
+// waiters). Either way the relay's fetched completes f exactly once, on
+// the caller's goroutine or a transport delivery goroutine. The exception
+// is a response lost in transit with no subsequent reconnect: the
+// caller's retry machinery owns that case, exactly as a timed-out Read
+// does.
+func (c *Client) readThrough(f *fetch) {
 	w := &f.w
 	key := w.key
 	c.mu.Lock()
 	if c.offline {
 		c.mu.Unlock()
 		mReadOffline.Inc()
-		c.fetched(f, db.Item{}, false)
+		c.relay.fetched(f, db.Item{}, false)
 		return
 	}
 	if fl := c.floors[key]; fl > w.floor {
@@ -158,13 +147,19 @@ func (c *Client) ReadThrough(f *Fetch) {
 		// collectively monotone reads, not just per original requester.
 		w.floor = fl
 	}
-	if it, ok := c.cache.Get(key, w.floor); ok {
+	// The station's own copy is copied out, not lent: a lent value would
+	// make the key's next WriteProp clone into a fresh buffer.
+	vb := wire.GetBuf()
+	if it, ok := c.cache.GetCopy(key, w.floor, vb.B[:0]); ok {
+		vb.B = it.Value
 		c.noteFloorLocked(key, it.Version)
 		c.mu.Unlock()
 		mReadLocal.Inc()
-		c.fetched(f, it, true)
+		c.relay.fetched(f, it, true)
+		wire.PutBuf(vb)
 		return
 	}
+	wire.PutBuf(vb)
 	// A held copy below the floor stays held: the remote answer is
 	// absorbed like a one-key resync (see onReadResp). Once parked, f
 	// belongs to whoever unlinks it: only what was read before is used.
@@ -181,24 +176,11 @@ func (c *Client) ReadThrough(f *Fetch) {
 		// through failWaiters.
 		if c.cancelPending(key, w, ticket) {
 			mReadOffline.Inc()
-			c.fetched(f, db.Item{}, false)
+			c.relay.fetched(f, db.Item{}, false)
 		}
 		return
 	}
 	mReadRemote.Inc()
-}
-
-// fetched completes f through the read-through handler.
-func (c *Client) fetched(f *Fetch, it db.Item, ok bool) {
-	(*c.fetchFn.Load())(f, it, ok)
-}
-
-// SetReadThroughHandler registers h to complete every ReadThrough, which
-// needs one: a relay mirrors the item into its store, then calls f.Done.
-// h runs on the caller's goroutine or a transport delivery goroutine,
-// after the client's lock is released; it.Value is borrowed.
-func (c *Client) SetReadThroughHandler(h func(f *Fetch, it db.Item, ok bool)) {
-	c.fetchFn.Store(&h)
 }
 
 // noteFloorLocked raises key's read floor to v when floor tracking is
@@ -212,8 +194,8 @@ func (c *Client) noteFloorLocked(key string, v uint64) {
 
 // DropCopy voluntarily deallocates key — the placement policy decided
 // this station should not hold it. The window rides the DeleteReq so the
-// server adopts the true read/write history, and the drop cascades
-// through the drop handler. Reports whether a copy was actually held.
+// server adopts the true read/write history, and on a relay the drop
+// cascades to the children. Reports whether a copy was actually held.
 func (c *Client) DropCopy(key string) bool {
 	// The drop is decided under c.mu, so an allocating answer either
 	// installs before it (and is dropped here) or finds its id below the
@@ -234,8 +216,7 @@ func (c *Client) DropCopy(key string) bool {
 
 // SetApplyHandler registers f to receive every fresh value the client
 // learns passively from its server — write propagations and resync
-// re-ships (reads complete through the read-through handler instead, so
-// a fetch never double-fires). f runs on the transport delivery
+// re-ships, not read answers. f runs on the transport delivery
 // goroutine after the client's lock is released; the item's Key is the
 // cache's own and may be retained, its Value is borrowed and must be
 // copied at any retention point.
@@ -245,22 +226,10 @@ func (c *Client) SetApplyHandler(f func(it db.Item)) {
 
 // SetDropHandler registers f to be told whenever the client's copy of a
 // key is dropped by protocol action (server DeleteReq, write-majority
-// deallocation, resync deallocation, absorb, DropCopy) — the relay's cue
-// to cascade the revocation to its own children. Not called for the
-// wholesale drops of Disconnect/Reattach/fencing; the fence handler
-// covers those.
+// deallocation, resync deallocation, absorb, DropCopy). Not called for
+// the wholesale drops of Disconnect, Reattach and fencing.
 func (c *Client) SetDropHandler(f func(key string)) {
 	c.dropFn.Store(&f)
-}
-
-// SetFenceHandler registers f to run when the client fences on an epoch
-// change: the authority restarted, every warm copy was dropped, and a
-// relay must invalidate its whole subtree before serving again. f runs
-// off the client's lock.
-func (c *Client) SetFenceHandler(f func()) {
-	c.mu.Lock()
-	c.fenceFn = f
-	c.mu.Unlock()
 }
 
 // SetTrackFloors turns per-key read floors on or off. With floors on,

@@ -99,7 +99,7 @@ func (c *Client) failReads(w *readWaiter) {
 	for w != nil {
 		next := w.next
 		if w.fetch != nil {
-			c.fetched(w.fetch, db.Item{}, false)
+			c.relay.fetched(w.fetch, db.Item{}, false)
 		} else {
 			close(w.ch)
 		}
@@ -277,12 +277,11 @@ func (c *Client) onResyncResp(b wire.Batch) {
 		// cold — but close the done channel so the attempt resolves.
 		done := c.resyncDone
 		c.resyncDone = nil
-		fence := c.fenceFn
 		c.mu.Unlock()
 		mResyncFenced.Inc()
 		obsTr.Record(obs.EvResync, "", "fenced", int64(b.Epoch), 0)
-		if fence != nil {
-			fence()
+		if c.relay != nil {
+			c.relay.fence()
 		}
 		if done != nil {
 			close(done)

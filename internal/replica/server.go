@@ -37,14 +37,12 @@ type Server struct {
 	attachBucket tokenBucket
 	memSoft      atomic.Int64
 
-	// Tree hooks (relay.go). origin, when set, intercepts every read-path
-	// store fetch so a relay station can pull the value from its parent;
-	// allocGate, when set, is consulted before any child allocation so a
-	// relay never places a copy below itself that it does not hold above.
-	// Both nil (the default) leaves the server byte-for-byte identical to
-	// the plain two-node SC.
-	origin    atomic.Pointer[Origin]
-	allocGate atomic.Pointer[func(key string) bool]
+	// relay is a relay station's parent face (relay.go); nil on a plain
+	// SC, which leaves the server the two-node SC byte for byte.
+	// holdFetch, nil in production, takes every child read's fetch as a
+	// relay would: tests hold and complete fetches with it.
+	relay     *relay
+	holdFetch func(f *fetch)
 }
 
 // Session is the SC-side state for one mobile client. It is created by
@@ -289,9 +287,9 @@ func (s *Server) Write(key string, value []byte) (db.Item, error) {
 }
 
 // fanOut is the server's one fan-out loop: it runs the write side of the
-// protocol for a committed item (shared with Apply, relay.go, which
-// commits through Install) or, with revoke set, revokes every copy of
-// it.Key (Invalidate). It walks each shard's key index rather than every
+// protocol for a committed item (shared with a relay's mirror, relay.go,
+// which commits through Install) or, with revoke set, revokes every copy
+// of it.Key (invalidate). It walks each shard's key index rather than every
 // session: a session with no state for the key needs nothing in any mode
 // (ST1 never sends; ST2 sends only with a copy placed; SW without a copy
 // pushes a Write into a window that is still all-writes — a no-op on the
@@ -570,14 +568,14 @@ func (ss *Session) onPing(msg wire.Message) {
 	ss.send(encodePooled(wire.Message{Kind: wire.KindPong, Version: msg.Version}), none)
 }
 
-// onReadReq runs the SC read path. On a relay the origin hook first
-// freshens the mirror store from upstream; the request's Version field is
-// the reader's floor (0 when the client does not track floors), forwarded
-// so a relay never completes a read below what the reader has already
-// seen. Then finishReadReq serves the key.
+// onReadReq runs the SC read path. On a relay the mirror store is first
+// freshened through the parent face; the request's Version field is the
+// reader's floor (0 when the client does not track floors), forwarded so
+// a relay never completes a read below what the reader has already seen.
+// Then finishReadReq serves the key.
 func (ss *Session) onReadReq(msg wire.Message) {
-	if o := ss.srv.origin.Load(); o != nil {
-		// The Fetch outlives this handler (an upstream fetch may resolve
+	if ss.srv.fetching() {
+		// The fetch outlives this handler (an upstream fetch may resolve
 		// on a later delivery), and msg.Key is borrowed transport memory:
 		// the record takes the mirror store's own copy of the key, cloned
 		// only when the station has never stored it.
@@ -585,7 +583,7 @@ func (ss *Session) onReadReq(msg wire.Message) {
 		if !ok {
 			key = strings.Clone(msg.Key)
 		}
-		(*o)(newFetch(ss, key, msg.Version, msg.ID, nil))
+		ss.srv.startFetch(newFetch(ss, key, msg.Version, msg.ID, nil))
 		return
 	}
 	ss.finishReadReq(msg.Key, msg.ID, true)
@@ -628,10 +626,9 @@ func (ss *Session) finishReadReq(key string, id uint64, ok bool) {
 // allocOnRead is the SC's one allocation decision for a read of key: it
 // slides st's window when the SC is in charge and reports whether the
 // answer places a copy, setting the copy bit if so. ST1 never allocates,
-// ST2 on first contact, SWk on a read majority; a relay's allocation gate
-// must also grant it. A read while the MC holds a copy is a stale race:
-// served without changing allocation. Caller holds the shard token; the
-// gate must not call back into this server.
+// ST2 on first contact, SWk on a read majority; on a relay the parent
+// face must also hold key. A read while the MC holds a copy is a stale
+// race: served without changing allocation. Caller holds the shard token.
 func (ss *Session) allocOnRead(key string, st *itemState) bool {
 	if st.kind == core.KindST1 || st.hasCopy {
 		return false
@@ -646,11 +643,19 @@ func (ss *Session) allocOnRead(key string, st *itemState) bool {
 	return st.hasCopy
 }
 
-// allocAllowed consults the allocation gate; nil (no relay) always
-// grants. Caller holds the shard token.
+// allocAllowed is a relay's allocation gate, the contiguity invariant: a
+// child may hold key only while the station holds it on its parent face,
+// so every copy lives on an unbroken root-to-leaf path. A plain SC always
+// grants. Sessions, not keys, are sharded, so the parent face's copy bit
+// is read across goroutines: under the shard token the caller holds, then
+// the parent face's cache lock, in that order.
 func (ss *Session) allocAllowed(key string) bool {
-	g := ss.srv.allocGate.Load()
-	return g == nil || (*g)(key)
+	r := ss.srv.relay
+	if r == nil {
+		return true
+	}
+	p := r.parent.Load()
+	return p != nil && p.cache.Contains(key)
 }
 
 // onDeleteReq runs the SC side of an MC-initiated deallocation: take the

@@ -167,12 +167,12 @@ func TestStaleCopyInterleavings(t *testing.T) {
 		run  func(p *stalePair)
 	}{
 		{"A read racing a write", Static2(), false, func(p *stalePair) {
-			// The origin hook lets a write commit before the read is served.
+			// A held fetch lets a write commit before the read is served.
 			var once sync.Once
-			p.srv.SetOrigin(func(f *Fetch) {
+			p.srv.holdFetch = func(f *fetch) {
 				once.Do(func() { p.write(2) })
-				f.Done(true)
-			})
+				f.done(true)
+			}
 			read := p.startRead(context.Background())
 			p.settle()
 			if err := <-read; err != nil {
@@ -268,8 +268,8 @@ func TestInvalidateRevokesOnlyCopies(t *testing.T) {
 				clis[1].DropCopy("k")
 			}
 			_, before := implSCState(sess[1], mode, "k")
-			if n := srv.Invalidate("k"); n != 1 {
-				t.Fatalf("Invalidate revoked %d sessions, want 1", n)
+			if n := srv.invalidate("k"); n != 1 {
+				t.Fatalf("invalidate revoked %d sessions, want 1", n)
 			}
 			if clis[0].HasCopy("k") {
 				t.Error("the holder kept its copy")
@@ -345,40 +345,43 @@ type TestCase struct {
 //	                        its own goroutine once its request is queued
 //	cancel                  the last read started gives up
 //	refused                 the oldest read still waited on fails offline
-//	done                    every other read started returns
+//	done [vN...]            every other read started returns; with
+//	                        versions, the singleton reads, oldest first,
+//	                        returned those
 //	up / down               deliver the next client->server / server->client frame
 //	lose up / lose down     chaos loses that frame instead
 //	dup down                deliver it, and queue a copy behind the rest
 //	write K                 commit the next version of K at the SC
 //	drop K                  the MC deallocates its copy of K
-//	revoke K                the SC revokes every copy of K (a relay's Invalidate)
-//	hold                    the origin keeps the next read's fetch (a relay
+//	revoke K                the SC revokes every copy of K (a relay's invalidate)
+//	hold                    the SC keeps the next read's fetch (a relay
 //	                        waiting on its parent)
 //	release / refuse        the oldest kept fetch completes / fails
 //	settle                  deliver everything queued, both ways
 type scriptRun struct {
 	*stalePair
 	versions map[string]uint64
-	reads    []scriptRead
-	held     []*Fetch
+	reads    []*scriptRead
+	held     []*fetch
 	holdNext bool
 }
 
 type scriptRead struct {
-	cancel context.CancelFunc
-	done   chan error
+	cancel  context.CancelFunc
+	done    chan error
+	version uint64 // a singleton read's result, set before done
 }
 
 func runTestCase(t *testing.T, tc TestCase) {
 	t.Helper()
 	r := &scriptRun{stalePair: newStalePair(t, Static2(), false), versions: map[string]uint64{"k": 1}}
-	r.srv.SetOrigin(func(f *Fetch) {
+	r.srv.holdFetch = func(f *fetch) {
 		if r.holdNext {
 			r.holdNext, r.held = false, append(r.held, f)
 			return
 		}
-		f.Done(true)
-	})
+		f.done(true)
+	}
 	for _, line := range strings.Split(strings.TrimSpace(tc.Script), "\n") {
 		if f := strings.Fields(line); len(f) > 0 {
 			r.step(f[0], f[1:])
@@ -404,20 +407,22 @@ func (r *scriptRun) step(op string, args []string) {
 	case "read", "readmany":
 		ctx, cancel := context.WithCancel(context.Background())
 		before := r.c2s.Pending()
-		done := make(chan error, 1)
+		rd := &scriptRead{cancel: cancel, done: make(chan error, 1)}
 		go func() {
 			var err error
 			if op == "read" {
-				_, err = r.cli.ReadContext(ctx, args[0])
+				var it db.Item
+				it, err = r.cli.ReadContext(ctx, args[0])
+				rd.version = it.Version
 			} else {
 				_, err = r.cli.ReadManyContext(ctx, args)
 			}
-			done <- err
+			rd.done <- err
 		}()
 		if !r.c2s.WaitPending(before+1, 5*time.Second) {
 			t.Fatalf("%s %v sent no request", op, args)
 		}
-		r.reads = append(r.reads, scriptRead{cancel, done})
+		r.reads = append(r.reads, rd)
 	case "cancel":
 		last := r.reads[len(r.reads)-1]
 		r.reads = r.reads[:len(r.reads)-1]
@@ -433,11 +438,16 @@ func (r *scriptRun) step(op string, args []string) {
 			t.Fatalf("the refused read returned %v", err)
 		}
 	case "done":
+		var got []string
 		for _, rd := range r.reads {
 			defer rd.cancel()
 			if err := <-rd.done; err != nil {
 				t.Fatalf("a read failed: %v", err)
 			}
+			got = append(got, fmt.Sprintf("v%d", rd.version))
+		}
+		if len(args) > 0 && !slices.Equal(got, args) {
+			t.Fatalf("the reads returned %v, want %v", got, args)
 		}
 		r.reads = nil
 	case "up", "down":
@@ -469,13 +479,13 @@ func (r *scriptRun) step(op string, args []string) {
 			t.Fatalf("the MC held no copy of %s to drop", args[0])
 		}
 	case "revoke":
-		r.srv.Invalidate(args[0])
+		r.srv.invalidate(args[0])
 	case "hold":
 		r.holdNext = true
 	case "release", "refuse":
 		f := r.held[0]
 		r.held = r.held[1:]
-		f.Done(op == "release")
+		f.done(op == "release")
 	case "settle":
 		r.settle()
 	default:
@@ -545,7 +555,6 @@ func TestRequestIDCases(t *testing.T) {
 			hold
 			up
 			down
-			done
 			drop k
 			up
 			read k
@@ -636,6 +645,21 @@ func TestRequestIDCases(t *testing.T) {
 			settle
 			write k`,
 		Expect: []string{"k: mc -, sc -"},
+	}, {
+		Name: "a duplicated answer completes no younger read",
+		Script: `
+			read k
+			up
+			dup down
+			done v1
+			drop k
+			up
+			write k
+			read k
+			up
+			settle
+			done v2`,
+		Expect: []string{"k: mc v2, sc copy"},
 	}} {
 		t.Run(tc.Name, func(t *testing.T) { runTestCase(t, tc) })
 	}

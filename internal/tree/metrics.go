@@ -2,32 +2,13 @@ package tree
 
 // Observability for the replica-tree layer: one registration per series
 // at package init, pre-resolved handles on the hot paths, mirroring the
-// discipline of internal/replica/metrics.go.
+// discipline of internal/replica/metrics.go, which also holds the relay
+// stations' mobirep_tree_* series.
 
 import "mobirep/internal/obs"
 
 var (
 	obsReg = obs.Default()
-
-	// Relay fetch outcomes (the origin hook's dispositions).
-	mFetchLocal = obsReg.Counter(`mobirep_tree_fetches_total{result="local"}`,
-		"Relay read-path fetches by outcome: served from the station's own "+
-			"copy, resolved through the parent, or failed (offline/abandoned).")
-	mFetchParent = obsReg.Counter(`mobirep_tree_fetches_total{result="parent"}`, "")
-	mFetchFailed = obsReg.Counter(`mobirep_tree_fetches_total{result="failed"}`, "")
-
-	// Downward mirroring.
-	mApplies = obsReg.Counter("mobirep_tree_applies_total",
-		"Parent-face values folded into a relay's mirror store and fanned "+
-			"to its children (fresh versions only; duplicates are inert).")
-	mInvalidations = obsReg.Counter("mobirep_tree_invalidations_total",
-		"Child copies revoked by a relay cascade (parent-face drops, fences).")
-	mFences = obsReg.Counter("mobirep_tree_fences_total",
-		"Subtree invalidations triggered by an upstream epoch fence.")
-
-	// Placement.
-	mPlacementDrops = obsReg.Counter("mobirep_tree_placement_drops_total",
-		"Copies shed because the station's placement policy voted against them.")
 
 	// Mobility.
 	mHandoffs = obsReg.Counter("mobirep_tree_handoffs_total",

@@ -13,22 +13,22 @@ import (
 	"mobirep/internal/wire"
 )
 
-// A child's read through a relay rides one pooled Fetch record from the
+// A child's read through a relay rides one pooled fetch record from the
 // child face, through the parent face's parked reads, and back. These
 // tests pin what that buys — a relay hop allocates nothing — and how the
 // hop is observed: the fetch labels and the parent edge's meter.
 
 // chainReader builds Chain(n) over in-memory links in mode, attaches an
-// MC at its leaf, writes k at the root and returns a read of k that
-// checks the value against the root's newest write.
-func chainReader(tb testing.TB, n int, mode replica.Mode) (read func(), write func()) {
+// MC at its leaf, writes k at the root and returns a read of k by the MC
+// that checks the value against the root's newest write.
+func chainReader(tb testing.TB, n int, mode replica.Mode) (read func(), write func(), mc *MC) {
 	tb.Helper()
 	tr, err := Build(Chain(n), db.NewStore(), mode, 1, Policy{}, memConnect)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	a, b := transport.NewMemPair()
-	mc, err := tr.AttachMC(n-1, a, b)
+	mc, err = tr.AttachMC(n-1, a, b)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func chainReader(tb testing.TB, n int, mode replica.Mode) (read func(), write fu
 		}
 	}
 	write()
-	return read, write
+	return read, write, mc
 }
 
 // TestRelayReadThroughAllocs pins an ST1 miss at the leaf of Chain(3),
@@ -59,7 +59,7 @@ func TestRelayReadThroughAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
 	}
-	read, write := chainReader(t, 3, replica.Static1())
+	read, write, _ := chainReader(t, 3, replica.Static1())
 	for i := 0; i < 8; i++ {
 		write()
 		read() // warm the pools and every station's per-key state
@@ -70,6 +70,29 @@ func TestRelayReadThroughAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, func() { write(); read() }); allocs > 1 {
 		t.Errorf("a root write and a miss through two relays allocated %.1f times per run, want at most 1", allocs)
 	}
+
+	// ST2 at Chain(2): the relay holds k, and the MC gives its copy up
+	// after each read, so its next read is served from the relay's own
+	// copy. That copy is read out, not lent, so the root's next write
+	// overwrites the relay's buffer in place: the run allocates only the
+	// value the MC returns.
+	read, write, mc := chainReader(t, 2, replica.Static2())
+	cycle := func() {
+		read()
+		mc.Client.DropCopy("k")
+		write()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	local := obs.Default().Counter(`mobirep_tree_fetches_total{result="local"}`, "")
+	before := local.Load()
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > 1 {
+		t.Errorf("a read through the relay's own copy and a root write allocated %.1f times per run, want at most 1", allocs)
+	}
+	if n := local.Load() - before; n != 501 {
+		t.Errorf("%d of 501 reads were served from the relay's own copy", n)
+	}
 }
 
 // BenchmarkRelayReadThrough times an ST1 miss by an MC at the leaf of a
@@ -77,7 +100,7 @@ func TestRelayReadThroughAllocs(t *testing.T) {
 func BenchmarkRelayReadThrough(b *testing.B) {
 	for _, n := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("chain%d", n), func(b *testing.B) {
-			read, _ := chainReader(b, n, replica.Static1())
+			read, _, _ := chainReader(b, n, replica.Static1())
 			read()
 			b.ReportAllocs()
 			b.ResetTimer()

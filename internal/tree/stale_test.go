@@ -303,11 +303,33 @@ func TestTCPTreeHeldCopiesCurrent(t *testing.T) {
 		}
 		return ""
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for msg := stale(); msg != ""; msg = stale() {
-		if time.Now().After(deadline) {
+	// What is still in flight cascades down the tree. A ping round trip
+	// drains a holder's link from its parent, whose pong leaves behind
+	// every frame sent before it, so each round of pings delivers one more
+	// hop: a bounded number of rounds settles the tree.
+	pongs := make(chan struct{}, len(holders))
+	for _, cli := range holders {
+		cli.SetPongHandler(func(uint64) { pongs <- struct{}{} })
+	}
+	for round := uint64(0); ; round++ {
+		msg := stale()
+		if msg == "" {
+			break
+		}
+		if round == 16 {
 			t.Fatalf("at quiescence: %s", msg)
 		}
-		time.Sleep(5 * time.Millisecond)
+		for _, cli := range holders {
+			if err := cli.Ping(round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range holders {
+			select {
+			case <-pongs:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a ping went unanswered")
+			}
+		}
 	}
 }

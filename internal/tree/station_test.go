@@ -14,11 +14,12 @@ import (
 	"mobirep/internal/transport"
 )
 
-// Live-link integration: real in-memory links, real delivery goroutines,
-// no chaos. These prove the relay wiring end to end — read-through along
-// a chain, downward write propagation, drop cascades, placement
-// shedding, and warm handoff — while conformance_test.go hammers the
-// same machinery under seeded faults.
+// Live-link integration: real in-memory links, no chaos. These prove the
+// relay wiring end to end — read-through along a chain, downward write
+// propagation, drop cascades, placement shedding, and warm handoff —
+// while conformance_test.go hammers the same machinery under seeded
+// faults. An in-memory link delivers inside Send, so every effect of a
+// call has happened when it returns: the tests assert right after it.
 
 func memConnect(child, parent int) (transport.Link, transport.Link, error) {
 	a, b := transport.NewMemPair()
@@ -46,17 +47,12 @@ func attachTestMC(t *testing.T, tr *Tree, station int) *MC {
 	return mc
 }
 
-// eventually polls cond until it holds or the deadline passes.
-func eventually(t *testing.T, what string, cond func() bool) {
+// check fails the test unless cond holds.
+func check(t *testing.T, what string, cond bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if !cond {
+		t.Fatalf("no %s", what)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func TestChainReadThroughAndPropagation(t *testing.T) {
@@ -76,20 +72,16 @@ func TestChainReadThroughAndPropagation(t *testing.T) {
 
 	// ST2 allocates on every hop of the fetch path: the copy chain is
 	// root-contiguous and the MC now holds a copy.
-	eventually(t, "copies along the path", func() bool {
-		return tr.Stations[1].Client().HasCopy("x") &&
-			tr.Stations[2].Client().HasCopy("x") &&
-			mc.Client.HasCopy("x")
-	})
+	check(t, "copies along the path", tr.Stations[1].Client().HasCopy("x") &&
+		tr.Stations[2].Client().HasCopy("x") &&
+		mc.Client.HasCopy("x"))
 
 	// A root write now rides the propagation path down every hop.
 	if _, err := tr.Stations[0].Server().Write("x", []byte("x#2")); err != nil {
 		t.Fatalf("root write: %v", err)
 	}
-	eventually(t, "write propagation to the MC", func() bool {
-		it, err := mc.Client.Read("x")
-		return err == nil && it.Version == 2 && string(it.Value) == "x#2"
-	})
+	it, err = mc.Client.Read("x")
+	check(t, "write propagation to the MC", err == nil && it.Version == 2 && string(it.Value) == "x#2")
 }
 
 func TestDropCascade(t *testing.T) {
@@ -100,23 +92,21 @@ func TestDropCascade(t *testing.T) {
 	if _, err := mc.Client.Read("x"); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	eventually(t, "MC copy", func() bool { return mc.Client.HasCopy("x") })
+	check(t, "MC copy", mc.Client.HasCopy("x"))
 
 	// Shedding the top relay's copy must cascade: station 2 and the MC
 	// may not hold what station 1 no longer does.
 	if !tr.Stations[1].Client().DropCopy("x") {
 		t.Fatal("DropCopy: station 1 held no copy")
 	}
-	eventually(t, "cascade to the MC", func() bool {
-		return !tr.Stations[2].Client().HasCopy("x") && !mc.Client.HasCopy("x")
-	})
+	check(t, "cascade to the MC", !tr.Stations[2].Client().HasCopy("x") && !mc.Client.HasCopy("x"))
 
 	// The path re-forms on the next read.
 	it, err := mc.Client.Read("x")
 	if err != nil || it.Version != 1 {
 		t.Fatalf("re-read after cascade = v%d, %v", it.Version, err)
 	}
-	eventually(t, "re-allocation", func() bool { return mc.Client.HasCopy("x") })
+	check(t, "re-allocation", mc.Client.HasCopy("x"))
 }
 
 func TestPlacementShedsAndReholds(t *testing.T) {
@@ -132,23 +122,17 @@ func TestPlacementShedsAndReholds(t *testing.T) {
 	if _, err := mc.Client.Read("x"); err != nil {
 		t.Fatalf("read 1: %v", err)
 	}
-	eventually(t, "placement shed after one read", func() bool {
-		return !st.Client().HasCopy("x") && !mc.Client.HasCopy("x")
-	})
+	check(t, "placement shed after one read", !st.Client().HasCopy("x") && !mc.Client.HasCopy("x"))
 
 	// Second consecutive read crosses the T1 threshold: the copy stays.
 	if _, err := mc.Client.Read("x"); err != nil {
 		t.Fatalf("read 2: %v", err)
 	}
-	eventually(t, "copy held after the threshold", func() bool {
-		return st.Client().HasCopy("x") && mc.Client.HasCopy("x")
-	})
+	check(t, "copy held after the threshold", st.Client().HasCopy("x") && mc.Client.HasCopy("x"))
 
 	// A write ends T1's two-copies phase: the relay sheds and cascades.
 	tr.Stations[0].Server().Write("x", []byte("x#2"))
-	eventually(t, "placement shed on write", func() bool {
-		return !st.Client().HasCopy("x") && !mc.Client.HasCopy("x")
-	})
+	check(t, "placement shed on write", !st.Client().HasCopy("x") && !mc.Client.HasCopy("x"))
 
 	// Correctness is untouched: the next read sees the new version.
 	it, err := mc.Client.Read("x")
@@ -165,7 +149,7 @@ func TestHandoffWarm(t *testing.T) {
 	if it, err := mc.Client.Read("x"); err != nil || it.Version != 1 {
 		t.Fatalf("read at station 1 = v%d, %v", it.Version, err)
 	}
-	eventually(t, "warm copy at station 1", func() bool { return mc.Client.HasCopy("x") })
+	check(t, "warm copy at station 1", mc.Client.HasCopy("x"))
 
 	// Move to the sibling: state migrates through the root (the common
 	// ancestor), revalidated rather than re-shipped.
@@ -191,10 +175,8 @@ func TestHandoffWarm(t *testing.T) {
 		t.Fatalf("read after handoff = v%d, %v", it.Version, err)
 	}
 	tr.Stations[0].Server().Write("x", []byte("x#2"))
-	eventually(t, "propagation via station 2", func() bool {
-		it, err := mc.Client.Read("x")
-		return err == nil && it.Version == 2
-	})
+	it, err := mc.Client.Read("x")
+	check(t, "propagation via station 2", err == nil && it.Version == 2)
 }
 
 // TestHandoffUnderWrites bounces an MC between two stations while the
@@ -341,9 +323,9 @@ func TestWarmResyncOverTCPReshipsOwnPayloads(t *testing.T) {
 			t.Fatalf("read %s: %v", keys[k], err)
 		}
 	}
+	// A read that allocates returns once the copy is installed.
 	for _, key := range keys {
-		key := key
-		eventually(t, "copy of "+key+" at the MC", func() bool { return mc.Client.HasCopy(key) })
+		check(t, "copy of "+key+" at the MC", mc.Client.HasCopy(key))
 	}
 
 	// Out of reach while the root moves every key on: the MC's copies are
