@@ -62,7 +62,7 @@ go test -count=1 -run 'TestReplayHistogramResolvesBlockSpeed|TestReplayHistogram
 go test -race -count=1 -run 'TestIdealClosedForm|TestCostMatchesBruteForce' ./internal/offline/
 go test -race -run '^$' -fuzz=FuzzReplayMatchesReference -fuzztime=10s ./internal/sim/
 go test -race -run '^$' -fuzz=FuzzCostMatchesBruteForce -fuzztime=10s ./internal/offline/
-go test -count=1 -run 'TestFirstTouchAllocations' ./internal/replica/
+go test -count=1 -run 'TestFirstTouchAllocations|TestReattachReusesRecords' ./internal/replica/
 go test -count=1 -run 'TestOneWindowKernel' ./internal/core/
 obs_log=$(mktemp)
 go build -o /tmp/mobirep-server-ci ./cmd/mobirep-server

@@ -303,6 +303,50 @@ func TestTResets(t *testing.T) {
 	}
 }
 
+// TestResetMatchesFresh runs Reset on every policy a Spec builds, each
+// kind of the spelling table at a few parameters: once it has applied a
+// schedule and been Reset, it answers the next schedule step for step as
+// a fresh policy does.
+func TestResetMatchesFresh(t *testing.T) {
+	var specs []Spec
+	for kind := KindNone + 1; kind < numKinds; kind++ {
+		switch f := forms[kind]; {
+		case f.k:
+			for _, k := range []int{1, 2, 3, 4, 9} {
+				specs = append(specs, Spec{Kind: kind, K: k})
+			}
+		case f.alpha:
+			specs = append(specs, Spec{Kind: kind, Alpha: 0.3}, Spec{Kind: kind, Alpha: 1})
+		default:
+			specs = append(specs, Spec{Kind: kind})
+		}
+	}
+	rng := stats.NewRNG(48)
+	draw := func(theta float64) sched.Schedule {
+		ops := make(sched.Schedule, 200)
+		for i := range ops {
+			if rng.Bernoulli(theta) {
+				ops[i] = sched.Write
+			}
+		}
+		return ops
+	}
+	for _, spec := range specs {
+		if spec.Validate() != nil {
+			continue
+		}
+		for _, theta := range []float64{0.2, 0.5, 0.8} {
+			used, fresh := spec.New(), spec.New()
+			Run(used, draw(theta))
+			used.Reset()
+			next := draw(theta)
+			if got, want := Run(used, next), Run(fresh, next); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v theta=%v: after Reset the next schedule runs %v, a fresh policy %v", spec, theta, got, want)
+			}
+		}
+	}
+}
+
 func TestTPanicsOnBadM(t *testing.T) {
 	for _, f := range []func(){func() { NewT1(0) }, func() { NewT2(-1) }} {
 		func() {

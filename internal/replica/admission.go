@@ -80,8 +80,8 @@ func (cfg AdmissionConfig) retryAfter() time.Duration {
 
 // Session-state memory accounting. The numbers are deliberate
 // approximations of resident cost — map buckets, struct headers, the
-// cloned key in the session map, the entry's slot in the shard's key
-// index — kept coarse so the account is cheap to maintain exactly.
+// key in the session map, the entry's slot in the shard's key index —
+// kept coarse so the account is cheap to maintain exactly.
 const (
 	// sessionMemBase is the accounted cost of an attached session before
 	// it touches any key: 512, plus 32 for the send turn's flags and
@@ -95,10 +95,11 @@ const (
 // itemMemCost approximates the resident bytes of one (session,key)
 // protocol entry: twice the key length, one byte per window position,
 // and fixed overhead. It is a coarse account and an over-estimate: the
-// key is held once (the session map's clone; the shard index holds a
-// 16-byte {session, state} slot, not a second key), and the window is
-// packed inside the 32-byte itemState, so an entry's heap footprint does
-// not grow with K. The formula is kept as it is so the shedding
+// session map and the shard index share the store's own key, cloned
+// only for a key the store has never held (the index holds a 16-byte
+// {session, state} slot, not a second key), and the window is packed
+// inside the 32-byte itemState, so an entry's heap footprint does not
+// grow with K. The formula is kept as it is so the shedding
 // watermarks, and what `mobirep-load -overload` measures, do not move.
 func itemMemCost(key string, mode Mode) int64 {
 	return int64(2*len(key)) + int64(mode.K) + itemMemOverhead

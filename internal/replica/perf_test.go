@@ -505,12 +505,13 @@ func TestWriteFanOutMetersPerSession(t *testing.T) {
 
 // TestFirstTouchAllocations pins what one (session, key) costs the heap on
 // each side. At the SC it is the itemState — window embedded by value and
-// the key-index slot number in its padding — and the cloned key the map
-// retains, two objects. (Before the window was a value it was four: item,
-// window struct, bit slice, key.) The server sessions measured are each
-// key's 17th to 32nd holder, so the key's slot list — shared by every
-// session holding it — grows once in those sixteen first touches; like map
-// growth, that amortizes to well under one allocation per insert.
+// the key-index slot number in its padding — and the store's key, cloned
+// only when unstored, two objects. (Before the window was a value it was
+// four: item, window struct, bit slice, key.) The server sessions
+// measured are each key's 17th to 32nd holder, so the key's slot list —
+// shared by every session holding it — grows once in those sixteen first
+// touches; like map growth, that amortizes to well under one allocation
+// per insert.
 //
 // At the MC the cache record is the only per-key state: an allocating
 // response for a new key costs the record, its key and its value, three
@@ -608,5 +609,50 @@ func TestFirstTouchAllocations(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("server first touch allocated %.0f objects per (session, key), want at most 2", allocs)
+	}
+}
+
+// TestReattachReusesRecords pins what a session costs the station it
+// arrives at once another has left it: touching the 64 stored keys a
+// departed session held takes that session's states, slot lists and map
+// (unsubscribeAll keeps them), so the touches allocate a constant, not one
+// state, slot list and key per key. Each run is one session's touches
+// and its detach, which hands the records on to the next.
+func TestReattachReusesRecords(t *testing.T) {
+	const nkeys, runs = 64, 50
+	store := db.NewStore()
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%02d", i)
+		if _, err := store.Put(keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServerShards(store, SW(9), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first session leaves the records; AllocsPerRun adds a warm-up
+	// call.
+	sessions := make([]*Session, runs+2)
+	for i := range sessions {
+		sessions[i] = srv.Attach(nullLink{})
+	}
+	next := 0
+	cycle := func() {
+		sess := sessions[next]
+		next++
+		sess.shard.enter()
+		for _, k := range keys {
+			sess.state(k)
+		}
+		sess.shard.exit()
+		sess.Detach()
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(runs, cycle)
+	if per := allocs / nkeys; per > 0.1 {
+		t.Errorf("a session touching %d keys a departed one held allocated %.0f objects (%.2f per key), want at most 0.1 per key",
+			nkeys, allocs, per)
 	}
 }

@@ -166,9 +166,16 @@ type itemState struct {
 }
 
 func newItemState(mode Mode) *itemState {
-	st := &itemState{kind: mode.Kind}
+	st := new(itemState)
+	st.reset(mode)
+	return st
+}
+
+// reset makes st the mode's fresh state: no copy, no slot, and for SWk an
+// all-writes window.
+func (st *itemState) reset(mode Mode) {
+	*st = itemState{kind: mode.Kind}
 	if mode.Kind == core.KindSW {
 		st.window = core.NewWindow(mode.K, sched.Write)
 	}
-	return st
 }

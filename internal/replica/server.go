@@ -61,7 +61,8 @@ type Session struct {
 	link  transport.Link
 	meter *Meter
 
-	// Guarded by shard token:
+	// Guarded by shard token. items is nil until the first key is
+	// touched and again once the session has detached.
 	items    map[string]*itemState
 	detached bool
 	// lastSeen is when the client last proved liveness: any received
@@ -161,7 +162,6 @@ func (s *Server) attachSession(id uint64, link transport.Link) *Session {
 		id:       id,
 		link:     link,
 		meter:    newMeter(scMirror),
-		items:    make(map[string]*itemState),
 		lastSeen: s.clock()(),
 		memBytes: sessionMemBase,
 	}
@@ -206,7 +206,6 @@ func (ss *Session) detach() bool {
 	}
 	sh.unsubscribeAll(ss)
 	ss.detached = true
-	ss.items = make(map[string]*itemState)
 	mem := ss.memBytes
 	ss.memBytes = 0
 	sh.exit()
@@ -372,27 +371,39 @@ func encodePooled(msg wire.Message) *wire.Buf {
 }
 
 // state returns (creating if needed) the session's state for key, and
-// registers the session in the shard's key index on first touch. Caller
-// holds the shard token.
+// registers the session in the shard's key index on first touch. A new
+// state, and the session's map, come from what departed sessions left on
+// the shard when it kept any. Caller holds the shard token.
 func (ss *Session) state(key string) *itemState {
-	st, ok := ss.items[key]
-	if !ok {
-		st = newItemState(ss.srv.mode)
-		// Inserting a map key retains its bytes, and key may alias a
-		// borrowed frame (wire.DecodeBorrowed); clone so the session never
-		// keeps transport memory alive.
-		k := strings.Clone(key)
-		ss.items[k] = st
-		// A detached session's index entries and memory account were
-		// settled by unsubscribeAll; a straggler frame that slips past a
-		// handler guard must not re-open either (the index entry would
-		// outlive every session).
-		if !ss.detached {
-			ss.shard.subscribe(k, ss, st)
-			cost := itemMemCost(k, ss.srv.mode)
-			ss.memBytes += cost
-			ss.shard.addMem(cost)
+	if st, ok := ss.items[key]; ok {
+		return st
+	}
+	sh := ss.shard
+	if ss.items == nil {
+		ss.items, sh.spareItems = sh.spareItems, nil
+		if ss.items == nil {
+			ss.items = make(map[string]*itemState)
 		}
+	}
+	st := sh.newState(ss.srv.mode)
+	// Inserting a map key retains its bytes, and key may alias a borrowed
+	// frame (wire.DecodeBorrowed): the map and the index take the store's
+	// own copy, cloned only when the store has never held the key, so the
+	// session never keeps transport memory alive.
+	k, stored := ss.srv.store.Key(key)
+	if !stored {
+		k = strings.Clone(key)
+	}
+	ss.items[k] = st
+	// A detached session's index entries and memory account were settled
+	// by unsubscribeAll; a straggler frame that slips past a handler guard
+	// must not re-open either (the index entry would outlive every
+	// session).
+	if !ss.detached {
+		sh.subscribe(k, ss, st)
+		cost := itemMemCost(k, ss.srv.mode)
+		ss.memBytes += cost
+		sh.addMem(cost)
 	}
 	return st
 }

@@ -25,6 +25,16 @@ import (
 // higher but stay power-of-two.
 const maxShards = 1024
 
+// spareRecords bounds what a shard keeps of departed sessions: at most
+// this many states and emptied slot lists, and one session map of at most
+// this many entries. A kept slot list has room for at most spareSlotCap
+// holders, so a hot key's long list is left to the GC. With these bounds
+// a shard keeps under 1 MiB for reuse.
+const (
+	spareRecords = 4096
+	spareSlotCap = 4
+)
+
 // shard owns a disjoint subset of the server's sessions and, through
 // them, all per-(session,key) protocol state. Fields below mu are
 // guarded by the shard's single-writer token.
@@ -51,6 +61,14 @@ type shard struct {
 	// state handle, so the walk probes no per-session map, and the state
 	// remembers its slot (itemState.idx), so leaving is a swap-remove.
 	index map[string][]sub
+
+	// What departed sessions left for the next ones to reuse
+	// (unsubscribeAll keeps, newState, subscribe and Session.state take):
+	// states, emptied slot lists, and one emptied session map. Each is
+	// bounded by spareRecords, whatever the shard's peak was.
+	spareStates []*itemState
+	spareSlots  [][]sub
+	spareItems  map[string]*itemState
 
 	// fanMu serializes write fan-out through this shard so the scratch
 	// slice below can be reused allocation-free. It is taken before the
@@ -120,20 +138,45 @@ type sub struct {
 }
 
 // subscribe records that sess holds state st for key, remembering the
-// slot in st.idx. Caller holds the writer token; key must already be
-// cloned off any borrowed frame.
+// slot in st.idx. A key new to the index takes a slot list a departed
+// session emptied, if the shard kept one. Caller holds the writer token;
+// key must not alias a borrowed frame.
 func (sh *shard) subscribe(key string, sess *Session, st *itemState) {
 	subs := sh.index[key]
+	if n := len(sh.spareSlots) - 1; subs == nil && n >= 0 {
+		subs = sh.spareSlots[n]
+		sh.spareSlots[n] = nil
+		sh.spareSlots = sh.spareSlots[:n]
+	}
 	st.idx = uint32(len(subs))
 	sh.index[key] = append(subs, sub{sess, st})
 }
 
+// newState returns mode's fresh state, reusing one a departed session
+// left if the shard kept any. Caller holds the writer token.
+func (sh *shard) newState(mode Mode) *itemState {
+	n := len(sh.spareStates) - 1
+	if n < 0 {
+		return newItemState(mode)
+	}
+	st := sh.spareStates[n]
+	sh.spareStates[n] = nil
+	sh.spareStates = sh.spareStates[:n]
+	st.reset(mode)
+	return st
+}
+
 // unsubscribeAll removes sess from every key index entry it occupies:
 // the last slot moves into the vacated one. States the session never
-// subscribed (a straggler frame after detach) name no slot of theirs and
-// are skipped. Caller holds the writer token.
+// subscribed (a straggler frame after detach) name no slot of theirs.
+// The session's states, the slot lists it emptied and its map, emptied,
+// are kept for reuse up to the bounds, and the session is left with no
+// map. Caller holds the writer token.
 func (sh *shard) unsubscribeAll(sess *Session) {
 	for key, st := range sess.items {
+		if len(sh.spareStates) < spareRecords {
+			sh.spareStates = append(sh.spareStates, st)
+		}
 		subs := sh.index[key]
 		i, last := int(st.idx), len(subs)-1
 		if i > last || subs[i].st != st {
@@ -142,12 +185,20 @@ func (sh *shard) unsubscribeAll(sess *Session) {
 		subs[i] = subs[last]
 		subs[i].st.idx = uint32(i)
 		subs[last] = sub{}
-		if last == 0 {
-			delete(sh.index, key)
-		} else {
+		if last > 0 {
 			sh.index[key] = subs[:last]
+			continue
+		}
+		delete(sh.index, key)
+		if cap(subs) <= spareSlotCap && len(sh.spareSlots) < spareRecords {
+			sh.spareSlots = append(sh.spareSlots, subs[:0])
 		}
 	}
+	if sh.spareItems == nil && len(sess.items) <= spareRecords {
+		clear(sess.items)
+		sh.spareItems = sess.items
+	}
+	sess.items = nil
 }
 
 // sessionShard routes an attach ID to one of n shards (n a power of

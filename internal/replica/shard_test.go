@@ -283,6 +283,63 @@ func TestSessionKeysSameShardInvariant(t *testing.T) {
 	}
 }
 
+// TestDetachKeepsBoundedSpares pins that what departed sessions leave for
+// reuse is bounded, not their peak: sixteen sessions on two shards hold
+// 1024 keys each, more states than a shard keeps. 768 keys are held by
+// every session, so their slot lists outgrow spareSlotCap; 256 are each
+// session's own. Once all have detached, every shard's key index is
+// empty, its memory account is back to zero, and it keeps spareRecords
+// states — the bound, so reuse is on — and only empty slot lists of at
+// most spareSlotCap slots.
+func TestDetachKeepsBoundedSpares(t *testing.T) {
+	const sessions, shared, own = 16, 768, 256
+	srv, err := NewServerShards(db.NewStore(), SW(3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*Session
+	for i := 0; i < sessions; i++ {
+		sess := srv.Attach(nullLink{})
+		all = append(all, sess)
+		sess.shard.enter()
+		for k := 0; k < shared; k++ {
+			sess.state(fmt.Sprintf("key-%d", k))
+		}
+		for k := 0; k < own; k++ {
+			sess.state(fmt.Sprintf("own-%d-%d", i, k))
+		}
+		sess.shard.exit()
+	}
+	for _, sess := range all {
+		sess.Detach()
+	}
+	for _, sh := range srv.shards {
+		sh.enter()
+		if len(sh.index) != 0 {
+			t.Errorf("shard %d index retains %d keys after all detaches", sh.id, len(sh.index))
+		}
+		if m := sh.mem.Load(); m != 0 {
+			t.Errorf("shard %d memory account is %d bytes after all detaches, want 0", sh.id, m)
+		}
+		if n := len(sh.spareStates); n != spareRecords {
+			t.Errorf("shard %d keeps %d states, want the bound %d", sh.id, n, spareRecords)
+		}
+		if n := len(sh.spareSlots); n == 0 || n > spareRecords {
+			t.Errorf("shard %d keeps %d slot lists, want 1 to %d", sh.id, n, spareRecords)
+		}
+		for _, subs := range sh.spareSlots {
+			if len(subs) != 0 || cap(subs) > spareSlotCap {
+				t.Fatalf("shard %d keeps a slot list of %d slots, %d capacity; want empty, at most %d",
+					sh.id, len(subs), cap(subs), spareSlotCap)
+			}
+		}
+		if len(sh.spareItems) != 0 {
+			t.Errorf("shard %d keeps a session map of %d entries, want it empty", sh.id, len(sh.spareItems))
+		}
+		sh.exit()
+	}
+}
+
 // fanOrderLink appends its session's ordinal to a shared log on every
 // frame it is handed, recording the order a fan-out reaches the sessions.
 type fanOrderLink struct {
