@@ -104,8 +104,10 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # relays allocates only the returned value) run once more without -race
 # (sync.Pool drops Puts under the detector, so those pins skip there), and
 # the relay read-through benchmark runs once so it cannot rot. The
-# non-unix stub of the inline writer is proven to compile.
+# non-unix stub of the inline writer is proven to compile. An empty
+# Flush keeps both outbox arrays (TestEmptyFlushKeepsOutboxArrays).
 go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
+go test -count=1 -run 'TestEmptyFlushKeepsOutboxArrays' ./internal/transport/
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
@@ -126,8 +128,9 @@ GOOS=windows go vet ./internal/transport/
 # TestGroupCommitPutAllocs: a Put allocates nothing in memory and under
 # group commit, and exactly one buffer right after a Get;
 # TestStoreReturnedValuesNeverChange and TestStoreOwnershipHammer: bytes
-# Get returned never change, under a hammer of writers, both readers and
-# Compact; TestGroupRoundHidesQueuedBytes: a queued group value stays
+# Get returned never change, under a hammer of writers and both readers,
+# and across the open-time rewrite of a close/reopen;
+# TestGroupRoundHidesQueuedBytes: a queued group value stays
 # invisible), a fanned-out write at zero allocations and an allocating
 # miss at the MC at one; the key index's exactness and fan-out order
 # under the race detector; and the holder-count slope and working-set
@@ -201,9 +204,11 @@ go build -o /tmp/mobirep-load-ci ./cmd/mobirep-load
 rm -f /tmp/mobirep-load-ci
 
 # Durability slice: the db layer (log format, epochs, group commit,
-# CrashFS, errfs fault injection, Compact kill-points) under the race
-# detector, then the group-commit batch count (K queued writers, 2
-# fsyncs) again at GOMAXPROCS 1, 2 and 8; the end-to-end restart kill-point sweeps (no acknowledged
+# CrashFS, errfs fault injection, kill-points of the open-time rewrite)
+# under the race detector, then the group-commit batch count (K queued
+# writers, 2 fsyncs) and TestOpenKillPointSweep (each step of a reopen's
+# rewrite failed, then a crash at every journal prefix) again at
+# GOMAXPROCS 1, 2 and 8; the end-to-end restart kill-point sweeps (no acknowledged
 # write lost, no client-visible rollback, epoch fences mandatory — the
 # fencing contract is asserted inside them); a 30s kill-and-restart soak
 # under live traffic; and
@@ -212,7 +217,7 @@ rm -f /tmp/mobirep-load-ci
 # is the default generator, so those runs cover crash schedules too.
 go test -race -count=1 ./internal/db/
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestGroupCommitBatchesQueuedWriters' ./internal/db/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestGroupCommitBatchesQueuedWriters|TestOpenKillPointSweep' ./internal/db/
 done
 go test -race -count=1 -run 'TestRestartKillPointSweep' ./internal/replica/
 go test -race -count=1 -run 'TestRestartSoak' ./internal/load/

@@ -156,7 +156,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer store.Close()
-			fmt.Printf("store: log=%s sync=%s epoch=%d\n", *logPath, store.SyncPolicyInUse(), store.Epoch())
+			fmt.Printf("store: log=%s sync=%s epoch=%d\n", *logPath, pol, store.Epoch())
 		} else {
 			store = db.NewStore()
 		}

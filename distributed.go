@@ -41,7 +41,9 @@ type Item = db.Item
 func NewStore() *Store { return db.NewStore() }
 
 // OpenStore returns a store backed by an append-only log file, replaying
-// existing records on open.
+// existing records on open. Every open rewrites the log to one record per
+// live key, so the log holds the live set plus the writes since the last
+// start.
 func OpenStore(path string) (*Store, error) { return db.Open(path) }
 
 // Link carries protocol frames between the two computers.
@@ -50,11 +52,6 @@ type Link = transport.Link
 // NewMemPair returns two connected in-memory links (synchronous,
 // loss-free), suitable for tests and single-process experiments.
 func NewMemPair() (Link, Link) { return transport.NewMemPair() }
-
-// DialTCP connects a client link to a mobirep server address.
-func DialTCP(addr string, onFrame func([]byte)) (Link, error) {
-	return transport.Dial(addr, onFrame)
-}
 
 // NewServer creates the SC endpoint over a store.
 func NewServer(store *Store, mode Mode) (*Server, error) {

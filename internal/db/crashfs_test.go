@@ -206,68 +206,98 @@ func TestStoreKillPointSweep(t *testing.T) {
 	}
 }
 
-// TestCompactKillPointSweep crashes a store at every point during and
-// after Compact: recovery must always see either the full pre-compact
-// state or the full compacted state — same keys, same versions — and the
-// epoch must never regress.
-func TestCompactKillPointSweep(t *testing.T) {
-	const keys = 4
-	run := func(c *CrashFS) (*Store, error) {
-		s, err := OpenWith(Options{Path: "ck.log", Sync: SyncGroup, FS: c})
-		if err != nil {
-			return nil, err
-		}
-		for round := 0; round < 3; round++ {
-			for k := 0; k < keys; k++ {
-				if _, err := s.Put(fmt.Sprintf("k%d", k), []byte{byte(round)}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// Everything acknowledged is durable; the journal from here on is
-		// compaction traffic only.
-		if _, err := s.Compact(); err != nil {
-			return nil, err
-		}
-		return s, nil
+// TestOpenKillPointSweep crashes a reopen at every journaled step of its
+// rewrite, with and without a failed filesystem step before the crash
+// (remove, create, write, fsync, rename, dir sync, each in turn): the
+// open after the crash must hold every acknowledged version, its epoch
+// must be above every epoch an earlier open returned, and it must leave
+// no temporary file behind.
+func TestOpenKillPointSweep(t *testing.T) {
+	const keys, rounds = 4, 3
+	faults := []struct {
+		name string
+		arm  func(e *errFS, on bool)
+	}{
+		{"none", func(*errFS, bool) {}},
+		{"remove", func(e *errFS, on bool) { e.failRemove = errIf(on) }},
+		{"create", func(e *errFS, on bool) { e.failCreate = errIf(on) }},
+		{"write", func(e *errFS, on bool) { *e.file.failWrite = errIf(on) }},
+		{"fsync", func(e *errFS, on bool) { *e.file.failSync = errIf(on) }},
+		{"rename", func(e *errFS, on bool) { e.failRename = errIf(on) }},
+		{"dir sync", func(e *errFS, on bool) { e.failSyncDir = errIf(on) }},
 	}
-
-	probe := NewCrashFS()
-	if _, err := run(probe); err != nil {
-		t.Fatal(err)
-	}
-	ops := probe.Ops()
-
-	for kill := 0; kill <= ops; kill++ {
-		c := NewCrashFS()
-		s, err := run(c)
+	// reopen writes every key rounds times and reopens the log with the
+	// fault armed; it returns the highest epoch an open returned.
+	reopen := func(t *testing.T, c *CrashFS, arm func(*errFS, bool), fails bool) uint64 {
+		e := newErrFS(c)
+		s, err := OpenWith(Options{Path: "ok.log", Sync: SyncGroup, FS: e})
 		if err != nil {
 			t.Fatal(err)
 		}
-		epochBefore := s.Epoch()
-		c.Kill(kill)
-		re, err := OpenWith(Options{Path: "ck.log", Sync: SyncGroup, FS: c})
-		if err != nil {
-			t.Fatalf("kill=%d: reopen: %v (ops: %v)", kill, err, c.OpDescriptions())
-		}
-		if re.Len() != keys {
-			t.Fatalf("kill=%d: recovered %d keys, want %d", kill, re.Len(), keys)
-		}
-		for k := 0; k < keys; k++ {
-			it, ok := re.Get(fmt.Sprintf("k%d", k))
-			if !ok || it.Version != 3 || it.Value[0] != 2 {
-				t.Fatalf("kill=%d: k%d = %+v ok=%v", kill, k, it, ok)
+		for round := 1; round <= rounds; round++ {
+			for k := 0; k < keys; k++ {
+				if _, err := s.Put(fmt.Sprintf("k%d", k), []byte{byte(round)}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if re.Epoch() <= epochBefore {
-			t.Fatalf("kill=%d: epoch did not advance: %d -> %d",
-				kill, epochBefore, re.Epoch())
+		top := s.Epoch()
+		// Everything acknowledged is durable: from here on the journal is
+		// the reopen's traffic only.
+		c.Kill(c.Ops())
+		arm(e, true)
+		re, err := OpenWith(Options{Path: "ok.log", Sync: SyncGroup, FS: e})
+		if (err != nil) != fails {
+			t.Fatalf("reopen with a failing step: err = %v, want failure %v", err, fails)
 		}
-		re.Close()
+		if err == nil {
+			top = re.Epoch()
+		}
+		return top
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			probe := NewCrashFS()
+			fails := f.name != "none"
+			reopen(t, probe, f.arm, fails)
+			ops := probe.Ops()
+			for kill := 0; kill <= ops; kill++ {
+				c := NewCrashFS()
+				top := reopen(t, c, f.arm, fails)
+				journal := c.OpDescriptions()
+				c.Kill(kill)
+				re, err := OpenWith(Options{Path: "ok.log", Sync: SyncGroup, FS: c})
+				if err != nil {
+					t.Fatalf("kill=%d: reopen: %v (ops: %v)", kill, err, journal)
+				}
+				if re.Len() != keys {
+					t.Fatalf("kill=%d: recovered %d keys, want %d", kill, re.Len(), keys)
+				}
+				for k := 0; k < keys; k++ {
+					it, ok := re.Get(fmt.Sprintf("k%d", k))
+					if !ok || it.Version != rounds || it.Value[0] != rounds {
+						t.Fatalf("kill=%d: k%d = %+v ok=%v", kill, k, it, ok)
+					}
+				}
+				if re.Epoch() <= top {
+					t.Fatalf("kill=%d: epoch %d, an earlier open returned %d", kill, re.Epoch(), top)
+				}
+				noLeftover(t, c, "ok.log")
+				re.Close()
+			}
+		})
 	}
 }
 
-func TestEpochBumpsOnEveryOpenAndSurvivesCompact(t *testing.T) {
+// errIf is errInjected when on, and nil otherwise.
+func errIf(on bool) error {
+	if on {
+		return errInjected
+	}
+	return nil
+}
+
+func TestEpochBumpsOnEveryOpen(t *testing.T) {
 	c := NewCrashFS()
 	s, err := OpenWith(Options{Path: "e.log", FS: c})
 	if err != nil {
@@ -277,12 +307,6 @@ func TestEpochBumpsOnEveryOpenAndSurvivesCompact(t *testing.T) {
 		t.Fatalf("first open epoch = %d, want 1", s.Epoch())
 	}
 	s.Put("x", []byte("v"))
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() != 1 {
-		t.Fatalf("compact changed the epoch: %d", s.Epoch())
-	}
 	s.Close()
 	for want := uint64(2); want <= 4; want++ {
 		re, err := OpenWith(Options{Path: "e.log", FS: c})

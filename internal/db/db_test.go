@@ -150,7 +150,8 @@ func TestTornTailRecovery(t *testing.T) {
 	if !ok || string(x.Value) != "good1" || x.Version != 1 {
 		t.Fatalf("recovered x = %+v", x)
 	}
-	// The torn tail must have been truncated so new appends are valid.
+	// The torn tail was not copied into the rewritten log, so new appends
+	// are valid.
 	if _, err := re.Put("x", []byte("after-crash")); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestCrashMidAppendRecovery(t *testing.T) {
 	if x.Version != 2 || string(x.Value) != "v2" || y.Version != 1 || string(y.Value) != "w1" {
 		t.Fatalf("recovered x=%+v y=%+v", x, y)
 	}
-	// The torn tail was truncated; the next append lands where the partial
-	// record was and survives another reopen.
+	// The torn tail was not copied; the next append lands where the
+	// partial record was and survives another reopen.
 	if _, err := re.Put("x", []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +227,11 @@ func TestLogCloseSurfacesSyncFailure(t *testing.T) {
 	// when it cannot: a silently unsynced close is exactly the data-loss
 	// window the sync exists to shut.
 	path := filepath.Join(t.TempDir(), "x.log")
-	l, err := OpenLogFS(OSFS(), path)
+	l, err := rewriteLog(OSFS(), path, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Key: "k", Value: []byte("v"), Version: 1}); err != nil {
+	if err := l.appendFramed(appendFramedRecord(nil, Record{Key: "k", Value: []byte("v"), Version: 1})); err != nil {
 		t.Fatal(err)
 	}
 	l.f.Close() // yank the fd: the sync inside Close must fail loudly
@@ -328,18 +329,25 @@ func TestCloseIdempotentInMemory(t *testing.T) {
 	}
 }
 
+// TestLogSync: the rewrite's records and one appended after it are on
+// the file once Close returns, behind the rewrite's epoch.
 func TestLogSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.log")
-	l, err := OpenLogFS(OSFS(), path)
+	items := map[string]*record{"a": {Item: Item{Key: "a", Value: []byte("1"), Version: 3}}}
+	l, err := rewriteLog(OSFS(), path, 7, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if err := l.Append(Record{Key: "k", Value: []byte("v"), Version: 1}); err != nil {
+	if err := l.appendFramed(appendFramedRecord(nil, Record{Key: "k", Value: []byte("v"), Version: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	epoch, err := replayLog(OSFS(), path, func(r Record) { got = append(got, fmt.Sprintf("%s@%d=%s", r.Key, r.Version, r.Value)) })
+	if err != nil || epoch != 7 || fmt.Sprint(got) != "[a@3=1 k@1=v]" {
+		t.Fatalf("replayed epoch %d records %v (err %v), want epoch 7 [a@3=1 k@1=v]", epoch, got, err)
 	}
 }
 
@@ -347,8 +355,8 @@ func TestOpenBadPath(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "no", "such", "dir", "x.log")); err == nil {
 		t.Fatal("open in missing directory should fail")
 	}
-	if _, err := OpenLogFS(OSFS(), filepath.Join(t.TempDir(), "no", "such", "dir", "x.log")); err == nil {
-		t.Fatal("openlog in missing directory should fail")
+	if _, err := rewriteLog(OSFS(), filepath.Join(t.TempDir(), "no", "such", "dir", "x.log"), 1, nil); err == nil {
+		t.Fatal("rewriting a log in a missing directory should fail")
 	}
 }
 
@@ -389,7 +397,7 @@ func TestReplayAbsurdLengthHeader(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("absurd record should be dropped")
 	}
-	// The torn tail is truncated; appends work.
+	// The torn tail is not copied; appends work.
 	if _, err := s.Put("x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -419,10 +427,14 @@ func TestCompactWithNoWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	reclaimed, err := s.Compact()
-	if err != nil || reclaimed != 0 {
-		t.Fatalf("empty compact: %d, %v", reclaimed, err)
+	s.Close()
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.LogSize() != 0 || re.Len() != 0 || re.Epoch() != 2 {
+		t.Fatalf("reopened empty log: size %d, %d keys, epoch %d", re.LogSize(), re.Len(), re.Epoch())
 	}
 }
 
@@ -432,14 +444,12 @@ func TestCompactManyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	live := make(map[string][]byte)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 40; i++ {
 			s.Put(fmt.Sprintf("k%02d", i), []byte{byte(round)})
+			live[fmt.Sprintf("k%02d", i)] = []byte{byte(round)}
 		}
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
 	}
 	s.Close()
 	re, err := Open(path)
@@ -447,8 +457,8 @@ func TestCompactManyKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 40 {
-		t.Fatalf("keys after compact = %d", re.Len())
+	if re.Len() != 40 || re.LogSize() != framedSize(live) {
+		t.Fatalf("reopen holds %d keys in %d log bytes, want 40 in %d", re.Len(), re.LogSize(), framedSize(live))
 	}
 	for i := 0; i < 40; i++ {
 		it, ok := re.Get(fmt.Sprintf("k%02d", i))
@@ -627,14 +637,9 @@ func TestGroupCommitPutAllocs(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs.f.pos = 0
-	re, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if it, ok := re.Get("k"); !ok || it.Version != last.Version || !bytes.Equal(it.Value, value) {
-		t.Fatalf("replayed %+v, want version %d", it.Version, last.Version)
+	var it Item
+	if _, err := replayLog(fs, "items.log", func(r Record) { it = Item(r) }); err != nil || it.Version != last.Version || !bytes.Equal(it.Value, value) {
+		t.Fatalf("replayed version %d (err %v), want version %d", it.Version, err, last.Version)
 	}
 }
 

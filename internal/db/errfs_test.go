@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -12,6 +13,8 @@ import (
 type errFS struct {
 	inner       FS
 	failOpen    error
+	failCreate  error // fails only the opens that may create a file
+	failRemove  error
 	failRename  error
 	failSyncDir error
 	// Per-file injections, applied to every file opened through this FS.
@@ -34,6 +37,9 @@ func (e *errFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 	if e.failOpen != nil {
 		return nil, e.failOpen
 	}
+	if e.failCreate != nil && flag&os.O_CREATE != 0 {
+		return nil, e.failCreate
+	}
 	f, err := e.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -48,7 +54,12 @@ func (e *errFS) Rename(oldpath, newpath string) error {
 	return e.inner.Rename(oldpath, newpath)
 }
 
-func (e *errFS) Remove(name string) error { return e.inner.Remove(name) }
+func (e *errFS) Remove(name string) error {
+	if e.failRemove != nil {
+		return e.failRemove
+	}
+	return e.inner.Remove(name)
+}
 
 func (e *errFS) SyncDir(name string) error {
 	if e.failSyncDir != nil {
@@ -187,35 +198,57 @@ func TestCloseSurfacesInjectedCloseError(t *testing.T) {
 	}
 }
 
+// TestCompactRenameFailureKeepsStoreWorking: a reopen whose rename,
+// fsync or directory sync fails fails the open and leaves the old log
+// byte-identical — live when the failure came before the rename, and
+// after a crash when the directory sync failed — and the next open
+// succeeds with every version.
 func TestCompactRenameFailureKeepsStoreWorking(t *testing.T) {
-	cfs := NewCrashFS()
-	efs := newErrFS(cfs)
-	s, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: efs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		s.Put("x", []byte{byte(i)})
-	}
-	efs.failRename = errInjected
-	if _, err := s.Compact(); err == nil {
-		t.Fatal("compact with failing rename should error")
-	}
-	efs.failRename = nil
-	// The store must still accept writes and recover cleanly.
-	if _, err := s.Put("x", []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenWith(Options{Path: "items.log", Sync: SyncGroup, FS: efs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	it, _ := re.Get("x")
-	if string(it.Value) != "after" || it.Version != 11 {
-		t.Fatalf("recovered x = %+v", it)
+	for _, f := range []struct {
+		name string
+		arm  func(e *errFS, err error)
+	}{
+		{"rename", func(e *errFS, err error) { e.failRename = err }},
+		{"fsync", func(e *errFS, err error) { *e.file.failSync = err }},
+		{"dir sync", func(e *errFS, err error) { e.failSyncDir = err }},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			cfs := NewCrashFS()
+			efs := newErrFS(cfs)
+			o := Options{Path: "items.log", Sync: SyncGroup, FS: efs}
+			s, err := OpenWith(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				s.Put("x", []byte{byte(i)})
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			old := readFile(t, cfs, o.Path)
+			f.arm(efs, errInjected)
+			if re, err := OpenWith(o); !errors.Is(err, errInjected) {
+				if err == nil {
+					re.Close()
+				}
+				t.Fatalf("open with a failing %s: err = %v, want the injected fault", f.name, err)
+			}
+			f.arm(efs, nil)
+			if f.name == "dir sync" {
+				cfs.Kill(0) // the rename happened but was never made durable
+			}
+			if got := readFile(t, cfs, o.Path); !bytes.Equal(got, old) {
+				t.Fatalf("failed open changed the log: %x, was %x", got, old)
+			}
+			re, err := OpenWith(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if it, _ := re.Get("x"); it.Version != 10 || it.Value[0] != 9 {
+				t.Fatalf("recovered x = %+v", it)
+			}
+		})
 	}
 }

@@ -9,12 +9,11 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sync/atomic"
 )
 
-// Log is an append-only record log with per-record CRC32C checksums,
-// preceded by a fixed checksummed file header that carries the store
-// epoch (see Store.Epoch). Format:
+// Log is the append end of the record log: per-record CRC32C checksums
+// behind a fixed checksummed file header that carries the store epoch
+// (see Store.Epoch). Format:
 //
 //	header (16 bytes):
 //	    magic   "MRL1"
@@ -28,21 +27,16 @@ import (
 //	        uint16 key length, key bytes
 //	        uint32 value length, value bytes
 //
-// A torn final record (partial write at crash) is tolerated on replay:
-// replay stops at the first short or corrupt record and truncates the
-// tail so the log stays consistent. A non-empty file that does not start
-// with a valid header is not a log, and is never replayed or rewritten.
+// A log is never written where it was replayed. Open reads the file
+// (replayLog), stopping at the first short or corrupt record — the tail
+// a crash tore — and writes what it read, one record per live key, to a
+// fresh file under the next epoch, which replaces the old one
+// (rewriteLog). The torn tail is simply not copied. A non-empty file
+// that does not start with a valid header is not a log: the open fails
+// and the file is neither replayed nor replaced.
 type Log struct {
-	fs      FS
 	f       File
-	path    string
-	w       *bufio.Writer
-	healthy int64 // byte offset of the last fully valid record's end
-	// appended mirrors healthy for readers outside the store lock.
-	appended atomic.Int64
-	epoch    uint64
-	// scratch is Append's framing buffer, reused from record to record.
-	scratch []byte
+	healthy int64 // byte offset of the last written record's end
 }
 
 // Record is one logged write.
@@ -69,174 +63,144 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // deleting the file) is required.
 var ErrCorruptHeader = errors.New("db: corrupt log file header")
 
-// OpenLogFS opens (creating if needed) the log at path on fs. An empty
-// file is a fresh log: it gets a header with epoch 0, synced along with
-// its parent directory so the file cannot vanish at a crash. Any other
-// file must start with a valid header, or OpenLogFS fails with
-// ErrCorruptHeader without writing to it.
-func OpenLogFS(fs FS, path string) (*Log, error) {
-	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("db: open log: %w", err)
+// replayLog calls fn for every intact record of the log at path, in
+// order, and returns the header's epoch. A missing or empty file is a
+// fresh log at epoch 0. Replay stops silently at the first short or
+// corrupt record. A record length is rejected as corrupt if it exceeds
+// the bytes left in the file, so one flipped length cannot trigger a
+// giant allocation. Only short reads count as a tear: a genuine I/O
+// error fails the replay, since the rewrite would otherwise drop records
+// that are intact on disk.
+func replayLog(fs FS, path string, fn func(Record)) (epoch uint64, err error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
 	}
-	l := &Log{fs: fs, f: f, path: path, w: bufio.NewWriter(f)}
+	if err != nil {
+		return 0, fmt.Errorf("db: open log: %w", err)
+	}
+	defer f.Close()
 	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("db: open log: %w", err)
+	if err == nil && size > 0 {
+		_, err = f.Seek(0, io.SeekStart)
 	}
-	l.healthy = fileHeaderSize
-	l.appended.Store(fileHeaderSize)
-	if size == 0 {
-		// Fresh file: write the epoch-0 header and make both the header
-		// and the directory entry durable before anyone relies on it.
-		if err := l.writeHeader(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := fs.SyncDir(path); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("db: sync log dir: %w", err)
-		}
-		return l, nil
+	if err != nil || size == 0 {
+		return 0, err
 	}
+	r := bufio.NewReader(f)
 	var hdr [fileHeaderSize]byte
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: %s is %d bytes, shorter than a header", ErrCorruptHeader, path, size)
+			return 0, fmt.Errorf("%w: %s is %d bytes, shorter than a header", ErrCorruptHeader, path, size)
 		}
-		return nil, fmt.Errorf("db: read log header: %w", err)
+		return 0, fmt.Errorf("db: read log header: %w", err)
 	}
 	if [4]byte(hdr[0:4]) != logMagic || crc32.Checksum(hdr[0:12], castagnoli) != binary.LittleEndian.Uint32(hdr[12:16]) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrCorruptHeader, path)
+		return 0, fmt.Errorf("%w: %s", ErrCorruptHeader, path)
 	}
-	l.epoch = binary.LittleEndian.Uint64(hdr[4:12])
-	return l, nil
-}
-
-// Epoch returns the store epoch recorded in the log header (0 for a
-// freshly created log that has not been bumped yet).
-func (l *Log) Epoch() uint64 { return l.epoch }
-
-// writeHeader rewrites the file header in place with the given epoch
-// and syncs it to stable storage. The header fits one sector, and the
-// checksum catches the torn-write case regardless.
-func (l *Log) writeHeader(epoch uint64) error {
-	var hdr [fileHeaderSize]byte
-	copy(hdr[0:4], logMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], epoch)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(hdr[0:12], castagnoli))
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("db: write log header: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("db: sync log header: %w", err)
-	}
-	if _, err := l.f.Seek(l.healthy, io.SeekStart); err != nil {
-		return err
-	}
-	l.epoch = epoch
-	return nil
-}
-
-// SetEpoch durably rewrites the header epoch in place.
-func (l *Log) SetEpoch(epoch uint64) error { return l.writeHeader(epoch) }
-
-// Replay scans the log from the end of the header, invoking fn for
-// every valid record in order. It stops silently at a torn or corrupt
-// tail, records the healthy prefix length, and truncates the file to it
-// so subsequent appends are safe. A record length is rejected as corrupt
-// if it exceeds the bytes actually remaining in the file, so a single
-// flipped length header cannot trigger a giant allocation. Only short
-// reads count as a tear: a genuine I/O error fails the replay, since
-// truncating on one would discard records that are intact on disk.
-func (l *Log) Replay(fn func(Record)) error {
-	size, err := l.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(fileHeaderSize, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReader(l.f)
-	offset := int64(fileHeaderSize)
-	for {
-		var hdr [logHeaderSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				// A real read error is not a torn tail: truncating here
-				// would discard records that are intact on disk.
-				return fmt.Errorf("db: replay: %w", err)
+	epoch = binary.LittleEndian.Uint64(hdr[4:12])
+	torn := func(err error) bool { return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) }
+	for offset := int64(fileHeaderSize); ; {
+		var rh [logHeaderSize]byte
+		if _, err := io.ReadFull(r, rh[:]); err != nil {
+			if torn(err) {
+				return epoch, nil // clean EOF or torn header
 			}
-			break // clean EOF or torn header: stop
+			return 0, fmt.Errorf("db: replay: %w", err)
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
+		length := binary.LittleEndian.Uint32(rh[0:4])
 		if int64(length) > size-offset-logHeaderSize {
-			break // claims more bytes than the file holds: corrupt
+			return epoch, nil // claims more bytes than the file holds
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("db: replay: %w", err)
+			if torn(err) {
+				return epoch, nil
 			}
-			break // torn payload
+			return 0, fmt.Errorf("db: replay: %w", err)
 		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break // corrupt record
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rh[4:8]) {
+			return epoch, nil
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			break
+			return epoch, nil
 		}
 		fn(rec)
 		offset += logHeaderSize + int64(length)
 	}
-	l.healthy = offset
-	l.appended.Store(offset)
-	if err := l.f.Truncate(offset); err != nil {
-		return fmt.Errorf("db: truncate torn tail: %w", err)
-	}
-	if _, err := l.f.Seek(offset, io.SeekStart); err != nil {
-		return err
-	}
-	l.w = bufio.NewWriter(l.f)
-	return nil
 }
 
-// Append writes one record and flushes it to the OS. Durability is the
-// caller's business: Sync (or the store's sync policy) decides when the
-// record survives a power cut.
-func (l *Log) Append(rec Record) error {
-	l.scratch = appendFramedRecord(l.scratch[:0], rec)
-	return l.AppendFramed(l.scratch)
+// rewriteLog writes a fresh log holding epoch and one record per item to
+// path+".compact", syncs it, renames it over path and syncs the
+// directory, then opens it for appending at its end. The file at path is
+// only ever replaced whole, by the rename, so a crash at any step leaves
+// either the old log or the new one, and each holds the latest version
+// of every key the old one held. A leftover path+".compact" is a crashed open's, torn or
+// holding records the rewrite would only partly overwrite: it is removed
+// first.
+func rewriteLog(fs FS, path string, epoch uint64, items map[string]*record) (*Log, error) {
+	tmp := path + ".compact"
+	if err := fs.Remove(tmp); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("db: rewrite log: %w", err)
+	}
+	size, err := writeLogFile(fs, tmp, epoch, items)
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp) // best effort: the next open removes it too
+		return nil, fmt.Errorf("db: rewrite log: %w", err)
+	}
+	if err := fs.SyncDir(path); err != nil {
+		return nil, fmt.Errorf("db: rewrite log: sync dir: %w", err)
+	}
+	f, err := fs.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return nil, fmt.Errorf("db: open log: %w", err)
+	}
+	if _, err := f.Seek(size, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("db: open log: %w", err)
+	}
+	return &Log{f: f, healthy: size}, nil
 }
 
-// AppendFramed writes pre-framed record bytes (appendFramedRecord output,
-// possibly several records concatenated) with a single write and
-// flushes them to the OS. The group committer uses it to land a whole
-// batch in one syscall.
-func (l *Log) AppendFramed(buf []byte) error {
-	if len(buf) == 0 {
-		return nil
+// writeLogFile creates name holding the header and one record per item,
+// syncs and closes it, and returns its size.
+func writeLogFile(fs FS, name string, epoch uint64, items map[string]*record) (int64, error) {
+	f, err := fs.OpenFile(name, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return 0, err
 	}
-	if _, err := l.w.Write(buf); err != nil {
-		return err
+	w := bufio.NewWriter(f)
+	buf := binary.LittleEndian.AppendUint64(append([]byte(nil), logMagic[:]...), epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	w.Write(buf) // a bufio.Writer's error is sticky: Flush reports it
+	size := int64(len(buf))
+	for _, r := range items {
+		buf = appendFramedRecord(buf[:0], Record{Key: r.Key, Value: r.Value, Version: r.Version})
+		w.Write(buf)
+		size += int64(len(buf))
 	}
-	if err := l.w.Flush(); err != nil {
+	err = w.Flush()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return size, err
+}
+
+// appendFramed writes pre-framed record bytes (appendFramedRecord
+// output, possibly several records concatenated) with a single write.
+// The group committer uses it to land a whole batch in one syscall.
+func (l *Log) appendFramed(buf []byte) error {
+	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
 	l.healthy += int64(len(buf))
-	l.appended.Store(l.healthy)
 	return nil
 }
 
@@ -257,24 +221,11 @@ func appendFramedRecord(dst []byte, rec Record) []byte {
 	return dst
 }
 
-// Sync forces the log contents to stable storage.
-func (l *Log) Sync() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// fsync syncs the file without touching the buffered writer; Append and
-// AppendFramed flush on every call, so between appends the bufio buffer
-// is always empty and fsync covers everything written so far.
-func (l *Log) fsync() error { return l.f.Sync() }
-
-// Close flushes, syncs to stable storage, and closes the underlying
-// file. Without the sync a crash right after a clean shutdown could
-// still lose the buffered tail — Close must leave nothing volatile.
+// Close syncs the file to stable storage and closes it. Without the sync
+// a crash right after a clean shutdown could still lose the tail written
+// under SyncNever — Close must leave nothing volatile.
 func (l *Log) Close() error {
-	syncErr := l.Sync()
+	syncErr := l.f.Sync()
 	closeErr := l.f.Close()
 	if syncErr != nil {
 		return syncErr

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // ownedValue is the self-checking value of (key, version): the key and
@@ -70,7 +69,7 @@ func ownershipStores(t *testing.T) []ownershipStore {
 // TestStoreReturnedValuesNeverChange pins the store's lend rule: the
 // bytes Get returns stay byte-identical across every later Put of the
 // key — shorter values that would fit the resident buffer, longer ones
-// that would not — and across GetCopy, Compact, and close/reopen, under
+// that would not — and across GetCopy and close/reopen, under
 // each commit path. Every third version is taken with Get and held, and
 // a checker goroutine rereads the held values while the writes run.
 func TestStoreReturnedValuesNeverChange(t *testing.T) {
@@ -125,11 +124,6 @@ func TestStoreReturnedValuesNeverChange(t *testing.T) {
 					}
 					dst = cp.Value
 				}
-				if i%50 == 49 {
-					if _, err := s.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
 			if st.reopen != nil {
 				s = st.reopen(s)
@@ -149,7 +143,7 @@ func TestStoreReturnedValuesNeverChange(t *testing.T) {
 }
 
 // TestStoreOwnershipHammer runs writers, Get readers that hold what they
-// read, GetCopy readers and a compactor against one store per commit
+// read and GetCopy readers against one store per commit
 // path. Every key has one writer, so the writer knows each version it
 // commits and writes that version's self-checking value; every read must
 // decode to the (key, version) it came with, and every held value must
@@ -236,17 +230,6 @@ func TestStoreOwnershipHammer(t *testing.T) {
 					}
 				}()
 			}
-			reading.Add(1)
-			go func() {
-				defer reading.Done()
-				for !stopped.Load() {
-					if _, err := s.Compact(); err != nil {
-						fail(err)
-						return
-					}
-					time.Sleep(time.Millisecond) // pacing only: let the writers run
-				}
-			}()
 			writing.Wait()
 			stopped.Store(true)
 			reading.Wait()

@@ -32,9 +32,13 @@
 // failed: reads keep working from the last consistent state, further
 // writes are refused (fail closed) rather than risking silent loss.
 //
-// Every open of a persistent store durably bumps a monotonic epoch kept
-// in the checksummed log header. The replica layer hands the epoch to
-// clients so they can fence against a restarted authority.
+// Every open of a persistent store rewrites the log it replayed as a
+// fresh one, one record per live key under a monotonic epoch one above
+// the old header's, and makes it durable before any Put is
+// acknowledged (log.go). So the log holds the live set plus the writes
+// since the last open, and each open owns a distinct epoch. The replica
+// layer hands the epoch to clients so they can fence against a restarted
+// authority.
 package db
 
 import (
@@ -131,19 +135,9 @@ type groupState struct {
 	leading bool   // a leader is between fsyncs
 	err     error  // sticky: first sync failure
 
-	// gen numbers the coordinate space of tail/synced/applied. Compact
-	// bumps it whenever it swaps the log file and resets the offsets:
-	// every offset captured before the bump belongs to the *old* log and
-	// must never be compared with — or folded into — the new offsets. A
-	// gen bump implies Compact first drained and applied everything
-	// queued, so a waiter holding a stale gen is already satisfied, and a
-	// leader holding one must discard its round (the pinned old handle is
-	// closed and its tail is meaningless in the new space).
-	gen uint64
-
 	// wmu serializes the write-the-batch-then-fsync step between leader
-	// rounds and Close/Compact drains. Neither mu nor the store lock is
-	// held while the round is at the disk, so Puts keep buffering under a
+	// rounds and Close's drain. Neither mu nor the store lock is held
+	// while the round is at the disk, so Puts keep buffering under a
 	// running fsync. werr is wmu-protected and sticky: after one torn
 	// batch write nothing more may reach the file, or later records would
 	// sit beyond the tear, unreachable by replay yet acknowledged.
@@ -193,8 +187,8 @@ func NewStore() *Store {
 
 // Open returns a store backed by the append-only log at path with the
 // default durability policy (SyncGroup, natural batching), replaying
-// any existing records into memory first and durably bumping the store
-// epoch.
+// any existing records into memory first and rewriting the log to one
+// record per live key under a durably bumped epoch.
 func Open(path string) (*Store, error) {
 	return OpenWith(Options{Path: path})
 }
@@ -206,24 +200,21 @@ func OpenWith(o Options) (*Store, error) {
 	}
 	s := NewStore()
 	s.policy = o.Sync
-	log, err := OpenLogFS(o.FS, o.Path)
+	epoch, err := replayLog(o.FS, o.Path, func(rec Record) {
+		s.commitLocked(Item(rec), true) // nothing else can see s yet
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := log.Replay(func(rec Record) {
-		s.commitLocked(Item(rec), true) // nothing else can see s yet
-	}); err != nil {
-		log.Close()
-		return nil, err
-	}
-	// Bump the epoch durably before any write can be acknowledged under
-	// it: each process incarnation owns a distinct epoch.
-	if err := log.SetEpoch(log.Epoch() + 1); err != nil {
-		log.Close()
+	// The rewrite carries the bumped epoch and is durable before any
+	// write can be acknowledged under it: each process incarnation owns
+	// a distinct epoch.
+	log, err := rewriteLog(o.FS, o.Path, epoch+1, s.items)
+	if err != nil {
 		return nil, err
 	}
 	s.log = log
-	s.epoch = log.Epoch()
+	s.epoch = epoch + 1
 	s.gc.synced = log.healthy
 	s.gc.applied = log.healthy
 	s.gc.tail = log.healthy
@@ -240,11 +231,17 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
-// SyncPolicyInUse reports the policy the store was opened with.
-func (s *Store) SyncPolicyInUse() SyncPolicy {
+// LogSize returns the byte size of the log's records (excluding the file
+// header), or 0 for an in-memory store. Every open rewrites the log to
+// one record per live key, so this is the live set plus the writes since
+// the store opened.
+func (s *Store) LogSize() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.policy
+	if s.log == nil {
+		return 0
+	}
+	return s.log.healthy - fileHeaderSize
 }
 
 // Close drains pending group commits and releases the persistence log,
@@ -331,7 +328,6 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 	// assigned one.
 	log := s.log
 	s.gc.mu.Lock()
-	gen := s.gc.gen
 	for i := len(s.gc.queue) - 1; i >= 0; i-- {
 		if s.gc.queue[i].item.Key == key {
 			it.Version = s.gc.queue[i].item.Version + 1
@@ -349,7 +345,7 @@ func (s *Store) Put(key string, value []byte) (Item, error) {
 	s.gc.queue = append(s.gc.queue, groupEntry{Item{key, append(own[:0], value...), it.Version}, end})
 	s.gc.mu.Unlock()
 	s.mu.Unlock()
-	if err := s.waitGroup(log, gen, end); err != nil {
+	if err := s.waitGroup(log, end); err != nil {
 		return Item{}, err
 	}
 	return it, nil
@@ -419,21 +415,17 @@ func (s *Store) failLocked(err error) {
 	s.gc.mu.Unlock()
 }
 
-// waitGroup blocks until the log has landed and is applied through end,
-// an offset in generation gen's coordinate space. The first waiter that
-// finds no leader becomes one: it lets the queue settle, writes the
-// buffer (fsyncing under SyncGroup), and then applies every covered
-// entry in commit order.
-func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
+// waitGroup blocks until the log has landed and is applied through end.
+// The first waiter that finds no leader becomes one: it lets the queue
+// settle, writes the buffer (fsyncing under SyncGroup), and then applies
+// every covered entry in commit order.
+func (s *Store) waitGroup(log *Log, end int64) error {
 	s.gc.mu.Lock()
 	for {
 		// Success is checked before the sticky error: an entry that is
 		// already durable and applied acks success even if a *later*
-		// round's sync failed. A generation change also means success —
-		// Compact drained and applied everything queued (this entry
-		// included) before it swapped logs and bumped gen, and end is an
-		// offset in the old log's coordinates, not comparable to applied.
-		if s.gc.gen != gen || s.gc.applied >= end {
+		// round's sync failed.
+		if s.gc.applied >= end {
 			s.gc.mu.Unlock()
 			return nil
 		}
@@ -445,7 +437,7 @@ func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
 		if !s.gc.leading {
 			s.gc.leading = true
 			s.gc.mu.Unlock()
-			s.leadCommit(log, gen)
+			s.leadCommit(log)
 			s.gc.mu.Lock()
 			continue
 		}
@@ -458,24 +450,13 @@ func (s *Store) waitGroup(log *Log, gen uint64, end int64) error {
 // logical tail the round has landed; with an empty buffer the tail has
 // already landed (whichever round grabbed those bytes wrote them before
 // releasing wmu) and no I/O happens.
-//
-// stale reports that Compact swapped the log since this round's gen was
-// captured: the pinned handle is closed and any buffered records belong
-// to the new log, so the round must not touch the file or the buffer.
-// The check is sound because it happens under wmu: while a live round
-// holds wmu with undrained entries, Compact's own drain blocks on wmu,
-// so gen cannot advance mid-write.
-func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, stale bool, err error) {
+func (s *Store) writeBatch(log *Log) (tail int64, err error) {
 	s.gc.wmu.Lock()
 	defer s.gc.wmu.Unlock()
 	if s.gc.werr != nil {
-		return 0, false, s.gc.werr
+		return 0, s.gc.werr
 	}
 	s.gc.mu.Lock()
-	if s.gc.gen != gen {
-		s.gc.mu.Unlock()
-		return 0, true, nil
-	}
 	buf := s.gc.buf
 	tail = s.gc.tail
 	if len(buf) > 0 {
@@ -483,23 +464,23 @@ func (s *Store) writeBatch(log *Log, gen uint64) (tail int64, stale bool, err er
 	}
 	s.gc.mu.Unlock()
 	if len(buf) == 0 {
-		return tail, false, nil
+		return tail, nil
 	}
-	if err := log.AppendFramed(buf); err != nil {
+	if err := log.appendFramed(buf); err != nil {
 		s.gc.werr = err
-		return 0, false, err
+		return 0, err
 	}
 	if s.policy == SyncGroup {
-		if err := log.fsync(); err != nil {
+		if err := log.f.Sync(); err != nil {
 			s.gc.werr = err
-			return 0, false, err
+			return 0, err
 		}
 		mFsyncs.Inc()
 	}
 	if cap(buf) <= maxSpareBatch {
 		s.gc.spare = buf[:0]
 	}
-	return tail, false, nil
+	return tail, nil
 }
 
 // applyLocked commits every queued entry the landed offset now covers,
@@ -528,10 +509,8 @@ func (s *Store) applyLocked() {
 // settle, land the whole buffer, then apply every covered entry. The log
 // handle is pinned by the caller so a concurrent Close cannot pull it
 // away mid-round; a write on a closed file fails loudly and fails the
-// round. gen fences the round against Compact: if the generation moves,
-// the round's work was taken over by Compact's drain and its offsets are
-// from a dead coordinate space.
-func (s *Store) leadCommit(log *Log, gen uint64) {
+// round.
+func (s *Store) leadCommit(log *Log) {
 	// Natural batching: the waiters of the previous round have just been
 	// woken and are about to re-enqueue. Yield until the queue stops
 	// growing so the round grabs the whole herd, not the two or three
@@ -549,39 +528,25 @@ func (s *Store) leadCommit(log *Log, gen uint64) {
 		prev = n
 		runtime.Gosched()
 	}
-	tail, stale, err := s.writeBatch(log, gen)
+	tail, err := s.writeBatch(log)
 	s.mu.Lock()
 	s.gc.mu.Lock()
 	s.gc.leading = false
-	// A Compact may have slipped in between writeBatch releasing wmu and
-	// this lock acquisition (or, when stale, before the round started).
-	// Its drain already folded and applied this round's records; folding
-	// the pre-compaction tail here would inflate synced/applied past the
-	// real end of the *new* file and acknowledge future Puts that were
-	// never written. Fold only if the coordinate space is still ours.
-	if stale || s.gc.gen != gen {
-		tail = 0
-	}
 	s.gc.mu.Unlock()
 	s.foldRound(tail, err)
 	s.mu.Unlock()
 }
 
 // drainLocked force-completes the group pipeline; the caller holds
-// s.mu, so no new appends can race in. Used by Close and Compact.
+// s.mu, so no new appends can race in. Used by Close.
 func (s *Store) drainLocked() {
-	if s.log == nil {
-		return
-	}
 	s.gc.mu.Lock()
-	gen := s.gc.gen
 	idle := s.gc.err != nil || len(s.gc.buf) == 0 && len(s.gc.queue) == 0 && s.gc.applied >= s.gc.tail
 	s.gc.mu.Unlock()
 	if idle {
 		return
 	}
-	// gen only moves under s.mu, which the caller holds: never stale.
-	tail, _, err := s.writeBatch(s.log, gen)
+	tail, err := s.writeBatch(s.log)
 	s.foldRound(tail, err)
 }
 

@@ -423,3 +423,21 @@ func TestTCPReceiveAllocsSteadyState(t *testing.T) {
 		t.Fatalf("send + receive allocated %.2f times per frame, want 0", n)
 	}
 }
+
+// TestEmptyFlushKeepsOutboxArrays: a Flush with nothing queued leaves
+// both outbox arrays where they were. Swapping the spare in first would
+// drop the pending array, and the next enqueue would grow a new one.
+func TestEmptyFlushKeepsOutboxArrays(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	link := NewTCPLink(a)
+	link.pending = make([]*chunk, 0, 4)
+	link.spare = make([]*chunk, 0, 8)
+	if err := link.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(link.pending) != 4 || cap(link.spare) != 8 {
+		t.Fatalf("after an empty Flush the outbox arrays hold %d and %d, want 4 and 8", cap(link.pending), cap(link.spare))
+	}
+}

@@ -555,13 +555,15 @@ func (l *TCPLink) Flush() error {
 func (l *TCPLink) flushLocked() error {
 	l.qmu.Lock()
 	batch := l.pending
+	if len(batch) == 0 {
+		// Nothing to write: keep both arrays, or the next enqueue grows one.
+		l.qmu.Unlock()
+		return nil
+	}
 	l.pending = l.spare[:0]
 	l.spare = nil
 	l.pendingB = 0
 	l.qmu.Unlock()
-	if len(batch) == 0 {
-		return nil
-	}
 	if cap(l.wstore) < len(batch) {
 		l.wstore = make([][]byte, len(batch))
 	}
