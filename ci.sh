@@ -50,6 +50,9 @@ go test -race -count=2 -run 'TestChaosSoakRecovery|TestSupervisor|TestServerClos
 # does not link the replay engine, so its /metrics has no such series),
 # the first-touch pin (two objects per (session, key) at the
 # SC, three per allocated key and none per ST1 miss at the MC), the
+# warm-resync and joint-read pins (a handoff of 16, 64 or 256 held keys
+# through a relay, and a joint read through two relays, allocate the same
+# whatever the key count; ReadMany one value per key plus a constant), the
 # kernel-sampled process counters, the inventory check that internal/core
 # stays the only window implementation, then a live server with
 # -debug-addr whose /metrics and /healthz must answer over real HTTP.
@@ -62,7 +65,7 @@ go test -count=1 -run 'TestReplayHistogramResolvesBlockSpeed|TestReplayHistogram
 go test -race -count=1 -run 'TestIdealClosedForm|TestCostMatchesBruteForce' ./internal/offline/
 go test -race -run '^$' -fuzz=FuzzReplayMatchesReference -fuzztime=10s ./internal/sim/
 go test -race -run '^$' -fuzz=FuzzCostMatchesBruteForce -fuzztime=10s ./internal/offline/
-go test -count=1 -run 'TestFirstTouchAllocations|TestReattachReusesRecords' ./internal/replica/
+go test -count=1 -run 'TestFirstTouchAllocations|TestReattachReusesRecords|TestWarmResyncAllocs|TestReadManyAllocs' ./internal/replica/
 go test -count=1 -run 'TestOneWindowKernel' ./internal/core/
 obs_log=$(mktemp)
 go build -o /tmp/mobirep-server-ci ./cmd/mobirep-server
@@ -82,7 +85,9 @@ kill "$obs_pid"
 rm -f "$obs_log" /tmp/mobirep-server-ci
 
 # Throughput slice: the zero-alloc pins on the pooled encode / borrowed
-# decode hot paths, the coalescing transport edge cases, the SC fan-out
+# decode hot paths (a batch frame's borrowed decode allocates only its
+# arrays, and a 10 s fuzz holds it equal to the cloning decode), the
+# coalescing transport edge cases, the SC fan-out
 # sharing proof, and the conformance explorer again with every link
 # coalescing — byte-stream batching must be invisible to the protocol.
 #
@@ -90,9 +95,12 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # one-read receive; the single close-reason path), the replica waiter-pool
 # tests and the recycled relay Fetch records' tests (every ReadThrough
 # completes once, a recycled record never takes an earlier read's
-# answer), and the replica and tree tests that dial real TCP without
-# configuring the link (every TCPLink coalesces, so they ride the flusher
-# and the inline reply) run under the race detector three times at
+# answer; a relay's joint read upstream, one per edge of a warm handoff,
+# with the singleton fallback below a floor, its refusal when a fetch
+# fails, and a batch kept past the handler whose frame it came in), and
+# the replica and tree tests that dial real TCP without configuring the
+# link (every TCPLink coalesces, so they ride the flusher and the inline
+# reply) run under the race detector three times at
 # GOMAXPROCS 1, 2 and 8: their outcome must not depend on CPU count or
 # scheduler luck. TestTCPWriteFailureShutsLinkDown once passed or failed
 # by CPU count; it now holds whichever Send sees the failure (the
@@ -106,12 +114,13 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # the relay read-through benchmark runs once so it cannot rot. The
 # non-unix stub of the inline writer is proven to compile. An empty
 # Flush keeps both outbox arrays (TestEmptyFlushKeepsOutboxArrays).
-go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
+go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestDecodeBatchBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
+go test -run '^$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/wire/
 go test -count=1 -run 'TestEmptyFlushKeepsOutboxArrays' ./internal/transport/
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch|TestWarmHandoffFrames|TestBatchKeptPastItsHandler|TestJointReadRefusal' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads|TestDropCascade|TestChainReadThroughAndPropagation|TestPlacementShedsAndReholds|TestRelayStoreMirrorsARead' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/

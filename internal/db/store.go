@@ -287,6 +287,17 @@ func (s *Store) Key(key string) (string, bool) {
 	return "", false
 }
 
+// Version returns key's current version, 0 when it has never been
+// written, without lending its value.
+func (s *Store) Version(key string) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.items[key]; r != nil {
+		return r.Version
+	}
+	return 0
+}
+
 // GetCopy is Get without the loan: it appends key's value to dst, under
 // the read lock, and returns the item with Value set to the extended dst.
 func (s *Store) GetCopy(key string, dst []byte) (Item, bool) {

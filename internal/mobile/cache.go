@@ -229,11 +229,13 @@ func (c *Cache) Peek(key string) (db.Item, bool) {
 // all reads, which the next requests wash out. The cache owns its bytes:
 // Key and Value are copied in, so the caller may pass fields that alias a
 // borrowed transport frame (wire.DecodeBorrowed) and reuse the buffer the
-// moment Install returns. It returns the installed item, lent (see lend),
-// so a reader waiting on the allocating response can take the cache's
-// copy instead of making its own, and whether it installed; when it did
-// not, only the item's Key — the cache-owned key — is set.
-func (c *Cache) Install(it db.Item, w core.Window) (db.Item, bool) {
+// moment Install returns. It returns whether it installed and the
+// installed item, with its value lent (see lend) when lend is set, so a
+// reader waiting on the allocating response can take the cache's copy
+// instead of making its own; without lend the value is nil and the
+// buffer stays resident, for the next write to overwrite. When it did
+// not install, only the item's Key — the cache-owned key — is set.
+func (c *Cache) Install(it db.Item, w core.Window, lend bool) (db.Item, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[it.Key]
@@ -258,6 +260,9 @@ func (c *Cache) Install(it db.Item, w core.Window) (db.Item, bool) {
 		e.window = w
 	}
 	c.stats.Installs++
+	if !lend {
+		return db.Item{Key: e.item.Key, Version: e.item.Version}, true
+	}
 	return e.lend(), true
 }
 

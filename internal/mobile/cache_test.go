@@ -22,7 +22,7 @@ func item(key string, version uint64) db.Item {
 // first so that the value always lands.
 func install(c *Cache, it db.Item) {
 	c.Drop(it.Key, false)
-	c.Install(it, core.Window{})
+	c.Install(it, core.Window{}, true)
 }
 
 // update applies it as a propagated write and reports whether it took.
@@ -452,7 +452,7 @@ func TestCacheMatchesThreeMapReference(t *testing.T) {
 				}
 				switch op := rng.Intn(16); op {
 				case 0, 1:
-					got, installed := c.Install(it, core.WindowOf(handoff))
+					got, installed := c.Install(it, core.WindowOf(handoff), true)
 					_, live := ref.items[key]
 					if !live {
 						ref.install(it, handoff)

@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,43 +39,46 @@ func (c *Client) ReadMany(keys []string) ([]db.Item, error) {
 
 // ReadManyContext is ReadMany with a per-request deadline, mirroring
 // ReadContext: the remote leg gives up with ctx.Err() when the context
-// ends, on top of the client-wide Timeout.
+// ends, on top of the client-wide Timeout. A refused joint read (an
+// answer with no entries, from a relay that could not freshen every key)
+// fails with ErrOffline, as a refused singleton read does.
 func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	out := make([]db.Item, len(keys))
+	// slot[i] is 0 for a key served from the cache, else 1 + the index of
+	// its entry in the request.
+	slot := make([]int32, len(keys))
 
 	c.mu.Lock()
 	if c.offline {
 		c.mu.Unlock()
 		return nil, ErrOffline
 	}
-	var missing []string
-	var hints []uint64
-	missingIdx := make(map[string][]int)
+	misses := 0
 	for i, key := range keys {
 		if it, ok := c.cache.Get(key, 0); ok {
 			c.noteFloorLocked(it.Key, it.Version)
 			out[i] = it
 			continue
 		}
-		if len(missingIdx[key]) == 0 {
-			missing = append(missing, key)
-			hint := uint64(0)
-			if arch, ok := c.cache.Archived(key); ok {
-				hint = arch.Version
-			}
-			hints = append(hints, hint)
-		}
-		missingIdx[key] = append(missingIdx[key], i)
+		slot[i] = -1
+		misses++
 	}
-	if len(missing) == 0 {
+	if misses == 0 {
 		c.mu.Unlock()
 		return out, nil
 	}
+	missing := askOnce(keys, slot, misses)
+	hints := make([]uint64, len(missing))
+	for i, key := range missing {
+		if arch, ok := c.cache.Archived(key); ok {
+			hints[i] = arch.Version
+		}
+	}
 	c.seq++
-	w := batchWaiter{id: c.seq, ch: make(chan wire.Batch, 1)}
+	w := batchWaiter{id: c.seq, ch: make(chan bool, 1), keys: missing, items: make([]db.Item, len(missing))}
 	c.pendingBatch = append(c.pendingBatch, w)
 	link := c.link
 	c.mu.Unlock()
@@ -103,7 +108,6 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		return nil, fmt.Errorf("%w: %v", ErrOffline, err)
 	}
 
-	var resp wire.Batch
 	var timeout <-chan time.Time
 	if c.Timeout > 0 {
 		t := time.NewTimer(c.Timeout)
@@ -111,11 +115,10 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		timeout = t.C
 	}
 	select {
-	case r, ok := <-w.ch:
-		if !ok {
+	case served, ok := <-w.ch:
+		if !ok || !served {
 			return nil, ErrOffline
 		}
-		resp = r
 	case <-timeout:
 		c.cancelPendingBatch(w.id)
 		c.suspect(link, ErrTimeout)
@@ -124,30 +127,59 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 		c.cancelPendingBatch(w.id)
 		return nil, ctx.Err()
 	}
-	for _, e := range resp.Entries {
-		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
-		if e.NotModified {
-			// The archived value is confirmed current. If the entry also
-			// allocated, onBatch has already promoted it into the live
-			// cache (clearing the archive), so look there first.
-			if live, ok := c.cache.Peek(e.Key); ok && live.Version == e.Version {
-				it = live
-			} else if arch, ok := c.cache.Revalidated(e.Key); ok {
-				it = arch
-			}
-		}
-		for _, i := range missingIdx[e.Key] {
-			out[i] = it
+	for i, s := range slot {
+		if s > 0 {
+			out[i] = w.items[s-1]
 		}
 	}
 	return out, nil
 }
 
-// batchWaiter is a parked joint read: its request id and where its
-// answer goes.
+// askOnce numbers the keys a joint read must ask for: each missed key
+// (slot -1) gets 1 + the index of its key in the returned request, which
+// names every distinct missed key once, in order of first occurrence.
+// Sorting the misses by key groups the duplicates, with no map.
+func askOnce(keys []string, slot []int32, misses int) []string {
+	order := make([]int32, 0, misses)
+	for i, s := range slot {
+		if s < 0 {
+			order = append(order, int32(i))
+		}
+	}
+	// Stable: each group of equal keys keeps its first occurrence first,
+	// and the others point at it (slot -2 - first).
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	distinct := 0
+	for g := 0; g < len(order); g++ {
+		first := order[g]
+		for g+1 < len(order) && keys[order[g+1]] == keys[first] {
+			g++
+			slot[order[g]] = -2 - first
+		}
+		distinct++
+	}
+	ask := make([]string, 0, distinct)
+	for i, s := range slot {
+		switch {
+		case s == -1:
+			ask = append(ask, keys[i])
+			slot[i] = int32(len(ask))
+		case s < -1:
+			slot[i] = slot[-2-s]
+		}
+	}
+	return ask
+}
+
+// batchWaiter is a parked joint read: its request id, the keys it asked
+// for, the items its answer fills in (owned, one per key) and the channel
+// that says whether the answer served them. A relay's joint read
+// (readThroughAll) has none: its fetches park as singleton reads do.
 type batchWaiter struct {
-	id uint64
-	ch chan wire.Batch
+	id    uint64
+	ch    chan bool
+	keys  []string
+	items []db.Item
 }
 
 // cancelPendingBatch unparks the joint read with request id id, if it is
@@ -158,10 +190,14 @@ func (c *Client) cancelPendingBatch(id uint64) {
 	c.pendingBatch = slices.DeleteFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == id })
 }
 
-// onBatch handles server-to-client batch messages. For a MultiReadResp:
-// install each allocation its request id allows (allocateLocked), whether
-// or not the joint read that asked is still parked, and wake that read.
-// An answer to a request sent on an earlier link is ignored.
+// onBatch handles server-to-client batch messages; b is borrowed from the
+// frame. For a MultiReadResp: install each allocation its request id
+// allows (installLocked), whether or not the joint read that asked is
+// still parked, and wake that read with owned values: the cache's copy
+// where the answer placed one, the archived value it revalidated, or a
+// clone. At a relay's parent face, an answer no ReadMany waits for
+// answers the relay's fetches (onJointResp). An answer to a
+// request sent on an earlier link is ignored.
 func (c *Client) onBatch(b wire.Batch) {
 	if b.Kind == wire.KindResyncResp {
 		c.onResyncResp(b)
@@ -182,31 +218,53 @@ func (c *Client) onBatch(b wire.Batch) {
 		// is the resync answer's job.)
 		c.epoch = b.Epoch
 	}
-	for _, e := range b.Entries {
-		// Joint reads record floors (they raise what singleton reads must
-		// honor) but are not floor-gated themselves.
-		c.noteFloorLocked(e.Key, e.Version)
+	var w batchWaiter
+	if i := slices.IndexFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == b.ID }); i >= 0 {
+		w = c.pendingBatch[i]
+		c.pendingBatch = slices.Delete(c.pendingBatch, i, i+1)
+	} else if c.relay != nil {
+		c.mu.Unlock()
+		c.onJointResp(b)
+		return
 	}
-	for _, e := range b.Entries {
-		if !e.Allocate {
-			continue
-		}
-		item := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
+	// The answer serves the read only if it has the read's keys, in order;
+	// anything else (a relay's refusal has no entries) fails it.
+	served := w.ch != nil && len(b.Entries) == len(w.keys)
+	for i := 0; served && i < len(b.Entries); i++ {
+		served = b.Entries[i].Key == w.keys[i]
+	}
+	for i, e := range b.Entries {
+		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
 		if e.NotModified {
-			if arch, ok := c.cache.Revalidated(e.Key); ok {
-				item = arch
+			// The archived value is confirmed current, unless a live copy
+			// at that version already is.
+			if live, ok := c.cache.Peek(e.Key); ok && live.Version == e.Version {
+				it = live
+			} else if arch, ok := c.cache.Revalidated(e.Key); ok {
+				it = arch
 			}
 		}
-		c.allocateLocked(item, e.Window, b.ID)
-	}
-	var ch chan wire.Batch
-	if i := slices.IndexFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == b.ID }); i >= 0 {
-		ch = c.pendingBatch[i].ch
-		c.pendingBatch = slices.Delete(c.pendingBatch, i, i+1)
+		if served {
+			// Joint reads record floors (they raise what singleton reads
+			// must honor) but are not floor-gated themselves.
+			c.noteFloorLocked(w.keys[i], e.Version)
+		}
+		owned := e.NotModified
+		if e.Allocate {
+			if copied, ok := c.installLocked(it, e.Window, b.ID, served); ok && served {
+				it.Value, owned = copied, true
+			}
+		}
+		if served {
+			if !owned {
+				it.Value = bytes.Clone(it.Value)
+			}
+			w.items[i] = db.Item{Key: w.keys[i], Value: it.Value, Version: it.Version}
+		}
 	}
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- b
+	if w.ch != nil {
+		w.ch <- served
 	}
 }
 
@@ -227,9 +285,14 @@ func (ss *Session) onBatch(b wire.Batch) {
 }
 
 // fetchBatch is a batch request waiting on its relay fetches: one pooled
-// record the keys' fetch records count down.
+// record the keys' fetch records count down. It holds its own copy of the
+// request, kept past the handler that decoded it: the keys are the mirror
+// store's own (cloned only for a key the station has never stored), as a
+// singleton fetch's are, and the key and hint arrays are reused.
 type fetchBatch struct {
 	b      wire.Batch
+	keys   []string
+	hints  []uint64
 	left   atomic.Int64
 	failed atomic.Bool
 }
@@ -238,27 +301,37 @@ var batchPool = sync.Pool{New: func() any { return new(fetchBatch) }}
 
 // fetchAll answers a batch request once every key is ready to be served:
 // at once on a plain server, after every key's fetch has completed on a
-// relay. Any failed fetch drops the whole request (to the client, a lost
-// frame). The batch's memory is owned (wire.DecodeBatch copies), so its
-// keys are the fetch records' own. The version hints double as fetch
-// floors: the client has seen the hinted version, so the parent face must
-// not answer below it. Once the last fetch is started the batch may already
-// be answered, so the loop reads nothing from fb.
+// relay. b is borrowed from the frame, so the relay answers from the
+// fetchBatch's copy. The version hints double as fetch floors: the client
+// has seen the hinted version, so the parent face must not answer below
+// it. A failed fetch fails the whole request: a joint read is refused
+// (refuseMultiRead), a resync goes unanswered (to the client, a lost
+// frame).
 func (ss *Session) fetchAll(b wire.Batch) {
 	if !ss.srv.fetching() || len(b.Keys) == 0 {
 		ss.finishBatch(b)
 		return
 	}
 	fb := batchPool.Get().(*fetchBatch)
-	fb.b = b
-	fb.left.Store(int64(len(b.Keys)))
+	fb.keys, fb.hints = fb.keys[:0], fb.hints[:0]
 	for i, key := range b.Keys {
-		ss.srv.startFetch(newFetch(ss, key, hint(b, i), 0, fb))
+		k, ok := ss.srv.store.Key(key)
+		if !ok {
+			k = strings.Clone(key)
+		}
+		fb.keys = append(fb.keys, k)
+		fb.hints = append(fb.hints, hint(b, i))
 	}
+	fb.b = wire.Batch{Kind: b.Kind, Epoch: b.Epoch, ID: b.ID, Keys: fb.keys, Versions: fb.hints}
+	// The starter holds one count until every fetch has started, so the
+	// record is not answered and recycled under its loop.
+	fb.left.Store(int64(len(b.Keys)) + 1)
+	ss.srv.startBatch(ss, fb)
+	fb.done(ss, true)
 }
 
-// done counts one key's fetch; the last one answers the batch, unless any
-// failed, and recycles fb.
+// done counts one key's fetch; the last one answers the batch (or, if any
+// failed, refuses a joint read) and recycles fb.
 func (fb *fetchBatch) done(ss *Session, ok bool) {
 	if !ok {
 		fb.failed.Store(true)
@@ -266,13 +339,35 @@ func (fb *fetchBatch) done(ss *Session, ok bool) {
 	if fb.left.Add(-1) != 0 {
 		return
 	}
-	b, failed := fb.b, fb.failed.Load()
+	switch {
+	case !fb.failed.Load():
+		ss.finishBatch(fb.b)
+	case fb.b.Kind == wire.KindMultiReadReq:
+		ss.refuseMultiRead(fb.b.ID)
+	}
+	clear(fb.keys)
 	fb.b = wire.Batch{}
 	fb.failed.Store(false)
 	batchPool.Put(fb)
-	if !failed {
-		ss.finishBatch(b)
+}
+
+// refuseMultiRead answers a joint read the station could not freshen
+// with no entries, so the reader fails it at once instead of waiting for
+// an answer that never comes. Like a ReadFail, it is not metered as
+// protocol cost.
+func (ss *Session) refuseMultiRead(id uint64) {
+	ss.shard.enter()
+	if ss.detached {
+		ss.shard.exit()
+		return
 	}
+	buf := wire.GetBuf()
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch(), ID: id})
+	if err != nil {
+		panic(fmt.Sprintf("replica: encode batch refusal: %v", err))
+	}
+	buf.B = frame
+	ss.send(buf, none)
 }
 
 // finishBatch answers a batch request whose keys are ready.
@@ -291,6 +386,7 @@ func (ss *Session) finishBatch(b wire.Batch) {
 // pooled buffer.
 func (ss *Session) serveAll(b wire.Batch, resp wire.Batch, entry func(ki int, it db.Item, st *itemState) wire.Entry) *wire.Buf {
 	vb := wire.GetBuf()
+	resp.Entries = make([]wire.Entry, 0, len(b.Keys))
 	for ki, key := range b.Keys {
 		n := len(vb.B)
 		it, _ := ss.srv.store.GetCopy(key, vb.B)

@@ -35,7 +35,7 @@ type Client struct {
 	// seq is the last request id drawn: every read request and every
 	// DeleteReq sent takes the next one. marks holds, per key the MC has
 	// deallocated, seq at its last DeleteReq, sent or received, and since
-	// is seq at the last link change (see allocateLocked). The map keeps
+	// is seq at the last link change (see installLocked). The map keeps
 	// the keys it is given, so they must be owned.
 	seq, since uint64
 	marks      map[string]uint64
@@ -237,7 +237,14 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 // draws its ticket, the id its request carries. The caller holds c.mu.
 func (c *Client) parkLocked(w *readWaiter) {
 	c.seq++
-	w.ticket = c.seq
+	c.queueLocked(w, c.seq)
+}
+
+// queueLocked queues w behind the reads already waiting on its key with
+// ticket, an id already drawn: a joint read's keys share its one id. The
+// caller holds c.mu.
+func (c *Client) queueLocked(w *readWaiter, ticket uint64) {
+	w.ticket = ticket
 	q := c.pending[w.key]
 	if q == nil {
 		c.pending[w.key] = w
@@ -287,7 +294,8 @@ func (c *Client) cancelPending(key string, w *readWaiter, ticket uint64) bool {
 // onFrame handles one message from the server.
 func (c *Client) onFrame(frame []byte) {
 	if wire.IsBatchFrame(frame) {
-		b, err := wire.DecodeBatch(frame)
+		// Borrowed like a singleton: onBatch hands readers owned values.
+		b, err := wire.DecodeBatchBorrowed(frame)
 		if err != nil {
 			return
 		}
@@ -406,59 +414,63 @@ func (c *Client) suspect(link transport.Link, err error) {
 	}
 }
 
-// onReadResp completes every read of the answer's key parked at or
-// before the request it answers whose floor it clears (every upstream
-// serve respects the request's floor, so an answer below a read's floor
-// is not its answer): the SC served the request after each of those was
-// sent, so none gets a value older than its own request. A read parked
-// later waits for an answer of its own, so a duplicated older answer
-// completes nothing younger. The id decides the allocation alone
-// (allocateLocked), whether or not the read that asked is still parked.
-// An answer to a request sent on an earlier link is ignored: its session
-// is gone.
+// onReadResp applies a ReadResp (answerLocked). An answer to a request
+// sent on an earlier link is ignored: its session is gone.
 func (c *Client) onReadResp(msg wire.Message) {
 	c.mu.Lock()
 	if msg.ID <= c.since {
 		c.mu.Unlock()
 		return
 	}
-	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.ticket <= msg.ID && w.floor <= msg.Version })
-	relay := false
+	c.answerLocked(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, msg.Allocate, msg.Window, msg.ID)
+}
+
+// answerLocked applies an answer to request id for it.Key — a ReadResp,
+// or one entry of a relay's joint read (onJointResp) — and completes
+// every read of the key parked at or before that request whose floor it
+// clears (every upstream serve respects the request's floor, so an answer
+// below a read's floor is not its answer): the SC served the request
+// after each of those was sent, so none gets a value older than its own
+// request. A read parked later waits for an answer of its own, so a
+// duplicated older answer completes nothing younger. The id decides the
+// allocation alone (installLocked), whether or not the read that asked
+// is still parked. it is borrowed. The caller holds c.mu; answerLocked
+// releases it.
+func (c *Client) answerLocked(it db.Item, allocate bool, win core.Window, id uint64) {
+	got := c.unparkLocked(it.Key, func(w *readWaiter) bool { return w.ticket <= id && w.floor <= it.Version })
+	relay, reader := false, false
 	for w := got; w != nil; w = w.next {
 		relay = relay || w.fetch != nil
+		reader = reader || w.fetch == nil
 	}
 	if got != nil {
-		c.noteFloorLocked(got.key, msg.Version) // the reader's own key
+		c.noteFloorLocked(got.key, it.Version) // the reader's own key
 	}
-	it := db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}
-	var copied []byte // the cache's new copy, lent, if this answer installed one
-	if msg.Allocate {
-		if in, ok := c.allocateLocked(it, msg.Window, msg.ID); ok {
-			copied = in.Value
-			mAllocs.Inc()
-			c.noteFloorLocked(in.Key, msg.Version)
-			// The tracer's ring retains the key: the cache's own, not msg's.
-			obsTr.Record(obs.EvAllocate, in.Key, "read-resp", int64(msg.Version), 0)
-		}
+	// The cache's new copy, lent to the readers, if this answer installed
+	// one; a relay's fetch mirrors the answer's own bytes instead.
+	var copied []byte
+	installed := false
+	if allocate {
+		copied, installed = c.installLocked(it, win, id, reader)
 	}
-	key, out, win := "", mobile.Stale, core.Window{}
-	if relay && copied == nil {
+	key, out, dwin := "", mobile.Stale, core.Window{}
+	if relay && !installed {
 		// A ReadThrough goes remote while still holding a copy only when
 		// the cached version sat below the floor, so the propagation path
 		// lost writes: the cache folds the answer in like a one-key resync.
-		key, out, win = c.cache.Apply(it, true)
+		key, out, dwin = c.cache.Apply(it, true)
 	}
 	if out == mobile.Dropped {
-		c.deallocate(key, win, "absorb", msg.Version)
+		c.deallocate(key, dwin, "absorb", it.Version)
 	} else {
 		c.mu.Unlock()
 	}
 	for w := got; w != nil; {
 		next := w.next // a completed reader may recycle w at once
 		if w.fetch != nil {
-			// Synchronous completion on the delivery goroutine: msg is
-			// borrowed, and the relay copies at every retention point.
-			c.relay.fetched(w.fetch, db.Item{Key: w.key, Value: msg.Value, Version: msg.Version}, true)
+			// Synchronous completion on the delivery goroutine: the value
+			// is borrowed, and the relay copies at every retention point.
+			c.relay.fetched(w.fetch, db.Item{Key: w.key, Value: it.Value, Version: it.Version}, true)
 		} else {
 			// The reader consumes the result on another goroutine, after
 			// this handler has returned and the frame buffer has been
@@ -467,28 +479,40 @@ func (c *Client) onReadResp(msg wire.Message) {
 			// version. The unlinking above made this the only send w.ch
 			// sees before the reader recycles w.
 			if copied == nil {
-				copied = bytes.Clone(msg.Value)
+				copied = bytes.Clone(it.Value)
 			}
-			w.ch <- readResult{value: copied, version: msg.Version}
+			w.ch <- readResult{value: copied, version: it.Version}
 		}
 		w = next
 	}
 }
 
-// allocateLocked installs an allocating answer's copy if the request it
+// installLocked installs an allocating answer's copy if the request it
 // answers, id, is newer than the key's mark. A DeleteReq sent after the
 // request cancels the allocation, because the SC served the request
 // first. A DeleteReq received from the SC revokes every allocation
 // answered before it, and FIFO links deliver those first, so an older id
 // arriving later is a duplicate. A held copy is never replaced, so no
-// answer rolls the value or window back. The caller holds c.mu.
-func (c *Client) allocateLocked(it db.Item, win core.Window, id uint64) (db.Item, bool) {
+// answer rolls the value or window back. An install is counted and
+// traced and raises the key's floor. It returns whether it installed and,
+// with lend, the cache's copy of the value, lent: only a reader that
+// returns the value needs it, and a copy never lent is overwritten in
+// place by the key's next write. The caller holds c.mu.
+func (c *Client) installLocked(it db.Item, win core.Window, id uint64, lend bool) ([]byte, bool) {
 	if id <= c.marks[it.Key] {
-		return db.Item{}, false
+		return nil, false
 	}
 	// An SW allocation without a window means the server is buggy; the
 	// cache assumes all reads, which the next requests wash out.
-	return c.cache.Install(it, win)
+	in, ok := c.cache.Install(it, win, lend)
+	if !ok {
+		return nil, false
+	}
+	mAllocs.Inc()
+	c.noteFloorLocked(in.Key, it.Version)
+	// The tracer's ring retains the key: the cache's own, not the answer's.
+	obsTr.Record(obs.EvAllocate, in.Key, "read-resp", int64(it.Version), 0)
+	return in.Value, true
 }
 
 // onReadFail fails the read whose request a relay refused; a relay's
@@ -543,7 +567,7 @@ func (c *Client) onWriteProp(msg wire.Message) {
 // resync deallocation, DropCopy. It hands win back to the SC and draws
 // the DeleteReq an id as key's mark: the SC serves every read requested
 // before it first, so an allocation they carry is cancelled by it and
-// must not be installed (allocateLocked). key is retained, so it must be
+// must not be installed (installLocked). key is retained, so it must be
 // owned: the cache's own whenever a copy was dropped (reason set), which
 // is counted and cascades (notifyDrop). The caller holds
 // c.mu, having decided the drop under it or on the link's delivery
@@ -568,7 +592,7 @@ func (c *Client) deallocate(key string, win core.Window, reason string, version 
 
 // onDeleteReq handles the SW1 optimization (and any server-initiated
 // deallocation): drop the copy, and mark the key so that no duplicate of
-// the answer that placed it installs again (allocateLocked).
+// the answer that placed it installs again (installLocked).
 func (c *Client) onDeleteReq(msg wire.Message) {
 	c.mu.Lock()
 	key, _, had := c.cache.Drop(msg.Key, true)

@@ -28,11 +28,13 @@ type relayRig struct {
 	t     *testing.T
 	up    *Client
 	relay *Server
+	sess  *Session // the child's session at the relay
 	peer  transport.Link
 	child transport.Link
 
 	mu      sync.Mutex
 	upSent  []wire.Message // what up sent its parent
+	upJoint []wire.Batch   // the joint reads up sent its parent
 	answers []wire.Message // what the relay sent the child
 	batches []wire.Batch   // batch answers the relay sent the child
 }
@@ -70,12 +72,23 @@ func newRelayRig(t *testing.T) *relayRig {
 		}
 		r.answers = append(r.answers, msg.Clone())
 	})
-	r.relay.Attach(sessEnd)
+	r.sess = r.relay.Attach(sessEnd)
 	return r
 }
 
 // record notes a frame up sent its parent.
 func (r *relayRig) record(frame []byte) {
+	if wire.IsBatchFrame(frame) {
+		b, err := wire.DecodeBatch(frame)
+		if err != nil {
+			r.t.Errorf("up sent a bad batch: %v", err)
+			return
+		}
+		r.mu.Lock()
+		r.upJoint = append(r.upJoint, b)
+		r.mu.Unlock()
+		return
+	}
 	msg, err := wire.DecodeBorrowed(frame)
 	if err != nil {
 		r.t.Errorf("up sent a bad frame: %v", err)
@@ -121,6 +134,30 @@ func (r *relayRig) answer(key string, v uint64, allocate bool) {
 	if err := send(r.peer, m); err != nil {
 		r.t.Fatal(err)
 	}
+}
+
+// answerJoint has the parent answer up's last joint read with entries.
+func (r *relayRig) answerJoint(entries ...wire.Entry) {
+	r.t.Helper()
+	r.mu.Lock()
+	if len(r.upJoint) == 0 {
+		r.mu.Unlock()
+		r.t.Fatal("up never sent a joint read")
+	}
+	id := r.upJoint[len(r.upJoint)-1].ID
+	r.mu.Unlock()
+	frame, err := wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadResp, ID: id, Entries: entries})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.peer.Send(frame); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// entry is the parent's answer for key at version v.
+func entry(key string, v uint64) wire.Entry {
+	return wire.Entry{Key: key, Value: []byte(fmt.Sprintf("%s@%d", key, v)), Version: v}
 }
 
 // refuse has the parent refuse up's last read of key.
@@ -253,15 +290,17 @@ func TestReadThroughCompletesOnce(t *testing.T) {
 	})
 }
 
-// TestFetchBatchWithAFailedKey: a joint read through the relay whose
-// middle key fails upstream completes each key's fetch once and answers
-// nothing (to the child, a lost frame); the next joint read, on recycled
-// records, gets exactly its own answers.
+// TestFetchBatchWithAFailedKey: a joint read through the relay goes up as
+// one joint read. Its middle key carries a floor the parent's answer does
+// not clear, so that key goes up again alone and the parent refuses it.
+// Each key's fetch completes once, and the child's joint read is refused
+// (an answer with no entries); the next joint read, on recycled records,
+// gets exactly its own answers.
 func TestFetchBatchWithAFailedKey(t *testing.T) {
 	r := newRelayRig(t)
 	keys := []string{"a", "b", "c"}
-	ask := func() {
-		buf, err := wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadReq, Keys: keys, Versions: make([]uint64, len(keys))})
+	ask := func(hints ...uint64) {
+		buf, err := wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadReq, Keys: keys, Versions: hints})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,10 +309,9 @@ func TestFetchBatchWithAFailedKey(t *testing.T) {
 		}
 	}
 	before := fetchCounts()
-	ask()
-	r.answer("a", 1, false)
+	ask(0, 5, 0)
+	r.answerJoint(entry("a", 1), entry("b", 1), entry("c", 1))
 	r.refuse("b")
-	r.answer("c", 1, false)
 	// Each key's fetch completed once: a and c through the parent, whose
 	// values the mirror holds, and b failed.
 	if after := fetchCounts(); after[1]-before[1] != 2 || after[2]-before[2] != 1 || after[0] != before[0] {
@@ -285,17 +323,20 @@ func TestFetchBatchWithAFailedKey(t *testing.T) {
 			t.Fatalf("the mirror holds %s: %v, want %v", k, ok, k != "b")
 		}
 	}
-	if len(r.batches) != 0 {
-		t.Fatalf("a batch with a failed key was answered: %+v", r.batches)
+	r.mu.Lock()
+	if len(r.upJoint) != 1 || len(r.upSent) != 1 || r.upSent[0].Key != "b" || r.upSent[0].Version != 5 {
+		t.Fatalf("up sent %d joint reads and %v, want one joint read and b's ReadReq at floor 5", len(r.upJoint), r.upSent)
 	}
+	if len(r.batches) != 1 || len(r.batches[0].Entries) != 0 {
+		t.Fatalf("a batch with a failed key was answered %+v, want one refusal", r.batches)
+	}
+	r.mu.Unlock()
 	ask()
-	for i, k := range keys {
-		r.answer(k, uint64(2+i), false)
+	r.answerJoint(entry("a", 2), entry("b", 3), entry("c", 4))
+	if len(r.batches) != 2 {
+		t.Fatalf("%d answers to the second joint read, want 1", len(r.batches)-1)
 	}
-	if len(r.batches) != 1 {
-		t.Fatalf("%d answers to the second joint read, want 1", len(r.batches))
-	}
-	for i, e := range r.batches[0].Entries {
+	for i, e := range r.batches[1].Entries {
 		if want := fmt.Sprintf("%s@%d", keys[i], 2+i); e.Key != keys[i] || string(e.Value) != want {
 			t.Fatalf("entry %d = %s %q, want %s %q", i, e.Key, e.Value, keys[i], want)
 		}

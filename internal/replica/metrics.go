@@ -96,7 +96,10 @@ var (
 			"copy, resolved through the parent, or failed (offline/abandoned).")
 	mFetchParent = obsReg.Counter(`mobirep_tree_fetches_total{result="parent"}`, "")
 	mFetchFailed = obsReg.Counter(`mobirep_tree_fetches_total{result="failed"}`, "")
-	mApplies     = obsReg.Counter("mobirep_tree_applies_total",
+	mJointReads  = obsReg.Counter("mobirep_tree_upstream_joint_reads_total",
+		"Joint reads (MultiReadReq frames) a relay's parent face sent for its "+
+			"children's batches; each key's fetch still counts once above.")
+	mApplies = obsReg.Counter("mobirep_tree_applies_total",
 		"Parent-face values folded into a relay's mirror store and fanned "+
 			"to its children (fresh versions only; duplicates are inert).")
 	mInvalidations = obsReg.Counter("mobirep_tree_invalidations_total",

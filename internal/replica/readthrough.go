@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -142,17 +143,9 @@ func (c *Client) readThrough(f *fetch) {
 		c.relay.fetched(f, db.Item{}, false)
 		return
 	}
-	if fl := c.floors[key]; fl > w.floor {
-		// The client's own floor folds in: the subtree below a relay gets
-		// collectively monotone reads, not just per original requester.
-		w.floor = fl
-	}
-	// The station's own copy is copied out, not lent: a lent value would
-	// make the key's next WriteProp clone into a fresh buffer.
 	vb := wire.GetBuf()
-	if it, ok := c.cache.GetCopy(key, w.floor, vb.B[:0]); ok {
+	if it, ok := c.serveLocked(f, vb.B[:0]); ok {
 		vb.B = it.Value
-		c.noteFloorLocked(key, it.Version)
 		c.mu.Unlock()
 		mReadLocal.Inc()
 		c.relay.fetched(f, it, true)
@@ -161,7 +154,7 @@ func (c *Client) readThrough(f *fetch) {
 	}
 	wire.PutBuf(vb)
 	// A held copy below the floor stays held: the remote answer is
-	// absorbed like a one-key resync (see onReadResp). Once parked, f
+	// absorbed like a one-key resync (see answerLocked). Once parked, f
 	// belongs to whoever unlinks it: only what was read before is used.
 	f.upstream = true
 	c.parkLocked(w)
@@ -181,6 +174,223 @@ func (c *Client) readThrough(f *fetch) {
 		return
 	}
 	mReadRemote.Inc()
+}
+
+// serveLocked folds the parent face's floor for f's key into f's, and
+// reads the station's own copy out, appended to dst, if it clears that
+// floor. The client's floor folds in so that the subtree below a relay
+// gets collectively monotone reads, not just per original requester; the
+// copy is copied out, not lent, because a lent value would make the key's
+// next WriteProp clone into a fresh buffer. The caller holds c.mu.
+func (c *Client) serveLocked(f *fetch, dst []byte) (db.Item, bool) {
+	w := &f.w
+	if fl := c.floors[w.key]; fl > w.floor {
+		w.floor = fl
+	}
+	it, ok := c.cache.GetCopy(w.key, w.floor, dst)
+	if ok {
+		c.noteFloorLocked(w.key, it.Version)
+	}
+	return it, ok
+}
+
+// gather is a relay's scratch for the fetches of one child batch
+// (startBatch): the ones its parent face's copies serve, with their
+// values, and the joint reads that ask its parent for the rest. Pooled;
+// it never outlives the batch's start.
+type gather struct {
+	fetches []*fetch
+	local   []localRead
+	keys    []string // the joint read being encoded
+	hints   []uint64 // parallel to keys
+	sends   []jointSend
+}
+
+// localRead is a fetch the parent face's own copy serves, with the value.
+type localRead struct {
+	f  *fetch
+	it db.Item
+}
+
+// jointSend is one joint read of a gather: its id, its encoded request
+// and its number of keys.
+type jointSend struct {
+	id  uint64
+	buf *wire.Buf
+	n   int
+}
+
+var gatherPool = sync.Pool{New: func() any { return new(gather) }}
+
+// release clears g and returns it to the pool.
+func (g *gather) release() {
+	clear(g.fetches)
+	clear(g.local)
+	clear(g.keys)
+	clear(g.sends)
+	g.fetches, g.local, g.keys, g.hints, g.sends = g.fetches[:0], g.local[:0], g.keys[:0], g.hints[:0], g.sends[:0]
+	gatherPool.Put(g)
+}
+
+// readThroughAll is readThrough for the fetches of one child batch, under
+// one lock: each fetch the station's own copy serves is completed from
+// it, and the rest go up as one joint read (a MultiReadReq of at most
+// wire.MaxBatch keys; more take more) that draws one id, the ticket every
+// one of its fetches parks with. The answer completes them (onJointResp).
+// Like readThrough it never blocks.
+func (c *Client) readThroughAll(g *gather) {
+	c.mu.Lock()
+	if c.offline {
+		c.mu.Unlock()
+		for _, f := range g.fetches {
+			mReadOffline.Inc()
+			c.relay.fetched(f, db.Item{}, false)
+		}
+		return
+	}
+	// Served values are copied out, back to back, into one pooled buffer.
+	vb := wire.GetBuf()
+	up := g.fetches[:0]
+	for _, f := range g.fetches {
+		n := len(vb.B)
+		if it, ok := c.serveLocked(f, vb.B); ok {
+			vb.B = it.Value
+			it.Value = vb.B[n:]
+			g.local = append(g.local, localRead{f, it})
+			continue
+		}
+		f.upstream = true
+		up = append(up, f)
+	}
+	for len(up) > 0 {
+		chunk := up[:min(len(up), wire.MaxBatch)]
+		up = up[len(chunk):]
+		c.seq++
+		s := jointSend{id: c.seq, buf: wire.GetBuf(), n: len(chunk)}
+		g.keys, g.hints = g.keys[:0], g.hints[:0]
+		for _, f := range chunk {
+			c.queueLocked(&f.w, s.id)
+			g.keys = append(g.keys, f.w.key)
+			// A hint names only a version the mirror holds, so a
+			// NotModified answer is backed by the mirror's value.
+			g.hints = append(g.hints, c.relay.store.Version(f.w.key))
+		}
+		frame, err := wire.AppendEncodeBatch(s.buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, ID: s.id, Keys: g.keys, Versions: g.hints})
+		if err != nil {
+			panic(fmt.Sprintf("replica: encode joint read: %v", err))
+		}
+		s.buf.B = frame
+		g.sends = append(g.sends, s)
+	}
+	link := c.link
+	c.mu.Unlock()
+
+	// Once parked, a fetch belongs to whoever unlinks it: none is read
+	// from here on.
+	for _, s := range g.sends {
+		c.meter.addConnection()
+		err := ErrOffline
+		if link != nil {
+			c.meter.addControl(len(s.buf.B))
+			err = link.Send(s.buf.B)
+		}
+		wire.PutBuf(s.buf)
+		if err != nil {
+			c.suspect(link, err)
+			mReadOffline.Add(uint64(c.failJoint(s.id)))
+			continue
+		}
+		mReadRemote.Add(uint64(s.n))
+		mJointReads.Inc()
+	}
+	for _, l := range g.local {
+		mReadLocal.Inc()
+		c.relay.fetched(l.f, l.it, true)
+	}
+	wire.PutBuf(vb)
+}
+
+// failJoint fails every fetch still parked under joint read id, and
+// returns how many: its request could not be sent, or its answer refused
+// it. What a reconnect failed already is not there to fail again.
+func (c *Client) failJoint(id uint64) int {
+	var failed *readWaiter
+	c.mu.Lock()
+	for key, q := range c.pending {
+		for ; q != nil; q = q.next {
+			if q.ticket == id {
+				failed = chain(failed, c.unparkLocked(key, func(w *readWaiter) bool { return w.ticket == id }))
+				break
+			}
+		}
+	}
+	c.mu.Unlock()
+	n := 0
+	for w := failed; w != nil; w = w.next {
+		n++
+	}
+	c.failReads(failed)
+	return n
+}
+
+// chain appends the chain of parked reads b to a and returns the result.
+func chain(a, b *readWaiter) *readWaiter {
+	if a == nil {
+		return b
+	}
+	t := a
+	for t.next != nil {
+		t = t.next
+	}
+	t.next = b
+	return a
+}
+
+// onJointResp applies the answer to a relay's joint read, b (borrowed),
+// entry by entry by the rules of a singleton answer (answerLocked): each
+// completes the reads of its key parked at or before the request whose
+// floor it clears — the joint read's own fetch among them — installs the
+// allocation the id allows, and absorbs the value into a copy held below
+// its floor. A NotModified entry carries the mirror's value at the
+// hinted version. A fetch of the joint read that its entry does not
+// complete (the answer is below its floor, or the mirror no longer holds
+// the hinted version) goes up again as a singleton readThrough. A
+// refusal, an answer with no entries, fails every fetch of the joint
+// read. An entry finds c.since moved only if a reconnect failed every
+// read the rest of the answer was for.
+func (c *Client) onJointResp(b wire.Batch) {
+	if len(b.Entries) == 0 {
+		c.failJoint(b.ID)
+		return
+	}
+	vb := wire.GetBuf()
+	defer wire.PutBuf(vb)
+	for _, e := range b.Entries {
+		c.mu.Lock()
+		if b.ID <= c.since {
+			c.mu.Unlock()
+			return
+		}
+		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
+		backed := true
+		if e.NotModified {
+			m, _ := c.relay.store.GetCopy(e.Key, vb.B[:0])
+			vb.B, it.Value = m.Value, m.Value
+			backed = m.Version == e.Version
+		}
+		if backed {
+			c.answerLocked(it, e.Allocate, e.Window, b.ID)
+			c.mu.Lock()
+		}
+		retry := c.unparkLocked(e.Key, func(w *readWaiter) bool { return w.ticket == b.ID })
+		c.mu.Unlock()
+		for w := retry; w != nil; {
+			next := w.next
+			w.next = nil
+			c.readThrough(w.fetch)
+			w = next
+		}
+	}
 }
 
 // noteFloorLocked raises key's read floor to v when floor tracking is

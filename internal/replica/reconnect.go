@@ -307,12 +307,20 @@ func (c *Client) onResyncResp(b wire.Batch) {
 		if out == mobile.Stale {
 			continue
 		}
-		// Batch memory is owned (wire.DecodeBatch copies), so the entry
-		// can ride to the apply handler as-is.
-		applied = append(applied, it)
+		// b is borrowed, and the apply handler runs below, inside this
+		// frame's handler: the value rides to it as-is, under the
+		// cache's own key. Either list takes the whole answer's room at
+		// once.
+		if applied == nil {
+			applied = make([]db.Item, 0, len(b.Entries))
+		}
+		applied = append(applied, db.Item{Key: key, Value: e.Value, Version: e.Version})
 		if out == mobile.Dropped {
 			// The outage turned the mix write-heavy: deallocate, handing
 			// the window back to the SC.
+			if dealloc == nil {
+				dealloc = make([]wire.Message, 0, len(b.Entries))
+			}
 			dealloc = append(dealloc, wire.Message{Key: key, Window: win, Version: e.Version})
 		}
 	}

@@ -99,6 +99,36 @@ func (s *Server) startFetch(f *fetch) {
 	p.readThrough(f)
 }
 
+// startBatch freshens the mirror for every key of a child's batch, fb,
+// as startFetch does for one key, except that the parent face reads all
+// the keys its own copies cannot serve in one joint read
+// (readThroughAll). The caller holds a count on fb, so its keys stay put
+// while the loop reads them.
+func (s *Server) startBatch(ss *Session, fb *fetchBatch) {
+	if s.holdFetch != nil {
+		for i, key := range fb.keys {
+			s.holdFetch(newFetch(ss, key, fb.hints[i], 0, fb))
+		}
+		return
+	}
+	p := s.relay.parent.Load()
+	g := gatherPool.Get().(*gather)
+	for i, key := range fb.keys {
+		f := newFetch(ss, key, fb.hints[i], 0, fb)
+		if p == nil {
+			mFetchFailed.Inc()
+			f.done(false)
+			continue
+		}
+		s.note(key, sched.Read)
+		g.fetches = append(g.fetches, f)
+	}
+	if len(g.fetches) > 0 {
+		p.readThroughAll(g)
+	}
+	g.release()
+}
+
 // fetched finishes f once the parent face resolved it: it counts the
 // fetch by the path readThrough took, mirrors the value (it.Value is
 // borrowed), lets placement reconsider the key, and hands f back to serve

@@ -538,7 +538,9 @@ func (ss *Session) onFrame(frame []byte) {
 	ss.lastSeen = now
 	sh.exit()
 	if wire.IsBatchFrame(frame) {
-		b, err := wire.DecodeBatch(frame)
+		// Borrowed, like a singleton below: a batch a relay must keep past
+		// this handler is copied by fetchAll.
+		b, err := wire.DecodeBatchBorrowed(frame)
 		if err != nil {
 			return
 		}

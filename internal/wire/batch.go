@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -82,8 +83,9 @@ type Batch struct {
 	// Clients fence on it: a changed epoch means the authority restarted
 	// and warm state cannot be trusted.
 	Epoch uint64
-	// ID names a joint read: the MC draws it for a MultiReadReq, and the
-	// MultiReadResp answering it echoes it. 0 on the resync pair.
+	// ID names a joint read: the reader (an MC, or a relay's parent face)
+	// draws it for a MultiReadReq, and the MultiReadResp answering it
+	// echoes it. 0 on the resync pair.
 	ID uint64
 	// Keys lists the requested keys (requests only).
 	Keys []string
@@ -92,11 +94,16 @@ type Batch struct {
 	// exactly that version answers NotModified instead of shipping the
 	// payload again.
 	Versions []uint64
-	// Entries carries the items (responses only).
+	// Entries carries the items (responses only), one per requested key
+	// in request order. A MultiReadResp with none refuses the joint read,
+	// as a ReadFail refuses a singleton: a relay that could not freshen
+	// every key sends it.
 	Entries []Entry
 }
 
-const maxBatch = 1 << 12
+// MaxBatch is the most keys, and the most entries, one batch frame
+// carries: the encoder and the decoder both refuse more.
+const MaxBatch = 1 << 12
 
 // AppendEncodeBatch serializes b, appending the frame to dst and
 // returning the extended buffer; like AppendEncode, hot paths append into
@@ -105,8 +112,8 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	if !isBatchKind(b.Kind) {
 		return dst, fmt.Errorf("wire: kind %v is not a batch kind", b.Kind)
 	}
-	if len(b.Keys) > maxBatch || len(b.Entries) > maxBatch {
-		return dst, fmt.Errorf("wire: batch exceeds %d items", maxBatch)
+	if len(b.Keys) > MaxBatch || len(b.Entries) > MaxBatch {
+		return dst, fmt.Errorf("wire: batch exceeds %d items", MaxBatch)
 	}
 	if len(b.Versions) != 0 && len(b.Versions) != len(b.Keys) {
 		return dst, fmt.Errorf("wire: %d version hints for %d keys", len(b.Versions), len(b.Keys))
@@ -156,8 +163,25 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 }
 
 // DecodeBatch parses a frame produced by AppendEncodeBatch. The result
-// owns its memory: keys and values are copies of the frame's bytes.
+// owns its memory: it is DecodeBatchBorrowed over a private copy of the
+// frame, which every key and value aliases.
 func DecodeBatch(p []byte) (Batch, error) {
+	return DecodeBatchBorrowed(bytes.Clone(p))
+}
+
+// Smallest encodings of a key and of an entry: they bound the slices a
+// decode allocates by the bytes the frame actually holds.
+const (
+	minKeyBytes   = 2 + 8
+	minEntryBytes = 1 + 8 + 2 + 4 + 2
+)
+
+// DecodeBatchBorrowed parses a frame produced by AppendEncodeBatch without
+// copying: every key and value aliases p (windows are values and alias
+// nothing), as DecodeBorrowed's fields do, so the batch is valid only
+// while p is. It allocates the Keys, Versions and Entries arrays, each
+// once, at its exact length.
+func DecodeBatchBorrowed(p []byte) (Batch, error) {
 	var b Batch
 	r := reader{p: p}
 	kind, err := r.byte()
@@ -183,28 +207,30 @@ func DecodeBatch(p []byte) (Batch, error) {
 		return b, errBadID
 	}
 	r.off += n
-	nKeys, err := r.uint16()
+	nKeys, err := r.count(minKeyBytes)
 	if err != nil {
 		return b, err
 	}
-	for i := 0; i < int(nKeys); i++ {
-		k, err := r.str16()
-		if err != nil {
-			return b, err
-		}
-		hint, err := r.uint64()
-		if err != nil {
-			return b, err
-		}
-		b.Keys = append(b.Keys, k)
-		b.Versions = append(b.Versions, hint)
+	if nKeys > 0 {
+		b.Keys, b.Versions = make([]string, nKeys), make([]uint64, nKeys)
 	}
-	nEntries, err := r.uint16()
+	for i := range b.Keys {
+		if b.Keys[i], err = r.str16(); err != nil {
+			return b, err
+		}
+		if b.Versions[i], err = r.uint64(); err != nil {
+			return b, err
+		}
+	}
+	nEntries, err := r.count(minEntryBytes)
 	if err != nil {
 		return b, err
 	}
-	for i := 0; i < int(nEntries); i++ {
-		var e Entry
+	if nEntries > 0 {
+		b.Entries = make([]Entry, nEntries)
+	}
+	for i := range b.Entries {
+		e := &b.Entries[i]
 		flags, err := r.byte()
 		if err != nil {
 			return b, err
@@ -234,7 +260,6 @@ func DecodeBatch(p []byte) (Batch, error) {
 		if e.Window, err = core.UnpackWindow(int(wlen), packed); err != nil {
 			return b, fmt.Errorf("wire: bad window: %w", err)
 		}
-		b.Entries = append(b.Entries, e)
 	}
 	if !r.done() {
 		return b, fmt.Errorf("wire: %d trailing bytes after batch", r.remaining())
@@ -243,7 +268,7 @@ func DecodeBatch(p []byte) (Batch, error) {
 }
 
 // IsBatchFrame reports whether the frame starts with a batch kind, letting
-// receivers dispatch between DecodeBorrowed and DecodeBatch.
+// receivers dispatch between DecodeBorrowed and DecodeBatchBorrowed.
 func IsBatchFrame(p []byte) bool {
 	return len(p) > 0 && isBatchKind(Kind(p[0]))
 }
@@ -290,6 +315,23 @@ func (r *reader) uint64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
+// count reads a batch's item count: at most MaxBatch, and no more items
+// of at least min bytes each than the frame has bytes left.
+func (r *reader) count(min int) (int, error) {
+	n, err := r.uint16()
+	if err != nil {
+		return 0, err
+	}
+	if int(n) > MaxBatch {
+		return 0, fmt.Errorf("wire: batch exceeds %d items", MaxBatch)
+	}
+	if int(n)*min > r.remaining() {
+		return 0, errTruncated
+	}
+	return int(n), nil
+}
+
+// str16 reads a length-prefixed key, aliasing the frame.
 func (r *reader) str16() (string, error) {
 	n, err := r.uint16()
 	if err != nil {
@@ -299,9 +341,11 @@ func (r *reader) str16() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return string(b), nil
+	return borrowString(b), nil
 }
 
+// bytes32 reads a length-prefixed value, aliasing the frame; an empty
+// value is nil.
 func (r *reader) bytes32() ([]byte, error) {
 	b, err := r.take(4)
 	if err != nil {
@@ -309,11 +353,10 @@ func (r *reader) bytes32() ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(b)
 	raw, err := r.take(int(n))
-	if err != nil {
+	if err != nil || len(raw) == 0 {
 		return nil, err
 	}
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), raw...), nil
+	// Full slice expression: an append through the alias must never grow
+	// into the rest of the frame.
+	return raw[:len(raw):len(raw)], nil
 }

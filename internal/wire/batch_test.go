@@ -65,7 +65,7 @@ func TestBatchRejections(t *testing.T) {
 	if out, err := AppendEncodeBatch([]byte("keep"), Batch{Kind: KindReadReq}); err == nil || string(out) != "keep" {
 		t.Fatalf("non-batch kind: err=%v, dst %q", err, out)
 	}
-	big := make([]string, maxBatch+1)
+	big := make([]string, MaxBatch+1)
 	if _, err := AppendEncodeBatch(nil, Batch{Kind: KindMultiReadReq, Keys: big}); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
@@ -166,8 +166,34 @@ func TestBatchProperty(t *testing.T) {
 	}
 }
 
+// sameBatch reports the first field in which a and b differ, "" when
+// none does.
+func sameBatch(a, b Batch) string {
+	switch {
+	case a.Kind != b.Kind || a.Epoch != b.Epoch || a.ID != b.ID:
+		return "header"
+	case len(a.Keys) != len(b.Keys) || len(a.Versions) != len(b.Versions) || len(a.Entries) != len(b.Entries):
+		return "lengths"
+	}
+	for i := range a.Keys {
+		if a.Keys[i] != b.Keys[i] || a.Versions[i] != b.Versions[i] {
+			return "key"
+		}
+	}
+	for i := range a.Entries {
+		x, y := a.Entries[i], b.Entries[i]
+		if x.Key != y.Key || !bytes.Equal(x.Value, y.Value) || (x.Value == nil) != (y.Value == nil) ||
+			x.Version != y.Version || x.Allocate != y.Allocate || x.NotModified != y.NotModified || x.Window != y.Window {
+			return "entry"
+		}
+	}
+	return ""
+}
+
 // FuzzDecodeBatch mirrors FuzzDecode for the batch codec, with one seed
-// per batch kind.
+// per batch kind: the borrowed decode and the cloning one agree field by
+// field on every frame, and an accepted frame re-encodes to a frame that
+// decodes to the same batch. Every seed re-encodes to its own bytes.
 func FuzzDecodeBatch(f *testing.F) {
 	for k := KindMultiReadReq; isBatchKind(k); k++ {
 		seed, err := AppendEncodeBatch(nil, Batch{Kind: k, Epoch: 2, ID: uint64(k) << 10,
@@ -178,20 +204,102 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		b, err := DecodeBatchBorrowed(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if re, err := AppendEncodeBatch(nil, b); err != nil || !bytes.Equal(re, seed) {
+			f.Fatalf("seed %v re-encoded to %x (%v), want %x", k, re, err, seed)
+		}
 		f.Add(seed)
 	}
 	f.Add([]byte{byte(KindMultiReadReq), 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		b, err := DecodeBatch(frame)
+		b, err := DecodeBatchBorrowed(frame)
+		owned, oerr := DecodeBatch(frame)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("borrowed decode: %v, cloning decode: %v", err, oerr)
+		}
 		if err != nil {
 			return
+		}
+		if d := sameBatch(b, owned); d != "" {
+			t.Fatalf("the borrowed and cloning decodes differ in %s: %+v vs %+v", d, b, owned)
 		}
 		re, err := AppendEncodeBatch(nil, b)
 		if err != nil {
 			t.Fatalf("accepted batch failed to re-encode: %v", err)
 		}
-		if _, err := DecodeBatch(re); err != nil {
+		back, err := DecodeBatchBorrowed(re)
+		if err != nil {
 			t.Fatalf("re-encoded batch failed to decode: %v", err)
 		}
+		if d := sameBatch(b, back); d != "" {
+			t.Fatalf("round trip diverged in %s: %+v vs %+v", d, b, back)
+		}
 	})
+}
+
+// TestDecodeBatchBorrowedAliasesFrame: the borrowed decode's keys and
+// values alias the frame, values capped so an append cannot grow into it,
+// while DecodeBatch's clone keeps its bytes when the frame is reused.
+func TestDecodeBatchBorrowedAliasesFrame(t *testing.T) {
+	in := Batch{Kind: KindMultiReadResp, ID: 3, Entries: []Entry{
+		{Key: "key", Value: []byte("aaaa"), Version: 1},
+		{Key: "two", Value: []byte("bbbb"), Version: 2},
+	}}
+	frame, err := AppendEncodeBatch(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBatchBorrowed(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := DecodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := b.Entries[0].Value; cap(v) != len(v) {
+		t.Fatalf("borrowed value cap %d > len %d: appends could clobber the frame", cap(v), len(v))
+	}
+	for i := range frame {
+		frame[i] = 'x'
+	}
+	if b.Entries[0].Key == "key" || string(b.Entries[1].Value) == "bbbb" {
+		t.Fatal("the borrowed batch did not alias the frame: a copy happened")
+	}
+	if d := sameBatch(owned, in); d != "" {
+		t.Fatalf("the cloned batch changed with the frame, in %s: %+v", d, owned)
+	}
+}
+
+// TestDecodeBatchBorrowedAllocs pins the borrowed decode at one array per
+// field it fills, whatever the number of keys or entries.
+func TestDecodeBatchBorrowedAllocs(t *testing.T) {
+	for _, n := range []int{1, 64, 1024} {
+		req := Batch{Kind: KindResyncReq, Keys: make([]string, n), Versions: make([]uint64, n)}
+		resp := Batch{Kind: KindResyncResp, Entries: make([]Entry, n)}
+		for i := 0; i < n; i++ {
+			req.Keys[i] = string(rune('a' + i%26))
+			resp.Entries[i] = Entry{Key: req.Keys[i], Value: []byte("value"), Version: uint64(i)}
+		}
+		for _, c := range []struct {
+			b    Batch
+			want float64
+		}{{req, 2}, {resp, 1}} {
+			frame, err := AppendEncodeBatch(nil, c.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := DecodeBatchBorrowed(frame); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != c.want {
+				t.Errorf("DecodeBatchBorrowed(%v of %d) allocated %.0f times, want %.0f", c.b.Kind, n, allocs, c.want)
+			}
+		}
+	}
 }
