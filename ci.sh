@@ -9,6 +9,24 @@ cd "$(dirname "$0")"
 go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
+
+# Every test filter this script pins names tests that exist, so a test
+# renamed or deleted cannot empty a filter unnoticed: each alternative of
+# each -run pattern below must match a test that go test -list finds in
+# the package its line runs.
+sed -e ':a' -e '/\\$/N' -e 's/\\\n//' -e 'ta' ci.sh |
+    grep -E "^ *(GOMAXPROCS=[^ ]+ )?go test .*-run '" | grep -vF -e "-run '^\$'" |
+    while read -r line; do
+        pkg=$(printf '%s\n' "$line" | grep -oE '(^| )(\./[^ ]*|\.)( |$)' | tr -d ' ' | head -n 1)
+        tests=$(go test -list . "$pkg" | grep -E '^(Test|Fuzz|Example|Benchmark)')
+        printf '%s\n' "$line" | sed -n "s/.*-run '\([^']*\)'.*/\1/p" | tr '|' '\n' |
+            while read -r alt; do
+                if ! printf '%s\n' "$tests" | grep -qE -- "$alt"; then
+                    echo "ci.sh: -run '$alt' matches no test in $pkg" >&2
+                    exit 1
+                fi
+            done || exit 1
+    done
 go test -race ./...
 
 # Statement coverage of tier-1 across every package, the total line of
@@ -92,12 +110,13 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # coalescing — byte-stream batching must be invisible to the protocol.
 #
 # The transport package (one send path: reply-inline or the flusher;
-# one-read receive; the single close-reason path), the replica waiter-pool
-# tests and the recycled relay Fetch records' tests (every ReadThrough
-# completes once, a recycled record never takes an earlier read's
-# answer; a relay's joint read upstream, one per edge of a warm handoff,
-# with the singleton fallback below a floor, its refusal when a fetch
-# fails, and a batch kept past the handler whose frame it came in), and
+# one-read receive; the single close-reason path), the replica reader
+# record tests and the relay read tests (every key of a child's read
+# resolves once, a recycled record never takes an earlier read's answer;
+# a read crosses each edge in the form asked, and a warm handoff as one
+# joint read per edge, with a key below its floor going up again alone,
+# a refusal when a key fails, and a batch kept past the handler whose
+# frame it came in), and
 # the replica and tree tests that dial real TCP without configuring the
 # link (every TCPLink coalesces, so they ride the flusher and the inline
 # reply) run under the race detector three times at
@@ -120,7 +139,7 @@ go test -count=1 -run 'TestEmptyFlushKeepsOutboxArrays' ./internal/transport/
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch|TestWarmHandoffFrames|TestBatchKeptPastItsHandler|TestJointReadRefusal' ./internal/replica/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch|TestWarmHandoffFrames|TestReadFrameForms|TestBatchKeptPastItsHandler|TestJointReadRefusal' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads|TestDropCascade|TestChainReadThroughAndPropagation|TestPlacementShedsAndReholds|TestRelayStoreMirrorsARead' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/

@@ -43,7 +43,6 @@ type crashOpKind int
 const (
 	opCreate crashOpKind = iota
 	opWrite
-	opTruncate
 	opRename
 	opRemove
 )
@@ -54,7 +53,6 @@ type crashOp struct {
 	to   string // rename target
 	off  int64
 	data []byte
-	size int64 // truncate
 }
 
 func (k crashOpKind) String() string {
@@ -63,8 +61,6 @@ func (k crashOpKind) String() string {
 		return "create"
 	case opWrite:
 		return "write"
-	case opTruncate:
-		return "truncate"
 	case opRename:
 		return "rename"
 	case opRemove:
@@ -137,8 +133,6 @@ func (c *CrashFS) replayLocked(keep int) (map[string]bool, map[string][]byte) {
 			}
 		case opWrite:
 			data[op.name] = applyWrite(data[op.name], op.off, op.data)
-		case opTruncate:
-			data[op.name] = truncateTo(data[op.name], op.size)
 		case opRename:
 			delete(exists, op.name)
 			exists[op.to] = true
@@ -243,7 +237,7 @@ func (c *CrashFS) syncFile(name string, gen int) error {
 	c.durData[name] = append([]byte(nil), c.data[name]...)
 	rest := c.journal[:0]
 	for _, op := range c.journal {
-		if op.name == name && (op.kind == opWrite || op.kind == opTruncate) {
+		if op.name == name && op.kind == opWrite {
 			continue
 		}
 		rest = append(rest, op)
@@ -325,17 +319,6 @@ func (f *crashFile) Seek(offset int64, whence int) (int64, error) {
 	return f.pos, nil
 }
 
-func (f *crashFile) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if err := f.check(); err != nil {
-		return err
-	}
-	f.fs.data[f.name] = truncateTo(f.fs.data[f.name], size)
-	f.fs.journal = append(f.fs.journal, crashOp{kind: opTruncate, name: f.name, size: size})
-	return nil
-}
-
 func (f *crashFile) Sync() error {
 	return f.fs.syncFile(f.name, f.gen)
 }
@@ -359,18 +342,6 @@ func applyWrite(data []byte, off int64, p []byte) []byte {
 	}
 	copy(data[off:end], p)
 	return data
-}
-
-func truncateTo(data []byte, size int64) []byte {
-	if size < 0 {
-		size = 0
-	}
-	if int64(len(data)) <= size {
-		grown := make([]byte, size)
-		copy(grown, data)
-		return grown
-	}
-	return data[:size:size]
 }
 
 func copyDirents(m map[string]bool) map[string]bool {

@@ -605,9 +605,8 @@ func (f *flatFile) Seek(offset int64, whence int) (int64, error) {
 	return offset, nil
 }
 
-func (f *flatFile) Truncate(size int64) error { f.data = f.data[:size]; return nil }
-func (f *flatFile) Sync() error               { return nil }
-func (f *flatFile) Close() error              { return nil }
+func (f *flatFile) Sync() error  { return nil }
+func (f *flatFile) Close() error { return nil }
 
 // TestGroupCommitPutAllocs pins a steady-state group-commit Put at zero
 // allocations: the record is framed into a group buffer recycled from two

@@ -33,7 +33,6 @@ type File interface {
 	io.Writer
 	io.Seeker
 	io.Closer
-	Truncate(size int64) error
 	Sync() error
 }
 

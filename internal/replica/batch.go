@@ -1,14 +1,10 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"mobirep/internal/core"
 	"mobirep/internal/db"
@@ -72,66 +68,32 @@ func (c *Client) ReadManyContext(ctx context.Context, keys []string) ([]db.Item,
 	}
 	missing := askOnce(keys, slot, misses)
 	hints := make([]uint64, len(missing))
+	r := newReader(len(missing))
 	for i, key := range missing {
+		// No floor: joint reads record floors but are not gated.
+		r.ws[i] = readWaiter{req: r, key: key}
 		if arch, ok := c.cache.Archived(key); ok {
 			hints[i] = arch.Version
 		}
 	}
-	c.seq++
-	w := batchWaiter{id: c.seq, ch: make(chan bool, 1), keys: missing, items: make([]db.Item, len(missing))}
-	c.pendingBatch = append(c.pendingBatch, w)
+	id := c.openLocked(r, len(missing), true)
+	for i := range r.ws {
+		c.queueLocked(&r.ws[i], id)
+	}
 	link := c.link
 	c.mu.Unlock()
 
 	// One connection, one control message for the whole batch.
-	c.meter.addConnection()
-	buf := wire.GetBuf()
-	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, ID: w.id, Keys: missing, Versions: hints})
-	if err != nil {
-		wire.PutBuf(buf)
-		c.cancelPendingBatch(w.id)
-		return nil, fmt.Errorf("replica: encode batch: %w", err)
-	}
-	buf.B = frame
-	c.meter.addControl(len(frame))
-	if link == nil {
-		wire.PutBuf(buf)
-		c.cancelPendingBatch(w.id)
-		return nil, ErrOffline
-	}
-	err = link.Send(frame)
-	wire.PutBuf(buf)
-	if err != nil {
-		c.cancelPendingBatch(w.id)
-		c.suspect(link, err)
-		// As in ReadContext: a failed send is an offline condition.
-		return nil, fmt.Errorf("%w: %v", ErrOffline, err)
-	}
-
-	var timeout <-chan time.Time
-	if c.Timeout > 0 {
-		t := time.NewTimer(c.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case served, ok := <-w.ch:
-		if !ok || !served {
-			return nil, ErrOffline
-		}
-	case <-timeout:
-		c.cancelPendingBatch(w.id)
-		c.suspect(link, ErrTimeout)
-		return nil, ErrTimeout
-	case <-ctx.Done():
-		c.cancelPendingBatch(w.id)
-		return nil, ctx.Err()
+	if err := c.ask(ctx, r, link, &wire.Batch{Kind: wire.KindMultiReadReq, ID: id, Keys: missing, Versions: hints}); err != nil {
+		return nil, err
 	}
 	for i, s := range slot {
 		if s > 0 {
-			out[i] = w.items[s-1]
+			w := &r.ws[s-1]
+			out[i] = db.Item{Key: w.key, Value: w.value, Version: w.version}
 		}
 	}
+	r.release(true)
 	return out, nil
 }
 
@@ -171,333 +133,183 @@ func askOnce(keys []string, slot []int32, misses int) []string {
 	return ask
 }
 
-// batchWaiter is a parked joint read: its request id, the keys it asked
-// for, the items its answer fills in (owned, one per key) and the channel
-// that says whether the answer served them. A relay's joint read
-// (readThroughAll) has none: its fetches park as singleton reads do.
-type batchWaiter struct {
-	id    uint64
-	ch    chan bool
-	keys  []string
-	items []db.Item
-}
-
-// cancelPendingBatch unparks the joint read with request id id, if it is
-// still parked.
-func (c *Client) cancelPendingBatch(id uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pendingBatch = slices.DeleteFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == id })
-}
-
-// onBatch handles server-to-client batch messages; b is borrowed from the
-// frame. For a MultiReadResp: install each allocation its request id
-// allows (installLocked), whether or not the joint read that asked is
-// still parked, and wake that read with owned values: the cache's copy
-// where the answer placed one, the archived value it revalidated, or a
-// clone. At a relay's parent face, an answer no ReadMany waits for
-// answers the relay's fetches (onJointResp). An answer to a
-// request sent on an earlier link is ignored.
-func (c *Client) onBatch(b wire.Batch) {
-	if b.Kind == wire.KindResyncResp {
-		c.onResyncResp(b)
-		return
-	}
-	if b.Kind != wire.KindMultiReadResp {
-		return
-	}
-	c.mu.Lock()
-	if b.ID <= c.since {
-		c.mu.Unlock()
-		return
-	}
-	if c.epoch == 0 && b.Epoch != 0 {
-		// A joint read can be the first frame that tells an attach-greeting-
-		// deprived client which epoch it is talking to; adopt it. (A changed
-		// epoch cannot arrive here — restarts kill links, and the fence path
-		// is the resync answer's job.)
-		c.epoch = b.Epoch
-	}
-	var w batchWaiter
-	if i := slices.IndexFunc(c.pendingBatch, func(w batchWaiter) bool { return w.id == b.ID }); i >= 0 {
-		w = c.pendingBatch[i]
-		c.pendingBatch = slices.Delete(c.pendingBatch, i, i+1)
-	} else if c.relay != nil {
-		c.mu.Unlock()
-		c.onJointResp(b)
-		return
-	}
-	// The answer serves the read only if it has the read's keys, in order;
-	// anything else (a relay's refusal has no entries) fails it.
-	served := w.ch != nil && len(b.Entries) == len(w.keys)
-	for i := 0; served && i < len(b.Entries); i++ {
-		served = b.Entries[i].Key == w.keys[i]
-	}
-	for i, e := range b.Entries {
-		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
-		if e.NotModified {
-			// The archived value is confirmed current, unless a live copy
-			// at that version already is.
-			if live, ok := c.cache.Peek(e.Key); ok && live.Version == e.Version {
-				it = live
-			} else if arch, ok := c.cache.Revalidated(e.Key); ok {
-				it = arch
-			}
-		}
-		if served {
-			// Joint reads record floors (they raise what singleton reads
-			// must honor) but are not floor-gated themselves.
-			c.noteFloorLocked(w.keys[i], e.Version)
-		}
-		owned := e.NotModified
-		if e.Allocate {
-			if copied, ok := c.installLocked(it, e.Window, b.ID, served); ok && served {
-				it.Value, owned = copied, true
-			}
-		}
-		if served {
-			if !owned {
-				it.Value = bytes.Clone(it.Value)
-			}
-			w.items[i] = db.Item{Key: w.keys[i], Value: it.Value, Version: it.Version}
+// onRead is the SC's one read handler: b, borrowed, is a read request of
+// n keys, each with a floor and a hint in Versions — a ReadReq's one-key
+// view (its floor, no hint), a MultiReadReq or a ResyncReq. On a relay the
+// keys are freshened through the parent face first, the hints doubling as
+// floors: the reader has seen the hinted version, so the parent face must
+// not answer below it. The request is held meanwhile in a record the
+// session's shard keeps, its keys the mirror store's own (cloned only for
+// a key the station has never stored), as it outlives the handler that
+// decoded it. finishRead answers once every key has resolved, in the form
+// asked, so a joint answer is still one frame.
+func (ss *Session) onRead(b *wire.Batch) {
+	s := ss.srv
+	if b.Kind == wire.KindResyncReq && b.Epoch != 0 {
+		if epoch := s.store.Epoch(); epoch != 0 && b.Epoch != epoch {
+			// The declaration was built under a dead epoch: the client's
+			// warm state predates this incarnation, so re-asserting its
+			// subscriptions would resurrect allocation bits the restart
+			// wiped. Answer with a bare fence — the new epoch, no entries —
+			// and let the client reattach cold. (A hint of 0 means the
+			// client never learned an epoch; its copies were placed by some
+			// live incarnation and the version-guarded warm path handles
+			// them.)
+			b.Keys, b.Versions = nil, nil
 		}
 	}
-	c.mu.Unlock()
-	if w.ch != nil {
-		w.ch <- served
-	}
-}
-
-// onBatch handles client-to-server batch messages. For a MultiReadReq:
-// every key gets the same treatment as a singleton read request, but the
-// whole answer rides one data message. On a relay the keys are freshened
-// through the parent face first (see fetchAll); the answer is built only once
-// every key has resolved, so it is still one frame.
-func (ss *Session) onBatch(b wire.Batch) {
-	if b.Kind == wire.KindResyncReq {
-		ss.onResyncReq(b)
+	if !s.fetching() || len(b.Keys) == 0 {
+		ss.finishRead(b, true, nil)
 		return
 	}
-	if b.Kind != wire.KindMultiReadReq {
-		return
-	}
-	ss.fetchAll(b)
-}
-
-// fetchBatch is a batch request waiting on its relay fetches: one pooled
-// record the keys' fetch records count down. It holds its own copy of the
-// request, kept past the handler that decoded it: the keys are the mirror
-// store's own (cloned only for a key the station has never stored), as a
-// singleton fetch's are, and the key and hint arrays are reused.
-type fetchBatch struct {
-	b      wire.Batch
-	keys   []string
-	hints  []uint64
-	left   atomic.Int64
-	failed atomic.Bool
-}
-
-var batchPool = sync.Pool{New: func() any { return new(fetchBatch) }}
-
-// fetchAll answers a batch request once every key is ready to be served:
-// at once on a plain server, after every key's fetch has completed on a
-// relay. b is borrowed from the frame, so the relay answers from the
-// fetchBatch's copy. The version hints double as fetch floors: the client
-// has seen the hinted version, so the parent face must not answer below
-// it. A failed fetch fails the whole request: a joint read is refused
-// (refuseMultiRead), a resync goes unanswered (to the client, a lost
-// frame).
-func (ss *Session) fetchAll(b wire.Batch) {
-	if !ss.srv.fetching() || len(b.Keys) == 0 {
-		ss.finishBatch(b)
-		return
-	}
-	fb := batchPool.Get().(*fetchBatch)
-	fb.keys, fb.hints = fb.keys[:0], fb.hints[:0]
+	ss.shard.enter()
+	r := ss.shard.takeRequest()
+	ss.shard.exit()
+	r.ss, r.b.Kind, r.b.ID = ss, b.Kind, b.ID
 	for i, key := range b.Keys {
-		k, ok := ss.srv.store.Key(key)
+		k, ok := s.store.Key(key)
 		if !ok {
 			k = strings.Clone(key)
 		}
-		fb.keys = append(fb.keys, k)
-		fb.hints = append(fb.hints, hint(b, i))
+		r.b.Keys, r.b.Versions = append(r.b.Keys, k), append(r.b.Versions, hint(b, i))
+		r.ws = append(r.ws, readWaiter{req: r, key: k, floor: hint(b, i)})
 	}
-	fb.b = wire.Batch{Kind: b.Kind, Epoch: b.Epoch, ID: b.ID, Keys: fb.keys, Versions: fb.hints}
-	// The starter holds one count until every fetch has started, so the
+	// The starter holds one count until every key has started, so the
 	// record is not answered and recycled under its loop.
-	fb.left.Store(int64(len(b.Keys)) + 1)
-	ss.srv.startBatch(ss, fb)
-	fb.done(ss, true)
-}
-
-// done counts one key's fetch; the last one answers the batch (or, if any
-// failed, refuses a joint read) and recycles fb.
-func (fb *fetchBatch) done(ss *Session, ok bool) {
-	if !ok {
-		fb.failed.Store(true)
-	}
-	if fb.left.Add(-1) != 0 {
-		return
-	}
-	switch {
-	case !fb.failed.Load():
-		ss.finishBatch(fb.b)
-	case fb.b.Kind == wire.KindMultiReadReq:
-		ss.refuseMultiRead(fb.b.ID)
-	}
-	clear(fb.keys)
-	fb.b = wire.Batch{}
-	fb.failed.Store(false)
-	batchPool.Put(fb)
-}
-
-// refuseMultiRead answers a joint read the station could not freshen
-// with no entries, so the reader fails it at once instead of waiting for
-// an answer that never comes. Like a ReadFail, it is not metered as
-// protocol cost.
-func (ss *Session) refuseMultiRead(id uint64) {
-	ss.shard.enter()
-	if ss.detached {
-		ss.shard.exit()
-		return
-	}
-	buf := wire.GetBuf()
-	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch(), ID: id})
-	if err != nil {
-		panic(fmt.Sprintf("replica: encode batch refusal: %v", err))
-	}
-	buf.B = frame
-	ss.send(buf, none)
-}
-
-// finishBatch answers a batch request whose keys are ready.
-func (ss *Session) finishBatch(b wire.Batch) {
-	if b.Kind == wire.KindResyncReq {
-		ss.finishResync(b)
-	} else {
-		ss.finishMultiRead(b)
-	}
-}
-
-// serveAll builds the answer to a batch request under the shard token,
-// which the caller holds: it copies every key's value out of the store
-// into one pooled buffer, lets entry turn each item into the key's entry
-// (deciding allocation on the way), and returns the encoded answer in a
-// pooled buffer.
-func (ss *Session) serveAll(b wire.Batch, resp wire.Batch, entry func(ki int, it db.Item, st *itemState) wire.Entry) *wire.Buf {
-	vb := wire.GetBuf()
-	resp.Entries = make([]wire.Entry, 0, len(b.Keys))
-	for ki, key := range b.Keys {
-		n := len(vb.B)
-		it, _ := ss.srv.store.GetCopy(key, vb.B)
-		vb.B = it.Value
-		it.Value = vb.B[n:]
-		resp.Entries = append(resp.Entries, entry(ki, it, ss.state(key)))
-	}
-	buf := wire.GetBuf()
-	frame, err := wire.AppendEncodeBatch(buf.B[:0], resp)
-	if err != nil {
-		panic(fmt.Sprintf("replica: encode batch response: %v", err))
-	}
-	buf.B = frame
-	wire.PutBuf(vb)
-	return buf
+	r.left.Store(int32(len(r.ws)) + 1)
+	s.freshen(r)
+	r.done(true)
 }
 
 // hint returns the version hint the batch carried for its ki-th key, 0
 // when none.
-func hint(b wire.Batch, ki int) uint64 {
+func hint(b *wire.Batch, ki int) uint64 {
 	if ki < len(b.Versions) {
 		return b.Versions[ki]
 	}
 	return 0
 }
 
-// finishMultiRead answers a MultiReadReq: each key is served and decides
-// allocation exactly as a singleton read would (allocOnRead).
-func (ss *Session) finishMultiRead(b wire.Batch) {
-	ss.shard.enter()
-	if ss.detached {
-		ss.shard.exit()
+// finishRead answers b, a read request whose keys are ready, in the form
+// asked: a ReadResp for a ReadReq, a MultiReadResp for a MultiReadReq, a
+// ResyncResp for a ResyncReq. Under the shard token it copies every key's
+// value out of the store into one pooled buffer (a lent store buffer
+// would make the key's next write allocate), so a write committed before
+// the read is served with it and one committed after is propagated behind
+// it. Each key of a read decides its allocation alone (allocOnRead), and
+// a joint read's matching hint skips the payload. A resync
+// instead re-asserts each declared copy the allocation gate allows
+// (allocAllowed) and answers the rest normally but revokes them with a
+// DeleteReq posted behind the answer, so the child drops a copy that would
+// sit outside the root-to-leaf placement path; a matching hint marks the
+// copy current. With ok false a key could not be freshened, and the read
+// is refused so the reader knows no other answer follows: a ReadFail, or
+// a MultiReadResp with no entries, neither metered as protocol cost; a
+// refused resync goes unanswered (to the client, a lost frame). r, when
+// set, is the relay's record b lives in: the shard keeps it once the
+// answer is built.
+func (ss *Session) finishRead(b *wire.Batch, ok bool, r *request) {
+	sh := ss.shard
+	sh.enter()
+	if ss.detached || !ok && b.Kind == wire.KindResyncReq {
+		sh.keepRequest(r)
+		sh.exit()
 		return
 	}
-	resp := wire.Batch{Kind: wire.KindMultiReadResp, Epoch: ss.srv.store.Epoch(), ID: b.ID}
-	ss.send(ss.serveAll(b, resp, func(ki int, it db.Item, st *itemState) wire.Entry {
-		e := wire.Entry{Key: b.Keys[ki], Value: it.Value, Version: it.Version}
-		if h := hint(b, ki); h != 0 && h == it.Version {
-			// Version hint matches: skip the payload.
-			e.NotModified, e.Value = true, nil
+	resp := wire.Batch{Kind: wire.KindReadResp, ID: b.ID}
+	if b.Kind != wire.KindReadReq {
+		resp.Kind, resp.Epoch = wire.KindMultiReadResp, ss.srv.store.Epoch()
+		if b.Kind == wire.KindResyncReq {
+			resp.Kind = wire.KindResyncResp
 		}
-		if ss.allocOnRead(e.Key, st) {
-			e.Allocate, e.Window = true, st.window
-		}
-		return e
-	}), reply)
-}
-
-// onResyncReq re-admits a warm client after a link blip: re-assert every
-// declared subscription and answer with one data message that
-// revalidates current copies (NotModified when the version stamp still
-// matches, payload omitted) and re-ships only the keys that changed
-// while the client was away. While the MC holds a copy it is in charge
-// of the window, so the SC records only the subscription bit; if the
-// resync answer makes the MC deallocate, its delete-request hands the
-// window back as usual. A duplicated request (chaos) re-asserts
-// idempotently; the duplicated answer is version-guarded at the client.
-func (ss *Session) onResyncReq(b wire.Batch) {
-	epoch := ss.srv.store.Epoch()
-	if epoch != 0 && b.Epoch != 0 && b.Epoch != epoch {
-		// The declaration was built under a dead epoch: the client's warm
-		// state predates this incarnation, so re-asserting its subscriptions
-		// would resurrect allocation bits the restart wiped. Answer with a
-		// bare fence — the new epoch, no entries — and let the client
-		// reattach cold. (A hint of 0 means the client never learned an
-		// epoch; its copies were placed by some live incarnation and the
-		// version-guarded warm path below handles them.)
-		b.Keys, b.Versions = nil, nil
 	}
-	ss.fetchAll(b)
-}
-
-// finishResync answers a ResyncReq. On a relay the allocation gate
-// decides per key whether the declared copy may stand: a key the relay
-// could not secure upstream is answered normally but then revoked with a
-// DeleteReq posted behind the answer, so the child drops a copy that
-// would sit outside the root-to-leaf placement path.
-func (ss *Session) finishResync(b wire.Batch) {
-	ss.shard.enter()
-	if ss.detached {
-		ss.shard.exit()
-		return
-	}
+	class := reply
 	var revoked []string
-	resp := wire.Batch{Kind: wire.KindResyncResp, Epoch: ss.srv.store.Epoch()}
-	buf := ss.serveAll(b, resp, func(ki int, it db.Item, st *itemState) wire.Entry {
-		key := b.Keys[ki]
-		if st.kind != core.KindST1 {
-			// ST1 never places copies; a declared copy there is a client
-			// bug and gets a refresh without a subscription.
-			if st.hasCopy = ss.allocAllowed(key); !st.hasCopy {
-				revoked = append(revoked, key)
+	vb := wire.GetBuf()
+	var one [1]wire.Entry
+	if !ok {
+		class = none
+		if b.Kind == wire.KindReadReq {
+			resp.Kind, resp.Keys = wire.KindReadFail, b.Keys
+		}
+	} else {
+		resp.Entries = one[:0]
+		if len(b.Keys) > 1 {
+			resp.Entries = make([]wire.Entry, 0, len(b.Keys))
+		}
+		for ki, key := range b.Keys {
+			n := len(vb.B)
+			it, _ := ss.srv.store.GetCopy(key, vb.B)
+			vb.B = it.Value
+			e := wire.Entry{Key: key, Value: vb.B[n:], Version: it.Version}
+			st, h := ss.state(key), hint(b, ki)
+			if b.Kind == wire.KindResyncReq {
+				// ST1 never places copies; a declared copy there is a
+				// client bug and gets a refresh without a subscription.
+				if st.kind != core.KindST1 {
+					if st.hasCopy = ss.allocAllowed(key); !st.hasCopy {
+						revoked = append(revoked, key)
+					}
+				}
+				e.NotModified = h == e.Version
+			} else {
+				e.NotModified = b.Kind == wire.KindMultiReadReq && h != 0 && h == e.Version
+				if ss.allocOnRead(key, st) {
+					// Piggyback the save indication and the window; the MC
+					// takes charge.
+					e.Allocate, e.Window = true, st.window
+				}
 			}
+			if e.NotModified {
+				e.Value = nil
+			}
+			resp.Entries = append(resp.Entries, e)
 		}
-		e := wire.Entry{Key: key, Version: it.Version}
-		if hint(b, ki) == it.Version {
-			e.NotModified = true
-		} else {
-			e.Value = it.Value
-		}
-		return e
-	})
-	turn := ss.post(buf.B, reply)
+	}
+	buf, err := encodeFrame(&resp)
+	if err != nil {
+		panic(err)
+	}
+	wire.PutBuf(vb)
+	sh.keepRequest(r)
+	turn := ss.post(buf.B, class)
 	for _, key := range revoked {
 		d := encodePooled(wire.Message{Kind: wire.KindDeleteReq, Key: key})
 		ss.post(d.B, revoke)
 		wire.PutBuf(d)
 	}
-	ss.shard.exit()
+	sh.exit()
 	if turn {
 		ss.release(buf.B)
 	}
 	wire.PutBuf(buf)
+}
+
+// appendFrame encodes b in the form its kind names: a batch kind as a
+// batch frame, a singleton kind as the message its one-key view stands
+// for — a ReadReq's key and floor, a ReadResp's entry, a ReadFail's key.
+// The singleton forms are the smaller: a one-key batch costs 6 bytes more
+// per request and 13 more per answer.
+func appendFrame(dst []byte, b *wire.Batch) ([]byte, error) {
+	switch b.Kind {
+	case wire.KindReadReq, wire.KindReadFail:
+		return wire.AppendEncode(dst, wire.Message{Kind: b.Kind, Key: b.Keys[0], Version: hint(b, 0), ID: b.ID})
+	case wire.KindReadResp:
+		e := &b.Entries[0]
+		return wire.AppendEncode(dst, wire.Message{Kind: b.Kind, Key: e.Key, Value: e.Value, Version: e.Version, Allocate: e.Allocate, Window: e.Window, ID: b.ID})
+	}
+	return wire.AppendEncodeBatch(dst, *b)
+}
+
+// encodeFrame encodes b (appendFrame) into a pooled buffer, which the
+// caller releases with wire.PutBuf once every Send using it has returned.
+func encodeFrame(b *wire.Batch) (*wire.Buf, error) {
+	buf := wire.GetBuf()
+	frame, err := appendFrame(buf.B[:0], b)
+	if err != nil {
+		wire.PutBuf(buf)
+		return nil, fmt.Errorf("replica: encode %v: %w", b.Kind, err)
+	}
+	buf.B = frame
+	return buf, nil
 }

@@ -29,9 +29,9 @@ type Client struct {
 	cache *mobile.Cache
 	meter *Meter
 
-	mu           sync.Mutex
-	pending      map[string]*readWaiter // per key, the parked singleton reads, oldest first
-	pendingBatch []batchWaiter          // parked joint reads
+	mu      sync.Mutex
+	pending map[string]*readWaiter // per key, the parked reads, oldest first
+	reqs    []inflight             // the joint requests with a key parked, by id
 	// seq is the last request id drawn: every read request and every
 	// DeleteReq sent takes the next one. marks holds, per key the MC has
 	// deallocated, seq at its last DeleteReq, sent or received, and since
@@ -171,48 +171,71 @@ func (c *Client) ReadContext(ctx context.Context, key string) (db.Item, error) {
 	if c.trackFloors {
 		floor = c.floors[key]
 	}
-	w := waiterPool.Get().(*readWaiter)
-	w.key, w.floor = key, floor
-	c.parkLocked(w)
+	r := newReader(1)
+	r.ws[0] = readWaiter{req: r, key: key, floor: floor}
+	id := c.openLocked(r, 1, false)
+	c.queueLocked(&r.ws[0], id)
 	link := c.link
 	c.mu.Unlock()
 
-	c.meter.addConnection()
-	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor, ID: w.ticket}); err != nil {
-		c.suspect(link, err)
-		w.done(c.cancelPending(key, w, w.ticket))
+	keys, floors := [1]string{key}, [1]uint64{floor}
+	err := c.ask(ctx, r, link, &wire.Batch{Kind: wire.KindReadReq, ID: id, Keys: keys[:], Versions: floors[:]})
+	switch {
+	case err == nil:
+		mReadRemote.Inc()
+		it := db.Item{Key: key, Value: r.ws[0].value, Version: r.ws[0].version}
+		r.release(true)
+		return it, nil
+	case errors.Is(err, ErrOffline):
 		mReadOffline.Inc()
-		// A link that fails mid-send is an offline condition to the
-		// caller (the suspect hook has already told the recovery layer);
-		// the transport detail rides along for diagnostics.
-		return db.Item{}, fmt.Errorf("%w: %v", ErrOffline, err)
+	case err == ErrTimeout:
+		mReadTimeout.Inc()
+	case err == ctx.Err():
+		mReadCanceled.Inc()
+	}
+	return db.Item{}, err
+}
+
+// ask sends the request b on link — its keys r's, parked under b.ID — and
+// waits until every key has resolved. It returns nil once all were
+// answered (the caller takes the values and releases r), the encoding
+// error when b cannot be encoded, ErrOffline when the request could not
+// be sent or a key was refused or failed, ErrTimeout after the client's
+// Timeout (the link is then suspect), or ctx.Err().
+func (c *Client) ask(ctx context.Context, r *request, link transport.Link, b *wire.Batch) error {
+	frame, err := encodeFrame(b)
+	if err != nil {
+		r.release(c.cancel(r, b.ID))
+		return err
+	}
+	if err := c.sendFrame(link, frame); err != nil {
+		// A link that fails mid-send is an offline condition to the caller
+		// (the suspect hook tells the recovery layer); the transport detail
+		// rides along for diagnostics.
+		c.suspect(link, err)
+		r.release(c.cancel(r, b.ID))
+		return fmt.Errorf("%w: %v", ErrOffline, err)
 	}
 	var timeout <-chan time.Time
 	if c.Timeout > 0 {
-		timeout = w.arm(c.Timeout)
+		timeout = r.arm(c.Timeout)
 	}
 	select {
-	case resp, ok := <-w.ch:
-		// Closed by Disconnect or Suspend: the channel is spent and w is
-		// dropped. Else this was the one send w.ch will ever see.
-		w.done(ok)
-		if !ok {
-			mReadOffline.Inc()
-			return db.Item{}, ErrOffline
+	case <-r.ch:
+		if r.failed.Load() {
+			r.release(true)
+			return ErrOffline
 		}
-		mReadRemote.Inc()
-		return db.Item{Key: key, Value: resp.value, Version: resp.version}, nil
+		return nil
 	case <-timeout:
-		w.armed = false // the tick is consumed
-		w.done(c.cancelPending(key, w, w.ticket))
-		mReadTimeout.Inc()
+		r.armed = false // the tick is consumed
+		r.release(c.cancel(r, b.ID))
 		// A silent link is as suspect as a failing one.
 		c.suspect(link, ErrTimeout)
-		return db.Item{}, ErrTimeout
+		return ErrTimeout
 	case <-ctx.Done():
-		w.done(c.cancelPending(key, w, w.ticket))
-		mReadCanceled.Inc()
-		return db.Item{}, ctx.Err()
+		r.release(c.cancel(r, b.ID))
+		return ctx.Err()
 	}
 }
 
@@ -233,18 +256,30 @@ func (c *Client) staleRead(key string, staleMax time.Duration) (db.Item, error) 
 	return it, ErrStale
 }
 
-// parkLocked queues w behind the reads already waiting on its key and
-// draws its ticket, the id its request carries. The caller holds c.mu.
-func (c *Client) parkLocked(w *readWaiter) {
-	c.seq++
-	c.queueLocked(w, c.seq)
+// inflight is a request with a key parked: its id, its record, and how
+// many of its keys are parked under the id.
+type inflight struct {
+	id uint64
+	r  *request
+	n  int
 }
 
-// queueLocked queues w behind the reads already waiting on its key with
-// ticket, an id already drawn: a joint read's keys share its one id. The
-// caller holds c.mu.
-func (c *Client) queueLocked(w *readWaiter, ticket uint64) {
-	w.ticket = ticket
+// openLocked draws the next request id for r, whose n keys the caller
+// parks under it next (queueLocked). A joint request is indexed by its id
+// in c.reqs, as its refusal names none of its keys; a singleton is found
+// by its one key. The caller holds c.mu.
+func (c *Client) openLocked(r *request, n int, joint bool) uint64 {
+	c.seq++
+	if joint {
+		c.reqs = append(c.reqs, inflight{id: c.seq, r: r, n: n})
+	}
+	return c.seq
+}
+
+// queueLocked parks w under request id, behind the reads already waiting
+// on its key. The caller holds c.mu.
+func (c *Client) queueLocked(w *readWaiter, id uint64) {
+	w.ticket = id
 	q := c.pending[w.key]
 	if q == nil {
 		c.pending[w.key] = w
@@ -257,10 +292,10 @@ func (c *Client) queueLocked(w *readWaiter, ticket uint64) {
 }
 
 // unparkLocked unlinks every read parked on key that take accepts and
-// returns them as a chain, oldest first. The rest stay parked, stored
-// under the head's own key: assigning under an existing string key
-// replaces the stored key too, so never under a borrowed one. The caller
-// holds c.mu.
+// returns them as a chain, oldest first; a joint request none of whose
+// keys is left parked is forgotten. The rest stay parked, stored under
+// the head's own key: assigning under an existing string key replaces the
+// stored key too, so never under a borrowed one. The caller holds c.mu.
 func (c *Client) unparkLocked(key string, take func(w *readWaiter) bool) *readWaiter {
 	var got *readWaiter
 	head, tail := c.pending[key], &got
@@ -268,6 +303,14 @@ func (c *Client) unparkLocked(key string, take func(w *readWaiter) bool) *readWa
 		if w := *q; take(w) {
 			*q, w.next = w.next, nil
 			*tail, tail = w, &w.next
+			if i, ok := c.findLocked(w.ticket); ok {
+				if c.reqs[i].n--; c.reqs[i].n == 0 {
+					last := len(c.reqs) - 1
+					copy(c.reqs[i:], c.reqs[i+1:])
+					c.reqs[last], c.reqs = inflight{}, c.reqs[:last]
+				}
+			}
+			w.ticket = 0
 		} else {
 			q = &w.next
 		}
@@ -280,41 +323,91 @@ func (c *Client) unparkLocked(key string, take func(w *readWaiter) bool) *readWa
 	return got
 }
 
-// cancelPending removes w, parked on key with ticket, from the readers of
-// key and reports whether it was still there. True means no response and
-// no Disconnect got to w first, so nothing can still complete it. The
-// ticket is read only from a waiter found parked: a Fetch completed
-// meanwhile may be parked again for a later read, under a later ticket.
-func (c *Client) cancelPending(key string, w *readWaiter, ticket uint64) bool {
+// findLocked returns the index of request id in c.reqs, which is in id
+// order; answers come mostly in request order, so the oldest is tried
+// first. The caller holds c.mu.
+func (c *Client) findLocked(id uint64) (int, bool) {
+	if len(c.reqs) > 0 && c.reqs[0].id == id {
+		return 0, true
+	}
+	lo, hi := 0, len(c.reqs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.reqs[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.reqs) && c.reqs[lo].id == id
+}
+
+// takeLocked unlinks every key of r still parked under request id and
+// returns them as a chain. They hang off the record, so this walks one
+// list. The caller holds c.mu.
+func (c *Client) takeLocked(r *request, id uint64) *readWaiter {
+	var got *readWaiter
+	tail := &got
+	for j := range r.ws {
+		if w := &r.ws[j]; w.ticket == id {
+			*tail = c.unparkLocked(w.key, func(x *readWaiter) bool { return x == w })
+			tail = &w.next
+		}
+	}
+	return got
+}
+
+// cancel unparks what is left of a reader's request id, r, and reports
+// whether r may be recycled: only when no resolver holds a key of it, as
+// the one that resolves the last would still wake r.ch.
+func (c *Client) cancel(r *request, id uint64) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.unparkLocked(key, func(x *readWaiter) bool { return x == w && x.ticket == ticket }) != nil
+	n := 0
+	for w := c.takeLocked(r, id); w != nil; w = w.next {
+		n++
+	}
+	c.mu.Unlock()
+	return n > 0 && r.left.Add(int32(-n)) == 0
 }
 
 // onFrame handles one message from the server.
 func (c *Client) onFrame(frame []byte) {
 	if wire.IsBatchFrame(frame) {
-		// Borrowed like a singleton: onBatch hands readers owned values.
+		// Borrowed like a singleton: the handlers hand readers owned values.
 		b, err := wire.DecodeBatchBorrowed(frame)
 		if err != nil {
 			return
 		}
-		c.onBatch(b)
+		switch b.Kind {
+		case wire.KindMultiReadResp:
+			c.onAnswer(&b)
+		case wire.KindResyncResp:
+			c.onResyncResp(b)
+		}
 		return
 	}
 	// Borrowed decode: msg aliases frame, valid only for this handler.
 	// Retention points clone — the cache copies key and value in, and
-	// onReadResp clones before handing a message to a waiting reader
+	// answerLocked clones before handing a value to a waiting reader
 	// goroutine.
 	msg, err := wire.DecodeBorrowed(frame)
 	if err != nil {
 		return // malformed server frame; drop
 	}
 	switch msg.Kind {
-	case wire.KindReadResp:
-		c.onReadResp(msg)
-	case wire.KindReadFail:
-		c.onReadFail(msg)
+	case wire.KindReadResp, wire.KindReadFail:
+		// A singleton answer is a one-entry view; a ReadFail has no entry
+		// and names its key.
+		var one [1]wire.Entry
+		var key [1]string
+		b := wire.Batch{Kind: msg.Kind, ID: msg.ID}
+		if msg.Kind == wire.KindReadResp {
+			one[0] = wire.Entry{Key: msg.Key, Value: msg.Value, Version: msg.Version, Allocate: msg.Allocate, Window: msg.Window}
+			b.Entries = one[:]
+		} else {
+			key[0] = msg.Key
+			b.Keys = key[:]
+		}
+		c.onAnswer(&b)
 	case wire.KindWriteProp:
 		c.onWriteProp(msg)
 	case wire.KindDeleteReq:
@@ -414,48 +507,116 @@ func (c *Client) suspect(link transport.Link, err error) {
 	}
 }
 
-// onReadResp applies a ReadResp (answerLocked). An answer to a request
-// sent on an earlier link is ignored: its session is gone.
-func (c *Client) onReadResp(msg wire.Message) {
+// onAnswer is the client's one read handler: b, borrowed, answers read
+// request b.ID — a ReadResp's one-entry view, a MultiReadResp, or a
+// refusal with no entries (a ReadFail, or a relay's empty MultiReadResp)
+// that fails every key still parked under the id. Each entry is answered
+// by the one rule, answerLocked. A NotModified entry carries the value
+// its hint named: at a relay the mirror's, if the mirror still holds that
+// version, at an MC the live or archived copy. A joint answer settles its
+// request: a relay's key it left parked — below its floor, or a version
+// the mirror no longer holds — goes up again alone (gather), and a
+// reader's key it left out fails. An answer to a request sent on an
+// earlier link is ignored: its session is gone.
+func (c *Client) onAnswer(b *wire.Batch) {
+	var vb *wire.Buf
+	for i := range b.Entries {
+		e := &b.Entries[i]
+		c.mu.Lock()
+		if b.ID <= c.since {
+			c.mu.Unlock()
+			break
+		}
+		it, owned := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}, false
+		if e.NotModified && c.relay == nil {
+			if live, ok := c.cache.Peek(e.Key); ok && live.Version == e.Version {
+				it = live
+			} else if arch, ok := c.cache.Revalidated(e.Key); ok {
+				it = arch
+			}
+			owned = true
+		} else if e.NotModified {
+			if vb == nil {
+				vb = wire.GetBuf()
+			}
+			m, _ := c.relay.store.GetCopy(e.Key, vb.B[:0])
+			vb.B, it.Value = m.Value, m.Value
+			if m.Version != e.Version {
+				c.mu.Unlock()
+				continue
+			}
+		}
+		c.answerLocked(it, owned, e.Allocate, e.Window, b.ID)
+	}
+	wire.PutBuf(vb)
+	if b.Kind == wire.KindReadResp {
+		return
+	}
 	c.mu.Lock()
-	if msg.ID <= c.since {
+	if b.ID <= c.since {
 		c.mu.Unlock()
 		return
 	}
-	c.answerLocked(db.Item{Key: msg.Key, Value: msg.Value, Version: msg.Version}, msg.Allocate, msg.Window, msg.ID)
+	if c.epoch == 0 {
+		// A joint read can be the first frame that tells an attach-greeting-
+		// deprived client which epoch it is talking to; adopt it. (A changed
+		// epoch cannot arrive here — restarts kill links, and the fence path
+		// is the resync answer's job.)
+		c.epoch = b.Epoch
+	}
+	var left *readWaiter
+	if b.Kind == wire.KindReadFail {
+		left = c.unparkLocked(b.Keys[0], func(w *readWaiter) bool { return w.ticket == b.ID })
+	} else if i, ok := c.findLocked(b.ID); ok {
+		left = c.takeLocked(c.reqs[i].r, b.ID)
+	}
+	c.mu.Unlock()
+	for w := left; w != nil; {
+		next := w.next
+		w.next = nil
+		if len(b.Entries) > 0 && w.req.ss != nil {
+			c.gather(w, false)
+		} else {
+			fail(w)
+		}
+		w = next
+	}
 }
 
-// answerLocked applies an answer to request id for it.Key — a ReadResp,
-// or one entry of a relay's joint read (onJointResp) — and completes
-// every read of the key parked at or before that request whose floor it
-// clears (every upstream serve respects the request's floor, so an answer
-// below a read's floor is not its answer): the SC served the request
-// after each of those was sent, so none gets a value older than its own
-// request. A read parked later waits for an answer of its own, so a
-// duplicated older answer completes nothing younger. The id decides the
-// allocation alone (installLocked), whether or not the read that asked
-// is still parked. it is borrowed. The caller holds c.mu; answerLocked
-// releases it.
-func (c *Client) answerLocked(it db.Item, allocate bool, win core.Window, id uint64) {
+// answerLocked applies an answer to request id for it.Key — its value
+// borrowed unless owned — and completes every read of the key parked at
+// or before that request whose floor it clears (every upstream serve
+// respects the request's floor, so an answer below a read's floor is not
+// its answer): the SC served the request after each of those was sent, so
+// none gets a value older than its own request. A read parked later waits
+// for an answer of its own, so a duplicated older answer completes
+// nothing younger. The id decides the allocation alone (installLocked),
+// whether or not the read that asked is still parked. The caller holds
+// c.mu; answerLocked releases it.
+func (c *Client) answerLocked(it db.Item, owned, allocate bool, win core.Window, id uint64) {
 	got := c.unparkLocked(it.Key, func(w *readWaiter) bool { return w.ticket <= id && w.floor <= it.Version })
 	relay, reader := false, false
 	for w := got; w != nil; w = w.next {
-		relay = relay || w.fetch != nil
-		reader = reader || w.fetch == nil
+		relay = relay || w.req.ss != nil
+		reader = reader || w.req.ss == nil
 	}
 	if got != nil {
 		c.noteFloorLocked(got.key, it.Version) // the reader's own key
 	}
-	// The cache's new copy, lent to the readers, if this answer installed
-	// one; a relay's fetch mirrors the answer's own bytes instead.
+	// The value handed to the readers: the cache's new copy, lent, if this
+	// answer installed one, else the answer's own if owned; a relay's key
+	// mirrors the answer's own bytes instead.
 	var copied []byte
 	installed := false
 	if allocate {
 		copied, installed = c.installLocked(it, win, id, reader)
 	}
+	if copied == nil && owned {
+		copied = it.Value
+	}
 	key, out, dwin := "", mobile.Stale, core.Window{}
 	if relay && !installed {
-		// A ReadThrough goes remote while still holding a copy only when
+		// A relay's key goes remote while still holding a copy only when
 		// the cached version sat below the floor, so the propagation path
 		// lost writes: the cache folds the answer in like a one-key resync.
 		key, out, dwin = c.cache.Apply(it, true)
@@ -467,21 +628,23 @@ func (c *Client) answerLocked(it db.Item, allocate bool, win core.Window, id uin
 	}
 	for w := got; w != nil; {
 		next := w.next // a completed reader may recycle w at once
-		if w.fetch != nil {
+		if w.req.ss != nil {
 			// Synchronous completion on the delivery goroutine: the value
 			// is borrowed, and the relay copies at every retention point.
-			c.relay.fetched(w.fetch, db.Item{Key: w.key, Value: it.Value, Version: it.Version}, true)
+			mFetchParent.Inc()
+			c.relay.fetched(w, it)
 		} else {
 			// The reader consumes the result on another goroutine, after
 			// this handler has returned and the frame buffer has been
 			// reused: hand it an owned value — the cache's copy, or else a
 			// clone — which is all it returns besides its own key and the
-			// version. The unlinking above made this the only send w.ch
-			// sees before the reader recycles w.
+			// version. The unlinking above made this the only write w sees
+			// before the reader recycles it.
 			if copied == nil {
 				copied = bytes.Clone(it.Value)
 			}
-			w.ch <- readResult{value: copied, version: it.Version}
+			w.value, w.version = copied, it.Version
+			w.req.done(true)
 		}
 		w = next
 	}
@@ -513,15 +676,6 @@ func (c *Client) installLocked(it db.Item, win core.Window, id uint64, lend bool
 	// The tracer's ring retains the key: the cache's own, not the answer's.
 	obsTr.Record(obs.EvAllocate, in.Key, "read-resp", int64(it.Version), 0)
 	return in.Value, true
-}
-
-// onReadFail fails the read whose request a relay refused; a relay's
-// Fetch passes the refusal on down the tree.
-func (c *Client) onReadFail(msg wire.Message) {
-	c.mu.Lock()
-	got := c.unparkLocked(msg.Key, func(w *readWaiter) bool { return w.ticket == msg.ID })
-	c.mu.Unlock()
-	c.failReads(got)
 }
 
 // onWriteProp applies a propagated write: update the cached copy, slide
@@ -630,26 +784,30 @@ func (c *Client) notifyDrop(key string) {
 	}
 }
 
-// sendOn sends over an explicit link snapshot, so a concurrent
-// Disconnect cannot race the nil check. The frame is encoded into a
-// pooled buffer, released as soon as Send returns (links never retain).
-// The caller reports a failed send to the recovery layer (suspect) once
-// it holds no lock.
+// sendOn sends a DeleteReq over an explicit link snapshot, so a
+// concurrent Disconnect cannot race the nil check. The frame is encoded
+// into a pooled buffer, released as soon as Send returns (links never
+// retain). The caller reports a failed send to the recovery layer
+// (suspect) once it holds no lock.
 func (c *Client) sendOn(link transport.Link, msg wire.Message) error {
 	if link == nil {
 		return ErrOffline
 	}
-	buf := wire.GetBuf()
-	b, err := wire.AppendEncode(buf.B[:0], msg)
-	if err != nil {
-		wire.PutBuf(buf)
-		// Unlike the server's protocol-generated messages, this path can
-		// carry a caller-provided key (ReadReq); reject, don't panic.
-		return fmt.Errorf("replica: encode %v: %w", msg.Kind, err)
+	buf := encodePooled(msg)
+	defer wire.PutBuf(buf)
+	c.meter.addControl(len(buf.B))
+	return link.Send(buf.B)
+}
+
+// sendFrame sends a read request, encoded in buf, on link as one control
+// message on a new connection, and recycles buf.
+func (c *Client) sendFrame(link transport.Link, buf *wire.Buf) error {
+	c.meter.addConnection()
+	err := ErrOffline
+	if link != nil {
+		c.meter.addControl(len(buf.B))
+		err = link.Send(buf.B)
 	}
-	buf.B = b
-	c.meter.addControl(len(b))
-	err = link.Send(b)
 	wire.PutBuf(buf)
 	return err
 }

@@ -1011,7 +1011,7 @@ func runConformanceShards(t *testing.T, seed uint64, gen, shards int, verbose bo
 //     onWriteProp now slides only when the version advances the cache.
 //   - seed 46 (SW5, dup): a duplicated allocating ReadResp re-applied the
 //     handoff, rolling the window back to the piggybacked bits and
-//     clobbering the cache — onReadResp now applies Allocate only while no
+//     clobbering the cache — an answer now applies Allocate only while no
 //     copy is held.
 //   - seed 61 (SW3, dup): a WriteProp crossing the MC's in-flight
 //     delete-request was swallowed silently, leaving the SC paying a data

@@ -14,10 +14,11 @@ import (
 	"mobirep/internal/wire"
 )
 
-// A relay's read-through rides a pooled fetch record that whoever
-// completes it recycles (readWaiter). These tests pin that every
-// readThrough completes exactly once on every path that can end it, and
-// that a recycled record never takes an answer meant for an earlier read.
+// A relay reads a child's request through its parent face (gather) on a
+// record the session's shard keeps, one waiter per key, which the child's
+// answer recycles. These tests pin that every key resolves exactly once on
+// every path that can end it, and that a recycled record never takes an
+// answer meant for an earlier read.
 
 // relayRig is a relay with one child. The test plays the parent (peer,
 // the far end of the parent face's link) and the child (child, the far
@@ -112,6 +113,14 @@ func (r *relayRig) idOf(key string) uint64 {
 	return 0
 }
 
+// resolve resolves every key of a child's request held by a holdFetch
+// hook, each ok or failed, as the parent face would.
+func resolve(r *request, ok bool) {
+	for range r.ws {
+		r.done(ok)
+	}
+}
+
 // send encodes m onto l.
 func send(l transport.Link, m wire.Message) error {
 	buf := encodePooled(m)
@@ -198,8 +207,8 @@ func (r *relayRig) lastAnswer() wire.Message {
 	return r.answers[len(r.answers)-1]
 }
 
-// TestReadThroughCompletesOnce ends a parked readThrough on each path that
-// can end one, then sends the parent's late answer, and checks that the
+// TestReadThroughCompletesOnce ends a child's read parked at the parent
+// face on each path that can end one, then sends the parent's late answer, and checks that the
 // fetch completed exactly once, as that path says, and that the child got
 // one answer to match.
 func TestReadThroughCompletesOnce(t *testing.T) {
@@ -373,11 +382,11 @@ func (l *flakyLink) Send(frame []byte) error {
 
 // TestRecycledFetchNeverTakesAnEarlierAnswer: children read a few shared
 // keys through a relay whose parent face answers late, fails some sends
-// and is reattached under them, so fetch records are completed by
-// answers, by failed sends and by reconnects, recycled, and parked again
-// for the same keys while older answers are in flight. Every child read
-// must get its own key's value or a refusal, and every fetch must
-// complete exactly once. Run under -race.
+// and is reattached under them, so records are resolved by answers, by
+// failed sends and by reconnects, recycled, and parked again for the same
+// keys while older answers are in flight. Every child read must get its
+// own key's value or a refusal, and every key must resolve exactly once.
+// Run under -race.
 func TestRecycledFetchNeverTakesAnEarlierAnswer(t *testing.T) {
 	root, err := NewServer(db.NewStore(), Static1())
 	if err != nil {
@@ -476,18 +485,18 @@ func (l *gatedLink) Send([]byte) error {
 	return transport.ErrClosed
 }
 
-// TestFailedSendSparesARecycledFetch: a readThrough whose send fails may
-// find its record already failed by a reconnect, recycled, and parked
-// again for a later read of the same key. Cancelling its own read must
-// leave that later one parked, to be completed by its own answer.
+// TestFailedSendSparesARecycledFetch: a read whose send fails may find
+// its key already failed by a reconnect and a later read of the same key
+// parked. Failing its own request must leave that later one parked, to be
+// completed by its own answer.
 func TestFailedSendSparesARecycledFetch(t *testing.T) {
 	r := newRelayRig(t)
-	var seen []*fetch
-	r.relay.holdFetch = func(f *fetch) {
+	var seen []*request
+	r.relay.holdFetch = func(q *request) {
 		r.mu.Lock()
-		seen = append(seen, f)
+		seen = append(seen, q)
 		r.mu.Unlock()
-		r.up.readThrough(f)
+		r.up.gather(q.chain(), false)
 	}
 	dial := func() transport.Link {
 		peer, up := transport.NewMemPair()
@@ -511,8 +520,8 @@ func TestFailedSendSparesARecycledFetch(t *testing.T) {
 	if got := r.completions("k"); fmt.Sprint(got) != "[false true]" {
 		t.Fatalf("the two fetches completed %v, want [false true]", got)
 	}
-	if seen[0] != seen[1] {
-		t.Log("the pool gave the second read a fresh record: the interleaving was not exercised")
+	if seen[0] == seen[1] {
+		t.Error("the second read reused the record of a read not yet answered")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

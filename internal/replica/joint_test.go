@@ -14,10 +14,10 @@ import (
 	"mobirep/internal/wire"
 )
 
-// A relay reads every key of a child's batch that its own copies cannot
-// serve in one joint read through its parent face (readThroughAll), and
-// completes each key's fetch from that one answer by the singleton rules
-// (onJointResp). These tests pin the frames a warm handoff costs on each
+// A relay reads every key of a child's joint read that its own copies
+// cannot serve in one joint read through its parent face (gather), and
+// resolves each key from that one answer by the singleton rules
+// (onAnswer). These tests pin the frames a warm handoff costs on each
 // edge, the singleton fallback below a floor, and what a warm resync and
 // a forwarded joint read allocate.
 
@@ -43,8 +43,9 @@ func (l *kindCounter) frames() [4]int64 {
 
 // memTree is a replica tree built by hand over in-memory links, so tests
 // can reach into its stations: station 0 is the root and station i a
-// relay below parents[i]. up[i] counts what station i's parent face sends
-// its parent, and down[i] what its session there sends it.
+// relay below parents[i], or a relay with no parent face when that is -1.
+// up[i] counts what station i's parent face sends its parent, and down[i]
+// what its session there sends it.
 type memTree struct {
 	t        testing.TB
 	stations []*Server
@@ -64,13 +65,16 @@ func newMemTree(t testing.TB, parents []int, mode Mode) *memTree {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr.stations = append(tr.stations, s)
+		if parents[i] < 0 {
+			continue
+		}
 		childEnd, parentEnd := transport.NewMemPair()
 		tr.up[i], tr.down[i] = &kindCounter{Link: childEnd}, &kindCounter{Link: parentEnd}
 		tr.stations[parents[i]].Attach(tr.down[i])
 		if _, err := s.ConnectParent(tr.up[i]); err != nil {
 			t.Fatal(err)
 		}
-		tr.stations = append(tr.stations, s)
 	}
 	return tr
 }
@@ -171,12 +175,13 @@ func TestWarmHandoffFrames(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := tr.stations[2]
-				st.holdFetch = func(f *fetch) {
-					if f.batch != nil && f.w.key == "k000" {
-						f.done(true) // served from the mirror as it stands
-						return
+				st.holdFetch = func(r *request) {
+					todo, joint := r.chain(), r.b.Kind != wire.KindReadReq
+					if joint && todo.key == "k000" {
+						todo = todo.next
+						r.done(true) // served from the mirror as it stands
 					}
-					st.Parent().readThrough(f)
+					st.Parent().gather(todo, joint)
 				}
 			}
 			c, sess := tr.mc(row.from, Static2())
@@ -220,13 +225,68 @@ func TestWarmHandoffFrames(t *testing.T) {
 	}
 }
 
-// TestBatchKeptPastItsHandler: a relay's fetchAll keeps the child's batch
-// until its fetches complete, after the handler has returned and the
-// frame's buffer has been reused; the answer still names the keys asked.
+// TestReadFrameForms: a read crosses every edge of Chain(3), the MC's
+// own included, in the form it was asked. A singleton miss is one ReadReq
+// and one ReadResp per edge, refused for want of a parent face (station 1
+// has none) it is one ReadFail per edge and no MultiReadResp, and a
+// ReadMany of one missing key is one MultiReadReq and one MultiReadResp.
+func TestReadFrameForms(t *testing.T) {
+	rows := []struct {
+		name    string
+		parents []int
+		many    bool
+		want    [5]int64 // ReadReq, ReadResp, MultiReadReq, MultiReadResp, ReadFail
+	}{
+		{"singleton miss", []int{-1, 0, 1}, false, [5]int64{1, 1, 0, 0, 0}},
+		{"singleton refused", []int{-1, -1, 1}, false, [5]int64{1, 0, 0, 0, 1}},
+		{"ReadMany of one missing key", []int{-1, 0, 1}, true, [5]int64{0, 0, 1, 1, 0}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tr := newMemTree(t, row.parents, Static1())
+			if _, err := tr.stations[0].Write("k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			a, b := transport.NewMemPair()
+			mcUp, mcDown := &kindCounter{Link: a}, &kindCounter{Link: b}
+			tr.stations[2].Attach(mcDown)
+			mc, err := NewClient(mcUp, Static1())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.many {
+				_, err = mc.ReadMany([]string{"k"})
+			} else {
+				_, err = mc.Read("k")
+			}
+			if refused := row.want[4] > 0; refused != errors.Is(err, ErrOffline) || !refused && err != nil {
+				t.Fatalf("the read returned %v", err)
+			}
+			edges := map[string][2]*kindCounter{"MC": {mcUp, mcDown}}
+			for i := 1; i < len(row.parents); i++ {
+				if row.parents[i] >= 0 {
+					edges[fmt.Sprintf("station %d", i)] = [2]*kindCounter{tr.up[i], tr.down[i]}
+				}
+			}
+			for name, e := range edges {
+				up, down := e[0], e[1]
+				got := [5]int64{up.n[wire.KindReadReq].Load(), down.n[wire.KindReadResp].Load(),
+					up.n[wire.KindMultiReadReq].Load(), down.n[wire.KindMultiReadResp].Load(), down.n[wire.KindReadFail].Load()}
+				if got != row.want {
+					t.Errorf("%s's parent edge carried %v (ReadReq, ReadResp, MultiReadReq, MultiReadResp, ReadFail), want %v", name, got, row.want)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchKeptPastItsHandler: a relay keeps the child's batch until its
+// keys resolve, after the handler has returned and the frame's buffer has
+// been reused; the answer still names the keys asked.
 func TestBatchKeptPastItsHandler(t *testing.T) {
 	r := newRelayRig(t)
-	var held []*fetch
-	r.relay.holdFetch = func(f *fetch) { held = append(held, f) }
+	var held []*request
+	r.relay.holdFetch = func(q *request) { held = append(held, q) }
 	keys := []string{"alpha", "beta", "gamma"}
 	frame, err := wire.AppendEncodeBatch(nil, wire.Batch{Kind: wire.KindMultiReadReq, ID: 7, Keys: keys})
 	if err != nil {
@@ -236,12 +296,10 @@ func TestBatchKeptPastItsHandler(t *testing.T) {
 	for i := range frame {
 		frame[i] = 'x'
 	}
-	if len(held) != len(keys) {
-		t.Fatalf("%d fetches held, want %d", len(held), len(keys))
+	if len(held) != 1 || len(held[0].ws) != len(keys) {
+		t.Fatalf("%d requests held, want one of %d keys", len(held), len(keys))
 	}
-	for _, f := range held {
-		f.done(true)
-	}
+	resolve(held[0], true)
 	if len(r.batches) != 1 || len(r.batches[0].Entries) != len(keys) {
 		t.Fatalf("the child got %+v, want one answer of %d entries", r.batches, len(keys))
 	}
@@ -277,8 +335,13 @@ func TestWarmResyncAllocs(t *testing.T) {
 	// A collection empties the pools, and a move to another P meets that
 	// P's own pool caches, either of which would charge refills to
 	// whichever run it fell in: the pins count what the code allocates.
+	// The counts are the process's, so a collection a previous test's
+	// garbage is due for runs now, and the runtime's work after it
+	// (cleanups, finalizers) gets time to finish before the warm-up.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
 	const rounds = 8
 	var handoff, joint []float64
 	for _, n := range []int{16, 64, 256} {
@@ -404,7 +467,7 @@ func TestJointReadRefusal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.stations[1].holdFetch = func(f *fetch) { f.done(false) }
+	tr.stations[1].holdFetch = func(r *request) { resolve(r, false) }
 	mc, _ := tr.mc(2, Static1())
 	mc.Timeout = 5 * time.Second
 	failed := mFetchFailed.Load()

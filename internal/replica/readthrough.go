@@ -1,189 +1,259 @@
 package replica
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobirep/internal/db"
 	"mobirep/internal/wire"
 )
 
-// A relay's parent face reads through for its children with readThrough,
-// on a pooled fetch record, never a parked goroutine. Read floors make
-// reads monotone per key even when a relay's copy lags the root.
+// Every remote read is one request of n keys, whether n is 1 or more: an
+// MC's ReadContext or ReadMany, or a child's read at a relay, which the
+// relay's parent face reads through for it with gather, never a parked
+// goroutine. Read floors make reads monotone per key even when a relay's
+// copy lags the root.
 
-// readWaiter is one parked singleton read: the channel its goroutine
-// waits on — or, for a relay's read-through, the fetch record to complete
-// instead — the floor its request carried (0 = none), the ticket its
-// parking drew (the request's id) and the next-younger read parked on the
-// same key. A response below a waiter's floor is not its answer and must
-// not complete it.
-//
-// Waiters are pooled, channel and timeout timer included, so a remote
-// read allocates nothing but the value it returns. What makes reuse safe
-// is ownership: whoever unlinks a waiter from Client.pending under c.mu
-// is the only party that may still complete it. A reader recycles its
-// waiter after taking the one response, or after unlinking it itself
-// (cancelPending reports true); a waiter it lost to onReadResp,
-// onReadFail or failWaiters it abandons — a late response or a close must
-// land on a channel no later read will ever see. A fetch is recycled by
-// whoever completes it (fetch.done), so a readThrough that lost its
-// record may find it parked again for a later read; the ticket tells the
-// two apart.
+// readWaiter is one key of a remote read: its request, the floor the
+// key's read carries (0 = none), the id it is parked under in
+// Client.pending (0 when not parked) and the next-younger read parked on
+// the same key. A response below a waiter's floor is not its answer and
+// must not complete it. value and version carry a reader's answer to its
+// goroutine, and a relay's local serve to gather.
 type readWaiter struct {
-	ch     chan readResult
-	fetch  *fetch // the relay read this waiter parks; nil for ReadContext
-	key    string // the reader's own key: what Client.pending is indexed by
-	floor  uint64
-	ticket uint64 // the request id, drawn by parkLocked under c.mu
-	next   *readWaiter
-	timer  *time.Timer // created by the first read with a Timeout
-	armed  bool        // timer is running, or its tick is unconsumed
-}
-
-// readResult is what a response gives the parked reader: an owned copy
-// of the value, and the version.
-type readResult struct {
+	req     *request
+	key     string // what Client.pending is indexed by: the reader's own, or the mirror store's
+	floor   uint64
+	ticket  uint64
+	next    *readWaiter
 	value   []byte
 	version uint64
 }
 
-var waiterPool = sync.Pool{New: func() any { return &readWaiter{ch: make(chan readResult, 1)} }}
+// request is one read of n keys, one waiter per key in ws. A reader's
+// (ReadContext, ReadMany) wakes its goroutine on ch once every key has
+// resolved; a child's read at a relay (ss set) holds the child's request,
+// b, its keys the mirror store's own, and answers it once every key has
+// resolved (Session.finishRead). left counts the keys still to resolve,
+// plus one the starter holds while it reads the record; failed says one
+// failed.
+//
+// Ownership makes reuse safe: whoever unlinks a waiter from
+// Client.pending under c.mu is the only party that may resolve it, and
+// whoever resolves the last key ends the request. A reader recycles its
+// record after the wake-up, or after unparking every key still parked
+// itself (Client.cancel); one it lost to a resolver it abandons, as a
+// wake-up is on its way. A relay's record goes back to its session's
+// shard once the child is answered (shard.keepRequest). No parked record
+// is reused: a request is found by its id — a joint one in Client.reqs, a
+// singleton by its key in Client.pending — only while a key of it is
+// parked.
+type request struct {
+	ws     []readWaiter
+	left   atomic.Int32
+	failed atomic.Bool
 
-// arm starts the waiter's timeout and returns the channel it ticks on.
-func (w *readWaiter) arm(d time.Duration) <-chan time.Time {
-	if w.timer == nil {
-		w.timer = time.NewTimer(d)
-	} else {
-		w.timer.Reset(d)
-	}
-	w.armed = true
-	return w.timer.C
+	ch    chan struct{}
+	timer *time.Timer // created by the first read with a Timeout
+	armed bool        // timer is running, or its tick is unconsumed
+
+	ss *Session
+	b  wire.Batch
+	up wire.Batch // what gather asks the parent, encoded under c.mu
 }
 
-// done ends a read's use of w and, when recycle says the reader owns
-// w.ch again (see readWaiter), returns it to the pool. A timer may be
+// readerPool holds readers' records, channel and timeout timer included,
+// so a remote read allocates nothing but the value it returns. A reader
+// recycles its record without a lock; a relay's records come from its
+// shards instead (shard.takeRequest).
+var readerPool = sync.Pool{New: func() any { return &request{ch: make(chan struct{}, 1)} }}
+
+// newReader takes a reader's record for n keys.
+func newReader(n int) *request {
+	r := readerPool.Get().(*request)
+	if cap(r.ws) < n {
+		r.ws = make([]readWaiter, n)
+	}
+	r.ws = r.ws[:n]
+	r.left.Store(int32(n))
+	return r
+}
+
+// done resolves one key of r, failed unless ok. The last one ends the
+// request: it wakes the reader, or answers the child's read at a relay —
+// refuses it, if a key failed — and recycles the record.
+func (r *request) done(ok bool) {
+	if !ok {
+		r.failed.Store(true)
+	}
+	if r.left.Add(-1) != 0 {
+		return
+	}
+	if r.ss == nil {
+		r.ch <- struct{}{}
+		return
+	}
+	r.ss.finishRead(&r.b, !r.failed.Load(), r)
+}
+
+// chain links r's waiters, in key order, into the chain gather takes.
+func (r *request) chain() *readWaiter {
+	for i := 1; i < len(r.ws); i++ {
+		r.ws[i-1].next = &r.ws[i]
+	}
+	return &r.ws[0]
+}
+
+// arm starts the reader's timeout and returns the channel it ticks on.
+func (r *request) arm(d time.Duration) <-chan time.Time {
+	if r.timer == nil {
+		r.timer = time.NewTimer(d)
+	} else {
+		r.timer.Reset(d)
+	}
+	r.armed = true
+	return r.timer.C
+}
+
+// release ends a reader's use of r and, when recycle says no resolver can
+// still wake it (see request), returns it to the pool. A timer may be
 // reused only once it is stopped with nothing in its channel: Stop
 // reporting true proves that, and so does having consumed the tick (the
 // reader clears armed). When Stop loses the race with expiry the tick is
 // still on its way — under go.mod's go 1.22 timer semantics a drain could
 // miss it, and a later read would time out at once — so that timer is
 // dropped and the next arm makes a new one.
-func (w *readWaiter) done(recycle bool) {
-	if w.armed && !w.timer.Stop() {
-		w.timer = nil
+func (r *request) release(recycle bool) {
+	if r.armed && !r.timer.Stop() {
+		r.timer = nil
 	}
-	w.armed = false
+	r.armed = false
 	if recycle {
-		w.key, w.next = "", nil
-		waiterPool.Put(w)
+		if r.failed.Load() {
+			r.failed.Store(false)
+		}
+		readerPool.Put(r)
 	}
 }
 
-// fetch is one child read in flight through a relay: the record the
-// relay's server starts (startFetch), its parent face parks
-// (readThrough) and completes (Server.fetched), and done hands back to
-// the session to answer the child. Records are pooled and carry no func
-// value, so a hop through a relay allocates nothing once the key is
-// known to the station. A record belongs to whoever holds it last: it
-// must not be touched after done.
-type fetch struct {
-	w        readWaiter // the record's place on the parent face's parked chain
-	ss       *Session
-	id       uint64      // the child's request id, echoed in the answer
-	batch    *fetchBatch // the joint read or resync this key is part of; nil for a singleton
-	upstream bool        // readThrough parked it for the parent's answer
-}
-
-var fetchPool = sync.Pool{New: func() any {
-	f := new(fetch)
-	f.w.fetch = f
-	return f
-}}
-
-// newFetch takes a record for ss's read of key, which must be owned,
-// requested under id (0 when the key is part of fb).
-func newFetch(ss *Session, key string, floor, id uint64, fb *fetchBatch) *fetch {
-	f := fetchPool.Get().(*fetch)
-	f.w.key, f.w.floor, f.ss, f.id, f.batch = key, floor, ss, id, fb
-	return f
-}
-
-// done hands the fetch back to the session that started it: ok serves
-// the child from the store (or counts the key toward its batch), !ok
-// refuses the read. The record is recycled.
-func (f *fetch) done(ok bool) {
-	ss, fb, key, id := f.ss, f.batch, f.w.key, f.id
-	*f = fetch{w: readWaiter{fetch: f}}
-	fetchPool.Put(f)
-	if fb != nil {
-		fb.done(ss, ok)
-	} else {
-		ss.finishReadReq(key, id, ok)
+// fail fails every read on the chain from w, which the caller has
+// unlinked, and returns how many: a key failed fails a reader's request,
+// and a child's read at a relay is refused once all its keys resolve.
+func fail(w *readWaiter) int {
+	n := 0
+	for ; w != nil; n++ {
+		next := w.next
+		if w.req.ss != nil {
+			mFetchFailed.Inc()
+		}
+		w.req.done(false)
+		w = next
 	}
+	return n
 }
 
-// readThrough is a relay's read of f's key through its parent face, and
-// never blocks: answered synchronously from the station's own copy when
-// it satisfies the floor, otherwise parked until the response arrives (or
-// abandoned — offline, link failure, or a reconnect clearing the
-// waiters). Either way the relay's fetched completes f exactly once, on
-// the caller's goroutine or a transport delivery goroutine. The exception
-// is a response lost in transit with no subsequent reconnect: the
-// caller's retry machinery owns that case, exactly as a timed-out Read
-// does.
-func (c *Client) readThrough(f *fetch) {
-	w := &f.w
-	key := w.key
+// gather reads the keys on the chain todo, waiters of one child's read at
+// this relay, through the parent face, and never blocks. Each key the
+// station's own copy serves at its floor resolves from it; the rest go up
+// as one request with one id, in the form asked: a MultiReadReq (joint)
+// whose hints name only versions the mirror holds, so a NotModified
+// answer is backed by the mirror's value, or a ReadReq carrying the key's
+// floor (a child's singleton read, or a key a joint answer left below its
+// floor, which goes up again alone). The answer resolves them (onAnswer);
+// a failed send, a refusal or a reconnect fails them. A key may resolve
+// on the caller's goroutine or a transport delivery goroutine, and once
+// parked it belongs to whoever unlinks it. A response lost in transit
+// with no subsequent reconnect is the retry machinery's, exactly as a
+// timed-out Read is.
+func (c *Client) gather(todo *readWaiter, joint bool) {
+	r := todo.req
 	c.mu.Lock()
 	if c.offline {
 		c.mu.Unlock()
-		mReadOffline.Inc()
-		c.relay.fetched(f, db.Item{}, false)
+		mReadOffline.Add(uint64(fail(todo)))
 		return
 	}
+	// Served values are copied out, back to back, into one pooled buffer.
 	vb := wire.GetBuf()
-	if it, ok := c.serveLocked(f, vb.B[:0]); ok {
-		vb.B = it.Value
-		c.mu.Unlock()
-		mReadLocal.Inc()
-		c.relay.fetched(f, it, true)
-		wire.PutBuf(vb)
-		return
+	var local, up *readWaiter
+	lt, ut, n := &local, &up, 0
+	for w := todo; w != nil; {
+		next := w.next
+		w.next = nil
+		off := len(vb.B)
+		if it, ok := c.serveLocked(w, vb.B); ok {
+			vb.B = it.Value
+			w.value, w.version = vb.B[off:], it.Version
+			*lt, lt = w, &w.next
+		} else {
+			*ut, ut = w, &w.next
+			n++
+		}
+		w = next
 	}
-	wire.PutBuf(vb)
-	// A held copy below the floor stays held: the remote answer is
-	// absorbed like a one-key resync (see answerLocked). Once parked, f
-	// belongs to whoever unlinks it: only what was read before is used.
-	f.upstream = true
-	c.parkLocked(w)
-	floor, ticket, link := w.floor, w.ticket, c.link
+	var frame *wire.Buf
+	var id uint64
+	if up != nil {
+		// A held copy below the floor stays held: the remote answer is
+		// absorbed like a one-key resync (see answerLocked).
+		id = c.openLocked(r, n, joint)
+		r.up = wire.Batch{Kind: wire.KindReadReq, ID: id, Keys: r.up.Keys[:0], Versions: r.up.Versions[:0]}
+		if joint {
+			r.up.Kind = wire.KindMultiReadReq
+		}
+		for w := up; w != nil; {
+			next := w.next
+			w.next = nil
+			h := w.floor
+			if joint {
+				h = c.relay.store.Version(w.key)
+			}
+			r.up.Keys, r.up.Versions = append(r.up.Keys, w.key), append(r.up.Versions, h)
+			c.queueLocked(w, id)
+			w = next
+		}
+		var err error
+		if frame, err = encodeFrame(&r.up); err != nil {
+			panic(err)
+		}
+	}
+	link := c.link
 	c.mu.Unlock()
 
-	c.meter.addConnection()
-	if err := c.sendOn(link, wire.Message{Kind: wire.KindReadReq, Key: key, Version: floor, ID: ticket}); err != nil {
-		c.suspect(link, err)
-		// Only the goroutine that actually removed the waiter may fail it:
-		// a concurrent Suspend that already took the waiter set fails it
-		// through failWaiters.
-		if c.cancelPending(key, w, ticket) {
-			mReadOffline.Inc()
-			c.relay.fetched(f, db.Item{}, false)
+	if frame != nil {
+		if err := c.sendFrame(link, frame); err != nil {
+			c.suspect(link, err)
+			c.mu.Lock()
+			failed := c.takeLocked(r, id)
+			c.mu.Unlock()
+			mReadOffline.Add(uint64(fail(failed)))
+		} else {
+			mReadRemote.Add(uint64(n))
+			if joint {
+				mJointReads.Inc()
+			}
 		}
-		return
 	}
-	mReadRemote.Inc()
+	for w := local; w != nil; {
+		// The value is vb's, which a kept record must not hold on to.
+		next, it := w.next, db.Item{Value: w.value, Version: w.version}
+		w.value = nil
+		mReadLocal.Inc()
+		mFetchLocal.Inc()
+		c.relay.fetched(w, it)
+		w = next
+	}
+	wire.PutBuf(vb)
 }
 
-// serveLocked folds the parent face's floor for f's key into f's, and
+// serveLocked folds the parent face's floor for w's key into w's, and
 // reads the station's own copy out, appended to dst, if it clears that
 // floor. The client's floor folds in so that the subtree below a relay
 // gets collectively monotone reads, not just per original requester; the
 // copy is copied out, not lent, because a lent value would make the key's
 // next WriteProp clone into a fresh buffer. The caller holds c.mu.
-func (c *Client) serveLocked(f *fetch, dst []byte) (db.Item, bool) {
-	w := &f.w
+func (c *Client) serveLocked(w *readWaiter, dst []byte) (db.Item, bool) {
 	if fl := c.floors[w.key]; fl > w.floor {
 		w.floor = fl
 	}
@@ -192,205 +262,6 @@ func (c *Client) serveLocked(f *fetch, dst []byte) (db.Item, bool) {
 		c.noteFloorLocked(w.key, it.Version)
 	}
 	return it, ok
-}
-
-// gather is a relay's scratch for the fetches of one child batch
-// (startBatch): the ones its parent face's copies serve, with their
-// values, and the joint reads that ask its parent for the rest. Pooled;
-// it never outlives the batch's start.
-type gather struct {
-	fetches []*fetch
-	local   []localRead
-	keys    []string // the joint read being encoded
-	hints   []uint64 // parallel to keys
-	sends   []jointSend
-}
-
-// localRead is a fetch the parent face's own copy serves, with the value.
-type localRead struct {
-	f  *fetch
-	it db.Item
-}
-
-// jointSend is one joint read of a gather: its id, its encoded request
-// and its number of keys.
-type jointSend struct {
-	id  uint64
-	buf *wire.Buf
-	n   int
-}
-
-var gatherPool = sync.Pool{New: func() any { return new(gather) }}
-
-// release clears g and returns it to the pool.
-func (g *gather) release() {
-	clear(g.fetches)
-	clear(g.local)
-	clear(g.keys)
-	clear(g.sends)
-	g.fetches, g.local, g.keys, g.hints, g.sends = g.fetches[:0], g.local[:0], g.keys[:0], g.hints[:0], g.sends[:0]
-	gatherPool.Put(g)
-}
-
-// readThroughAll is readThrough for the fetches of one child batch, under
-// one lock: each fetch the station's own copy serves is completed from
-// it, and the rest go up as one joint read (a MultiReadReq of at most
-// wire.MaxBatch keys; more take more) that draws one id, the ticket every
-// one of its fetches parks with. The answer completes them (onJointResp).
-// Like readThrough it never blocks.
-func (c *Client) readThroughAll(g *gather) {
-	c.mu.Lock()
-	if c.offline {
-		c.mu.Unlock()
-		for _, f := range g.fetches {
-			mReadOffline.Inc()
-			c.relay.fetched(f, db.Item{}, false)
-		}
-		return
-	}
-	// Served values are copied out, back to back, into one pooled buffer.
-	vb := wire.GetBuf()
-	up := g.fetches[:0]
-	for _, f := range g.fetches {
-		n := len(vb.B)
-		if it, ok := c.serveLocked(f, vb.B); ok {
-			vb.B = it.Value
-			it.Value = vb.B[n:]
-			g.local = append(g.local, localRead{f, it})
-			continue
-		}
-		f.upstream = true
-		up = append(up, f)
-	}
-	for len(up) > 0 {
-		chunk := up[:min(len(up), wire.MaxBatch)]
-		up = up[len(chunk):]
-		c.seq++
-		s := jointSend{id: c.seq, buf: wire.GetBuf(), n: len(chunk)}
-		g.keys, g.hints = g.keys[:0], g.hints[:0]
-		for _, f := range chunk {
-			c.queueLocked(&f.w, s.id)
-			g.keys = append(g.keys, f.w.key)
-			// A hint names only a version the mirror holds, so a
-			// NotModified answer is backed by the mirror's value.
-			g.hints = append(g.hints, c.relay.store.Version(f.w.key))
-		}
-		frame, err := wire.AppendEncodeBatch(s.buf.B[:0], wire.Batch{Kind: wire.KindMultiReadReq, ID: s.id, Keys: g.keys, Versions: g.hints})
-		if err != nil {
-			panic(fmt.Sprintf("replica: encode joint read: %v", err))
-		}
-		s.buf.B = frame
-		g.sends = append(g.sends, s)
-	}
-	link := c.link
-	c.mu.Unlock()
-
-	// Once parked, a fetch belongs to whoever unlinks it: none is read
-	// from here on.
-	for _, s := range g.sends {
-		c.meter.addConnection()
-		err := ErrOffline
-		if link != nil {
-			c.meter.addControl(len(s.buf.B))
-			err = link.Send(s.buf.B)
-		}
-		wire.PutBuf(s.buf)
-		if err != nil {
-			c.suspect(link, err)
-			mReadOffline.Add(uint64(c.failJoint(s.id)))
-			continue
-		}
-		mReadRemote.Add(uint64(s.n))
-		mJointReads.Inc()
-	}
-	for _, l := range g.local {
-		mReadLocal.Inc()
-		c.relay.fetched(l.f, l.it, true)
-	}
-	wire.PutBuf(vb)
-}
-
-// failJoint fails every fetch still parked under joint read id, and
-// returns how many: its request could not be sent, or its answer refused
-// it. What a reconnect failed already is not there to fail again.
-func (c *Client) failJoint(id uint64) int {
-	var failed *readWaiter
-	c.mu.Lock()
-	for key, q := range c.pending {
-		for ; q != nil; q = q.next {
-			if q.ticket == id {
-				failed = chain(failed, c.unparkLocked(key, func(w *readWaiter) bool { return w.ticket == id }))
-				break
-			}
-		}
-	}
-	c.mu.Unlock()
-	n := 0
-	for w := failed; w != nil; w = w.next {
-		n++
-	}
-	c.failReads(failed)
-	return n
-}
-
-// chain appends the chain of parked reads b to a and returns the result.
-func chain(a, b *readWaiter) *readWaiter {
-	if a == nil {
-		return b
-	}
-	t := a
-	for t.next != nil {
-		t = t.next
-	}
-	t.next = b
-	return a
-}
-
-// onJointResp applies the answer to a relay's joint read, b (borrowed),
-// entry by entry by the rules of a singleton answer (answerLocked): each
-// completes the reads of its key parked at or before the request whose
-// floor it clears — the joint read's own fetch among them — installs the
-// allocation the id allows, and absorbs the value into a copy held below
-// its floor. A NotModified entry carries the mirror's value at the
-// hinted version. A fetch of the joint read that its entry does not
-// complete (the answer is below its floor, or the mirror no longer holds
-// the hinted version) goes up again as a singleton readThrough. A
-// refusal, an answer with no entries, fails every fetch of the joint
-// read. An entry finds c.since moved only if a reconnect failed every
-// read the rest of the answer was for.
-func (c *Client) onJointResp(b wire.Batch) {
-	if len(b.Entries) == 0 {
-		c.failJoint(b.ID)
-		return
-	}
-	vb := wire.GetBuf()
-	defer wire.PutBuf(vb)
-	for _, e := range b.Entries {
-		c.mu.Lock()
-		if b.ID <= c.since {
-			c.mu.Unlock()
-			return
-		}
-		it := db.Item{Key: e.Key, Value: e.Value, Version: e.Version}
-		backed := true
-		if e.NotModified {
-			m, _ := c.relay.store.GetCopy(e.Key, vb.B[:0])
-			vb.B, it.Value = m.Value, m.Value
-			backed = m.Version == e.Version
-		}
-		if backed {
-			c.answerLocked(it, e.Allocate, e.Window, b.ID)
-			c.mu.Lock()
-		}
-		retry := c.unparkLocked(e.Key, func(w *readWaiter) bool { return w.ticket == b.ID })
-		c.mu.Unlock()
-		for w := retry; w != nil; {
-			next := w.next
-			w.next = nil
-			c.readThrough(w.fetch)
-			w = next
-		}
-	}
 }
 
 // noteFloorLocked raises key's read floor to v when floor tracking is

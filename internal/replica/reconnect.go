@@ -61,49 +61,30 @@ func (c *Client) AllowStale(maxAge time.Duration) {
 }
 
 // takeWaitersLocked clears and returns everything currently blocked on
-// the link: parked singleton reads (goroutines and relay fetches), parked
-// joint reads, and the in-flight resync signal. Every request sent so far
-// belongs to the link being left, so their answers are ignored from here
-// on (since). The caller must hold c.mu and fail them all after releasing
-// it.
-func (c *Client) takeWaitersLocked() (map[string]*readWaiter, []batchWaiter, chan struct{}) {
+// the link: the parked reads (readers' keys and relay fetches) and the
+// in-flight resync signal. Every request sent so far belongs to the link
+// being left, so their answers are ignored from here on (since). The
+// caller must hold c.mu and fail them all after releasing it.
+func (c *Client) takeWaitersLocked() (map[string]*readWaiter, chan struct{}) {
 	c.since = c.seq
 	pending := c.pending
 	c.pending = make(map[string]*readWaiter)
-	batch := c.pendingBatch
-	c.pendingBatch = nil
+	clear(c.reqs)
+	c.reqs = c.reqs[:0]
 	done := c.resyncDone
 	c.resyncDone = nil
-	return pending, batch, done
+	return pending, done
 }
 
-// failWaiters closes every channel collected by takeWaitersLocked
-// (receivers treat a closed channel as ErrOffline) and fails every
-// relay Fetch.
-func (c *Client) failWaiters(pending map[string]*readWaiter, batch []batchWaiter, done chan struct{}) {
+// failWaiters fails every read collected by takeWaitersLocked (a reader
+// gets ErrOffline, a relay refuses its child's read) and closes the resync
+// signal.
+func failWaiters(pending map[string]*readWaiter, done chan struct{}) {
 	for _, w := range pending {
-		c.failReads(w)
-	}
-	for _, w := range batch {
-		close(w.ch)
+		fail(w)
 	}
 	if done != nil {
 		close(done)
-	}
-}
-
-// failReads fails every parked read on the chain from w, which the
-// caller has unlinked under c.mu: a closed channel is ErrOffline to its
-// reader, and a Fetch completes with ok=false.
-func (c *Client) failReads(w *readWaiter) {
-	for w != nil {
-		next := w.next
-		if w.fetch != nil {
-			c.relay.fetched(w.fetch, db.Item{}, false)
-		} else {
-			close(w.ch)
-		}
-		w = next
 	}
 }
 
@@ -120,13 +101,13 @@ func (c *Client) Disconnect() {
 	c.link = nil
 	// Drop all cached copies and allocation state.
 	c.cache.Reset()
-	pending, batch, done := c.takeWaitersLocked()
+	pending, done := c.takeWaitersLocked()
 	c.mu.Unlock()
 
 	if old != nil {
 		old.Close()
 	}
-	c.failWaiters(pending, batch, done)
+	failWaiters(pending, done)
 }
 
 // Suspend takes the client offline warm: cached copies, windows, and
@@ -139,13 +120,13 @@ func (c *Client) Suspend() {
 	c.offline = true
 	old := c.link
 	c.link = nil
-	pending, batch, done := c.takeWaitersLocked()
+	pending, done := c.takeWaitersLocked()
 	c.mu.Unlock()
 
 	if old != nil {
 		old.Close()
 	}
-	c.failWaiters(pending, batch, done)
+	failWaiters(pending, done)
 }
 
 // Offline reports whether the client is currently disconnected.
@@ -182,13 +163,13 @@ func (c *Client) Reattach(link transport.Link) {
 		// unsatisfiable if the authority legitimately rolled back.
 		c.floors = make(map[string]uint64)
 	}
-	pending, batch, done := c.takeWaitersLocked()
+	pending, done := c.takeWaitersLocked()
 	c.mu.Unlock()
 
 	if old != nil && old != link {
 		old.Close()
 	}
-	c.failWaiters(pending, batch, done)
+	failWaiters(pending, done)
 }
 
 // ResumeResync brings a suspended client back over a new link with a
@@ -218,7 +199,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 		c.offline = true
 	}
 	epochHint := c.epoch
-	pending, batch, prevDone := c.takeWaitersLocked()
+	pending, prevDone := c.takeWaitersLocked()
 	if len(keys) > 0 {
 		c.resyncDone = done
 	}
@@ -227,7 +208,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	if old != nil && old != link {
 		old.Close()
 	}
-	c.failWaiters(pending, batch, prevDone)
+	failWaiters(pending, prevDone)
 	if len(keys) == 0 {
 		mResyncImmediate.Inc()
 		obsTr.Record(obs.EvResync, "", "immediate", 0, 0)

@@ -387,7 +387,7 @@ func TestReadContextDeadline(t *testing.T) {
 	}
 	// Cancelled waiters leave no residue: a later response wakes nobody.
 	cli.mu.Lock()
-	residue := len(cli.pendingBatch)
+	residue := len(cli.reqs)
 	for _, w := range cli.pending {
 		for ; w != nil; w = w.next {
 			residue++

@@ -9,6 +9,7 @@ import (
 	"mobirep/internal/db"
 	"mobirep/internal/sched"
 	"mobirep/internal/transport"
+	"mobirep/internal/wire"
 )
 
 // A relay station of a replica tree (internal/tree) is one Server: its
@@ -80,76 +81,36 @@ func (s *Server) Parent() *Client {
 // served: on a relay, or with a test's holdFetch.
 func (s *Server) fetching() bool { return s.relay != nil || s.holdFetch != nil }
 
-// startFetch freshens the mirror for a child's read, f, through the
-// parent face. It runs on a child delivery goroutine and never blocks:
-// readThrough completes f from the station's own copy or parks it for the
-// upstream round trip, and fetched finishes it either way.
-func (s *Server) startFetch(f *fetch) {
+// freshen reads a child's request, r, through the parent face before it
+// is answered (gather): each key resolves from the station's own copy or
+// rides one request up, and placement observes each read. It runs on a
+// child delivery goroutine and never blocks. Without a parent face every
+// key fails, and the read is refused.
+func (s *Server) freshen(r *request) {
 	if s.holdFetch != nil {
-		s.holdFetch(f)
+		s.holdFetch(r)
 		return
 	}
-	s.note(f.w.key, sched.Read)
+	for i := range r.ws {
+		s.note(r.ws[i].key, sched.Read)
+	}
 	p := s.relay.parent.Load()
 	if p == nil {
-		mFetchFailed.Inc()
-		f.done(false)
+		fail(r.chain())
 		return
 	}
-	p.readThrough(f)
+	p.gather(r.chain(), r.b.Kind != wire.KindReadReq)
 }
 
-// startBatch freshens the mirror for every key of a child's batch, fb,
-// as startFetch does for one key, except that the parent face reads all
-// the keys its own copies cannot serve in one joint read
-// (readThroughAll). The caller holds a count on fb, so its keys stay put
-// while the loop reads them.
-func (s *Server) startBatch(ss *Session, fb *fetchBatch) {
-	if s.holdFetch != nil {
-		for i, key := range fb.keys {
-			s.holdFetch(newFetch(ss, key, fb.hints[i], 0, fb))
-		}
-		return
-	}
-	p := s.relay.parent.Load()
-	g := gatherPool.Get().(*gather)
-	for i, key := range fb.keys {
-		f := newFetch(ss, key, fb.hints[i], 0, fb)
-		if p == nil {
-			mFetchFailed.Inc()
-			f.done(false)
-			continue
-		}
-		s.note(key, sched.Read)
-		g.fetches = append(g.fetches, f)
-	}
-	if len(g.fetches) > 0 {
-		p.readThroughAll(g)
-	}
-	g.release()
-}
-
-// fetched finishes f once the parent face resolved it: it counts the
-// fetch by the path readThrough took, mirrors the value (it.Value is
-// borrowed), lets placement reconsider the key, and hands f back to serve
-// the child from the mirror.
-func (s *Server) fetched(f *fetch, it db.Item, ok bool) {
-	if !ok {
-		mFetchFailed.Inc()
-		f.done(false)
-		return
-	}
-	if f.upstream {
-		mFetchParent.Inc()
-	} else {
-		mFetchLocal.Inc()
-	}
-	key := f.w.key
+// fetched resolves w, a key of a child's read, once the parent face has
+// served it: it mirrors the value (it.Value is borrowed), lets placement
+// reconsider the key, and counts the key resolved.
+func (s *Server) fetched(w *readWaiter, it db.Item) {
 	if it.Version > 0 {
-		s.mirror(db.Item{Key: key, Value: it.Value, Version: it.Version})
+		s.mirror(db.Item{Key: w.key, Value: it.Value, Version: it.Version})
 	}
-	s.realize(key)
-	f.done(true)
+	s.realize(w.key)
+	w.req.done(true)
 }
 
 // parentApplied mirrors a value the parent face learned passively — a

@@ -39,10 +39,10 @@ type Server struct {
 
 	// relay is a relay station's parent face (relay.go); nil on a plain
 	// SC, which leaves the server the two-node SC byte for byte.
-	// holdFetch, nil in production, takes every child read's fetch as a
-	// relay would: tests hold and complete fetches with it.
+	// holdFetch, nil in production, takes every child read's request in
+	// place of the parent face: tests hold and resolve its keys with it.
 	relay     *relay
-	holdFetch func(f *fetch)
+	holdFetch func(r *request)
 }
 
 // Session is the SC-side state for one mobile client. It is created by
@@ -538,13 +538,12 @@ func (ss *Session) onFrame(frame []byte) {
 	ss.lastSeen = now
 	sh.exit()
 	if wire.IsBatchFrame(frame) {
-		// Borrowed, like a singleton below: a batch a relay must keep past
-		// this handler is copied by fetchAll.
+		// Borrowed, like a singleton below: a request a relay must keep
+		// past this handler is copied by onRead.
 		b, err := wire.DecodeBatchBorrowed(frame)
-		if err != nil {
-			return
+		if err == nil && (b.Kind == wire.KindMultiReadReq || b.Kind == wire.KindResyncReq) {
+			ss.onRead(&b)
 		}
-		ss.onBatch(b)
 		return
 	}
 	// Borrowed decode: msg aliases frame, which is valid for the duration
@@ -559,7 +558,11 @@ func (ss *Session) onFrame(frame []byte) {
 	}
 	switch msg.Kind {
 	case wire.KindReadReq:
-		ss.onReadReq(msg)
+		// A singleton read is a one-key view, its floor in Version: the
+		// reader's floor (0 when the client does not track floors), so a
+		// relay never completes a read below what the reader has seen.
+		keys, floors := [1]string{msg.Key}, [1]uint64{msg.Version}
+		ss.onRead(&wire.Batch{Kind: msg.Kind, ID: msg.ID, Keys: keys[:], Versions: floors[:]})
 	case wire.KindDeleteReq:
 		ss.onDeleteReq(msg)
 	case wire.KindPing:
@@ -579,61 +582,6 @@ func (ss *Session) onPing(msg wire.Message) {
 		return
 	}
 	ss.send(encodePooled(wire.Message{Kind: wire.KindPong, Version: msg.Version}), none)
-}
-
-// onReadReq runs the SC read path. On a relay the mirror store is first
-// freshened through the parent face; the request's Version field is the
-// reader's floor (0 when the client does not track floors), forwarded so
-// a relay never completes a read below what the reader has already seen.
-// Then finishReadReq serves the key.
-func (ss *Session) onReadReq(msg wire.Message) {
-	if ss.srv.fetching() {
-		// The fetch outlives this handler (an upstream fetch may resolve
-		// on a later delivery), and msg.Key is borrowed transport memory:
-		// the record takes the mirror store's own copy of the key, cloned
-		// only when the station has never stored it.
-		key, ok := ss.srv.store.Key(msg.Key)
-		if !ok {
-			key = strings.Clone(msg.Key)
-		}
-		ss.srv.startFetch(newFetch(ss, key, msg.Version, msg.ID, nil))
-		return
-	}
-	ss.finishReadReq(msg.Key, msg.ID, true)
-}
-
-// finishReadReq serves key: under the shard token it copies the value out
-// of the store into a pooled buffer (a lent store buffer would make the
-// key's next write allocate), decides allocation, and posts the response
-// — so a write committed before the read is served with it, and one
-// committed after is propagated behind it. A read whose upstream fetch
-// failed (!ok) is answered with a ReadFail instead, so the client knows
-// no other answer will follow its request. Either answer echoes the
-// request's id.
-func (ss *Session) finishReadReq(key string, id uint64, ok bool) {
-	sh := ss.shard
-	sh.enter()
-	if ss.detached {
-		sh.exit()
-		return
-	}
-	if !ok {
-		ss.send(encodePooled(wire.Message{Kind: wire.KindReadFail, Key: key, ID: id}), none)
-		return
-	}
-	st := ss.state(key)
-	vb := wire.GetBuf()
-	it, _ := ss.srv.store.GetCopy(key, vb.B[:0])
-	vb.B = it.Value
-	resp := wire.Message{Kind: wire.KindReadResp, Key: key, Value: it.Value, Version: it.Version, ID: id}
-	if ss.allocOnRead(key, st) {
-		// Piggyback the save indication and the window; the MC takes
-		// charge.
-		resp.Allocate, resp.Window = true, st.window
-	}
-	buf := encodePooled(resp)
-	wire.PutBuf(vb)
-	ss.send(buf, reply)
 }
 
 // allocOnRead is the SC's one allocation decision for a read of key: it

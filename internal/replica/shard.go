@@ -30,9 +30,14 @@ const maxShards = 1024
 // this many entries. A kept slot list has room for at most spareSlotCap
 // holders, so a hot key's long list is left to the GC. With these bounds
 // a shard keeps under 1 MiB for reuse.
+//
+// spareRequestKeys bounds the relay read records a shard keeps
+// (takeRequest), counted in keys: about 128 bytes each, so a shard keeps
+// under 128 KiB of them, and a 256-key resync still finds its record.
 const (
-	spareRecords = 4096
-	spareSlotCap = 4
+	spareRecords     = 4096
+	spareSlotCap     = 4
+	spareRequestKeys = 1024
 )
 
 // shard owns a disjoint subset of the server's sessions and, through
@@ -69,6 +74,10 @@ type shard struct {
 	spareStates []*itemState
 	spareSlots  [][]sub
 	spareItems  map[string]*itemState
+	// The relay read records its sessions' finished requests left, and
+	// the keys they have room for.
+	spareRequests    []*request
+	spareRequestRoom int
 
 	// fanMu serializes write fan-out through this shard so the scratch
 	// slice below can be reused allocation-free. It is taken before the
@@ -164,6 +173,36 @@ func (sh *shard) newState(mode Mode) *itemState {
 	sh.spareStates = sh.spareStates[:n]
 	st.reset(mode)
 	return st
+}
+
+// takeRequest returns a relay read record a finished request left, or a
+// new one. Caller holds the writer token.
+func (sh *shard) takeRequest() *request {
+	n := len(sh.spareRequests) - 1
+	if n < 0 {
+		return new(request)
+	}
+	r := sh.spareRequests[n]
+	sh.spareRequests[n] = nil
+	sh.spareRequests = sh.spareRequests[:n]
+	sh.spareRequestRoom -= cap(r.ws)
+	return r
+}
+
+// keepRequest empties r, a finished relay read record (nil for none), and
+// keeps it for the next request while the kept records have room for at
+// most spareRequestKeys keys; its arrays hold on to their last keys until
+// the next request overwrites them. Caller holds the writer token.
+func (sh *shard) keepRequest(r *request) {
+	if r == nil || sh.spareRequestRoom+cap(r.ws) > spareRequestKeys {
+		return
+	}
+	r.ws, r.ss, r.b.Keys, r.b.Versions = r.ws[:0], nil, r.b.Keys[:0], r.b.Versions[:0]
+	if r.failed.Load() {
+		r.failed.Store(false)
+	}
+	sh.spareRequests = append(sh.spareRequests, r)
+	sh.spareRequestRoom += cap(r.ws)
 }
 
 // unsubscribeAll removes sess from every key index entry it occupies:

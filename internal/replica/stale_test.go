@@ -169,9 +169,9 @@ func TestStaleCopyInterleavings(t *testing.T) {
 		{"A read racing a write", Static2(), false, func(p *stalePair) {
 			// A held fetch lets a write commit before the read is served.
 			var once sync.Once
-			p.srv.holdFetch = func(f *fetch) {
+			p.srv.holdFetch = func(r *request) {
 				once.Do(func() { p.write(2) })
-				f.done(true)
+				resolve(r, true)
 			}
 			read := p.startRead(context.Background())
 			p.settle()
@@ -362,7 +362,7 @@ type scriptRun struct {
 	*stalePair
 	versions map[string]uint64
 	reads    []*scriptRead
-	held     []*fetch
+	held     []*request
 	holdNext bool
 }
 
@@ -375,12 +375,12 @@ type scriptRead struct {
 func runTestCase(t *testing.T, tc TestCase) {
 	t.Helper()
 	r := &scriptRun{stalePair: newStalePair(t, Static2(), false), versions: map[string]uint64{"k": 1}}
-	r.srv.holdFetch = func(f *fetch) {
+	r.srv.holdFetch = func(q *request) {
 		if r.holdNext {
-			r.holdNext, r.held = false, append(r.held, f)
+			r.holdNext, r.held = false, append(r.held, q)
 			return
 		}
-		f.done(true)
+		resolve(q, true)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(tc.Script), "\n") {
 		if f := strings.Fields(line); len(f) > 0 {
@@ -483,9 +483,9 @@ func (r *scriptRun) step(op string, args []string) {
 	case "hold":
 		r.holdNext = true
 	case "release", "refuse":
-		f := r.held[0]
+		q := r.held[0]
 		r.held = r.held[1:]
-		f.done(op == "release")
+		resolve(q, op == "release")
 	case "settle":
 		r.settle()
 	default:
@@ -684,7 +684,7 @@ func TestEarlierLinkAnswersIgnored(t *testing.T) {
 	go func() { _, err := cli.ReadMany([]string{"y"}); reads <- err }()
 	for i := 0; ; i++ {
 		cli.mu.Lock()
-		parked := cli.pending["x"] != nil && len(cli.pendingBatch) == 1
+		parked := cli.pending["x"] != nil && cli.pending["y"] != nil
 		cli.mu.Unlock()
 		if parked {
 			break

@@ -13,10 +13,10 @@ import (
 	"mobirep/internal/transport"
 )
 
-// Remote reads park on pooled waiters (readWaiter). These tests pin what
-// the pool buys — a miss that allocates only the value it returns — and
-// what it must never cost: a response, or a Disconnect's close, reaching
-// a later read through a recycled channel.
+// Remote reads park on pooled reader records (request). These tests pin
+// what the pool buys — a miss that allocates only the value it returns —
+// and what it must never cost: a response, or a Disconnect's failure,
+// reaching a later read through a recycled channel.
 
 // TestClientRemoteReadAllocs pins the miss path: request encode, waiter,
 // timeout timer, server decision, response decode and hand-over together
@@ -141,9 +141,10 @@ func TestLateResponseNeverReachesALaterRead(t *testing.T) {
 	}
 }
 
-// TestFailedWaitersAreNotRecycled: Disconnect and Suspend close the
-// channels of parked readers. A closed channel back in the pool would
-// fail an unrelated later read with ErrOffline the moment it parked.
+// TestFailedWaitersAreNotRecycled: Disconnect and Suspend fail parked
+// readers. A record back in the pool still marked failed, or with its
+// wake-up still queued, would fail an unrelated later read with
+// ErrOffline the moment it parked.
 func TestFailedWaitersAreNotRecycled(t *testing.T) {
 	for _, name := range []string{"Disconnect", "Suspend"} {
 		t.Run(name, func(t *testing.T) {

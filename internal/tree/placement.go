@@ -78,9 +78,6 @@ func NewTable(p Policy) *Table {
 // Len returns the number of tracked keys.
 func (t *Table) Len() int { return len(t.ids) }
 
-// Policy returns the table's policy.
-func (t *Table) Policy() Policy { return t.pol }
-
 // row resolves key to its row, creating it in the policy's initial
 // state: SW starts all-writes (one-copy scheme, like a freshly attached
 // MC), T1 starts not holding, T2 starts holding.

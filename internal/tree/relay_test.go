@@ -13,8 +13,8 @@ import (
 	"mobirep/internal/wire"
 )
 
-// A child's read through a relay rides one pooled fetch record from the
-// child face, through the parent face's parked reads, and back. These
+// A child's read through a relay rides one request record from the child
+// face, through the parent face's parked reads, and back. These
 // tests pin what that buys — a relay hop allocates nothing — and how the
 // hop is observed: the fetch labels and the parent edge's meter.
 

@@ -282,9 +282,9 @@ func tcpConnect(t *testing.T) LinkFactory {
 }
 
 // TestWarmResyncOverTCPReshipsOwnPayloads is the regression for the
-// borrowed-value retention in Session.fetchAll: an MC arrives at a cold
-// station holding stale copies, so the warm resync must fetch every key
-// from the root and re-ship it. Each upstream answer is lent out of the
+// borrowed-value retention in a relay's copy of a resync: an MC arrives
+// at a cold station holding stale copies, so the warm resync must fetch
+// every key from the root and re-ship it. Each upstream answer is lent out of the
 // relay's parent-link receive buffer; kept uncopied until the last key
 // resolved, every key came back with the bytes of whichever frame used
 // the buffer last.
