@@ -104,7 +104,9 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 
 # Throughput slice: the zero-alloc pins on the pooled encode / borrowed
 # decode hot paths (a batch frame's borrowed decode allocates only its
-# arrays, and a 10 s fuzz holds it equal to the cloning decode), the
+# arrays, and a 10 s fuzz holds it equal to the cloning decode; a read
+# request that declares no windows keeps its bytes, and a declared window
+# the frame does not hold exactly is refused, under another 10 s), the
 # coalescing transport edge cases, the SC fan-out
 # sharing proof, and the conformance explorer again with every link
 # coalescing — byte-stream batching must be invisible to the protocol.
@@ -126,22 +128,24 @@ rm -f "$obs_log" /tmp/mobirep-server-ci
 # sender's own write returns the error, a flusher write leaves ErrClosed
 # for the next Send) and TestTCPWriteFailureRacesPeerEOF covers the race
 # it hid. The relay tests drive a relay's direct calls between its two
-# faces (read-through, mirror, drop cascade, placement shed). The replica
+# faces (read-through, mirror, drop cascade, placement shed, and a warm
+# handoff that keeps every copy on its new path). The replica
 # allocation pins and the relay read-through pin (a miss through two
 # relays allocates only the returned value) run once more without -race
 # (sync.Pool drops Puts under the detector, so those pins skip there), and
 # the relay read-through benchmark runs once so it cannot rot. The
 # non-unix stub of the inline writer is proven to compile. An empty
 # Flush keeps both outbox arrays (TestEmptyFlushKeepsOutboxArrays).
-go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestDecodeBatchBorrowed|TestEncodePooledRoundTripAllocs' ./internal/wire/
+go test -count=1 -run 'TestAppendEncode|TestDecodeBorrowed|TestDecodeBatchBorrowed|TestEncodePooledRoundTripAllocs|TestBatchGoldenBytes|FuzzDeclaredWindow' ./internal/wire/
 go test -run '^$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/wire/
+go test -run '^$' -fuzz=FuzzDeclaredWindow -fuzztime=10s ./internal/wire/
 go test -count=1 -run 'TestEmptyFlushKeepsOutboxArrays' ./internal/transport/
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -race -short -count=3 ./internal/transport/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestLateResponseNeverReachesALaterRead|TestFailedWaitersAreNotRecycled|TestReadContext|TestReattach|Allocs' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestReadThroughCompletesOnce|TestFetchBatchWithAFailedKey|TestRecycledFetchNeverTakesAnEarlierAnswer|TestFailedSendSparesARecycledFetch|TestWarmHandoffFrames|TestReadFrameForms|TestBatchKeptPastItsHandler|TestJointReadRefusal' ./internal/replica/
     GOMAXPROCS=$procs go test -race -count=3 -run 'TestTCPEndToEnd|TestTCPSequentialMatchesSimulator|TestTCPLinkCloseDetaches|TestServerCloseCallbackDetachesSession' ./internal/replica/
-    GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmResyncOverTCPReshipsOwnPayloads|TestDropCascade|TestChainReadThroughAndPropagation|TestPlacementShedsAndReholds|TestRelayStoreMirrorsARead' ./internal/tree/
+    GOMAXPROCS=$procs go test -race -count=3 -run 'TestHandoffUnderWrites|TestWarmHandoffKeepsCopies|TestWarmResyncOverTCPReshipsOwnPayloads|TestDropCascade|TestChainReadThroughAndPropagation|TestPlacementShedsAndReholds|TestRelayStoreMirrorsARead' ./internal/tree/
     GOMAXPROCS=$procs go test -count=3 -run 'TestClientRemoteReadAllocs|TestServerSendPathAllocs|TestServerReadPathAllocs|TestWriteFanOut' ./internal/replica/
     GOMAXPROCS=$procs go test -count=3 -run 'TestRelayReadThroughAllocs' ./internal/tree/
 done

@@ -104,6 +104,20 @@ func (w *Window) Push(op sched.Op) {
 	w.writes -= out
 }
 
+// Replay pushes src's requests into w, oldest first, as if each had
+// reached w in turn: a window of src's size becomes src, a larger one
+// keeps its newest requests ahead of them, and a smaller one keeps the
+// newest of src's. It allocates nothing.
+func (w *Window) Replay(src Window) {
+	for i := 0; i < int(src.size); i++ {
+		word := src.lo
+		if i >= 64 {
+			word = src.hi
+		}
+		w.Push(sched.Op(word >> (uint(i) & 63) & 1))
+	}
+}
+
 // The block kernel. SWk, T1m and T2m all hold a copy after a request
 // exactly while fewer than need of the last k requests were writes: SWk
 // with need (k+1)/2, T1m with k = m and need 1 (the last m were reads),

@@ -368,9 +368,10 @@ func (c *Cache) Reset() {
 	}
 }
 
-// Held returns the live copies' keys, sorted, with their versions: what
-// a warm resync declares.
-func (c *Cache) Held() ([]string, []uint64) {
+// Held returns the live copies' keys, sorted, with their versions and,
+// for the sliding-window modes, their windows (nil for the static ones):
+// what a warm resync declares.
+func (c *Cache) Held() ([]string, []uint64, []core.Window) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := make([]string, 0, c.live)
@@ -381,10 +382,18 @@ func (c *Cache) Held() ([]string, []uint64) {
 	}
 	sort.Strings(keys)
 	versions := make([]uint64, len(keys))
-	for i, key := range keys {
-		versions[i] = c.entries[key].item.Version
+	var windows []core.Window
+	if c.k > 0 {
+		windows = make([]core.Window, len(keys))
 	}
-	return keys, versions
+	for i, key := range keys {
+		e := c.entries[key]
+		versions[i] = e.item.Version
+		if windows != nil {
+			windows[i] = e.window
+		}
+	}
+	return keys, versions, windows
 }
 
 // Window returns key's window: the record's, or the all-writes window of

@@ -518,10 +518,18 @@ func TestCacheMatchesThreeMapReference(t *testing.T) {
 						ref.reset()
 					}
 				case 14, 15:
-					gotKeys, gotVersions := c.Held()
+					gotKeys, gotVersions, gotWindows := c.Held()
 					wantKeys, wantVersions := ref.held()
 					if !slices.Equal(gotKeys, wantKeys) || !slices.Equal(gotVersions, wantVersions) {
 						fail(step, "Held = %v %v, reference %v %v", gotKeys, gotVersions, wantKeys, wantVersions)
+					}
+					if (gotWindows != nil) != (k > 0) {
+						fail(step, "Held declared windows %v with window size %d", gotWindows, k)
+					}
+					for i, w := range gotWindows {
+						if want := ref.window(gotKeys[i]); !slices.Equal(bitsOf(w), want) {
+							fail(step, "Held's window for %s = %v, reference %v", gotKeys[i], bitsOf(w), want)
+						}
 					}
 				}
 				if c.Len() != len(ref.items) || c.ArchiveLen() != len(ref.archive) || c.Stats() != ref.stats {

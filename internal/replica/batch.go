@@ -135,10 +135,11 @@ func askOnce(keys []string, slot []int32, misses int) []string {
 
 // onRead is the SC's one read handler: b, borrowed, is a read request of
 // n keys, each with a floor and a hint in Versions — a ReadReq's one-key
-// view (its floor, no hint), a MultiReadReq or a ResyncReq. On a relay the
-// keys are freshened through the parent face first, the hints doubling as
-// floors: the reader has seen the hinted version, so the parent face must
-// not answer below it. The request is held meanwhile in a record the
+// view (its floor, no hint), a MultiReadReq or a ResyncReq, the last two
+// with the windows a resync declared, if any. On a relay the keys are
+// freshened through the parent face first, the hints doubling as floors:
+// the reader has seen the hinted version, so the parent face must not
+// answer below it. The request is held meanwhile in a record the
 // session's shard keeps, its keys the mirror store's own (cloned only for
 // a key the station has never stored), as it outlives the handler that
 // decoded it. finishRead answers once every key has resolved, in the form
@@ -155,7 +156,7 @@ func (ss *Session) onRead(b *wire.Batch) {
 			// client never learned an epoch; its copies were placed by some
 			// live incarnation and the version-guarded warm path handles
 			// them.)
-			b.Keys, b.Versions = nil, nil
+			b.Keys, b.Versions, b.Windows = nil, nil, nil
 		}
 	}
 	if !s.fetching() || len(b.Keys) == 0 {
@@ -174,6 +175,7 @@ func (ss *Session) onRead(b *wire.Batch) {
 		r.b.Keys, r.b.Versions = append(r.b.Keys, k), append(r.b.Versions, hint(b, i))
 		r.ws = append(r.ws, readWaiter{req: r, key: k, floor: hint(b, i)})
 	}
+	r.b.Windows = append(r.b.Windows, b.Windows...)
 	// The starter holds one count until every key has started, so the
 	// record is not answered and recycled under its loop.
 	r.left.Store(int32(len(r.ws)) + 1)
@@ -196,9 +198,11 @@ func hint(b *wire.Batch, ki int) uint64 {
 // value out of the store into one pooled buffer (a lent store buffer
 // would make the key's next write allocate), so a write committed before
 // the read is served with it and one committed after is propagated behind
-// it. Each key of a read decides its allocation alone (allocOnRead), and
-// a joint read's matching hint skips the payload. A resync
-// instead re-asserts each declared copy the allocation gate allows
+// it. Each key of a read decides its allocation alone (allocOnRead), over
+// the window the read declares for it, if any, replayed into the
+// session's (the resync it was forwarded for moves a copy the MC kept
+// under that window), and a joint read's matching hint skips the payload.
+// A resync instead re-asserts each declared copy the allocation gate allows
 // (allocAllowed) and answers the rest normally but revokes them with a
 // DeleteReq posted behind the answer, so the child drops a copy that would
 // sit outside the root-to-leaf placement path; a matching hint marks the
@@ -247,13 +251,19 @@ func (ss *Session) finishRead(b *wire.Batch, ok bool, r *request) {
 				// ST1 never places copies; a declared copy there is a
 				// client bug and gets a refresh without a subscription.
 				if st.kind != core.KindST1 {
-					if st.hasCopy = ss.allocAllowed(key); !st.hasCopy {
+					if st.hasCopy = ss.allocAllowed(key); st.hasCopy {
+						mResyncKept.Inc()
+					} else {
+						mResyncRevoked.Inc()
 						revoked = append(revoked, key)
 					}
 				}
 				e.NotModified = h == e.Version
 			} else {
 				e.NotModified = b.Kind == wire.KindMultiReadReq && h != 0 && h == e.Version
+				if st.kind == core.KindSW && ki < len(b.Windows) {
+					st.window.Replay(b.Windows[ki])
+				}
 				if ss.allocOnRead(key, st) {
 					// Piggyback the save indication and the window; the MC
 					// takes charge.

@@ -76,6 +76,11 @@ var (
 	mResyncNotModified = obsReg.Counter(`mobirep_replica_resync_entries_total{result="not-modified"}`,
 		"Resync response entries by result: revalidated in place vs re-shipped payload.")
 	mResyncReshipped = obsReg.Counter(`mobirep_replica_resync_entries_total{result="reshipped"}`, "")
+	// A resync's first hop re-asserts each declared copy its allocation
+	// gate allows and revokes the rest.
+	mResyncKept = obsReg.Counter(`mobirep_replica_resync_keys_total{result="kept"}`,
+		"Copies a warm resync declared, by what its first hop did: re-asserted vs revoked.")
+	mResyncRevoked = obsReg.Counter(`mobirep_replica_resync_keys_total{result="revoked"}`, "")
 
 	// Supervisor recovery loop.
 	mSuspects = obsReg.Counter("mobirep_replica_suspects_total",

@@ -158,7 +158,8 @@ func fail(w *readWaiter) int {
 // station's own copy serves at its floor resolves from it; the rest go up
 // as one request with one id, in the form asked: a MultiReadReq (joint)
 // whose hints name only versions the mirror holds, so a NotModified
-// answer is backed by the mirror's value, or a ReadReq carrying the key's
+// answer is backed by the mirror's value, and which declares the windows
+// the child's request declared, or a ReadReq carrying the key's
 // floor (a child's singleton read, or a key a joint answer left below its
 // floor, which goes up again alone). The answer resolves them (onAnswer);
 // a failed send, a refusal or a reconnect fails them. A key may resolve
@@ -198,10 +199,14 @@ func (c *Client) gather(todo *readWaiter, joint bool) {
 		// A held copy below the floor stays held: the remote answer is
 		// absorbed like a one-key resync (see answerLocked).
 		id = c.openLocked(r, n, joint)
-		r.up = wire.Batch{Kind: wire.KindReadReq, ID: id, Keys: r.up.Keys[:0], Versions: r.up.Versions[:0]}
+		r.up = wire.Batch{Kind: wire.KindReadReq, ID: id, Keys: r.up.Keys[:0], Versions: r.up.Versions[:0], Windows: r.up.Windows[:0]}
 		if joint {
 			r.up.Kind = wire.KindMultiReadReq
 		}
+		// A joint read declares the windows its child's declared, so every
+		// edge up decides those keys over them. The chain is a subsequence
+		// of r.ws, so one cursor finds each waiter's slot.
+		declare, slot := joint && len(r.b.Windows) > 0, 0
 		for w := up; w != nil; {
 			next := w.next
 			w.next = nil
@@ -210,6 +215,12 @@ func (c *Client) gather(todo *readWaiter, joint bool) {
 				h = c.relay.store.Version(w.key)
 			}
 			r.up.Keys, r.up.Versions = append(r.up.Keys, w.key), append(r.up.Versions, h)
+			if declare {
+				for &r.ws[slot] != w {
+					slot++
+				}
+				r.up.Windows = append(r.up.Windows, r.b.Windows[slot])
+			}
 			c.queueLocked(w, id)
 			w = next
 		}

@@ -174,9 +174,10 @@ func (c *Client) Reattach(link transport.Link) {
 
 // ResumeResync brings a suspended client back over a new link with a
 // warm resync instead of a cold restart: the client declares every copy
-// it still holds — keys plus cached version stamps, sorted for
-// deterministic framing — in one control message, and stays offline
-// until the server's ResyncResp revalidates or refreshes them. The
+// it still holds — keys plus cached version stamps and, under SWk, the
+// windows, sorted for deterministic framing — in one control message,
+// and stays offline until the server's ResyncResp revalidates or
+// refreshes them. The
 // returned channel is closed when the resync attempt ends (response
 // applied, or the attempt abandoned by a later Suspend, Disconnect,
 // Reattach, or ResumeResync); check Offline to see whether it succeeded.
@@ -187,7 +188,7 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	c.mu.Lock()
 	old := c.link
 	c.link = link
-	keys, hints := c.cache.Held()
+	keys, hints, windows := c.cache.Held()
 	done := make(chan struct{})
 	if len(keys) == 0 {
 		c.offline = false
@@ -221,8 +222,10 @@ func (c *Client) ResumeResync(link transport.Link) (<-chan struct{}, error) {
 	// The declaration carries the epoch this state was built under (0 when
 	// never learned): the server answers a dead-epoch resync with a bare
 	// fence instead of re-asserting subscriptions that predate its restart.
+	// Under SWk each key carries the window the MC kept for it, which the
+	// stations on a new path decide the key over.
 	buf := wire.GetBuf()
-	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindResyncReq, Epoch: epochHint, Keys: keys, Versions: hints})
+	frame, err := wire.AppendEncodeBatch(buf.B[:0], wire.Batch{Kind: wire.KindResyncReq, Epoch: epochHint, Keys: keys, Versions: hints, Windows: windows})
 	if err != nil {
 		wire.PutBuf(buf)
 		return done, fmt.Errorf("replica: encode resync: %w", err)

@@ -25,7 +25,9 @@ import (
 // sheds any parent-face copy the vote turns against. The relay serializes
 // its calls.
 type Placement interface {
-	OnRead(key string) bool
+	// OnRead observes a read of key or, when declared is not the zero
+	// Window, the requests a resync declared for it.
+	OnRead(key string, declared core.Window) bool
 	OnWrite(key string) bool
 	Holds(key string) bool
 }
@@ -83,16 +85,21 @@ func (s *Server) fetching() bool { return s.relay != nil || s.holdFetch != nil }
 
 // freshen reads a child's request, r, through the parent face before it
 // is answered (gather): each key resolves from the station's own copy or
-// rides one request up, and placement observes each read. It runs on a
-// child delivery goroutine and never blocks. Without a parent face every
-// key fails, and the read is refused.
+// rides one request up, and placement observes each read — or the window
+// a resync declared for the key. It runs on a child delivery goroutine
+// and never blocks. Without a parent face every key fails, and the read
+// is refused.
 func (s *Server) freshen(r *request) {
 	if s.holdFetch != nil {
 		s.holdFetch(r)
 		return
 	}
 	for i := range r.ws {
-		s.note(r.ws[i].key, sched.Read)
+		var declared core.Window
+		if i < len(r.b.Windows) {
+			declared = r.b.Windows[i]
+		}
+		s.noteRead(r.ws[i].key, declared)
 	}
 	p := s.relay.parent.Load()
 	if p == nil {
@@ -117,7 +124,7 @@ func (s *Server) fetched(w *readWaiter, it db.Item) {
 // WriteProp or a resync re-ship — downward, and placement observes the
 // write. it.Key is the parent face's own; it.Value is borrowed.
 func (s *Server) parentApplied(it db.Item) {
-	s.note(it.Key, sched.Write)
+	s.noteWrite(it.Key)
 	if it.Version > 0 {
 		s.mirror(it)
 	}
@@ -181,18 +188,26 @@ func (s *Server) fence() {
 	}
 }
 
-// note feeds a read or write of key to placement.
-func (s *Server) note(key string, op sched.Op) {
+// noteRead feeds a read of key to placement, or the window a resync
+// declared for it.
+func (s *Server) noteRead(key string, declared core.Window) {
 	r := s.relay
 	if r.placement == nil {
 		return
 	}
 	r.mu.Lock()
-	if op == sched.Read {
-		r.placement.OnRead(key)
-	} else {
-		r.placement.OnWrite(key)
+	r.placement.OnRead(key, declared)
+	r.mu.Unlock()
+}
+
+// noteWrite feeds a write of key to placement.
+func (s *Server) noteWrite(key string) {
+	r := s.relay
+	if r.placement == nil {
+		return
 	}
+	r.mu.Lock()
+	r.placement.OnWrite(key)
 	r.mu.Unlock()
 }
 

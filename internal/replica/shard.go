@@ -197,7 +197,7 @@ func (sh *shard) keepRequest(r *request) {
 	if r == nil || sh.spareRequestRoom+cap(r.ws) > spareRequestKeys {
 		return
 	}
-	r.ws, r.ss, r.b.Keys, r.b.Versions = r.ws[:0], nil, r.b.Keys[:0], r.b.Versions[:0]
+	r.ws, r.ss, r.b.Keys, r.b.Versions, r.b.Windows = r.ws[:0], nil, r.b.Keys[:0], r.b.Versions[:0], r.b.Windows[:0]
 	if r.failed.Load() {
 		r.failed.Store(false)
 	}

@@ -127,8 +127,19 @@ func (t *Table) vote(r uint32) bool {
 }
 
 // OnRead records a read of key observed at this station and returns the
-// policy's (possibly changed) vote.
-func (t *Table) OnRead(key string) bool { return t.observe(key, sched.Read) }
+// policy's (possibly changed) vote. A warm resync moves a copy kept under
+// an SWk window, declared: an SW row then observes the window's requests
+// instead of one read, so it votes as the window did and keeps the copy
+// the edge grants under it. A threshold row, or a read with no window
+// declared (the zero Window), observes the one read.
+func (t *Table) OnRead(key string, declared core.Window) bool {
+	if t.pol.Kind != core.KindSW || declared.Size() == 0 {
+		return t.observe(key, sched.Read)
+	}
+	r := t.row(key)
+	t.sw[r].Replay(declared)
+	return t.vote(r)
+}
 
 // OnWrite records a write of key observed at this station and returns
 // the policy's (possibly changed) vote.

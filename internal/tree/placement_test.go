@@ -31,7 +31,7 @@ func checkTableAgainst(t *testing.T, pol Policy, seed uint64, newRef func() vote
 		}
 		var got, want bool
 		if rng.Intn(2) == 0 {
-			want, got = ref[key](sched.Read), tab.OnRead(key)
+			want, got = ref[key](sched.Read), tab.OnRead(key, core.Window{})
 		} else {
 			want, got = ref[key](sched.Write), tab.OnWrite(key)
 		}
@@ -103,7 +103,7 @@ func TestPlacementInitialVotes(t *testing.T) {
 		t.Fatal("Holds must not allocate rows")
 	}
 	none := NewTable(Policy{})
-	if !none.OnRead("x") || !none.OnWrite("x") || !none.Holds("x") {
+	if !none.OnRead("x", core.Window{}) || !none.OnWrite("x") || !none.Holds("x") {
 		t.Fatal("none always votes to hold")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"mobirep/internal/core"
 	"mobirep/internal/db"
+	"mobirep/internal/obs"
 	"mobirep/internal/replica"
 	"mobirep/internal/transport"
 )
@@ -177,6 +178,93 @@ func TestHandoffWarm(t *testing.T) {
 	tr.Stations[0].Server().Write("x", []byte("x#2"))
 	it, err := mc.Client.Read("x")
 	check(t, "propagation via station 2", err == nil && it.Version == 2)
+}
+
+// TestWarmHandoffKeepsCopies: an MC that has read its keys to a copy
+// hands off twice in Binary(7), to its sibling leaf (3 -> 4, through relay
+// 1) and across the root (4 -> 5, through relay 2). Under SWk the resync
+// declares each copy's window, and every station on the new path decides
+// the key over it, so every copy is kept at the MC and at every station
+// on the new path; ST2 without placement keeps them by its own rule, as
+// it always has. T1:2 placement sheds
+// at a new station, which has seen one read of the key, so every copy is
+// revoked. Whatever is kept, the contiguity invariant holds.
+func TestWarmHandoffKeepsCopies(t *testing.T) {
+	const n = 8
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
+	counter := func(result string) *obs.Counter {
+		return obs.Default().Counter(`mobirep_replica_resync_keys_total{result="`+result+`"}`, "")
+	}
+	kept, revoked := counter("kept"), counter("revoked")
+	for _, row := range []struct {
+		name      string
+		mode      replica.Mode
+		placement Policy
+		keep      bool
+	}{
+		{"SW5", replica.SW(5), Policy{Kind: core.KindSW, K: 5}, true},
+		{"ST2", replica.Static2(), Policy{}, true},
+		{"SW5 under T1:2", replica.SW(5), Policy{Kind: core.KindT1, K: 2}, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tr, _ := buildTest(t, Binary(7), row.mode, row.placement)
+			for _, k := range keys {
+				tr.Stations[0].Server().Write(k, []byte(k+"#1"))
+			}
+			mc := attachTestMC(t, tr, 3)
+			for _, to := range []int{4, 5} {
+				// Warm: five reads of each key take every edge's window of
+				// five to a read majority, and the MC's to all reads.
+				for range 5 {
+					for _, k := range keys {
+						if _, err := mc.Client.Read(k); err != nil {
+							t.Fatalf("read %s at station %d: %v", k, mc.Station(), err)
+						}
+					}
+				}
+				for _, k := range keys {
+					check(t, fmt.Sprintf("copy of %s before the move to %d", k, to), mc.Client.HasCopy(k))
+				}
+				k0, r0 := kept.Load(), revoked.Load()
+				a, b := transport.NewMemPair()
+				done, err := mc.Handoff(to, a, b)
+				if err != nil {
+					t.Fatalf("Handoff(%d): %v", to, err)
+				}
+				// An in-memory link delivers inside Send: the resync is over.
+				select {
+				case <-done:
+				default:
+					t.Fatalf("the resync at %d is still open", to)
+				}
+				check(t, "warm arrival", mc.FinishHandoff(a))
+				held := 0
+				for _, k := range keys {
+					if !mc.Client.HasCopy(k) {
+						continue
+					}
+					held++
+					for s := to; s != 0; s = tr.Topo.Parent[s] {
+						check(t, fmt.Sprintf("copy of %s at station %d, on the path to the MC's", k, s),
+							tr.Stations[s].Client().HasCopy(k))
+					}
+				}
+				want := 0
+				if row.keep {
+					want = n
+				}
+				if held != want {
+					t.Fatalf("after the move to %d the MC holds %d of %d copies, want %d", to, held, n, want)
+				}
+				if dk, dr := kept.Load()-k0, revoked.Load()-r0; dk != uint64(want) || dr != uint64(n-want) {
+					t.Fatalf("move to %d: resync keys kept %d, revoked %d; want %d and %d", to, dk, dr, want, n-want)
+				}
+			}
+		})
+	}
 }
 
 // TestHandoffUnderWrites bounces an MC between two stations while the

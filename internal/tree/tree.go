@@ -183,8 +183,10 @@ func (m *MC) Session() *replica.Session { return m.sess }
 // the target, warm resync. The MC's declared keys migrate through the
 // topology's common ancestor — the target station's resync answers pull
 // each key up its root path (at worst from the root itself), revalidate
-// or re-ship, and the allocation gates re-grant copies only along the
-// new root-to-leaf path.
+// or re-ship — and under SWk the window the MC declares for each copy
+// re-forms the new root-to-leaf path: every edge on it, and a placement
+// SW row, decides the key over that window, so the MC keeps a copy its
+// window holds wherever placement lets the path hold it.
 //
 // The returned channel closes when the resync completes (immediately if
 // the MC held nothing). If the resync surfaces an epoch fence — the

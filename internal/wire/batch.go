@@ -94,6 +94,12 @@ type Batch struct {
 	// exactly that version answers NotModified instead of shipping the
 	// payload again.
 	Versions []uint64
+	// Windows, parallel to Keys when set, declares the sliding window the
+	// MC kept for each copy it holds: a ResyncReq's, and the MultiReadReq
+	// a relay forwards for one. Each station on the path decides the key
+	// over it. A zero Window declares none; nil declares none at all, and
+	// the frame is the one a batch without the field encodes to.
+	Windows []core.Window
 	// Entries carries the items (responses only), one per requested key
 	// in request order. A MultiReadResp with none refuses the joint read,
 	// as a ReadFail refuses a singleton: a relay that could not freshen
@@ -104,6 +110,12 @@ type Batch struct {
 // MaxBatch is the most keys, and the most entries, one batch frame
 // carries: the encoder and the decoder both refuse more.
 const MaxBatch = 1 << 12
+
+// declaresWindows is the key count's top bit: set, each key's hint is
+// followed by its declared window, one byte of size and the packed bits.
+// A decoder that predates it reads a count above MaxBatch and refuses the
+// frame.
+const declaresWindows = 1 << 15
 
 // AppendEncodeBatch serializes b, appending the frame to dst and
 // returning the extended buffer; like AppendEncode, hot paths append into
@@ -118,6 +130,9 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	if len(b.Versions) != 0 && len(b.Versions) != len(b.Keys) {
 		return dst, fmt.Errorf("wire: %d version hints for %d keys", len(b.Versions), len(b.Keys))
 	}
+	if len(b.Windows) != 0 && len(b.Windows) != len(b.Keys) {
+		return dst, fmt.Errorf("wire: %d windows for %d keys", len(b.Windows), len(b.Keys))
+	}
 	for _, k := range b.Keys {
 		if len(k) > maxKeyLen {
 			return dst, fmt.Errorf("wire: key length %d exceeds %d", len(k), maxKeyLen)
@@ -131,7 +146,11 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 	out := append(dst, byte(b.Kind), batchFormat)
 	out = binary.LittleEndian.AppendUint64(out, b.Epoch)
 	out = binary.AppendUvarint(out, b.ID)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(b.Keys)))
+	count := uint16(len(b.Keys))
+	if len(b.Windows) != 0 {
+		count |= declaresWindows
+	}
+	out = binary.LittleEndian.AppendUint16(out, count)
 	for i, k := range b.Keys {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(k)))
 		out = append(out, k...)
@@ -140,6 +159,10 @@ func AppendEncodeBatch(dst []byte, b Batch) ([]byte, error) {
 			hint = b.Versions[i]
 		}
 		out = binary.LittleEndian.AppendUint64(out, hint)
+		if len(b.Windows) != 0 {
+			out = append(out, uint8(b.Windows[i].Size()))
+			out = b.Windows[i].AppendPacked(out)
+		}
 	}
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(b.Entries)))
 	for _, e := range b.Entries {
@@ -207,12 +230,15 @@ func DecodeBatchBorrowed(p []byte) (Batch, error) {
 		return b, errBadID
 	}
 	r.off += n
-	nKeys, err := r.count(minKeyBytes)
+	nKeys, windows, err := r.keyCount()
 	if err != nil {
 		return b, err
 	}
 	if nKeys > 0 {
 		b.Keys, b.Versions = make([]string, nKeys), make([]uint64, nKeys)
+		if windows {
+			b.Windows = make([]core.Window, nKeys)
+		}
 	}
 	for i := range b.Keys {
 		if b.Keys[i], err = r.str16(); err != nil {
@@ -221,8 +247,17 @@ func DecodeBatchBorrowed(p []byte) (Batch, error) {
 		if b.Versions[i], err = r.uint64(); err != nil {
 			return b, err
 		}
+		if windows {
+			if b.Windows[i], err = r.window(); err != nil {
+				return b, err
+			}
+		}
 	}
-	nEntries, err := r.count(minEntryBytes)
+	n16, err := r.uint16()
+	if err != nil {
+		return b, err
+	}
+	nEntries, err := r.count(int(n16), minEntryBytes)
 	if err != nil {
 		return b, err
 	}
@@ -253,12 +288,8 @@ func DecodeBatchBorrowed(p []byte) (Batch, error) {
 		if err != nil {
 			return b, err
 		}
-		packed, err := r.take((int(wlen) + 7) / 8)
-		if err != nil {
+		if e.Window, err = r.packed(int(wlen)); err != nil {
 			return b, err
-		}
-		if e.Window, err = core.UnpackWindow(int(wlen), packed); err != nil {
-			return b, fmt.Errorf("wire: bad window: %w", err)
 		}
 	}
 	if !r.done() {
@@ -315,20 +346,60 @@ func (r *reader) uint64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// count reads a batch's item count: at most MaxBatch, and no more items
-// of at least min bytes each than the frame has bytes left.
-func (r *reader) count(min int) (int, error) {
-	n, err := r.uint16()
-	if err != nil {
-		return 0, err
-	}
-	if int(n) > MaxBatch {
+// count checks a batch's item count, n: at most MaxBatch, and no more
+// items of at least min bytes each than the frame has bytes left.
+func (r *reader) count(n, min int) (int, error) {
+	if n > MaxBatch {
 		return 0, fmt.Errorf("wire: batch exceeds %d items", MaxBatch)
 	}
-	if int(n)*min > r.remaining() {
+	if n*min > r.remaining() {
 		return 0, errTruncated
 	}
-	return int(n), nil
+	return n, nil
+}
+
+// keyCount reads a batch's key count and whether each key declares a
+// window, which costs it one byte more at least.
+func (r *reader) keyCount() (int, bool, error) {
+	n, err := r.uint16()
+	if err != nil {
+		return 0, false, err
+	}
+	if n&declaresWindows == 0 {
+		n, err := r.count(int(n), minKeyBytes)
+		return n, false, err
+	}
+	nKeys, err := r.count(int(n&^declaresWindows), minKeyBytes+1)
+	return nKeys, true, err
+}
+
+// window reads a key's declared window: a byte of size, then its packed
+// bits.
+func (r *reader) window() (core.Window, error) {
+	n, err := r.byte()
+	if err != nil {
+		return core.Window{}, err
+	}
+	return r.packed(int(n))
+}
+
+// packed reads the packed bits of a window of n requests. The bits are
+// copied out: the frame is never written.
+func (r *reader) packed(n int) (core.Window, error) {
+	if n > core.MaxWindow {
+		// Refused before the take, so a size past the bound never reads
+		// into the bytes after it.
+		return core.Window{}, fmt.Errorf("wire: bad window: %w", core.CheckWindowSize(n))
+	}
+	b, err := r.take((n + 7) / 8)
+	if err != nil {
+		return core.Window{}, err
+	}
+	w, err := core.UnpackWindow(n, b)
+	if err != nil {
+		return core.Window{}, fmt.Errorf("wire: bad window: %w", err)
+	}
+	return w, nil
 }
 
 // str16 reads a length-prefixed key, aliasing the frame.

@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"mobirep/internal/core"
+	"mobirep/internal/sched"
 )
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -18,6 +23,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		}},
 		{Kind: KindMultiReadResp},
 		{Kind: KindResyncReq, Keys: []string{"a", "c"}, Versions: []uint64{4, 0}},
+		{Kind: KindResyncReq, Epoch: 3, Keys: []string{"a", "c", "d"}, Versions: []uint64{4, 0, 9},
+			Windows: []core.Window{win("rrwrr"), {}, core.NewWindow(core.MaxWindow, sched.Read)}},
+		{Kind: KindMultiReadReq, ID: 77, Keys: []string{"a"}, Versions: []uint64{0}, Windows: []core.Window{win("r")}},
 		{Kind: KindResyncResp, Entries: []Entry{
 			{Key: "a", Version: 4, NotModified: true},
 			{Key: "c", Value: []byte("fresh"), Version: 9},
@@ -48,6 +56,14 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 			if len(b.Versions) > j && back.Versions[j] != b.Versions[j] {
 				t.Fatalf("batch %d version hint %d", i, j)
+			}
+		}
+		if len(back.Windows) != len(b.Windows) {
+			t.Fatalf("batch %d: %d windows back, want %d", i, len(back.Windows), len(b.Windows))
+		}
+		for j := range b.Windows {
+			if back.Windows[j] != b.Windows[j] {
+				t.Fatalf("batch %d window %d: %v, want %v", i, j, back.Windows[j], b.Windows[j])
 			}
 		}
 		for j := range b.Entries {
@@ -89,6 +105,33 @@ func TestBatchRejections(t *testing.T) {
 	}
 	if _, err := DecodeBatch(append(frame, 9)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestBatchGoldenBytes: a read request that declares no windows encodes
+// to the bytes it did before windows could be declared, and one that
+// declares them sets the key count's top bit, which an older decoder
+// refuses as a count past MaxBatch.
+func TestBatchGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		b    Batch
+		want string
+	}{
+		{Batch{Kind: KindMultiReadReq, ID: 300, Keys: []string{"k1", "k02"}, Versions: []uint64{3, 0}},
+			"14030000000000000000ac02020002006b31030000000000000003006b303200000000000000000000"},
+		{Batch{Kind: KindResyncReq, Epoch: 5, Keys: []string{"a", "bc"}, Versions: []uint64{1, 258}},
+			"1603050000000000000000020001006101000000000000000200626302010000000000000000"},
+		{Batch{Kind: KindResyncReq, Epoch: 5, Keys: []string{"a", "bc"}, Versions: []uint64{1, 258},
+			Windows: []core.Window{win("rrwrr"), {}}},
+			"1603050000000000000000028001006101000000000000000504020062630201000000000000000000"},
+	} {
+		frame, err := AppendEncodeBatch(nil, c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(frame); got != c.want {
+			t.Errorf("%v with %d windows encodes to\n%s, want\n%s", c.b.Kind, len(c.b.Windows), got, c.want)
+		}
 	}
 }
 
@@ -172,12 +215,18 @@ func sameBatch(a, b Batch) string {
 	switch {
 	case a.Kind != b.Kind || a.Epoch != b.Epoch || a.ID != b.ID:
 		return "header"
-	case len(a.Keys) != len(b.Keys) || len(a.Versions) != len(b.Versions) || len(a.Entries) != len(b.Entries):
+	case len(a.Keys) != len(b.Keys) || len(a.Versions) != len(b.Versions) || len(a.Windows) != len(b.Windows) ||
+		len(a.Entries) != len(b.Entries):
 		return "lengths"
 	}
 	for i := range a.Keys {
 		if a.Keys[i] != b.Keys[i] || a.Versions[i] != b.Versions[i] {
 			return "key"
+		}
+	}
+	for i := range a.Windows {
+		if a.Windows[i] != b.Windows[i] {
+			return "window"
 		}
 	}
 	for i := range a.Entries {
@@ -210,6 +259,16 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if re, err := AppendEncodeBatch(nil, b); err != nil || !bytes.Equal(re, seed) {
 			f.Fatalf("seed %v re-encoded to %x (%v), want %x", k, re, err, seed)
+		}
+		f.Add(seed)
+	}
+	// Read requests that declare windows: a resync's, and the joint read
+	// a relay forwards for it.
+	for _, k := range []Kind{KindMultiReadReq, KindResyncReq} {
+		seed, err := AppendEncodeBatch(nil, Batch{Kind: k, Epoch: 2, ID: uint64(k),
+			Keys: []string{"k", "j"}, Versions: []uint64{3, 0}, Windows: []core.Window{win("rrwrr"), {}}})
+		if err != nil {
+			f.Fatal(err)
 		}
 		f.Add(seed)
 	}
@@ -284,10 +343,15 @@ func TestDecodeBatchBorrowedAllocs(t *testing.T) {
 			req.Keys[i] = string(rune('a' + i%26))
 			resp.Entries[i] = Entry{Key: req.Keys[i], Value: []byte("value"), Version: uint64(i)}
 		}
+		declared := req
+		declared.Windows = make([]core.Window, n)
+		for i := range declared.Windows {
+			declared.Windows[i] = core.NewWindow(1+i%core.MaxWindow, sched.Read)
+		}
 		for _, c := range []struct {
 			b    Batch
 			want float64
-		}{{req, 2}, {resp, 1}} {
+		}{{req, 2}, {declared, 3}, {resp, 1}} {
 			frame, err := AppendEncodeBatch(nil, c.b)
 			if err != nil {
 				t.Fatal(err)
@@ -302,4 +366,43 @@ func TestDecodeBatchBorrowedAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDeclaredWindow builds a one-key request whose declared window
+// claims size bits over the packed bytes given, cut after cut bytes of
+// the window's part of the frame: the decoder accepts it exactly when the
+// size is a legal window (or 0, none declared) and the frame holds its
+// bytes exactly, and then returns that window.
+func FuzzDeclaredWindow(f *testing.F) {
+	f.Add(uint8(5), []byte{0x04}, 2)
+	f.Add(uint8(0), []byte{}, 1)
+	f.Add(uint8(128), bytes.Repeat([]byte{0xff}, 16), 17)
+	f.Add(uint8(129), bytes.Repeat([]byte{0xff}, 17), 18)
+	f.Add(uint8(255), bytes.Repeat([]byte{0}, 32), 33)
+	f.Add(uint8(9), []byte{0x01}, 2)
+	f.Fuzz(func(t *testing.T, size uint8, packed []byte, cut int) {
+		frame, err := AppendEncodeBatch(nil, Batch{Kind: KindResyncReq, Keys: []string{"k"}, Versions: []uint64{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(frame[len(frame)-15:], 1|declaresWindows)
+		frame = frame[:len(frame)-2] // the entry count follows the window
+		tail := append([]byte{size}, packed...)
+		if cut >= 0 && cut < len(tail) {
+			tail = tail[:cut]
+		}
+		frame = append(append(frame, tail...), 0, 0)
+		b, err := DecodeBatchBorrowed(frame)
+		legal := int(size) <= core.MaxWindow && len(tail) == 1+(int(size)+7)/8
+		if (err == nil) != legal {
+			t.Fatalf("size %d over %d packed bytes: decode error %v, legal %v", size, len(tail)-1, err, legal)
+		}
+		if err != nil {
+			return
+		}
+		want, err := core.UnpackWindow(int(size), tail[1:])
+		if err != nil || len(b.Windows) != 1 || b.Windows[0] != want {
+			t.Fatalf("size %d: decoded %v, want %v (%v)", size, b.Windows, want, err)
+		}
+	})
 }
